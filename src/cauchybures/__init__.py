@@ -7,10 +7,9 @@ from .exceptions import (CauchyBuresError, ComplexityError, DimensionError,
                          PoleError, SignError, SingularPointError,
                          SingularSystemError)
 from .numerics import LogValue, SkewMatrix, pfaffian, pfaffian_bordered
-from .foxh import (ContourPlan, FoxHSpec, fox_h, g_inf, g_n, g_tilde_inf,
-                   g_tilde_n, mellin_eval)
+from .foxh import (FoxHSpec, fox_h, g_inf, g_n, g_tilde_inf, g_tilde_n,
+                   mellin_barnes)
 from .ensembles import (EnsembleParams, moment_b, moment_c, partition_bures,
-                        partition_bures_closed,
                         partition_bures_squared_identity, partition_cauchy,
                         partition_cauchy_det)
 from .polynomials import (PolySeries, coeff_c, jacobi_p, jacobi_series_value,
@@ -29,11 +28,11 @@ __all__ = [
     "NonConverged", "PoleCollisionError", "PoleError", "SignError",
     "SingularPointError", "SingularSystemError",
     "LogValue", "SkewMatrix", "pfaffian", "pfaffian_bordered",
-    "ContourPlan", "FoxHSpec", "fox_h", "g_inf", "g_n", "g_tilde_inf",
-    "g_tilde_n", "mellin_eval",
+    "FoxHSpec", "fox_h", "g_inf", "g_n", "g_tilde_inf", "g_tilde_n",
+    "mellin_barnes",
     "EnsembleParams", "moment_b", "moment_c", "partition_bures",
-    "partition_bures_closed", "partition_bures_squared_identity",
-    "partition_cauchy", "partition_cauchy_det",
+    "partition_bures_squared_identity", "partition_cauchy",
+    "partition_cauchy_det",
     "PolySeries", "coeff_c", "jacobi_p", "jacobi_series_value", "monic_pair",
     "p_hat", "p_hat_det", "phi_bures", "q_hat", "q_hat_det",
     "KernelGrid", "cd_kernel", "hard_edge_kernel", "hatted", "k01", "k10",

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 import click
 import numpy as np
@@ -16,26 +15,15 @@ import numpy as np
 from . import correlations, ensembles, kernels, polynomials
 from .raney import raney as raney_number
 from .raney import sz_moment
-from .exceptions import (CauchyBuresError, DomainError, NonConverged,
-                         PoleCollisionError)
-from .foxh import (FoxHSpec, hankel_loop, min_family_separation,
+from .exceptions import CauchyBuresError, DomainError, NonConverged
+# hankel_loop and residue_series stay bound here for perfbench/tracer.py
+from .foxh import (FoxHSpec, hankel_loop, mellin_barnes,  # noqa: F401
                    residue_series)
 from .numerics import SkewMatrix, gauss_jacobi, pfaffian
 
 # the spec'd exit contract reserves 2 for non-convergence; route click's
 # usage failures to 1 instead
 click.UsageError.exit_code = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Full invocation record embedded in every output artifact."""
-
-    command: str
-    options: dict
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, "options": self.options}
 
 
 def _fail(code: int, message: str):
@@ -74,6 +62,9 @@ def _load_foxh_spec(path: str) -> FoxHSpec:
         _fail(1, f"invalid spec: {exc}")
 
 
+_ROUTE_NAMES = {"residue": "ResidueSum", "hankel": "HankelLoop"}
+
+
 @main.command()
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--z", "zs", type=float, multiple=True, required=True)
@@ -84,30 +75,21 @@ def foxh(spec_file, zs, out):
     if any(z <= 0 for z in zs):
         _fail(1, "z must be positive")
     num, den = spec.factors()
-    sep = min_family_separation(num, den)
     records = []
     for z in zs:
         try:
-            if sep < 1e-6:
-                value = hankel_loop(num, den, z)
-                strategy = "HankelLoop"
-            else:
-                try:
-                    value = residue_series(num, den, z)
-                    strategy = "ResidueSum"
-                except PoleCollisionError:
-                    value = hankel_loop(num, den, z)
-                    strategy = "HankelLoop"
+            value, route = mellin_barnes(num, den, z)
         except NonConverged as exc:
             _fail(2, f"non-convergence at z={z}: {exc}")
-        rec = {"z": z, "value": value, "strategy": strategy,
+        rec = {"z": z, "value": value, "strategy": _ROUTE_NAMES[route],
                "est_error": max(1e-13, 1e-11 * abs(value))}
         records.append(rec)
         click.echo(json.dumps(rec, sort_keys=True))
     if out:
-        cfg = RunConfig("foxh", {"spec_file": spec_file, "z": list(zs)})
+        config = {"command": "foxh",
+                  "options": {"spec_file": spec_file, "z": list(zs)}}
         with open(out, "w") as fh:
-            json.dump({"config": cfg.as_dict(), "records": records}, fh,
+            json.dump({"config": config, "records": records}, fh,
                       sort_keys=True, indent=1)
 
 
@@ -146,11 +128,11 @@ def kernel_grid(a, b, theta, n, kind, grid_min, grid_max, grid_count,
                            grid_count)
     else:
         axis = np.linspace(grid_min, grid_max, grid_count)
-    cfg = RunConfig("kernel-grid", {
+    config = {"command": "kernel-grid", "options": {
         "a": a, "b": b, "theta": theta, "n": n, "kind": kind,
         "grid_min": grid_min, "grid_max": grid_max,
         "grid_count": grid_count, "grid_scale": grid_scale, "format": fmt,
-    })
+    }}
     try:
         if kind in _FINITE_KINDS:
             params = ensembles.EnsembleParams(a, b, theta, n)
@@ -168,8 +150,7 @@ def kernel_grid(a, b, theta, n, kind, grid_min, grid_max, grid_count,
 
             def ev(x, y):
                 return kernels.hard_edge_kernel(a, b, theta, base, x, y)
-        grid = kernels.make_grid(kind, axis, axis, ev,
-                                 params=cfg.as_dict())
+        grid = kernels.make_grid(kind, axis, axis, ev, params=config)
     except NonConverged as exc:
         _fail(2, f"grid evaluation did not converge: {exc}")
     except CauchyBuresError as exc:
@@ -313,9 +294,16 @@ def verify(suite, seed, tol):
 # ---------------------------------------------------------------------------
 
 def _print_value(label: str, value_log):
+    # value is null when |Z| is not a double; sign and log_abs still carry Z
+    try:
+        value = value_log.to_real()
+    except OverflowError:
+        value = None
+    if value == 0.0 and value_log.sign != 0:
+        value = None
     click.echo(json.dumps({
         "quantity": label,
-        "value": value_log.to_real(),
+        "value": value,
         "sign": value_log.sign,
         "log_abs": value_log.log_mag,
     }, sort_keys=True))

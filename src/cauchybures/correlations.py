@@ -31,7 +31,7 @@ __all__ = [
     "correlation_record",
 ]
 
-_MODELS = ("cauchy", "bures", "cauchy_hard_edge", "bures_hard_edge")
+_MODELS = ("cauchy", "bures")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ class CorrelationRequest:
                 raise DimensionError("more points than eigenvalues")
         if self.model == "bures" and len(self.xs) > self.params.n:
             raise DimensionError("more points than eigenvalues")
-        if self.model.endswith("hard_edge") and self.ys:
-            raise DomainError("hard-edge requests take a single point list")
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ __all__ = [
     "partition_cauchy",
     "partition_cauchy_det",
     "partition_bures",
-    "partition_bures_closed",
-    "bures_closed_report",
 ]
 
 
@@ -34,8 +32,7 @@ class EnsembleParams:
     """Parameter tuple (a, b, theta, n) with derived exponents.
 
     alpha = (a+b+1)/theta - 1 governs the t-integral weight, beta is the
-    partition-product exponent, beta_hat the Bures variant (where the
-    second weight exponent is implicitly a+1).
+    partition-product exponent.
     """
 
     a: float
@@ -58,10 +55,6 @@ class EnsembleParams:
     @property
     def beta(self) -> float:
         return (1.0 + self.a + self.b) / self.theta
-
-    @property
-    def beta_hat(self) -> float:
-        return (self.a + 1.0) / self.theta - 1.0
 
     def with_n(self, n: int) -> "EnsembleParams":
         return EnsembleParams(self.a, self.b, self.theta, n)
@@ -112,36 +105,45 @@ def moment_b(params: EnsembleParams, j: int, k: int) -> float:
 # Cauchy partition function
 # ---------------------------------------------------------------------------
 
+def _log_gamma_prefactor(params: EnsembleParams) -> float:
+    """log prod_j Gamma(a+theta(j-1)+1) Gamma(b+theta(j-1)+1)."""
+    a, b, theta = params.a, params.b, params.theta
+    log = 0.0
+    for j in range(1, params.n + 1):
+        log += (math.lgamma(a + theta * (j - 1) + 1.0)
+                + math.lgamma(b + theta * (j - 1) + 1.0))
+    return log
+
+
+def _log_core_product(beta: float, theta: float, n: int,
+                      log: float = 0.0) -> float:
+    """log + log det[1/(theta(beta+j+k-2))] by its Cauchy-type product.
+
+    Accumulating onto log keeps partition_cauchy's summation order.
+    """
+    log -= n * math.log(theta)
+    for l in range(1, n):
+        log += 2.0 * math.lgamma(l + 1)
+    for k in range(1, n + 1):
+        log += math.lgamma(beta + k - 1.0) - math.lgamma(beta + k + n - 1.0)
+    return log
+
+
 def partition_cauchy(params: EnsembleParams) -> LogValue:
     """Closed product form of the Cauchy partition function.
 
     Non-integer factorials are read as gamma functions:
     (beta+k-2)! -> Gamma(beta+k-1).
     """
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    beta = params.beta
-    log = 0.0
-    for j in range(1, n + 1):
-        log += (math.lgamma(a + theta * (j - 1) + 1.0)
-                + math.lgamma(b + theta * (j - 1) + 1.0))
-    log -= n * math.log(theta)
-    for l in range(1, n):
-        log += 2.0 * math.lgamma(l + 1)
-    for k in range(1, n + 1):
-        log += math.lgamma(beta + k - 1.0) - math.lgamma(beta + k + n - 1.0)
-    return LogValue(1, log)
+    return LogValue(1, _log_core_product(params.beta, params.theta, params.n,
+                                         _log_gamma_prefactor(params)))
 
 
 def _cauchy_core_logdet(beta: float, theta: float, n: int) -> LogValue:
     """det[1/(1+a+b+theta(j+k-2))] with the gamma prefactors pulled out."""
     if n > 8:
         # Cauchy-type closed product; LU loses all digits past n ~ 10
-        log = -n * math.log(theta)
-        for l in range(1, n):
-            log += 2.0 * math.lgamma(l + 1)
-        for k in range(1, n + 1):
-            log += math.lgamma(beta + k - 1.0) - math.lgamma(beta + k + n - 1.0)
-        return LogValue(1, log)
+        return LogValue(1, _log_core_product(beta, theta, n))
     jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1),
                          indexing="ij")
     core = 1.0 / (theta * (beta + jj + kk - 2.0))
@@ -153,13 +155,8 @@ def _cauchy_core_logdet(beta: float, theta: float, n: int) -> LogValue:
 
 def partition_cauchy_det(params: EnsembleParams) -> LogValue:
     """Determinant route: prescaled moment matrix times gamma prefactors."""
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    pref = 0.0
-    for j in range(1, n + 1):
-        pref += (math.lgamma(a + theta * (j - 1) + 1.0)
-                 + math.lgamma(b + theta * (j - 1) + 1.0))
-    core = _cauchy_core_logdet(params.beta, theta, n)
-    return LogValue(core.sign, core.log_mag + pref)
+    core = _cauchy_core_logdet(params.beta, params.theta, params.n)
+    return LogValue(core.sign, core.log_mag + _log_gamma_prefactor(params))
 
 
 # ---------------------------------------------------------------------------
@@ -197,40 +194,3 @@ def partition_bures_squared_identity(params: EnsembleParams) -> LogValue:
     """sqrt(2^n Z^C_n(a, a+1; theta)): the normative cross-check value."""
     zc = partition_cauchy(params.bures_pair())
     return LogValue(1, 0.5 * (params.n * math.log(2.0) + zc.log_mag))
-
-
-def partition_bures_closed(params: EnsembleParams) -> LogValue:
-    """EXPERIMENTAL closed product for the Bures partition function.
-
-    The source display lacks an explicit product index; a product over
-    j = 0..n-1 is restored here.  Compare with partition_bures via
-    bures_closed_report; agreement is reported, not asserted.
-    """
-    a, theta, n = params.a, params.theta, params.n
-    bh = params.beta_hat
-    log = 0.5 * n * math.log(math.pi)
-    log -= (theta * n * n + 2.0 * a * n - (theta - 1.0) * n) * math.log(2.0)
-    for j in range(n):
-        log += (math.lgamma(j + 1.0) + math.lgamma(2.0 * bh + j + 2.0)
-                - math.lgamma(theta * (j + bh + 1.0) + 0.5))
-        log += 0.5 * (math.lgamma(2.0 * theta * (bh + j + 1.0))
-                      + math.lgamma(2.0 * theta * (bh + j + 1.0) + 1.0)
-                      - math.lgamma(2.0 * (bh + j + 1.0))
-                      - math.lgamma(2.0 * (bh + j + 1.0) + 1.0))
-    return LogValue(1, log)
-
-
-def bures_closed_report(params: EnsembleParams) -> dict:
-    """Compare the experimental closed product against the Pfaffian route."""
-    pf = partition_bures(params)
-    closed = partition_bures_closed(params)
-    rel = abs(math.expm1(closed.log_mag - pf.log_mag))
-    return {
-        "n": params.n,
-        "a": params.a,
-        "theta": params.theta,
-        "pfaffian_log": pf.log_mag,
-        "closed_log": closed.log_mag,
-        "relative_difference": rel,
-        "agrees_1e-7": rel < 1e-7,
-    }

@@ -10,32 +10,33 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
 from .exceptions import (DomainError, NonConverged, PoleCollisionError,
                          PoleError)
-from .numerics import LogValue, lgamma_signed, log_gamma_complex
+from .numerics import (LogValue, lgamma_signed, log_gamma_complex,
+                       refine_quadrature)
 
 __all__ = [
     "GammaFactor",
     "FoxHSpec",
-    "ContourPlan",
     "fox_h",
     "g_n",
     "g_n_coeffs",
     "g_tilde_n",
     "g_inf",
     "g_tilde_inf",
-    "mellin_eval",
+    "mellin_barnes",
 ]
 
 _LN_EPS = math.log(1e-16)
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 _COLLISION_TOL = 1e-8
 _STRATEGY_SEP = 1e-6
+_STRATEGIES = ("auto", "residue", "hankel")
 
 
 # ---------------------------------------------------------------------------
@@ -85,25 +86,6 @@ class FoxHSpec:
         den = [GammaFactor(1.0 - b, -B) for b, B in self.lower[self.m:]]
         den += [GammaFactor(a, A) for a, A in self.upper[self.n:]]
         return num, den
-
-
-@dataclass(frozen=True)
-class ContourPlan:
-    """Evaluation strategy and its discretization parameters."""
-
-    kind: Literal["residue", "hankel", "vertical"]
-    anchor: float = 0.0
-    truncation: float = 30.0
-    node_count: int = 64
-
-    def __post_init__(self):
-        if self.kind not in ("residue", "hankel", "vertical"):
-            raise DomainError(f"unknown contour kind {self.kind!r}")
-        if self.kind != "residue":
-            if self.truncation <= 0:
-                raise DomainError("truncation must be positive")
-            if self.node_count < 16:
-                raise DomainError("node_count must be >= 16")
 
 
 def _log_integrand(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
@@ -366,96 +348,48 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     else:
         raise NonConverged("integrand does not decay along the Hankel loop")
 
-    def value_at(n_nodes: int) -> float:
-        t = np.linspace(0.0, t_max, n_nodes)
+    def value_at(order: int) -> float:
+        t = np.linspace(0.0, t_max, order + 1)
         lg = log_g(t)
         m = lg.real.max()
         vals = np.exp(lg - m).imag
-        integral = _trapz(vals, t)
-        return math.exp(m) / math.pi * integral
+        return float(math.exp(m) / math.pi * _trapz(vals, t))
 
-    prev = value_at(node_count + 1)
-    n = 2 * node_count
-    while n <= 65536:
-        cur = value_at(n + 1)
-        scale = max(abs(cur), abs(prev))
-        if scale == 0.0 or abs(cur - prev) <= rtol * scale:
-            return cur
-        prev = cur
-        n *= 2
-    raise NonConverged("Hankel loop quadrature stalled")
+    return refine_quadrature(value_at, start_order=node_count, rtol=rtol,
+                             max_order=65536)
 
 
-def vertical_line(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                  z: float, anchor: Optional[float] = None,
-                  truncation: float = 40.0, node_count: int = 64,
-                  rtol: float = 1e-11) -> float:
-    """Mellin-Barnes integral along Re u = anchor, when it converges there."""
-    if z <= 0:
-        raise DomainError("z must be positive")
-    log_z = math.log(z)
-    left_max, right_min = _contour_bounds(num)
-    if anchor is None:
-        hi = min(right_min, left_max + 2.0)
-        anchor = 0.5 * (left_max + hi)
-        if not left_max < anchor < right_min:
-            raise PoleCollisionError("no vertical line separates the families")
+def mellin_barnes(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
+                  z: float, strategy: str = "auto") -> tuple[float, str]:
+    """Evaluate a gamma-ratio Mellin-Barnes integral; (value, route name).
 
-    def log_h(t: np.ndarray) -> np.ndarray:
-        out = np.empty(len(t), dtype=complex)
-        for idx, tt in enumerate(t):
-            out[idx] = _log_integrand(num, den, anchor + 1j * tt, log_z)
-        return out
-
-    probe = np.linspace(0.0, truncation, 33)
-    lg = log_h(probe)
-    if lg.real[-1] > lg.real.max() - 40.0:
-        raise NonConverged("integrand does not decay along the vertical line")
-
-    def value_at(n_nodes: int) -> float:
-        t = np.linspace(0.0, truncation, n_nodes)
-        lh = log_h(t)
-        m = lh.real.max()
-        vals = np.exp(lh - m).real
-        return math.exp(m) / math.pi * _trapz(vals, t)
-
-    prev = value_at(node_count + 1)
-    n = 2 * node_count
-    while n <= 65536:
-        cur = value_at(n + 1)
-        scale = max(abs(cur), abs(prev))
-        if scale == 0.0 or abs(cur - prev) <= rtol * scale:
-            return cur
-        prev = cur
-        n *= 2
-    raise NonConverged("vertical-line quadrature stalled")
-
-
-def mellin_eval(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                z: float, plan: Optional[ContourPlan] = None) -> float:
-    """Evaluate a gamma-ratio Mellin-Barnes integral with strategy fallback."""
-    if plan is None:
+    strategy "residue" or "hankel" forces that route.  "auto" sums the
+    residue series while the left pole families stay _STRATEGY_SEP apart
+    and integrates the Hankel loop otherwise, or when the series meets a
+    double pole.  This is the one place where the route is chosen.
+    """
+    if strategy not in _STRATEGIES:
+        raise DomainError(f"unknown strategy {strategy!r}; choose from "
+                          f"{'|'.join(_STRATEGIES)}")
+    if strategy == "residue":
+        return residue_series(num, den, z), "residue"
+    if (strategy == "auto"
+            and min_family_separation(num, den) >= _STRATEGY_SEP):
         try:
-            return residue_series(num, den, z)
+            return residue_series(num, den, z), "residue"
         except PoleCollisionError:
-            return hankel_loop(num, den, z)
-    if plan.kind == "residue":
-        return residue_series(num, den, z)
-    if plan.kind == "hankel":
-        return hankel_loop(num, den, z, node_count=plan.node_count)
-    return vertical_line(num, den, z, anchor=plan.anchor,
-                         truncation=plan.truncation,
-                         node_count=plan.node_count)
+            pass
+    return hankel_loop(num, den, z), "hankel"
 
 
 # ---------------------------------------------------------------------------
 # Fox H front end
 # ---------------------------------------------------------------------------
 
-def fox_h(spec: FoxHSpec, z: float, plan: Optional[ContourPlan] = None) -> float:
+def fox_h(spec: FoxHSpec, z: float, strategy: str = "auto") -> float:
     """Fox H-function of positive real argument."""
     num, den = spec.factors()
-    return mellin_eval(num, den, z, plan)
+    return mellin_barnes(num, den, z, strategy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +424,19 @@ def g_n_coeffs(a: float, alpha: float, theta: float, n: int) -> list[LogValue]:
     return out
 
 
-def g_n(a: float, alpha: float, theta: float, n: int, z: float) -> float:
-    """Finite-N kernel polynomial G_{n,a}(z) by its residue sum."""
+def g_n(a: float, alpha: float, theta: float, n: int, z: float,
+        strategy: str = "auto") -> float:
+    """Finite-N kernel polynomial G_{n,a}(z) by its residue sum.
+
+    The residue sum is the polynomial itself; strategy="hankel" integrates
+    the loop contour instead (verification route).
+    """
     if z < 0:
         raise DomainError("z must be non-negative")
+    if strategy not in ("auto", "residue"):
+        _check_exponents(a, alpha, theta)
+        return mellin_barnes(*_gn_factors(a, alpha, theta, n), z,
+                             strategy)[0]
     coeffs = g_n_coeffs(a, alpha, theta, n)
     if z == 0.0:
         return coeffs[0].to_real()
@@ -529,51 +472,34 @@ def _gtinf_factors(a, alpha, theta):
     return num, den
 
 
-def g_n_contour(a: float, alpha: float, theta: float, n: int,
-                z: float) -> float:
-    """G_{n,a}(z) by Hankel-loop quadrature (verification route)."""
-    num, den = _gn_factors(a, alpha, theta, n)
-    return hankel_loop(num, den, z)
-
-
-def _dual_strategy(num, den, z, strategy):
-    if strategy == "residue":
-        return residue_series(num, den, z)
-    if strategy == "hankel":
-        return hankel_loop(num, den, z)
-    if min_family_separation(num, den) < _STRATEGY_SEP:
-        return hankel_loop(num, den, z)
-    try:
-        return residue_series(num, den, z)
-    except PoleCollisionError:
-        return hankel_loop(num, den, z)
-
-
 def g_tilde_n(a: float, alpha: float, theta: float, n: int, z: float,
               strategy: str = "auto") -> float:
     """Companion function G~_{n,a}(z) with the Gamma(theta*u - a) factor.
 
     Double residue series when the pole families {-k} and {(a-m)/theta}
-    are separated; Hankel-loop quadrature otherwise.
+    are separated; Hankel-loop quadrature otherwise (see mellin_barnes).
     """
     _check_exponents(a, alpha, theta)
     if z <= 0:
         raise DomainError("z must be positive")
-    num, den = _gtn_factors(a, alpha, theta, n)
-    return _dual_strategy(num, den, z, strategy)
+    return mellin_barnes(*_gtn_factors(a, alpha, theta, n), z, strategy)[0]
 
 
-def g_inf(a: float, alpha: float, theta: float, z: float) -> float:
+def g_inf(a: float, alpha: float, theta: float, z: float,
+          strategy: str = "auto") -> float:
     """Hard-edge limit function: sum_k (-z)^k / (k! G(alpha+1+k) G(a+theta*k+1)).
 
     This is the residue series of the limiting contour integral, and the
     actual N -> infinity limit of the rescaled G_{N,a}.  Falls back to
     high-precision summation when alternating cancellation eats more than
-    ~13 digits.
+    ~13 digits.  strategy="hankel" integrates the loop contour instead
+    (verification route).
     """
     _check_exponents(a, alpha, theta)
     if z < 0:
         raise DomainError("z must be non-negative")
+    if strategy not in ("auto", "residue"):
+        return mellin_barnes(*_ginf_factors(a, alpha, theta), z, strategy)[0]
     if z == 0.0:
         return math.exp(-math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0))
     log_z = math.log(z)
@@ -614,29 +540,10 @@ def _g_inf_mp(a, alpha, theta, z, peak):
         return float(total)
 
 
-def g_inf_contour(a: float, alpha: float, theta: float, z: float) -> float:
-    """G_inf by Hankel-loop quadrature (verification route)."""
-    num, den = _ginf_factors(a, alpha, theta)
-    return hankel_loop(num, den, z)
-
-
 def g_tilde_inf(a: float, alpha: float, theta: float, z: float,
                 strategy: str = "auto") -> float:
-    """Hard-edge companion with Gamma(theta*u - a); dual-strategy contract."""
+    """Hard-edge companion with Gamma(theta*u - a); see mellin_barnes."""
     _check_exponents(a, alpha, theta)
     if z <= 0:
         raise DomainError("z must be positive")
-    num, den = _gtinf_factors(a, alpha, theta)
-    return _dual_strategy(num, den, z, strategy)
-
-
-def g_tilde_inf_contour(a: float, alpha: float, theta: float,
-                        z: float) -> float:
-    num, den = _gtinf_factors(a, alpha, theta)
-    return hankel_loop(num, den, z)
-
-
-def g_tilde_n_contour(a: float, alpha: float, theta: float, n: int,
-                      z: float) -> float:
-    num, den = _gtn_factors(a, alpha, theta, n)
-    return hankel_loop(num, den, z)
+    return mellin_barnes(*_gtinf_factors(a, alpha, theta), z, strategy)[0]

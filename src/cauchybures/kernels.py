@@ -64,17 +64,8 @@ def _cd_sum(params: EnsembleParams, x: float, y: float) -> float:
 
 def _cd_tintegral(params: EnsembleParams, x: float, y: float) -> float:
     a, b, theta, n = params.a, params.b, params.theta, params.n
-    alpha = params.alpha
-    xt, yt = x ** theta, y ** theta
-
-    def value_at(order: int) -> float:
-        rule = gauss_jacobi(order, alpha)
-        vals = np.array([g_n(a, alpha, theta, n, t * xt)
-                         * g_n(b, alpha, theta, n, t * yt)
-                         for t in rule.nodes])
-        return theta * float(rule.weights @ vals)
-
-    return refine_quadrature(value_at, start_order=max(16, n + 4))
+    return theta * _gg_jacobi_integral(a, b, params.alpha, theta, n,
+                                       x ** theta, y ** theta)
 
 
 def cd_kernel_log(params: EnsembleParams, x: float, y: float) -> LogValue:
@@ -165,6 +156,24 @@ def _gt_fn(a: float, alpha: float, theta: float, n: Optional[int]):
     return lambda z: g_tilde_n(a, alpha, theta, n, z)
 
 
+def _gg_jacobi_integral(a: float, b: float, alpha: float, theta: float,
+                        n: Optional[int], u: float, v: float) -> float:
+    """integral_0^1 t^alpha G_a(t u) G_b(t v) dt by Gauss-Jacobi refinement.
+
+    G is G_n, or the hard-edge G_inf for n=None; both are entire, so the
+    t^alpha weight is the only endpoint behavior.  Callers apply theta.
+    """
+    g1, g2 = _g_fn(a, alpha, theta, n), _g_fn(b, alpha, theta, n)
+
+    def value_at(order: int) -> float:
+        rule = gauss_jacobi(order, alpha)
+        vals = np.array([g1(t * u) * g2(t * v) for t in rule.nodes])
+        return float(rule.weights @ vals)
+
+    return refine_quadrature(
+        value_at, start_order=16 if n is None else max(16, n + 4))
+
+
 # ---------------------------------------------------------------------------
 # correlation kernels K01 / K10 / K11
 # ---------------------------------------------------------------------------
@@ -203,11 +212,8 @@ def _cd_coeff_table(params: EnsembleParams):
     cq = [c.to_real() for c in g_n_coeffs(params.b, alpha, params.theta,
                                           params.n)]
     n = params.n
-    table = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            table[j, k] = params.theta * cp[j] * cq[k] / (1.0 + alpha + j + k)
-    return table
+    return [[params.theta * cp[j] * cq[k] / (1.0 + alpha + j + k)
+             for k in range(n)] for j in range(n)]
 
 
 def k01(params: EnsembleParams, x: float, xp: float,
@@ -229,7 +235,7 @@ def k01(params: EnsembleParams, x: float, xp: float,
         for j in range(n):
             xj = xt ** j
             for k in range(n):
-                total += table[j, k] * xj * i1_integral(b + theta * k, xp)
+                total += table[j][k] * xj * i1_integral(b + theta * k, xp)
         return total
     raise DomainError(f"unknown route {route!r}")
 
@@ -253,7 +259,7 @@ def k10(params: EnsembleParams, y: float, yp: float,
         for j in range(n):
             i1 = i1_integral(a + theta * j, y)
             for k in range(n):
-                total += table[j, k] * yt ** k * i1
+                total += table[j][k] * yt ** k * i1
         return total
     raise DomainError(f"unknown route {route!r}")
 
@@ -325,7 +331,7 @@ def k11(params: EnsembleParams, y: float, x: float,
         for j in range(n):
             i1j = i1_integral(a + theta * j, y)
             for k in range(n):
-                total += table[j, k] * i1j * i1_integral(b + theta * k, x)
+                total += table[j][k] * i1j * i1_integral(b + theta * k, x)
         return total - 1.0 / (x + y)
     raise DomainError(f"unknown route {route!r}")
 
@@ -368,13 +374,8 @@ def hard_edge_kernel(a: float, b: float, theta: float, kind: str,
         raise DomainError("kernel arguments must be positive")
     alpha = _alpha_of(a, b, theta)
     if kind == "K00":
-        def value_at(order: int) -> float:
-            rule = gauss_jacobi(order, alpha)
-            vals = np.array([g_inf(a, alpha, theta, t * x1 ** theta)
-                             * g_inf(b, alpha, theta, t * x2 ** theta)
-                             for t in rule.nodes])
-            return theta * float(rule.weights @ vals)
-        return refine_quadrature(value_at)
+        return theta * _gg_jacobi_integral(a, b, alpha, theta, None,
+                                           x1 ** theta, x2 ** theta)
     if kind == "K01":
         val = _gg_t_integral(alpha, theta,
                              _g_fn(a, alpha, theta, None), x1 ** theta,
@@ -468,18 +469,10 @@ def delta_k11_finite(params_pair: EnsembleParams, zi: float, zj: float) -> float
 def delta_k00_inf(a: float, theta: float, zi: float, zj: float) -> float:
     """Hard-edge antisymmetrized CD kernel for the Bures pair (a, a+1)."""
     alpha = 2.0 * (a + 1.0) / theta - 1.0
-
-    def one(u: float, v: float) -> float:
-        def value_at(order: int) -> float:
-            rule = gauss_jacobi(order, alpha)
-            vals = np.array([g_inf(a, alpha, theta, t * u)
-                             * g_inf(a + 1.0, alpha, theta, t * v)
-                             for t in rule.nodes])
-            return float(rule.weights @ vals)
-        return refine_quadrature(value_at)
-
     ut, vt = zi ** theta, zj ** theta
-    return theta * (one(ut, vt) - one(vt, ut))
+    return theta * (
+        _gg_jacobi_integral(a, a + 1.0, alpha, theta, None, ut, vt)
+        - _gg_jacobi_integral(a, a + 1.0, alpha, theta, None, vt, ut))
 
 
 def sigma_k01_inf(a: float, theta: float, zi: float, zj: float) -> float:
@@ -580,7 +573,7 @@ class KernelGrid:
 
 def make_grid(kind: str, xs, ys, evaluator: Callable[[float, float], float],
               params: dict, scaling: Optional[dict] = None) -> KernelGrid:
-    values = [[evaluator(float(x), float(y)) for y in ys] for x in xs]
+    values = [[float(evaluator(float(x), float(y))) for y in ys] for x in xs]
     return KernelGrid(kind=kind, params=params, xs=[float(x) for x in xs],
                       ys=[float(y) for y in ys], values=values,
                       scaling=scaling or {})

@@ -258,17 +258,19 @@ def refine_quadrature(value_at: Callable[[int], float], start_order: int = 16,
     raising NonConverged past max_order.
     """
     prev = value_at(start_order)
+    delta = math.inf
     order = 2 * start_order
     while order <= max_order:
         cur = value_at(order)
         scale = max(abs(cur), abs(prev))
-        if abs(cur - prev) <= rtol * scale or scale == 0.0:
+        delta = abs(cur - prev)
+        if delta <= rtol * scale or scale == 0.0:
             return cur
         prev = cur
         order *= 2
     raise NonConverged(
         f"quadrature not converged at order {max_order} (last delta "
-        f"{abs(cur - prev):.3e})")
+        f"{delta:.3e})")
 
 
 def tanh_sinh_01(f: Callable[[float], float], rtol: float = 1e-11,
@@ -279,7 +281,8 @@ def tanh_sinh_01(f: Callable[[float], float], rtol: float = 1e-11,
     singularities at either endpoint, which Gauss rules with a fixed
     weight cannot handle.
     """
-    def level_sum(h: float) -> float:
+    def level_sum(order: int) -> float:
+        h = 1.0 / order
         total = 0.0
         j = 0
         while True:
@@ -302,16 +305,9 @@ def tanh_sinh_01(f: Callable[[float], float], rtol: float = 1e-11,
             j += 1
         return 0.5 * h * total
 
-    h = 0.5
-    prev = level_sum(h)
-    for _ in range(max_level):
-        h *= 0.5
-        cur = level_sum(h)
-        scale = max(abs(cur), abs(prev))
-        if scale == 0.0 or abs(cur - prev) <= rtol * scale:
-            return cur
-        prev = cur
-    raise NonConverged("tanh-sinh quadrature stalled")
+    # step h = 1/order, halved max_level times from 1/2
+    return refine_quadrature(level_sum, start_order=2, rtol=rtol,
+                             max_order=2 ** (max_level + 1))
 
 
 # ---------------------------------------------------------------------------

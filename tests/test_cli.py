@@ -2,12 +2,14 @@
 import json
 import math
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
 from cauchybures.cli import main
 from cauchybures.correlations import CorrelationRequest, rho_cauchy
 from cauchybures.ensembles import EnsembleParams, partition_cauchy
+from cauchybures.kernels import KernelGrid
 
 
 @pytest.fixture
@@ -99,6 +101,20 @@ class TestKernelGrid:
                                    "--grid-max", "1.0"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("kind", ["K00", "hard-K01"])
+    def test_csv_and_json_round_trip(self, runner, kind):
+        args = ["kernel-grid", "--a", "0.5", "--b", "0.7", "--theta", "1.5",
+                "--n", "2", "--kind", kind, "--grid-min", "0.5",
+                "--grid-max", "1.5", "--grid-count", "2"]
+        res_json = runner.invoke(main, args + ["--format", "json"])
+        res_csv = runner.invoke(main, args + ["--format", "csv"])
+        assert res_json.exit_code == 0 and res_csv.exit_code == 0
+        grid = KernelGrid.from_json(res_json.output)
+        assert grid.to_json() == res_json.output
+        # the metadata line differs in its "format" option only
+        assert (grid.to_csv().splitlines()[1:]
+                == res_csv.output.splitlines()[1:])
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["numerics", "raney"])
@@ -144,6 +160,29 @@ class TestPartition:
         res = runner.invoke(main, ["partition", "--model", "cauchy",
                                    "--a", "-2.0", "--b", "0.0", "--n", "2"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("theta", [1.0, 0.3])
+    def test_unrepresentable_value_printed_as_null(self, runner, theta):
+        # at N=80, log Z is ~ +9864 (theta=1) or ~ -5385 (theta=0.3): Z over-
+        # or underflows a double, while its (sign, log) form stays exact
+        n = 80
+        res = runner.invoke(main, ["partition", "--model", "cauchy",
+                                   "--a", "0", "--b", "0",
+                                   "--theta", str(theta), "--n", str(n)])
+        assert res.exit_code == 0
+        rec = json.loads(res.output)
+        assert rec["value"] is None
+        assert rec["sign"] == 1
+        # closed product at a = b = 0 (beta = 1/theta), in 30 digits
+        with mpmath.workdps(30):
+            lg, th = mpmath.loggamma, mpmath.mpf(theta)
+            beta = 1 / th
+            want = (sum(2 * lg(th * (j - 1) + 1) for j in range(1, n + 1))
+                    - n * mpmath.log(th)
+                    + sum(2 * lg(l + 1) for l in range(1, n))
+                    + sum(lg(beta + k - 1) - lg(beta + k + n - 1)
+                          for k in range(1, n + 1)))
+        assert rec["log_abs"] == pytest.approx(float(want), rel=1e-13)
 
 
 class TestCorr:

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cauchybures.ensembles import (EnsembleParams, bures_closed_report,
-                                   moment_b, moment_b_vec, moment_c,
-                                   partition_bures, partition_bures_closed,
+from cauchybures.ensembles import (EnsembleParams, moment_b, moment_b_vec,
+                                   moment_c, partition_bures,
                                    partition_bures_squared_identity,
                                    partition_cauchy, partition_cauchy_det)
 from cauchybures.exceptions import DomainError
@@ -98,23 +97,7 @@ class TestBuresPartition:
         rhs = partition_bures_squared_identity(p)
         assert pf_route.to_real() == pytest.approx(rhs.to_real(), rel=1e-7)
 
-    def test_experimental_closed_form_reported_not_asserted(self):
-        # the closed product is a reconstruction with a restored product
-        # index; the report records its (dis)agreement with the Pfaffian
-        p = EnsembleParams(0.4, 1.4, 1.3, 3)
-        rep = bures_closed_report(p)
-        assert rep["pfaffian_log"] == pytest.approx(
-            partition_bures(p).log_mag, rel=1e-12)
-        assert rep["closed_log"] == pytest.approx(
-            partition_bures_closed(p).log_mag, rel=1e-12)
-        assert isinstance(rep["agrees_1e-7"], bool)
-
     def test_n1_against_gamma(self):
         p = EnsembleParams(0.3, 1.3, 1.5, 1)
         assert partition_bures(p).to_real() == pytest.approx(
             math.gamma(1.3), rel=1e-12)
-
-    def test_closed_report_structure(self):
-        rep = bures_closed_report(EnsembleParams(0.4, 1.4, 1.3, 3))
-        assert isinstance(rep, dict)
-        assert "ratio" in rep or "relative_error" in rep or len(rep) > 0

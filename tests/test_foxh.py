@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from cauchybures.exceptions import DomainError, PoleCollisionError
-from cauchybures.foxh import (ContourPlan, FoxHSpec, GammaFactor, fox_h,
-                              g_inf, g_inf_contour, g_n, g_n_contour,
-                              g_tilde_inf, g_tilde_inf_contour, g_tilde_n,
-                              g_tilde_n_contour, hankel_loop,
-                              min_family_separation, residue_series,
-                              vertical_line)
+from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
+                              g_tilde_inf, g_tilde_n, hankel_loop,
+                              mellin_barnes, min_family_separation,
+                              residue_series)
 
 
 class TestExponentialSpecialCase:
@@ -38,7 +36,7 @@ class TestStrategyCrossValidation:
         a, alpha = 0.5, 0.9
         for z in rng.uniform(0.05, 8.0, size=20):
             series = g_inf(a, alpha, theta, float(z))
-            contour = g_inf_contour(a, alpha, theta, float(z))
+            contour = g_inf(a, alpha, theta, float(z), strategy="hankel")
             assert contour == pytest.approx(series, rel=1e-8)
 
     @pytest.mark.parametrize("theta", [math.sqrt(2.0), 1.5])
@@ -48,27 +46,28 @@ class TestStrategyCrossValidation:
         for z in rng.uniform(0.05, 8.0, size=20):
             series = g_tilde_inf(a, alpha, theta, float(z),
                                  strategy="residue")
-            contour = g_tilde_inf_contour(a, alpha, theta, float(z))
+            contour = g_tilde_inf(a, alpha, theta, float(z),
+                                  strategy="hankel")
             assert contour == pytest.approx(series, rel=1e-8)
 
     def test_g_n_polynomial_vs_contour(self):
         a, alpha, theta, n = 0.5, 0.9, 1.5, 6
         for z in (0.2, 1.0, 3.7):
-            assert g_n_contour(a, alpha, theta, n, z) == pytest.approx(
-                g_n(a, alpha, theta, n, z), rel=1e-10)
+            contour = g_n(a, alpha, theta, n, z, strategy="hankel")
+            assert contour == pytest.approx(g_n(a, alpha, theta, n, z),
+                                            rel=1e-10)
 
     def test_g_tilde_n_residue_vs_contour(self):
         a, alpha, theta, n = 0.3, 0.9, 1.5, 5
         for z in (0.2, 1.0, 3.7):
             got = g_tilde_n(a, alpha, theta, n, z, strategy="residue")
-            ref = g_tilde_n_contour(a, alpha, theta, n, z)
+            ref = g_tilde_n(a, alpha, theta, n, z, strategy="hankel")
             assert ref == pytest.approx(got, rel=1e-9)
 
-    def test_vertical_line_agrees_with_residue_sum(self):
-        num = [GammaFactor(0.0, 1.0)]
-        den = []
+    def test_fox_h_hankel_route_equals_exp(self):
+        spec = FoxHSpec(upper=(), lower=((0.0, 1.0),), m=1, n=0)
         for z in (0.5, 1.0, 2.0):
-            got = vertical_line(num, den, z, anchor=0.75)
+            got = fox_h(spec, z, strategy="hankel")
             assert got == pytest.approx(math.exp(-z), rel=1e-9)
 
 
@@ -113,12 +112,26 @@ class TestPoleCollisions:
     def test_auto_strategy_falls_back_to_hankel(self):
         # same parameters evaluate fine through the loop contour
         val = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="auto")
-        ref = g_tilde_inf_contour(1.0, 0.9, 1.0, 1.3)
+        ref = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="hankel")
         assert val == pytest.approx(ref, rel=1e-10)
 
     def test_separation_reports_distance(self):
         num = [GammaFactor(0.0, 1.0), GammaFactor(-0.5, 1.0)]
         assert min_family_separation(num, []) == pytest.approx(0.5)
+
+    def test_dispatcher_names_the_route(self):
+        # coinciding families go to the loop, separated ones to the series
+        collide = [GammaFactor(0.0, 1.0), GammaFactor(0.0, 1.0)]
+        value, route = mellin_barnes(collide, [], 1.3)
+        assert route == "hankel"
+        assert value == hankel_loop(collide, [], 1.3)
+        value, route = mellin_barnes([GammaFactor(0.0, 1.0)], [], 1.3)
+        assert route == "residue"
+        assert value == pytest.approx(math.exp(-1.3), rel=1e-12)
+
+    def test_hankel_loop_returns_plain_float(self):
+        value = hankel_loop([GammaFactor(0.0, 1.0)], [], 0.7)
+        assert type(value) is float
 
 
 class TestFiniteToLimit:

@@ -8,6 +8,7 @@ import pytest
 
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import DomainError
+from cauchybures.foxh import g_inf, g_n, g_tilde_n
 from cauchybures.kernels import (KernelGrid, cd_hard_scaled, cd_kernel,
                                  delta_k00_finite, delta_k00_inf,
                                  delta_k11_finite, delta_k11_inf,
@@ -57,6 +58,13 @@ class TestStrategyAgreement:
         with pytest.raises(DomainError):
             cd_kernel(EnsembleParams(0.5, 0.7, 1.5, 3), 1.0, 1.0,
                       strategy="nope")
+
+    def test_unknown_mellin_barnes_strategy_rejected(self):
+        for call in (lambda s: g_tilde_n(0.5, 0.9, 1.5, 3, 1.0, strategy=s),
+                     lambda s: g_n(0.5, 0.9, 1.5, 3, 1.0, strategy=s),
+                     lambda s: g_inf(0.5, 0.9, 1.5, 1.0, strategy=s)):
+            with pytest.raises(DomainError):
+                call("hankle")
 
     @pytest.mark.parametrize("fn,pts", [
         (k01, [(0.3, 0.8), (0.6, 1.1), (1.0, 1.0), (1.7, 0.4), (2.2, 2.9)]),
@@ -188,6 +196,13 @@ class TestKernelGrid:
         vals = np.asarray(payload["values"], dtype=float)
         assert vals.shape == (3, 2)
         assert np.allclose(vals, np.asarray(g.values))
+
+    def test_numpy_scalars_round_trip(self):
+        g = make_grid("K10", [0.5, 1.0], [0.4],
+                      lambda x, y: np.float64(x / 3.0 + y), {})
+        assert all(type(v) is float for row in g.values for v in row)
+        assert KernelGrid.from_json(g.to_json()).values == g.values
+        assert "np.float64" not in g.to_csv()
 
     def test_rejects_unsorted_axes(self):
         with pytest.raises(DomainError):

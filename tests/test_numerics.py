@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from cauchybures.exceptions import DimensionError, DomainError
+from cauchybures.exceptions import DimensionError, DomainError, NonConverged
 from cauchybures.numerics import (LogValue, SkewMatrix, gauss_jacobi,
                                   gauss_jacobi_pair, gauss_laguerre,
                                   gammaln_logvalue, lgamma_signed,
@@ -129,6 +129,15 @@ class TestQuadrature:
             return rule.integrate(lambda t: np.exp(t))
         got = refine_quadrature(value_at)
         assert got == pytest.approx(math.e - 1.0, rel=1e-11)
+
+    def test_refine_quadrature_reports_nonconvergence(self):
+        # 1/m never settles: the error names the last step's delta
+        # 1/64 - 1/128; with no doubling allowed it still raises
+        with pytest.raises(NonConverged, match=r"last delta 7\.81"):
+            refine_quadrature(lambda m: 1.0 / m, start_order=16,
+                              max_order=128)
+        with pytest.raises(NonConverged):
+            tanh_sinh_01(lambda t: t, max_level=0)
 
 
 class TestPfaffian:
