@@ -43,6 +43,9 @@ class EnsembleParams:
     def __post_init__(self):
         if self.a <= -1.0 or self.b <= -1.0:
             raise DomainError("weight exponents a, b must exceed -1")
+        if self.a + self.b <= -1.0:
+            # the 1/(x+y) factor makes every Cauchy bimoment diverge there
+            raise DomainError("a + b must exceed -1")
         if self.theta <= 0.0:
             raise DomainError("theta must be positive")
         if self.n < 1:

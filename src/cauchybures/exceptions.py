@@ -22,7 +22,11 @@ class NonConverged(CauchyBuresError):
 
 
 class PoleCollisionError(CauchyBuresError):
-    """Two pole families of a Mellin-Barnes integrand (nearly) coincide."""
+    """Mellin-Barnes poles the residue series cannot sum.
+
+    Raised for a pole of order 3 or more, or for left and right pole
+    families that overlap.  Coinciding pairs (double poles) are summed.
+    """
 
 
 class SingularSystemError(CauchyBuresError):

@@ -10,15 +10,18 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import mpmath
 import numpy as np
+from scipy.special import digamma as _digamma
+from scipy.special import loggamma as _cloggamma
 
 from .exceptions import (DomainError, NonConverged, PoleCollisionError,
                          PoleError)
-from .numerics import (LogValue, lgamma_signed, log_gamma_complex,
-                       refine_quadrature)
+# log_gamma_complex stays bound here for perfbench/tracer.py
+from .numerics import (_POLE_TOL, LogValue, lgamma_signed,  # noqa: F401
+                       log_gamma_complex, refine_quadrature)
 
 __all__ = [
     "GammaFactor",
@@ -37,6 +40,9 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 _COLLISION_TOL = 1e-8
 _STRATEGY_SEP = 1e-6
 _STRATEGIES = ("auto", "residue", "hankel")
+# mpmath re-sums run at a multiple of this many digits, so one cached
+# coefficient list serves a range of cancellation depths
+_DPS_STEP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -89,74 +95,173 @@ class FoxHSpec:
 
 
 def _log_integrand(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                   u: complex, log_z: float) -> complex:
+                   u: np.ndarray, log_z: float) -> np.ndarray:
+    """log of z^{-u} prod Gamma(num) / prod Gamma(den) at an array of nodes.
+
+    A numerator gamma pole at any node raises PoleError; a denominator
+    gamma pole is a zero of the integrand, so its node gets log -inf.
+    """
     acc = -u * log_z
     for f in num:
-        acc += log_gamma_complex(f.shift + f.slope * u)
+        w = f.shift + f.slope * u
+        hit = _on_pole(w)
+        if hit.any():
+            raise PoleError(f"log-gamma pole at z = {w[hit][0]}")
+        acc += _cloggamma(w)
+    zero = np.zeros(len(u), dtype=bool)
     for f in den:
-        try:
-            acc -= log_gamma_complex(f.shift + f.slope * u)
-        except PoleError:
-            # a denominator gamma pole is a zero of the integrand
-            return complex(-math.inf, 0.0)
+        w = f.shift + f.slope * u
+        zero |= _on_pole(w)
+        acc -= _cloggamma(w)
+    acc[zero] = complex(-math.inf, 0.0)
     return acc
+
+
+def _on_pole(w: np.ndarray) -> np.ndarray:
+    """Mask of the entries of w on a gamma pole, at log_gamma_complex's tol."""
+    n = np.round(w.real)
+    return (n <= 0) & (np.abs(w - n) < _POLE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # residue series
 # ---------------------------------------------------------------------------
 
+class _Pole(NamedTuple):
+    """One left pole u0 and the z-independent part of its residue.
+
+    The residue is sign * exp(log_c) * z^{-u0} at a simple pole and that
+    times (bracket - log z) at a double pole.  order 0 is a pole cancelled
+    by a denominator gamma (a zero term); sing_num and sing_den hold the
+    (index, k) of every gamma factor singular at u0.
+    """
+
+    u0: float
+    order: int
+    sign: int
+    log_c: float
+    bracket: float
+    sing_num: tuple
+    sing_den: tuple
+
+
+class _ResidueTable:
+    """Left poles of one integrand, in the order the residue series sums them.
+
+    Entries depend on the integrand only, so the heap walk, the pole scans
+    and every gamma and digamma value are computed once per integrand and
+    reused at every z.  `exact` holds the same coefficients in mpmath
+    numbers, one list per working precision.
+    """
+
+    def __init__(self, num: tuple, den: tuple, tol: float):
+        self.num, self.den, self.tol = num, den, tol
+        self.heap = [(-f.pole(0), i, 0) for i, f in enumerate(num)
+                     if f.slope > 0]
+        if not self.heap:
+            raise DomainError("integrand has no left pole family")
+        heapq.heapify(self.heap)
+        self.entries: list[_Pole] = []
+        self.exact: dict[int, list] = {}
+
+    def entry(self, n: int) -> _Pole:
+        while len(self.entries) <= n:
+            self._extend()
+        return self.entries[n]
+
+    def _extend(self) -> None:
+        num, den, tol = self.num, self.den, self.tol
+        while True:
+            neg_u, i, k = heapq.heappop(self.heap)
+            heapq.heappush(self.heap, (-num[i].pole(k + 1), i, k + 1))
+            u0 = -neg_u
+            sing_num = _singular(num, u0, tol)
+            if sing_num[0][0] == i:
+                break
+            # same point reached from another family; counted once only
+        sing_den = _singular(den, u0, tol)
+        order = max(len(sing_num) - len(sing_den), 0)
+        sign, log_c, bracket = 0, -math.inf, 0.0
+        if order in (1, 2):
+            sign, log_c = _leading_coefficient(num, den, u0, sing_num,
+                                               sing_den)
+        if order == 2:
+            bracket = float(_log_bracket(num, den, u0, sing_num, sing_den,
+                                         _digamma))
+        self.entries.append(_Pole(u0, order, sign, log_c, bracket, sing_num,
+                                  sing_den))
+
+    def exact_sum(self, z: float, terms: int, lost_digits: float) -> float:
+        """First `terms` residues summed at cancellation-proof precision."""
+        dps = _DPS_STEP * math.ceil((25 + 1.2 * lost_digits) / _DPS_STEP)
+        coeffs = self.exact.setdefault(dps, [])
+        with mpmath.workdps(dps):
+            while len(coeffs) < terms:
+                coeffs.append(_exact_coefficient(self.num, self.den,
+                                                 self.entry(len(coeffs))))
+            mz = mpmath.mpf(z)
+            log_mz = mpmath.log(mz)
+            total = mpmath.mpf(0)
+            for coeff in coeffs[:terms]:
+                if coeff is None:
+                    continue
+                u0, c, bracket = coeff
+                term = c * mz ** (-u0)
+                if bracket is not None:
+                    term *= bracket - log_mz
+                total += term
+            return float(total)
+
+
+@lru_cache(maxsize=128)
+def _residue_table(num: tuple, den: tuple, tol: float) -> _ResidueTable:
+    return _ResidueTable(num, den, tol)
+
+
+def _singular(factors, u0, tol) -> tuple:
+    """(index, k) of every factor with its k-th pole within tol of u0."""
+    out = []
+    for j, f in enumerate(factors):
+        k = f.singular_index(u0, tol)
+        if k is not None:
+            out.append((j, k))
+    return tuple(out)
+
+
 def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                    z: float, collision_tol: float = _COLLISION_TOL,
                    max_terms: int = 2000) -> float:
     """Sum of residues over the left pole families (slope > 0 numerators).
 
-    Cancelled poles (matching denominator gamma) are skipped; a genuine
-    double pole raises PoleCollisionError.
+    Poles closer than collision_tol are one pole.  Poles cancelled by a
+    denominator gamma are skipped.  A double pole (two singular numerator
+    gammas, none cancelled) contributes its logarithmic residue, the
+    H-function's logarithmic case; only a pole of order 3 or more raises
+    PoleCollisionError.  When alternating cancellation loses more than two
+    digits, the same terms are re-summed with mpmath.  Pole locations and
+    the z-independent residue coefficients are cached per integrand, so a
+    call costs one pass over the terms it needs.
     """
     if z <= 0:
         raise DomainError("z must be positive")
     log_z = math.log(z)
-    left = [i for i, f in enumerate(num) if f.slope > 0]
-    if not left:
-        raise DomainError("integrand has no left pole family")
-
-    heap: list[tuple[float, int, int]] = []
-    for i in left:
-        heapq.heappush(heap, (-num[i].pole(0), i, 0))
+    table = _residue_table(tuple(num), tuple(den), collision_tol)
 
     shift = -math.inf
     acc = 0.0
     peak = -math.inf
     small_run = 0
-    terms = 0
-    records = []
-    while heap and terms < max_terms:
-        neg_u, i, k = heapq.heappop(heap)
-        heapq.heappush(heap, (-num[i].pole(k + 1), i, k + 1))
-        u0 = -neg_u
-        terms += 1
-
-        sing_num = [(j, num[j].singular_index(u0, collision_tol))
-                    for j in range(len(num))]
-        sing_num = [(j, kj) for j, kj in sing_num if kj is not None]
-        sing_den = [(j, den[j].singular_index(u0, collision_tol))
-                    for j in range(len(den))]
-        sing_den = [(j, kj) for j, kj in sing_den if kj is not None]
-
-        if len(sing_num) - len(sing_den) >= 2:
+    for n in range(max_terms):
+        u0, order, term_sign, term_log, bracket = table.entry(n)[:5]
+        if order > 2:
             raise PoleCollisionError(
-                f"double pole near u = {u0:.6g} (separation < {collision_tol})")
-        if len(sing_num) <= len(sing_den):
-            # pole cancelled by the denominator: regular point
-            term_sign, term_log = 0, -math.inf
-        elif sing_num[0][0] != i:
-            # same point reached from another family; counted once only
-            continue
-        else:
-            term_sign, term_log = _simple_residue(
-                num, den, u0, sing_num, sing_den, log_z)
-            records.append((u0, tuple(sing_num), tuple(sing_den)))
+                f"pole of order {order} near u = {u0:.6g} "
+                f"(separation < {collision_tol})")
+        term_log -= u0 * log_z
+        if order == 2:
+            factor = bracket - log_z
+            term_sign *= (factor > 0) - (factor < 0)
+            term_log += math.log(abs(factor)) if factor else -math.inf
 
         if term_sign != 0:
             peak = max(peak, term_log)
@@ -176,91 +281,89 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                 if lost > 2.0:
                     # alternating cancellation ate too many digits; redo
                     # the same sum in elevated precision
-                    return _resum_mp(num, den, records, z, lost)
+                    return table.exact_sum(z, n + 1, lost)
                 return acc * math.exp(shift) if acc != 0.0 else 0.0
         else:
             small_run = 0
-    raise NonConverged(f"residue series not converged after {terms} terms")
+    raise NonConverged(f"residue series not converged after {max_terms} "
+                       "terms")
 
 
-def _resum_mp(num, den, records, z, lost_digits):
-    """Re-sum recorded residues with mpmath at cancellation-proof precision."""
-    with mpmath.workdps(int(25 + 1.2 * lost_digits)):
-        mz = mpmath.mpf(z)
-        total = mpmath.mpf(0)
-        for u0, sing_num, sing_den in records:
-            sing_num_ids = {j for j, _ in sing_num}
-            sing_den_ids = {j for j, _ in sing_den}
-            # recompute the pole location in working precision: the float
-            # u0 carries rounding that the large cancelling terms amplify
-            j0, k0 = sing_num[0]
-            u0 = ((mpmath.mpf(-num[j0].shift) - k0)
-                  / mpmath.mpf(num[j0].slope))
-            term = mz ** (-u0)
-            for j, k in sing_num:
-                term *= mpmath.mpf(-1) ** k / (mpmath.factorial(k)
-                                               * abs(num[j].slope))
-                if num[j].slope < 0:
-                    term = -term
-            for j, k in sing_den:
-                term *= mpmath.mpf(-1) ** k * (mpmath.factorial(k)
-                                               * abs(den[j].slope))
-                if den[j].slope < 0:
-                    term = -term
-            for j, f in enumerate(num):
-                if j not in sing_num_ids:
-                    term *= mpmath.gamma(mpmath.mpf(f.shift)
-                                         + mpmath.mpf(f.slope) * u0)
-            for j, f in enumerate(den):
-                if j not in sing_den_ids:
-                    term /= mpmath.gamma(mpmath.mpf(f.shift)
-                                         + mpmath.mpf(f.slope) * u0)
-            total += term
-        return float(total)
+def _leading_coefficient(num, den, u0, sing_num, sing_den):
+    """Signed log of the Laurent leading coefficient at u0, without z^{-u0}.
 
-
-def _simple_residue(num, den, u0, sing_num, sing_den, log_z):
-    """Signed log of the residue at a simple pole u0.
-
-    Each singular numerator gamma contributes its Laurent leading
-    coefficient (-1)^k / (k! * slope); singular denominator gammas divide
-    out the same way.
+    Each singular numerator gamma contributes (-1)^k / (k! * slope);
+    singular denominator gammas divide out the same way; the regular
+    gammas contribute their values at u0.
     """
     sign = 1
-    log_mag = -u0 * log_z
-    sing_num_ids = {j for j, _ in sing_num}
-    sing_den_ids = {j for j, _ in sing_den}
-    for j, k in sing_num:
-        log_mag -= math.lgamma(k + 1) + math.log(abs(num[j].slope))
-        if k % 2 == 1:
-            sign = -sign
-        if num[j].slope < 0:
-            sign = -sign
-    for j, k in sing_den:
-        log_mag += math.lgamma(k + 1) + math.log(abs(den[j].slope))
-        if k % 2 == 1:
-            sign = -sign
-        if den[j].slope < 0:
-            sign = -sign
-    for j, f in enumerate(num):
-        if j in sing_num_ids:
-            continue
-        s, lm = lgamma_signed(f.shift + f.slope * u0)
-        sign *= s
-        log_mag += lm
-    for j, f in enumerate(den):
-        if j in sing_den_ids:
-            continue
-        s, lm = lgamma_signed(f.shift + f.slope * u0)
-        sign *= s
-        log_mag -= lm
+    log_mag = 0.0
+    for factors, sing, dirn in ((num, sing_num, 1), (den, sing_den, -1)):
+        for j, k in sing:
+            slope = factors[j].slope
+            log_mag -= dirn * (math.lgamma(k + 1) + math.log(abs(slope)))
+            if (k % 2 == 1) != (slope < 0):
+                sign = -sign
+        skip = {j for j, _ in sing}
+        for j, f in enumerate(factors):
+            if j not in skip:
+                s, lm = lgamma_signed(f.shift + f.slope * u0)
+                sign *= s
+                log_mag += dirn * lm
     return sign, log_mag
+
+
+def _log_bracket(num, den, u0, sing_num, sing_den, psi):
+    """z-independent part of the log-derivative bracket at a double pole.
+
+    Near u0 the integrand is C (u-u0)^{-2} (1 + B (u-u0) + ...) with
+    B = bracket - log z, so the residue is C * B.  Works in floats or in
+    mpmath numbers, whichever u0 and psi are.
+    """
+    total = 0
+    for factors, sing, dirn in ((num, sing_num, 1), (den, sing_den, -1)):
+        skip = {j for j, _ in sing}
+        for j, k in sing:
+            total += dirn * factors[j].slope * psi(k + 1)
+        for j, f in enumerate(factors):
+            if j not in skip:
+                total += dirn * f.slope * psi(f.shift + f.slope * u0)
+    return total
+
+
+def _exact_coefficient(num, den, pole: _Pole):
+    """(u0, C, bracket or None) of one table entry in mpmath precision."""
+    order, sing_num, sing_den = pole.order, pole.sing_num, pole.sing_den
+    if order == 0:
+        return None
+    # recompute the pole location in working precision: the float u0
+    # carries rounding that the large cancelling terms amplify
+    j0, k0 = sing_num[0]
+    u0 = (mpmath.mpf(-num[j0].shift) - k0) / mpmath.mpf(num[j0].slope)
+    c = mpmath.mpf(1)
+    for factors, sing, dirn in ((num, sing_num, 1), (den, sing_den, -1)):
+        for j, k in sing:
+            c *= ((-1) ** k * mpmath.factorial(k)
+                  * mpmath.mpf(factors[j].slope)) ** -dirn
+        gamma = mpmath.gamma if dirn > 0 else mpmath.rgamma
+        skip = {j for j, _ in sing}
+        for j, f in enumerate(factors):
+            if j not in skip:
+                c *= gamma(mpmath.mpf(f.shift) + mpmath.mpf(f.slope) * u0)
+    if order == 1:
+        return u0, c, None
+    return u0, c, _log_bracket(num, den, u0, sing_num, sing_den,
+                               mpmath.digamma)
 
 
 def min_family_separation(num: Sequence[GammaFactor],
                           den: Sequence[GammaFactor],
                           max_k: int = 300) -> float:
-    """Smallest u-plane distance between uncancelled left pole pairs."""
+    """Smallest u-plane distance between uncancelled left pole pairs.
+
+    Pairs closer than _COLLISION_TOL are one double pole of the residue
+    series, not a near-collision, and are left out.
+    """
     return _min_family_separation_cached(tuple(num), tuple(den), max_k)
 
 
@@ -273,12 +376,15 @@ def _min_family_separation_cached(num: tuple, den: tuple,
         for g in left[i + 1:]:
             for k in range(max_k):
                 u0 = f.pole(k)
-                if any(d.singular_index(u0, 1e-12) is not None for d in den):
+                if any(d.singular_index(u0, _COLLISION_TOL) is not None
+                       for d in den):
                     continue
                 m = round(-(g.shift + g.slope * u0))
                 if m < 0:
                     continue
-                best = min(best, abs(u0 - g.pole(m)))
+                gap = abs(u0 - g.pole(m))
+                if gap >= _COLLISION_TOL:
+                    best = min(best, gap)
     return best
 
 
@@ -330,10 +436,7 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     def log_g(t: np.ndarray) -> np.ndarray:
         u = v0 * (1.0 - t * t) + 1j * c * t
         du = -2.0 * v0 * t + 1j * c
-        out = np.empty(len(t), dtype=complex)
-        for idx, uu in enumerate(u):
-            out[idx] = _log_integrand(num, den, uu, log_z) + np.log(du[idx])
-        return out
+        return _log_integrand(num, den, u, log_z) + np.log(du)
 
     # locate the truncation point: integrand 1e-18 below its peak
     t_max = 2.0
@@ -364,9 +467,11 @@ def mellin_barnes(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     """Evaluate a gamma-ratio Mellin-Barnes integral; (value, route name).
 
     strategy "residue" or "hankel" forces that route.  "auto" sums the
-    residue series while the left pole families stay _STRATEGY_SEP apart
-    and integrates the Hankel loop otherwise, or when the series meets a
-    double pole.  This is the one place where the route is chosen.
+    residue series, which takes coinciding poles (closer than
+    _COLLISION_TOL) as one double pole.  It integrates the Hankel loop
+    only for pole pairs between _COLLISION_TOL and _STRATEGY_SEP apart,
+    where neither reading of the series is accurate, and for poles of
+    order 3 or more.  This is the one place where the route is chosen.
     """
     if strategy not in _STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; choose from "
@@ -476,8 +581,11 @@ def g_tilde_n(a: float, alpha: float, theta: float, n: int, z: float,
               strategy: str = "auto") -> float:
     """Companion function G~_{n,a}(z) with the Gamma(theta*u - a) factor.
 
-    Double residue series when the pole families {-k} and {(a-m)/theta}
-    are separated; Hankel-loop quadrature otherwise (see mellin_barnes).
+    Residue series over the pole families {-k} and {(a-m)/theta}; where
+    they coincide (rational theta, e.g. a=0.5, theta=1.5) the shared
+    poles are double and carry logarithmic residues.  strategy="hankel"
+    integrates the loop contour instead (verification route; see
+    mellin_barnes).
     """
     _check_exponents(a, alpha, theta)
     if z <= 0:
@@ -542,7 +650,12 @@ def _g_inf_mp(a, alpha, theta, z, peak):
 
 def g_tilde_inf(a: float, alpha: float, theta: float, z: float,
                 strategy: str = "auto") -> float:
-    """Hard-edge companion with Gamma(theta*u - a); see mellin_barnes."""
+    """Hard-edge companion with Gamma(theta*u - a).
+
+    Residue series over the families {-k} and {(a-m)/theta}, with
+    logarithmic residues where they coincide; strategy="hankel"
+    integrates the loop contour instead (see mellin_barnes).
+    """
     _check_exponents(a, alpha, theta)
     if z <= 0:
         raise DomainError("z must be positive")

@@ -161,6 +161,17 @@ class TestPartition:
                                    "--a", "-2.0", "--b", "0.0", "--n", "2"])
         assert res.exit_code == 1
 
+    def test_divergent_bimoments_exit_one_without_traceback(self, runner):
+        res = runner.invoke(main, ["partition", "--model", "cauchy",
+                                   "--a", "-0.9", "--b", "-0.9",
+                                   "--theta", "0.05", "--n", "80"])
+        assert res.exit_code == 1
+        # a handled error exits through sys.exit; a crash leaves the
+        # exception itself here
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.stderr
+        assert "a + b must exceed -1" in res.stderr
+
     @pytest.mark.parametrize("theta", [1.0, 0.3])
     def test_unrepresentable_value_printed_as_null(self, runner, theta):
         # at N=80, log Z is ~ +9864 (theta=1) or ~ -5385 (theta=0.3): Z over-

@@ -20,10 +20,17 @@ class TestParams:
 
     @pytest.mark.parametrize("bad", [(-1.0, 0.0, 1.0, 2),
                                      (0.0, 0.0, 0.0, 2),
-                                     (0.0, 0.0, 1.0, 0)])
+                                     (0.0, 0.0, 1.0, 0),
+                                     (-0.5, -0.5, 1.0, 2)])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(DomainError):
             EnsembleParams(*bad)
+
+    def test_divergent_bimoments_rejected(self):
+        # a, b > -1 each, but a + b <= -1: every Cauchy bimoment diverges,
+        # so no finite partition function may come back
+        with pytest.raises(DomainError):
+            partition_cauchy(EnsembleParams(-0.9, -0.9, 1.0, 3))
 
 
 class TestMoments:

@@ -4,12 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from cauchybures import foxh
+from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import DomainError, PoleCollisionError
 from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
                               g_tilde_inf, g_tilde_n, hankel_loop,
                               mellin_barnes, min_family_separation,
                               residue_series)
+from cauchybures.kernels import hard_edge_kernel, k10
 
 
 class TestExponentialSpecialCase:
@@ -101,30 +105,47 @@ class TestHighPrecisionOracle:
 
 class TestPoleCollisions:
     def test_integer_offset_families_collide(self):
-        # theta = 1 with integer a puts both pole families on the same grid
+        # theta = 1 with integer a puts both pole families on the same grid;
+        # each coinciding pair is one double pole of the residue series
         a, alpha, theta = 1.0, 0.9, 1.0
         num = [GammaFactor(0.0, 1.0), GammaFactor(alpha + 1.0, -1.0),
                GammaFactor(-a, theta)]
-        assert min_family_separation(num, []) < 1e-12
-        with pytest.raises(PoleCollisionError):
-            residue_series(num, [], 1.0)
+        assert min_family_separation(num, []) == math.inf
+        value, route = mellin_barnes(num, [], 1.0)
+        assert route == "residue"
+        assert value == pytest.approx(hankel_loop(num, [], 1.0), rel=1e-10)
 
     def test_auto_strategy_falls_back_to_hankel(self):
-        # same parameters evaluate fine through the loop contour
+        # exactly coinciding families: the series matches the loop
         val = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="auto")
         ref = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="hankel")
         assert val == pytest.approx(ref, rel=1e-10)
+        # families 5e-8 apart: too close for two simple poles, too far for
+        # one double pole, so auto integrates the loop
+        near = g_tilde_inf(1.0 + 5e-8, 0.9, 1.0, 0.3, strategy="auto")
+        assert near == g_tilde_inf(1.0 + 5e-8, 0.9, 1.0, 0.3,
+                                   strategy="hankel")
+        assert near == pytest.approx(g_tilde_inf(1.0, 0.9, 1.0, 0.3),
+                                     rel=1e-6)
 
     def test_separation_reports_distance(self):
         num = [GammaFactor(0.0, 1.0), GammaFactor(-0.5, 1.0)]
         assert min_family_separation(num, []) == pytest.approx(0.5)
 
     def test_dispatcher_names_the_route(self):
-        # coinciding families go to the loop, separated ones to the series
+        # coinciding families are a double pole of the series; a near
+        # collision and a triple pole go to the loop
         collide = [GammaFactor(0.0, 1.0), GammaFactor(0.0, 1.0)]
         value, route = mellin_barnes(collide, [], 1.3)
+        assert route == "residue"
+        assert value == pytest.approx(hankel_loop(collide, [], 1.3),
+                                      rel=1e-10)
+        near = [GammaFactor(0.0, 1.0), GammaFactor(1e-7, 1.0)]
+        value, route = mellin_barnes(near, [], 1.3)
         assert route == "hankel"
-        assert value == hankel_loop(collide, [], 1.3)
+        assert value == hankel_loop(near, [], 1.3)
+        assert mellin_barnes([GammaFactor(0.0, 1.0)] * 3, [], 1.3)[1] == (
+            "hankel")
         value, route = mellin_barnes([GammaFactor(0.0, 1.0)], [], 1.3)
         assert route == "residue"
         assert value == pytest.approx(math.exp(-1.3), rel=1e-12)
@@ -132,6 +153,81 @@ class TestPoleCollisions:
     def test_hankel_loop_returns_plain_float(self):
         value = hankel_loop([GammaFactor(0.0, 1.0)], [], 0.7)
         assert type(value) is float
+
+    def test_triple_pole_raises(self):
+        with pytest.raises(PoleCollisionError):
+            residue_series([GammaFactor(0.0, 1.0)] * 3, [], 1.0)
+
+
+class TestLogarithmicCase:
+    def test_gamma_squared_is_bessel_k(self):
+        # H^{2,0}_{0,2}(z | (0,1),(0,1)) = 2 K_0(2 sqrt z): double poles at
+        # every -k; z = 10, 30 cancel deep enough for the mpmath re-sum
+        spec = FoxHSpec(upper=(), lower=((0.0, 1.0), (0.0, 1.0)), m=2, n=0)
+        num, den = spec.factors()
+        for z in (0.05, 0.5, 1.0, 3.0, 10.0, 30.0):
+            want = float(2 * mpmath.besselk(0, 2 * mpmath.sqrt(z)))
+            assert fox_h(spec, z) == pytest.approx(want, rel=1e-12)
+        table = foxh._residue_table(tuple(num), tuple(den),
+                                    foxh._COLLISION_TOL)
+        assert table.exact
+
+    @pytest.mark.parametrize("a,theta,n", [(0.5, 1.5, 2), (0.5, 1.5, 3),
+                                           (0.5, 1.5, None), (0.7, 1.3, None),
+                                           (1.0, 1.0, None)])
+    def test_colliding_g_tilde_series_matches_loop(self, a, theta, n):
+        alpha = 0.9
+        if n is None:
+            num, den = foxh._gtinf_factors(a, alpha, theta)
+        else:
+            num, den = foxh._gtn_factors(a, alpha, theta, n)
+        assert min_family_separation(num, den) >= foxh._STRATEGY_SEP
+
+        def series(z):
+            value, route = mellin_barnes(num, den, float(z))
+            assert route == "residue"
+            return value
+
+        zs = list(np.geomspace(1e-3, 30.0, 25))
+        signs = [math.copysign(1.0, series(z)) for z in zs]
+        # both sides of every zero crossing, where relative error is hardest
+        for lo, hi, s_lo, s_hi in zip(zs, zs[1:], signs, signs[1:]):
+            if s_lo != s_hi:
+                root = brentq(series, lo, hi, xtol=1e-14)
+                zs += [root * (1 - 1e-3), root * (1 + 1e-3)]
+        assert len(zs) > 25
+        for z in zs:
+            loop = mellin_barnes(num, den, float(z), strategy="hankel")[0]
+            assert series(z) == pytest.approx(loop, rel=1e-10)
+
+    def test_kernels_never_reach_the_loop(self, monkeypatch):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("hankel_loop called on a kernel path")
+
+        monkeypatch.setattr(foxh, "hankel_loop", no_loop)
+        params = EnsembleParams(0.5, 0.7, 1.5, 2)
+        got = k10(params, 0.4399, 1.2688, route="tintegral")
+        assert got == pytest.approx(
+            k10(params, 0.4399, 1.2688, route="direct"), rel=1e-9)
+        # b = 0.7, theta = 1.3: G~_inf has double poles; reference value
+        # from the Hankel-loop route
+        got = hard_edge_kernel(0.3, 0.7, 1.3, "K01", 1.3911, 1.5963)
+        assert got == pytest.approx(0.21391122847050842, rel=1e-9)
+
+    def test_residue_table_cache_does_not_change_values(self):
+        def values():
+            return [g_tilde_inf(0.5, 0.9, 1.5, z) for z in (0.7, 30.0)]
+
+        foxh._residue_table.cache_clear()
+        cold = values()
+        foxh._residue_table.cache_clear()
+        # warm the table with other z and other working precisions
+        for z in (1e-3, 2.0, 8.0, 20.0, 45.0):
+            g_tilde_inf(0.5, 0.9, 1.5, z)
+        table = foxh._residue_table(*map(tuple, foxh._gtinf_factors(
+            0.5, 0.9, 1.5)), foxh._COLLISION_TOL)
+        assert len(table.exact) >= 2
+        assert values() == cold
 
 
 class TestFiniteToLimit:
