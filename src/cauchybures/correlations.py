@@ -27,7 +27,6 @@ __all__ = [
     "rho_bures",
     "rho_bures_hard_edge",
     "brute_force_correlation",
-    "calibrate_bures_prefactor",
     "correlation_record",
 ]
 
@@ -93,51 +92,45 @@ def rho_cauchy(req: CorrelationRequest, route: str = "direct") -> float:
 # Bures Pfaffian correlations
 # ---------------------------------------------------------------------------
 
-def _bures_upper(p_pair: EnsembleParams, zs, route: str) -> np.ndarray:
-    """Strict upper triangle of the 2k x 2k skew kernel matrix.
+def _bures_pfaffian(zs, dk11, sk01, dk00) -> float:
+    """k-point Bures correlation from its three skew kernel blocks.
 
-    Layout [[dK11, sK01], [-sK01^T, dK00]]; the lower-left block is the
-    negative transpose of the upper-right one, which is what exact
-    antisymmetry of the full matrix requires.
+    The 2k x 2k skew matrix is [[dK11, sK01], [-sK01^T, dK00]]; only its
+    strict upper triangle is filled, and SkewMatrix makes the lower-left
+    block the negative transpose of the upper-right one, which is what
+    exact antisymmetry requires.  The prefactor is (-1)^{k(k-1)/2} / 2^k,
+    the same at every matrix size.
     """
     k = len(zs)
     upper = np.zeros((2 * k, 2 * k))
-
-    def hk11(zi, zj):
-        return hatted(p_pair, "K11", zi, zj, route)
-
-    def sk01(zi, zj):
-        return (hatted(p_pair, "K01", zj, zi, route)
-                + hatted(p_pair, "K10", zi, zj, route))
-
-    def dk00(zi, zj):
-        return (hatted(p_pair, "K00", zi, zj)
-                - hatted(p_pair, "K00", zj, zi))
-
     for i in range(k):
         for j in range(i + 1, k):
-            upper[i, j] = hk11(zs[i], zs[j]) - hk11(zs[j], zs[i])
+            upper[i, j] = dk11(zs[i], zs[j])
             upper[k + i, k + j] = dk00(zs[j], zs[i])
         for j in range(k):
             upper[i, k + j] = sk01(zs[i], zs[j])
-    return upper
+    pf = pfaffian(SkewMatrix(upper)).to_real()
+    sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
+    return sign * pf / 2.0 ** k
 
 
 def rho_bures(req: CorrelationRequest, route: str = "direct") -> float:
     """k-point Bures correlation as a Pfaffian of Cauchy-pair kernels.
 
-    The second Cauchy weight exponent is internally a+1; the prefactor is
-    (-1)^{k(k-1)/2} / 2^k, the same at every matrix size.
+    The blocks are hatted kernels of the Cauchy pair (a, a+1).
     """
     if req.model != "bures":
         raise DomainError("rho_bures requires model='bures'")
-    zs = req.xs
-    k = len(zs)
     p_pair = req.params.bures_pair()
-    upper = _bures_upper(p_pair, zs, route)
-    pf = pfaffian(SkewMatrix(upper)).to_real()
-    sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
-    return sign * pf / 2.0 ** k
+
+    def hk(kind, p1, p2):
+        return hatted(p_pair, kind, p1, p2, route)
+
+    return _bures_pfaffian(
+        req.xs,
+        lambda zi, zj: hk("K11", zi, zj) - hk("K11", zj, zi),
+        lambda zi, zj: hk("K01", zj, zi) + hk("K10", zi, zj),
+        lambda zi, zj: hk("K00", zi, zj) - hk("K00", zj, zi))
 
 
 def rho_bures_hard_edge(a: float, theta: float, zs) -> float:
@@ -145,17 +138,10 @@ def rho_bures_hard_edge(a: float, theta: float, zs) -> float:
     zs = tuple(float(z) for z in zs)
     if any(z <= 0 for z in zs) or len(set(zs)) != len(zs):
         raise DomainError("points must be positive and pairwise different")
-    k = len(zs)
-    upper = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            upper[i, j] = delta_k11_inf(a, theta, zs[i], zs[j])
-            upper[k + i, k + j] = delta_k00_inf(a, theta, zs[j], zs[i])
-        for j in range(k):
-            upper[i, k + j] = sigma_k01_inf(a, theta, zs[i], zs[j])
-    pf = pfaffian(SkewMatrix(upper)).to_real()
-    sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
-    return sign * pf / 2.0 ** k
+    return _bures_pfaffian(
+        zs, lambda zi, zj: delta_k11_inf(a, theta, zi, zj),
+        lambda zi, zj: sigma_k01_inf(a, theta, zi, zj),
+        lambda zi, zj: delta_k00_inf(a, theta, zi, zj))
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +281,6 @@ def brute_force_correlation(req: CorrelationRequest) -> float:
     if req.model == "bures":
         return _brute_bures(req.params, req.xs)
     raise DomainError("brute force exists for finite-N models only")
-
-
-def calibrate_bures_prefactor(a: float, theta: float) -> dict:
-    """Ratio oracle/formula at small (N, k); surfaces any constant offset."""
-    cases = [(1, (1.0,)), (2, (0.9,)), (2, (0.7, 1.4))]
-    ratios = {}
-    for n, zs in cases:
-        req = CorrelationRequest("bures", EnsembleParams(a, a + 1.0, theta, n),
-                                 zs)
-        formula = rho_bures(req)
-        oracle = brute_force_correlation(req)
-        ratios[f"N={n},k={len(zs)}"] = oracle / formula if formula else math.inf
-    vals = list(ratios.values())
-    return {
-        "ratios": ratios,
-        "constant": float(np.mean(vals)),
-        "spread": float(np.max(vals) - np.min(vals)),
-    }
 
 
 def correlation_record(req: CorrelationRequest, value: float, route: str,

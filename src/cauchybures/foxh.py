@@ -451,12 +451,16 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     else:
         raise NonConverged("integrand does not decay along the Hankel loop")
 
-    def value_at(order: int) -> float:
+    # judged against the sum of |integrand| too: at a zero of the integral
+    # the value itself is rounding noise and no relative test can pass
+    def value_at(order: int) -> tuple[float, float]:
         t = np.linspace(0.0, t_max, order + 1)
         lg = log_g(t)
         m = lg.real.max()
         vals = np.exp(lg - m).imag
-        return float(math.exp(m) / math.pi * _trapz(vals, t))
+        scale = math.exp(m) / math.pi
+        return (float(scale * _trapz(vals, t)),
+                float(scale * _trapz(np.abs(vals), t)))
 
     return refine_quadrature(value_at, start_order=node_count, rtol=rtol,
                              max_order=65536)

@@ -19,8 +19,8 @@ from scipy import integrate
 from .exceptions import DomainError, NonConverged, SingularPointError
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_n_coeffs, g_tilde_inf, g_tilde_n
-from .numerics import (LogValue, gauss_jacobi, gauss_laguerre,
-                       refine_quadrature, tanh_sinh_01)
+from .numerics import (LogValue, gauss_jacobi, refine_quadrature,
+                       tanh_sinh_01)
 from .polynomials import p_hat, q_hat
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
     "delta_k00_inf",
     "delta_k11_inf",
     "sigma_k01_inf",
-    "sigma_k01_finite",
-    "delta_k00_finite",
-    "delta_k11_finite",
-    "rho1_bures_hard_finite",
-    "k11_hard_scaling_report",
     "KernelGrid",
     "make_grid",
     "i1_integral",
@@ -60,12 +55,6 @@ def _cd_sum(params: EnsembleParams, x: float, y: float) -> float:
         h_m = theta / (2.0 * m * theta + a + b + 1.0)
         total += (theta / h_m) * p_hat(params, m)(xt) * q_hat(params, m)(yt)
     return total
-
-
-def _cd_tintegral(params: EnsembleParams, x: float, y: float) -> float:
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    return theta * _gg_jacobi_integral(a, b, params.alpha, theta, n,
-                                       x ** theta, y ** theta)
 
 
 def cd_kernel_log(params: EnsembleParams, x: float, y: float) -> LogValue:
@@ -102,7 +91,8 @@ def cd_kernel(params: EnsembleParams, x: float, y: float,
     if strategy == "sum":
         return _cd_sum(params, x, y)
     if strategy == "tintegral":
-        return _cd_tintegral(params, x, y)
+        return _kernel(params.a, params.b, params.theta, params.n, "K00",
+                       x, y)
     if strategy == "doublecontour":
         return cd_kernel_log(params, x, y).to_real()
     raise DomainError(f"unknown strategy {strategy!r}")
@@ -144,16 +134,14 @@ def _gg_t_integral(alpha: float, theta: float,
     return tanh_sinh_01(integrand, rtol=rtol)
 
 
-def _g_fn(a: float, alpha: float, theta: float, n: Optional[int]):
+def _g_fn(tilde: bool, a: float, alpha: float, theta: float,
+          n: Optional[int]):
+    """z -> G_n (or G~_n with tilde); G_inf (G~_inf) for n=None."""
     if n is None:
-        return lambda z: g_inf(a, alpha, theta, z)
-    return lambda z: g_n(a, alpha, theta, n, z)
-
-
-def _gt_fn(a: float, alpha: float, theta: float, n: Optional[int]):
-    if n is None:
-        return lambda z: g_tilde_inf(a, alpha, theta, z)
-    return lambda z: g_tilde_n(a, alpha, theta, n, z)
+        g = g_tilde_inf if tilde else g_inf
+        return lambda z: g(a, alpha, theta, z)
+    g = g_tilde_n if tilde else g_n
+    return lambda z: g(a, alpha, theta, n, z)
 
 
 def _gg_jacobi_integral(a: float, b: float, alpha: float, theta: float,
@@ -163,7 +151,8 @@ def _gg_jacobi_integral(a: float, b: float, alpha: float, theta: float,
     G is G_n, or the hard-edge G_inf for n=None; both are entire, so the
     t^alpha weight is the only endpoint behavior.  Callers apply theta.
     """
-    g1, g2 = _g_fn(a, alpha, theta, n), _g_fn(b, alpha, theta, n)
+    g1 = _g_fn(False, a, alpha, theta, n)
+    g2 = _g_fn(False, b, alpha, theta, n)
 
     def value_at(order: int) -> float:
         rule = gauss_jacobi(order, alpha)
@@ -172,6 +161,43 @@ def _gg_jacobi_integral(a: float, b: float, alpha: float, theta: float,
 
     return refine_quadrature(
         value_at, start_order=16 if n is None else max(16, n + 4))
+
+
+# which factor of each kind is the companion G~ (first, second)
+_TILDE = {"K01": (False, True), "K10": (True, False), "K11": (True, True)}
+
+
+def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
+            x1: float, x2: float):
+    """Exponent-free kernel of the pair (a, b): finite n, or n=None.
+
+    With alpha = (a+b+1)/theta - 1 and u_i = x_i^theta:
+      K00: theta int_0^1 t^alpha G_a(t u1) G_b(t u2) dt (Gauss-Jacobi),
+      K01: theta x2^b int t^alpha G_a G~_b,  K10: theta x1^a int t^alpha
+      G~_a G_b,  K11: theta x1^a x2^b int t^alpha G~_a G~_b (tanh-sinh).
+    G, G~ are G_n, G~_n, or the hard-edge G_inf, G~_inf for n=None.  For
+    finite n the K11 smooth part is the exact residue core (mpmath value,
+    see _k11_inc_core) instead.  The finite-N K01/K10/K11 carry a further
+    e^{x2} / e^{x1} / e^{x1+x2}, which the callers apply.
+    """
+    alpha = (a + b + 1.0) / theta - 1.0
+    if kind == "K00":
+        return theta * _gg_jacobi_integral(a, b, alpha, theta, n,
+                                           x1 ** theta, x2 ** theta)
+    if kind not in _TILDE:
+        raise DomainError(f"unknown kernel kind {kind!r}")
+    if kind == "K11" and n is not None:
+        return _k11_inc_core(a, b, alpha, theta, n, x1, x2)
+    tilde1, tilde2 = _TILDE[kind]
+    val = _gg_t_integral(alpha, theta, _g_fn(tilde1, a, alpha, theta, n),
+                         x1 ** theta, _g_fn(tilde2, b, alpha, theta, n),
+                         x2 ** theta)
+    weight = theta
+    if tilde2:
+        weight *= x2 ** b
+    if tilde1:
+        weight *= x1 ** a
+    return weight * val
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +248,17 @@ def k01(params: EnsembleParams, x: float, xp: float,
     if x <= 0 or xp <= 0:
         raise DomainError("kernel arguments must be positive")
     a, b, theta, n = params.a, params.b, params.theta, params.n
-    alpha = params.alpha
     if route == "tintegral":
-        val = _gg_t_integral(alpha, theta,
-                             _g_fn(a, alpha, theta, n), x ** theta,
-                             _gt_fn(b, alpha, theta, n), xp ** theta)
-        return theta * math.exp(xp) * xp ** b * val
+        return math.exp(xp) * _kernel(a, b, theta, n, "K01", x, xp)
     if route == "direct":
         table = _cd_coeff_table(params)
         xt = x ** theta
+        i1 = [i1_integral(b + theta * k, xp) for k in range(n)]
         total = 0.0
         for j in range(n):
             xj = xt ** j
             for k in range(n):
-                total += table[j][k] * xj * i1_integral(b + theta * k, xp)
+                total += table[j][k] * xj * i1[k]
         return total
     raise DomainError(f"unknown route {route!r}")
 
@@ -246,12 +269,8 @@ def k10(params: EnsembleParams, y: float, yp: float,
     if y <= 0 or yp <= 0:
         raise DomainError("kernel arguments must be positive")
     a, b, theta, n = params.a, params.b, params.theta, params.n
-    alpha = params.alpha
     if route == "tintegral":
-        val = _gg_t_integral(alpha, theta,
-                             _gt_fn(a, alpha, theta, n), y ** theta,
-                             _g_fn(b, alpha, theta, n), yp ** theta)
-        return theta * math.exp(y) * y ** a * val
+        return math.exp(y) * _kernel(a, b, theta, n, "K10", y, yp)
     if route == "direct":
         table = _cd_coeff_table(params)
         yt = yp ** theta
@@ -264,7 +283,8 @@ def k10(params: EnsembleParams, y: float, yp: float,
     raise DomainError(f"unknown route {route!r}")
 
 
-def _k11_inc_core(params: EnsembleParams, y: float, x: float):
+def _k11_inc_core(a: float, b: float, alpha: float, theta: float, n: int,
+                  y: float, x: float):
     """Double residue sum for the regular part of K11, as an mpmath value.
 
     Integrating the double-contour kernel against both resolvent factors
@@ -279,8 +299,6 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
     Dropping the incomplete-gamma tails is only valid asymptotically, so
     this exact form replaces the companion-function product here.
     """
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    alpha = params.alpha
     # the double sum cancels roughly as 16^N (each factor contributes ~4^N),
     # so precision must grow with N for the O(1) result to survive
     with mpmath.workdps(40 + int(1.5 * n)):
@@ -319,19 +337,19 @@ def k11(params: EnsembleParams, y: float, x: float,
     if x + y < _SINGULAR_TOL:
         raise SingularPointError("x + y below the singularity cutoff")
     a, b, theta, n = params.a, params.b, params.theta, params.n
-    alpha = params.alpha
     if route == "tintegral":
-        core = _k11_inc_core(params, y, x)
+        core = _kernel(a, b, theta, n, "K11", y, x)
         val = (theta * mpmath.e ** (x + y) * mpmath.mpf(y) ** a
                * mpmath.mpf(x) ** b * core - 1.0 / mpmath.mpf(x + y))
         return float(val)
     if route == "direct":
         table = _cd_coeff_table(params)
+        i1x = [i1_integral(b + theta * k, x) for k in range(n)]
         total = 0.0
         for j in range(n):
             i1j = i1_integral(a + theta * j, y)
             for k in range(n):
-                total += table[j][k] * i1j * i1_integral(b + theta * k, x)
+                total += table[j][k] * i1j * i1x[k]
         return total - 1.0 / (x + y)
     raise DomainError(f"unknown route {route!r}")
 
@@ -360,131 +378,36 @@ def hatted(params: EnsembleParams, kind: str, p1: float, p2: float,
 # hard-edge limits
 # ---------------------------------------------------------------------------
 
-def _alpha_of(a: float, b: float, theta: float) -> float:
-    return (a + b + 1.0) / theta - 1.0
-
-
 def hard_edge_kernel(a: float, b: float, theta: float, kind: str,
                      x1: float, x2: float) -> float:
-    """Hard-edge limits built from the entire-function kernels.
+    """Hard-edge limits: the exponent-free kernels at n=None.
 
     K00: (X, Y); K01: (X, X'); K10: (Y, Y'); K11 smooth part: (Y, X).
     """
     if x1 <= 0 or x2 <= 0:
         raise DomainError("kernel arguments must be positive")
-    alpha = _alpha_of(a, b, theta)
-    if kind == "K00":
-        return theta * _gg_jacobi_integral(a, b, alpha, theta, None,
-                                           x1 ** theta, x2 ** theta)
-    if kind == "K01":
-        val = _gg_t_integral(alpha, theta,
-                             _g_fn(a, alpha, theta, None), x1 ** theta,
-                             _gt_fn(b, alpha, theta, None), x2 ** theta)
-        return theta * x2 ** b * val
-    if kind == "K10":
-        val = _gg_t_integral(alpha, theta,
-                             _gt_fn(a, alpha, theta, None), x1 ** theta,
-                             _g_fn(b, alpha, theta, None), x2 ** theta)
-        return theta * x1 ** a * val
-    if kind == "K11":
-        val = _gg_t_integral(alpha, theta,
-                             _gt_fn(a, alpha, theta, None), x1 ** theta,
-                             _gt_fn(b, alpha, theta, None), x2 ** theta)
-        return theta * x2 ** b * x1 ** a * val
-    raise DomainError(f"unknown kernel kind {kind!r}")
-
-
-def k11_hard_scaling_report(a: float, b: float, theta: float,
-                            y_hard: float, x_hard: float,
-                            ns=(20, 40, 80)) -> dict:
-    """Empirical scaling exponent of the finite-N K11 smooth part.
-
-    The displayed hard-edge prefactor for K11 is internally inconsistent
-    with the K01/K10 ones, so the exponent is fitted by log-log
-    regression of the finite-N smooth parts against N and reported next
-    to the normative smooth-part limit.
-    """
-    logs = []
-    for n in ns:
-        scale = n ** (-2.0 / theta)
-        y, x = y_hard * scale, x_hard * scale
-        core = _k11_inc_core(EnsembleParams(a, b, theta, n), y, x)
-        smooth = float(theta * mpmath.e ** (x + y) * mpmath.mpf(y) ** a
-                       * mpmath.mpf(x) ** b * core)
-        logs.append(math.log(abs(smooth)))
-    slope = np.polyfit(np.log(ns), logs, 1)[0]
-    limit = hard_edge_kernel(a, b, theta, "K11", y_hard, x_hard)
-    return {
-        "fitted_exponent": float(slope),
-        "smooth_limit": limit,
-        "finite_n_values": dict(zip(ns, [math.exp(v) for v in logs])),
-    }
+    return _kernel(a, b, theta, None, kind, x1, x2)
 
 
 # ---------------------------------------------------------------------------
-# Bures kernel combinations (Cauchy pair (a, a+1))
+# hard-edge Bures kernel blocks (Cauchy pair (a, a+1))
 # ---------------------------------------------------------------------------
-
-def delta_k00_finite(params_pair: EnsembleParams, zi: float, zj: float) -> float:
-    """Antisymmetrized CD kernel: K_N(z_i, z_j) - K_N(z_j, z_i)."""
-    return (cd_kernel(params_pair, zi, zj, "doublecontour")
-            - cd_kernel(params_pair, zj, zi, "doublecontour"))
-
-
-def sigma_k01_finite(params_pair: EnsembleParams, zi: float, zj: float) -> float:
-    """hat-K01(z_j, z_i) + hat-K10(z_i, z_j) in exponent-free form.
-
-    This is the off-diagonal combination entering the skew kernel matrix.
-    The exponential weights cancel against the e^{x'} / e^{y} prefactors
-    of the t-integral route, leaving pure power-law prefactors; this form
-    stays finite under hard-edge rescaled arguments.
-    """
-    a, b, theta, n = (params_pair.a, params_pair.b, params_pair.theta,
-                      params_pair.n)
-    alpha = params_pair.alpha
-    t1 = _gg_t_integral(alpha, theta, _g_fn(a, alpha, theta, n), zj ** theta,
-                        _gt_fn(b, alpha, theta, n), zi ** theta)
-    t2 = _gg_t_integral(alpha, theta, _gt_fn(a, alpha, theta, n), zi ** theta,
-                        _g_fn(b, alpha, theta, n), zj ** theta)
-    return theta * zi ** (a + b) * (t1 + t2)
-
-
-def delta_k11_finite(params_pair: EnsembleParams, zi: float, zj: float) -> float:
-    """hat-K11(z_i, z_j) - hat-K11(z_j, z_i) including the rational part.
-
-    The exponential weights cancel against the e^{x+y} prefactor of the
-    smooth part, so the expression stays finite at hard-edge rescaled
-    arguments.
-    """
-    a, b = params_pair.a, params_pair.b
-    theta = params_pair.theta
-    c1 = _k11_inc_core(params_pair, zi, zj)
-    c2 = _k11_inc_core(params_pair, zj, zi)
-    smooth = theta * mpmath.mpf(zi * zj) ** (a + b) * (c1 - c2)
-    rational = (math.exp(-(zi + zj))
-                * (zj ** a * zi ** b - zi ** a * zj ** b) / (zi + zj))
-    return float(smooth) - rational
-
 
 def delta_k00_inf(a: float, theta: float, zi: float, zj: float) -> float:
-    """Hard-edge antisymmetrized CD kernel for the Bures pair (a, a+1)."""
-    alpha = 2.0 * (a + 1.0) / theta - 1.0
-    ut, vt = zi ** theta, zj ** theta
-    return theta * (
-        _gg_jacobi_integral(a, a + 1.0, alpha, theta, None, ut, vt)
-        - _gg_jacobi_integral(a, a + 1.0, alpha, theta, None, vt, ut))
+    """Hard-edge antisymmetrized CD kernel K00(z_i, z_j) - K00(z_j, z_i)."""
+    return (hard_edge_kernel(a, a + 1.0, theta, "K00", zi, zj)
+            - hard_edge_kernel(a, a + 1.0, theta, "K00", zj, zi))
 
 
 def sigma_k01_inf(a: float, theta: float, zi: float, zj: float) -> float:
-    """Hard-edge off-diagonal kernel combination for the Bures pair."""
-    alpha = 2.0 * (a + 1.0) / theta - 1.0
-    t1 = _gg_t_integral(alpha, theta, _g_fn(a, alpha, theta, None),
-                        zj ** theta, _gt_fn(a + 1.0, alpha, theta, None),
-                        zi ** theta)
-    t2 = _gg_t_integral(alpha, theta, _gt_fn(a, alpha, theta, None),
-                        zi ** theta, _g_fn(a + 1.0, alpha, theta, None),
-                        zj ** theta)
-    return theta * zi ** (2.0 * a + 1.0) * (t1 + t2)
+    """Hard-edge off-diagonal Bures block.
+
+    z_i^a K01(z_j, z_i) + z_i^{a+1} K10(z_i, z_j), the weights of hatted
+    without their exponentials.
+    """
+    b = a + 1.0
+    return (zi ** a * hard_edge_kernel(a, b, theta, "K01", zj, zi)
+            + zi ** b * hard_edge_kernel(a, b, theta, "K10", zi, zj))
 
 
 def delta_k11_inf(a: float, theta: float, zi: float, zj: float) -> float:
@@ -493,27 +416,12 @@ def delta_k11_inf(a: float, theta: float, zi: float, zj: float) -> float:
     Both the smooth part and the rational part of the finite-N kernel
     survive the limit at the same order, so both appear here.
     """
-    alpha = 2.0 * (a + 1.0) / theta - 1.0
-    t1 = _gg_t_integral(alpha, theta, _gt_fn(a, alpha, theta, None),
-                        zi ** theta, _gt_fn(a + 1.0, alpha, theta, None),
-                        zj ** theta)
-    t2 = _gg_t_integral(alpha, theta, _gt_fn(a, alpha, theta, None),
-                        zj ** theta, _gt_fn(a + 1.0, alpha, theta, None),
-                        zi ** theta)
-    smooth = theta * (zi * zj) ** (2.0 * a + 1.0) * (t1 - t2)
-    rational = (zj ** a * zi ** (a + 1.0)
-                - zi ** a * zj ** (a + 1.0)) / (zi + zj)
+    b = a + 1.0
+    smooth = (
+        zj ** a * zi ** b * hard_edge_kernel(a, b, theta, "K11", zi, zj)
+        - zi ** a * zj ** b * hard_edge_kernel(a, b, theta, "K11", zj, zi))
+    rational = (zj ** a * zi ** b - zi ** a * zj ** b) / (zi + zj)
     return smooth - rational
-
-
-def rho1_bures_hard_finite(a: float, theta: float, n: int, z: float) -> float:
-    """N^{-2/theta} rho_1^{(N)}(z N^{-2/theta}): finite-N hard-edge route.
-
-    Uses rho_1 = sigma-K01(z, z) / 2 with the Cauchy pair (a, a+1).
-    """
-    scale = n ** (-2.0 / theta)
-    params = EnsembleParams(a, a + 1.0, theta, n)
-    return scale * 0.5 * sigma_k01_finite(params, z * scale, z * scale)
 
 
 # ---------------------------------------------------------------------------

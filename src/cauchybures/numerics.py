@@ -255,14 +255,21 @@ def refine_quadrature(value_at: Callable[[int], float], start_order: int = 16,
     """Order-doubling convergence protocol.
 
     Doubles the order until successive values differ by < rtol relative,
-    raising NonConverged past max_order.
+    raising NonConverged past max_order.  value_at may instead return a
+    (value, magnitude) pair, magnitude being the same rule applied to |f|;
+    the tolerance is then relative to that as well, so an integral that
+    cancels to zero still converges.
     """
-    prev = value_at(start_order)
+    def step(order: int) -> tuple[float, float]:
+        out = value_at(order)
+        return out if isinstance(out, tuple) else (out, 0.0)
+
+    prev = step(start_order)[0]
     delta = math.inf
     order = 2 * start_order
     while order <= max_order:
-        cur = value_at(order)
-        scale = max(abs(cur), abs(prev))
+        cur, magnitude = step(order)
+        scale = max(abs(cur), abs(prev), magnitude)
         delta = abs(cur - prev)
         if delta <= rtol * scale or scale == 0.0:
             return cur

@@ -16,7 +16,7 @@ from cauchybures.ensembles import (EnsembleParams, partition_bures,
                                    partition_cauchy, partition_cauchy_det)
 from cauchybures.foxh import FoxHSpec, fox_h, g_inf, g_tilde_inf
 from cauchybures.kernels import (cd_hard_scaled, cd_kernel, hard_edge_kernel,
-                                 k01, k10, k11, rho1_bures_hard_finite)
+                                 k01, k10, k11)
 from cauchybures.numerics import simplex_quad_2d
 from cauchybures.polynomials import (jacobi_p, jacobi_series_value,
                                      monic_pair, p_hat, phi_bures, q_hat)
@@ -209,8 +209,13 @@ def test_criterion_09_hard_edge_convergence(emit):
     for a, theta in ((0.3, 1.0), (0.3, 1.5)):
         for z in (0.5, 0.9, 1.4):
             limit = rho_bures_hard_edge(a, theta, (z,))
-            errs = [abs(rho1_bures_hard_finite(a, theta, n, z) / limit - 1.0)
-                    for n in (20, 40, 80)]
+            errs = []
+            for n in (20, 40, 80):
+                sc = n ** (-2.0 / theta)
+                req = CorrelationRequest(
+                    "bures", EnsembleParams(a, a + 1.0, theta, n), (z * sc,))
+                errs.append(abs(sc * rho_bures(req, route="tintegral")
+                                / limit - 1.0))
             if not errs[0] > errs[1] > errs[2]:
                 ok = False
                 first_violation = first_violation or (a, theta, z, errs)

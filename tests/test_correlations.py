@@ -6,12 +6,10 @@ import pytest
 
 from cauchybures.correlations import (CorrelationRequest,
                                       brute_force_correlation,
-                                      calibrate_bures_prefactor,
                                       correlation_record, rho_bures,
                                       rho_bures_hard_edge, rho_cauchy)
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
-from cauchybures.kernels import rho1_bures_hard_finite
 
 
 PSET = EnsembleParams(0.5, 0.7, 1.5, 2)
@@ -78,20 +76,24 @@ class TestBuresAgainstBruteForce:
         rev = rho_bures(CorrelationRequest("bures", p, (1.4, 0.7)))
         assert fwd == pytest.approx(rev, rel=1e-9)
 
-    def test_prefactor_calibration_reports_unity(self):
-        rep = calibrate_bures_prefactor(0.3, 1.0)
-        ratios = list(rep["ratios"].values()) if "ratios" in rep \
-            else [v for v in rep.values() if isinstance(v, float)]
-        for r in ratios:
-            assert r == pytest.approx(1.0, rel=1e-3)
+    def test_direct_and_tintegral_routes_agree(self):
+        p = EnsembleParams(0.3, 1.3, 1.0, 4)
+        req = CorrelationRequest("bures", p, (0.7, 1.4))
+        assert rho_bures(req, route="tintegral") == pytest.approx(
+            rho_bures(req, route="direct"), rel=1e-9)
 
 
 class TestHardEdge:
     def test_one_point_finite_size_convergence(self):
         a, theta, z = 0.3, 1.0, 0.9
         limit = rho_bures_hard_edge(a, theta, (z,))
-        errs = [abs(rho1_bures_hard_finite(a, theta, n, z) / limit - 1.0)
-                for n in (20, 40, 80)]
+        errs = []
+        for n in (20, 40, 80):
+            sc = n ** (-2.0 / theta)
+            req = CorrelationRequest(
+                "bures", EnsembleParams(a, a + 1.0, theta, n), (z * sc,))
+            errs.append(abs(sc * rho_bures(req, route="tintegral") / limit
+                            - 1.0))
         assert errs[0] > errs[1] > errs[2]
 
     def test_two_point_is_finite_and_subdeterminantal(self):

@@ -154,6 +154,21 @@ class TestPoleCollisions:
         value = hankel_loop([GammaFactor(0.0, 1.0)], [], 0.7)
         assert type(value) is float
 
+    def test_hankel_loop_converges_at_a_zero_of_the_integral(self):
+        # G~_{2,0.5}(z) at alpha = 0.9, theta = 1.5 changes sign twice; at
+        # a root the loop's value is rounding noise, so its refinement must
+        # be judged against the size of the integrand, not of the value
+        num, den = foxh._gtn_factors(0.5, 0.9, 1.5, 2)
+
+        def series(z):
+            return mellin_barnes(num, den, z, strategy="residue")[0]
+
+        for z0 in (0.850945, 7.795487):
+            root = brentq(series, z0 - 1e-3, z0 + 1e-3, xtol=1e-15)
+            value, route = mellin_barnes(num, den, root, strategy="hankel")
+            assert route == "hankel"
+            assert abs(value - series(root)) < 1e-12
+
     def test_triple_pole_raises(self):
         with pytest.raises(PoleCollisionError):
             residue_series([GammaFactor(0.0, 1.0)] * 3, [], 1.0)

@@ -1,6 +1,5 @@
 """Tests for the Christoffel-Darboux kernel family and hard-edge limits."""
 import json
-import math
 
 import mpmath
 import numpy as np
@@ -9,13 +8,11 @@ import pytest
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import DomainError
 from cauchybures.foxh import g_inf, g_n, g_tilde_n
+from cauchybures.correlations import CorrelationRequest, rho_bures
 from cauchybures.kernels import (KernelGrid, cd_hard_scaled, cd_kernel,
-                                 delta_k00_finite, delta_k00_inf,
-                                 delta_k11_finite, delta_k11_inf,
+                                 delta_k00_inf, delta_k11_inf,
                                  hard_edge_kernel, hatted, i1_integral, k01,
-                                 k10, k11, k11_hard_scaling_report, make_grid,
-                                 rho1_bures_hard_finite, sigma_k01_finite,
-                                 sigma_k01_inf)
+                                 k10, k11, make_grid, sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
 
 
@@ -112,31 +109,33 @@ class TestAuxiliaryIntegral:
             assert i1_integral(beta, c) == pytest.approx(want, rel=1e-11)
 
 
-class TestSkewKernelBlocks:
-    def test_sigma_block_matches_hatted_combination(self):
-        p = EnsembleParams(0.3, 1.3, 1.0, 4)
-        for zi, zj in ((0.7, 1.4), (1.1, 0.5)):
-            want = (hatted(p, "K01", zj, zi) + hatted(p, "K10", zi, zj))
-            assert sigma_k01_finite(p, zi, zj) == pytest.approx(want,
-                                                                rel=1e-10)
+def _bures_scaled(a, theta, n):
+    """Cauchy pair (a, a+1) at N = n and the hard-edge scale N^{-2/theta}."""
+    return EnsembleParams(a, a + 1.0, theta, n), n ** (-2.0 / theta)
 
+
+class TestSkewKernelBlocks:
     def test_delta_blocks_are_antisymmetric(self):
-        p = EnsembleParams(0.3, 1.3, 1.0, 4)
         zi, zj = 0.7, 1.4
-        assert delta_k00_finite(p, zi, zj) == pytest.approx(
-            -delta_k00_finite(p, zj, zi), rel=1e-12)
-        assert delta_k11_finite(p, zi, zj) == pytest.approx(
-            -delta_k11_finite(p, zj, zi), rel=1e-10)
         assert delta_k00_inf(0.3, 1.0, zi, zj) == pytest.approx(
             -delta_k00_inf(0.3, 1.0, zj, zi), rel=1e-10)
         assert delta_k11_inf(0.3, 1.0, zi, zj) == pytest.approx(
             -delta_k11_inf(0.3, 1.0, zj, zi), rel=1e-10)
 
     def test_delta_k11_matches_hatted_difference(self):
-        p = EnsembleParams(0.3, 1.3, 1.0, 3)
-        zi, zj = 0.7, 1.4
-        want = hatted(p, "K11", zi, zj) - hatted(p, "K11", zj, zi)
-        assert delta_k11_finite(p, zi, zj) == pytest.approx(want, rel=1e-9)
+        # N^{4a/theta} (hat-K11(z_i s, z_j s) - hat-K11(z_j s, z_i s)),
+        # s = N^{-2/theta}, tends to the hard-edge block, rational part
+        # included
+        a, theta = 0.3, 1.0
+        zi, zj = 0.8, 1.7
+        limit = delta_k11_inf(a, theta, zi, zj)
+        errs = []
+        for n in (10, 20, 40):
+            p, sc = _bures_scaled(a, theta, n)
+            diff = (hatted(p, "K11", zi * sc, zj * sc)
+                    - hatted(p, "K11", zj * sc, zi * sc))
+            errs.append(abs(sc ** (-2.0 * a) * diff / limit - 1.0))
+        assert errs[0] > errs[1] > errs[2]
 
 
 class TestHardEdgeLimits:
@@ -148,32 +147,55 @@ class TestHardEdgeLimits:
                     / limit - 1.0) for n in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_delta_k00_block_scaling_approaches_limit(self):
+        a, theta = 0.3, 1.0
+        zi, zj = 0.8, 1.7
+        limit = delta_k00_inf(a, theta, zi, zj)
+        errs = []
+        for n in (10, 20, 40):
+            p, sc = _bures_scaled(a, theta, n)
+            diff = (hatted(p, "K00", zi * sc, zj * sc)
+                    - hatted(p, "K00", zj * sc, zi * sc))
+            errs.append(abs(sc ** (2.0 * a + 2.0) * diff / limit - 1.0))
+        assert errs[0] > errs[1] > errs[2]
+
     def test_sigma_block_scaling_approaches_limit(self):
         a, theta = 0.3, 1.0
         zi, zj = 0.8, 1.7
         limit = sigma_k01_inf(a, theta, zi, zj)
         errs = []
         for n in (10, 20, 40):
-            sc = n ** (-2.0 / theta)
-            p = EnsembleParams(a, a + 1.0, theta, n)
-            errs.append(abs(sc * sigma_k01_finite(p, zi * sc, zj * sc)
-                            / limit - 1.0))
+            p, sc = _bures_scaled(a, theta, n)
+            block = (hatted(p, "K01", zj * sc, zi * sc)
+                     + hatted(p, "K10", zi * sc, zj * sc))
+            errs.append(abs(sc * block / limit - 1.0))
         assert errs[0] > errs[1] > errs[2]
 
     def test_bures_density_scaling_approaches_limit(self):
         from cauchybures.correlations import rho_bures_hard_edge
         a, theta, z = 0.3, 1.0, 0.9
         limit = rho_bures_hard_edge(a, theta, (z,))
-        errs = [abs(rho1_bures_hard_finite(a, theta, n, z) / limit - 1.0)
-                for n in (10, 20, 40)]
+        errs = []
+        for n in (10, 20, 40):
+            p, sc = _bures_scaled(a, theta, n)
+            req = CorrelationRequest("bures", p, (z * sc,))
+            errs.append(abs(sc * rho_bures(req, route="tintegral") / limit
+                            - 1.0))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_doubly_integrated_kernel_scaling_report(self):
-        rep = k11_hard_scaling_report(0.3, 1.3, 1.0, 0.8, 1.7, ns=(6, 12, 24))
-        assert math.isfinite(rep["fitted_exponent"])
-        assert math.isfinite(rep["smooth_limit"])
-        assert set(rep["finite_n_values"]) == {6, 12, 24}
-        assert all(math.isfinite(v) for v in rep["finite_n_values"].values())
+    def test_k11_smooth_part_scaling_approaches_limit(self):
+        # the finite-N smooth part k11 + 1/(x+y) grows like N^{2/theta}
+        # at hard-edge scaled arguments, the same order as K01 and K10
+        a, b, theta = 0.3, 1.3, 1.0
+        Y, X = 0.8, 1.7
+        limit = hard_edge_kernel(a, b, theta, "K11", Y, X)
+        errs = []
+        for n in (10, 20, 40):
+            sc = n ** (-2.0 / theta)
+            smooth = (k11(EnsembleParams(a, b, theta, n), Y * sc, X * sc)
+                      + 1.0 / ((X + Y) * sc))
+            errs.append(abs(sc * smooth / limit - 1.0))
+        assert errs[0] > errs[1] > errs[2]
 
 
 class TestKernelGrid:
