@@ -4,8 +4,7 @@ partition functions, correlation kernels and their hard-edge limits.
 """
 from .exceptions import (CauchyBuresError, ComplexityError, DimensionError,
                          DomainError, NonConverged, PoleCollisionError,
-                         PoleError, SignError, SingularPointError,
-                         SingularSystemError)
+                         PoleError, SignError, SingularPointError)
 from .numerics import LogValue, SkewMatrix, pfaffian, pfaffian_bordered
 from .foxh import (FoxHSpec, fox_h, g_inf, g_n, g_tilde_inf, g_tilde_n,
                    mellin_barnes)
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CauchyBuresError", "ComplexityError", "DimensionError", "DomainError",
     "NonConverged", "PoleCollisionError", "PoleError", "SignError",
-    "SingularPointError", "SingularSystemError",
+    "SingularPointError",
     "LogValue", "SkewMatrix", "pfaffian", "pfaffian_bordered",
     "FoxHSpec", "fox_h", "g_inf", "g_n", "g_tilde_inf", "g_tilde_n",
     "mellin_barnes",

@@ -189,10 +189,10 @@ def _checks_ensembles(rng, tol):
     yield ("cauchy_partition_closed_vs_det",
            abs(closed.to_real() / det.to_real() - 1.0), tol)
     r = ensembles.EnsembleParams(0.4, 1.4, 1.3, 3)
-    pf_route = ensembles.partition_bures(r).to_real()
+    product = ensembles.partition_bures(r).to_real()
     ident = ensembles.partition_bures_squared_identity(r).to_real()
-    yield ("bures_partition_pfaffian_vs_identity",
-           abs(pf_route / ident - 1.0), tol)
+    yield ("bures_partition_product_vs_identity",
+           abs(product / ident - 1.0), tol)
 
 
 def _checks_polynomials(rng, tol):
@@ -325,6 +325,8 @@ def partition(model, a, b, theta, n):
             p = ensembles.EnsembleParams(a, b, theta, n)
             _print_value("Z_cauchy", ensembles.partition_cauchy(p))
         else:
+            if b is not None:
+                _fail(1, "--b does not apply to the Bures model (b = a + 1)")
             p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
             _print_value("Z_bures", ensembles.partition_bures(p))
     except CauchyBuresError as exc:
@@ -356,6 +358,8 @@ def corr(model, a, b, theta, n, xs, ys, zs, oracle):
         else:
             if xs or ys:
                 _fail(1, "use --z for the Bures model")
+            if b is not None:
+                _fail(1, "--b does not apply to the Bures model (b = a + 1)")
             p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
             req = correlations.CorrelationRequest("bures", p, zs)
             value = correlations.rho_bures(req)

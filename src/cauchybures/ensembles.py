@@ -2,7 +2,7 @@
 
 Covers the theta-deformed Cauchy two-matrix model and the theta-deformed
 Bures ensemble.  Every partition function is computable by two
-independent routes (closed product vs determinant, Pfaffian vs the
+independent routes (closed product vs determinant, Schur product vs the
 squared identity), which the test suite cross-checks.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DomainError, SignError
-from .numerics import LogValue, SkewMatrix, pfaffian, pfaffian_bordered
+from .numerics import LogValue
 
 __all__ = [
     "EnsembleParams",
@@ -166,31 +166,28 @@ def partition_cauchy_det(params: EnsembleParams) -> LogValue:
 # Bures partition function
 # ---------------------------------------------------------------------------
 
-def _bures_moment_matrix(params: EnsembleParams) -> SkewMatrix:
-    n = params.n
-    upper = np.zeros((n, n))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            upper[j - 1, k - 1] = moment_b(params, j, k)
-    return SkewMatrix(upper)
+def _log_schur(xs) -> float:
+    """log Pf[Gamma(x_j) Gamma(x_k) (x_k - x_j)/(x_j + x_k)] for increasing xs.
+
+    Schur's Pfaffian identity (I. Schur, 1911) gives the product
+    prod_j Gamma(x_j) prod_{j<k} (x_k - x_j)/(x_j + x_k); an odd number of
+    xs borders the matrix by Gamma(x_j) and keeps the same product.
+    """
+    terms = [math.lgamma(x) for x in xs]
+    terms += [math.log((xk - xj) / (xk + xj))
+              for k, xk in enumerate(xs) for xj in xs[:k]]
+    return math.fsum(terms)
 
 
 def partition_bures(params: EnsembleParams) -> LogValue:
-    """Bures partition function by the (bordered) Pfaffian of skew moments.
+    """Bures partition function by Schur's product.
 
-    Even n: Pf(I^B).  Odd n: the matrix is bordered by the scalar moments
-    i^B with a leading zero.  The result must be positive.
+    Z^B_N is the (bordered) Pfaffian of the skew moments I^B_{j,k}, whose
+    Schur form has x_j = a + 1 + theta*(j-1); every factor of the product
+    is positive since a > -1 and theta > 0.
     """
-    n = params.n
-    m = _bures_moment_matrix(params)
-    if n % 2 == 0:
-        val = pfaffian(m)
-    else:
-        border = np.array([moment_b_vec(params, j) for j in range(1, n + 1)])
-        val = pfaffian_bordered(m, border)
-    if val.sign <= 0:
-        raise SignError("Bures partition function came out non-positive")
-    return val
+    xs = [params.a + 1.0 + params.theta * j for j in range(params.n)]
+    return LogValue(1, _log_schur(xs))
 
 
 def partition_bures_squared_identity(params: EnsembleParams) -> LogValue:

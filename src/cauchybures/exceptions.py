@@ -29,10 +29,6 @@ class PoleCollisionError(CauchyBuresError):
     """
 
 
-class SingularSystemError(CauchyBuresError):
-    """Moment system too ill-conditioned for double precision."""
-
-
 class SignError(CauchyBuresError):
     """A quantity that must be positive came out non-positive."""
 

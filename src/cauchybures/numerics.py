@@ -69,12 +69,6 @@ class LogValue:
             return cls.zero()
         return cls(1 if x > 0 else -1, math.log(abs(x)))
 
-    @classmethod
-    def from_log(cls, sign: int, log_mag: float) -> "LogValue":
-        if sign == 0:
-            return cls.zero()
-        return cls(sign, log_mag)
-
     def to_real(self) -> float:
         if self.sign == 0:
             return 0.0
@@ -98,9 +92,6 @@ class LogValue:
     def __abs__(self) -> "LogValue":
         return LogValue(abs(self.sign), self.log_mag)
 
-    def scale(self, x: float) -> "LogValue":
-        return self * LogValue.from_real(x)
-
     def sqrt(self) -> "LogValue":
         if self.sign < 0:
             raise ValueError("sqrt of a negative LogValue")
@@ -113,10 +104,6 @@ class LogValue:
             return LogValue.one() if k == 0 else LogValue.zero()
         sign = 1 if (self.sign > 0 or k % 2 == 0) else -1
         return LogValue(sign, k * self.log_mag)
-
-    def ratio(self, other: "LogValue") -> float:
-        """self / other as a plain float (both assumed representable)."""
-        return (self / other).to_real()
 
     @staticmethod
     def sum(terms: Iterable["LogValue"]) -> "LogValue":

@@ -2,8 +2,8 @@
 
 The Cauchy families P-hat, Q-hat are explicit gamma-coefficient
 polynomials; their monic rescalings carry the partition-ratio
-normalization.  The Bures family phi_n is built from bordered Pfaffians
-of the skew moment matrix.
+normalization.  The Bures family phi_n comes from Schur's product: each
+coefficient of its defining (bordered) Pfaffian is a Schur Pfaffian.
 """
 from __future__ import annotations
 
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .exceptions import DomainError, SingularSystemError
-from .ensembles import (EnsembleParams, moment_b, moment_b_vec, moment_c,
-                        partition_bures, partition_cauchy)
-from .numerics import LogValue, SkewMatrix, pfaffian
+from .exceptions import DomainError
+from .ensembles import EnsembleParams, _log_schur, moment_c, partition_cauchy
+from .numerics import LogValue
 
 __all__ = [
     "PolySeries",
@@ -201,60 +200,16 @@ def q_hat_det(params: EnsembleParams, n: int, y) -> float:
 # Bures partial-skew-orthogonal polynomials
 # ---------------------------------------------------------------------------
 
-def _phi_value(params: EnsembleParams, n: int, z: float,
-               log_zb: float) -> float:
-    """phi_n(z) by the (bordered) Pfaffian of skew moments with z-powers."""
-    powers = z ** np.arange(n + 1)
-    if n % 2 == 0:
-        # dim = (n+1) + 1, even
-        dim = n + 2
-        upper = np.zeros((dim, dim))
-        for j in range(n + 1):
-            for k in range(j + 1, n + 1):
-                upper[j, k] = moment_b(params, j + 1, k + 1)
-            upper[j, n + 1] = powers[j]
-        val = pfaffian(SkewMatrix(upper))
-    else:
-        # dim = 1 + (n+1) + 1, even
-        dim = n + 3
-        upper = np.zeros((dim, dim))
-        for j in range(n + 1):
-            upper[0, j + 1] = moment_b_vec(params, j + 1)
-            for k in range(j + 1, n + 1):
-                upper[j + 1, k + 1] = moment_b(params, j + 1, k + 1)
-            upper[j + 1, n + 2] = powers[j]
-        val = pfaffian(SkewMatrix(upper))
-    if val.sign == 0:
-        return 0.0
-    return val.sign * math.exp(val.log_mag - log_zb)
-
-
 def phi_bures(params: EnsembleParams, n: int) -> PolySeries:
-    """Degree-n Bures polynomial, normalized monic with positive leading term.
+    """Degree-n Bures polynomial, normalized monic.
 
-    Coefficients are recovered by sampling the Pfaffian form at n+1 points
-    and solving the Vandermonde system.
+    phi_n(z) is the (bordered) Pfaffian of the skew moments over
+    x_0..x_n, x_j = a + 1 + theta*j, with a z-power column.  Expanding
+    along that column makes the z^j coefficient (-1)^{n+j} times the
+    Schur Pfaffian of the x's without x_j; Z^B cancels in the monic form.
     """
     _check_degree(n)
-    if n == 0:
-        return PolySeries((1.0,))
-    log_zb = partition_bures(params.with_n(n)).log_mag
-    # Chebyshev-spaced samples keep the Vandermonde solvable for n <= 12
-    k = np.arange(n + 1)
-    zs = 1.0 + math.sqrt(n) * np.cos(math.pi * (2 * k + 1) / (2 * (n + 1)))
-    zs = np.abs(zs) + 0.1
-    zs = np.unique(zs)
-    while len(zs) < n + 1:
-        zs = np.append(zs, zs[-1] * 1.37 + 0.21)
-    vander = np.vander(zs, n + 1, increasing=True)
-    cond = np.linalg.cond(vander)
-    if cond > 1e12:
-        raise SingularSystemError(
-            f"sample Vandermonde condition {cond:.3g} beyond double precision")
-    vals = np.array([_phi_value(params, n, z, log_zb) for z in zs])
-    coeffs = np.linalg.solve(vander, vals)
-    lead = coeffs[-1]
-    if abs(lead) < 1e-10 * np.max(np.abs(coeffs)):
-        raise SingularSystemError("leading coefficient lost to cancellation")
-    coeffs = coeffs / lead
-    return PolySeries(tuple(coeffs))
+    xs = [params.a + 1.0 + params.theta * j for j in range(n + 1)]
+    logs = [_log_schur(xs[:j] + xs[j + 1:]) for j in range(n + 1)]
+    return PolySeries(tuple((-1.0) ** (n + j) * math.exp(logs[j] - logs[n])
+                            for j in range(n + 1)))

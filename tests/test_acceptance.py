@@ -64,7 +64,7 @@ def test_criterion_02_squared_partition_identity(check):
     for a, theta in ((0.0, 1.0), (0.5, 1.0), (0.2, 1.5), (0.0, 2.0)):
         for n in range(1, 6):
             p = EnsembleParams(a, a + 1.0, theta, n)
-            left = partition_bures(p).to_real()  # Pfaffian route
+            left = partition_bures(p).to_real()  # Schur product route
             right = partition_bures_squared_identity(p).to_real()
             worst = max(worst, abs(left / right - 1.0))
     check("criterion-02 squared partition identity", worst, 1e-7)

@@ -8,7 +8,9 @@ from click.testing import CliRunner
 
 from cauchybures.cli import main
 from cauchybures.correlations import CorrelationRequest, rho_cauchy
-from cauchybures.ensembles import EnsembleParams, partition_cauchy
+from cauchybures.ensembles import (EnsembleParams,
+                                   partition_bures_squared_identity,
+                                   partition_cauchy)
 from cauchybures.kernels import KernelGrid
 
 
@@ -135,8 +137,10 @@ class TestVerify:
         assert res.exit_code == 1
 
     def test_impossible_tolerance_exits_three(self, runner):
-        res = runner.invoke(main, ["verify", "--suite", "ensembles",
-                                   "--tol", "1e-14"])
+        # no single suite is sure to miss 1e-14 (the ensembles checks now
+        # agree to 3e-15); the full run has several round-off residuals
+        # of about 2e-14
+        res = runner.invoke(main, ["verify", "--tol", "1e-14"])
         assert res.exit_code == 3
 
 
@@ -195,6 +199,18 @@ class TestPartition:
                           for k in range(1, n + 1)))
         assert rec["log_abs"] == pytest.approx(float(want), rel=1e-13)
 
+    @pytest.mark.parametrize("n", [20, 80])
+    def test_bures_large_n_matches_squared_identity(self, runner, n):
+        res = runner.invoke(main, ["partition", "--model", "bures",
+                                   "--a", "0.3", "--theta", "1.3",
+                                   "--n", str(n)])
+        assert res.exit_code == 0
+        rec = json.loads(res.output)
+        want = partition_bures_squared_identity(
+            EnsembleParams(0.3, 1.3, 1.3, n))
+        assert rec["sign"] == 1
+        assert rec["log_abs"] == pytest.approx(want.log_mag, rel=1e-10)
+
 
 class TestCorr:
     def test_cauchy_matches_library(self, runner):
@@ -223,3 +239,9 @@ class TestCorr:
         res = runner.invoke(main, ["corr", "--model", "cauchy", "--a", "0.3",
                                    "--b", "0.5", "--n", "2", "--z", "0.9"])
         assert res.exit_code == 1
+        # the Bures model fixes b = a + 1; a given --b must not be ignored
+        for cmd in (["corr", "--z", "0.9"], ["partition"]):
+            res = runner.invoke(main, cmd + ["--model", "bures", "--a", "0.3",
+                                             "--b", "0.5", "--n", "2"])
+            assert res.exit_code == 1
+            assert "--b" in res.stderr

@@ -10,6 +10,7 @@ from cauchybures.ensembles import (EnsembleParams, moment_b, moment_b_vec,
                                    partition_bures_squared_identity,
                                    partition_cauchy, partition_cauchy_det)
 from cauchybures.exceptions import DomainError
+from cauchybures.numerics import SkewMatrix, pfaffian, pfaffian_bordered
 
 
 class TestParams:
@@ -98,11 +99,43 @@ class TestBuresPartition:
                                          (0.2, 1.5), (0.0, 2.0)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_squared_identity(self, a, theta, n):
-        # (Z^B_N)^2 = 2^N Z^C_N at the weight pair (a, a+1)
+        # (Z^B_N)^2 = 2^N Z^C_N at the weight pair (a, a+1); Schur product
+        # on the left
         p = EnsembleParams(a, a + 1.0, theta, n)
-        pf_route = partition_bures(p)
+        product = partition_bures(p)
         rhs = partition_bures_squared_identity(p)
-        assert pf_route.to_real() == pytest.approx(rhs.to_real(), rel=1e-7)
+        assert product.to_real() == pytest.approx(rhs.to_real(), rel=1e-7)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("n", [12, 20, 21, 41, 80])
+    def test_squared_identity_at_large_n(self, n, theta):
+        # compared in log: Z^B itself overflows a double at N = 80
+        p = EnsembleParams(0.3, 1.3, theta, n)
+        product = partition_bures(p)
+        rhs = partition_bures_squared_identity(p)
+        assert product.sign == 1
+        assert abs(product.log_mag - rhs.log_mag) <= 1e-10 * max(
+            1.0, abs(rhs.log_mag))
+
+    @pytest.mark.parametrize("a,theta", [(0.0, 1.0), (0.3, 1.3), (0.2, 2.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_product_equals_defining_pfaffian(self, a, theta, n):
+        # the defining route: Pf of the skew moments I^B_{j,k}, bordered by
+        # the scalar moments i_j = Gamma(x_j) for odd N
+        p = EnsembleParams(a, a + 1.0, theta, n)
+        upper = np.zeros((n, n))
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
+                upper[j - 1, k - 1] = moment_b(p, j, k)
+        m = SkewMatrix(upper)
+        if n % 2 == 0:
+            pf = pfaffian(m)
+        else:
+            pf = pfaffian_bordered(
+                m, [moment_b_vec(p, j) for j in range(1, n + 1)])
+        product = partition_bures(p)
+        assert pf.sign == product.sign == 1
+        assert abs(pf.log_mag - product.log_mag) <= 1e-8
 
     def test_n1_against_gamma(self):
         p = EnsembleParams(0.3, 1.3, 1.5, 1)

@@ -130,7 +130,7 @@ class TestBuresCauchyRelations:
         #   P~_n + Q~_n = 2 phi_n
         #   Q~_n = phi_n - c_n phi_{n-1},  P~_n = phi_n + c_n phi_{n-1}
         # with c_n = Z^B_{n+1} Z^B_{n-1} / (Z^B_n)^2 and Z^B_0 = 1
-        for n in range(1, 6):
+        for n in range(1, 16):
             p = EnsembleParams(a, a + 1.0, theta, n + 2)
             pt, qt, _ = monic_pair(p, n)
             phi_n = np.array(phi_bures(p, n).coeffs)
