@@ -38,4 +38,5 @@ class SingularPointError(CauchyBuresError):
 
 
 class ComplexityError(CauchyBuresError):
-    """Brute-force oracle invoked beyond its feasible size limits."""
+    """A route invoked beyond the sizes it can evaluate (a brute-force
+    oracle's matrix size, a float quadrature's exponent range)."""

@@ -162,12 +162,20 @@ class _ResidueTable:
             raise DomainError("integrand has no left pole family")
         heapq.heapify(self.heap)
         self.entries: list[_Pole] = []
+        self._arrays = np.empty((5, 0))
         self.exact: dict[int, list] = {}
 
     def entry(self, n: int) -> _Pole:
         while len(self.entries) <= n:
             self._extend()
         return self.entries[n]
+
+    def arrays(self, n: int) -> np.ndarray:
+        """Rows u0, order, sign, log_c, bracket of the first n poles."""
+        if self._arrays.shape[1] < n:
+            self.entry(n - 1)
+            self._arrays = np.array([pole[:5] for pole in self.entries]).T
+        return self._arrays[:, :n]
 
     def _extend(self) -> None:
         num, den, tol = self.num, self.den, self.tol
@@ -192,7 +200,11 @@ class _ResidueTable:
                                   sing_den))
 
     def exact_sum(self, z: float, terms: int, lost_digits: float) -> float:
-        """First `terms` residues summed at cancellation-proof precision."""
+        """First `terms` residues summed at cancellation-proof precision.
+
+        z^{-u0} at the k-th pole of the family Gamma(shift + slope*u) is
+        formed as z^{shift/slope} (z^{1/slope})^k, not as a general power.
+        """
         dps = _DPS_STEP * math.ceil((25 + 1.2 * lost_digits) / _DPS_STEP)
         coeffs = self.exact.setdefault(dps, [])
         with mpmath.workdps(dps):
@@ -201,12 +213,21 @@ class _ResidueTable:
                                                  self.entry(len(coeffs))))
             mz = mpmath.mpf(z)
             log_mz = mpmath.log(mz)
+            powers = {}  # family -> [k, z^{-u0} at its k-th pole, step]
             total = mpmath.mpf(0)
             for coeff in coeffs[:terms]:
                 if coeff is None:
                     continue
-                u0, c, bracket = coeff
-                term = c * mz ** (-u0)
+                j, k, c, bracket = coeff
+                if j not in powers:
+                    slope = mpmath.mpf(self.num[j].slope)
+                    powers[j] = [0, mz ** (self.num[j].shift / slope),
+                                 mz ** (1 / slope)]
+                power = powers[j]
+                while power[0] < k:
+                    power[0] += 1
+                    power[1] *= power[2]
+                term = c * power[1]
                 if bracket is not None:
                     term *= bracket - log_mz
                 total += term
@@ -229,64 +250,84 @@ def _singular(factors, u0, tol) -> tuple:
 
 
 def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                   z: float, collision_tol: float = _COLLISION_TOL,
-                   max_terms: int = 2000) -> float:
+                   z, collision_tol: float = _COLLISION_TOL,
+                   max_terms: int = 2000):
     """Sum of residues over the left pole families (slope > 0 numerators).
 
-    Poles closer than collision_tol are one pole.  Poles cancelled by a
-    denominator gamma are skipped.  A double pole (two singular numerator
-    gammas, none cancelled) contributes its logarithmic residue, the
-    H-function's logarithmic case; only a pole of order 3 or more raises
-    PoleCollisionError.  When alternating cancellation loses more than two
-    digits, the same terms are re-summed with mpmath.  Pole locations and
-    the z-independent residue coefficients are cached per integrand, so a
-    call costs one pass over the terms it needs.
+    z is a float (a plain float is returned) or an ndarray (an array of
+    the same shape is returned).  Poles closer than collision_tol are one
+    pole.  Poles cancelled by a denominator gamma are skipped.  A double
+    pole (two singular numerator gammas, none cancelled) contributes its
+    logarithmic residue, the H-function's logarithmic case; only a pole of
+    order 3 or more raises PoleCollisionError.  Pole locations and the
+    z-independent residue coefficients are cached per integrand, and the
+    terms for all z are summed at once in floats: each z stops after three
+    successive terms below 1e-16 of its partial sum.  A z whose
+    alternating cancellation loses more than two digits is re-summed with
+    mpmath (_ResidueTable.exact_sum).
     """
-    if z <= 0:
+    zs = np.asarray(z, dtype=float)
+    if not np.all(zs > 0):
         raise DomainError("z must be positive")
-    log_z = math.log(z)
+    log_z = np.log(zs).ravel()
     table = _residue_table(tuple(num), tuple(den), collision_tol)
-
-    shift = -math.inf
-    acc = 0.0
-    peak = -math.inf
-    small_run = 0
-    for n in range(max_terms):
-        u0, order, term_sign, term_log, bracket = table.entry(n)[:5]
-        if order > 2:
+    cols = np.arange(len(log_z))
+    n_terms = min(32, max_terms)
+    while True:
+        u0, order, sign, log_c, bracket = table.arrays(n_terms)
+        term_log = log_c[:, None] - u0[:, None] * log_z
+        term_sign = sign[:, None] * np.ones_like(term_log)
+        double = order == 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = bracket[double, None] - log_z
+            term_sign[double] *= np.sign(factor)
+            term_log[double] += np.log(np.abs(factor))
+            # a zero term (sign 0) has log -inf, so it never sets the peak
+            peak = np.maximum.accumulate(term_log, axis=0)
+            # scale by the first nonzero term, as a running sum does,
+            # unless the terms grow more than e^30 past it
+            top = term_log[(term_sign != 0.0).argmax(axis=0), cols]
+            top = np.where(peak[-1] > top + 30.0, peak[-1], top)
+            top = np.where(top > -math.inf, top, 0.0)
+            partial = np.cumsum(term_sign * np.exp(term_log - top), axis=0)
+            partial_log = np.where(partial != 0.0,
+                                   top + np.log(np.abs(partial)), peak)
+        small = term_log < partial_log + _LN_EPS
+        run3 = small[2:] & small[1:-1] & small[:-2]
+        done = run3.any(axis=0)
+        last = np.where(done, run3.argmax(axis=0) + 2, n_terms - 1)
+        high = np.flatnonzero(order > 2)
+        if high.size and high[0] <= np.max(last, initial=-1):
             raise PoleCollisionError(
-                f"pole of order {order} near u = {u0:.6g} "
-                f"(separation < {collision_tol})")
-        term_log -= u0 * log_z
-        if order == 2:
-            factor = bracket - log_z
-            term_sign *= (factor > 0) - (factor < 0)
-            term_log += math.log(abs(factor)) if factor else -math.inf
+                f"pole of order {order[high[0]]:.0f} near u = "
+                f"{u0[high[0]]:.6g} (separation < {collision_tol})")
+        if done.all():
+            break
+        if n_terms >= max_terms:
+            raise NonConverged(f"residue series not converged after "
+                               f"{max_terms} terms")
+        n_terms = min(2 * n_terms, max_terms)
 
-        if term_sign != 0:
-            peak = max(peak, term_log)
-            if term_log > shift + 30.0:
-                if shift > -math.inf:
-                    acc *= math.exp(shift - term_log)
-                shift = term_log
-            acc += term_sign * math.exp(term_log - shift)
+    total, peak = partial[last, cols], peak[last, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total_log = top + np.log(np.abs(total))
+        # digits lost; a sum that cancels to exactly zero lost all 16
+        lost = np.where(total != 0.0, (peak - total_log) / math.log(10.0),
+                        np.where(peak > -math.inf, 16.0, 0.0))
+    values = np.sign(total) * np.exp(total_log)
+    for i in np.flatnonzero(lost > 2.0):
+        # alternating cancellation ate too many digits; redo the same
+        # terms in elevated precision
+        values[i] = table.exact_sum(float(zs.flat[i]), int(last[i]) + 1,
+                                    float(lost[i]))
+    return _shaped_like(z, values)
 
-        partial_log = (shift + math.log(abs(acc))) if acc != 0.0 else peak
-        if term_log < partial_log + _LN_EPS:
-            small_run += 1
-            if small_run >= 3:
-                total_log = ((shift + math.log(abs(acc)))
-                             if acc != 0.0 else -math.inf)
-                lost = (peak - total_log) / math.log(10.0)
-                if lost > 2.0:
-                    # alternating cancellation ate too many digits; redo
-                    # the same sum in elevated precision
-                    return table.exact_sum(z, n + 1, lost)
-                return acc * math.exp(shift) if acc != 0.0 else 0.0
-        else:
-            small_run = 0
-    raise NonConverged(f"residue series not converged after {max_terms} "
-                       "terms")
+
+def _shaped_like(z, values: np.ndarray):
+    """values as a plain float for a scalar z, else in the shape of z."""
+    if np.ndim(z) == 0:
+        return float(values[0])
+    return values.reshape(np.shape(z))
 
 
 def _leading_coefficient(num, den, u0, sing_num, sing_den):
@@ -332,7 +373,7 @@ def _log_bracket(num, den, u0, sing_num, sing_den, psi):
 
 
 def _exact_coefficient(num, den, pole: _Pole):
-    """(u0, C, bracket or None) of one table entry in mpmath precision."""
+    """(j, k, C, bracket or None), in mpmath, of the k-th pole of num[j]."""
     order, sing_num, sing_den = pole.order, pole.sing_num, pole.sing_den
     if order == 0:
         return None
@@ -351,9 +392,9 @@ def _exact_coefficient(num, den, pole: _Pole):
             if j not in skip:
                 c *= gamma(mpmath.mpf(f.shift) + mpmath.mpf(f.slope) * u0)
     if order == 1:
-        return u0, c, None
-    return u0, c, _log_bracket(num, den, u0, sing_num, sing_den,
-                               mpmath.digamma)
+        return j0, k0, c, None
+    return j0, k0, c, _log_bracket(num, den, u0, sing_num, sing_den,
+                                   mpmath.digamma)
 
 
 def min_family_separation(num: Sequence[GammaFactor],
@@ -467,9 +508,12 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
 
 
 def mellin_barnes(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                  z: float, strategy: str = "auto") -> tuple[float, str]:
+                  z, strategy: str = "auto") -> tuple:
     """Evaluate a gamma-ratio Mellin-Barnes integral; (value, route name).
 
+    z is a float or an ndarray, and the value a plain float or an array of
+    the same shape; one route serves every z of a call (residue_series
+    sums all of them at once, the Hankel loop takes them one by one).
     strategy "residue" or "hankel" forces that route.  "auto" sums the
     residue series, which takes coinciding poles (closer than
     _COLLISION_TOL) as one double pole.  It integrates the Hankel loop
@@ -488,7 +532,8 @@ def mellin_barnes(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
             return residue_series(num, den, z), "residue"
         except PoleCollisionError:
             pass
-    return hankel_loop(num, den, z), "hankel"
+    values = [hankel_loop(num, den, float(x)) for x in np.ravel(z)]
+    return _shaped_like(z, np.array(values)), "hankel"
 
 
 # ---------------------------------------------------------------------------
@@ -533,26 +578,31 @@ def g_n_coeffs(a: float, alpha: float, theta: float, n: int) -> list[LogValue]:
     return out
 
 
-def g_n(a: float, alpha: float, theta: float, n: int, z: float,
-        strategy: str = "auto") -> float:
+def g_n(a: float, alpha: float, theta: float, n: int, z,
+        strategy: str = "auto"):
     """Finite-N kernel polynomial G_{n,a}(z) by its residue sum.
 
-    The residue sum is the polynomial itself; strategy="hankel" integrates
-    the loop contour instead (verification route).
+    The residue sum is the polynomial itself, a signed-log sum of
+    g_n_coeffs at each z of a float or an ndarray; strategy="hankel"
+    integrates the loop contour instead (verification route).
     """
-    if z < 0:
+    zs = np.asarray(z, dtype=float)
+    if np.any(zs < 0):
         raise DomainError("z must be non-negative")
     if strategy not in ("auto", "residue"):
         _check_exponents(a, alpha, theta)
         return mellin_barnes(*_gn_factors(a, alpha, theta, n), z,
                              strategy)[0]
-    coeffs = g_n_coeffs(a, alpha, theta, n)
-    if z == 0.0:
-        return coeffs[0].to_real()
-    log_z = math.log(z)
-    terms = [LogValue(c.sign, c.log_mag + k * log_z)
-             for k, c in enumerate(coeffs)]
-    return LogValue.sum(terms).to_real()
+    sign, log_c = np.array([[(c.sign, c.log_mag)]
+                            for c in g_n_coeffs(a, alpha, theta, n)]).T
+    k = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log z = -inf at z = 0 leaves the constant term alone
+        terms = log_c + np.where(k > 0, k * np.log(zs.ravel())[:, None], 0.0)
+        top = terms.max(axis=1, keepdims=True)
+        acc = (sign * np.exp(terms - top)).sum(axis=1)
+        return _shaped_like(z, np.sign(acc)
+                            * np.exp(top[:, 0] + np.log(np.abs(acc))))
 
 
 def _gn_factors(a, alpha, theta, n):
@@ -581,8 +631,8 @@ def _gtinf_factors(a, alpha, theta):
     return num, den
 
 
-def g_tilde_n(a: float, alpha: float, theta: float, n: int, z: float,
-              strategy: str = "auto") -> float:
+def g_tilde_n(a: float, alpha: float, theta: float, n: int, z,
+              strategy: str = "auto"):
     """Companion function G~_{n,a}(z) with the Gamma(theta*u - a) factor.
 
     Residue series over the pole families {-k} and {(a-m)/theta}; where
@@ -592,68 +642,27 @@ def g_tilde_n(a: float, alpha: float, theta: float, n: int, z: float,
     mellin_barnes).
     """
     _check_exponents(a, alpha, theta)
-    if z <= 0:
-        raise DomainError("z must be positive")
     return mellin_barnes(*_gtn_factors(a, alpha, theta, n), z, strategy)[0]
 
 
-def g_inf(a: float, alpha: float, theta: float, z: float,
-          strategy: str = "auto") -> float:
+def g_inf(a: float, alpha: float, theta: float, z,
+          strategy: str = "auto"):
     """Hard-edge limit function: sum_k (-z)^k / (k! G(alpha+1+k) G(a+theta*k+1)).
 
-    This is the residue series of the limiting contour integral, and the
-    actual N -> infinity limit of the rescaled G_{N,a}.  Falls back to
-    high-precision summation when alternating cancellation eats more than
-    ~13 digits.  strategy="hankel" integrates the loop contour instead
-    (verification route).
+    This is the residue series of the limiting contour integral
+    (_ginf_factors), and the actual N -> infinity limit of the rescaled
+    G_{N,a}; z is a float or an ndarray of positive values, as in
+    mellin_barnes (a float z = 0 gives the first term).  strategy="hankel"
+    integrates the loop contour instead (verification route).
     """
     _check_exponents(a, alpha, theta)
-    if z < 0:
-        raise DomainError("z must be non-negative")
-    if strategy not in ("auto", "residue"):
-        return mellin_barnes(*_ginf_factors(a, alpha, theta), z, strategy)[0]
-    if z == 0.0:
+    if np.ndim(z) == 0 and z == 0.0:  # the series is its first term
         return math.exp(-math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0))
-    log_z = math.log(z)
-    total = 0.0
-    peak = 0.0
-    k = 0
-    term_log = None
-    while k < 10_000:
-        term_log = (k * log_z - math.lgamma(k + 1)
-                    - math.lgamma(alpha + 1 + k)
-                    - math.lgamma(a + theta * k + 1))
-        term = math.exp(term_log) * (1 if k % 2 == 0 else -1)
-        total += term
-        peak = max(peak, abs(term))
-        if abs(term) < 1e-17 * (abs(total) + peak * 1e-16) and k > 3:
-            break
-        k += 1
-    if total != 0.0 and peak / abs(total) < 1e13:
-        return total
-    return _g_inf_mp(a, alpha, theta, z, peak)
+    return mellin_barnes(*_ginf_factors(a, alpha, theta), z, strategy)[0]
 
 
-def _g_inf_mp(a, alpha, theta, z, peak):
-    import mpmath as mp
-    extra = int(math.log10(max(peak, 1.0))) + 25
-    with mp.workdps(extra):
-        total = mp.mpf(0)
-        term_scale = mp.mpf(1)
-        k = 0
-        while k < 20_000:
-            term = ((-mp.mpf(z)) ** k / mp.factorial(k)
-                    / mp.gamma(alpha + 1 + k) / mp.gamma(a + theta * k + 1))
-            total += term
-            if abs(term) < mp.mpf(10) ** (-extra) * max(abs(total), term_scale):
-                break
-            term_scale = max(term_scale, abs(term))
-            k += 1
-        return float(total)
-
-
-def g_tilde_inf(a: float, alpha: float, theta: float, z: float,
-                strategy: str = "auto") -> float:
+def g_tilde_inf(a: float, alpha: float, theta: float, z,
+                strategy: str = "auto"):
     """Hard-edge companion with Gamma(theta*u - a).
 
     Residue series over the families {-k} and {(a-m)/theta}, with
@@ -661,6 +670,4 @@ def g_tilde_inf(a: float, alpha: float, theta: float, z: float,
     integrates the loop contour instead (see mellin_barnes).
     """
     _check_exponents(a, alpha, theta)
-    if z <= 0:
-        raise DomainError("z must be positive")
     return mellin_barnes(*_gtinf_factors(a, alpha, theta), z, strategy)[0]

@@ -16,7 +16,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from .exceptions import DomainError, NonConverged, SingularPointError
+from .exceptions import (ComplexityError, DomainError, NonConverged,
+                         SingularPointError)
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_n_coeffs, g_tilde_inf, g_tilde_n
 from .numerics import (LogValue, gauss_jacobi, refine_quadrature,
@@ -113,23 +114,24 @@ def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> floa
 # t-integrals of G / G~ products
 # ---------------------------------------------------------------------------
 
-def _gg_t_integral(alpha: float, theta: float,
-                   f1: Callable[[float], float], z1: float,
-                   f2: Callable[[float], float], z2: float,
-                   rtol: float = 1e-10) -> float:
+def _gg_t_integral(alpha: float, f1: Callable, z1: float, f2: Callable,
+                   z2: float, rtol: float = 1e-10) -> float:
     """integral_0^1 t^alpha f1(t z1) f2(t z2) dt by tanh-sinh quadrature.
 
     tanh-sinh rather than a fixed Gauss-Jacobi weight because the G~
     factors carry algebraic t^{-a/theta} endpoint behavior that defeats
-    any single polynomial weight.
+    any single polynomial weight.  f1 and f2 take arrays, so each
+    tanh-sinh level costs one call of each, on that level's new nodes.
     """
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         # the combination t^alpha G G~ vanishes at least algebraically at
         # t = 0, but the G~ factor alone can overflow at the extreme
         # double-exponential nodes; those contribute below rounding
-        if t < 1e-60:
-            return 0.0
-        return t ** alpha * f1(t * z1) * f2(t * z2)
+        out = np.zeros(len(t))
+        keep = t >= 1e-60
+        t = t[keep]
+        out[keep] = t ** alpha * f1(t * z1) * f2(t * z2)
+        return out
 
     return tanh_sinh_01(integrand, rtol=rtol)
 
@@ -156,8 +158,7 @@ def _gg_jacobi_integral(a: float, b: float, alpha: float, theta: float,
 
     def value_at(order: int) -> float:
         rule = gauss_jacobi(order, alpha)
-        vals = np.array([g1(t * u) * g2(t * v) for t in rule.nodes])
-        return float(rule.weights @ vals)
+        return float(rule.weights @ (g1(rule.nodes * u) * g2(rule.nodes * v)))
 
     return refine_quadrature(
         value_at, start_order=16 if n is None else max(16, n + 4))
@@ -189,7 +190,7 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
     if kind == "K11" and n is not None:
         return _k11_inc_core(a, b, alpha, theta, n, x1, x2)
     tilde1, tilde2 = _TILDE[kind]
-    val = _gg_t_integral(alpha, theta, _g_fn(tilde1, a, alpha, theta, n),
+    val = _gg_t_integral(alpha, _g_fn(tilde1, a, alpha, theta, n),
                          x1 ** theta, _g_fn(tilde2, b, alpha, theta, n),
                          x2 ** theta)
     weight = theta
@@ -208,7 +209,8 @@ def i1_integral(beta: float, c: float) -> float:
     """integral_0^infty y^beta e^{-y} / (c + y) dy, split at y = c.
 
     Below the split the substitution y = c*u gives a Jacobi-weight
-    integral; above it, y = c + s gives a shifted Laguerre one.
+    integral; above it, y = c + s gives a shifted Laguerre one.  Raises
+    ComplexityError when y^beta overflows a double (beta above ~115).
     """
     if c <= 0:
         raise DomainError("c must be positive")
@@ -224,10 +226,15 @@ def i1_integral(beta: float, c: float) -> float:
     # scale of c near y = c, so a fixed Gauss rule stalls for small c;
     # adaptive quadrature handles both that and the e^{-y} tail
     hi = c + 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
-    upper_val, _ = integrate.quad(
-        lambda yv: yv ** beta * math.exp(-yv) / (c + yv), c, hi,
-        limit=200, epsabs=1e-13, epsrel=1e-11)
-    return refine_quadrature(lower) + upper_val
+    try:
+        upper_val, _ = integrate.quad(
+            lambda yv: yv ** beta * math.exp(-yv) / (c + yv), c, hi,
+            limit=200, epsabs=1e-13, epsrel=1e-11)
+        return refine_quadrature(lower) + upper_val
+    except OverflowError:
+        raise ComplexityError(
+            f"i1_integral: y^beta overflows a double at beta = {beta:g} "
+            f"(c = {c:g})") from None
 
 
 def _cd_coeff_table(params: EnsembleParams):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -165,13 +166,17 @@ class QuadratureRule:
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
             raise ValueError("nodes and weights length mismatch")
+        # read-only, so that one cached rule serves every caller
+        self.nodes.setflags(write=False)
+        self.weights.setflags(write=False)
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
+@lru_cache(maxsize=512)
 def gauss_jacobi(order: int, alpha: float) -> QuadratureRule:
-    """Gauss rule for the weight t^alpha on (0, 1).
+    """Gauss rule for the weight t^alpha on (0, 1), cached per argument.
 
     Exact for polynomial integrands up to degree 2*order - 1.
     """
@@ -185,8 +190,9 @@ def gauss_jacobi(order: int, alpha: float) -> QuadratureRule:
     return QuadratureRule(nodes, weights, f"jacobi(0,1) t^{alpha}")
 
 
+@lru_cache(maxsize=128)
 def gauss_jacobi_pair(order: int, alpha: float, beta: float) -> QuadratureRule:
-    """Gauss rule for the weight u^alpha (1-u)^beta on (0, 1)."""
+    """Gauss rule for the weight u^alpha (1-u)^beta on (0, 1), cached."""
     if alpha <= -1.0 or beta <= -1.0:
         raise DomainError("exponents must exceed -1")
     x, w = roots_jacobi(order, beta, alpha)
@@ -195,8 +201,9 @@ def gauss_jacobi_pair(order: int, alpha: float, beta: float) -> QuadratureRule:
     return QuadratureRule(nodes, weights, f"jacobi(0,1) u^{alpha}(1-u)^{beta}")
 
 
+@lru_cache(maxsize=128)
 def gauss_laguerre(order: int, gamma_exp: float = 0.0) -> QuadratureRule:
-    """Gauss rule for the weight s^gamma_exp e^{-s} on (0, inf)."""
+    """Gauss rule for the weight s^gamma_exp e^{-s} on (0, inf), cached."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     if gamma_exp <= -1.0:
@@ -267,39 +274,51 @@ def refine_quadrature(value_at: Callable[[int], float], start_order: int = 16,
         f"{delta:.3e})")
 
 
-def tanh_sinh_01(f: Callable[[float], float], rtol: float = 1e-11,
+@lru_cache(maxsize=None)
+def _tanh_sinh_level(level: int) -> QuadratureRule:
+    """Rule of the nodes in (0, 1) that tanh-sinh level `level` adds.
+
+    Level l is the trapezoid rule with step h = 2^-(l+1) in u, where
+    t = (1 + tanh(pi/2 sinh u)) / 2, up to pi/2 sinh u = 350 (cosh of it
+    squared overflows past 355).  Level 0 holds the nodes u = j*h, j >= 0;
+    each later level only the odd j, which its halved step puts between
+    the earlier nodes.  The weights include the rule's factor h/2.
+    """
+    h = 0.5 ** (level + 1)
+    u = np.arange(h if level else 0.0, math.asinh(700.0 / math.pi),
+                  2.0 * h if level else h)
+    arg = 0.5 * math.pi * np.sinh(u)
+    w = 0.25 * h * math.pi * np.cosh(u) / np.cosh(arg) ** 2
+    # the node u = 0 (t = 1/2) is counted once
+    t = np.concatenate([1.0 / (1.0 + np.exp(-2.0 * arg)),
+                        1.0 / (1.0 + np.exp(2.0 * arg[u > 0.0]))])
+    w = np.concatenate([w, w[u > 0.0]])
+    keep = (t > 0.0) & (t < 1.0)
+    return QuadratureRule(t[keep], w[keep], f"tanh-sinh level {level}")
+
+
+def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray], rtol: float = 1e-11,
                  max_level: int = 12) -> float:
     """Double-exponential quadrature of f over (0, 1).
 
-    Converges geometrically even when f has integrable algebraic
-    singularities at either endpoint, which Gauss rules with a fixed
-    weight cannot handle.
+    f maps an ndarray of nodes to the array of its values.  It is called
+    once per level, on only the nodes that level adds (cached per level,
+    see _tanh_sinh_level); a level's value is half the previous level's
+    plus the new weighted sum, so each doubling reuses every earlier
+    evaluation.  Converges geometrically even when f has integrable
+    algebraic singularities at either endpoint, which Gauss rules with a
+    fixed weight cannot handle.
     """
-    def level_sum(order: int) -> float:
-        h = 1.0 / order
-        total = 0.0
-        j = 0
-        while True:
-            u = j * h
-            arg = 0.5 * math.pi * math.sinh(u)
-            if arg > 350.0:  # cosh(arg)**2 would overflow past ~355
-                break
-            w = 0.5 * math.pi * math.cosh(u) / math.cosh(arg) ** 2
-            if w < 1e-320:
-                break
-            tp = 1.0 / (1.0 + math.exp(-2.0 * arg))
-            tm = 1.0 / (1.0 + math.exp(2.0 * arg))
-            if j == 0:
-                total += w * f(0.5)
-            else:
-                if 0.0 < tp < 1.0:
-                    total += w * f(tp)
-                if 0.0 < tm < 1.0:
-                    total += w * f(tm)
-            j += 1
-        return 0.5 * h * total
+    value = 0.0
 
-    # step h = 1/order, halved max_level times from 1/2
+    # refine_quadrature asks for orders 2, 4, 8, ... in turn, i.e. the
+    # levels 0, 1, 2, ... with step h = 1/order
+    def level_sum(order: int) -> float:
+        nonlocal value
+        level = _tanh_sinh_level(order.bit_length() - 2)
+        value = 0.5 * value + level.integrate(f)
+        return value
+
     return refine_quadrature(level_sum, start_order=2, rtol=rtol,
                              max_order=2 ** (max_level + 1))
 

@@ -232,6 +232,18 @@ class TestCorr:
         rec = json.loads(res.output)
         assert rec["discrepancy"] < 1e-6 * abs(rec["value"])
 
+    def test_i1_overflow_exits_one_without_traceback(self, runner):
+        # at N = 80, theta = 2 the direct route needs i1 at beta up to
+        # 158.7, past where y^beta overflows a double
+        res = runner.invoke(main, ["corr", "--model", "cauchy",
+                                   "--a", "0.5", "--b", "0.7",
+                                   "--theta", "2.0", "--n", "80",
+                                   "--x", "1.0", "--y", "1.2"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.stderr
+        assert "overflows a double at beta = " in res.stderr
+
     def test_species_flags_are_model_checked(self, runner):
         res = runner.invoke(main, ["corr", "--model", "bures", "--a", "0.3",
                                    "--n", "2", "--x", "0.9"])

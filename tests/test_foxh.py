@@ -103,6 +103,81 @@ class TestHighPrecisionOracle:
                                                               rel=1e-11)
 
 
+    @pytest.mark.parametrize("a,alpha", [(0.0, 0.0), (0.5, 1.2), (0.3, 2.7),
+                                         (1.5, 0.4)])
+    def test_g_inf_matches_0f2_reference(self, a, alpha):
+        # theta = 1: G_inf(z) = 0F2(; alpha+1, a+1; -z) / (G(alpha+1) G(a+1))
+        # at 60 digits; the z grid runs deep into the cancelling range
+        zs = np.geomspace(1e-3, 100.0, 40)
+        got = g_inf(a, alpha, 1.0, zs)
+        with mpmath.workdps(60):
+            scale = mpmath.gamma(alpha + 1) * mpmath.gamma(a + 1)
+            for z, value in zip(zs, got):
+                want = mpmath.hyper([], [alpha + 1, a + 1], -mpmath.mpf(z))
+                want /= scale
+                assert abs(value - want) <= 1e-12 * abs(want), z
+
+
+class TestArrayArguments:
+    """One call on an array of z equals the same calls one z at a time."""
+
+    CASES = {
+        # families {-k} and {(a-m)/theta} 0.13 or more apart
+        "separated": foxh._gtinf_factors(0.3, 0.9, 1.5),
+        # a = 0.5, theta = 1.5: every other pole of Gamma(1.5u - 0.5) is
+        # double with Gamma(u)
+        "colliding": foxh._gtn_factors(0.5, 0.9, 1.5, 3),
+        "g_inf": foxh._ginf_factors(0.4, 1.2, 1.0),
+    }
+    # the largest z lose more than two digits to cancellation, which sends
+    # them to the mpmath re-sum
+    ZS = np.concatenate([np.geomspace(1e-4, 100.0, 31), [7.0, 7.0]])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_residue_series_array_equals_scalar_calls(self, case,
+                                                      monkeypatch):
+        num, den = self.CASES[case]
+        resums = []
+        exact_sum = foxh._ResidueTable.exact_sum
+
+        def counted(table, z, terms, lost):
+            resums.append(z)
+            return exact_sum(table, z, terms, lost)
+
+        monkeypatch.setattr(foxh._ResidueTable, "exact_sum", counted)
+        got = residue_series(num, den, self.ZS)
+        assert resums, "no z reached the mpmath re-sum"
+        assert got.shape == self.ZS.shape
+        for z, value in zip(self.ZS, got):
+            one = residue_series(num, den, float(z))
+            assert type(one) is float
+            assert value == pytest.approx(one, rel=1e-15, abs=0.0)
+        grid = residue_series(num, den, self.ZS[:30].reshape(5, 6))
+        assert np.array_equal(grid, got[:30].reshape(5, 6))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_mellin_barnes_array_equals_scalar_calls(self, case):
+        num, den = self.CASES[case]
+        values, route = mellin_barnes(num, den, self.ZS)
+        assert route == "residue"
+        for z, value in zip(self.ZS, values):
+            one, one_route = mellin_barnes(num, den, float(z))
+            assert one_route == route
+            assert value == pytest.approx(one, rel=1e-15, abs=0.0)
+
+    def test_hankel_route_takes_arrays(self):
+        num, den = self.CASES["separated"]
+        zs = np.array([0.3, 2.0])
+        values, route = mellin_barnes(num, den, zs, strategy="hankel")
+        assert route == "hankel"
+        assert list(values) == [hankel_loop(num, den, z) for z in zs]
+
+    def test_array_with_a_nonpositive_z_rejected(self):
+        num, den = self.CASES["separated"]
+        with pytest.raises(DomainError):
+            residue_series(num, den, np.array([1.0, 0.0]))
+
+
 class TestPoleCollisions:
     def test_integer_offset_families_collide(self):
         # theta = 1 with integer a puts both pole families on the same grid;

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cauchybures.ensembles import EnsembleParams
-from cauchybures.exceptions import DomainError
+from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.foxh import g_inf, g_n, g_tilde_n
 from cauchybures.correlations import CorrelationRequest, rho_bures
 from cauchybures.kernels import (KernelGrid, cd_hard_scaled, cd_kernel,
@@ -107,6 +107,12 @@ class TestAuxiliaryIntegral:
                              * mpmath.mpf(c) ** beta
                              * mpmath.gammainc(-beta, c))
             assert i1_integral(beta, c) == pytest.approx(want, rel=1e-11)
+
+    def test_i1_overflow_raises_typed_error(self):
+        # y^beta overflows a double inside the float quadrature from
+        # beta ~ 115; the error names beta instead of a bare OverflowError
+        with pytest.raises(ComplexityError, match=r"beta = 150\b"):
+            i1_integral(150.0, 1.2)
 
 
 def _bures_scaled(a, theta, n):

@@ -116,12 +116,45 @@ class TestQuadrature:
             simplex_quad_2d(-1.5, 0.0, 8, 8)
 
     def test_tanh_sinh_endpoint_singularity(self):
-        got = tanh_sinh_01(lambda t: 0.5 / math.sqrt(t))
+        got = tanh_sinh_01(lambda t: 0.5 / np.sqrt(t))
         assert got == pytest.approx(1.0, rel=1e-10)
 
     def test_tanh_sinh_log_singularity(self):
-        got = tanh_sinh_01(lambda t: math.log(t))
+        got = tanh_sinh_01(np.log)
         assert got == pytest.approx(-1.0, rel=1e-10)
+
+    def test_tanh_sinh_evaluates_each_node_once(self):
+        # f sees one array per level, holding only the nodes that level
+        # adds; the result equals the last level's trapezoid sum over all
+        # of its nodes, formed from scratch
+        def f_scalar(t):
+            return 0.5 / math.sqrt(t) + (1.0 - t) ** -0.3
+
+        seen = []
+
+        def f(t):
+            seen.append(len(t))
+            return 0.5 / np.sqrt(t) + (1.0 - t) ** -0.3
+
+        got = tanh_sinh_01(f)
+        h = 0.5 ** len(seen)  # step of the last level
+        total, new = 0.0, [0] * len(seen)
+        j = 0
+        while 0.5 * math.pi * math.sinh(j * h) <= 350.0:
+            arg = 0.5 * math.pi * math.sinh(j * h)
+            w = 0.5 * math.pi * math.cosh(j * h) / math.cosh(arg) ** 2
+            # j = m * 2^v, m odd, is new at level len(seen) - 1 - v
+            level = max(len(seen) - (j & -j).bit_length(), 0) if j else 0
+            # a set: at j = 0 both branches are the one node t = 1/2
+            ts = {1.0 / (1.0 + math.exp(-2.0 * arg)),
+                  1.0 / (1.0 + math.exp(2.0 * arg))}
+            for t in ts:
+                if 0.0 < t < 1.0:
+                    total += w * f_scalar(t)
+                    new[level] += 1
+            j += 1
+        assert seen == new
+        assert got == pytest.approx(0.5 * h * total, rel=1e-15)
 
     def test_refine_quadrature_converges(self):
         def value_at(order):
