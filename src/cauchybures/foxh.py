@@ -9,8 +9,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath
 import numpy as np
@@ -37,8 +38,15 @@ __all__ = [
 
 _LN_EPS = math.log(1e-16)
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-_COLLISION_TOL = 1e-8
-_STRATEGY_SEP = 1e-6
+# Poles closer than _MERGE_RTOL (GammaFactor.pole_gap) coincide up to
+# rounding and are one pole of the residue series; unmerged pairs closer
+# than _NEAR_RTOL are a near-collision, for which the series raises.
+_MERGE_RTOL = 1e-14
+_NEAR_RTOL = 1e-10
+_MAX_TERMS = 2000
+_LOOP_NODES = 64
+_LOOP_RTOL = 1e-11
+_SEPARATION_POLES = 300
 _STRATEGIES = ("auto", "residue", "hankel")
 # mpmath re-sums run at a multiple of this many digits, so one cached
 # coefficient list serves a range of cancellation depths
@@ -59,13 +67,17 @@ class GammaFactor:
     def pole(self, k: int) -> float:
         return -(self.shift + k) / self.slope
 
-    def singular_index(self, u0: float, tol: float) -> Optional[int]:
-        """Index k if this factor has its k-th pole within tol of u0."""
+    def pole_gap(self, u0: float) -> tuple[int, float]:
+        """(k, gap): the k-th pole of this factor is the one nearest u0.
+
+        gap is their distance relative to the terms of shift + slope*u0, so
+        that it measures rounding whatever the pole's size (inf: no pole).
+        """
         w = self.shift + self.slope * u0
         k = round(w)
-        if k <= 0 and abs(w - k) < tol * abs(self.slope):
-            return -k
-        return None
+        if k > 0:
+            return 0, math.inf
+        return -k, abs(w - k) / max(abs(self.slope), abs(self.shift), abs(w))
 
 
 @dataclass(frozen=True)
@@ -132,8 +144,9 @@ class _Pole(NamedTuple):
 
     The residue is sign * exp(log_c) * z^{-u0} at a simple pole and that
     times (bracket - log z) at a double pole.  order 0 is a pole cancelled
-    by a denominator gamma (a zero term); sing_num and sing_den hold the
-    (index, k) of every gamma factor singular at u0.
+    by a denominator gamma (a zero term), order -1 a near-collision;
+    sing_num and sing_den hold the (index, k) of every gamma factor
+    singular at u0.
     """
 
     u0: float
@@ -154,8 +167,8 @@ class _ResidueTable:
     numbers, one list per working precision.
     """
 
-    def __init__(self, num: tuple, den: tuple, tol: float):
-        self.num, self.den, self.tol = num, den, tol
+    def __init__(self, num: tuple, den: tuple):
+        self.num, self.den = num, den
         self.heap = [(-f.pole(0), i, 0) for i, f in enumerate(num)
                      if f.slope > 0]
         if not self.heap:
@@ -178,17 +191,21 @@ class _ResidueTable:
         return self._arrays[:, :n]
 
     def _extend(self) -> None:
-        num, den, tol = self.num, self.den, self.tol
+        num, den = self.num, self.den
         while True:
             neg_u, i, k = heapq.heappop(self.heap)
             heapq.heappush(self.heap, (-num[i].pole(k + 1), i, k + 1))
             u0 = -neg_u
-            sing_num = _singular(num, u0, tol)
+            near_num = _singular(num, u0)
+            sing_num = tuple(p[:2] for p in near_num if p[2] < _MERGE_RTOL)
             if sing_num[0][0] == i:
                 break
             # same point reached from another family; counted once only
-        sing_den = _singular(den, u0, tol)
+        near_den = _singular(den, u0)
+        sing_den = tuple(p[:2] for p in near_den if p[2] < _MERGE_RTOL)
         order = max(len(sing_num) - len(sing_den), 0)
+        if len(near_num + near_den) > len(sing_num + sing_den):
+            order = -1  # a factor near u0 that does not merge
         sign, log_c, bracket = 0, -math.inf, 0.0
         if order in (1, 2):
             sign, log_c = _leading_coefficient(num, den, u0, sing_num,
@@ -218,7 +235,7 @@ class _ResidueTable:
             for coeff in coeffs[:terms]:
                 if coeff is None:
                     continue
-                j, k, c, bracket = coeff
+                j, k, extra, parts = coeff
                 if j not in powers:
                     slope = mpmath.mpf(self.num[j].slope)
                     powers[j] = [0, mz ** (self.num[j].shift / slope),
@@ -227,6 +244,15 @@ class _ResidueTable:
                 while power[0] < k:
                     power[0] += 1
                     power[1] *= power[2]
+                if extra:  # a split pole, see _exact_coefficient
+                    with mpmath.workdps(dps + extra):
+                        log_w = mpmath.log(mz)
+                        total += power[1] * sum(
+                            c * mpmath.exp(-offset * log_w)
+                            * (1 if b is None else b - log_w)
+                            for offset, c, b in parts)
+                    continue
+                (_, c, bracket), = parts  # one part, at offset 0
                 term = c * power[1]
                 if bracket is not None:
                     term *= bracket - log_mz
@@ -235,44 +261,43 @@ class _ResidueTable:
 
 
 @lru_cache(maxsize=128)
-def _residue_table(num: tuple, den: tuple, tol: float) -> _ResidueTable:
-    return _ResidueTable(num, den, tol)
+def _residue_table(num: tuple, den: tuple) -> _ResidueTable:
+    return _ResidueTable(num, den)
 
 
-def _singular(factors, u0, tol) -> tuple:
-    """(index, k) of every factor with its k-th pole within tol of u0."""
+def _singular(factors, u0) -> tuple:
+    """(index, k, gap) of each factor with a pole within _NEAR_RTOL of u0."""
     out = []
     for j, f in enumerate(factors):
-        k = f.singular_index(u0, tol)
-        if k is not None:
-            out.append((j, k))
+        k, gap = f.pole_gap(u0)
+        if gap < _NEAR_RTOL:
+            out.append((j, k, gap))
     return tuple(out)
 
 
 def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                   z, collision_tol: float = _COLLISION_TOL,
-                   max_terms: int = 2000):
+                   z):
     """Sum of residues over the left pole families (slope > 0 numerators).
 
     z is a float (a plain float is returned) or an ndarray (an array of
-    the same shape is returned).  Poles closer than collision_tol are one
-    pole.  Poles cancelled by a denominator gamma are skipped.  A double
-    pole (two singular numerator gammas, none cancelled) contributes its
-    logarithmic residue, the H-function's logarithmic case; only a pole of
-    order 3 or more raises PoleCollisionError.  Pole locations and the
-    z-independent residue coefficients are cached per integrand, and the
-    terms for all z are summed at once in floats: each z stops after three
-    successive terms below 1e-16 of its partial sum.  A z whose
-    alternating cancellation loses more than two digits is re-summed with
-    mpmath (_ResidueTable.exact_sum).
+    the same shape is returned).  Poles that coincide up to rounding are
+    one pole, a double pole contributing its logarithmic residue; poles
+    cancelled by a denominator gamma are skipped.  A pole of order 3 or
+    more, or an unmerged pair closer than _NEAR_RTOL (which neither
+    reading of the series sums accurately), raises PoleCollisionError.
+    Pole locations and residue coefficients are cached per integrand, and
+    the terms for all z are summed at once in floats; each z stops after
+    three successive terms below 1e-16 of its partial sum.  A z that
+    loses more than two digits to cancellation is re-summed with mpmath
+    (_ResidueTable.exact_sum), the float parameters taken as exact.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(zs > 0):
         raise DomainError("z must be positive")
     log_z = np.log(zs).ravel()
-    table = _residue_table(tuple(num), tuple(den), collision_tol)
+    table = _residue_table(tuple(num), tuple(den))
     cols = np.arange(len(log_z))
-    n_terms = min(32, max_terms)
+    n_terms = 32
     while True:
         u0, order, sign, log_c, bracket = table.arrays(n_terms)
         term_log = log_c[:, None] - u0[:, None] * log_z
@@ -296,17 +321,18 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         run3 = small[2:] & small[1:-1] & small[:-2]
         done = run3.any(axis=0)
         last = np.where(done, run3.argmax(axis=0) + 2, n_terms - 1)
-        high = np.flatnonzero(order > 2)
-        if high.size and high[0] <= np.max(last, initial=-1):
+        bad = np.flatnonzero((order < 0) | (order > 2))
+        if bad.size and bad[0] <= np.max(last, initial=-1):
+            what, at = order[bad[0]], u0[bad[0]]
             raise PoleCollisionError(
-                f"pole of order {order[high[0]]:.0f} near u = "
-                f"{u0[high[0]]:.6g} (separation < {collision_tol})")
+                f"pole of order {what:.0f} near u = {at:.6g}" if what > 0
+                else f"poles less than {_NEAR_RTOL:g} apart near u = {at:.6g}")
         if done.all():
             break
-        if n_terms >= max_terms:
+        if n_terms >= _MAX_TERMS:
             raise NonConverged(f"residue series not converged after "
-                               f"{max_terms} terms")
-        n_terms = min(2 * n_terms, max_terms)
+                               f"{_MAX_TERMS} terms")
+        n_terms = min(2 * n_terms, _MAX_TERMS)
 
     total, peak = partial[last, cols], peak[last, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -373,59 +399,80 @@ def _log_bracket(num, den, u0, sing_num, sing_den, psi):
 
 
 def _exact_coefficient(num, den, pole: _Pole):
-    """(j, k, C, bracket or None), in mpmath, of the k-th pole of num[j]."""
-    order, sing_num, sing_den = pole.order, pole.sing_num, pole.sing_den
-    if order == 0:
+    """(j, k, extra, parts) in mpmath of the k-th pole u0 of num[j], or None.
+
+    The residue is z^{-u0} times the sum over parts (offset, C, bracket)
+    of C z^{-offset}, times (bracket - log z) at a double pole.  Poles the
+    float table merged may lie apart with the float parameters taken as
+    exact (for a = 0.7, theta = 1.3 the poles of Gamma(u) and
+    Gamma(theta*u - a) at u = -11 are 3.4e-16 apart); each exact location
+    is then a part, and their 1/gap residues, which cancel, are formed and
+    summed at `extra` more digits: the gap's digits once to place the poles
+    and once for the cancellation.
+    """
+    if pole.order == 0:
         return None
-    # recompute the pole location in working precision: the float u0
-    # carries rounding that the large cancelling terms amplify
-    j0, k0 = sing_num[0]
-    u0 = (mpmath.mpf(-num[j0].shift) - k0) / mpmath.mpf(num[j0].slope)
-    c = mpmath.mpf(1)
-    for factors, sing, dirn in ((num, sing_num, 1), (den, sing_den, -1)):
-        for j, k in sing:
-            c *= ((-1) ** k * mpmath.factorial(k)
-                  * mpmath.mpf(factors[j].slope)) ** -dirn
-        gamma = mpmath.gamma if dirn > 0 else mpmath.rgamma
-        skip = {j for j, _ in sing}
-        for j, f in enumerate(factors):
-            if j not in skip:
-                c *= gamma(mpmath.mpf(f.shift) + mpmath.mpf(f.slope) * u0)
-    if order == 1:
-        return j0, k0, c, None
-    return j0, k0, c, _log_bracket(num, den, u0, sing_num, sing_den,
-                                   mpmath.digamma)
+    spots = {}  # exact location -> singular (num, den) factors there
+    group = len(pole.sing_num) + len(pole.sing_den) > 1
+    for factors, sing, side in ((num, pole.sing_num, 0),
+                                (den, pole.sing_den, 1)):
+        for j, k in sing:  # the pole, its float parameters taken as exact
+            f = factors[j]
+            at = (-Fraction(f.shift) - k) / Fraction(f.slope) if group else 0
+            spots.setdefault(at, ([], []))[side].append((j, k))
+    j0, k0 = pole.sing_num[0]
+    base = next(iter(spots))  # the k0-th pole of num[j0], inserted first
+    gap = min((abs(x - y) for x in spots for y in spots if x != y), default=1)
+    extra = _DPS_STEP * math.ceil(-2 * math.log10(gap) / _DPS_STEP)
+    parts = []
+    with mpmath.workdps(mpmath.mp.dps + extra):
+        for at, (sing_num, sing_den) in spots.items():
+            order = len(sing_num) - len(sing_den)
+            if order <= 0:
+                continue
+            if order > 2:
+                raise PoleCollisionError(f"pole of order {order} near u = "
+                                         f"{float(at):.6g}")
+            j, k = sing_num[0]
+            u0 = (mpmath.mpf(-num[j].shift) - k) / mpmath.mpf(num[j].slope)
+            c = mpmath.mpf(1)
+            for factors, sing, dirn in ((num, sing_num, 1),
+                                        (den, sing_den, -1)):
+                for j, k in sing:
+                    c *= ((-1) ** k * mpmath.factorial(k)
+                          * mpmath.mpf(factors[j].slope)) ** -dirn
+                gamma = mpmath.gamma if dirn > 0 else mpmath.rgamma
+                skip = {j for j, _ in sing}
+                for j, f in enumerate(factors):
+                    if j not in skip:
+                        c *= gamma(mpmath.mpf(f.shift)
+                                   + mpmath.mpf(f.slope) * u0)
+            bracket = None if order < 2 else _log_bracket(
+                num, den, u0, sing_num, sing_den, mpmath.digamma)
+            offset = at - base
+            parts.append((mpmath.mpf(offset.numerator) / offset.denominator,
+                          c, bracket))
+    return j0, k0, extra, parts
 
 
 def min_family_separation(num: Sequence[GammaFactor],
-                          den: Sequence[GammaFactor],
-                          max_k: int = 300) -> float:
+                          den: Sequence[GammaFactor]) -> float:
     """Smallest u-plane distance between uncancelled left pole pairs.
 
-    Pairs closer than _COLLISION_TOL are one double pole of the residue
-    series, not a near-collision, and are left out.
+    A diagnostic that chooses no route (residue_series itself raises for a
+    near-collision).  It scans _SEPARATION_POLES poles of each left family
+    and leaves out pairs that coincide up to rounding, one pole of the
+    residue series.
     """
-    return _min_family_separation_cached(tuple(num), tuple(den), max_k)
-
-
-@lru_cache(maxsize=4096)
-def _min_family_separation_cached(num: tuple, den: tuple,
-                                  max_k: int) -> float:
     left = [f for f in num if f.slope > 0]
     best = math.inf
     for i, f in enumerate(left):
         for g in left[i + 1:]:
-            for k in range(max_k):
-                u0 = f.pole(k)
-                if any(d.singular_index(u0, _COLLISION_TOL) is not None
-                       for d in den):
-                    continue
+            for u0 in map(f.pole, range(_SEPARATION_POLES)):
                 m = round(-(g.shift + g.slope * u0))
-                if m < 0:
-                    continue
-                gap = abs(u0 - g.pole(m))
-                if gap >= _COLLISION_TOL:
-                    best = min(best, gap)
+                if m >= 0 and min(h.pole_gap(u0)[1]
+                                  for h in (g, *den)) >= _MERGE_RTOL:
+                    best = min(best, abs(u0 - g.pole(m)))
     return best
 
 
@@ -433,20 +480,8 @@ def _min_family_separation_cached(num: tuple, den: tuple,
 # contour quadrature
 # ---------------------------------------------------------------------------
 
-def _contour_bounds(num: Sequence[GammaFactor]) -> tuple[float, float]:
-    """(rightmost left-family pole, leftmost right-family pole)."""
-    left_max = -math.inf
-    right_min = math.inf
-    for f in num:
-        if f.slope > 0:
-            left_max = max(left_max, f.pole(0))
-        else:
-            right_min = min(right_min, f.pole(0))
-    return left_max, right_min
-
-
 def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                z: float, node_count: int = 64, rtol: float = 1e-11) -> float:
+                z: float) -> float:
     """Parabolic loop around the negative real u-axis.
 
     The contour u(t) = v0*(1 - t^2) + i*c*t opens leftward with vertex v0
@@ -457,7 +492,9 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     if z <= 0:
         raise DomainError("z must be positive")
     log_z = math.log(z)
-    left_max, right_min = _contour_bounds(num)
+    # rightmost left-family pole, leftmost right-family pole
+    left_max = max((f.pole(0) for f in num if f.slope > 0), default=-math.inf)
+    right_min = min((f.pole(0) for f in num if f.slope < 0), default=math.inf)
     if left_max == -math.inf:
         raise DomainError("no left pole family to enclose")
     # For z << 1 the factor z^{-u} peaks at the contour vertex; keeping the
@@ -482,11 +519,8 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     # locate the truncation point: integrand 1e-18 below its peak
     t_max = 2.0
     for _ in range(60):
-        probe = np.linspace(0.0, t_max, 48)
-        lg = log_g(probe)
-        re = lg.real
-        peak = re.max()
-        if re[-1] < peak - 45.0:
+        re = log_g(np.linspace(0.0, t_max, 48)).real
+        if re[-1] < re.max() - 45.0:
             break
         t_max *= 1.5
     else:
@@ -503,8 +537,8 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         return (float(scale * _trapz(vals, t)),
                 float(scale * _trapz(np.abs(vals), t)))
 
-    return refine_quadrature(value_at, start_order=node_count, rtol=rtol,
-                             max_order=65536)
+    return refine_quadrature(value_at, start_order=_LOOP_NODES,
+                             rtol=_LOOP_RTOL, max_order=65536)
 
 
 def mellin_barnes(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
@@ -515,23 +549,19 @@ def mellin_barnes(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     the same shape; one route serves every z of a call (residue_series
     sums all of them at once, the Hankel loop takes them one by one).
     strategy "residue" or "hankel" forces that route.  "auto" sums the
-    residue series, which takes coinciding poles (closer than
-    _COLLISION_TOL) as one double pole.  It integrates the Hankel loop
-    only for pole pairs between _COLLISION_TOL and _STRATEGY_SEP apart,
-    where neither reading of the series is accurate, and for poles of
-    order 3 or more.  This is the one place where the route is chosen.
+    residue series and integrates the Hankel loop only where the series
+    raises PoleCollisionError, at a pole of order 3 or more or a
+    near-collision.  This is the one place where the route is chosen.
     """
     if strategy not in _STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; choose from "
                           f"{'|'.join(_STRATEGIES)}")
-    if strategy == "residue":
-        return residue_series(num, den, z), "residue"
-    if (strategy == "auto"
-            and min_family_separation(num, den) >= _STRATEGY_SEP):
+    if strategy != "hankel":
         try:
             return residue_series(num, den, z), "residue"
         except PoleCollisionError:
-            pass
+            if strategy == "residue":
+                raise
     values = [hankel_loop(num, den, float(x)) for x in np.ravel(z)]
     return _shaped_like(z, np.array(values)), "hankel"
 
@@ -580,29 +610,20 @@ def g_n_coeffs(a: float, alpha: float, theta: float, n: int) -> list[LogValue]:
 
 def g_n(a: float, alpha: float, theta: float, n: int, z,
         strategy: str = "auto"):
-    """Finite-N kernel polynomial G_{n,a}(z) by its residue sum.
+    """Finite-N kernel polynomial G_{n,a}(z), a residue series (_gn_factors).
 
-    The residue sum is the polynomial itself, a signed-log sum of
-    g_n_coeffs at each z of a float or an ndarray; strategy="hankel"
-    integrates the loop contour instead (verification route).
+    Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, so the series
+    is the polynomial sum_{k<n} of g_n_coeffs z^k, summed by mellin_barnes
+    like every G function; z is a float or an ndarray of positive values
+    (a float z = 0 gives the constant term).  strategy="hankel" integrates
+    the loop contour instead (verification route).
     """
-    zs = np.asarray(z, dtype=float)
-    if np.any(zs < 0):
-        raise DomainError("z must be non-negative")
-    if strategy not in ("auto", "residue"):
-        _check_exponents(a, alpha, theta)
-        return mellin_barnes(*_gn_factors(a, alpha, theta, n), z,
-                             strategy)[0]
-    sign, log_c = np.array([[(c.sign, c.log_mag)]
-                            for c in g_n_coeffs(a, alpha, theta, n)]).T
-    k = np.arange(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log z = -inf at z = 0 leaves the constant term alone
-        terms = log_c + np.where(k > 0, k * np.log(zs.ravel())[:, None], 0.0)
-        top = terms.max(axis=1, keepdims=True)
-        acc = (sign * np.exp(terms - top)).sum(axis=1)
-        return _shaped_like(z, np.sign(acc)
-                            * np.exp(top[:, 0] + np.log(np.abs(acc))))
+    _check_exponents(a, alpha, theta)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if np.ndim(z) == 0 and z == 0.0:  # the polynomial is its first term
+        return g_n_coeffs(a, alpha, theta, n)[0].to_real()
+    return mellin_barnes(*_gn_factors(a, alpha, theta, n), z, strategy)[0]
 
 
 def _gn_factors(a, alpha, theta, n):

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
+_T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> floa
 # ---------------------------------------------------------------------------
 
 def _gg_t_integral(alpha: float, f1: Callable, z1: float, f2: Callable,
-                   z2: float, rtol: float = 1e-10) -> float:
+                   z2: float) -> float:
     """integral_0^1 t^alpha f1(t z1) f2(t z2) dt by tanh-sinh quadrature.
 
     tanh-sinh rather than a fixed Gauss-Jacobi weight because the G~
@@ -133,7 +134,7 @@ def _gg_t_integral(alpha: float, f1: Callable, z1: float, f2: Callable,
         out[keep] = t ** alpha * f1(t * z1) * f2(t * z2)
         return out
 
-    return tanh_sinh_01(integrand, rtol=rtol)
+    return tanh_sinh_01(integrand, rtol=_T_RTOL)
 
 
 def _g_fn(tilde: bool, a: float, alpha: float, theta: float,

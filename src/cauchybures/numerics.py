@@ -87,25 +87,6 @@ class LogValue:
             return LogValue.zero()
         return LogValue(self.sign * other.sign, self.log_mag - other.log_mag)
 
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.log_mag)
-
-    def __abs__(self) -> "LogValue":
-        return LogValue(abs(self.sign), self.log_mag)
-
-    def sqrt(self) -> "LogValue":
-        if self.sign < 0:
-            raise ValueError("sqrt of a negative LogValue")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(1, 0.5 * self.log_mag)
-
-    def powi(self, k: int) -> "LogValue":
-        if self.sign == 0:
-            return LogValue.one() if k == 0 else LogValue.zero()
-        sign = 1 if (self.sign > 0 or k % 2 == 0) else -1
-        return LogValue(sign, k * self.log_mag)
-
     @staticmethod
     def sum(terms: Iterable["LogValue"]) -> "LogValue":
         """Signed log-sum-exp of an iterable of LogValues."""
@@ -144,11 +125,6 @@ def lgamma_signed(x: float) -> tuple[int, float]:
         raise PoleError(f"gamma pole at x = {x}")
     sign = 1 if math.floor(x) % 2 == 0 else -1
     return sign, math.lgamma(x)
-
-
-def gammaln_logvalue(x: float) -> LogValue:
-    s, lm = lgamma_signed(x)
-    return LogValue(s, lm)
 
 
 # ---------------------------------------------------------------------------

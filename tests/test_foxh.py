@@ -16,6 +16,28 @@ from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
 from cauchybures.kernels import hard_edge_kernel, k10
 
 
+def mp_residue_sum(num, den, zs, dps, u_min):
+    """Sum of simple residues over the left pole families, in mpmath.
+
+    num and den hold (shift, slope) pairs with the float parameters taken
+    as exact; every left pole from u_min up must be simple.
+    """
+    with mpmath.workdps(dps):
+        poles = []
+        for i, (shift, slope) in enumerate(num):
+            k = 0
+            while slope > 0 and (u := (-shift - k) / slope) >= u_min:
+                c = (-1) ** k / (mpmath.factorial(k) * slope)
+                for j, (s, b) in enumerate(num):
+                    if j != i:
+                        c *= mpmath.gamma(s + b * u)
+                for s, b in den:
+                    c *= mpmath.rgamma(s + b * u)
+                poles.append((u, c))
+                k += 1
+        return [sum(c * mpmath.mpf(z) ** -u for u, c in poles) for z in zs]
+
+
 class TestExponentialSpecialCase:
     def test_h10_01_equals_exp(self):
         # H^{1,0}_{0,1}(z) with a single Gamma(u) factor is e^{-z}
@@ -118,6 +140,45 @@ class TestHighPrecisionOracle:
                 assert abs(value - want) <= 1e-12 * abs(want), z
 
 
+class TestGNReference:
+    ZS = [0.1, 1.0, 3.0, 10.0, 30.0, 100.0]
+
+    @pytest.mark.parametrize("a,alpha,theta,n", [
+        (0.0, 0.0, 1.0, 30), (0.5, 1.2, 1.0, 30), (0.3, 0.8, 1.5, 20),
+        (0.3, 0.8, 1.5, 40), (0.3, 0.8, 1.5, 80)])
+    def test_g_n_matches_its_defining_series(self, a, alpha, theta, n):
+        # sum_k (-z)^k/k! G(alpha+n+1+k) / (G(n-k) G(alpha+1+k) G(a+theta k+1))
+        # at 120 digits, the float parameters taken as exact; at theta = 1
+        # also the 2F2 closed form
+        got = g_n(a, alpha, theta, n, np.array(self.ZS))
+        with mpmath.workdps(120):
+            a, alpha, theta = map(mpmath.mpf, (a, alpha, theta))
+            coeffs = [(-1) ** k / mpmath.factorial(k)
+                      * mpmath.gamma(alpha + n + 1 + k)
+                      / (mpmath.gamma(n - k) * mpmath.gamma(alpha + 1 + k)
+                         * mpmath.gamma(a + theta * k + 1))
+                      for k in range(n)]
+            for z, value in zip(self.ZS, got):
+                want = mpmath.polyval(coeffs[::-1], z)
+                assert abs(value - want) <= 1e-12 * abs(want), z
+                if theta == 1:
+                    closed = (mpmath.gamma(alpha + n + 1)
+                              / (mpmath.gamma(n) * mpmath.gamma(alpha + 1)
+                                 * mpmath.gamma(a + 1))
+                              * mpmath.hyp2f2(1 - n, alpha + n + 1,
+                                              alpha + 1, a + 1, z))
+                    assert abs(value - closed) <= 1e-12 * abs(closed), z
+
+    def test_g_n_at_zero_is_the_constant_term(self):
+        a, alpha, theta, n = 0.3, 0.8, 1.5, 6
+        want = math.gamma(alpha + n + 1) / (math.gamma(n)
+                                            * math.gamma(alpha + 1)
+                                            * math.gamma(a + 1))
+        assert g_n(a, alpha, theta, n, 0.0) == pytest.approx(want, rel=1e-14)
+        assert g_n(a, alpha, theta, n, 1e-300) == pytest.approx(want,
+                                                                rel=1e-14)
+
+
 class TestArrayArguments:
     """One call on an array of z equals the same calls one z at a time."""
 
@@ -195,30 +256,43 @@ class TestPoleCollisions:
         val = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="auto")
         ref = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="hankel")
         assert val == pytest.approx(ref, rel=1e-10)
-        # families 5e-8 apart: too close for two simple poles, too far for
-        # one double pole, so auto integrates the loop
-        near = g_tilde_inf(1.0 + 5e-8, 0.9, 1.0, 0.3, strategy="auto")
-        assert near == g_tilde_inf(1.0 + 5e-8, 0.9, 1.0, 0.3,
+        # families 5e-8 apart are two simple poles of the series; the
+        # mpmath re-sum absorbs their 1/gap cancellation
+        num, den = foxh._gtinf_factors(1.0 + 5e-8, 0.9, 1.0)
+        value, route = mellin_barnes(num, den, 0.3)
+        assert route == "residue"
+        assert value == pytest.approx(hankel_loop(num, den, 0.3), rel=1e-12)
+        # 5e-12 apart: a near-collision, too far apart to merge, so the
+        # series raises and auto integrates the loop
+        near = g_tilde_inf(1.0 + 5e-12, 0.9, 1.0, 0.3, strategy="auto")
+        assert near == g_tilde_inf(1.0 + 5e-12, 0.9, 1.0, 0.3,
                                    strategy="hankel")
         assert near == pytest.approx(g_tilde_inf(1.0, 0.9, 1.0, 0.3),
-                                     rel=1e-6)
+                                     rel=1e-9)
 
     def test_separation_reports_distance(self):
         num = [GammaFactor(0.0, 1.0), GammaFactor(-0.5, 1.0)]
         assert min_family_separation(num, []) == pytest.approx(0.5)
 
     def test_dispatcher_names_the_route(self):
-        # coinciding families are a double pole of the series; a near
-        # collision and a triple pole go to the loop
+        # coinciding families are a double pole of the series and pairs
+        # 1e-7 apart two simple poles; a near collision and a triple pole
+        # go to the loop
         collide = [GammaFactor(0.0, 1.0), GammaFactor(0.0, 1.0)]
         value, route = mellin_barnes(collide, [], 1.3)
         assert route == "residue"
         assert value == pytest.approx(hankel_loop(collide, [], 1.3),
                                       rel=1e-10)
-        near = [GammaFactor(0.0, 1.0), GammaFactor(1e-7, 1.0)]
+        apart = [GammaFactor(0.0, 1.0), GammaFactor(1e-7, 1.0)]
+        value, route = mellin_barnes(apart, [], 1.3)
+        assert route == "residue"
+        assert value == pytest.approx(hankel_loop(apart, [], 1.3), rel=1e-10)
+        near = [GammaFactor(0.0, 1.0), GammaFactor(1e-12, 1.0)]
         value, route = mellin_barnes(near, [], 1.3)
         assert route == "hankel"
         assert value == hankel_loop(near, [], 1.3)
+        with pytest.raises(PoleCollisionError):
+            mellin_barnes(near, [], 1.3, strategy="residue")
         assert mellin_barnes([GammaFactor(0.0, 1.0)] * 3, [], 1.3)[1] == (
             "hankel")
         value, route = mellin_barnes([GammaFactor(0.0, 1.0)], [], 1.3)
@@ -249,6 +323,78 @@ class TestPoleCollisions:
             residue_series([GammaFactor(0.0, 1.0)] * 3, [], 1.0)
 
 
+class TestNearCollisions:
+    ZS = [0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0]
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 5e-8, 1e-8, 1e-9, 1e-10,
+                                       1e-11, 1e-12, 1e-13, 1e-14, 3e-15,
+                                       0.0])
+    def test_g_tilde_inf_near_coinciding_families(self, delta):
+        # a = 0.5 + delta, theta = 1.5: every other pole of Gamma(1.5u - a)
+        # lies delta/1.5 from one of Gamma(u).  Pairs that coincide up to
+        # rounding are one double pole, pairs 1e-10 or more apart two simple
+        # poles, and only the band between goes to the loop.  Reference: 80
+        # digits of simple residues (at delta = 0, a moved by 1e-25)
+        a, alpha, theta = 0.5 + delta, 0.9, 1.5
+        with mpmath.workdps(80):
+            shifted = mpmath.mpf(a) + (mpmath.mpf(10) ** -25 if delta == 0
+                                       else 0)
+            want = mp_residue_sum([(0, 1), (-shifted, theta)],
+                                  [(mpmath.mpf(alpha) + 1, -1)], self.ZS,
+                                  80, -60)
+        got = g_tilde_inf(a, alpha, theta, np.array(self.ZS))
+        for z, value, ref in zip(self.ZS, got, want):
+            assert abs(value - ref) <= 2e-11 * abs(ref), z
+
+    @pytest.mark.parametrize("a,theta", [(0.7, 1.3), (0.3, 1.7)])
+    def test_g_tilde_n_inexact_float_collisions(self, a, theta):
+        # the binary values of 0.7 and 1.3 put the poles of Gamma(u) and
+        # Gamma(1.3u - 0.7) at u = -11 3.4e-16 apart: one pole in floats,
+        # two in the mpmath re-sum, whose cancellation reaches 12 digits at
+        # z = 30.  Reference: 100 digits of simple residues, a moved by
+        # 1e-30 to split the pole pair at u = -1 that coincides exactly
+        alpha, n = 0.4, 3
+        zs = [1.0, 10.0, 30.0, 60.0]
+        with mpmath.workdps(100):
+            shifted = mpmath.mpf(a) + mpmath.mpf(10) ** -30
+            extra = mpmath.mpf(alpha) + 1
+            want = mp_residue_sum([(0, 1), (extra + n, -1), (-shifted, theta)],
+                                  [(n, 1), (extra, -1)], zs, 100, -100)
+        for z, ref in zip(zs, want):
+            value = g_tilde_n(a, alpha, theta, n, z)
+            assert abs(value - ref) <= (1e-10 if z <= 30 else 1e-8) * abs(ref)
+
+    @pytest.mark.parametrize("a", [0.9, 0.5, -0.1])
+    def test_theta_collision_grid_merges_every_pair(self, a):
+        # theta = 1.1 and a = m - 1.1k put a pole of Gamma(1.1u - a) on a
+        # pole of Gamma(u) every tenth pole; the float locations of a pair
+        # differ by rounding that grows with the pole's size, which the
+        # merge tolerance must follow far out
+        num, den = foxh._gtinf_factors(a, 0.9, 1.1)
+        table = foxh._residue_table(tuple(num), tuple(den))
+        table.entry(400)
+        orders = [pole.order for pole in table.entries]
+        assert min(orders) >= 0 and orders.count(2) >= 10
+        for z in (0.5, 5.0, 30.0):
+            value, route = mellin_barnes(num, den, z)
+            assert route == "residue"
+            assert value == pytest.approx(hankel_loop(num, den, z),
+                                          rel=1e-10)
+
+    def test_route_is_chosen_without_the_separation_scan(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("min_family_separation called")
+
+        monkeypatch.setattr(foxh, "min_family_separation", scan)
+        near = ([GammaFactor(0.0, 1.0), GammaFactor(1e-12, 1.0)], [])
+        for (num, den), route in ((foxh._gtinf_factors(0.3, 0.9, 1.5),
+                                   "residue"),
+                                  (foxh._gtn_factors(0.5, 0.9, 1.5, 3),
+                                   "residue"),
+                                  (near, "hankel")):
+            assert mellin_barnes(num, den, 1.3)[1] == route
+
+
 class TestLogarithmicCase:
     def test_gamma_squared_is_bessel_k(self):
         # H^{2,0}_{0,2}(z | (0,1),(0,1)) = 2 K_0(2 sqrt z): double poles at
@@ -258,8 +404,7 @@ class TestLogarithmicCase:
         for z in (0.05, 0.5, 1.0, 3.0, 10.0, 30.0):
             want = float(2 * mpmath.besselk(0, 2 * mpmath.sqrt(z)))
             assert fox_h(spec, z) == pytest.approx(want, rel=1e-12)
-        table = foxh._residue_table(tuple(num), tuple(den),
-                                    foxh._COLLISION_TOL)
+        table = foxh._residue_table(tuple(num), tuple(den))
         assert table.exact
 
     @pytest.mark.parametrize("a,theta,n", [(0.5, 1.5, 2), (0.5, 1.5, 3),
@@ -271,7 +416,6 @@ class TestLogarithmicCase:
             num, den = foxh._gtinf_factors(a, alpha, theta)
         else:
             num, den = foxh._gtn_factors(a, alpha, theta, n)
-        assert min_family_separation(num, den) >= foxh._STRATEGY_SEP
 
         def series(z):
             value, route = mellin_barnes(num, den, float(z))
@@ -315,7 +459,7 @@ class TestLogarithmicCase:
         for z in (1e-3, 2.0, 8.0, 20.0, 45.0):
             g_tilde_inf(0.5, 0.9, 1.5, z)
         table = foxh._residue_table(*map(tuple, foxh._gtinf_factors(
-            0.5, 0.9, 1.5)), foxh._COLLISION_TOL)
+            0.5, 0.9, 1.5)))
         assert len(table.exact) >= 2
         assert values() == cold
 

@@ -10,8 +10,7 @@ from scipy import integrate, special
 from cauchybures.exceptions import DimensionError, DomainError, NonConverged
 from cauchybures.numerics import (LogValue, SkewMatrix, gauss_jacobi,
                                   gauss_jacobi_pair, gauss_laguerre,
-                                  gammaln_logvalue, lgamma_signed,
-                                  log_gamma_complex, pfaffian,
+                                  lgamma_signed, log_gamma_complex, pfaffian,
                                   pfaffian_bordered, refine_quadrature,
                                   simplex_quad_2d, tanh_sinh_01)
 
@@ -31,25 +30,10 @@ class TestLogValue:
         prod = LogValue.from_real(x) * LogValue.from_real(y)
         assert prod.to_real() == pytest.approx(x * y, rel=1e-12)
 
-    @given(x=finite_nonzero, k=st.integers(min_value=0, max_value=6))
-    def test_integer_power(self, x, k):
-        got = LogValue.from_real(x).powi(k).to_real()
-        assert got == pytest.approx(x ** k, rel=1e-10)
-
-    @given(x=finite_nonzero)
-    def test_sqrt_of_square(self, x):
-        sq = LogValue.from_real(x).powi(2)
-        assert sq.sqrt().to_real() == pytest.approx(abs(x), rel=1e-12)
-
     def test_zero(self):
         z = LogValue.zero()
         assert z.sign == 0
         assert z.to_real() == 0.0
-
-    def test_gammaln_logvalue_matches_gamma(self):
-        for x in (0.5, 1.0, 3.7, 12.0):
-            assert gammaln_logvalue(x).to_real() == pytest.approx(
-                special.gamma(x), rel=1e-13)
 
 
 class TestSignedLogGamma:
