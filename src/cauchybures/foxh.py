@@ -21,7 +21,7 @@ from scipy.special import loggamma as _cloggamma
 from .exceptions import (DomainError, NonConverged, PoleCollisionError,
                          PoleError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
-from .numerics import (_POLE_TOL, LogValue, lgamma_signed,  # noqa: F401
+from .numerics import (_POLE_TOL, lgamma_signed,  # noqa: F401
                        log_gamma_complex, refine_quadrature)
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "FoxHSpec",
     "fox_h",
     "g_n",
-    "g_n_coeffs",
     "g_tilde_n",
     "g_inf",
     "g_tilde_inf",
@@ -589,31 +588,12 @@ def _check_exponents(a: float, alpha: float, theta: float) -> None:
         raise DomainError(f"theta must be positive, got {theta}")
 
 
-def g_n_coeffs(a: float, alpha: float, theta: float, n: int) -> list[LogValue]:
-    """Monomial coefficients of the degree-(n-1) polynomial G_{n,a}.
-
-    Coefficient of z^k is the residue at u = -k of the defining contour
-    integral:  (-1)^k/k! * Gamma(alpha+n+1+k) /
-    (Gamma(n-k) Gamma(alpha+1+k) Gamma(a+theta*k+1)).
-    """
-    _check_exponents(a, alpha, theta)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    out = []
-    for k in range(n):
-        log = (math.lgamma(alpha + n + 1 + k) - math.lgamma(k + 1)
-               - math.lgamma(n - k) - math.lgamma(alpha + 1 + k)
-               - math.lgamma(a + theta * k + 1))
-        out.append(LogValue(1 if k % 2 == 0 else -1, log))
-    return out
-
-
 def g_n(a: float, alpha: float, theta: float, n: int, z,
         strategy: str = "auto"):
     """Finite-N kernel polynomial G_{n,a}(z), a residue series (_gn_factors).
 
     Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, so the series
-    is the polynomial sum_{k<n} of g_n_coeffs z^k, summed by mellin_barnes
+    is a polynomial of degree n - 1, summed by mellin_barnes
     like every G function; z is a float or an ndarray of positive values
     (a float z = 0 gives the constant term).  strategy="hankel" integrates
     the loop contour instead (verification route).
@@ -621,8 +601,9 @@ def g_n(a: float, alpha: float, theta: float, n: int, z,
     _check_exponents(a, alpha, theta)
     if n < 1:
         raise DomainError("n must be >= 1")
-    if np.ndim(z) == 0 and z == 0.0:  # the polynomial is its first term
-        return g_n_coeffs(a, alpha, theta, n)[0].to_real()
+    if np.ndim(z) == 0 and z == 0.0:  # the residue at u = 0
+        return math.exp(math.lgamma(alpha + n + 1.0) - math.lgamma(n)
+                        - math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0))
     return mellin_barnes(*_gn_factors(a, alpha, theta, n), z, strategy)[0]
 
 

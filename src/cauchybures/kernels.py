@@ -1,8 +1,9 @@
 """Christoffel-Darboux and correlation kernels with their hard-edge limits.
 
-Every kernel is computable by at least two routes (polynomial sum,
-t-integral of the contour functions, double residue expansion, or direct
-semi-axis quadrature against the CD kernel) so the routes can be played
+Every finite-N kernel is computable by two routes: the Christoffel-Darboux
+sum over the bi-orthogonal pair, with i1 transforms on its integrated
+sides (`_cd_contract`), and a t-integral of the contour functions (for
+K11 its exact incomplete-gamma form), so the routes can be played
 against each other in the tests.
 """
 from __future__ import annotations
@@ -19,14 +20,12 @@ from scipy import integrate
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
-from .foxh import g_inf, g_n, g_n_coeffs, g_tilde_inf, g_tilde_n
-from .numerics import (LogValue, gauss_jacobi, refine_quadrature,
-                       tanh_sinh_01)
-from .polynomials import p_hat, q_hat
+from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
+from .numerics import gauss_jacobi, refine_quadrature, tanh_sinh_01
+from .polynomials import _hat_table
 
 __all__ = [
     "cd_kernel",
-    "cd_kernel_log",
     "cd_hard_scaled",
     "k01",
     "k10",
@@ -46,69 +45,74 @@ _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
 
 
 # ---------------------------------------------------------------------------
-# Christoffel-Darboux kernel, three strategies
+# Christoffel-Darboux sum
 # ---------------------------------------------------------------------------
 
-def _cd_sum(params: EnsembleParams, x: float, y: float) -> float:
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    xt, yt = x ** theta, y ** theta
-    total = 0.0
-    for m in range(n):
-        h_m = theta / (2.0 * m * theta + a + b + 1.0)
-        total += (theta / h_m) * p_hat(params, m)(xt) * q_hat(params, m)(yt)
-    return total
+def _cd_contract(params: EnsembleParams, u, v, scale: float = 1.0) -> float:
+    """scale * sum_m (2 m theta + a + b + 1) (P u)_m (Q v)_m.
 
-
-def cd_kernel_log(params: EnsembleParams, x: float, y: float) -> LogValue:
-    """Double residue expansion of the two-contour kernel integral.
-
-    K_N(x,y) = theta * sum_{j,k<N} cP_j cQ_k x^{theta j} y^{theta k}
-    / (1 + alpha + j + k), carried in signed-log arithmetic so the
-    hard-edge rescaled evaluations (x ~ N^{-2/theta}) do not underflow.
+    P, Q are the hat-coefficient tables of P-hat, Q-hat (rows m < N), and
+    u, v the side vectors as (mantissa, binary exponent) pairs: u_l =
+    x^{theta l} at a point (_powers), or i1(a + theta l, c) on an
+    integrated side (_i1s).  With both sides at points this is the
+    Christoffel-Darboux kernel K_N(x, y).  Sums run on mantissas scaled to
+    their largest term, so no coefficient or power leaves double range.
     """
     a, b, theta, n = params.a, params.b, params.theta, params.n
-    alpha = params.alpha
-    cp = g_n_coeffs(a, alpha, theta, n)
-    cq = g_n_coeffs(b, alpha, theta, n)
-    log_xt = theta * math.log(x)
-    log_yt = theta * math.log(y)
-    log_theta = math.log(theta)
-    terms = []
-    for j in range(n):
-        for k in range(n):
-            lv = cp[j] * cq[k]
-            log = (lv.log_mag + j * log_xt + k * log_yt + log_theta
-                   - math.log(1.0 + alpha + j + k))
-            terms.append(LogValue(lv.sign, log))
-    return LogValue.sum(terms)
+    p_mant, p_exp = _hat_table(params.alpha, a, theta, n)
+    q_mant, q_exp = _hat_table(params.alpha, b, theta, n)
+    pu_mant, pu_exp = _scaled_sum(p_mant * u[0], p_exp + u[1])
+    qv_mant, qv_exp = _scaled_sum(q_mant * v[0], q_exp + v[1])
+    s_mant, s_exp = math.frexp(scale)
+    weight = 2.0 * theta * np.arange(n) + a + b + 1.0
+    mant, exp = _scaled_sum(weight * pu_mant * qv_mant * s_mant,
+                            pu_exp + qv_exp + s_exp)
+    return math.ldexp(float(mant), int(exp))
+
+
+def _scaled_sum(mant: np.ndarray, exp: np.ndarray):
+    """sum of mant * 2**exp along the last axis, as (mantissa, exponent)."""
+    top = np.max(exp, axis=-1, keepdims=True)
+    total, shift = np.frexp(np.sum(np.ldexp(mant, exp - top), axis=-1))
+    return total, shift + top[..., 0]
+
+
+def _powers(params: EnsembleParams, log2_x: float):
+    """x^{theta l}, l < N, from log2 x, as (mantissa, binary exponent)."""
+    t = params.theta * np.arange(params.n) * log2_x
+    exp = np.floor(t)
+    return np.exp2(t - exp), exp.astype(np.int64)
+
+
+def _i1s(params: EnsembleParams, exponent: float, c: float):
+    """i1(exponent + theta l, c), l < N, as (mantissa, binary exponent)."""
+    return np.frexp([i1_integral(exponent + params.theta * l, c)
+                     for l in range(params.n)])
 
 
 def cd_kernel(params: EnsembleParams, x: float, y: float,
-              strategy: str = "auto") -> float:
-    """CD kernel K_N(x, y); strategies sum | tintegral | doublecontour."""
+              strategy: str = "sum") -> float:
+    """CD kernel K_N(x, y); strategies sum | tintegral."""
     if x <= 0 or y <= 0:
         raise DomainError("kernel arguments must be positive")
-    if strategy == "auto":
-        strategy = "sum" if params.n < 20 else "doublecontour"
     if strategy == "sum":
-        return _cd_sum(params, x, y)
+        return _cd_contract(params, _powers(params, math.log2(x)),
+                            _powers(params, math.log2(y)))
     if strategy == "tintegral":
         return _kernel(params.a, params.b, params.theta, params.n, "K00",
                        x, y)
-    if strategy == "doublecontour":
-        return cd_kernel_log(params, x, y).to_real()
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
 def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> float:
     """N^{-2(alpha+1)} K_N(X N^{-2/theta}, Y N^{-2/theta}) without under/overflow."""
-    n, theta = params.n, params.theta
-    scale = n ** (-2.0 / theta)
-    val = cd_kernel_log(params, x_hard * scale, y_hard * scale)
-    if val.sign == 0:
-        return 0.0
-    log_n = math.log(n)
-    return val.sign * math.exp(val.log_mag - 2.0 * (params.alpha + 1.0) * log_n)
+    if x_hard <= 0 or y_hard <= 0:
+        raise DomainError("kernel arguments must be positive")
+    # N^{-2 l} enters through the log of each power, never by itself
+    shift = -2.0 / params.theta * math.log2(params.n)
+    return _cd_contract(params, _powers(params, math.log2(x_hard) + shift),
+                        _powers(params, math.log2(y_hard) + shift),
+                        params.n ** (-2.0 * (params.alpha + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +242,6 @@ def i1_integral(beta: float, c: float) -> float:
             f"(c = {c:g})") from None
 
 
-def _cd_coeff_table(params: EnsembleParams):
-    """theta * cP_j * cQ_k / (1 + alpha + j + k) as plain floats."""
-    alpha = params.alpha
-    cp = [c.to_real() for c in g_n_coeffs(params.a, alpha, params.theta,
-                                          params.n)]
-    cq = [c.to_real() for c in g_n_coeffs(params.b, alpha, params.theta,
-                                          params.n)]
-    n = params.n
-    return [[params.theta * cp[j] * cq[k] / (1.0 + alpha + j + k)
-             for k in range(n)] for j in range(n)]
-
-
 def k01(params: EnsembleParams, x: float, xp: float,
         route: str = "tintegral") -> float:
     """K01(x, x') = integral of K_N(x, y) y^b e^{-y} / (x' + y) dy."""
@@ -259,15 +251,8 @@ def k01(params: EnsembleParams, x: float, xp: float,
     if route == "tintegral":
         return math.exp(xp) * _kernel(a, b, theta, n, "K01", x, xp)
     if route == "direct":
-        table = _cd_coeff_table(params)
-        xt = x ** theta
-        i1 = [i1_integral(b + theta * k, xp) for k in range(n)]
-        total = 0.0
-        for j in range(n):
-            xj = xt ** j
-            for k in range(n):
-                total += table[j][k] * xj * i1[k]
-        return total
+        return _cd_contract(params, _powers(params, math.log2(x)),
+                            _i1s(params, b, xp))
     raise DomainError(f"unknown route {route!r}")
 
 
@@ -280,14 +265,8 @@ def k10(params: EnsembleParams, y: float, yp: float,
     if route == "tintegral":
         return math.exp(y) * _kernel(a, b, theta, n, "K10", y, yp)
     if route == "direct":
-        table = _cd_coeff_table(params)
-        yt = yp ** theta
-        total = 0.0
-        for j in range(n):
-            i1 = i1_integral(a + theta * j, y)
-            for k in range(n):
-                total += table[j][k] * yt ** k * i1
-        return total
+        return _cd_contract(params, _i1s(params, a, y),
+                            _powers(params, math.log2(yp)))
     raise DomainError(f"unknown route {route!r}")
 
 
@@ -339,7 +318,11 @@ def _k11_inc_core(a: float, b: float, alpha: float, theta: float, n: int,
 
 def k11(params: EnsembleParams, y: float, x: float,
         route: str = "tintegral") -> float:
-    """K11(y, x): doubly integrated kernel minus the 1/(x+y) singularity."""
+    """K11(y, x): doubly integrated kernel minus the 1/(x+y) singularity.
+
+    At finite N the "tintegral" route is no t-integral: it is the exact
+    incomplete-gamma double sum of _k11_inc_core, evaluated in mpmath.
+    """
     if y <= 0 or x <= 0:
         raise DomainError("kernel arguments must be positive")
     if x + y < _SINGULAR_TOL:
@@ -351,14 +334,8 @@ def k11(params: EnsembleParams, y: float, x: float,
                * mpmath.mpf(x) ** b * core - 1.0 / mpmath.mpf(x + y))
         return float(val)
     if route == "direct":
-        table = _cd_coeff_table(params)
-        i1x = [i1_integral(b + theta * k, x) for k in range(n)]
-        total = 0.0
-        for j in range(n):
-            i1j = i1_integral(a + theta * j, y)
-            for k in range(n):
-                total += table[j][k] * i1j * i1x[k]
-        return total - 1.0 / (x + y)
+        return (_cd_contract(params, _i1s(params, a, y), _i1s(params, b, x))
+                - 1.0 / (x + y))
     raise DomainError(f"unknown route {route!r}")
 
 

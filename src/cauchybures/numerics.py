@@ -328,7 +328,7 @@ class SkewMatrix:
         a = np.asarray(a, dtype=float)
         m = cls(a)
         if not np.array_equal(m.entries, a):
-            raise ValueError("input matrix is not exactly antisymmetric")
+            raise DimensionError("input matrix is not exactly antisymmetric")
         return m
 
 

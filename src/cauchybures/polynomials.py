@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
+from scipy.special import gamma
 
 from .exceptions import DomainError
 from .ensembles import EnsembleParams, _log_schur, moment_c, partition_cauchy
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 _MAX_DEGREE = 20
+_NO_TERM = -(1 << 40)  # binary exponent of the empty entries (l > m)
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,10 @@ class PolySeries:
     """Polynomial in the monomial basis; coeffs[k] multiplies x^k."""
 
     coeffs: tuple[float, ...]
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.coeffs)):
+            raise DomainError("polynomial coefficients exceed double range")
 
     @property
     def degree(self) -> int:
@@ -68,23 +75,61 @@ class NormalizationData:
     z_ratio: LogValue
 
 
+def _rising(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(alpha + k + 1), k < count, as (mantissa, binary exponent), by
+    Gamma(z + 1) = z Gamma(z): a ratio of two entries is then a product of
+    factors alpha + j, not a quotient of gammas at rounded arguments."""
+    out = [math.frexp(gamma(alpha + 1.0))]
+    for k in range(1, count):
+        m, e = math.frexp(out[-1][0] * (alpha + k))
+        out.append((m, e + out[-1][1]))
+    mant, exp = zip(*out)
+    return np.array(mant), np.array(exp, dtype=np.int64)
+
+
+@lru_cache(maxsize=128)
+def _hat_table(alpha: float, exponent: float, theta: float,
+               size: int) -> tuple[np.ndarray, np.ndarray]:
+    """p_{m,l} = c_{m,l} / Gamma(exponent + theta*l + 1), m, l < size.
+
+    Signed mantissas and int64 binary exponents, p = mant 2^exp: no entry
+    leaves double range or carries the rounding of a stored log (a double
+    log|p| ~ 50 is itself off by 7e-15).  Row m is the degree-m hat
+    polynomial in x^theta, zero for l > m; theta = exponent = 0 gives c.
+    """
+    a_m, a_e = _rising(alpha, 2 * size - 1)    # Gamma(alpha + k + 1)
+    f_m, f_e = _rising(0.0, size)              # k!
+    z = exponent + theta * np.arange(size) + 1.0
+    g_m, g_e = np.frexp(gamma(z))
+    for i in np.flatnonzero(np.isinf(g_m)):    # past double range
+        g_m[i], g_e[i] = mpmath.frexp(mpmath.gamma(z[i]))
+    m, l = np.ogrid[:size, :size]
+    k = np.abs(m - l)                          # m - l where l <= m
+    mant, shift = np.frexp((-1.0) ** l * a_m[m + l]
+                           / (f_m[l] * f_m[k] * a_m[l] * g_m[l]))
+    exp = a_e[m + l] + shift - f_e[l] - f_e[k] - a_e[l] - g_e[l]
+    mant = np.where(l <= m, mant, 0.0)
+    exp = np.where(l <= m, exp, _NO_TERM)
+    mant.flags.writeable = exp.flags.writeable = False
+    return mant, exp
+
+
 def coeff_c(n: int, l: int, alpha: float) -> float:
     """c_{n,l} = (-1)^l Gamma(alpha+n+l+1) / (l! (n-l)! Gamma(alpha+l+1))."""
     if not 0 <= l <= n:
-        raise IndexError(f"l must satisfy 0 <= l <= n, got l={l}, n={n}")
-    log = (math.lgamma(alpha + n + l + 1.0) - math.lgamma(l + 1.0)
-           - math.lgamma(n - l + 1.0) - math.lgamma(alpha + l + 1.0))
-    return (-1.0) ** l * math.exp(log)
+        raise DomainError(f"l must satisfy 0 <= l <= n, got l={l}, n={n}")
+    mant, exp = _hat_table(alpha, 0.0, 0.0, n + 1)
+    return math.ldexp(mant[n, l], int(exp[n, l]))
 
 
 def jacobi_series_value(n: int, alpha: float, x: float) -> float:
-    """Value of sum_l c_{n,l} x^l, summed in extended precision.
+    """Value of sum_l c_{n,l} x^l, summed at a fixed thirty digits.
 
     The alternating coefficients reach ~1e6 by n = 12 while the value
     stays order one, so a plain double-precision sum cannot do better
     than ~1e-10 absolute; thirty working digits restore full accuracy.
     """
-    _check_degree(n)
+    _check_degree(n, "thirty digits no longer cover the cancellation")
     with mpmath.workdps(30):
         al = mpmath.mpf(alpha)
         xm = mpmath.mpf(x)
@@ -97,13 +142,13 @@ def jacobi_series_value(n: int, alpha: float, x: float) -> float:
         return float(total)
 
 
-def _check_degree(n: int) -> None:
+def _check_degree(n: int, limited_by: str = "") -> None:
+    """Refuse n < 0, and n >= _MAX_DEGREE where limited_by says why."""
     if n < 0:
         raise DomainError("degree must be non-negative")
-    if n >= _MAX_DEGREE:
-        raise DomainError(
-            f"degree {n} refused: coefficients exceed double range "
-            f"(limit {_MAX_DEGREE})")
+    if limited_by and n >= _MAX_DEGREE:
+        raise DomainError(f"degree {n} refused: {limited_by} "
+                          f"(limit {_MAX_DEGREE})")
 
 
 def p_hat(params: EnsembleParams, n: int) -> PolySeries:
@@ -117,15 +162,13 @@ def q_hat(params: EnsembleParams, n: int) -> PolySeries:
 
 
 def _hat_family(params: EnsembleParams, n: int, exponent: float) -> PolySeries:
+    """Row n of the table the kernels contract, sized max(N, n+1)."""
     _check_degree(n)
-    alpha = params.alpha
-    coeffs = []
-    for l in range(n + 1):
-        log = (math.lgamma(alpha + n + l + 1.0) - math.lgamma(l + 1.0)
-               - math.lgamma(n - l + 1.0) - math.lgamma(alpha + l + 1.0)
-               - math.lgamma(exponent + params.theta * l + 1.0))
-        coeffs.append((-1.0) ** l * math.exp(log))
-    return PolySeries(tuple(coeffs))
+    mant, exp = _hat_table(params.alpha, exponent, params.theta,
+                           max(params.n, n + 1))
+    with np.errstate(over="ignore"):
+        return PolySeries(tuple(np.ldexp(mant[n, :n + 1], exp[n, :n + 1])
+                                .tolist()))
 
 
 def jacobi_p(n: int, alpha: float, x) -> float:
@@ -155,19 +198,15 @@ def monic_pair(params: EnsembleParams, n: int
     """Monic rescalings with h_n and the partition ratio Z_{n+1}/Z_n."""
     _check_degree(n)
     h_n = params.theta / (2.0 * n * params.theta + params.a + params.b + 1.0)
-    z_np1 = partition_cauchy(params.with_n(n + 1))
-    if n >= 1:
-        z_n = partition_cauchy(params.with_n(n))
-    else:
-        z_n = LogValue.one()  # empty product: Z_0 = 1
-    ratio = z_np1 / z_n
+    z_n = partition_cauchy(params.with_n(n)) if n else LogValue.one()  # Z_0
+    ratio = partition_cauchy(params.with_n(n + 1)) / z_n
     return (p_hat(params, n).monic(), q_hat(params, n).monic(),
             NormalizationData(h_n, ratio))
 
 
 def _det_form(params: EnsembleParams, n: int, x, transpose: bool) -> float:
     """Bordered moment determinant with the sqrt(h_n/(theta Z_n Z_{n+1})) factor."""
-    _check_degree(n)
+    _check_degree(n, "the moment determinant is ill-conditioned")
     m = np.empty((n + 1, n + 1))
     for i in range(n + 1):
         for j in range(n):
@@ -210,6 +249,7 @@ def phi_bures(params: EnsembleParams, n: int) -> PolySeries:
     """
     _check_degree(n)
     xs = [params.a + 1.0 + params.theta * j for j in range(n + 1)]
-    logs = [_log_schur(xs[:j] + xs[j + 1:]) for j in range(n + 1)]
-    return PolySeries(tuple((-1.0) ** (n + j) * math.exp(logs[j] - logs[n])
-                            for j in range(n + 1)))
+    logs = np.array([_log_schur(xs[:j] + xs[j + 1:]) for j in range(n + 1)])
+    signs = (-1.0) ** (n + np.arange(n + 1))
+    with np.errstate(over="ignore"):
+        return PolySeries(tuple((signs * np.exp(logs - logs[n])).tolist()))

@@ -8,7 +8,7 @@ import pytest
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.foxh import g_inf, g_n, g_tilde_n
-from cauchybures.correlations import CorrelationRequest, rho_bures
+from cauchybures.correlations import CorrelationRequest, rho_bures, rho_cauchy
 from cauchybures.kernels import (KernelGrid, cd_hard_scaled, cd_kernel,
                                  delta_k00_inf, delta_k11_inf,
                                  hard_edge_kernel, hatted, i1_integral, k01,
@@ -47,9 +47,7 @@ class TestStrategyAgreement:
             for y in pts:
                 s = cd_kernel(params, x, y, strategy="sum")
                 t = cd_kernel(params, x, y, strategy="tintegral")
-                d = cd_kernel(params, x, y, strategy="doublecontour")
                 assert t == pytest.approx(s, rel=1e-7)
-                assert d == pytest.approx(s, rel=1e-7)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DomainError):
@@ -239,3 +237,116 @@ class TestKernelGrid:
     def test_rejects_nonpositive_points(self):
         with pytest.raises(DomainError):
             KernelGrid("K00", {}, [0.0, 0.5], [0.4], [[1.0], [1.0]])
+
+
+# ---------------------------------------------------------------------------
+# large N against the mpmath double residue sum
+# ---------------------------------------------------------------------------
+
+class _MpKernels:
+    """Finite-N kernels as the double residue sum, in mpmath.
+
+    K_N(x, y) = theta sum_{j,k<N} cP_j cQ_k x^{theta j} y^{theta k}
+    / (1 + alpha + j + k), cP_j = (-1)^j/j! Gamma(alpha+N+1+j)
+    / (Gamma(N-j) Gamma(alpha+1+j) Gamma(a+theta j+1)); an integrated side
+    replaces y^{theta k} by i1(b + theta k, c) = Gamma(beta+1) c^beta e^c
+    Gamma(-beta, c).  Evaluate inside mpmath.workdps(40 + 2N): the sum
+    cancels like 16^N.
+    """
+
+    def __init__(self, a, b, theta, n):
+        self.a, self.b, self.th = (mpmath.mpf(v) for v in (a, b, theta))
+        self.n = n
+        al = (self.a + self.b + 1) / self.th - 1
+        cp, cq = ([(-1) ** j / mpmath.factorial(j) * mpmath.gamma(al + n + 1 + j)
+                   / (mpmath.gamma(n - j) * mpmath.gamma(al + 1 + j)
+                      * mpmath.gamma(e + self.th * j + 1)) for j in range(n)]
+                  for e in (self.a, self.b))
+        self.table = [[self.th * cp[j] * cq[k] / (1 + al + j + k)
+                       for k in range(n)] for j in range(n)]
+
+    def powers(self, x):
+        return [mpmath.mpf(x) ** (self.th * j) for j in range(self.n)]
+
+    def i1s(self, e, c):
+        c = mpmath.mpf(c)
+        return [mpmath.gamma(e + self.th * j + 1) * c ** (e + self.th * j)
+                * mpmath.exp(c) * mpmath.gammainc(-e - self.th * j, c)
+                for j in range(self.n)]
+
+    def contract(self, u, v):
+        return mpmath.fsum(self.table[j][k] * u[j] * v[k]
+                           for j in range(self.n) for k in range(self.n))
+
+    def hatted(self, kind, p1, p2):
+        """hatted() of the library: the kernels times their weights."""
+        u, v = mpmath.mpf(p1), mpmath.mpf(p2)
+        if kind == "K00":
+            return self.contract(self.powers(p1), self.powers(p2))
+        if kind == "K01":
+            return (mpmath.exp(-v) * v ** self.a
+                    * self.contract(self.powers(p1), self.i1s(self.b, p2)))
+        if kind == "K10":
+            return (mpmath.exp(-u) * u ** self.b
+                    * self.contract(self.i1s(self.a, p1), self.powers(p2)))
+        k11 = (self.contract(self.i1s(self.a, p1), self.i1s(self.b, p2))
+               - 1 / (u + v))
+        return mpmath.exp(-(u + v)) * v ** self.a * u ** self.b * k11
+
+
+class TestLargeNAgainstMpmath:
+    # parameters, points and tolerances of large_n benchmark cases that the
+    # float double sums missed (cd_mid-1, -2, -8, rho_c11_lo-1,
+    # rho_b2_lo-0), and two N = 80 hard-edge cases (cd_hard-5, -7)
+    @pytest.mark.parametrize("p,x,y", [
+        ((0.4, 1.4, 1.3, 24), 2.0778, 2.2319),
+        ((0.3, 0.7, 1.5, 24), 1.7724, 2.1847),
+        ((0.0, 0.0, 1.0, 24), 1.4056, 2.2531)])
+    def test_cd_kernel(self, p, x, y):
+        with mpmath.workdps(40 + 2 * p[3]):
+            mk = _MpKernels(*p)
+            want = mk.contract(mk.powers(x), mk.powers(y))
+        assert cd_kernel(EnsembleParams(*p), x, y) == pytest.approx(
+            float(want), rel=1e-7)
+
+    @pytest.mark.parametrize("p,x,y", [
+        ((0.0, 0.0, 1.0, 80), 1.7947, 3.7589),
+        ((0.4, 1.4, 1.3, 80), 2.3404, 3.491)])
+    def test_cd_hard_scaled(self, p, x, y):
+        n = p[3]
+        with mpmath.workdps(40 + 2 * n):
+            mk = _MpKernels(*p)
+            scale = mpmath.mpf(n) ** (-2 / mk.th)
+            alpha = (mk.a + mk.b + 1) / mk.th - 1
+            want = mpmath.mpf(n) ** (-2 * (alpha + 1)) * mk.contract(
+                mk.powers(x * scale), mk.powers(y * scale))
+        assert cd_hard_scaled(EnsembleParams(*p), x, y) == pytest.approx(
+            float(want), rel=1e-7)
+
+    def test_cauchy_one_plus_one_point(self):
+        p, x, y = (0.5, 0.7, 1.5, 8), 0.7354, 1.3244
+        with mpmath.workdps(40 + 2 * p[3]):
+            mk = _MpKernels(*p)
+            want = (mk.hatted("K01", x, x) * mk.hatted("K10", y, y)
+                    - mk.hatted("K00", x, y) * mk.hatted("K11", y, x))
+        req = CorrelationRequest("cauchy", EnsembleParams(*p), (x,), (y,))
+        assert rho_cauchy(req) == pytest.approx(float(want), rel=1e-6)
+
+    def test_bures_two_point(self):
+        # 4 x 4 Pfaffian of the Cauchy-pair (a, a+1) blocks, prefactor -1/4
+        (a, _, theta, n), zs = (0.3, 1.3, 1.3, 8), (0.4362, 1.7911)
+        with mpmath.workdps(40 + 2 * n):
+            mk = _MpKernels(a, a + 1.0, theta, n)
+
+            def sk01(zi, zj):
+                return mk.hatted("K01", zj, zi) + mk.hatted("K10", zi, zj)
+
+            z0, z1 = zs
+            d11 = mk.hatted("K11", z0, z1) - mk.hatted("K11", z1, z0)
+            d00 = mk.hatted("K00", z1, z0) - mk.hatted("K00", z0, z1)
+            pf = (d11 * d00 - sk01(z0, z0) * sk01(z1, z1)
+                  + sk01(z0, z1) * sk01(z1, z0))
+            want = -pf / 4
+        req = CorrelationRequest("bures", EnsembleParams(a, a + 1.0, theta, n),
+                                 zs)
+        assert rho_bures(req) == pytest.approx(float(want), rel=1e-6)

@@ -185,6 +185,10 @@ class TestPfaffian:
         pb = pfaffian(SkewMatrix.from_matrix(b)).to_real()
         assert pb == pytest.approx(-pa, rel=1e-12)
 
+    def test_from_matrix_rejects_non_antisymmetric_input(self):
+        with pytest.raises(DimensionError):
+            SkewMatrix.from_matrix(np.arange(9.0).reshape(3, 3))
+
     def test_bordered_pfaffian_matches_direct_construction(self):
         rng = np.random.default_rng(11)
         m = SkewMatrix(rng.standard_normal((5, 5)))

@@ -1,9 +1,11 @@
 """Tests for the bi-orthogonal and skew-orthogonal polynomial families."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from cauchybures.exceptions import DomainError
 from cauchybures.ensembles import (EnsembleParams, moment_c, partition_bures,
                                    partition_cauchy)
 from cauchybures.numerics import simplex_quad_2d
@@ -78,6 +80,36 @@ class TestJacobiConnection:
                     math.gamma(alpha + 1.0) * math.gamma(n + 1.0))
                 assert jacobi_p(n, alpha, 0.0) == pytest.approx(want,
                                                                 rel=1e-12)
+
+
+class TestDegreeRange:
+    def test_coeff_c_index_outside_degree_is_domain_error(self):
+        for l in (-1, 4):
+            with pytest.raises(DomainError):
+                coeff_c(3, l, 0.5)
+
+    @pytest.mark.parametrize("a,theta", [(0.0, 1.0), (0.3, 1.5), (0.2, 2.0)])
+    def test_hat_coefficients_at_degree_79(self, a, theta):
+        # N = 80: the coefficients span ~1e-234 to ~1e21, all doubles;
+        # rounding a + theta*l + 1 to a double moves Gamma by up to ~5e-14
+        p = EnsembleParams(a, a + 1.0, theta, 80)
+        got = p_hat(p, 79).coeffs
+        with mpmath.workdps(40):
+            al = (mpmath.mpf(a) + mpmath.mpf(a + 1.0) + 1) / theta - 1
+            want = [(-1) ** l * mpmath.gamma(al + 79 + l + 1)
+                    / (mpmath.factorial(l) * mpmath.factorial(79 - l)
+                       * mpmath.gamma(al + l + 1)
+                       * mpmath.gamma(mpmath.mpf(a) + theta * l + 1))
+                    for l in range(80)]
+        assert max(abs(g / float(w) - 1.0) for g, w in zip(got, want)) < 1e-13
+
+    def test_refusal_stays_where_accuracy_runs_out(self):
+        p = EnsembleParams(0.5, 0.7, 1.5, 21)
+        with pytest.raises(DomainError, match="ill-conditioned"):
+            p_hat_det(p, 20, 0.5)
+        with pytest.raises(DomainError, match="thirty digits"):
+            jacobi_series_value(20, 0.8, 0.37)
+        assert len(phi_bures(p, 79).coeffs) == 80
 
 
 class TestDeterminantForms:
