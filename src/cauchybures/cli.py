@@ -15,7 +15,7 @@ import numpy as np
 from . import correlations, ensembles, kernels, polynomials
 from .raney import raney as raney_number
 from .raney import sz_moment
-from .exceptions import CauchyBuresError, DomainError, NonConverged
+from .exceptions import CauchyBuresError, NonConverged
 # hankel_loop and residue_series stay bound here for perfbench/tracer.py
 from .foxh import (FoxHSpec, hankel_loop, mellin_barnes,  # noqa: F401
                    residue_series)
@@ -31,7 +31,20 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; maps the library's errors to exit codes, once
+    for every command: NonConverged to 2, any other CauchyBuresError to 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NonConverged as exc:
+            _fail(2, f"non-convergence: {exc}")
+        except CauchyBuresError as exc:
+            _fail(1, str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Numerics for the deformed Cauchy two-matrix model and Bures ensemble."""
 
@@ -58,7 +71,7 @@ def _load_foxh_spec(path: str) -> FoxHSpec:
         return FoxHSpec(upper=tuple(tuple(map(float, e)) for e in raw["upper"]),
                         lower=tuple(tuple(map(float, e)) for e in raw["lower"]),
                         m=int(raw["m"]), n=int(raw["n"]))
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError) as exc:
         _fail(1, f"invalid spec: {exc}")
 
 
@@ -77,10 +90,7 @@ def foxh(spec_file, zs, out):
     num, den = spec.factors()
     records = []
     for z in zs:
-        try:
-            value, route = mellin_barnes(num, den, z)
-        except NonConverged as exc:
-            _fail(2, f"non-convergence at z={z}: {exc}")
+        value, route = mellin_barnes(num, den, z)
         rec = {"z": z, "value": value, "strategy": _ROUTE_NAMES[route],
                "est_error": max(1e-13, 1e-11 * abs(value))}
         records.append(rec)
@@ -133,28 +143,23 @@ def kernel_grid(a, b, theta, n, kind, grid_min, grid_max, grid_count,
         "grid_min": grid_min, "grid_max": grid_max,
         "grid_count": grid_count, "grid_scale": grid_scale, "format": fmt,
     }}
-    try:
-        if kind in _FINITE_KINDS:
-            params = ensembles.EnsembleParams(a, b, theta, n)
-            if kind == "K00":
-                def ev(x, y):
-                    return kernels.cd_kernel(params, x, y)
-            else:
-                fn = {"K01": kernels.k01, "K10": kernels.k10,
-                      "K11": kernels.k11}[kind]
-
-                def ev(x, y):
-                    return fn(params, x, y)
+    if kind in _FINITE_KINDS:
+        params = ensembles.EnsembleParams(a, b, theta, n)
+        if kind == "K00":
+            def ev(x, y):
+                return kernels.cd_kernel(params, x, y)
         else:
-            base = kind.split("-", 1)[1]
+            fn = {"K01": kernels.k01, "K10": kernels.k10,
+                  "K11": kernels.k11}[kind]
 
             def ev(x, y):
-                return kernels.hard_edge_kernel(a, b, theta, base, x, y)
-        grid = kernels.make_grid(kind, axis, axis, ev, params=config)
-    except NonConverged as exc:
-        _fail(2, f"grid evaluation did not converge: {exc}")
-    except CauchyBuresError as exc:
-        _fail(1, str(exc))
+                return fn(params, x, y)
+    else:
+        base = kind.split("-", 1)[1]
+
+        def ev(x, y):
+            return kernels.hard_edge_kernel(a, b, theta, base, x, y)
+    grid = kernels.make_grid(kind, axis, axis, ev, params=config)
     text = grid.to_csv() if fmt == "csv" else grid.to_json()
     if out:
         with open(out, "w") as fh:
@@ -318,19 +323,16 @@ def _print_value(label: str, value_log):
 @click.option("--n", type=int, required=True)
 def partition(model, a, b, theta, n):
     """Partition function, printed in linear and (sign, log) form."""
-    try:
-        if model == "cauchy":
-            if b is None:
-                _fail(1, "--b is required for the Cauchy model")
-            p = ensembles.EnsembleParams(a, b, theta, n)
-            _print_value("Z_cauchy", ensembles.partition_cauchy(p))
-        else:
-            if b is not None:
-                _fail(1, "--b does not apply to the Bures model (b = a + 1)")
-            p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
-            _print_value("Z_bures", ensembles.partition_bures(p))
-    except CauchyBuresError as exc:
-        _fail(1, str(exc))
+    if model == "cauchy":
+        if b is None:
+            _fail(1, "--b is required for the Cauchy model")
+        p = ensembles.EnsembleParams(a, b, theta, n)
+        _print_value("Z_cauchy", ensembles.partition_cauchy(p))
+    else:
+        if b is not None:
+            _fail(1, "--b does not apply to the Bures model (b = a + 1)")
+        p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
+        _print_value("Z_bures", ensembles.partition_bures(p))
 
 
 @main.command()
@@ -346,29 +348,24 @@ def partition(model, a, b, theta, n):
 @click.option("--oracle", is_flag=True, default=False)
 def corr(model, a, b, theta, n, xs, ys, zs, oracle):
     """Correlation function at the given points; --oracle adds brute force."""
-    try:
-        if model == "cauchy":
-            if b is None:
-                _fail(1, "--b is required for the Cauchy model")
-            if zs:
-                _fail(1, "use --x/--y for the Cauchy model")
-            p = ensembles.EnsembleParams(a, b, theta, n)
-            req = correlations.CorrelationRequest("cauchy", p, xs, ys)
-            value = correlations.rho_cauchy(req)
-        else:
-            if xs or ys:
-                _fail(1, "use --z for the Bures model")
-            if b is not None:
-                _fail(1, "--b does not apply to the Bures model (b = a + 1)")
-            p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
-            req = correlations.CorrelationRequest("bures", p, zs)
-            value = correlations.rho_bures(req)
-        oracle_value = (correlations.brute_force_correlation(req)
-                        if oracle else None)
-    except NonConverged as exc:
-        _fail(2, str(exc))
-    except CauchyBuresError as exc:
-        _fail(1, str(exc))
+    if model == "cauchy":
+        if b is None:
+            _fail(1, "--b is required for the Cauchy model")
+        if zs:
+            _fail(1, "use --x/--y for the Cauchy model")
+        p = ensembles.EnsembleParams(a, b, theta, n)
+        req = correlations.CorrelationRequest("cauchy", p, xs, ys)
+        value = correlations.rho_cauchy(req)
+    else:
+        if xs or ys:
+            _fail(1, "use --z for the Bures model")
+        if b is not None:
+            _fail(1, "--b does not apply to the Bures model (b = a + 1)")
+        p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
+        req = correlations.CorrelationRequest("bures", p, zs)
+        value = correlations.rho_bures(req)
+    oracle_value = (correlations.brute_force_correlation(req)
+                    if oracle else None)
     click.echo(correlations.correlation_record(req, value, "direct",
                                                oracle_value))
 

@@ -19,7 +19,7 @@ from scipy import integrate
 from .exceptions import ComplexityError, DimensionError, DomainError
 from .ensembles import EnsembleParams, partition_bures, partition_cauchy
 from .kernels import (delta_k00_inf, delta_k11_inf, hatted, sigma_k01_inf)
-from .numerics import SkewMatrix, pfaffian
+from .numerics import SkewMatrix, pfaffian, require_positive
 
 __all__ = [
     "CorrelationRequest",
@@ -49,9 +49,8 @@ class CorrelationRequest:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise DomainError(f"unknown model {self.model!r}")
+        require_positive("points", *self.xs, *self.ys)
         for pts in (self.xs, self.ys):
-            if any(p <= 0 for p in pts):
-                raise DomainError("all points must be strictly positive")
             if len(set(pts)) != len(pts):
                 raise DomainError("points must be pairwise different")
         if self.model == "cauchy":
@@ -136,8 +135,9 @@ def rho_bures(req: CorrelationRequest, route: str = "direct") -> float:
 def rho_bures_hard_edge(a: float, theta: float, zs) -> float:
     """Hard-edge limit of the k-point Bures correlation."""
     zs = tuple(float(z) for z in zs)
-    if any(z <= 0 for z in zs) or len(set(zs)) != len(zs):
-        raise DomainError("points must be positive and pairwise different")
+    require_positive("points", *zs)
+    if len(set(zs)) != len(zs):
+        raise DomainError("points must be pairwise different")
     return _bures_pfaffian(
         zs, lambda zi, zj: delta_k11_inf(a, theta, zi, zj),
         lambda zi, zj: sigma_k01_inf(a, theta, zi, zj),

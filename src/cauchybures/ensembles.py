@@ -8,13 +8,14 @@ squared identity), which the test suite cross-checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import DomainError, SignError
-from .numerics import LogValue
+from .numerics import LogValue, require_positive
 
 __all__ = [
     "EnsembleParams",
@@ -41,15 +42,13 @@ class EnsembleParams:
     n: int
 
     def __post_init__(self):
-        if self.a <= -1.0 or self.b <= -1.0:
-            raise DomainError("weight exponents a, b must exceed -1")
+        require_positive("a + 1, b + 1", self.a + 1.0, self.b + 1.0)
         if self.a + self.b <= -1.0:
             # the 1/(x+y) factor makes every Cauchy bimoment diverge there
             raise DomainError("a + b must exceed -1")
-        if self.theta <= 0.0:
-            raise DomainError("theta must be positive")
-        if self.n < 1:
-            raise DomainError("n must be a positive integer")
+        require_positive("theta", self.theta)
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise DomainError(f"n must be a positive integer, got {self.n!r}")
 
     @property
     def alpha(self) -> float:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 import mpmath
@@ -21,8 +22,9 @@ from scipy.special import loggamma as _cloggamma
 from .exceptions import (DomainError, NonConverged, PoleCollisionError,
                          PoleError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
-from .numerics import (_POLE_TOL, lgamma_signed,  # noqa: F401
-                       log_gamma_complex, refine_quadrature)
+from .numerics import (_DPS_STEP, _POLE_TOL, lgamma_signed,  # noqa: F401
+                       ln_abs, log_gamma_complex, mp_sum,
+                       refine_quadrature, require_positive)
 
 __all__ = [
     "GammaFactor",
@@ -47,9 +49,6 @@ _LOOP_NODES = 64
 _LOOP_RTOL = 1e-11
 _SEPARATION_POLES = 300
 _STRATEGIES = ("auto", "residue", "hankel")
-# mpmath re-sums run at a multiple of this many digits, so one cached
-# coefficient list serves a range of cancellation depths
-_DPS_STEP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -215,48 +214,84 @@ class _ResidueTable:
         self.entries.append(_Pole(u0, order, sign, log_c, bracket, sing_num,
                                   sing_den))
 
-    def exact_sum(self, z: float, terms: int, lost_digits: float) -> float:
-        """First `terms` residues summed at cancellation-proof precision.
+    def log_terms(self, n: int, log_z: np.ndarray):
+        """(log |term|, sign) of the first n residues at each log z.
 
-        z^{-u0} at the k-th pole of the family Gamma(shift + slope*u) is
-        formed as z^{shift/slope} (z^{1/slope})^k, not as a general power.
+        Arrays of shape (n, len(log_z)); a zero term has sign 0, log -inf.
         """
-        dps = _DPS_STEP * math.ceil((25 + 1.2 * lost_digits) / _DPS_STEP)
-        coeffs = self.exact.setdefault(dps, [])
-        with mpmath.workdps(dps):
-            while len(coeffs) < terms:
-                coeffs.append(_exact_coefficient(self.num, self.den,
-                                                 self.entry(len(coeffs))))
+        u0, order, sign, log_c, bracket = self.arrays(n)
+        term_log = log_c[:, None] - u0[:, None] * log_z
+        term_sign = sign[:, None] * np.ones_like(term_log)
+        double = order == 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = bracket[double, None] - log_z
+            term_sign[double] *= np.sign(factor)
+            term_log[double] += np.log(np.abs(factor))
+        return term_log, term_sign
+
+    def exact_sum(self, z: float, term_log: np.ndarray,
+                  lost_digits: float) -> float:
+        """The residues whose float logs are term_log, summed in mpmath.
+
+        The terms double until the last three lie below 1e-16 of the mpmath
+        total (the float sum stops early where its own total is rounding
+        noise), and numerics.mp_sum raises the precision from the float
+        sum's measure of the loss until the digits lost to the largest
+        term leave enough.  z^{-u0} at the k-th pole of the family
+        Gamma(shift + slope*u) is formed as z^{shift/slope} (z^{1/slope})^k,
+        not as a general power.
+        """
+        log_z = math.log(z)
+
+        def sum_at():
+            dps = mpmath.mp.dps
+            coeffs = self.exact.setdefault(dps, [])
             mz = mpmath.mpf(z)
             log_mz = mpmath.log(mz)
             powers = {}  # family -> [k, z^{-u0} at its k-th pole, step]
             total = mpmath.mpf(0)
-            for coeff in coeffs[:terms]:
-                if coeff is None:
-                    continue
-                j, k, extra, parts = coeff
-                if j not in powers:
-                    slope = mpmath.mpf(self.num[j].slope)
-                    powers[j] = [0, mz ** (self.num[j].shift / slope),
-                                 mz ** (1 / slope)]
-                power = powers[j]
-                while power[0] < k:
-                    power[0] += 1
-                    power[1] *= power[2]
-                if extra:  # a split pole, see _exact_coefficient
-                    with mpmath.workdps(dps + extra):
-                        log_w = mpmath.log(mz)
-                        total += power[1] * sum(
-                            c * mpmath.exp(-offset * log_w)
-                            * (1 if b is None else b - log_w)
-                            for offset, c, b in parts)
-                    continue
-                (_, c, bracket), = parts  # one part, at offset 0
-                term = c * power[1]
-                if bracket is not None:
-                    term *= bracket - log_mz
-                total += term
-            return float(total)
+            done, logs = 0, term_log
+            while done < len(logs):
+                n = len(logs)
+                while len(coeffs) < n:
+                    coeffs.append(_exact_coefficient(
+                        self.num, self.den, self.entry(len(coeffs))))
+                for coeff in coeffs[done:n]:
+                    if coeff is None:
+                        continue
+                    j, k, extra, parts = coeff
+                    if j not in powers:
+                        slope = mpmath.mpf(self.num[j].slope)
+                        powers[j] = [0, mz ** (self.num[j].shift / slope),
+                                     mz ** (1 / slope)]
+                    power = powers[j]
+                    while power[0] < k:
+                        power[0] += 1
+                        power[1] *= power[2]
+                    if extra:  # a split pole, see _exact_coefficient
+                        with mpmath.workdps(dps + extra):
+                            log_w = mpmath.log(mz)
+                            total += power[1] * sum(
+                                c * mpmath.exp(-offset * log_w)
+                                * (1 if b is None else b - log_w)
+                                for offset, c, b in parts)
+                        continue
+                    (_, c, bracket), = parts  # one part, at offset 0
+                    term = c * power[1]
+                    if bracket is not None:
+                        term *= bracket - log_mz
+                    total += term
+                done = n
+                if total and not np.all(logs[-3:] < _LN_EPS + ln_abs(total)):
+                    if n >= _MAX_TERMS:
+                        raise NonConverged(f"residue series not converged "
+                                           f"after {_MAX_TERMS} terms")
+                    logs = self.log_terms(min(2 * n, _MAX_TERMS),
+                                          np.array([log_z]))[0][:, 0]
+            return total, float(np.max(logs))
+
+        hint = _DPS_STEP * math.ceil((25 + 1.2 * lost_digits) / _DPS_STEP)
+        return float(mp_sum(sum_at, hint))
 
 
 @lru_cache(maxsize=128)
@@ -288,7 +323,8 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     the terms for all z are summed at once in floats; each z stops after
     three successive terms below 1e-16 of its partial sum.  A z that
     loses more than two digits to cancellation is re-summed with mpmath
-    (_ResidueTable.exact_sum), the float parameters taken as exact.
+    (_ResidueTable.exact_sum), the float parameters taken as exact, which
+    confirms both its term count and its precision.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(zs > 0):
@@ -298,14 +334,8 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     cols = np.arange(len(log_z))
     n_terms = 32
     while True:
-        u0, order, sign, log_c, bracket = table.arrays(n_terms)
-        term_log = log_c[:, None] - u0[:, None] * log_z
-        term_sign = sign[:, None] * np.ones_like(term_log)
-        double = order == 2
+        term_log, term_sign = table.log_terms(n_terms, log_z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            factor = bracket[double, None] - log_z
-            term_sign[double] *= np.sign(factor)
-            term_log[double] += np.log(np.abs(factor))
             # a zero term (sign 0) has log -inf, so it never sets the peak
             peak = np.maximum.accumulate(term_log, axis=0)
             # scale by the first nonzero term, as a running sum does,
@@ -320,6 +350,7 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         run3 = small[2:] & small[1:-1] & small[:-2]
         done = run3.any(axis=0)
         last = np.where(done, run3.argmax(axis=0) + 2, n_terms - 1)
+        u0, order = table.arrays(n_terms)[:2]
         bad = np.flatnonzero((order < 0) | (order > 2))
         if bad.size and bad[0] <= np.max(last, initial=-1):
             what, at = order[bad[0]], u0[bad[0]]
@@ -341,10 +372,10 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                         np.where(peak > -math.inf, 16.0, 0.0))
     values = np.sign(total) * np.exp(total_log)
     for i in np.flatnonzero(lost > 2.0):
-        # alternating cancellation ate too many digits; redo the same
-        # terms in elevated precision
-        values[i] = table.exact_sum(float(zs.flat[i]), int(last[i]) + 1,
-                                    float(lost[i]))
+        # alternating cancellation ate too many digits; redo the terms
+        # in elevated precision
+        values[i] = table.exact_sum(float(zs.flat[i]),
+                                    term_log[:last[i] + 1, i], float(lost[i]))
     return _shaped_like(z, values)
 
 
@@ -579,18 +610,57 @@ def fox_h(spec: FoxHSpec, z: float, strategy: str = "auto") -> float:
 # kernel specializations
 # ---------------------------------------------------------------------------
 
-def _check_exponents(a: float, alpha: float, theta: float) -> None:
-    if a <= -1.0:
-        raise DomainError(f"weight exponent must exceed -1, got {a}")
-    if alpha <= -1.0:
-        raise DomainError(f"alpha must exceed -1, got {alpha}")
-    if theta <= 0.0:
-        raise DomainError(f"theta must be positive, got {theta}")
+def _g_factors(a, alpha, theta, n, tilde):
+    """(num, den) of G_n, or with tilde of G~_n; n=None is the hard edge.
+
+    Numerators Gamma(u) [Gamma(alpha+n+1-u)] [Gamma(theta*u - a)],
+    denominators [Gamma(n+u)] Gamma(alpha+1-u) [Gamma(a+1-theta*u)]:
+    Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, and the
+    companion moves the theta factor from the denominator to the
+    numerator as Gamma(theta*u - a).
+    """
+    num = [GammaFactor(0.0, 1.0)]
+    den = []
+    if n is not None:
+        num.append(GammaFactor(alpha + n + 1.0, -1.0))
+        den.append(GammaFactor(float(n), 1.0))
+    den.append(GammaFactor(alpha + 1.0, -1.0))
+    if tilde:
+        num.append(GammaFactor(-a, theta))
+    else:
+        den.append(GammaFactor(a + 1.0, -theta))
+    return num, den
+
+
+# the companions' factor lists under the names perfbench/refgen.py uses
+_gtn_factors = partial(_g_factors, tilde=True)
+_gtinf_factors = partial(_g_factors, n=None, tilde=True)
+
+
+def _g(a, alpha, theta, n, tilde, z, strategy):
+    """G_n, or with tilde G~_n, at z by mellin_barnes; n=None: hard edge.
+
+    A float z = 0 gives G_n's (G_inf's) residue at u = 0, its constant
+    term: the factors other than Gamma(u) at u = 0.
+    """
+    require_positive("a + 1, alpha + 1 and theta", a + 1.0, alpha + 1.0,
+                     theta)
+    if n is not None and (not isinstance(n, numbers.Integral) or n < 1):
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    num, den = _g_factors(a, alpha, theta, n, tilde)
+    if not tilde and np.ndim(z) == 0 and z == 0.0:
+        log_c = 0.0
+        for f in num[1:]:
+            log_c += math.lgamma(f.shift)
+        for f in den:
+            log_c -= math.lgamma(f.shift)
+        return math.exp(log_c)
+    return mellin_barnes(num, den, z, strategy)[0]
 
 
 def g_n(a: float, alpha: float, theta: float, n: int, z,
         strategy: str = "auto"):
-    """Finite-N kernel polynomial G_{n,a}(z), a residue series (_gn_factors).
+    """Finite-N kernel polynomial G_{n,a}(z), a residue series (_g_factors).
 
     Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, so the series
     is a polynomial of degree n - 1, summed by mellin_barnes
@@ -598,39 +668,7 @@ def g_n(a: float, alpha: float, theta: float, n: int, z,
     (a float z = 0 gives the constant term).  strategy="hankel" integrates
     the loop contour instead (verification route).
     """
-    _check_exponents(a, alpha, theta)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if np.ndim(z) == 0 and z == 0.0:  # the residue at u = 0
-        return math.exp(math.lgamma(alpha + n + 1.0) - math.lgamma(n)
-                        - math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0))
-    return mellin_barnes(*_gn_factors(a, alpha, theta, n), z, strategy)[0]
-
-
-def _gn_factors(a, alpha, theta, n):
-    num = [GammaFactor(0.0, 1.0), GammaFactor(alpha + n + 1.0, -1.0)]
-    den = [GammaFactor(float(n), 1.0), GammaFactor(alpha + 1.0, -1.0),
-           GammaFactor(a + 1.0, -theta)]
-    return num, den
-
-
-def _gtn_factors(a, alpha, theta, n):
-    num = [GammaFactor(0.0, 1.0), GammaFactor(alpha + n + 1.0, -1.0),
-           GammaFactor(-a, theta)]
-    den = [GammaFactor(float(n), 1.0), GammaFactor(alpha + 1.0, -1.0)]
-    return num, den
-
-
-def _ginf_factors(a, alpha, theta):
-    num = [GammaFactor(0.0, 1.0)]
-    den = [GammaFactor(alpha + 1.0, -1.0), GammaFactor(a + 1.0, -theta)]
-    return num, den
-
-
-def _gtinf_factors(a, alpha, theta):
-    num = [GammaFactor(0.0, 1.0), GammaFactor(-a, theta)]
-    den = [GammaFactor(alpha + 1.0, -1.0)]
-    return num, den
+    return _g(a, alpha, theta, n, False, z, strategy)
 
 
 def g_tilde_n(a: float, alpha: float, theta: float, n: int, z,
@@ -643,8 +681,7 @@ def g_tilde_n(a: float, alpha: float, theta: float, n: int, z,
     integrates the loop contour instead (verification route; see
     mellin_barnes).
     """
-    _check_exponents(a, alpha, theta)
-    return mellin_barnes(*_gtn_factors(a, alpha, theta, n), z, strategy)[0]
+    return _g(a, alpha, theta, n, True, z, strategy)
 
 
 def g_inf(a: float, alpha: float, theta: float, z,
@@ -652,15 +689,12 @@ def g_inf(a: float, alpha: float, theta: float, z,
     """Hard-edge limit function: sum_k (-z)^k / (k! G(alpha+1+k) G(a+theta*k+1)).
 
     This is the residue series of the limiting contour integral
-    (_ginf_factors), and the actual N -> infinity limit of the rescaled
-    G_{N,a}; z is a float or an ndarray of positive values, as in
+    (_g_factors with n=None), and the actual N -> infinity limit of the
+    rescaled G_{N,a}; z is a float or an ndarray of positive values, as in
     mellin_barnes (a float z = 0 gives the first term).  strategy="hankel"
     integrates the loop contour instead (verification route).
     """
-    _check_exponents(a, alpha, theta)
-    if np.ndim(z) == 0 and z == 0.0:  # the series is its first term
-        return math.exp(-math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0))
-    return mellin_barnes(*_ginf_factors(a, alpha, theta), z, strategy)[0]
+    return _g(a, alpha, theta, None, False, z, strategy)
 
 
 def g_tilde_inf(a: float, alpha: float, theta: float, z,
@@ -671,5 +705,4 @@ def g_tilde_inf(a: float, alpha: float, theta: float, z,
     logarithmic residues where they coincide; strategy="hankel"
     integrates the loop contour instead (see mellin_barnes).
     """
-    _check_exponents(a, alpha, theta)
-    return mellin_barnes(*_gtinf_factors(a, alpha, theta), z, strategy)[0]
+    return _g(a, alpha, theta, None, True, z, strategy)

@@ -21,7 +21,8 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
-from .numerics import gauss_jacobi, refine_quadrature, tanh_sinh_01
+from .numerics import (gauss_jacobi, ln_abs, mp_sum, refine_quadrature,
+                       require_positive, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
 
 _SINGULAR_TOL = 1e-12
 _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
+_ROUTES = ("tintegral", "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +95,7 @@ def _i1s(params: EnsembleParams, exponent: float, c: float):
 def cd_kernel(params: EnsembleParams, x: float, y: float,
               strategy: str = "sum") -> float:
     """CD kernel K_N(x, y); strategies sum | tintegral."""
-    if x <= 0 or y <= 0:
-        raise DomainError("kernel arguments must be positive")
+    require_positive("kernel arguments", x, y)
     if strategy == "sum":
         return _cd_contract(params, _powers(params, math.log2(x)),
                             _powers(params, math.log2(y)))
@@ -106,8 +107,7 @@ def cd_kernel(params: EnsembleParams, x: float, y: float,
 
 def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> float:
     """N^{-2(alpha+1)} K_N(X N^{-2/theta}, Y N^{-2/theta}) without under/overflow."""
-    if x_hard <= 0 or y_hard <= 0:
-        raise DomainError("kernel arguments must be positive")
+    require_positive("kernel arguments", x_hard, y_hard)
     # N^{-2 l} enters through the log of each power, never by itself
     shift = -2.0 / params.theta * math.log2(params.n)
     return _cd_contract(params, _powers(params, math.log2(x_hard) + shift),
@@ -217,10 +217,7 @@ def i1_integral(beta: float, c: float) -> float:
     integral; above it, y = c + s gives a shifted Laguerre one.  Raises
     ComplexityError when y^beta overflows a double (beta above ~115).
     """
-    if c <= 0:
-        raise DomainError("c must be positive")
-    if beta <= -1.0:
-        raise DomainError("beta must exceed -1")
+    require_positive("c and beta + 1", c, beta + 1.0)
 
     def lower(order: int) -> float:
         rule = gauss_jacobi(order, beta)
@@ -242,14 +239,22 @@ def i1_integral(beta: float, c: float) -> float:
             f"(c = {c:g})") from None
 
 
+def _exp(x: float) -> float:
+    """e^x, or ComplexityError where it leaves double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ComplexityError(f"e^{x:g} overflows a double; the "
+                              f"t-integral route cannot carry it") from None
+
+
 def k01(params: EnsembleParams, x: float, xp: float,
         route: str = "tintegral") -> float:
     """K01(x, x') = integral of K_N(x, y) y^b e^{-y} / (x' + y) dy."""
-    if x <= 0 or xp <= 0:
-        raise DomainError("kernel arguments must be positive")
+    require_positive("kernel arguments", x, xp)
     a, b, theta, n = params.a, params.b, params.theta, params.n
     if route == "tintegral":
-        return math.exp(xp) * _kernel(a, b, theta, n, "K01", x, xp)
+        return _exp(xp) * _kernel(a, b, theta, n, "K01", x, xp)
     if route == "direct":
         return _cd_contract(params, _powers(params, math.log2(x)),
                             _i1s(params, b, xp))
@@ -259,11 +264,10 @@ def k01(params: EnsembleParams, x: float, xp: float,
 def k10(params: EnsembleParams, y: float, yp: float,
         route: str = "tintegral") -> float:
     """K10(y, y') = integral of K_N(x, y') x^a e^{-x} / (x + y) dx."""
-    if y <= 0 or yp <= 0:
-        raise DomainError("kernel arguments must be positive")
+    require_positive("kernel arguments", y, yp)
     a, b, theta, n = params.a, params.b, params.theta, params.n
     if route == "tintegral":
-        return math.exp(y) * _kernel(a, b, theta, n, "K10", y, yp)
+        return _exp(y) * _kernel(a, b, theta, n, "K10", y, yp)
     if route == "direct":
         return _cd_contract(params, _i1s(params, a, y),
                             _powers(params, math.log2(yp)))
@@ -286,9 +290,7 @@ def _k11_inc_core(a: float, b: float, alpha: float, theta: float, n: int,
     Dropping the incomplete-gamma tails is only valid asymptotically, so
     this exact form replaces the companion-function product here.
     """
-    # the double sum cancels roughly as 16^N (each factor contributes ~4^N),
-    # so precision must grow with N for the O(1) result to survive
-    with mpmath.workdps(40 + int(1.5 * n)):
+    def double_sum():
         # exponents like theta*j must be formed in working precision: the
         # sum cancels ~4^N deep, and rounding each exponent to a double
         # independently perturbs the terms incoherently, which shows up
@@ -313,7 +315,14 @@ def _k11_inc_core(a: float, b: float, alpha: float, theta: float, n: int,
         for j in range(n):
             for k in range(n):
                 total += ay[j] * bx[k] / (al + (1 + j + k))
-    return total
+        # no term exceeds the largest of each column over the smallest
+        # denominator, 1 + alpha
+        peak = max(map(abs, ay)) * max(map(abs, bx)) / (al + 1)
+        return total, ln_abs(peak)
+
+    # the double sum cancels roughly as 16^N (each factor contributes
+    # ~4^N), so the precision hint grows with N
+    return mp_sum(double_sum, 40 + int(1.5 * n))
 
 
 def k11(params: EnsembleParams, y: float, x: float,
@@ -323,8 +332,7 @@ def k11(params: EnsembleParams, y: float, x: float,
     At finite N the "tintegral" route is no t-integral: it is the exact
     incomplete-gamma double sum of _k11_inc_core, evaluated in mpmath.
     """
-    if y <= 0 or x <= 0:
-        raise DomainError("kernel arguments must be positive")
+    require_positive("kernel arguments", y, x)
     if x + y < _SINGULAR_TOL:
         raise SingularPointError("x + y below the singularity cutoff")
     a, b, theta, n = params.a, params.b, params.theta, params.n
@@ -346,6 +354,9 @@ def hatted(params: EnsembleParams, kind: str, p1: float, p2: float,
     K00 is unchanged; the others are multiplied by the one-point weights
     of their integrated species.
     """
+    if route not in _ROUTES:
+        raise DomainError(f"unknown route {route!r}; choose from "
+                          f"{'|'.join(_ROUTES)}")
     a, b = params.a, params.b
     if kind == "K00":
         return cd_kernel(params, p1, p2)
@@ -369,8 +380,7 @@ def hard_edge_kernel(a: float, b: float, theta: float, kind: str,
 
     K00: (X, Y); K01: (X, X'); K10: (Y, Y'); K11 smooth part: (Y, X).
     """
-    if x1 <= 0 or x2 <= 0:
-        raise DomainError("kernel arguments must be positive")
+    require_positive("kernel arguments", x1, x2)
     return _kernel(a, b, theta, None, kind, x1, x2)
 
 

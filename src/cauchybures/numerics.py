@@ -2,7 +2,8 @@
 
 Overflow-safe signed-log scalars, complex log-gamma, Gauss-Jacobi and
 Gauss-Laguerre rules, a tensor rule for 2D moment integrals with the
-1/(x+y) factor absorbed, and Pfaffians of skew-symmetric matrices.
+1/(x+y) factor absorbed, Pfaffians of skew-symmetric matrices, and the
+one mpmath summation rule (`mp_sum`) whose precision checks itself.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+import mpmath
 import numpy as np
 from scipy.special import loggamma as _cloggamma
 from scipy.special import roots_genlaguerre, roots_jacobi
@@ -24,6 +26,9 @@ __all__ = [
     "SimplexRule",
     "log_gamma_complex",
     "lgamma_signed",
+    "ln_abs",
+    "mp_sum",
+    "require_positive",
     "gauss_jacobi",
     "gauss_laguerre",
     "simplex_quad_2d",
@@ -34,6 +39,19 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+# mpmath sums run at a multiple of this many digits, so that one cached
+# coefficient list serves a range of cancellation depths
+_DPS_STEP = 16
+# digits an mpmath sum keeps beyond those its cancellation eats, and the
+# working precision past which it gives up
+_SPARE_DIGITS = 20
+_MAX_DPS = 512
+
+
+def require_positive(what: str, *values: float) -> None:
+    """Raise DomainError unless every value is finite and positive."""
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise DomainError(f"{what} must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +116,43 @@ class LogValue:
         if acc == 0.0:
             return LogValue.zero()
         return LogValue(1 if acc > 0 else -1, m + math.log(abs(acc)))
+
+
+# ---------------------------------------------------------------------------
+# mpmath sums
+# ---------------------------------------------------------------------------
+
+def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP):
+    """An mpmath sum at a working precision its own cancellation confirms.
+
+    sum_at() sums at the current mpmath precision and returns (total,
+    log_peak), log_peak the natural log of the largest |term| (or of a
+    bound on it).  The first sum runs at `dps` digits, a hint.  While the
+    digits lost, log10(peak / |total|), leave fewer than _SPARE_DIGITS of
+    the working precision, the sum runs again at the _DPS_STEP multiple
+    that would leave them; past _MAX_DPS it raises NonConverged.  Returns
+    the mpmath total, which the caller rounds; a total of exactly zero is
+    returned at once.
+    """
+    while True:
+        with mpmath.workdps(dps):
+            total, log_peak = sum_at()
+        if not total:
+            return total
+        lost = (log_peak - ln_abs(total)) / math.log(10.0)
+        if dps - lost >= _SPARE_DIGITS:
+            return total
+        dps = _DPS_STEP * math.ceil((lost + _SPARE_DIGITS) / _DPS_STEP)
+        if dps > _MAX_DPS:
+            raise NonConverged(f"mpmath sum loses {lost:.0f} digits; "
+                               f"more than {_MAX_DPS} would be needed")
+
+
+def ln_abs(x) -> float:
+    """ln |x| of a nonzero mpmath number, through a double where x is one
+    (far cheaper than an mpmath log at the working precision)."""
+    f = abs(float(x))
+    return math.log(f) if 0.0 < f < math.inf else float(mpmath.log(abs(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ coefficient of its defining (bordered) Pfaffian is a Schur Pfaffian.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +18,7 @@ from scipy.special import gamma
 
 from .exceptions import DomainError
 from .ensembles import EnsembleParams, _log_schur, moment_c, partition_cauchy
-from .numerics import LogValue
+from .numerics import LogValue, ln_abs, mp_sum
 
 __all__ = [
     "PolySeries",
@@ -33,7 +34,9 @@ __all__ = [
     "phi_bures",
 ]
 
-_MAX_DEGREE = 20
+# the determinant forms miss 1e-8 from degree 5 on (8e-5 at degree 8,
+# 1e-1 at degree 10): the float moment determinant is ill-conditioned
+_MAX_DEGREE = 5
 _NO_TERM = -(1 << 40)  # binary exponent of the empty entries (l > m)
 
 
@@ -123,32 +126,35 @@ def coeff_c(n: int, l: int, alpha: float) -> float:
 
 
 def jacobi_series_value(n: int, alpha: float, x: float) -> float:
-    """Value of sum_l c_{n,l} x^l, summed at a fixed thirty digits.
+    """Value of sum_l c_{n,l} x^l, summed in mpmath (numerics.mp_sum).
 
     The alternating coefficients reach ~1e6 by n = 12 while the value
     stays order one, so a plain double-precision sum cannot do better
-    than ~1e-10 absolute; thirty working digits restore full accuracy.
+    than ~1e-10 absolute; mp_sum raises the working precision until the
+    digits the cancellation eats leave enough.
     """
-    _check_degree(n, "thirty digits no longer cover the cancellation")
-    with mpmath.workdps(30):
+    _check_degree(n)
+
+    def series():
         al = mpmath.mpf(alpha)
         xm = mpmath.mpf(x)
         total = mpmath.mpf(0)
+        peak = mpmath.mpf(0)
         for l in range(n + 1):
-            c = (mpmath.gamma(al + n + l + 1)
-                 / (mpmath.factorial(l) * mpmath.factorial(n - l)
-                    * mpmath.gamma(al + l + 1)))
-            total += (-1) ** l * c * xm ** l
-        return float(total)
+            term = ((-1) ** l * mpmath.gamma(al + n + l + 1)
+                    / (mpmath.factorial(l) * mpmath.factorial(n - l)
+                       * mpmath.gamma(al + l + 1)) * xm ** l)
+            total += term
+            peak = max(peak, abs(term))
+        return total, ln_abs(peak)
+
+    return float(mp_sum(series))
 
 
-def _check_degree(n: int, limited_by: str = "") -> None:
-    """Refuse n < 0, and n >= _MAX_DEGREE where limited_by says why."""
-    if n < 0:
-        raise DomainError("degree must be non-negative")
-    if limited_by and n >= _MAX_DEGREE:
-        raise DomainError(f"degree {n} refused: {limited_by} "
-                          f"(limit {_MAX_DEGREE})")
+def _check_degree(n: int) -> None:
+    """Refuse a degree that is not a non-negative integer."""
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"degree must be a non-negative integer, got {n!r}")
 
 
 def p_hat(params: EnsembleParams, n: int) -> PolySeries:
@@ -206,7 +212,10 @@ def monic_pair(params: EnsembleParams, n: int
 
 def _det_form(params: EnsembleParams, n: int, x, transpose: bool) -> float:
     """Bordered moment determinant with the sqrt(h_n/(theta Z_n Z_{n+1})) factor."""
-    _check_degree(n, "the moment determinant is ill-conditioned")
+    _check_degree(n)
+    if n >= _MAX_DEGREE:
+        raise DomainError(f"degree {n} refused: the moment determinant is "
+                          f"ill-conditioned (limit {_MAX_DEGREE})")
     m = np.empty((n + 1, n + 1))
     for i in range(n + 1):
         for j in range(n):

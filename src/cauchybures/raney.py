@@ -70,9 +70,10 @@ def sz_density(x) -> float:
     inside = arr < SZ_EDGE
     xi = arr[inside]
     w = SZ_EDGE / xi
-    root = np.sqrt(w * w - 1.0)
-    out[inside] = ((w + root) ** (2.0 / 3.0) - (w - root) ** (2.0 / 3.0)) \
-        / (2.0 * math.pi * math.sqrt(3.0))
+    # w + sqrt(w^2 - 1) and its inverse w - sqrt(w^2 - 1), without forming
+    # w^2, which overflows for x below ~1e-154
+    s = (w + np.sqrt(w - 1.0) * np.sqrt(w + 1.0)) ** (2.0 / 3.0)
+    out[inside] = (s - 1.0 / s) / (2.0 * math.pi * math.sqrt(3.0))
     if np.any(arr == SZ_EDGE):
         out[arr == SZ_EDGE] = 0.0
     return out if out.ndim else float(out)

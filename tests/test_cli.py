@@ -6,11 +6,13 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
+from cauchybures import cli
 from cauchybures.cli import main
 from cauchybures.correlations import CorrelationRequest, rho_cauchy
 from cauchybures.ensembles import (EnsembleParams,
                                    partition_bures_squared_identity,
                                    partition_cauchy)
+from cauchybures.exceptions import DomainError, NonConverged
 from cauchybures.kernels import KernelGrid
 
 
@@ -67,6 +69,22 @@ class TestFoxH:
         spec = write_spec(tmp_path, EXP_SPEC)
         res = runner.invoke(main, ["foxh", spec, "--z", "-1.0"])
         assert res.exit_code == 1
+
+    def test_spec_without_left_poles_exits_one(self, runner, tmp_path):
+        # the library's DomainError, mapped once for every command
+        spec = write_spec(tmp_path, {"upper": [[0.5, 1.0]], "lower": [],
+                                     "m": 0, "n": 1})
+        res = runner.invoke(main, ["foxh", spec, "--z", "1"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "no left pole family" in res.stderr
+
+    def test_non_convergence_exits_two(self, runner, tmp_path):
+        # e^{-z} at z = 1e4 needs more terms than the series allows
+        spec = write_spec(tmp_path, EXP_SPEC)
+        res = runner.invoke(main, ["foxh", spec, "--z", "1e4"])
+        assert res.exit_code == 2
+        assert "non-convergence" in res.stderr
 
     def test_missing_file_exits_nonzero(self, runner):
         res = runner.invoke(main, ["foxh", "/nonexistent.json", "--z", "1.0"])
@@ -127,6 +145,20 @@ class TestVerify:
         assert all(item["status"] == "pass" for item in report)
         assert all(item["check_name"].startswith(suite + ".")
                    for item in report)
+
+    @pytest.mark.parametrize("error,code", [(NonConverged, 2),
+                                            (DomainError, 1)])
+    def test_library_errors_map_to_exit_codes(self, runner, monkeypatch,
+                                              error, code):
+        def failing_suite(rng, tol):
+            raise error("raised inside a check")
+            yield
+
+        monkeypatch.setitem(cli._SUITES, "numerics", failing_suite)
+        res = runner.invoke(main, ["verify", "--suite", "numerics"])
+        assert res.exit_code == code
+        assert isinstance(res.exception, SystemExit)
+        assert "raised inside a check" in res.stderr
 
     def test_unknown_suite_exits_one(self, runner):
         res = runner.invoke(main, ["verify", "--suite", "astrology"])

@@ -107,8 +107,9 @@ class TestHardEdge:
     def test_coincident_points_rejected(self):
         with pytest.raises(DomainError):
             rho_bures_hard_edge(0.3, 1.0, (0.8, 0.8))
-        with pytest.raises(DomainError):
-            rho_bures_hard_edge(0.3, 1.0, (-1.0,))
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                rho_bures_hard_edge(0.3, 1.0, (bad,))
 
 
 class TestValidationAndRecords:
@@ -120,6 +121,11 @@ class TestValidationAndRecords:
                                    (0.8,))
         with pytest.raises(DomainError):
             rho_cauchy(req_b)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_points_must_be_finite_and_positive(self, bad):
+        with pytest.raises(DomainError, match="finite and positive"):
+            CorrelationRequest("cauchy", PSET, (0.8,), (bad,))
 
     def test_brute_force_refuses_large_matrices(self):
         big_c = CorrelationRequest("cauchy", EnsembleParams(0.5, 0.7, 1.5, 3),

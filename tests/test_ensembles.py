@@ -22,7 +22,13 @@ class TestParams:
     @pytest.mark.parametrize("bad", [(-1.0, 0.0, 1.0, 2),
                                      (0.0, 0.0, 0.0, 2),
                                      (0.0, 0.0, 1.0, 0),
-                                     (-0.5, -0.5, 1.0, 2)])
+                                     (-0.5, -0.5, 1.0, 2),
+                                     (math.nan, 0.7, 1.5, 3),
+                                     (0.5, math.inf, 1.5, 3),
+                                     (0.5, 0.7, math.nan, 3),
+                                     (0.5, 0.7, math.inf, 3),
+                                     (0.5, 0.7, 1.5, 2.5),
+                                     (0.5, 0.7, 1.5, 3.0)])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(DomainError):
             EnsembleParams(*bad)

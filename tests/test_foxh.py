@@ -1,4 +1,5 @@
 """Tests for Mellin-Barnes evaluation and the kernel-building functions."""
+import functools
 import math
 
 import mpmath
@@ -179,6 +180,82 @@ class TestGNReference:
                                                                 rel=1e-14)
 
 
+def mp_reference(num, den, zs, dps=210):
+    """dps-digit sums of simple residues, the factors' floats taken as
+    exact; each left family runs until its terms at max(zs) lie dps
+    digits below their largest."""
+    with mpmath.workdps(dps):
+        zs = [mpmath.mpf(z) for z in zs]
+        totals = [mpmath.mpf(0)] * len(zs)
+        for i, f in enumerate(num):
+            if f.slope < 0:
+                continue
+            k, top = 0, mpmath.mpf(0)
+            while True:
+                u = (-mpmath.mpf(f.shift) - k) / f.slope
+                c = (-1) ** k / (mpmath.factorial(k) * f.slope)
+                for j, g in enumerate(num):
+                    if j != i:
+                        c *= mpmath.gamma(g.shift + g.slope * u)
+                for g in den:
+                    c *= mpmath.rgamma(g.shift + g.slope * u)
+                size = abs(c) * zs[-1] ** -u
+                top = max(top, size)
+                if k > 20 and size < top * mpmath.mpf(10) ** -dps:
+                    break
+                totals = [t + c * z ** -u for t, z in zip(totals, zs)]
+                k += 1
+        return totals
+
+
+# z ascending; 3000 is one of the cases that went wrong
+LARGE_ZS = sorted(float(z) for z in [*np.geomspace(1.0, 1e4, 13), 3000.0])
+# (a, alpha) per theta; a = 0.37 keeps both families of G~ apart
+HARD_EDGE_CASES = {False: {0.3: (0.3, 0.5), 0.5: (0.5, 1.2), 1.0: (0.3, 0.5)},
+                   True: {t: (0.37, 1.2) for t in (0.3, 0.5, 1.0)}}
+
+
+@functools.lru_cache(maxsize=None)
+def hard_edge_reference(a, alpha, theta, tilde):
+    """210-digit G_inf (G~_inf with tilde) at LARGE_ZS, keyed by z."""
+    num, den = foxh._g_factors(a, alpha, theta, None, tilde)
+    return dict(zip(LARGE_ZS, mp_reference(num, den, LARGE_ZS)))
+
+
+class TestLargeArgument:
+    """The mpmath re-sum confirms its terms and digits far into the
+    cancellation, where the float sum's loss estimate saturates."""
+
+    @pytest.mark.parametrize("a,alpha,theta,z", [
+        (0.3, 0.5, 0.3, 3000.0), (0.5, 1.2, 0.5, 1e4), (0.3, 0.5, 0.3, 1e4)])
+    def test_g_inf_deep_cancellation(self, a, alpha, theta, z):
+        # the float sum saw 13 digits lost here and stopped 16-40 terms
+        # early; the true loss is 30-50 digits
+        want = hard_edge_reference(a, alpha, theta, False)[z]
+        assert abs(g_inf(a, alpha, theta, z) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("tilde", [False, True])
+    def test_hard_edge_sweep(self, tilde, theta, monkeypatch):
+        # values the float sum keeps (at most two digits lost) carry its
+        # rounding, up to 2e-13 here; re-summed values meet 1e-13
+        a, alpha = HARD_EDGE_CASES[tilde][theta]
+        fn = g_tilde_inf if tilde else g_inf
+        resummed = []
+        exact_sum = foxh._ResidueTable.exact_sum
+
+        def counted(table, z, term_log, lost):
+            resummed.append(z)
+            return exact_sum(table, z, term_log, lost)
+
+        monkeypatch.setattr(foxh._ResidueTable, "exact_sum", counted)
+        for z, want in hard_edge_reference(a, alpha, theta, tilde).items():
+            resummed.clear()
+            got = fn(a, alpha, theta, z)
+            bound = 1e-13 if resummed else 1e-12
+            assert abs(got - want) <= bound * abs(want), z
+
+
 class TestArrayArguments:
     """One call on an array of z equals the same calls one z at a time."""
 
@@ -188,7 +265,7 @@ class TestArrayArguments:
         # a = 0.5, theta = 1.5: every other pole of Gamma(1.5u - 0.5) is
         # double with Gamma(u)
         "colliding": foxh._gtn_factors(0.5, 0.9, 1.5, 3),
-        "g_inf": foxh._ginf_factors(0.4, 1.2, 1.0),
+        "g_inf": foxh._g_factors(0.4, 1.2, 1.0, None, False),
     }
     # the largest z lose more than two digits to cancellation, which sends
     # them to the mpmath re-sum
@@ -201,9 +278,9 @@ class TestArrayArguments:
         resums = []
         exact_sum = foxh._ResidueTable.exact_sum
 
-        def counted(table, z, terms, lost):
+        def counted(table, z, term_log, lost):
             resums.append(z)
-            return exact_sum(table, z, terms, lost)
+            return exact_sum(table, z, term_log, lost)
 
         monkeypatch.setattr(foxh._ResidueTable, "exact_sum", counted)
         got = residue_series(num, den, self.ZS)

@@ -1,5 +1,6 @@
 """Tests for the Christoffel-Darboux kernel family and hard-edge limits."""
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -116,6 +117,39 @@ class TestAuxiliaryIntegral:
 def _bures_scaled(a, theta, n):
     """Cauchy pair (a, a+1) at N = n and the hard-edge scale N^{-2/theta}."""
     return EnsembleParams(a, a + 1.0, theta, n), n ** (-2.0 / theta)
+
+
+class TestEntryPointValidation:
+    P = EnsembleParams(0.5, 0.7, 1.5, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_points_must_be_finite_and_positive(self, bad):
+        p = self.P
+        for fn in (lambda x, y: cd_kernel(p, x, y),
+                   lambda x, y: cd_hard_scaled(p, x, y),
+                   lambda x, y: k01(p, x, y), lambda x, y: k10(p, x, y),
+                   lambda x, y: k11(p, x, y),
+                   lambda x, y: hard_edge_kernel(0.5, 0.7, 1.5, "K00", x, y)):
+            for x, y in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(DomainError, match="finite and positive"):
+                    fn(x, y)
+
+    @pytest.mark.parametrize("beta,c", [(math.nan, 1.0), (0.5, math.nan),
+                                        (0.5, math.inf), (-1.0, 1.0)])
+    def test_i1_integral_arguments(self, beta, c):
+        with pytest.raises(DomainError):
+            i1_integral(beta, c)
+
+    def test_exponential_weight_overflow_is_typed(self):
+        p = self.P
+        for call in (lambda: k01(p, 1.0, 800.0), lambda: k10(p, 800.0, 1.0),
+                     lambda: hatted(p, "K01", 1.0, 800.0)):
+            with pytest.raises(ComplexityError, match="overflows"):
+                call()
+
+    def test_hatted_rejects_unknown_route(self):
+        with pytest.raises(DomainError, match="unknown route"):
+            hatted(self.P, "K00", 1.0, 1.0, route="nonsense")
 
 
 class TestSkewKernelBlocks:

@@ -61,6 +61,23 @@ class TestJacobiConnection:
             scale = np.max(np.abs(rec))
             assert np.max(np.abs(series - rec)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.8, 2.3])
+    def test_series_matches_80_digit_sums_to_degree_60(self, alpha):
+        # no degree refusal: the re-sum takes as many digits as the
+        # cancellation (~0.6 n digits at x = 1) eats
+        for n in (0, 7, 19, 20, 33, 47, 60):
+            with mpmath.workdps(80):
+                al = mpmath.mpf(alpha)
+                coeffs = [(-1) ** l * mpmath.gamma(al + n + l + 1)
+                          / (mpmath.factorial(l) * mpmath.factorial(n - l)
+                             * mpmath.gamma(al + l + 1))
+                          for l in range(n + 1)]
+            for x in np.linspace(0.0, 1.0, 5):
+                with mpmath.workdps(80):
+                    want = mpmath.polyval(coeffs[::-1], x)
+                got = jacobi_series_value(n, alpha, float(x))
+                assert abs(got - want) <= 1e-13 * max(abs(want), 1), (n, x)
+
     def test_double_precision_coefficients_at_small_degree(self):
         # the plain-float coefficient route is exact while the
         # alternating coefficients stay small
@@ -104,12 +121,26 @@ class TestDegreeRange:
         assert max(abs(g / float(w) - 1.0) for g, w in zip(got, want)) < 1e-13
 
     def test_refusal_stays_where_accuracy_runs_out(self):
+        # the determinant forms' pair product is off by up to 1.1e-11 at
+        # degree 4 and 5e-8 at degree 5, past the 1e-8 asked of it
         p = EnsembleParams(0.5, 0.7, 1.5, 21)
-        with pytest.raises(DomainError, match="ill-conditioned"):
-            p_hat_det(p, 20, 0.5)
-        with pytest.raises(DomainError, match="thirty digits"):
-            jacobi_series_value(20, 0.8, 0.37)
+        x, y = 0.7, 1.3
+        direct = (float(poly_eval(p_hat(p, 4), x))
+                  * float(poly_eval(q_hat(p, 4), y)))
+        assert p_hat_det(p, 4, x) * q_hat_det(p, 4, y) == pytest.approx(
+            direct, rel=1e-8)
+        for det_form in (p_hat_det, q_hat_det):
+            with pytest.raises(DomainError, match="ill-conditioned"):
+                det_form(p, 5, 0.5)
         assert len(phi_bures(p, 79).coeffs) == 80
+
+    @pytest.mark.parametrize("n", [2.5, -1])
+    def test_degree_must_be_a_non_negative_integer(self, n):
+        p = EnsembleParams(0.5, 0.7, 1.5, 3)
+        for call in (lambda: p_hat(p, n), lambda: jacobi_series_value(n, 0.8,
+                                                                      0.5)):
+            with pytest.raises(DomainError, match="non-negative integer"):
+                call()
 
 
 class TestDeterminantForms:

@@ -73,6 +73,12 @@ class TestDensity:
         assert sz_density(x) == pytest.approx(
             density_asymptote(1.5, 0.5, x), rel=0.02)
 
+    def test_asymptote_holds_where_w_squared_overflows(self):
+        # x < 1e-154 puts (SZ_EDGE / x)^2 past double range
+        for x in (1e-150, 1e-200, 1e-300):
+            assert sz_density(x) == pytest.approx(
+                density_asymptote(1.5, 0.5, x), rel=1e-12)
+
     def test_asymptote_power_is_two_thirds(self):
         # f(x) ~ const * x^{-2/3} near the origin
         ratio = (density_asymptote(1.5, 0.5, 1e-6)
