@@ -5,6 +5,7 @@ non-convergence, 3 verification failure.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -107,7 +108,7 @@ def foxh(spec_file, zs, out):
 # kernel-grid
 # ---------------------------------------------------------------------------
 
-_FINITE_KINDS = ("K00", "K01", "K10", "K11")
+_FINITE_KINDS = tuple(kernels._TILDE)
 _HARD_KINDS = tuple("hard-" + k for k in _FINITE_KINDS)
 
 
@@ -144,21 +145,12 @@ def kernel_grid(a, b, theta, n, kind, grid_min, grid_max, grid_count,
         "grid_count": grid_count, "grid_scale": grid_scale, "format": fmt,
     }}
     if kind in _FINITE_KINDS:
-        params = ensembles.EnsembleParams(a, b, theta, n)
-        if kind == "K00":
-            def ev(x, y):
-                return kernels.cd_kernel(params, x, y)
-        else:
-            fn = {"K01": kernels.k01, "K10": kernels.k10,
-                  "K11": kernels.k11}[kind]
-
-            def ev(x, y):
-                return fn(params, x, y)
+        fn = {"K00": kernels.cd_kernel, "K01": kernels.k01,
+              "K10": kernels.k10, "K11": kernels.k11}[kind]
+        ev = functools.partial(fn, ensembles.EnsembleParams(a, b, theta, n))
     else:
-        base = kind.split("-", 1)[1]
-
-        def ev(x, y):
-            return kernels.hard_edge_kernel(a, b, theta, base, x, y)
+        ev = functools.partial(kernels.hard_edge_kernel, a, b, theta,
+                               kind.removeprefix("hard-"))
     grid = kernels.make_grid(kind, axis, axis, ev, params=config)
     text = grid.to_csv() if fmt == "csv" else grid.to_json()
     if out:

@@ -65,25 +65,18 @@ class CorrelationRequest:
 # ---------------------------------------------------------------------------
 
 def rho_cauchy(req: CorrelationRequest, route: str = "direct") -> float:
-    """(r, s)-correlation as the hatted-kernel block determinant."""
+    """(r, s)-correlation as the hatted-kernel block determinant.
+
+    Over the points xs + ys, entry (i, j) is the hatted kernel
+    K{row i in the second species}{column j in the first species}.
+    """
     if req.model != "cauchy":
         raise DomainError("rho_cauchy requires model='cauchy'")
-    xs, ys = req.xs, req.ys
-    r, s = len(xs), len(ys)
-    if r + s == 0:
+    r, pts = len(req.xs), (*req.xs, *req.ys)
+    if not pts:
         return 1.0
-    p = req.params
-    m = np.empty((r + s, r + s))
-    for i in range(r):
-        for j in range(r):
-            m[i, j] = hatted(p, "K01", xs[i], xs[j], route)
-        for j in range(s):
-            m[i, r + j] = hatted(p, "K00", xs[i], ys[j])
-    for i in range(s):
-        for j in range(r):
-            m[r + i, j] = hatted(p, "K11", ys[i], xs[j], route)
-        for j in range(s):
-            m[r + i, r + j] = hatted(p, "K10", ys[i], ys[j], route)
+    m = [[hatted(req.params, f"K{int(i >= r)}{int(j < r)}", pi, pj, route)
+          for j, pj in enumerate(pts)] for i, pi in enumerate(pts)]
     return float(np.linalg.det(m))
 
 

@@ -370,8 +370,11 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         # digits lost; a sum that cancels to exactly zero lost all 16
         lost = np.where(total != 0.0, (peak - total_log) / math.log(10.0),
                         np.where(peak > -math.inf, 16.0, 0.0))
-    values = np.sign(total) * np.exp(total_log)
-    for i in np.flatnonzero(lost > 2.0):
+    resum = lost > 2.0
+    # the float total of a z that is re-summed can be rounding noise past
+    # double range, so it is not exponentiated
+    values = np.sign(total) * np.exp(np.where(resum, 0.0, total_log))
+    for i in np.flatnonzero(resum):
         # alternating cancellation ate too many digits; redo the terms
         # in elevated precision
         values[i] = table.exact_sum(float(zs.flat[i]),

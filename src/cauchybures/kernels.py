@@ -4,13 +4,14 @@ Every finite-N kernel is computable by two routes: the Christoffel-Darboux
 sum over the bi-orthogonal pair, with i1 transforms on its integrated
 sides (`_cd_contract`), and a t-integral of the contour functions (for
 K11 its exact incomplete-gamma form), so the routes can be played
-against each other in the tests.
+against each other in the tests.  One table of the four kinds (_TILDE)
+and one dispatcher (_finite_kernel) choose every route.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import mpmath
@@ -44,6 +45,11 @@ __all__ = [
 _SINGULAR_TOL = 1e-12
 _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
 _ROUTES = ("tintegral", "direct")
+# each kernel kind K<d1><d2>: is its first / second side integrated
+# against the Cauchy weight?  An integrated side is an i1 transform on the
+# direct route and the companion G~ in the t-integral.
+_TILDE = {"K00": (False, False), "K01": (False, True),
+          "K10": (True, False), "K11": (True, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +100,9 @@ def _i1s(params: EnsembleParams, exponent: float, c: float):
 
 def cd_kernel(params: EnsembleParams, x: float, y: float,
               strategy: str = "sum") -> float:
-    """CD kernel K_N(x, y); strategies sum | tintegral."""
-    require_positive("kernel arguments", x, y)
-    if strategy == "sum":
-        return _cd_contract(params, _powers(params, math.log2(x)),
-                            _powers(params, math.log2(y)))
-    if strategy == "tintegral":
-        return _kernel(params.a, params.b, params.theta, params.n, "K00",
-                       x, y)
-    raise DomainError(f"unknown strategy {strategy!r}")
+    """CD kernel K_N(x, y); strategies sum (the direct route) | tintegral."""
+    return _finite_kernel(params, "K00", x, y,
+                          "direct" if strategy == "sum" else strategy)
 
 
 def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> float:
@@ -151,59 +151,49 @@ def _g_fn(tilde: bool, a: float, alpha: float, theta: float,
     return lambda z: g(a, alpha, theta, n, z)
 
 
-def _gg_jacobi_integral(a: float, b: float, alpha: float, theta: float,
-                        n: Optional[int], u: float, v: float) -> float:
-    """integral_0^1 t^alpha G_a(t u) G_b(t v) dt by Gauss-Jacobi refinement.
+def _gg_jacobi_integral(alpha: float, f1: Callable, z1: float, f2: Callable,
+                        z2: float, start_order: int) -> float:
+    """integral_0^1 t^alpha f1(t z1) f2(t z2) dt by Gauss-Jacobi refinement.
 
-    G is G_n, or the hard-edge G_inf for n=None; both are entire, so the
-    t^alpha weight is the only endpoint behavior.  Callers apply theta.
+    For entire f1, f2 (G_n, G_inf), whose only endpoint behavior is the
+    t^alpha weight.
     """
-    g1 = _g_fn(False, a, alpha, theta, n)
-    g2 = _g_fn(False, b, alpha, theta, n)
-
     def value_at(order: int) -> float:
         rule = gauss_jacobi(order, alpha)
-        return float(rule.weights @ (g1(rule.nodes * u) * g2(rule.nodes * v)))
+        return float(rule.weights @ (f1(rule.nodes * z1) * f2(rule.nodes * z2)))
 
-    return refine_quadrature(
-        value_at, start_order=16 if n is None else max(16, n + 4))
-
-
-# which factor of each kind is the companion G~ (first, second)
-_TILDE = {"K01": (False, True), "K10": (True, False), "K11": (True, True)}
+    return refine_quadrature(value_at, start_order)
 
 
 def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
             x1: float, x2: float):
     """Exponent-free kernel of the pair (a, b): finite n, or n=None.
 
-    With alpha = (a+b+1)/theta - 1 and u_i = x_i^theta:
-      K00: theta int_0^1 t^alpha G_a(t u1) G_b(t u2) dt (Gauss-Jacobi),
-      K01: theta x2^b int t^alpha G_a G~_b,  K10: theta x1^a int t^alpha
-      G~_a G_b,  K11: theta x1^a x2^b int t^alpha G~_a G~_b (tanh-sinh).
-    G, G~ are G_n, G~_n, or the hard-edge G_inf, G~_inf for n=None.  For
-    finite n the K11 smooth part is the exact residue core (mpmath value,
-    see _k11_inc_core) instead.  The finite-N K01/K10/K11 carry a further
-    e^{x2} / e^{x1} / e^{x1+x2}, which the callers apply.
+    With alpha = (a+b+1)/theta - 1 and u_i = x_i^theta this is
+    theta int_0^1 t^alpha F_a(t u1) F_b(t u2) dt, each F the companion G~
+    on an integrated side (_TILDE) and G otherwise, times x1^a and x2^b
+    for an integrated first and second side.  G, G~ are G_n, G~_n, or the
+    hard-edge G_inf, G~_inf for n=None.  With no side integrated (K00)
+    the integrand is entire and Gauss-Jacobi refinement serves, otherwise
+    tanh-sinh.  The finite-N kernels carry a further e^{x} per integrated
+    side, and their K11 is not this integral (see _finite_kernel).
     """
-    alpha = (a + b + 1.0) / theta - 1.0
-    if kind == "K00":
-        return theta * _gg_jacobi_integral(a, b, alpha, theta, n,
-                                           x1 ** theta, x2 ** theta)
     if kind not in _TILDE:
         raise DomainError(f"unknown kernel kind {kind!r}")
-    if kind == "K11" and n is not None:
-        return _k11_inc_core(a, b, alpha, theta, n, x1, x2)
+    alpha = (a + b + 1.0) / theta - 1.0
     tilde1, tilde2 = _TILDE[kind]
-    val = _gg_t_integral(alpha, _g_fn(tilde1, a, alpha, theta, n),
-                         x1 ** theta, _g_fn(tilde2, b, alpha, theta, n),
-                         x2 ** theta)
+    g1 = _g_fn(tilde1, a, alpha, theta, n)
+    g2 = _g_fn(tilde2, b, alpha, theta, n)
+    if not (tilde1 or tilde2):
+        return theta * _gg_jacobi_integral(
+            alpha, g1, x1 ** theta, g2, x2 ** theta,
+            16 if n is None else max(16, n + 4))
     weight = theta
     if tilde2:
         weight *= x2 ** b
     if tilde1:
         weight *= x1 ** a
-    return weight * val
+    return weight * _gg_t_integral(alpha, g1, x1 ** theta, g2, x2 ** theta)
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +238,49 @@ def _exp(x: float) -> float:
                               f"t-integral route cannot carry it") from None
 
 
+def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
+                   route: str) -> float:
+    """The finite-N kernel of `kind` at (p1, p2) by `route`.
+
+    "direct" contracts the Christoffel-Darboux sum with one side vector
+    per side: the powers p^{theta l} at a point, i1(a + theta l, p1) or
+    i1(b + theta l, p2) where that side is integrated (_TILDE).
+    "tintegral" is _kernel times e^{p} of each integrated side; for K11,
+    whose t-integral of G~_n G~_n holds only asymptotically, it is the
+    exact incomplete-gamma core (_k11_inc_core) in mpmath.  K11 is
+    returned without its 1/(p1 + p2) singular part.
+    """
+    require_positive("kernel arguments", p1, p2)
+    if kind == "K11" and p1 + p2 < _SINGULAR_TOL:
+        raise SingularPointError("x + y below the singularity cutoff")
+    a, b, theta, n = params.a, params.b, params.theta, params.n
+    tilde = _TILDE[kind]
+    if route == "direct":
+        val = _cd_contract(params, *(
+            _i1s(params, e, p) if t else _powers(params, math.log2(p))
+            for t, e, p in zip(tilde, (a, b), (p1, p2))))
+    elif route == "tintegral" and kind == "K11":
+        core = _k11_inc_core(a, b, params.alpha, theta, n, p1, p2)
+        return float(theta * mpmath.e ** (p1 + p2) * mpmath.mpf(p1) ** a
+                     * mpmath.mpf(p2) ** b * core - 1.0 / mpmath.mpf(p1 + p2))
+    elif route == "tintegral":
+        val = (_exp(sum(p for t, p in zip(tilde, (p1, p2)) if t))
+               * _kernel(a, b, theta, n, kind, p1, p2))
+    else:
+        raise DomainError(f"unknown route {route!r}")
+    return val - 1.0 / (p1 + p2) if kind == "K11" else val
+
+
 def k01(params: EnsembleParams, x: float, xp: float,
         route: str = "tintegral") -> float:
     """K01(x, x') = integral of K_N(x, y) y^b e^{-y} / (x' + y) dy."""
-    require_positive("kernel arguments", x, xp)
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    if route == "tintegral":
-        return _exp(xp) * _kernel(a, b, theta, n, "K01", x, xp)
-    if route == "direct":
-        return _cd_contract(params, _powers(params, math.log2(x)),
-                            _i1s(params, b, xp))
-    raise DomainError(f"unknown route {route!r}")
+    return _finite_kernel(params, "K01", x, xp, route)
 
 
 def k10(params: EnsembleParams, y: float, yp: float,
         route: str = "tintegral") -> float:
     """K10(y, y') = integral of K_N(x, y') x^a e^{-x} / (x + y) dx."""
-    require_positive("kernel arguments", y, yp)
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    if route == "tintegral":
-        return _exp(y) * _kernel(a, b, theta, n, "K10", y, yp)
-    if route == "direct":
-        return _cd_contract(params, _i1s(params, a, y),
-                            _powers(params, math.log2(yp)))
-    raise DomainError(f"unknown route {route!r}")
+    return _finite_kernel(params, "K10", y, yp, route)
 
 
 def _k11_inc_core(a: float, b: float, alpha: float, theta: float, n: int,
@@ -332,42 +341,32 @@ def k11(params: EnsembleParams, y: float, x: float,
     At finite N the "tintegral" route is no t-integral: it is the exact
     incomplete-gamma double sum of _k11_inc_core, evaluated in mpmath.
     """
-    require_positive("kernel arguments", y, x)
-    if x + y < _SINGULAR_TOL:
-        raise SingularPointError("x + y below the singularity cutoff")
-    a, b, theta, n = params.a, params.b, params.theta, params.n
-    if route == "tintegral":
-        core = _kernel(a, b, theta, n, "K11", y, x)
-        val = (theta * mpmath.e ** (x + y) * mpmath.mpf(y) ** a
-               * mpmath.mpf(x) ** b * core - 1.0 / mpmath.mpf(x + y))
-        return float(val)
-    if route == "direct":
-        return (_cd_contract(params, _i1s(params, a, y), _i1s(params, b, x))
-                - 1.0 / (x + y))
-    raise DomainError(f"unknown route {route!r}")
+    return _finite_kernel(params, "K11", y, x, route)
 
 
 def hatted(params: EnsembleParams, kind: str, p1: float, p2: float,
            route: str = "tintegral") -> float:
     """Weight-dressed kernels absorbing the correlation prefactors.
 
-    K00 is unchanged; the others are multiplied by the one-point weights
-    of their integrated species.
+    Each integrated side (_TILDE) is multiplied by the one-point weight
+    e^{-p} p^e at its point p, e = b on the first side and a on the
+    second; K00 is unchanged (always the CD sum).
     """
     if route not in _ROUTES:
         raise DomainError(f"unknown route {route!r}; choose from "
                           f"{'|'.join(_ROUTES)}")
-    a, b = params.a, params.b
+    if kind not in _TILDE:
+        raise DomainError(f"unknown kernel kind {kind!r}")
     if kind == "K00":
         return cd_kernel(params, p1, p2)
-    if kind == "K01":
-        return math.exp(-p2) * p2 ** a * k01(params, p1, p2, route)
-    if kind == "K10":
-        return math.exp(-p1) * p1 ** b * k10(params, p1, p2, route)
-    if kind == "K11":
-        return (math.exp(-(p1 + p2)) * p2 ** a * p1 ** b
-                * k11(params, p1, p2, route))
-    raise DomainError(f"unknown kernel kind {kind!r}")
+    tilde1, tilde2 = tilde = _TILDE[kind]
+    weight = math.exp(-sum(p for t, p in zip(tilde, (p1, p2)) if t))
+    if tilde2:
+        weight *= p2 ** params.a
+    if tilde1:
+        weight *= p1 ** params.b
+    return weight * {"K01": k01, "K10": k10, "K11": k11}[kind](
+        params, p1, p2, route)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +431,6 @@ class KernelGrid:
     xs: list
     ys: list
     values: list  # row-major, len(xs) rows of len(ys)
-    scaling: dict = field(default_factory=dict)
 
     def __post_init__(self):
         xs, ys = np.asarray(self.xs), np.asarray(self.ys)
@@ -447,8 +445,7 @@ class KernelGrid:
             raise NonConverged("non-finite kernel value on the grid")
 
     def to_csv(self) -> str:
-        meta = {"kind": self.kind, "params": self.params,
-                "scaling": self.scaling}
+        meta = {"kind": self.kind, "params": self.params}
         lines = ["# " + json.dumps(meta, sort_keys=True), "x,y,value"]
         for i, x in enumerate(self.xs):
             for j, y in enumerate(self.ys):
@@ -459,7 +456,6 @@ class KernelGrid:
         return json.dumps({
             "kind": self.kind,
             "params": self.params,
-            "scaling": self.scaling,
             "xs": [repr(x) for x in self.xs],
             "ys": [repr(y) for y in self.ys],
             "values": [[repr(v) for v in row] for row in self.values],
@@ -468,15 +464,14 @@ class KernelGrid:
     @classmethod
     def from_json(cls, text: str) -> "KernelGrid":
         d = json.loads(text)
-        return cls(kind=d["kind"], params=d["params"], scaling=d["scaling"],
+        return cls(kind=d["kind"], params=d["params"],
                    xs=[float(x) for x in d["xs"]],
                    ys=[float(y) for y in d["ys"]],
                    values=[[float(v) for v in row] for row in d["values"]])
 
 
 def make_grid(kind: str, xs, ys, evaluator: Callable[[float, float], float],
-              params: dict, scaling: Optional[dict] = None) -> KernelGrid:
+              params: dict) -> KernelGrid:
     values = [[float(evaluator(float(x), float(y))) for y in ys] for x in xs]
     return KernelGrid(kind=kind, params=params, xs=[float(x) for x in xs],
-                      ys=[float(y) for y in ys], values=values,
-                      scaling=scaling or {})
+                      ys=[float(y) for y in ys], values=values)

@@ -192,7 +192,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
@@ -206,30 +205,19 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=512)
-def gauss_jacobi(order: int, alpha: float) -> QuadratureRule:
-    """Gauss rule for the weight t^alpha on (0, 1), cached per argument.
+def gauss_jacobi(order: int, alpha: float, beta: float = 0.0) -> QuadratureRule:
+    """Gauss rule for the weight t^alpha (1-t)^beta on (0, 1), cached.
 
     Exact for polynomial integrands up to degree 2*order - 1.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    if alpha <= -1.0:
-        raise DomainError(f"alpha must exceed -1, got {alpha}")
-    x, w = roots_jacobi(order, 0.0, alpha)
-    nodes = 0.5 * (x + 1.0)
-    weights = w / 2.0 ** (alpha + 1.0)
-    return QuadratureRule(nodes, weights, f"jacobi(0,1) t^{alpha}")
-
-
-@lru_cache(maxsize=128)
-def gauss_jacobi_pair(order: int, alpha: float, beta: float) -> QuadratureRule:
-    """Gauss rule for the weight u^alpha (1-u)^beta on (0, 1), cached."""
     if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError("exponents must exceed -1")
+        raise DomainError(f"exponents must exceed -1, got {alpha}, {beta}")
     x, w = roots_jacobi(order, beta, alpha)
     nodes = 0.5 * (x + 1.0)
     weights = w / 2.0 ** (alpha + beta + 1.0)
-    return QuadratureRule(nodes, weights, f"jacobi(0,1) u^{alpha}(1-u)^{beta}")
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=128)
@@ -240,7 +228,7 @@ def gauss_laguerre(order: int, gamma_exp: float = 0.0) -> QuadratureRule:
     if gamma_exp <= -1.0:
         raise DomainError(f"exponent must exceed -1, got {gamma_exp}")
     x, w = roots_genlaguerre(order, gamma_exp)
-    return QuadratureRule(x, w, f"laguerre s^{gamma_exp} e^-s")
+    return QuadratureRule(x, w)
 
 
 @dataclass(frozen=True)
@@ -266,7 +254,7 @@ def simplex_quad_2d(alpha: float, beta: float, radial_order: int,
     if alpha <= -1.0 or beta <= -1.0:
         raise DomainError("exponents must exceed -1")
     rad = gauss_laguerre(radial_order, alpha + beta)
-    ang = gauss_jacobi_pair(angular_order, alpha, beta)
+    ang = gauss_jacobi(angular_order, alpha, beta)
     s = rad.nodes[:, None]
     u = ang.nodes[None, :]
     xs = (s * u).ravel()
@@ -325,7 +313,7 @@ def _tanh_sinh_level(level: int) -> QuadratureRule:
                         1.0 / (1.0 + np.exp(2.0 * arg[u > 0.0]))])
     w = np.concatenate([w, w[u > 0.0]])
     keep = (t > 0.0) & (t < 1.0)
-    return QuadratureRule(t[keep], w[keep], f"tanh-sinh level {level}")
+    return QuadratureRule(t[keep], w[keep])
 
 
 def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray], rtol: float = 1e-11,

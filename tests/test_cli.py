@@ -3,6 +3,7 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -13,7 +14,8 @@ from cauchybures.ensembles import (EnsembleParams,
                                    partition_bures_squared_identity,
                                    partition_cauchy)
 from cauchybures.exceptions import DomainError, NonConverged
-from cauchybures.kernels import KernelGrid
+from cauchybures.kernels import (KernelGrid, cd_kernel, hard_edge_kernel,
+                                 k01, k10, k11)
 
 
 @pytest.fixture
@@ -86,6 +88,15 @@ class TestFoxH:
         assert res.exit_code == 2
         assert "non-convergence" in res.stderr
 
+    def test_overflowing_float_total_exits_two(self, runner, tmp_path):
+        # at z = 800 the float total overflows before the re-sum refuses
+        # it; no RuntimeWarning may escape (an error under the test
+        # settings), the refusal exits 2
+        spec = write_spec(tmp_path, EXP_SPEC)
+        res = runner.invoke(main, ["foxh", spec, "--z", "800"])
+        assert res.exit_code == 2
+        assert "non-convergence" in res.stderr
+
     def test_missing_file_exits_nonzero(self, runner):
         res = runner.invoke(main, ["foxh", "/nonexistent.json", "--z", "1.0"])
         assert res.exit_code != 0
@@ -120,6 +131,30 @@ class TestKernelGrid:
         res = runner.invoke(main, ["kernel-grid", "--grid-min", "2.0",
                                    "--grid-max", "1.0"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("kind,fn", [
+        ("K00", cd_kernel), ("K01", k01), ("K10", k10), ("K11", k11),
+        ("hard-K01", lambda p, x, y: hard_edge_kernel(p.a, p.b, p.theta,
+                                                      "K01", x, y))])
+    def test_kind_maps_to_its_library_function(self, runner, kind, fn):
+        args = ["kernel-grid", "--a", "0.5", "--b", "0.7", "--theta", "1.5",
+                "--n", "2", "--kind", kind, "--grid-min", "0.5",
+                "--grid-max", "1.5", "--grid-count", "2"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        p = EnsembleParams(0.5, 0.7, 1.5, 2)
+        rows = [ln.split(",") for ln in res.output.splitlines()[2:]]
+        assert len(rows) == 4
+        for x, y, value in rows:
+            assert value == repr(fn(p, float(x), float(y)))
+
+    def test_log_axis_is_logspace(self, runner):
+        res = runner.invoke(main, self.ARGS + ["--grid-scale", "log",
+                                               "--format", "json"])
+        assert res.exit_code == 0
+        grid = KernelGrid.from_json(res.output)
+        want = np.logspace(math.log10(0.5), math.log10(1.5), 3)
+        assert grid.xs == grid.ys == list(want)
 
     @pytest.mark.parametrize("kind", ["K00", "hard-K01"])
     def test_csv_and_json_round_trip(self, runner, kind):

@@ -42,6 +42,18 @@ class TestCauchyAgainstBruteForce:
         assert rho_cauchy(req) == pytest.approx(brute_force_correlation(req),
                                                 rel=1e-4)
 
+    @pytest.mark.parametrize("route", ["direct", "tintegral"])
+    @pytest.mark.parametrize("xs,ys", [((0.6, 1.4), (1.1,)),
+                                       ((0.8,), (0.9, 1.7))],
+                             ids=["r2-s1", "r1-s2"])
+    def test_unequal_species_counts_n2(self, xs, ys, route):
+        # with r != s the off-diagonal blocks K00 (x rows, y columns) and
+        # K11 (y rows, x columns) have different shapes; both routes
+        # agree with brute force to 4e-13 here
+        req = CorrelationRequest("cauchy", PSET, xs, ys)
+        assert rho_cauchy(req, route) == pytest.approx(
+            brute_force_correlation(req), rel=1e-10)
+
 
 class TestBuresAgainstBruteForce:
     @pytest.mark.parametrize("a,theta", [(0.3, 1.0), (0.55, 1.3)])

@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 
 from cauchybures import foxh
 from cauchybures.ensembles import EnsembleParams
-from cauchybures.exceptions import DomainError, PoleCollisionError
+from cauchybures.exceptions import (DomainError, NonConverged,
+                                    PoleCollisionError)
 from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
                               g_tilde_inf, g_tilde_n, hankel_loop,
                               mellin_barnes, min_family_separation,
@@ -254,6 +255,15 @@ class TestLargeArgument:
             got = fn(a, alpha, theta, z)
             bound = 1e-13 if resummed else 1e-12
             assert abs(got - want) <= bound * abs(want), z
+
+    @pytest.mark.parametrize("z", [800.0, np.array([1.0, 800.0])],
+                             ids=["scalar", "array"])
+    def test_overflowing_float_total_raises_typed_error(self, z):
+        # e^{-z} at z = 800: the float total is ~e^796 of rounding noise,
+        # past double range; the re-sum refuses it with NonConverged and
+        # no RuntimeWarning (an error under the test settings) comes first
+        with pytest.raises(NonConverged):
+            residue_series([GammaFactor(0.0, 1.0)], [], z)
 
 
 class TestArrayArguments:
