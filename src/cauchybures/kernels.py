@@ -2,16 +2,18 @@
 
 Every finite-N kernel is computable by two routes: the Christoffel-Darboux
 sum over the bi-orthogonal pair, with i1 transforms on its integrated
-sides (`_cd_contract`), and a t-integral of the contour functions (for
-K11 its exact incomplete-gamma form), so the routes can be played
-against each other in the tests.  One table of the four kinds (_TILDE)
-and one dispatcher (_finite_kernel) choose every route.
+sides (`_cd_contract`), and a t-integral of the contour functions, so the
+routes can be played against each other in the tests; for K11 the second
+is an exact incomplete-gamma sum from cached O(N) vectors and guarded
+unit-step gamma chains (_k11_inc_core).  One table of the four kinds
+(_TILDE) and one dispatcher (_finite_kernel) choose every route.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import mpmath
@@ -44,7 +46,6 @@ __all__ = [
 
 _SINGULAR_TOL = 1e-12
 _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
-_ROUTES = ("tintegral", "direct")
 # each kernel kind K<d1><d2>: is its first / second side integrated
 # against the Cauchy weight?  An integrated side is an i1 transform on the
 # direct route and the companion G~ in the t-integral.
@@ -247,8 +248,9 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     i1(b + theta l, p2) where that side is integrated (_TILDE).
     "tintegral" is _kernel times e^{p} of each integrated side; for K11,
     whose t-integral of G~_n G~_n holds only asymptotically, it is the
-    exact incomplete-gamma core (_k11_inc_core) in mpmath.  K11 is
-    returned without its 1/(p1 + p2) singular part.
+    exact incomplete-gamma core in mpmath (_k11_inc_core: cached vectors,
+    _k11_side's guarded gamma chains).  K11 is returned without its
+    1/(p1 + p2) singular part.
     """
     require_positive("kernel arguments", p1, p2)
     if kind == "K11" and p1 + p2 < _SINGULAR_TOL:
@@ -260,9 +262,7 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
             _i1s(params, e, p) if t else _powers(params, math.log2(p))
             for t, e, p in zip(tilde, (a, b), (p1, p2))))
     elif route == "tintegral" and kind == "K11":
-        core = _k11_inc_core(a, b, params.alpha, theta, n, p1, p2)
-        return float(theta * mpmath.e ** (p1 + p2) * mpmath.mpf(p1) ** a
-                     * mpmath.mpf(p2) ** b * core - 1.0 / mpmath.mpf(p1 + p2))
+        val = float(_k11_inc_core(params, p1, p2))
     elif route == "tintegral":
         val = (_exp(sum(p for t, p in zip(tilde, (p1, p2)) if t))
                * _kernel(a, b, theta, n, kind, p1, p2))
@@ -283,63 +283,78 @@ def k10(params: EnsembleParams, y: float, yp: float,
     return _finite_kernel(params, "K10", y, yp, route)
 
 
-def _k11_inc_core(a: float, b: float, alpha: float, theta: float, n: int,
-                  y: float, x: float):
-    """Double residue sum for the regular part of K11, as an mpmath value.
-
-    Integrating the double-contour kernel against both resolvent factors
-    turns each gamma denominator into an upper incomplete gamma
-    Gamma(-theta*j - a, y), which is entire in the contour variable, so
-    only the Gamma(u) pole family contributes and the sum is finite:
-
-        sum_{j,k} A_j(y) B_k(x) y^{theta j} x^{theta k} / (1+alpha+j+k),
-        A_j(w) = (-1)^j/j! Gamma(alpha+N+1+j) Gamma(-theta*j - a, w)
-                 / (Gamma(N-j) Gamma(alpha+1+j)).
-
-    Dropping the incomplete-gamma tails is only valid asymptotically, so
-    this exact form replaces the companion-function product here.
-    """
-    def double_sum():
-        # exponents like theta*j must be formed in working precision: the
-        # sum cancels ~4^N deep, and rounding each exponent to a double
-        # independently perturbs the terms incoherently, which shows up
-        # at full term magnitude instead of cancelling
-        th = mpmath.mpf(theta)
+@lru_cache(maxsize=32)
+def _k11_tables(alpha: float, n: int, prec: int) -> tuple:
+    """_k11_inc_core's O(N) z-independent vectors at `prec` bits: its
+    coefficients (one vector for both sides) and h_m, m < 2N-1."""
+    with mpmath.workprec(prec):
         al = mpmath.mpf(alpha)
+        coef = [mpmath.rf(al + 1, n) / mpmath.factorial(n - 1)]
+        for j in range(n - 1):
+            coef.append(-coef[-1] * (al + n + 1 + j) * (n - 1 - j)
+                        / ((j + 1) * (al + 1 + j)))
+        return tuple(coef), tuple(1 / (al + 1 + m) for m in range(2 * n - 1))
 
-        def col(aa, w):
-            w = mpmath.mpf(w)
-            out = []
-            for j in range(n):
-                c = ((-1) ** j / mpmath.factorial(j)
-                     * mpmath.gamma(al + (n + 1 + j))
-                     / (mpmath.gamma(n - j) * mpmath.gamma(al + (1 + j))))
-                out.append(c * mpmath.gammainc(-th * j - aa, w)
-                           * w ** (th * j))
-            return out
 
-        ay = col(a, y)
-        bx = col(b, x)
-        total = mpmath.mpf(0)
-        for j in range(n):
-            for k in range(n):
-                total += ay[j] * bx[k] / (al + (1 + j + k))
-        # no term exceeds the largest of each column over the smallest
+def _k11_side(e: float, theta: float, n: int, w: float) -> list:
+    """H(s_j) = e^w w^{-s_j} Gamma(s_j, w) at s_j = -e - theta j, j < N.
+
+    Where theta = p/q exactly (the float taken as exact) with q < N,
+    H(s_j) follows from H(s_{j-q}) by p unit steps of DLMF 8.8.2,
+    H(s-1) = (w H(s) - 1)/(s-1): one gammainc seed per chain, and one
+    per j otherwise (as at theta = 1.3).  A step scales an error by w/|s-1|,
+    so the chains carry log10 of those factors' product as guard digits.
+    """
+    p, q = theta.as_integer_ratio()
+    guard = sum(max(0.0, math.log10(w / (e + theta * j + i + 1.0)))
+                for j in range(n - q) for i in range(p))
+    with mpmath.workdps(mpmath.mp.dps + math.ceil(guard)):
+        # s in working precision: the sum cancels ~4^N deep, and an
+        # exponent rounded to a double perturbs the terms incoherently
+        ww, s = mpmath.mpf(w), [-e - mpmath.mpf(theta) * j for j in range(n)]
+        out = [mpmath.exp(ww) * ww ** -s[j] * mpmath.gammainc(s[j], ww)
+               for j in range(min(q, n))]
+        for j in range(q, n):
+            out.append(out[j - q])
+            for i in range(p, 0, -1):
+                out[j] = (ww * out[j] - 1) / (s[j] + i - 1)
+    return out
+
+
+def _k11_inc_core(params: EnsembleParams, y: float, x: float):
+    """k11 + 1/(x + y) at finite N, an mpmath value: theta times
+
+        sum_{j,k<N} A_j B_k h_{j+k},  h_m = 1/(1+alpha+m),
+        A_j = (-1)^j/j! Gamma(alpha+N+1+j) / (Gamma(N-j) Gamma(alpha+1+j))
+              * H(-a - theta j) at y (_k11_side), B_k the same at b, x.
+
+    Integrating against both resolvent factors makes each gamma
+    denominator an upper incomplete gamma, entire in the contour variable:
+    only the Gamma(u) family contributes, and the sum is exact.
+    """
+    a, b, theta, n = params.a, params.b, params.theta, params.n
+
+    def double_sum():
+        coef, h = _k11_tables(params.alpha, n, mpmath.mp.prec)
+        ay, bx = ([c * g for c, g in zip(coef, _k11_side(e, theta, n, w))]
+                  for e, w in ((a, y), (b, x)))
+        total = mpmath.fdot(ay, [mpmath.fdot(h[j:j + n], bx)
+                                 for j in range(n)])
+        # no term exceeds the largest of each side over the smallest
         # denominator, 1 + alpha
-        peak = max(map(abs, ay)) * max(map(abs, bx)) / (al + 1)
-        return total, ln_abs(peak)
+        return total, ln_abs(max(map(abs, ay)) * max(map(abs, bx)) * h[0])
 
     # the double sum cancels roughly as 16^N (each factor contributes
     # ~4^N), so the precision hint grows with N
-    return mp_sum(double_sum, 40 + int(1.5 * n))
+    return theta * mp_sum(double_sum, 40 + int(1.5 * n))
 
 
 def k11(params: EnsembleParams, y: float, x: float,
         route: str = "tintegral") -> float:
     """K11(y, x): doubly integrated kernel minus the 1/(x+y) singularity.
 
-    At finite N the "tintegral" route is no t-integral: it is the exact
-    incomplete-gamma double sum of _k11_inc_core, evaluated in mpmath.
+    At finite N "tintegral" is no t-integral but the exact mpmath sum of
+    _k11_inc_core, from cached O(N) vectors and guarded gamma chains.
     """
     return _finite_kernel(params, "K11", y, x, route)
 
@@ -350,23 +365,18 @@ def hatted(params: EnsembleParams, kind: str, p1: float, p2: float,
 
     Each integrated side (_TILDE) is multiplied by the one-point weight
     e^{-p} p^e at its point p, e = b on the first side and a on the
-    second; K00 is unchanged (always the CD sum).
+    second; K00, with no side integrated, is cd_kernel by the same route.
     """
-    if route not in _ROUTES:
-        raise DomainError(f"unknown route {route!r}; choose from "
-                          f"{'|'.join(_ROUTES)}")
     if kind not in _TILDE:
         raise DomainError(f"unknown kernel kind {kind!r}")
-    if kind == "K00":
-        return cd_kernel(params, p1, p2)
     tilde1, tilde2 = tilde = _TILDE[kind]
     weight = math.exp(-sum(p for t, p in zip(tilde, (p1, p2)) if t))
     if tilde2:
         weight *= p2 ** params.a
     if tilde1:
         weight *= p1 ** params.b
-    return weight * {"K01": k01, "K10": k10, "K11": k11}[kind](
-        params, p1, p2, route)
+    kernel = {"K00": cd_kernel, "K01": k01, "K10": k10, "K11": k11}[kind]
+    return weight * kernel(params, p1, p2, route)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.foxh import g_inf, g_n, g_tilde_n
 from cauchybures.correlations import CorrelationRequest, rho_bures, rho_cauchy
-from cauchybures.kernels import (KernelGrid, cd_hard_scaled, cd_kernel,
-                                 delta_k00_inf, delta_k11_inf,
-                                 hard_edge_kernel, hatted, i1_integral, k01,
-                                 k10, k11, make_grid, sigma_k01_inf)
+from cauchybures.kernels import (KernelGrid, _k11_side, _k11_tables,
+                                 cd_hard_scaled, cd_kernel, delta_k00_inf,
+                                 delta_k11_inf, hard_edge_kernel, hatted,
+                                 i1_integral, k01, k10, k11, make_grid,
+                                 sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
 
 
@@ -150,6 +151,13 @@ class TestEntryPointValidation:
     def test_hatted_rejects_unknown_route(self):
         with pytest.raises(DomainError, match="unknown route"):
             hatted(self.P, "K00", 1.0, 1.0, route="nonsense")
+
+    @pytest.mark.parametrize("route", ["tintegral", "direct"])
+    def test_hatted_k00_takes_its_route(self, route):
+        # K00 has no weight, so hatted is cd_kernel by the same route
+        p = EnsembleParams(0.5, 0.7, 1.5, 3)
+        assert hatted(p, "K00", 0.6, 1.3, route) == cd_kernel(p, 0.6, 1.3,
+                                                              route)
 
 
 class TestSkewKernelBlocks:
@@ -384,3 +392,51 @@ class TestLargeNAgainstMpmath:
         req = CorrelationRequest("bures", EnsembleParams(a, a + 1.0, theta, n),
                                  zs)
         assert rho_bures(req) == pytest.approx(float(want), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the exact finite-N K11 core
+# ---------------------------------------------------------------------------
+
+class TestK11Core:
+    @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 1.3])
+    @pytest.mark.parametrize("c", [0.5, 3.0, 40.0])
+    def test_chains_match_gammainc(self, theta, c):
+        # H(s) = e^c c^{-s} Gamma(s, c) at s = -e - theta j, against one
+        # gammainc per j.  e = 0 seeds a chain at s = 0; at c = 40 a chain
+        # without guard digits loses 8-13 digits; theta = 1.3 has no chain.
+        # The reference runs 30 digits above the working 50, because
+        # mpmath's gammainc itself loses up to 9 at c = 40, s = -j.
+        n = 12
+        for e in (0.0, 0.7, -0.9):
+            with mpmath.workdps(50):
+                got = _k11_side(e, theta, n, c)
+            with mpmath.workdps(80):
+                th, w = mpmath.mpf(theta), mpmath.mpf(c)
+                err = max(abs(g / (mpmath.exp(w) * w ** (e + th * j)
+                                   * mpmath.gammainc(-e - th * j, w)) - 1)
+                          for j, g in enumerate(got))
+            assert err < 1e-48, (e, mpmath.nstr(err, 3))
+
+    def test_cached_tables_are_isolated(self):
+        p = EnsembleParams(0.2, 0.9, 2.0, 12)
+        want = repr(k11(p, 0.4, 0.9))
+        k11(EnsembleParams(0.2, 0.9, 2.0, 14), 0.4, 0.9)
+        for prec in (100, 700):
+            _k11_tables(p.alpha, p.n, prec)
+        assert repr(k11(p, 0.4, 0.9)) == want
+        _k11_tables.cache_clear()
+        assert repr(k11(p, 0.4, 0.9)) == want
+
+    # hard-edge-scale points x, y ~ N^{-2/theta}, where |K11| is ~1e-2 of
+    # its 1/(x+y) floor (in the bulk it is ~1e-16 of it, and a core that
+    # returned 1/(x+y) would pass); references: perfbench/mpref.k11 at
+    # 40 + 2N digits, confirmed at 30 more
+    @pytest.mark.parametrize("p,y,x,want", [
+        ((0.2, 0.9, 2.0, 80), 0.00625, 0.0125, 1.191806530817152),
+        ((0.3, 0.7, 1.5, 80), 0.00145, 0.0029, 2.5268443109391185),
+        ((0.0, 0.0, 1.0, 80), 7.81e-5, 1.5625e-4, -227.35340526040278),
+        ((0.4, 1.4, 1.3, 24), 0.00376, 0.00753, -2.5063129982434114)])
+    def test_hard_edge_scale_sweep(self, p, y, x, want):
+        assert k11(EnsembleParams(*p), y, x) == pytest.approx(
+            want, rel=0, abs=1e-15 / (x + y))
