@@ -182,12 +182,12 @@ def _checks_ensembles(rng, tol):
     yield ("cauchy_partition_n2_unit_params", abs(z2 - 1.0 / 12.0) * 12.0, tol)
     q = ensembles.EnsembleParams(0.4, 1.4, 1.3, 3)
     closed = ensembles.partition_cauchy(q)
-    det = ensembles.partition_cauchy_det(q)
+    det = ensembles.partition_cauchy(q, route="det")
     yield ("cauchy_partition_closed_vs_det",
            abs(closed.to_real() / det.to_real() - 1.0), tol)
     r = ensembles.EnsembleParams(0.4, 1.4, 1.3, 3)
     product = ensembles.partition_bures(r).to_real()
-    ident = ensembles.partition_bures_squared_identity(r).to_real()
+    ident = ensembles.partition_bures(r, route="cauchy").to_real()
     yield ("bures_partition_product_vs_identity",
            abs(product / ident - 1.0), tol)
 
@@ -218,8 +218,8 @@ def _checks_polynomials(rng, tol):
 def _checks_kernels(rng, tol):
     p = ensembles.EnsembleParams(0.5, 0.7, 1.5, 3)
     for x, y in ((0.4, 0.9), (1.3, 2.1)):
-        s = kernels.cd_kernel(p, x, y, strategy="sum")
-        t = kernels.cd_kernel(p, x, y, strategy="tintegral")
+        s = kernels.cd_kernel(p, x, y, route="direct")
+        t = kernels.cd_kernel(p, x, y, route="tintegral")
         yield (f"cd_strategy_agreement_{x}_{y}", abs(s / t - 1.0), tol)
     for x, y in ((0.6, 1.1),):
         t1 = kernels.k01(p, x, y, route="tintegral")
@@ -231,12 +231,12 @@ def _checks_correlations(rng, tol):
     p = ensembles.EnsembleParams(0.0, 0.0, 1.0, 1)
     req = correlations.CorrelationRequest("cauchy", p, (0.9,), ())
     prod = correlations.rho_cauchy(req)
-    orac = correlations.brute_force_correlation(req)
+    orac = correlations.rho_cauchy(req, route="brute")
     yield ("cauchy_rho10_vs_bruteforce", abs(prod / orac - 1.0), tol)
     pb = ensembles.EnsembleParams(0.0, 1.0, 1.0, 1)
     reqb = correlations.CorrelationRequest("bures", pb, (1.0,), ())
     prodb = correlations.rho_bures(reqb)
-    oracb = correlations.brute_force_correlation(reqb)
+    oracb = correlations.rho_bures(reqb, route="brute")
     yield ("bures_rho1_vs_bruteforce", abs(prodb / oracb - 1.0), tol)
 
 
@@ -347,7 +347,7 @@ def corr(model, a, b, theta, n, xs, ys, zs, oracle):
             _fail(1, "use --x/--y for the Cauchy model")
         p = ensembles.EnsembleParams(a, b, theta, n)
         req = correlations.CorrelationRequest("cauchy", p, xs, ys)
-        value = correlations.rho_cauchy(req)
+        rho = correlations.rho_cauchy
     else:
         if xs or ys:
             _fail(1, "use --z for the Bures model")
@@ -355,9 +355,9 @@ def corr(model, a, b, theta, n, xs, ys, zs, oracle):
             _fail(1, "--b does not apply to the Bures model (b = a + 1)")
         p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
         req = correlations.CorrelationRequest("bures", p, zs)
-        value = correlations.rho_bures(req)
-    oracle_value = (correlations.brute_force_correlation(req)
-                    if oracle else None)
+        rho = correlations.rho_bures
+    value = rho(req)
+    oracle_value = rho(req, route="brute") if oracle else None
     click.echo(correlations.correlation_record(req, value, "direct",
                                                oracle_value))
 

@@ -2,9 +2,9 @@
 
 Production formulas are the hatted-kernel block determinant (Cauchy
 two-matrix model) and the skew block Pfaffian (Bures ensemble), plus
-their hard-edge limits.  The brute-force routes integrate the defining
-eigenvalue densities directly with adaptive quadrature and exist only to
-arbitrate the formulas at small N.
+their hard-edge limits.  The brute-force routes (route="brute")
+integrate the defining eigenvalue densities directly with adaptive
+quadrature and exist only to arbitrate the formulas at small N.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ __all__ = [
     "rho_cauchy",
     "rho_bures",
     "rho_bures_hard_edge",
-    "brute_force_correlation",
     "correlation_record",
 ]
 
@@ -68,10 +67,14 @@ def rho_cauchy(req: CorrelationRequest, route: str = "direct") -> float:
     """(r, s)-correlation as the hatted-kernel block determinant.
 
     Over the points xs + ys, entry (i, j) is the hatted kernel
-    K{row i in the second species}{column j in the first species}.
+    K{row i in the second species}{column j in the first species}, by
+    the kernel route "direct" or "tintegral".  route="brute" integrates
+    the defining eigenvalue density instead (N <= 2).
     """
     if req.model != "cauchy":
         raise DomainError("rho_cauchy requires model='cauchy'")
+    if route == "brute":
+        return _brute_cauchy(req.params, req.xs, req.ys)
     r, pts = len(req.xs), (*req.xs, *req.ys)
     if not pts:
         return 1.0
@@ -109,10 +112,14 @@ def _bures_pfaffian(zs, dk11, sk01, dk00) -> float:
 def rho_bures(req: CorrelationRequest, route: str = "direct") -> float:
     """k-point Bures correlation as a Pfaffian of Cauchy-pair kernels.
 
-    The blocks are hatted kernels of the Cauchy pair (a, a+1).
+    The blocks are hatted kernels of the Cauchy pair (a, a+1), by the
+    kernel route "direct" or "tintegral".  route="brute" integrates the
+    defining eigenvalue density instead (N <= 3).
     """
     if req.model != "bures":
         raise DomainError("rho_bures requires model='bures'")
+    if route == "brute":
+        return _brute_bures(req.params, req.xs)
     p_pair = req.params.bures_pair()
 
     def hk(kind, p1, p2):
@@ -265,15 +272,6 @@ def _brute_bures(params: EnsembleParams, zs) -> float:
     for z in zs:
         pref *= weight(z)
     return pref * integral
-
-
-def brute_force_correlation(req: CorrelationRequest) -> float:
-    """Adaptive-quadrature oracle for the defining correlation integrals."""
-    if req.model == "cauchy":
-        return _brute_cauchy(req.params, req.xs, req.ys)
-    if req.model == "bures":
-        return _brute_bures(req.params, req.xs)
-    raise DomainError("brute force exists for finite-N models only")
 
 
 def correlation_record(req: CorrelationRequest, value: float, route: str,

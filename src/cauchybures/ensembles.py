@@ -2,15 +2,16 @@
 
 Covers the theta-deformed Cauchy two-matrix model and the theta-deformed
 Bures ensemble.  Every partition function is computable by two
-independent routes (closed product vs determinant, Schur product vs the
-squared identity), which the test suite cross-checks.
+independent routes, chosen by `route=` (closed product vs determinant,
+Schur product vs the squared identity), which `cli verify` and the test
+suite cross-check.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "moment_b",
     "moment_b_vec",
     "partition_cauchy",
-    "partition_cauchy_det",
     "partition_bures",
 ]
 
@@ -131,34 +131,33 @@ def _log_core_product(beta: float, theta: float, n: int,
     return log
 
 
-def partition_cauchy(params: EnsembleParams) -> LogValue:
-    """Closed product form of the Cauchy partition function.
+def partition_cauchy(params: EnsembleParams,
+                     route: str = "product") -> LogValue:
+    """Cauchy partition function by its closed product or its determinant.
 
-    Non-integer factorials are read as gamma functions:
-    (beta+k-2)! -> Gamma(beta+k-1).
+    route="product" is the closed product form; non-integer factorials
+    are read as gamma functions: (beta+k-2)! -> Gamma(beta+k-1).
+    route="det" is the moment determinant, the gamma prefactors pulled
+    out of the core det[1/(theta(beta+j+k-2))]: the core by LU for
+    n <= 8, and above that by the closed product (LU loses all digits
+    past n ~ 10), so there it is no independent check.
     """
-    return LogValue(1, _log_core_product(params.beta, params.theta, params.n,
-                                         _log_gamma_prefactor(params)))
-
-
-def _cauchy_core_logdet(beta: float, theta: float, n: int) -> LogValue:
-    """det[1/(1+a+b+theta(j+k-2))] with the gamma prefactors pulled out."""
+    beta, theta, n = params.beta, params.theta, params.n
+    if route == "product":
+        return LogValue(1, _log_core_product(beta, theta, n,
+                                             _log_gamma_prefactor(params)))
+    if route != "det":
+        raise DomainError(f"unknown route {route!r}")
     if n > 8:
-        # Cauchy-type closed product; LU loses all digits past n ~ 10
-        return LogValue(1, _log_core_product(beta, theta, n))
-    jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1),
-                         indexing="ij")
-    core = 1.0 / (theta * (beta + jj + kk - 2.0))
-    sign, logdet = np.linalg.slogdet(core)
-    if sign == 0:
-        raise SignError("singular moment core matrix")
-    return LogValue(int(sign), float(logdet))
-
-
-def partition_cauchy_det(params: EnsembleParams) -> LogValue:
-    """Determinant route: prescaled moment matrix times gamma prefactors."""
-    core = _cauchy_core_logdet(params.beta, params.theta, params.n)
-    return LogValue(core.sign, core.log_mag + _log_gamma_prefactor(params))
+        sign, logdet = 1, _log_core_product(beta, theta, n)
+    else:
+        jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1),
+                             indexing="ij")
+        core = 1.0 / (theta * (beta + jj + kk - 2.0))
+        sign, logdet = np.linalg.slogdet(core)
+        if sign == 0:
+            raise SignError("singular moment core matrix")
+    return LogValue(int(sign), float(logdet) + _log_gamma_prefactor(params))
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +177,25 @@ def _log_schur(xs) -> float:
     return math.fsum(terms)
 
 
-def partition_bures(params: EnsembleParams) -> LogValue:
-    """Bures partition function by Schur's product.
+def partition_bures(params: EnsembleParams,
+                    route: str = "schur") -> LogValue:
+    """Bures partition function by Schur's product or the squared identity.
 
-    Z^B_N is the (bordered) Pfaffian of the skew moments I^B_{j,k}, whose
-    Schur form has x_j = a + 1 + theta*(j-1); every factor of the product
-    is positive since a > -1 and theta > 0.
+    route="schur": Z^B_N is the (bordered) Pfaffian of the skew moments
+    I^B_{j,k}, whose Schur form has x_j = a + 1 + theta*(j-1); every
+    factor of the product is positive since a > -1 and theta > 0.
+    route="cauchy": sqrt(2^n Z^C_n(a, a+1; theta)), the normative
+    cross-check value.
     """
+    if route == "cauchy":
+        zc = partition_cauchy(params.bures_pair())
+        return LogValue(1, 0.5 * (params.n * math.log(2.0) + zc.log_mag))
+    if route != "schur":
+        raise DomainError(f"unknown route {route!r}")
     xs = [params.a + 1.0 + params.theta * j for j in range(params.n)]
     return LogValue(1, _log_schur(xs))
 
 
-def partition_bures_squared_identity(params: EnsembleParams) -> LogValue:
-    """sqrt(2^n Z^C_n(a, a+1; theta)): the normative cross-check value."""
-    zc = partition_cauchy(params.bures_pair())
-    return LogValue(1, 0.5 * (params.n * math.log(2.0) + zc.log_mag))
+# the verification routes under the names perfbench/tracer.py binds
+partition_cauchy_det = partial(partition_cauchy, route="det")
+partition_bures_squared_identity = partial(partition_bures, route="cauchy")

@@ -100,10 +100,9 @@ def _i1s(params: EnsembleParams, exponent: float, c: float):
 
 
 def cd_kernel(params: EnsembleParams, x: float, y: float,
-              strategy: str = "sum") -> float:
-    """CD kernel K_N(x, y); strategies sum (the direct route) | tintegral."""
-    return _finite_kernel(params, "K00", x, y,
-                          "direct" if strategy == "sum" else strategy)
+              route: str = "direct") -> float:
+    """CD kernel K_N(x, y); routes direct (the CD sum) | tintegral."""
+    return _finite_kernel(params, "K00", x, y, route)
 
 
 def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> float:
@@ -262,7 +261,7 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
             _i1s(params, e, p) if t else _powers(params, math.log2(p))
             for t, e, p in zip(tilde, (a, b), (p1, p2))))
     elif route == "tintegral" and kind == "K11":
-        val = float(_k11_inc_core(params, p1, p2))
+        return float(_k11_inc_core(params, p1, p2))
     elif route == "tintegral":
         val = (_exp(sum(p for t, p in zip(tilde, (p1, p2)) if t))
                * _kernel(a, b, theta, n, kind, p1, p2))
@@ -284,11 +283,12 @@ def k10(params: EnsembleParams, y: float, yp: float,
 
 
 @lru_cache(maxsize=32)
-def _k11_tables(alpha: float, n: int, prec: int) -> tuple:
+def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
     """_k11_inc_core's O(N) z-independent vectors at `prec` bits: its
-    coefficients (one vector for both sides) and h_m, m < 2N-1."""
+    coefficients (one vector for both sides) and h_m, m < 2N-1; alpha
+    from the float parameters taken as exact, not from a rounded double."""
     with mpmath.workprec(prec):
-        al = mpmath.mpf(alpha)
+        al = (mpmath.mpf(a) + b + 1) / theta - 1
         coef = [mpmath.rf(al + 1, n) / mpmath.factorial(n - 1)]
         for j in range(n - 1):
             coef.append(-coef[-1] * (al + n + 1 + j) * (n - 1 - j)
@@ -322,31 +322,35 @@ def _k11_side(e: float, theta: float, n: int, w: float) -> list:
 
 
 def _k11_inc_core(params: EnsembleParams, y: float, x: float):
-    """k11 + 1/(x + y) at finite N, an mpmath value: theta times
+    """k11 at finite N, an mpmath value: theta times
 
         sum_{j,k<N} A_j B_k h_{j+k},  h_m = 1/(1+alpha+m),
         A_j = (-1)^j/j! Gamma(alpha+N+1+j) / (Gamma(N-j) Gamma(alpha+1+j))
-              * H(-a - theta j) at y (_k11_side), B_k the same at b, x.
+              * H(-a - theta j) at y (_k11_side), B_k the same at b, x,
 
-    Integrating against both resolvent factors makes each gamma
+    minus 1/(x + y), subtracted in mpmath: in the bulk k11 is 1e-16 of it
+    or less.  Integrating against both resolvent factors makes each gamma
     denominator an upper incomplete gamma, entire in the contour variable:
     only the Gamma(u) family contributes, and the sum is exact.
     """
     a, b, theta, n = params.a, params.b, params.theta, params.n
 
     def double_sum():
-        coef, h = _k11_tables(params.alpha, n, mpmath.mp.prec)
+        coef, h = _k11_tables(a, b, theta, n, mpmath.mp.prec)
         ay, bx = ([c * g for c, g in zip(coef, _k11_side(e, theta, n, w))]
                   for e, w in ((a, y), (b, x)))
-        total = mpmath.fdot(ay, [mpmath.fdot(h[j:j + n], bx)
-                                 for j in range(n)])
-        # no term exceeds the largest of each side over the smallest
-        # denominator, 1 + alpha
-        return total, ln_abs(max(map(abs, ay)) * max(map(abs, bx)) * h[0])
+        pole = 1 / (mpmath.mpf(x) + y)
+        total = theta * mpmath.fdot(ay, [mpmath.fdot(h[j:j + n], bx)
+                                         for j in range(n)])
+        # no term exceeds theta times the largest of each side over the
+        # smallest denominator, 1 + alpha
+        peak = theta * max(map(abs, ay)) * max(map(abs, bx)) * h[0]
+        return total - pole, ln_abs(max(peak, pole))
 
     # the double sum cancels roughly as 16^N (each factor contributes
-    # ~4^N), so the precision hint grows with N
-    return theta * mp_sum(double_sum, 40 + int(1.5 * n))
+    # ~4^N), and in the bulk k11 lies a further 0.2N-0.3N digits below
+    # 1/(x + y), so the precision hint grows with N
+    return mp_sum(double_sum, 40 + int(1.7 * n))
 
 
 def k11(params: EnsembleParams, y: float, x: float,

@@ -1,9 +1,8 @@
 """Foundational numeric kernels.
 
 Overflow-safe signed-log scalars, complex log-gamma, Gauss-Jacobi and
-Gauss-Laguerre rules, a tensor rule for 2D moment integrals with the
-1/(x+y) factor absorbed, Pfaffians of skew-symmetric matrices, and the
-one mpmath summation rule (`mp_sum`) whose precision checks itself.
+tanh-sinh quadrature, Pfaffians of skew-symmetric matrices, and the one
+mpmath summation rule (`mp_sum`) whose precision checks itself.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import mpmath
 import numpy as np
 from scipy.special import loggamma as _cloggamma
-from scipy.special import roots_genlaguerre, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .exceptions import DimensionError, DomainError, NonConverged, PoleError
 
@@ -23,15 +22,12 @@ __all__ = [
     "LogValue",
     "SkewMatrix",
     "QuadratureRule",
-    "SimplexRule",
     "log_gamma_complex",
     "lgamma_signed",
     "ln_abs",
     "mp_sum",
     "require_positive",
     "gauss_jacobi",
-    "gauss_laguerre",
-    "simplex_quad_2d",
     "pfaffian",
     "pfaffian_bordered",
     "refine_quadrature",
@@ -205,62 +201,19 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=512)
-def gauss_jacobi(order: int, alpha: float, beta: float = 0.0) -> QuadratureRule:
-    """Gauss rule for the weight t^alpha (1-t)^beta on (0, 1), cached.
+def gauss_jacobi(order: int, alpha: float) -> QuadratureRule:
+    """Gauss rule for the weight t^alpha on (0, 1), cached.
 
     Exact for polynomial integrands up to degree 2*order - 1.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError(f"exponents must exceed -1, got {alpha}, {beta}")
-    x, w = roots_jacobi(order, beta, alpha)
+    if alpha <= -1.0:
+        raise DomainError(f"exponent must exceed -1, got {alpha}")
+    x, w = roots_jacobi(order, 0.0, alpha)
     nodes = 0.5 * (x + 1.0)
-    weights = w / 2.0 ** (alpha + beta + 1.0)
+    weights = w / 2.0 ** (alpha + 1.0)
     return QuadratureRule(nodes, weights)
-
-
-@lru_cache(maxsize=128)
-def gauss_laguerre(order: int, gamma_exp: float = 0.0) -> QuadratureRule:
-    """Gauss rule for the weight s^gamma_exp e^{-s} on (0, inf), cached."""
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    if gamma_exp <= -1.0:
-        raise DomainError(f"exponent must exceed -1, got {gamma_exp}")
-    x, w = roots_genlaguerre(order, gamma_exp)
-    return QuadratureRule(x, w)
-
-
-@dataclass(frozen=True)
-class SimplexRule:
-    """Tensor rule for integrals of f(x,y) x^a y^b e^{-(x+y)} / (x+y).
-
-    Uses x = s*u, y = s*(1-u) so the 1/(x+y) factor is absorbed exactly:
-    the weight becomes s^{a+b} e^{-s} in the radial variable and
-    u^a (1-u)^b in the angular one.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-        return float(self.weights @ np.asarray(f(self.xs, self.ys), dtype=float))
-
-
-def simplex_quad_2d(alpha: float, beta: float, radial_order: int,
-                    angular_order: int) -> SimplexRule:
-    """Composite rule on the positive quadrant; see SimplexRule."""
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError("exponents must exceed -1")
-    rad = gauss_laguerre(radial_order, alpha + beta)
-    ang = gauss_jacobi(angular_order, alpha, beta)
-    s = rad.nodes[:, None]
-    u = ang.nodes[None, :]
-    xs = (s * u).ravel()
-    ys = (s * (1.0 - u)).ravel()
-    weights = (rad.weights[:, None] * ang.weights[None, :]).ravel()
-    return SimplexRule(xs, ys, weights)
 
 
 def refine_quadrature(value_at: Callable[[int], float], start_order: int = 16,

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import gamma
 
 from .exceptions import DomainError
-from .ensembles import EnsembleParams, _log_schur, moment_c, partition_cauchy
-from .numerics import LogValue, ln_abs, mp_sum
+from .ensembles import EnsembleParams, _log_schur, partition_cauchy
+from .numerics import LogValue
 
 __all__ = [
     "PolySeries",
@@ -26,17 +26,11 @@ __all__ = [
     "coeff_c",
     "p_hat",
     "q_hat",
-    "p_hat_det",
-    "q_hat_det",
     "jacobi_p",
-    "jacobi_series_value",
     "monic_pair",
     "phi_bures",
 ]
 
-# the determinant forms miss 1e-8 from degree 5 on (8e-5 at degree 8,
-# 1e-1 at degree 10): the float moment determinant is ill-conditioned
-_MAX_DEGREE = 5
 _NO_TERM = -(1 << 40)  # binary exponent of the empty entries (l > m)
 
 
@@ -125,32 +119,6 @@ def coeff_c(n: int, l: int, alpha: float) -> float:
     return math.ldexp(mant[n, l], int(exp[n, l]))
 
 
-def jacobi_series_value(n: int, alpha: float, x: float) -> float:
-    """Value of sum_l c_{n,l} x^l, summed in mpmath (numerics.mp_sum).
-
-    The alternating coefficients reach ~1e6 by n = 12 while the value
-    stays order one, so a plain double-precision sum cannot do better
-    than ~1e-10 absolute; mp_sum raises the working precision until the
-    digits the cancellation eats leave enough.
-    """
-    _check_degree(n)
-
-    def series():
-        al = mpmath.mpf(alpha)
-        xm = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        peak = mpmath.mpf(0)
-        for l in range(n + 1):
-            term = ((-1) ** l * mpmath.gamma(al + n + l + 1)
-                    / (mpmath.factorial(l) * mpmath.factorial(n - l)
-                       * mpmath.gamma(al + l + 1)) * xm ** l)
-            total += term
-            peak = max(peak, abs(term))
-        return total, ln_abs(peak)
-
-    return float(mp_sum(series))
-
-
 def _check_degree(n: int) -> None:
     """Refuse a degree that is not a non-negative integer."""
     if not isinstance(n, numbers.Integral) or n < 0:
@@ -208,40 +176,6 @@ def monic_pair(params: EnsembleParams, n: int
     ratio = partition_cauchy(params.with_n(n + 1)) / z_n
     return (p_hat(params, n).monic(), q_hat(params, n).monic(),
             NormalizationData(h_n, ratio))
-
-
-def _det_form(params: EnsembleParams, n: int, x, transpose: bool) -> float:
-    """Bordered moment determinant with the sqrt(h_n/(theta Z_n Z_{n+1})) factor."""
-    _check_degree(n)
-    if n >= _MAX_DEGREE:
-        raise DomainError(f"degree {n} refused: the moment determinant is "
-                          f"ill-conditioned (limit {_MAX_DEGREE})")
-    m = np.empty((n + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(n):
-            m[i, j] = moment_c(params, i + 1, j + 1)
-    m[:, n] = np.asarray(x, dtype=float) ** np.arange(n + 1)
-    if transpose:
-        m = m.T
-    det = np.linalg.det(m)
-    h_n = params.theta / (2.0 * n * params.theta + params.a + params.b + 1.0)
-    z_np1 = partition_cauchy(params.with_n(n + 1))
-    z_n = partition_cauchy(params.with_n(n)) if n >= 1 else LogValue.one()
-    pref = math.exp(0.5 * (math.log(h_n) - math.log(params.theta)
-                           - z_n.log_mag - z_np1.log_mag))
-    return pref * det
-
-
-def p_hat_det(params: EnsembleParams, n: int, x) -> float:
-    """Determinant form of the first family (verification route)."""
-    return _det_form(params, n, x, transpose=False)
-
-
-def q_hat_det(params: EnsembleParams, n: int, y) -> float:
-    """Determinant form of the second family (verification route)."""
-    params_t = EnsembleParams(params.b, params.a, params.theta, params.n)
-    # moment matrix transposed: border runs along the last row in y-powers
-    return _det_form(params_t, n, y, transpose=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from cauchybures.correlations import (CorrelationRequest,
-                                      brute_force_correlation, rho_bures,
+from cauchybures.correlations import (CorrelationRequest, rho_bures,
                                       rho_bures_hard_edge, rho_cauchy)
 from cauchybures.ensembles import (EnsembleParams, partition_bures,
-                                   partition_bures_squared_identity,
-                                   partition_cauchy, partition_cauchy_det)
+                                   partition_cauchy)
 from cauchybures.foxh import FoxHSpec, fox_h, g_inf, g_tilde_inf
 from cauchybures.kernels import (cd_hard_scaled, cd_kernel, hard_edge_kernel,
                                  k01, k10, k11)
-from cauchybures.numerics import simplex_quad_2d
-from cauchybures.polynomials import (jacobi_p, jacobi_series_value,
-                                     monic_pair, p_hat, phi_bures, q_hat)
+from cauchybures.polynomials import (jacobi_p, monic_pair, p_hat,
+                                     phi_bures, q_hat)
 from cauchybures.raney import (density_asymptote, raney, sz_density,
                                sz_moment)
+from references import jacobi_series_value, simplex_quad_2d
 
 
 def poly_kernel(params):
@@ -52,7 +50,7 @@ def test_criterion_01_partition_consistency(check):
         for n in range(1, 7):
             p = EnsembleParams(a, b, theta, n)
             closed = partition_cauchy(p).to_real()
-            det = partition_cauchy_det(p).to_real()
+            det = partition_cauchy(p, route="det").to_real()
             worst = max(worst, abs(closed / det - 1.0))
     hand = partition_cauchy(EnsembleParams(0.0, 0.0, 1.0, 2)).to_real()
     worst = max(worst, abs(hand * 12.0 - 1.0))
@@ -65,7 +63,7 @@ def test_criterion_02_squared_partition_identity(check):
         for n in range(1, 6):
             p = EnsembleParams(a, a + 1.0, theta, n)
             left = partition_bures(p).to_real()  # Schur product route
-            right = partition_bures_squared_identity(p).to_real()
+            right = partition_bures(p, route="cauchy").to_real()
             worst = max(worst, abs(left / right - 1.0))
     check("criterion-02 squared partition identity", worst, 1e-7)
 
@@ -128,8 +126,8 @@ def test_criterion_06_kernel_strategy_agreement(check):
     pts = [0.4, 1.0, 2.1]
     for x in pts:
         for y in pts:
-            s = cd_kernel(p, x, y, strategy="sum")
-            t = cd_kernel(p, x, y, strategy="tintegral")
+            s = cd_kernel(p, x, y, route="direct")
+            t = cd_kernel(p, x, y, route="tintegral")
             worst = max(worst, abs(t / s - 1.0))
     check("criterion-06a CD-kernel strategy agreement", worst, 1e-7)
     worst = 0.0
@@ -178,7 +176,7 @@ def test_criterion_08_correlation_oracles(check, emit):
     for p, xs, ys in cauchy_cases:
         req = CorrelationRequest("cauchy", p, xs, ys)
         worst = max(worst, abs(rho_cauchy(req)
-                               / brute_force_correlation(req) - 1.0))
+                               / rho_cauchy(req, route="brute") - 1.0))
     bures_cases = [
         (EnsembleParams(0.3, 1.3, 1.0, 1), (0.9,)),
         (EnsembleParams(0.3, 1.3, 1.0, 2), (0.9,)),
@@ -186,7 +184,7 @@ def test_criterion_08_correlation_oracles(check, emit):
     ratios = []
     for p, zs in bures_cases:
         req = CorrelationRequest("bures", p, zs)
-        ratios.append(rho_bures(req) / brute_force_correlation(req))
+        ratios.append(rho_bures(req) / rho_bures(req, route="brute"))
         worst = max(worst, abs(ratios[-1] - 1.0))
     emit(f"       criterion-08 fitted constant prefactor (formula/oracle): "
          f"{np.mean(ratios):.12f}")

@@ -10,8 +10,7 @@ from click.testing import CliRunner
 from cauchybures import cli
 from cauchybures.cli import main
 from cauchybures.correlations import CorrelationRequest, rho_cauchy
-from cauchybures.ensembles import (EnsembleParams,
-                                   partition_bures_squared_identity,
+from cauchybures.ensembles import (EnsembleParams, partition_bures,
                                    partition_cauchy)
 from cauchybures.exceptions import DomainError, NonConverged
 from cauchybures.kernels import (KernelGrid, cd_kernel, hard_edge_kernel,
@@ -273,8 +272,8 @@ class TestPartition:
                                    "--n", str(n)])
         assert res.exit_code == 0
         rec = json.loads(res.output)
-        want = partition_bures_squared_identity(
-            EnsembleParams(0.3, 1.3, 1.3, n))
+        want = partition_bures(EnsembleParams(0.3, 1.3, 1.3, n),
+                               route="cauchy")
         assert rec["sign"] == 1
         assert rec["log_abs"] == pytest.approx(want.log_mag, rel=1e-10)
 

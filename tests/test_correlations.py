@@ -5,7 +5,6 @@ import math
 import pytest
 
 from cauchybures.correlations import (CorrelationRequest,
-                                      brute_force_correlation,
                                       correlation_record, rho_bures,
                                       rho_bures_hard_edge, rho_cauchy)
 from cauchybures.ensembles import EnsembleParams
@@ -19,27 +18,27 @@ class TestCauchyAgainstBruteForce:
     def test_one_point_density_n1(self):
         p = EnsembleParams(0.5, 0.7, 1.5, 1)
         req = CorrelationRequest("cauchy", p, (0.8,))
-        assert rho_cauchy(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
                                                 rel=1e-4)
 
     def test_one_point_density_n2(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,))
-        assert rho_cauchy(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
                                                 rel=1e-4)
 
     def test_mixed_two_point_n2(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,), (1.3,))
-        assert rho_cauchy(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
                                                 rel=1e-4)
 
     def test_second_species_one_point_n2(self):
         req = CorrelationRequest("cauchy", PSET, (), (1.1,))
-        assert rho_cauchy(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
                                                 rel=1e-4)
 
     def test_two_points_same_species_n2(self):
         req = CorrelationRequest("cauchy", PSET, (0.6, 1.4))
-        assert rho_cauchy(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
                                                 rel=1e-4)
 
     @pytest.mark.parametrize("route", ["direct", "tintegral"])
@@ -52,7 +51,7 @@ class TestCauchyAgainstBruteForce:
         # agree with brute force to 4e-13 here
         req = CorrelationRequest("cauchy", PSET, xs, ys)
         assert rho_cauchy(req, route) == pytest.approx(
-            brute_force_correlation(req), rel=1e-10)
+            rho_cauchy(req, "brute"), rel=1e-10)
 
 
 class TestBuresAgainstBruteForce:
@@ -60,26 +59,26 @@ class TestBuresAgainstBruteForce:
     def test_one_point_density_n1(self, a, theta):
         p = EnsembleParams(a, a + 1.0, theta, 1)
         req = CorrelationRequest("bures", p, (0.9,))
-        assert rho_bures(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
                                                rel=1e-4)
 
     @pytest.mark.parametrize("a,theta", [(0.3, 1.0), (0.55, 1.3)])
     def test_one_point_density_n2(self, a, theta):
         p = EnsembleParams(a, a + 1.0, theta, 2)
         req = CorrelationRequest("bures", p, (0.9,))
-        assert rho_bures(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
                                                rel=1e-4)
 
     def test_two_point_n2(self):
         p = EnsembleParams(0.3, 1.3, 1.0, 2)
         req = CorrelationRequest("bures", p, (0.7, 1.4))
-        assert rho_bures(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
                                                rel=1e-4)
 
     def test_three_point_n3(self):
         p = EnsembleParams(0.3, 1.3, 1.0, 3)
         req = CorrelationRequest("bures", p, (0.5, 1.1, 1.9))
-        assert rho_bures(req) == pytest.approx(brute_force_correlation(req),
+        assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
                                                rel=1e-3)
 
     def test_exchange_symmetry(self):
@@ -143,11 +142,20 @@ class TestValidationAndRecords:
         big_c = CorrelationRequest("cauchy", EnsembleParams(0.5, 0.7, 1.5, 3),
                                    (0.8,))
         with pytest.raises(ComplexityError):
-            brute_force_correlation(big_c)
+            rho_cauchy(big_c, route="brute")
         big_b = CorrelationRequest("bures", EnsembleParams(0.3, 1.3, 1.0, 4),
                                    (0.8,))
         with pytest.raises(ComplexityError):
-            brute_force_correlation(big_b)
+            rho_bures(big_b, route="brute")
+
+    def test_unknown_route_rejected(self):
+        req = CorrelationRequest("cauchy", PSET, (0.8,))
+        with pytest.raises(DomainError, match="unknown route"):
+            rho_cauchy(req, route="oracle")
+        req_b = CorrelationRequest("bures", EnsembleParams(0.3, 1.3, 1.0, 2),
+                                   (0.8,))
+        with pytest.raises(DomainError, match="unknown route"):
+            rho_bures(req_b, route="oracle")
 
     def test_record_round_trips_through_json(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,))

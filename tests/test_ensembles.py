@@ -91,7 +91,7 @@ class TestCauchyPartition:
     def test_closed_form_equals_moment_determinant(self, a, b, theta, n):
         p = EnsembleParams(a, b, theta, n)
         closed = partition_cauchy(p)
-        det = partition_cauchy_det(p)
+        det = partition_cauchy(p, route="det")
         assert closed.to_real() == pytest.approx(det.to_real(), rel=1e-8)
 
     def test_large_n_stays_finite_in_log_form(self):
@@ -109,7 +109,7 @@ class TestBuresPartition:
         # on the left
         p = EnsembleParams(a, a + 1.0, theta, n)
         product = partition_bures(p)
-        rhs = partition_bures_squared_identity(p)
+        rhs = partition_bures(p, route="cauchy")
         assert product.to_real() == pytest.approx(rhs.to_real(), rel=1e-7)
 
     @pytest.mark.parametrize("theta", [1.0, 1.3, 2.0])
@@ -118,7 +118,7 @@ class TestBuresPartition:
         # compared in log: Z^B itself overflows a double at N = 80
         p = EnsembleParams(0.3, 1.3, theta, n)
         product = partition_bures(p)
-        rhs = partition_bures_squared_identity(p)
+        rhs = partition_bures(p, route="cauchy")
         assert product.sign == 1
         assert abs(product.log_mag - rhs.log_mag) <= 1e-10 * max(
             1.0, abs(rhs.log_mag))
@@ -147,3 +147,21 @@ class TestBuresPartition:
         p = EnsembleParams(0.3, 1.3, 1.5, 1)
         assert partition_bures(p).to_real() == pytest.approx(
             math.gamma(1.3), rel=1e-12)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("n", [3, 8, 9, 20])
+    def test_benchmark_aliases_are_the_routes(self, n):
+        # partition_cauchy_det / partition_bures_squared_identity stay as
+        # the names the benchmark binds; each is its route, bit for bit
+        p = EnsembleParams(0.4, 1.4, 1.3, n)
+        assert repr(partition_cauchy(p, route="det")) == repr(
+            partition_cauchy_det(p))
+        assert repr(partition_bures(p, route="cauchy")) == repr(
+            partition_bures_squared_identity(p))
+
+    def test_unknown_route_rejected(self):
+        p = EnsembleParams(0.4, 1.4, 1.3, 3)
+        for fn in (partition_cauchy, partition_bures):
+            with pytest.raises(DomainError, match="unknown route"):
+                fn(p, route="lu")

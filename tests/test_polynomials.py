@@ -8,10 +8,10 @@ import pytest
 from cauchybures.exceptions import DomainError
 from cauchybures.ensembles import (EnsembleParams, moment_c, partition_bures,
                                    partition_cauchy)
-from cauchybures.numerics import simplex_quad_2d
 from cauchybures.polynomials import (PolySeries, coeff_c, jacobi_p,
-                                     jacobi_series_value, monic_pair, p_hat,
-                                     p_hat_det, phi_bures, q_hat, q_hat_det)
+                                     monic_pair, p_hat, phi_bures, q_hat)
+from references import (jacobi_series_value, p_hat_det, q_hat_det,
+                        simplex_quad_2d)
 
 
 def poly_eval(series: PolySeries, t):
