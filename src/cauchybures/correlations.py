@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .exceptions import ComplexityError, DimensionError, DomainError
 from .ensembles import EnsembleParams, partition_bures, partition_cauchy
@@ -30,6 +29,7 @@ __all__ = [
 ]
 
 _MODELS = ("cauchy", "bures")
+_ROUTES = ("direct", "tintegral", "brute")
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,8 @@ def rho_cauchy(req: CorrelationRequest, route: str = "direct") -> float:
     """
     if req.model != "cauchy":
         raise DomainError("rho_cauchy requires model='cauchy'")
+    if route not in _ROUTES:
+        raise DomainError(f"unknown route {route!r}")
     if route == "brute":
         return _brute_cauchy(req.params, req.xs, req.ys)
     r, pts = len(req.xs), (*req.xs, *req.ys)
@@ -118,6 +120,8 @@ def rho_bures(req: CorrelationRequest, route: str = "direct") -> float:
     """
     if req.model != "bures":
         raise DomainError("rho_bures requires model='bures'")
+    if route not in _ROUTES:
+        raise DomainError(f"unknown route {route!r}")
     if route == "brute":
         return _brute_bures(req.params, req.xs)
     p_pair = req.params.bures_pair()
@@ -153,11 +157,11 @@ def _upper_cutoff(max_exp: float) -> float:
     return max(50.0, 8.0 * max(max_exp, 1.0))
 
 
-def _quad(f, lo, hi, singular=()):
+def _quad(f, lo, hi, singular=(), limit=200, epsabs=1e-13, epsrel=1e-10):
+    from scipy import integrate  # only the brute-force oracles need scipy
     pts = [p for p in singular if lo < p < hi]
-    val, _ = integrate.quad(f, lo, hi, points=pts or None, limit=200,
-                            epsabs=1e-13, epsrel=1e-10)
-    return val
+    return integrate.quad(f, lo, hi, points=pts or None, limit=limit,
+                          epsabs=epsabs, epsrel=epsrel)[0]
 
 
 def _brute_pair_integral(p_exp: float, q_exp: float, cutoff: float) -> float:
@@ -264,8 +268,8 @@ def _brute_bures(params: EnsembleParams, zs) -> float:
                 lambda x3: pair_all((*zs, x2, x3)) * weight(x3),
                 0.0, cutoff, singular=(*zs, x2))
             return inner * weight(x2)
-        integral, _ = integrate.quad(outer, 0.0, cutoff, points=list(zs),
-                                     limit=80, epsabs=1e-11, epsrel=1e-8)
+        integral = _quad(outer, 0.0, cutoff, zs, limit=80, epsabs=1e-11,
+                         epsrel=1e-8)
     else:
         raise ComplexityError("too many integrated variables")
     pref = math.exp(-zb.log_mag) / math.factorial(n - k)

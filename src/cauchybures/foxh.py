@@ -16,8 +16,6 @@ from typing import NamedTuple, Sequence
 
 import mpmath
 import numpy as np
-from scipy.special import digamma as _digamma
-from scipy.special import loggamma as _cloggamma
 
 from .exceptions import (DomainError, NonConverged, PoleCollisionError,
                          PoleError)
@@ -111,18 +109,19 @@ def _log_integrand(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     A numerator gamma pole at any node raises PoleError; a denominator
     gamma pole is a zero of the integrand, so its node gets log -inf.
     """
+    from scipy.special import loggamma  # only the Hankel route needs scipy
     acc = -u * log_z
     for f in num:
         w = f.shift + f.slope * u
         hit = _on_pole(w)
         if hit.any():
             raise PoleError(f"log-gamma pole at z = {w[hit][0]}")
-        acc += _cloggamma(w)
+        acc += loggamma(w)
     zero = np.zeros(len(u), dtype=bool)
     for f in den:
         w = f.shift + f.slope * u
         zero |= _on_pole(w)
-        acc -= _cloggamma(w)
+        acc -= loggamma(w)
     acc[zero] = complex(-math.inf, 0.0)
     return acc
 
@@ -210,7 +209,7 @@ class _ResidueTable:
                                                sing_den)
         if order == 2:
             bracket = float(_log_bracket(num, den, u0, sing_num, sing_den,
-                                         _digamma))
+                                         mpmath.digamma))
         self.entries.append(_Pole(u0, order, sign, log_c, bracket, sing_num,
                                   sing_den))
 

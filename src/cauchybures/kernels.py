@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import mpmath
 import numpy as np
-from scipy import integrate
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
@@ -204,8 +203,8 @@ def i1_integral(beta: float, c: float) -> float:
     """integral_0^infty y^beta e^{-y} / (c + y) dy, split at y = c.
 
     Below the split the substitution y = c*u gives a Jacobi-weight
-    integral; above it, y = c + s gives a shifted Laguerre one.  Raises
-    ComplexityError when y^beta overflows a double (beta above ~115).
+    integral; above it, tanh-sinh on y = c + span t, t in (0, 1).
+    Raises ComplexityError when y^beta overflows a double (beta above ~115).
     """
     require_positive("c and beta + 1", c, beta + 1.0)
 
@@ -214,16 +213,15 @@ def i1_integral(beta: float, c: float) -> float:
         vals = np.exp(-c * rule.nodes) / (1.0 + rule.nodes)
         return c ** beta * float(rule.weights @ vals)
 
-    # above the split the integrand is regular but has structure on the
-    # scale of c near y = c, so a fixed Gauss rule stalls for small c;
-    # adaptive quadrature handles both that and the e^{-y} tail
-    hi = c + 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
+    # above the split the integrand has structure on the scale of c near
+    # t = 0, where tanh-sinh clusters its nodes; span reaches the e^{-y} tail
+    span = 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
     try:
-        upper_val, _ = integrate.quad(
-            lambda yv: yv ** beta * math.exp(-yv) / (c + yv), c, hi,
-            limit=200, epsabs=1e-13, epsrel=1e-11)
-        return refine_quadrature(lower) + upper_val
-    except OverflowError:
+        with np.errstate(over="raise"):
+            return refine_quadrature(lower) + span * tanh_sinh_01(
+                lambda t: (c + span * t) ** beta * np.exp(-c - span * t)
+                / (2.0 * c + span * t))
+    except (OverflowError, FloatingPointError):
         raise ComplexityError(
             f"i1_integral: y^beta overflows a double at beta = {beta:g} "
             f"(c = {c:g})") from None

@@ -13,8 +13,6 @@ from typing import Callable, Iterable, Sequence
 
 import mpmath
 import numpy as np
-from scipy.special import loggamma as _cloggamma
-from scipy.special import roots_jacobi
 
 from .exceptions import DimensionError, DomainError, NonConverged, PoleError
 
@@ -160,11 +158,12 @@ def log_gamma_complex(z: complex) -> complex:
 
     Raises PoleError when z is within 1e-12 of a non-positive integer.
     """
+    from scipy.special import loggamma  # only the Hankel route needs scipy
     z = complex(z)
     n = round(z.real)
     if n <= 0 and abs(z - n) < _POLE_TOL:
         raise PoleError(f"log-gamma pole at z = {z}")
-    return complex(_cloggamma(z))
+    return complex(loggamma(z))
 
 
 def lgamma_signed(x: float) -> tuple[int, float]:
@@ -204,16 +203,31 @@ class QuadratureRule:
 def gauss_jacobi(order: int, alpha: float) -> QuadratureRule:
     """Gauss rule for the weight t^alpha on (0, 1), cached.
 
-    Exact for polynomial integrands up to degree 2*order - 1.
+    Exact for polynomial integrands up to degree 2*order - 1.  Golub-Welsch
+    (Math. Comp. 23, 1969), except that a weight below 1e-4 of the total (an
+    eigenvector holds it to 1e-16 absolute only) is 1 / sum_k p_k(t)^2 over
+    the orthonormal polynomials of the weight, by their recurrence.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     if alpha <= -1.0:
         raise DomainError(f"exponent must exceed -1, got {alpha}")
-    x, w = roots_jacobi(order, 0.0, alpha)
-    nodes = 0.5 * (x + 1.0)
-    weights = w / 2.0 ** (alpha + 1.0)
-    return QuadratureRule(nodes, weights)
+    k = np.arange(1.0, order)  # recurrence of P_k^(0, alpha)(2t - 1)
+    s = 2.0 * k + alpha
+    diag = np.append((alpha + 1.0) / (alpha + 2.0),
+                     0.5 + 0.5 * alpha * alpha / (s * (s + 2.0)))
+    off = k * (k + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    w = vecs[0] ** 2  # relative to the total weight 1 / (alpha + 1)
+    small = w < 1e-4
+    p_prev, p, total = 0.0, 1.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(order - 1 if small.any() else 0):
+            p_prev, p = p, ((t[small] - diag[j]) * p
+                            - off[j - 1] * p_prev) / off[j]
+            total += p * p
+    w[small] = np.nan_to_num(1.0 / total)  # 0 past double range
+    return QuadratureRule(t, w / (alpha + 1.0))
 
 
 def refine_quadrature(value_at: Callable[[int], float], start_order: int = 16,

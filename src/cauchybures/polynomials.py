@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.special import gamma
 
 from .exceptions import DomainError
 from .ensembles import EnsembleParams, _log_schur, partition_cauchy
@@ -72,11 +71,18 @@ class NormalizationData:
     z_ratio: LogValue
 
 
+def _frexp_gamma(z: float) -> tuple[float, int]:
+    """Gamma(z) as (mantissa, binary exponent); mpmath past double range."""
+    m, e = (math.frexp(math.gamma(z)) if z < 171.0
+            else mpmath.frexp(mpmath.gamma(z)))
+    return float(m), e
+
+
 def _rising(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma(alpha + k + 1), k < count, as (mantissa, binary exponent), by
     Gamma(z + 1) = z Gamma(z): a ratio of two entries is then a product of
     factors alpha + j, not a quotient of gammas at rounded arguments."""
-    out = [math.frexp(gamma(alpha + 1.0))]
+    out = [_frexp_gamma(alpha + 1.0)]
     for k in range(1, count):
         m, e = math.frexp(out[-1][0] * (alpha + k))
         out.append((m, e + out[-1][1]))
@@ -96,10 +102,8 @@ def _hat_table(alpha: float, exponent: float, theta: float,
     """
     a_m, a_e = _rising(alpha, 2 * size - 1)    # Gamma(alpha + k + 1)
     f_m, f_e = _rising(0.0, size)              # k!
-    z = exponent + theta * np.arange(size) + 1.0
-    g_m, g_e = np.frexp(gamma(z))
-    for i in np.flatnonzero(np.isinf(g_m)):    # past double range
-        g_m[i], g_e[i] = mpmath.frexp(mpmath.gamma(z[i]))
+    g_m, g_e = map(np.array, zip(*(_frexp_gamma(exponent + theta * l + 1.0)
+                                   for l in range(size))))
     m, l = np.ogrid[:size, :size]
     k = np.abs(m - l)                          # m - l where l <= m
     mant, shift = np.frexp((-1.0) ** l * a_m[m + l]

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .exceptions import DomainError, PoleError
 
@@ -85,6 +84,7 @@ def sz_moment(n: int) -> float:
     The substitution turns the x^(-2/3) origin singularity into a smooth
     integrand, so a plain adaptive quadrature converges quickly.
     """
+    from scipy import integrate  # only this numerical check needs scipy
     if n < 0:
         raise DomainError("n must be non-negative")
     s_edge = SZ_EDGE ** (1.0 / 3.0)

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -323,3 +326,59 @@ class TestCorr:
                                              "--b", "0.5", "--n", "2"])
             assert res.exit_code == 1
             assert "--b" in res.stderr
+
+
+# Runs each argv list of argv[1] with every scipy import blocked, from a
+# fresh import of the package; prints the exit codes as JSON.
+_COLD_DRIVER = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from cauchybures.cli import main
+
+def run(argv):
+    try:
+        main.main(args=argv, prog_name="cauchybures")
+    except SystemExit as exc:
+        return exc.code
+    except Exception as exc:  # an uncaught error, e.g. the ImportError
+        return repr(exc)
+
+codes = [run(a) for a in json.loads(sys.argv[1])]
+print("\\n" + json.dumps(codes))  # a JSON grid ends without a newline
+"""
+
+
+class TestWithoutScipy:
+    def test_cold_commands_need_no_scipy(self, runner, tmp_path):
+        # scipy serves only route="brute", corr --oracle, verify, sz_moment
+        # and the Hankel route; the commands below reach none of them
+        spec = write_spec(tmp_path, {"upper": [], "m": 2, "n": 0,
+                                     "lower": [[0.0, 1.0], [0.0, 1.0]]})
+        grid = ["--grid-min", "0.37", "--grid-max", "0.72",
+                "--grid-count", "2"]
+        corr = ["corr", "--model", "cauchy", "--a", "0.5", "--b", "0.7",
+                "--theta", "1.5", "--n", "2", "--x", "0.8", "--y", "1.3"]
+        blocked = [
+            ["partition", "--model", "cauchy", "--a", "0.5", "--b", "0.7",
+             "--theta", "1.5", "--n", "6"],
+            corr,
+            ["foxh", spec, "--z", "0.9643", "--z", "2.2"],  # double poles
+            ["kernel-grid", "--a", "0.4", "--b", "1.4", "--theta", "1.3",
+             "--n", "4", "--kind", "K00", *grid],
+            ["kernel-grid", "--a", "0.5", "--b", "0.7", "--theta", "1.5",
+             "--kind", "hard-K10", "--format", "json", *grid],
+        ]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             _COLD_DRIVER, json.dumps(blocked)], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == [0] * len(blocked)
+        # the commands that do import scipy, inside the functions that
+        # need it, still pass where it is installed
+        for argv in (["verify"], corr + ["--oracle"],
+                     ["corr", "--model", "bures", "--a", "0.3", "--n", "2",
+                      "--z", "0.9", "--oracle"]):
+            res = runner.invoke(main, argv)
+            assert res.exit_code == 0, (argv, res.output)

@@ -157,6 +157,15 @@ class TestValidationAndRecords:
         with pytest.raises(DomainError, match="unknown route"):
             rho_bures(req_b, route="oracle")
 
+    def test_unknown_route_rejected_without_points(self):
+        # with no points no kernel entry is built to reject the route
+        with pytest.raises(DomainError, match="unknown route"):
+            rho_cauchy(CorrelationRequest("cauchy", PSET, ()), route="bogus")
+        req_b = CorrelationRequest("bures", EnsembleParams(0.3, 1.3, 1.0, 2),
+                                   ())
+        with pytest.raises(DomainError, match="unknown route"):
+            rho_bures(req_b, route="bogus")
+
     def test_record_round_trips_through_json(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,))
         val = rho_cauchy(req)

@@ -107,6 +107,20 @@ class TestAuxiliaryIntegral:
                              * mpmath.gammainc(-beta, c))
             assert i1_integral(beta, c) == pytest.approx(want, rel=1e-11)
 
+    def test_i1_against_incomplete_gamma_grid(self):
+        # the scipy adaptive quadrature this replaced reached 3.9e-12, at
+        # (beta, c) = (-0.9, 40); mpmath's gammainc(-beta, c) itself loses
+        # digits for large beta and c at 50 digits, hence 100
+        worst = 0.0
+        for beta in (-0.9, -0.3, 0.0, 0.5, 2.3, 7.0, 20.0, 60.5, 110.0):
+            for c in (1e-3, 0.05, 0.8, 3.7, 12.0, 40.0, 150.0):
+                with mpmath.workdps(100):
+                    want = (mpmath.gamma(1 + beta) * mpmath.e ** c
+                            * mpmath.mpf(c) ** beta
+                            * mpmath.gammainc(-beta, c))
+                worst = max(worst, abs(i1_integral(beta, c) / want - 1))
+        assert worst < 1e-13
+
     def test_i1_overflow_raises_typed_error(self):
         # y^beta overflows a double inside the float quadrature from
         # beta ~ 115; the error names beta instead of a bare OverflowError

@@ -1,6 +1,7 @@
 """Tests for log-scaled arithmetic, quadrature rules and Pfaffians."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,48 @@ class TestQuadrature:
         for k in range(0, 20):
             got = rule.integrate(lambda t, k=k: t ** k)
             assert got == pytest.approx(1.0 / (alpha + k + 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.3, 0.7, 20.0])
+    def test_gauss_jacobi_against_mpmath(self, alpha):
+        # int_{-1}^{1} (1+x)^alpha cos 3x dx = 2^(alpha+1) int_0^1 t^alpha
+        # cos(6t - 3) dt, in closed form through 1F1; scipy's roots_jacobi
+        # misses it by 5.3e-9 at alpha = -0.9, order 512
+        with mpmath.workdps(30):
+            want = float(2 ** mpmath.mpf(alpha + 1) * mpmath.re(
+                mpmath.exp(-3j) * mpmath.hyp1f1(alpha + 1, alpha + 2, 6j)
+                / (alpha + 1)))
+        for order in (16, 32, 64, 128, 256, 512):
+            rule = gauss_jacobi(order, alpha)
+            got = 2.0 ** (alpha + 1) * rule.integrate(
+                lambda t: np.cos(6.0 * t - 3.0))
+            assert got == pytest.approx(want, rel=1e-13), order
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.3, 0.0, 0.7, 20.0])
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_gauss_jacobi_matches_scipy(self, alpha, order):
+        # roots_jacobi's own weights are off by up to 4e-12 of the total
+        # at alpha = -0.9 (see the test above)
+        x, w = special.roots_jacobi(order, 0.0, alpha)
+        rule = gauss_jacobi(order, alpha)
+        np.testing.assert_allclose(rule.nodes, 0.5 * (x + 1.0), rtol=0,
+                                   atol=1e-15)
+        w = w / 2.0 ** (alpha + 1.0)
+        np.testing.assert_allclose(rule.weights, w, rtol=0,
+                                   atol=1e-11 * w.sum())
+
+    def test_gauss_jacobi_small_weights_are_relatively_accurate(self):
+        # int_0^1 t^20 e^{-150 t} dt: the mass lies where the weights are
+        # ~1e-20 of the total, below what the rule's eigenvectors resolve
+        with mpmath.workdps(30):
+            want = float(mpmath.gammainc(21, 0, 150) / mpmath.mpf(150) ** 21)
+        rule = gauss_jacobi(256, 20.0)
+        assert rule.integrate(lambda t: np.exp(-150.0 * t)) == pytest.approx(
+            want, rel=1e-13, abs=0.0)
+        for alpha in (300.0, 700.0):  # weights below double range are 0
+            rule = gauss_jacobi(512, alpha)
+            assert np.all(np.isfinite(rule.weights))
+            assert rule.weights.sum() == pytest.approx(1.0 / (alpha + 1.0),
+                                                       rel=1e-13, abs=0.0)
 
     def test_gauss_jacobi_pair_beta_function(self):
         alpha, beta = 0.4, 1.3
