@@ -306,6 +306,16 @@ def _print_value(label: str, value_log):
     }, sort_keys=True))
 
 
+def _params(model: str, a, b, theta, n) -> ensembles.EnsembleParams:
+    """The model's parameters: Cauchy takes --b, Bures fixes b = a + 1."""
+    if model == "cauchy" and b is None:
+        _fail(1, "--b is required for the Cauchy model")
+    if model == "bures" and b is not None:
+        _fail(1, "--b does not apply to the Bures model (b = a + 1)")
+    return ensembles.EnsembleParams(a, a + 1.0 if model == "bures" else b,
+                                    theta, n)
+
+
 @main.command()
 @click.option("--model", type=click.Choice(["cauchy", "bures"]),
               default="cauchy")
@@ -315,16 +325,10 @@ def _print_value(label: str, value_log):
 @click.option("--n", type=int, required=True)
 def partition(model, a, b, theta, n):
     """Partition function, printed in linear and (sign, log) form."""
-    if model == "cauchy":
-        if b is None:
-            _fail(1, "--b is required for the Cauchy model")
-        p = ensembles.EnsembleParams(a, b, theta, n)
-        _print_value("Z_cauchy", ensembles.partition_cauchy(p))
-    else:
-        if b is not None:
-            _fail(1, "--b does not apply to the Bures model (b = a + 1)")
-        p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
-        _print_value("Z_bures", ensembles.partition_bures(p))
+    p = _params(model, a, b, theta, n)
+    z = {"cauchy": ensembles.partition_cauchy,
+         "bures": ensembles.partition_bures}[model]
+    _print_value(f"Z_{model}", z(p))
 
 
 @main.command()
@@ -340,22 +344,13 @@ def partition(model, a, b, theta, n):
 @click.option("--oracle", is_flag=True, default=False)
 def corr(model, a, b, theta, n, xs, ys, zs, oracle):
     """Correlation function at the given points; --oracle adds brute force."""
-    if model == "cauchy":
-        if b is None:
-            _fail(1, "--b is required for the Cauchy model")
-        if zs:
-            _fail(1, "use --x/--y for the Cauchy model")
-        p = ensembles.EnsembleParams(a, b, theta, n)
-        req = correlations.CorrelationRequest("cauchy", p, xs, ys)
-        rho = correlations.rho_cauchy
-    else:
-        if xs or ys:
-            _fail(1, "use --z for the Bures model")
-        if b is not None:
-            _fail(1, "--b does not apply to the Bures model (b = a + 1)")
-        p = ensembles.EnsembleParams(a, a + 1.0, theta, n)
-        req = correlations.CorrelationRequest("bures", p, zs)
-        rho = correlations.rho_bures
+    p = _params(model, a, b, theta, n)
+    if model == "cauchy" and zs or model == "bures" and (xs or ys):
+        _fail(1, "use --x/--y for the Cauchy model, --z for the Bures model")
+    req = correlations.CorrelationRequest(
+        model, p, *((xs, ys) if model == "cauchy" else (zs,)))
+    rho = {"cauchy": correlations.rho_cauchy,
+           "bures": correlations.rho_bures}[model]
     value = rho(req)
     oracle_value = rho(req, route="brute") if oracle else None
     click.echo(correlations.correlation_record(req, value, "direct",

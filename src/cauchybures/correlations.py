@@ -12,12 +12,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .exceptions import ComplexityError, DimensionError, DomainError
 from .ensembles import EnsembleParams, partition_bures, partition_cauchy
-from .kernels import (delta_k00_inf, delta_k11_inf, hatted, sigma_k01_inf)
+from .kernels import _bures_block, _hatted_inf, hatted
+# the hard-edge blocks stay bound here for perfbench/tracer.py
+from .kernels import delta_k00_inf, delta_k11_inf, sigma_k01_inf  # noqa: F401
 from .numerics import SkewMatrix, pfaffian, require_positive
 
 __all__ = [
@@ -36,8 +39,8 @@ _ROUTES = ("direct", "tintegral", "brute")
 class CorrelationRequest:
     """Which correlation to evaluate and at which points.
 
-    xs holds the first species (or the single Bures species); ys is used
-    by the Cauchy model only.
+    xs holds the first species (or the single Bures species); ys is the
+    second species of the Cauchy model, and must be empty for Bures.
     """
 
     model: str
@@ -48,15 +51,20 @@ class CorrelationRequest:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise DomainError(f"unknown model {self.model!r}")
-        require_positive("points", *self.xs, *self.ys)
-        for pts in (self.xs, self.ys):
-            if len(set(pts)) != len(pts):
-                raise DomainError("points must be pairwise different")
-        if self.model == "cauchy":
-            if len(self.xs) > self.params.n or len(self.ys) > self.params.n:
-                raise DimensionError("more points than eigenvalues")
-        if self.model == "bures" and len(self.xs) > self.params.n:
+        if self.model == "bures" and self.ys:
+            raise DomainError("the Bures model has one species: pass xs only")
+        _check_points(self.xs, self.ys)
+        if max(len(self.xs), len(self.ys)) > self.params.n:
             raise DimensionError("more points than eigenvalues")
+
+
+def _check_points(*species) -> None:
+    """Raise DomainError unless every point is finite and positive and
+    the points of each species are pairwise different."""
+    require_positive("points", *itertools.chain(*species))
+    for pts in species:
+        if len(set(pts)) != len(pts):
+            raise DomainError("points must be pairwise different")
 
 
 # ---------------------------------------------------------------------------
@@ -89,23 +97,24 @@ def rho_cauchy(req: CorrelationRequest, route: str = "direct") -> float:
 # Bures Pfaffian correlations
 # ---------------------------------------------------------------------------
 
-def _bures_pfaffian(zs, dk11, sk01, dk00) -> float:
-    """k-point Bures correlation from its three skew kernel blocks.
+def _bures_pfaffian(zs, hk) -> float:
+    """k-point Bures correlation from the dressed kernel hk(kind, p1, p2)
+    of the Cauchy pair (a, a+1).
 
-    The 2k x 2k skew matrix is [[dK11, sK01], [-sK01^T, dK00]]; only its
-    strict upper triangle is filled, and SkewMatrix makes the lower-left
-    block the negative transpose of the upper-right one, which is what
-    exact antisymmetry requires.  The prefactor is (-1)^{k(k-1)/2} / 2^k,
-    the same at every matrix size.
+    The 2k x 2k skew matrix is [[dK11, sK01], [-sK01^T, dK00]] of
+    kernels._bures_block; only its strict upper triangle is filled, and
+    SkewMatrix makes the lower-left block the negative transpose of the
+    upper-right one, which is what exact antisymmetry requires.  The
+    prefactor is (-1)^{k(k-1)/2} / 2^k, the same at every matrix size.
     """
     k = len(zs)
     upper = np.zeros((2 * k, 2 * k))
     for i in range(k):
         for j in range(i + 1, k):
-            upper[i, j] = dk11(zs[i], zs[j])
-            upper[k + i, k + j] = dk00(zs[j], zs[i])
+            upper[i, j] = _bures_block(hk, "K11", zs[i], zs[j])
+            upper[k + i, k + j] = _bures_block(hk, "K00", zs[j], zs[i])
         for j in range(k):
-            upper[i, k + j] = sk01(zs[i], zs[j])
+            upper[i, k + j] = _bures_block(hk, "K01", zs[i], zs[j])
     pf = pfaffian(SkewMatrix(upper)).to_real()
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
     return sign * pf / 2.0 ** k
@@ -125,27 +134,16 @@ def rho_bures(req: CorrelationRequest, route: str = "direct") -> float:
     if route == "brute":
         return _brute_bures(req.params, req.xs)
     p_pair = req.params.bures_pair()
-
-    def hk(kind, p1, p2):
-        return hatted(p_pair, kind, p1, p2, route)
-
-    return _bures_pfaffian(
-        req.xs,
-        lambda zi, zj: hk("K11", zi, zj) - hk("K11", zj, zi),
-        lambda zi, zj: hk("K01", zj, zi) + hk("K10", zi, zj),
-        lambda zi, zj: hk("K00", zi, zj) - hk("K00", zj, zi))
+    return _bures_pfaffian(req.xs, partial(hatted, p_pair, route=route))
 
 
 def rho_bures_hard_edge(a: float, theta: float, zs) -> float:
-    """Hard-edge limit of the k-point Bures correlation."""
+    """Hard-edge limit of the k-point Bures correlation: the Pfaffian of
+    rho_bures on the hard-edge limit of hatted."""
+    require_positive("a + 1 and theta", a + 1.0, theta)
     zs = tuple(float(z) for z in zs)
-    require_positive("points", *zs)
-    if len(set(zs)) != len(zs):
-        raise DomainError("points must be pairwise different")
-    return _bures_pfaffian(
-        zs, lambda zi, zj: delta_k11_inf(a, theta, zi, zj),
-        lambda zi, zj: sigma_k01_inf(a, theta, zi, zj),
-        lambda zi, zj: delta_k00_inf(a, theta, zi, zj))
+    _check_points(zs)
+    return _bures_pfaffian(zs, partial(_hatted_inf, a, theta))
 
 
 # ---------------------------------------------------------------------------

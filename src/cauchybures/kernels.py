@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import mpmath
@@ -361,24 +361,30 @@ def k11(params: EnsembleParams, y: float, x: float,
     return _finite_kernel(params, "K11", y, x, route)
 
 
+def _weight(a: float, b: float, kind: str, p1: float, p2: float,
+            decay: bool) -> float:
+    """The one-point weights of kind's integrated sides (_TILDE): p^e at
+    its point p, e = b on the first side and a on the second, each times
+    e^{-p} with decay (finite N; the hard edge has no e^{-p})."""
+    tilde1, tilde2 = tilde = _TILDE[kind]
+    weight = (math.exp(-sum(p for t, p in zip(tilde, (p1, p2)) if t))
+              if decay else 1.0)
+    if tilde2:
+        weight *= p2 ** a
+    if tilde1:
+        weight *= p1 ** b
+    return weight
+
+
 def hatted(params: EnsembleParams, kind: str, p1: float, p2: float,
            route: str = "tintegral") -> float:
-    """Weight-dressed kernels absorbing the correlation prefactors.
-
-    Each integrated side (_TILDE) is multiplied by the one-point weight
-    e^{-p} p^e at its point p, e = b on the first side and a on the
-    second; K00, with no side integrated, is cd_kernel by the same route.
-    """
+    """The kernel of `kind` by `route` times its _weight, which absorbs
+    the correlation prefactors; K00, with no side integrated, is cd_kernel."""
     if kind not in _TILDE:
         raise DomainError(f"unknown kernel kind {kind!r}")
-    tilde1, tilde2 = tilde = _TILDE[kind]
-    weight = math.exp(-sum(p for t, p in zip(tilde, (p1, p2)) if t))
-    if tilde2:
-        weight *= p2 ** params.a
-    if tilde1:
-        weight *= p1 ** params.b
     kernel = {"K00": cd_kernel, "K01": k01, "K10": k10, "K11": k11}[kind]
-    return weight * kernel(params, p1, p2, route)
+    return (_weight(params.a, params.b, kind, p1, p2, True)
+            * kernel(params, p1, p2, route))
 
 
 # ---------------------------------------------------------------------------
@@ -395,39 +401,38 @@ def hard_edge_kernel(a: float, b: float, theta: float, kind: str,
     return _kernel(a, b, theta, None, kind, x1, x2)
 
 
-# ---------------------------------------------------------------------------
-# hard-edge Bures kernel blocks (Cauchy pair (a, a+1))
-# ---------------------------------------------------------------------------
+def _hatted_inf(a: float, theta: float, kind: str, z1: float,
+                z2: float) -> float:
+    """hatted's hard-edge limit on the Bures pair (a, a+1): _weight
+    without e^{-p}, and K11 minus 1/(z1 + z2), as finite-N k11."""
+    val = hard_edge_kernel(a, a + 1.0, theta, kind, z1, z2)
+    if kind == "K11":
+        val -= 1.0 / (z1 + z2)
+    return _weight(a, a + 1.0, kind, z1, z2, False) * val
+
+
+def _bures_block(hk: Callable, kind: str, zi: float, zj: float) -> float:
+    """One entry of a Bures skew block from a dressed kernel
+    hk(kind, p1, p2): hk(K, zi, zj) - hk(K, zj, zi) for K00 and K11, and
+    for K01 the off-diagonal block hk(K01, zj, zi) + hk(K10, zi, zj)."""
+    if kind == "K01":
+        return hk("K01", zj, zi) + hk("K10", zi, zj)
+    return hk(kind, zi, zj) - hk(kind, zj, zi)
+
 
 def delta_k00_inf(a: float, theta: float, zi: float, zj: float) -> float:
     """Hard-edge antisymmetrized CD kernel K00(z_i, z_j) - K00(z_j, z_i)."""
-    return (hard_edge_kernel(a, a + 1.0, theta, "K00", zi, zj)
-            - hard_edge_kernel(a, a + 1.0, theta, "K00", zj, zi))
+    return _bures_block(partial(_hatted_inf, a, theta), "K00", zi, zj)
 
 
 def sigma_k01_inf(a: float, theta: float, zi: float, zj: float) -> float:
-    """Hard-edge off-diagonal Bures block.
-
-    z_i^a K01(z_j, z_i) + z_i^{a+1} K10(z_i, z_j), the weights of hatted
-    without their exponentials.
-    """
-    b = a + 1.0
-    return (zi ** a * hard_edge_kernel(a, b, theta, "K01", zj, zi)
-            + zi ** b * hard_edge_kernel(a, b, theta, "K10", zi, zj))
+    """Hard-edge Bures block z_i^a K01(z_j, z_i) + z_i^{a+1} K10(z_i, z_j)."""
+    return _bures_block(partial(_hatted_inf, a, theta), "K01", zi, zj)
 
 
 def delta_k11_inf(a: float, theta: float, zi: float, zj: float) -> float:
-    """Hard-edge antisymmetrized doubly-integrated kernel, Bures pair.
-
-    Both the smooth part and the rational part of the finite-N kernel
-    survive the limit at the same order, so both appear here.
-    """
-    b = a + 1.0
-    smooth = (
-        zj ** a * zi ** b * hard_edge_kernel(a, b, theta, "K11", zi, zj)
-        - zi ** a * zj ** b * hard_edge_kernel(a, b, theta, "K11", zj, zi))
-    rational = (zj ** a * zi ** b - zi ** a * zj ** b) / (zi + zj)
-    return smooth - rational
+    """Hard-edge antisymmetrized K11 block, its 1/(z_i + z_j) part kept."""
+    return _bures_block(partial(_hatted_inf, a, theta), "K11", zi, zj)
 
 
 # ---------------------------------------------------------------------------

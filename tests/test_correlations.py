@@ -107,6 +107,29 @@ class TestHardEdge:
                             - 1.0))
         assert errs[0] > errs[1] > errs[2]
 
+    def test_two_point_finite_size_convergence(self):
+        # N^{-4/theta} rho_2 at z N^{-2/theta} tends to the hard-edge rho_2
+        a, theta, zs = 0.3, 1.0, (0.8, 1.5)
+        limit = rho_bures_hard_edge(a, theta, zs)
+        errs = []
+        for n in (20, 40, 80):
+            sc = n ** (-2.0 / theta)
+            req = CorrelationRequest(
+                "bures", EnsembleParams(a, a + 1.0, theta, n),
+                tuple(z * sc for z in zs))
+            errs.append(abs(sc ** 2 * rho_bures(req, route="tintegral")
+                            / limit - 1.0))
+        assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("a,theta", [
+        (-1.5, 1.0), (0.3, -2.0), (0.3, 0.0), (0.3, math.nan),
+        (math.inf, 1.0)])
+    @pytest.mark.parametrize("zs", [(), (0.8, 1.5)])
+    def test_invalid_parameters_rejected_with_or_without_points(
+            self, a, theta, zs):
+        with pytest.raises(DomainError, match="a \\+ 1 and theta"):
+            rho_bures_hard_edge(a, theta, zs)
+
     def test_two_point_is_finite_and_subdeterminantal(self):
         # rho_2 <= rho_1(z1) rho_1(z2) for a Pfaffian point process with
         # a totally positive kernel is not guaranteed in general; only
@@ -132,6 +155,13 @@ class TestValidationAndRecords:
                                    (0.8,))
         with pytest.raises(DomainError):
             rho_cauchy(req_b)
+
+    def test_bures_rejects_a_second_species(self):
+        p = EnsembleParams(0.3, 1.3, 1.0, 2)
+        with pytest.raises(DomainError, match="one species"):
+            CorrelationRequest("bures", p, (0.8,), (5.0,))
+        with pytest.raises(DomainError, match="one species"):
+            CorrelationRequest("bures", p, (), (5.0,))
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_points_must_be_finite_and_positive(self, bad):

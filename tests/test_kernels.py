@@ -181,6 +181,23 @@ class TestSkewKernelBlocks:
         assert delta_k11_inf(0.3, 1.0, zi, zj) == pytest.approx(
             -delta_k11_inf(0.3, 1.0, zj, zi), rel=1e-10)
 
+    @pytest.mark.parametrize("a,theta,zi,zj", [
+        (0.3, 1.0, 0.8, 1.7), (0.3, 1.0, 1.559, 1.7475),
+        (0.5, 1.5, 0.4, 2.3), (-0.4, 1.3, 0.6, 0.9)])
+    def test_delta_k11_carries_the_rational_part(self, a, theta, zi, zj):
+        # the dressed K11 minus 1/(z_i + z_j), antisymmetrized, is the
+        # smooth part's antisymmetrization minus the rational part
+        b = a + 1.0
+
+        def smooth(y, x):
+            return hard_edge_kernel(a, b, theta, "K11", y, x)
+
+        want = (zj ** a * zi ** b * smooth(zi, zj)
+                - zi ** a * zj ** b * smooth(zj, zi)
+                - (zj ** a * zi ** b - zi ** a * zj ** b) / (zi + zj))
+        assert delta_k11_inf(a, theta, zi, zj) == pytest.approx(want,
+                                                                rel=1e-13)
+
     def test_delta_k11_matches_hatted_difference(self):
         # N^{4a/theta} (hat-K11(z_i s, z_j s) - hat-K11(z_j s, z_i s)),
         # s = N^{-2/theta}, tends to the hard-edge block, rational part
