@@ -20,7 +20,7 @@ from .exceptions import CauchyBuresError, NonConverged
 # hankel_loop and residue_series stay bound here for perfbench/tracer.py
 from .foxh import (FoxHSpec, hankel_loop, mellin_barnes,  # noqa: F401
                    residue_series)
-from .numerics import SkewMatrix, gauss_jacobi, pfaffian
+from .numerics import SkewMatrix, gauss_jacobi, pfaffian, require_positive
 
 # the spec'd exit contract reserves 2 for non-convergence; route click's
 # usage failures to 1 instead
@@ -68,10 +68,13 @@ def _load_foxh_spec(path: str) -> FoxHSpec:
         if not isinstance(entries, list) or any(
                 not isinstance(e, list) or len(e) != 2 for e in entries):
             _fail(1, f"field {key!r} must be a list of [shift, slope] pairs")
+    for key in ("m", "n"):
+        if type(raw[key]) is not int:  # a JSON integer; not 1.7, not true
+            _fail(1, f"field {key!r} must be an integer, got {raw[key]!r}")
     try:
         return FoxHSpec(upper=tuple(tuple(map(float, e)) for e in raw["upper"]),
                         lower=tuple(tuple(map(float, e)) for e in raw["lower"]),
-                        m=int(raw["m"]), n=int(raw["n"]))
+                        m=raw["m"], n=raw["n"])
     except (TypeError, ValueError) as exc:
         _fail(1, f"invalid spec: {exc}")
 
@@ -86,8 +89,7 @@ _ROUTE_NAMES = {"residue": "ResidueSum", "hankel": "HankelLoop"}
 def foxh(spec_file, zs, out):
     """Evaluate a Fox H-function at each --z; one JSON record per point."""
     spec = _load_foxh_spec(spec_file)
-    if any(z <= 0 for z in zs):
-        _fail(1, "z must be positive")
+    require_positive("z", *zs)
     num, den = spec.factors()
     records = []
     for z in zs:

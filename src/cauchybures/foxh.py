@@ -326,8 +326,8 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     confirms both its term count and its precision.
     """
     zs = np.asarray(z, dtype=float)
-    if not np.all(zs > 0):
-        raise DomainError("z must be positive")
+    if not np.all(np.isfinite(zs) & (zs > 0)):
+        raise DomainError("z must be finite and positive")
     log_z = np.log(zs).ravel()
     table = _residue_table(tuple(num), tuple(den))
     cols = np.arange(len(log_z))
@@ -521,8 +521,7 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     super-exponentially along it, so the trapezoid rule with node doubling
     converges geometrically.
     """
-    if z <= 0:
-        raise DomainError("z must be positive")
+    require_positive("z", z)
     log_z = math.log(z)
     # rightmost left-family pole, leftmost right-family pole
     left_max = max((f.pole(0) for f in num if f.slope > 0), default=-math.inf)

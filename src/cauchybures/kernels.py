@@ -6,7 +6,8 @@ sides (`_cd_contract`), and a t-integral of the contour functions, so the
 routes can be played against each other in the tests; for K11 the second
 is an exact incomplete-gamma sum from cached O(N) vectors and guarded
 unit-step gamma chains (_k11_inc_core).  One table of the four kinds
-(_TILDE) and one dispatcher (_finite_kernel) choose every route.
+(_TILDE) and one dispatcher (_finite_kernel) choose every route; one
+tanh-sinh rule (_gg_t_integral) integrates every t-integral.
 """
 from __future__ import annotations
 
@@ -45,6 +46,9 @@ __all__ = [
 
 _SINGULAR_TOL = 1e-12
 _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
+# the tanh-sinh nodes reach t = e^{-700}; the part of int t^alpha dt
+# below them, e^{-700 (alpha + 1)}, tops 1e-12 for alpha + 1 < 0.04
+_MIN_ALPHA1 = 0.04
 # each kernel kind K<d1><d2>: is its first / second side integrated
 # against the Cauchy weight?  An integrated side is an i1 transform on the
 # direct route and the companion G~ in the t-integral.
@@ -120,19 +124,24 @@ def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> floa
 
 def _gg_t_integral(alpha: float, f1: Callable, z1: float, f2: Callable,
                    z2: float) -> float:
-    """integral_0^1 t^alpha f1(t z1) f2(t z2) dt by tanh-sinh quadrature.
+    """integral_0^1 t^alpha f1(t z1) f2(t z2) dt by tanh-sinh, every kind.
 
-    tanh-sinh rather than a fixed Gauss-Jacobi weight because the G~
-    factors carry algebraic t^{-a/theta} endpoint behavior that defeats
-    any single polynomial weight.  f1 and f2 take arrays, so each
-    tanh-sinh level costs one call of each, on that level's new nodes.
+    tanh-sinh converges through the t^alpha weight of K00's entire G G
+    and through a G~'s algebraic t^{-a/theta} endpoint behavior, which no
+    single polynomial weight fits.  f1 and f2 take arrays, so each level
+    costs one call of each, on that level's new nodes.  Raises
+    ComplexityError for alpha + 1 below _MIN_ALPHA1.
     """
+    if alpha + 1.0 < _MIN_ALPHA1:
+        raise ComplexityError(f"t-integral: alpha + 1 = {alpha + 1.0:.3g} "
+                              f"puts t^alpha mass below the tanh-sinh nodes")
+
     def integrand(t: np.ndarray) -> np.ndarray:
-        # the combination t^alpha G G~ vanishes at least algebraically at
-        # t = 0, but the G~ factor alone can overflow at the extreme
-        # double-exponential nodes; those contribute below rounding
+        # the nodes with t^{alpha+1} < 1e-60 (t < 1e-60 for alpha >= 0)
+        # hold less than 1e-60 of the t^alpha mass; they are left out,
+        # since a G~ factor alone can overflow there
         out = np.zeros(len(t))
-        keep = t >= 1e-60
+        keep = t ** min(alpha + 1.0, 1.0) >= 1e-60
         t = t[keep]
         out[keep] = t ** alpha * f1(t * z1) * f2(t * z2)
         return out
@@ -150,20 +159,6 @@ def _g_fn(tilde: bool, a: float, alpha: float, theta: float,
     return lambda z: g(a, alpha, theta, n, z)
 
 
-def _gg_jacobi_integral(alpha: float, f1: Callable, z1: float, f2: Callable,
-                        z2: float, start_order: int) -> float:
-    """integral_0^1 t^alpha f1(t z1) f2(t z2) dt by Gauss-Jacobi refinement.
-
-    For entire f1, f2 (G_n, G_inf), whose only endpoint behavior is the
-    t^alpha weight.
-    """
-    def value_at(order: int) -> float:
-        rule = gauss_jacobi(order, alpha)
-        return float(rule.weights @ (f1(rule.nodes * z1) * f2(rule.nodes * z2)))
-
-    return refine_quadrature(value_at, start_order)
-
-
 def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
             x1: float, x2: float):
     """Exponent-free kernel of the pair (a, b): finite n, or n=None.
@@ -172,10 +167,10 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
     theta int_0^1 t^alpha F_a(t u1) F_b(t u2) dt, each F the companion G~
     on an integrated side (_TILDE) and G otherwise, times x1^a and x2^b
     for an integrated first and second side.  G, G~ are G_n, G~_n, or the
-    hard-edge G_inf, G~_inf for n=None.  With no side integrated (K00)
-    the integrand is entire and Gauss-Jacobi refinement serves, otherwise
-    tanh-sinh.  The finite-N kernels carry a further e^{x} per integrated
-    side, and their K11 is not this integral (see _finite_kernel).
+    hard-edge G_inf, G~_inf for n=None.  Every kind is integrated by
+    _gg_t_integral.  The finite-N kernels carry a further e^{x} per
+    integrated side, and their K11 is not this integral (see
+    _finite_kernel).
     """
     if kind not in _TILDE:
         raise DomainError(f"unknown kernel kind {kind!r}")
@@ -183,10 +178,6 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
     tilde1, tilde2 = _TILDE[kind]
     g1 = _g_fn(tilde1, a, alpha, theta, n)
     g2 = _g_fn(tilde2, b, alpha, theta, n)
-    if not (tilde1 or tilde2):
-        return theta * _gg_jacobi_integral(
-            alpha, g1, x1 ** theta, g2, x2 ** theta,
-            16 if n is None else max(16, n + 4))
     weight = theta
     if tilde2:
         weight *= x2 ** b

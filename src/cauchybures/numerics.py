@@ -124,9 +124,11 @@ def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP):
     bound on it).  The first sum runs at `dps` digits, a hint.  While the
     digits lost, log10(peak / |total|), leave fewer than _SPARE_DIGITS of
     the working precision, the sum runs again at the _DPS_STEP multiple
-    that would leave them; past _MAX_DPS it raises NonConverged.  Returns
-    the mpmath total, which the caller rounds; a total of exactly zero is
-    returned at once.
+    that would leave them, and at least twice the digits (up to _MAX_DPS)
+    where the total is rounding noise (it kept fewer than 4 digits), whose
+    loss only bounds the true one.  Where the measured loss needs more
+    than _MAX_DPS it raises NonConverged.  Returns the mpmath total, which
+    the caller rounds; a total of exactly zero is returned at once.
     """
     while True:
         with mpmath.workdps(dps):
@@ -136,10 +138,12 @@ def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP):
         lost = (log_peak - ln_abs(total)) / math.log(10.0)
         if dps - lost >= _SPARE_DIGITS:
             return total
-        dps = _DPS_STEP * math.ceil((lost + _SPARE_DIGITS) / _DPS_STEP)
-        if dps > _MAX_DPS:
+        need = _DPS_STEP * math.ceil((lost + _SPARE_DIGITS) / _DPS_STEP)
+        if need > _MAX_DPS:
             raise NonConverged(f"mpmath sum loses {lost:.0f} digits; "
                                f"more than {_MAX_DPS} would be needed")
+        noise = lost > dps - 4
+        dps = max(need, min(2 * dps, _MAX_DPS)) if noise else need
 
 
 def ln_abs(x) -> float:

@@ -74,6 +74,23 @@ class TestFoxH:
         res = runner.invoke(main, ["foxh", spec, "--z", "-1.0"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("z", ["inf", "nan"])
+    def test_non_finite_z_exits_one(self, runner, tmp_path, z):
+        spec = write_spec(tmp_path, EXP_SPEC)
+        res = runner.invoke(main, ["foxh", spec, "--z", "1.0", "--z", z])
+        assert res.exit_code == 1
+        assert "finite and positive" in res.stderr
+        assert res.stdout == ""  # refused before the first record
+
+    @pytest.mark.parametrize("key", ["m", "n"])
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1", None])
+    def test_non_integer_index_exits_one(self, runner, tmp_path, key, value):
+        # int() once read 1.7 and true as 1 and printed e^{-1}
+        spec = write_spec(tmp_path, {**EXP_SPEC, key: value})
+        res = runner.invoke(main, ["foxh", spec, "--z", "1.0"])
+        assert res.exit_code == 1
+        assert f"field {key!r} must be an integer" in res.stderr
+
     def test_spec_without_left_poles_exits_one(self, runner, tmp_path):
         # the library's DomainError, mapped once for every command
         spec = write_spec(tmp_path, {"upper": [[0.5, 1.0]], "lower": [],
@@ -367,6 +384,8 @@ class TestWithoutScipy:
              "--n", "4", "--kind", "K00", *grid],
             ["kernel-grid", "--a", "0.5", "--b", "0.7", "--theta", "1.5",
              "--kind", "hard-K10", "--format", "json", *grid],
+            ["kernel-grid", "--a", "0.5", "--b", "0.7", "--theta", "1.5",
+             "--kind", "hard-K00", "--format", "json", *grid],
         ]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         res = subprocess.run(

@@ -81,6 +81,15 @@ class TestBuresAgainstBruteForce:
         assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
                                                rel=1e-3)
 
+    def test_one_point_n3_integrates_two_variables(self):
+        # N - k = 2: the oracle's nested quadrature
+        p = EnsembleParams(0.2, 1.2, 1.5, 3)
+        req = CorrelationRequest("bures", p, (1.4,))
+        brute = rho_bures(req, "brute")
+        assert brute == pytest.approx(0.508265610377459, rel=1e-9)
+        for route in ("direct", "tintegral"):
+            assert rho_bures(req, route) == pytest.approx(brute, rel=1e-9)
+
     def test_exchange_symmetry(self):
         p = EnsembleParams(0.3, 1.3, 1.0, 3)
         fwd = rho_bures(CorrelationRequest("bures", p, (0.7, 1.4)))

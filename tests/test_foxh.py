@@ -574,6 +574,27 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             g_tilde_inf(0.3, 0.9, 1.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("array", [False, True])
+    @pytest.mark.parametrize("strategy", ["auto", "hankel"])
+    def test_non_finite_argument_rejected(self, bad, array, strategy):
+        # inf once gave 0 * inf in the term logs (a RuntimeWarning), nan
+        # a 2,000-pole table or "integrand does not decay"
+        z = np.array([1.0, bad]) if array else bad
+        a, alpha, theta = 0.3, 0.9, 1.5
+        spec = FoxHSpec(upper=(), lower=((0.0, 1.0),), m=1, n=0)
+        for call in (lambda: g_n(a, alpha, theta, 3, z, strategy),
+                     lambda: g_tilde_n(a, alpha, theta, 3, z, strategy),
+                     lambda: g_inf(a, alpha, theta, z, strategy),
+                     lambda: g_tilde_inf(a, alpha, theta, z, strategy),
+                     lambda: fox_h(spec, z, strategy),
+                     lambda: mellin_barnes(*spec.factors(), z, strategy)):
+            with pytest.raises(DomainError, match="finite and positive"):
+                call()
+        if not array:
+            with pytest.raises(DomainError, match="finite and positive"):
+                hankel_loop(*spec.factors(), bad)
+
     def test_small_argument_stability(self):
         # the loop contour stays accurate deep into the origin region
         a, alpha, theta = 0.3, 0.9, 1.5

@@ -77,6 +77,50 @@ class TestStrategyAgreement:
             assert d == pytest.approx(t, rel=1e-6)
 
 
+def mp_hard_k00(a, b, theta, x, y, terms=40):
+    """Hard-edge K00, theta int_0^1 t^alpha G_inf(t x^theta) G_inf(t y^theta)
+    dt, integrated term by term over the series G_inf(z) = sum_k c_k (-z)^k,
+    c_k = 1 / (k! Gamma(alpha+1+k) Gamma(a+theta k+1)), in mpmath."""
+    with mpmath.workdps(30):
+        al = (mpmath.mpf(a) + b + 1) / theta - 1
+
+        def terms_at(e, p):
+            z = -mpmath.mpf(p) ** theta
+            return [z ** k / (mpmath.factorial(k) * mpmath.gamma(al + 1 + k)
+                              * mpmath.gamma(e + theta * k + 1))
+                    for k in range(terms)]
+
+        tx, ty = terms_at(a, x), terms_at(b, y)
+        return float(theta * mpmath.fsum(
+            tx[j] * ty[k] / (al + 1 + j + k)
+            for j in range(terms) for k in range(terms)))
+
+
+class TestTIntegralEndpoint:
+    # alpha + 1 = (a + b + 1)/theta near 0 puts the t^alpha mass at the
+    # deepest tanh-sinh nodes, which the t-integral must keep
+    @pytest.mark.parametrize("alpha1", [0.1, 0.05])
+    def test_weight_near_its_integrability_limit(self, alpha1):
+        a = b = 0.5 * alpha1 - 0.5
+        p = EnsembleParams(a, b, 1.0, 3)
+        for x, y in ((0.3, 0.8), (1.7, 2.4)):
+            for fn in (cd_kernel, k01, k10):
+                assert fn(p, x, y, route="tintegral") == pytest.approx(
+                    fn(p, x, y, route="direct"), rel=1e-12)
+        assert hard_edge_kernel(a, b, 1.0, "K00", 0.3, 0.8) == pytest.approx(
+            mp_hard_k00(a, b, 1.0, 0.3, 0.8), rel=1e-12)
+
+    def test_refused_where_the_nodes_miss_the_mass(self):
+        a = b = -0.485  # alpha + 1 = 0.03
+        p = EnsembleParams(a, b, 1.0, 3)
+        for call in (lambda: cd_kernel(p, 0.3, 0.8, route="tintegral"),
+                     lambda: k01(p, 0.3, 0.8),
+                     lambda: hard_edge_kernel(a, b, 1.0, "K00", 0.3, 0.8)):
+            with pytest.raises(ComplexityError, match="alpha \\+ 1"):
+                call()
+        assert math.isfinite(cd_kernel(p, 0.3, 0.8, route="direct"))
+
+
 class TestReproducingProperty:
     @pytest.mark.parametrize("params", [EnsembleParams(0.5, 0.7, 1.5, 3),
                                         EnsembleParams(0.0, 0.0, 1.0, 2)])

@@ -10,9 +10,9 @@ from scipy import integrate, special
 
 from cauchybures.exceptions import DimensionError, DomainError, NonConverged
 from cauchybures.numerics import (LogValue, SkewMatrix, gauss_jacobi,
-                                  lgamma_signed, log_gamma_complex, pfaffian,
-                                  pfaffian_bordered, refine_quadrature,
-                                  tanh_sinh_01)
+                                  lgamma_signed, log_gamma_complex, mp_sum,
+                                  pfaffian, pfaffian_bordered,
+                                  refine_quadrature, tanh_sinh_01)
 from references import gauss_jacobi_pair, gauss_laguerre, simplex_quad_2d
 
 finite_nonzero = st.floats(min_value=1e-8, max_value=1e8).map(
@@ -198,6 +198,40 @@ class TestQuadrature:
                               max_order=128)
         with pytest.raises(NonConverged):
             tanh_sinh_01(lambda t: t, max_level=0)
+
+
+def exp_taylor(x: float, levels: list):
+    """sum_at for numerics.mp_sum: e^{-x} as its Taylor series, recording
+    the working precision of each call in `levels`."""
+    def sum_at():
+        levels.append(mpmath.mp.dps)
+        eps = mpmath.mpf(10) ** -mpmath.mp.dps
+        term, total, peak, k = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), 0
+        while k < 4 * x or abs(term) > eps * peak:
+            total += term
+            peak = max(peak, abs(term))
+            k += 1
+            term *= -x / mpmath.mpf(k)
+        return total, float(mpmath.log(peak))
+    return sum_at
+
+
+class TestMpSum:
+    def test_noise_doubles_the_precision(self):
+        # e^{-100} loses 86 digits; at 32 and 64 digits the total is
+        # rounding noise, whose loss only bounds the true one, so the
+        # precision doubles instead of creeping up by 32 digits a level
+        levels = []
+        total = mp_sum(exp_taylor(100.0, levels), 32)
+        assert levels == [32, 64, 128]
+        assert float(total) == pytest.approx(math.exp(-100.0), rel=1e-15)
+
+    def test_doubling_stops_at_the_cap_then_refuses(self):
+        # e^{-800} loses about 694 digits, more than the 512 allowed
+        levels = []
+        with pytest.raises(NonConverged, match="more than 512"):
+            mp_sum(exp_taylor(800.0, levels), 32)
+        assert levels == [32, 64, 128, 256, 512]
 
 
 class TestPfaffian:

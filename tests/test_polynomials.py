@@ -143,6 +143,21 @@ class TestDegreeRange:
                 call()
 
 
+class TestPolySeriesCall:
+    def test_horner_matches_the_coefficient_sum(self):
+        series = p_hat(EnsembleParams(0.5, 0.7, 1.5, 4), 3)
+        value = series(0.7)
+        assert type(value) is float
+        assert value == pytest.approx(-2.6177685185049886, rel=1e-14)
+        assert value == pytest.approx(float(poly_eval(series, 0.7)),
+                                      rel=1e-14)
+        ts = np.array([[0.0, 0.7], [1.3, 2.5]])
+        values = series(ts)
+        assert values.shape == ts.shape
+        np.testing.assert_allclose(values, poly_eval(series, ts),
+                                   rtol=1e-14)
+
+
 class TestDeterminantForms:
     # The hatted normalization fixes only the product of the two
     # families; the determinant route splits the constant differently,
