@@ -3,8 +3,9 @@
 Production formulas are the hatted-kernel block determinant (Cauchy
 two-matrix model) and the skew block Pfaffian (Bures ensemble), plus
 their hard-edge limits.  The brute-force routes (route="brute")
-integrate the defining eigenvalue densities directly with adaptive
-quadrature and exist only to arbitrate the formulas at small N.
+integrate the defining eigenvalue densities directly, by tanh-sinh on the
+half line with no cutoff, and exist only to arbitrate the formulas at
+small N.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from .ensembles import EnsembleParams, partition_bures, partition_cauchy
 from .kernels import _bures_block, _hatted_inf, hatted
 # the hard-edge blocks stay bound here for perfbench/tracer.py
 from .kernels import delta_k00_inf, delta_k11_inf, sigma_k01_inf  # noqa: F401
-from .numerics import SkewMatrix, pfaffian, require_positive
+from .numerics import (SkewMatrix, pfaffian, require_positive, tanh_sinh_01,
+                       tanh_sinh_half_line)
 
 __all__ = [
     "CorrelationRequest",
@@ -150,27 +152,25 @@ def rho_bures_hard_edge(a: float, theta: float, zs) -> float:
 # brute-force oracles
 # ---------------------------------------------------------------------------
 
-def _upper_cutoff(max_exp: float) -> float:
-    # envelope x^p e^{-x} below 1e-12 of its peak
-    return max(50.0, 8.0 * max(max_exp, 1.0))
+def _gamma_weight(p: float):
+    """x -> x^p e^{-x}, as exp(p log x - x) so that it stays finite at every
+    node of tanh_sinh_half_line."""
+    return lambda x: np.exp(p * np.log(x) - x)
 
 
-def _quad(f, lo, hi, singular=(), limit=200, epsabs=1e-13, epsrel=1e-10):
-    from scipy import integrate  # only the brute-force oracles need scipy
-    pts = [p for p in singular if lo < p < hi]
-    return integrate.quad(f, lo, hi, points=pts or None, limit=limit,
-                          epsabs=epsabs, epsrel=epsrel)[0]
-
-
-def _brute_pair_integral(p_exp: float, q_exp: float, cutoff: float) -> float:
+def _brute_pair_integral(p_exp: float, q_exp: float) -> float:
     """integral over the quadrant of x^p y^q e^{-(x+y)} / (x+y).
 
     Simplex substitution x = s*u, y = s*(1-u); both 1D factors are then
-    integrated adaptively (no gamma identities, so the route stays
-    independent of the moment formulas).
+    integrated numerically (no gamma identities, so the route stays
+    independent of the moment formulas).  The angular factor is folded
+    onto u in (0, 1/2], so that both endpoint powers sit at the origin,
+    where the nodes are exact.
     """
-    radial = _quad(lambda s: s ** (p_exp + q_exp) * math.exp(-s), 0.0, cutoff)
-    angular = _quad(lambda u: u ** p_exp * (1.0 - u) ** q_exp, 0.0, 1.0)
+    radial = tanh_sinh_half_line(_gamma_weight(p_exp + q_exp))
+    angular = 0.5 * tanh_sinh_01(
+        lambda t: (0.5 * t) ** p_exp * (1.0 - 0.5 * t) ** q_exp
+        + (0.5 * t) ** q_exp * (1.0 - 0.5 * t) ** p_exp)
     return radial * angular
 
 
@@ -180,59 +180,44 @@ def _brute_cauchy(params: EnsembleParams, xs, ys) -> float:
         raise ComplexityError("Cauchy brute force supports N <= 2 only")
     a, b, theta = params.a, params.b, params.theta
     r, s = len(xs), len(ys)
-    cutoff = _upper_cutoff(max(a, b) + theta * (n - 1))
+    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(n))]
     total = 0.0
-    for sigma in itertools.permutations(range(n)):
-        sg_sigma = _perm_sign(sigma)
-        for tau in itertools.permutations(range(n)):
-            sg_tau = _perm_sign(tau)
-            for rho in itertools.permutations(range(n)):
-                sg_rho = _perm_sign(rho)
-                prod = 1.0
-                for i in range(n):
-                    j = sigma[i]
-                    px = theta * tau[i]
-                    py = theta * rho[j]
-                    if i < r and j < s:
-                        prod *= (xs[i] ** px * ys[j] ** py
-                                 / (xs[i] + ys[j]))
-                    elif i < r:
-                        c = xs[i]
-                        prod *= xs[i] ** px * _quad(
-                            lambda y, q=b + py, c=c:
-                            y ** q * math.exp(-y) / (c + y),
-                            0.0, cutoff, singular=(c,))
-                    elif j < s:
-                        c = ys[j]
-                        prod *= ys[j] ** py * _quad(
-                            lambda x, q=a + px, c=c:
-                            x ** q * math.exp(-x) / (c + x),
-                            0.0, cutoff, singular=(c,))
-                    else:
-                        prod *= _brute_pair_integral(a + px, b + py, cutoff)
-                total += sg_sigma * sg_tau * sg_rho * prod
-    z_n = partition_cauchy(params)
-    weight = 1.0
-    for x in xs:
-        weight *= x ** a * math.exp(-x)
-    for y in ys:
-        weight *= y ** b * math.exp(-y)
-    norm = math.exp(-z_n.log_mag) / (
+    for (sigma, sg1), (tau, sg2), (rho, sg3) in itertools.product(perms,
+                                                                  repeat=3):
+        prod = float(sg1 * sg2 * sg3)
+        for i, j in enumerate(sigma):
+            px, py = theta * tau[i], theta * rho[j]
+            if i < r and j < s:
+                prod *= xs[i] ** px * ys[j] ** py / (xs[i] + ys[j])
+            elif i < r or j < s:
+                # one side at the point c, the other integrated
+                c, pc, w = ((xs[i], px, _gamma_weight(b + py)) if i < r
+                            else (ys[j], py, _gamma_weight(a + px)))
+                prod *= c ** pc * tanh_sinh_half_line(lambda t: w(t) / (c + t))
+            else:
+                prod *= _brute_pair_integral(a + px, b + py)
+        total += prod
+    weight = (math.prod(x ** a * math.exp(-x) for x in xs)
+              * math.prod(y ** b * math.exp(-y) for y in ys))
+    norm = math.exp(-partition_cauchy(params).log_mag) / (
         math.factorial(n - r) * math.factorial(n - s))
     return norm * weight * total
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(p > q for p, q in itertools.combinations(perm, 2))
 
 
-def _bures_pair_factor(u: float, v: float, theta: float) -> float:
-    return (v - u) / (v + u) * (v ** theta - u ** theta)
+def _bures_pair_factor(u, v, theta: float):
+    """(lg, rest) with (v-u)/(v+u) (v^theta - u^theta) = e^lg * rest.
+
+    Both differences have one sign, so the factor is |v-u|/(v+u) times
+    hi^theta (1 - (lo/hi)^theta): lg = theta log hi, and rest lies in
+    [0, 1) however far apart u and v are.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    return (theta * np.log(hi),
+            (hi - lo) / (hi + lo) * -np.expm1(theta * np.log(lo / hi)))
 
 
 def _brute_bures(params: EnsembleParams, zs) -> float:
@@ -241,39 +226,38 @@ def _brute_bures(params: EnsembleParams, zs) -> float:
         raise ComplexityError("Bures brute force supports N <= 3 only")
     k = len(zs)
     a, theta = params.a, params.theta
-    cutoff = _upper_cutoff(a + 2.0 * theta * (n - 1))
-    zb = partition_bures(params)
 
-    def pair_all(pts):
-        prod = 1.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                prod *= _bures_pair_factor(pts[i], pts[j], theta)
-        return prod
-
-    def weight(x):
-        return x ** a * math.exp(-x)
+    def density(free, shift=0.0):
+        # e^{-shift} times the density at the integrated points `free`,
+        # formed as exp(sum of logs) times the pair factors' bounded rests,
+        # so that a node near 0 or far out overflows only where the
+        # product itself does
+        log, rest = sum((a * np.log(x) - x for x in free), -shift), 1.0
+        for u, v in itertools.combinations((*zs, *free), 2):
+            lg, r = _bures_pair_factor(u, v, theta)
+            log, rest = log + lg, rest * r
+        return np.exp(log) * rest
 
     if k == n:
-        integral = pair_all(zs)
+        integral = density(())
     elif n - k == 1:
-        integral = _quad(
-            lambda x: pair_all((*zs, x)) * weight(x), 0.0, cutoff,
-            singular=zs)
+        integral = tanh_sinh_half_line(lambda x: density((x,)))
     elif n - k == 2:
-        def outer(x2):
-            inner = _quad(
-                lambda x3: pair_all((*zs, x2, x3)) * weight(x3),
-                0.0, cutoff, singular=(*zs, x2))
-            return inner * weight(x2)
-        integral = _quad(outer, 0.0, cutoff, zs, limit=80, epsabs=1e-11,
-                         epsrel=1e-8)
+        def outer(x):
+            # one inner integral per outer node x, scaled by x's own
+            # factors and max(x, 1)^theta so that it stays O(1) and its
+            # relative tolerance holds wherever x lies
+            shift = (a * math.log(x) - x + theta * math.log(max(x, 1.0))
+                     + sum(_bures_pair_factor(z, x, theta)[0] for z in zs))
+            return np.exp(shift) * tanh_sinh_half_line(
+                lambda y: density((x, y), shift))
+        integral = tanh_sinh_half_line(
+            lambda xs: np.array([outer(x) for x in xs]))
     else:
         raise ComplexityError("too many integrated variables")
-    pref = math.exp(-zb.log_mag) / math.factorial(n - k)
-    for z in zs:
-        pref *= weight(z)
-    return pref * integral
+    pref = math.exp(-partition_bures(params).log_mag) / math.factorial(n - k)
+    return float(pref * math.prod(z ** a * math.exp(-z) for z in zs)
+                 * integral)
 
 
 def correlation_record(req: CorrelationRequest, value: float, route: str,

@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from .exceptions import DomainError, PoleError
+from .exceptions import ComplexityError, DomainError, PoleError
+from .numerics import lgamma_signed, tanh_sinh_01
 
 __all__ = [
     "raney",
@@ -21,8 +22,9 @@ __all__ = [
 SZ_EDGE = 3.0 * math.sqrt(3.0) / 2.0
 
 
-def raney(p: float, r: float, n: int) -> float:
-    """Raney number R_{p,r}(n) = r/(pn+r) * binom(pn+r, n)."""
+def raney(p: float, r: float, n: float) -> float:
+    """Raney number R_{p,r}(n) = r/(pn+r) * binom(pn+r, n), the binomial
+    continued through gamma functions; ComplexityError past double range."""
     if n < 0:
         raise DomainError("n must be non-negative")
     if n == 0:
@@ -30,17 +32,22 @@ def raney(p: float, r: float, n: int) -> float:
     top = p * n + r
     if abs(top) < 1e-14:
         raise PoleError("p*n + r vanishes")
-    if float(p).is_integer() and float(r).is_integer() and p > 0 and r > 0:
-        # integer parameters give integer Raney numbers; compute exactly
-        pi, ri = int(p), int(r)
-        ti = pi * n + ri
-        return float(ri * math.comb(ti, n) // ti)
-    for arg in (top + 1.0, top - n + 1.0):
-        if arg <= 0 and abs(arg - round(arg)) < 1e-12:
-            raise PoleError(f"gamma pole at argument {arg}")
-    log = (math.lgamma(top + 1.0) - math.lgamma(n + 1.0)
-           - math.lgamma(top - n + 1.0))
-    return r / top * math.exp(log)
+    # lgamma_signed raises PoleError at a pole
+    (s1, l1), (_, l2), (s3, l3) = (lgamma_signed(v) for v in
+                                   (top + 1.0, n + 1.0, top - n + 1.0))
+    try:
+        # the gamma form first: past double range it raises here, before
+        # math.comb builds a huge integer
+        value = s1 * s3 * math.copysign(
+            math.exp(l1 - l2 - l3 + math.log(abs(r / top))), r / top)
+        if p > 0 and r > 0 and all(float(v).is_integer() for v in (p, r, n)):
+            # integer parameters give integer Raney numbers; compute exactly
+            ti = int(top)
+            value = float(int(r) * math.comb(ti, int(n)) // ti)
+    except OverflowError:
+        raise ComplexityError(
+            f"R_{{{p},{r}}}({n}) overflows a double") from None
+    return value
 
 
 def fuss_catalan_moment(theta: float, n: int) -> float:
@@ -68,33 +75,27 @@ def sz_density(x) -> float:
     out = np.zeros_like(arr)
     inside = arr < SZ_EDGE
     xi = arr[inside]
-    w = SZ_EDGE / xi
-    # w + sqrt(w^2 - 1) and its inverse w - sqrt(w^2 - 1), without forming
-    # w^2, which overflows for x below ~1e-154
-    s = (w + np.sqrt(w - 1.0) * np.sqrt(w + 1.0)) ** (2.0 / 3.0)
+    r = xi / SZ_EDGE
+    # s = (w + sqrt(w^2 - 1))^{2/3} at w = SZ_EDGE / x, as SZ_EDGE^{2/3}
+    # x^{-2/3} (1 + sqrt(1 - w^{-2}))^{2/3}, without forming w, which
+    # overflows below x ~ 2e-308
+    s = (SZ_EDGE ** (2.0 / 3.0) * xi ** (-2.0 / 3.0)
+         * (1.0 + np.sqrt(1.0 - r) * np.sqrt(1.0 + r)) ** (2.0 / 3.0))
     out[inside] = (s - 1.0 / s) / (2.0 * math.pi * math.sqrt(3.0))
-    if np.any(arr == SZ_EDGE):
-        out[arr == SZ_EDGE] = 0.0
     return out if out.ndim else float(out)
 
 
-def sz_moment(n: int) -> float:
-    """Numerical n-th moment of the density, via the x = s^3 substitution.
+def sz_moment(n: float) -> float:
+    """Numerical n-th moment of the density, by tanh-sinh over (0, SZ_EDGE).
 
-    The substitution turns the x^(-2/3) origin singularity into a smooth
-    integrand, so a plain adaptive quadrature converges quickly.
+    The rule's endpoint clustering absorbs the x^(-2/3) singularity at the
+    origin; its nodes reach x ~ 1e-304, below which the integral holds
+    less than 1e-100.
     """
-    from scipy import integrate  # only this numerical check needs scipy
     if n < 0:
         raise DomainError("n must be non-negative")
-    s_edge = SZ_EDGE ** (1.0 / 3.0)
-
-    def f(s):
-        return 3.0 * s ** (3 * n + 2) * sz_density(s ** 3)
-
-    val, _ = integrate.quad(f, 0.0, s_edge, limit=200,
-                            epsabs=1e-12, epsrel=1e-11)
-    return val
+    return SZ_EDGE * tanh_sinh_01(
+        lambda t: (SZ_EDGE * t) ** n * sz_density(SZ_EDGE * t))
 
 
 def density_asymptote(p: float, r: float, x) -> float:

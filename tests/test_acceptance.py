@@ -188,7 +188,7 @@ def test_criterion_08_correlation_oracles(check, emit):
         worst = max(worst, abs(ratios[-1] - 1.0))
     emit(f"       criterion-08 fitted constant prefactor (formula/oracle): "
          f"{np.mean(ratios):.12f}")
-    check("criterion-08 correlation oracles", worst, 1e-4)
+    check("criterion-08 correlation oracles", worst, 1e-12)
 
 
 def test_criterion_09_hard_edge_convergence(emit):
@@ -247,7 +247,7 @@ def test_criterion_11_raney_moments(check, emit):
     worst = 0.0
     for n in range(6):
         worst = max(worst, abs(sz_moment(n) / raney(1.5, 0.5, n) - 1.0))
-    check("criterion-11a density moments are Raney numbers", worst, 1e-6)
+    check("criterion-11a density moments are Raney numbers", worst, 1e-14)
     catalan = [1, 1, 2, 5, 14, 42]
     exact = all(raney(2.0, 1.0, n) == catalan[n] for n in range(6))
     emit(f"[{'PASS' if exact else 'FAIL'}] criterion-11b Catalan "

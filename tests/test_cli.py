@@ -366,9 +366,9 @@ print("\\n" + json.dumps(codes))  # a JSON grid ends without a newline
 
 
 class TestWithoutScipy:
-    def test_cold_commands_need_no_scipy(self, runner, tmp_path):
-        # scipy serves only route="brute", corr --oracle, verify, sz_moment
-        # and the Hankel route; the commands below reach none of them
+    def test_cold_commands_need_no_scipy(self, tmp_path):
+        # scipy serves only the Hankel route; the commands below, the
+        # brute-force oracles and verify among them, never reach it
         spec = write_spec(tmp_path, {"upper": [], "m": 2, "n": 0,
                                      "lower": [[0.0, 1.0], [0.0, 1.0]]})
         grid = ["--grid-min", "0.37", "--grid-max", "0.72",
@@ -379,6 +379,10 @@ class TestWithoutScipy:
             ["partition", "--model", "cauchy", "--a", "0.5", "--b", "0.7",
              "--theta", "1.5", "--n", "6"],
             corr,
+            corr + ["--oracle"],
+            ["corr", "--model", "bures", "--a", "0.3", "--n", "2",
+             "--z", "0.9", "--oracle"],
+            ["verify"],
             ["foxh", spec, "--z", "0.9643", "--z", "2.2"],  # double poles
             ["kernel-grid", "--a", "0.4", "--b", "1.4", "--theta", "1.3",
              "--n", "4", "--kind", "K00", *grid],
@@ -394,10 +398,3 @@ class TestWithoutScipy:
             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout.splitlines()[-1]) == [0] * len(blocked)
-        # the commands that do import scipy, inside the functions that
-        # need it, still pass where it is installed
-        for argv in (["verify"], corr + ["--oracle"],
-                     ["corr", "--model", "bures", "--a", "0.3", "--n", "2",
-                      "--z", "0.9", "--oracle"]):
-            res = runner.invoke(main, argv)
-            assert res.exit_code == 0, (argv, res.output)

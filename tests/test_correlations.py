@@ -19,27 +19,27 @@ class TestCauchyAgainstBruteForce:
         p = EnsembleParams(0.5, 0.7, 1.5, 1)
         req = CorrelationRequest("cauchy", p, (0.8,))
         assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
-                                                rel=1e-4)
+                                                rel=1e-12)
 
     def test_one_point_density_n2(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,))
         assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
-                                                rel=1e-4)
+                                                rel=1e-12)
 
     def test_mixed_two_point_n2(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,), (1.3,))
         assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
-                                                rel=1e-4)
+                                                rel=1e-12)
 
     def test_second_species_one_point_n2(self):
         req = CorrelationRequest("cauchy", PSET, (), (1.1,))
         assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
-                                                rel=1e-4)
+                                                rel=1e-12)
 
     def test_two_points_same_species_n2(self):
         req = CorrelationRequest("cauchy", PSET, (0.6, 1.4))
         assert rho_cauchy(req) == pytest.approx(rho_cauchy(req, "brute"),
-                                                rel=1e-4)
+                                                rel=1e-12)
 
     @pytest.mark.parametrize("route", ["direct", "tintegral"])
     @pytest.mark.parametrize("xs,ys", [((0.6, 1.4), (1.1,)),
@@ -48,10 +48,10 @@ class TestCauchyAgainstBruteForce:
     def test_unequal_species_counts_n2(self, xs, ys, route):
         # with r != s the off-diagonal blocks K00 (x rows, y columns) and
         # K11 (y rows, x columns) have different shapes; both routes
-        # agree with brute force to 4e-13 here
+        # agree with brute force to 4e-14 here
         req = CorrelationRequest("cauchy", PSET, xs, ys)
         assert rho_cauchy(req, route) == pytest.approx(
-            rho_cauchy(req, "brute"), rel=1e-10)
+            rho_cauchy(req, "brute"), rel=1e-12)
 
 
 class TestBuresAgainstBruteForce:
@@ -60,35 +60,35 @@ class TestBuresAgainstBruteForce:
         p = EnsembleParams(a, a + 1.0, theta, 1)
         req = CorrelationRequest("bures", p, (0.9,))
         assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
-                                               rel=1e-4)
+                                               rel=1e-12)
 
     @pytest.mark.parametrize("a,theta", [(0.3, 1.0), (0.55, 1.3)])
     def test_one_point_density_n2(self, a, theta):
         p = EnsembleParams(a, a + 1.0, theta, 2)
         req = CorrelationRequest("bures", p, (0.9,))
         assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
-                                               rel=1e-4)
+                                               rel=1e-12)
 
     def test_two_point_n2(self):
         p = EnsembleParams(0.3, 1.3, 1.0, 2)
         req = CorrelationRequest("bures", p, (0.7, 1.4))
         assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
-                                               rel=1e-4)
+                                               rel=1e-12)
 
     def test_three_point_n3(self):
         p = EnsembleParams(0.3, 1.3, 1.0, 3)
         req = CorrelationRequest("bures", p, (0.5, 1.1, 1.9))
         assert rho_bures(req) == pytest.approx(rho_bures(req, "brute"),
-                                               rel=1e-3)
+                                               rel=1e-12)
 
     def test_one_point_n3_integrates_two_variables(self):
         # N - k = 2: the oracle's nested quadrature
         p = EnsembleParams(0.2, 1.2, 1.5, 3)
         req = CorrelationRequest("bures", p, (1.4,))
         brute = rho_bures(req, "brute")
-        assert brute == pytest.approx(0.508265610377459, rel=1e-9)
+        assert brute == pytest.approx(0.508265610377459, rel=1e-12)
         for route in ("direct", "tintegral"):
-            assert rho_bures(req, route) == pytest.approx(brute, rel=1e-9)
+            assert rho_bures(req, route) == pytest.approx(brute, rel=1e-12)
 
     def test_exchange_symmetry(self):
         p = EnsembleParams(0.3, 1.3, 1.0, 3)

@@ -12,7 +12,8 @@ from cauchybures.exceptions import DimensionError, DomainError, NonConverged
 from cauchybures.numerics import (LogValue, SkewMatrix, gauss_jacobi,
                                   lgamma_signed, log_gamma_complex, mp_sum,
                                   pfaffian, pfaffian_bordered,
-                                  refine_quadrature, tanh_sinh_01)
+                                  refine_quadrature, tanh_sinh_01,
+                                  tanh_sinh_half_line)
 from references import gauss_jacobi_pair, gauss_laguerre, simplex_quad_2d
 
 finite_nonzero = st.floats(min_value=1e-8, max_value=1e8).map(
@@ -182,6 +183,19 @@ class TestQuadrature:
             j += 1
         assert seen == new
         assert got == pytest.approx(0.5 * h * total, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [-0.9, 0.0, 2.5, 20.0])
+    def test_half_line_gamma_integrals(self, p):
+        # x^p e^{-x} as exp(p log x - x), finite at every node
+        got = tanh_sinh_half_line(lambda x: np.exp(p * np.log(x) - x))
+        assert got == pytest.approx(math.gamma(p + 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("c", [0.01, 1.0, 30.0])
+    def test_half_line_exponential_integral(self, c):
+        # integral_0^inf e^{-x} / (x + c) dx = e^c E_1(c)
+        got = tanh_sinh_half_line(lambda x: np.exp(-x) / (x + c))
+        want = float(mpmath.exp(c) * mpmath.e1(c))
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_refine_quadrature_converges(self):
         def value_at(order):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybures.exceptions import DomainError
+from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.raney import (SZ_EDGE, density_asymptote, fuss_catalan_moment,
                                raney, sz_density, sz_moment, sz_support)
 
@@ -37,6 +37,27 @@ class TestRaneyNumbers:
         assert raney(1.5, 0.5, n) > 0.0
         assert raney(3.0, 1.0, n) > 0.0
 
+    def test_past_double_range_raises_complexity_error(self):
+        # the exact integer branch and the gamma branch alike
+        for p in (2.0, 2.5):
+            with pytest.raises(ComplexityError):
+                raney(p, 1.0, 600)
+        assert raney(2.0, 1.0, 400) == pytest.approx(
+            float(mpmath.binomial(801, 400) / 801), rel=1e-14)
+
+    def test_non_integer_n_takes_gamma_continuation(self):
+        # integer p and r with a non-integer n leave the exact branch
+        with mpmath.workdps(30):
+            want = float(mpmath.binomial(6, 2.5) / 6)
+        assert raney(2.0, 1.0, 2.5) == pytest.approx(want, rel=1e-14)
+        assert raney(1.5, 0.5, 2.5) == pytest.approx(0.775010638697353,
+                                                     rel=1e-14)
+
+    def test_negative_binomial_keeps_its_sign(self):
+        # R_{0.3,0.5}(3) = 0.5/1.4 * binom(1.4, 3), and binom(1.4, 3) =
+        # 1.4 * 0.4 * (-0.6) / 6 < 0: Gamma(-0.6) is negative
+        assert raney(0.3, 0.5, 3) == pytest.approx(-0.02, rel=1e-14)
+
     def test_zeroth_value_is_one(self):
         for p, r in ((2.0, 1.0), (1.5, 0.5), (3.7, 0.4)):
             assert raney(p, r, 0) == pytest.approx(1.0, rel=1e-14)
@@ -64,9 +85,12 @@ class TestDensity:
             sz_density(-0.5)
 
     def test_moments_equal_raney_numbers(self):
-        for n in range(6):
+        for n in range(8):
             assert sz_moment(n) == pytest.approx(raney(1.5, 0.5, n),
-                                                 rel=1e-6)
+                                                 rel=1e-14)
+        # a non-integer n takes the gamma continuation on both sides
+        assert sz_moment(2.5) == pytest.approx(raney(1.5, 0.5, 2.5),
+                                               rel=1e-14)
 
     def test_small_argument_asymptote(self):
         x = 1e-5
@@ -76,6 +100,13 @@ class TestDensity:
     def test_asymptote_holds_where_w_squared_overflows(self):
         # x < 1e-154 puts (SZ_EDGE / x)^2 past double range
         for x in (1e-150, 1e-200, 1e-300):
+            assert sz_density(x) == pytest.approx(
+                density_asymptote(1.5, 0.5, x), rel=1e-12)
+
+    def test_asymptote_holds_where_w_overflows(self):
+        # below x ~ 2e-308 SZ_EDGE / x itself is past double range; every
+        # positive double still gives a finite value
+        for x in (5e-324, 1e-310, 2e-308):
             assert sz_density(x) == pytest.approx(
                 density_asymptote(1.5, 0.5, x), rel=1e-12)
 
