@@ -16,9 +16,10 @@ from typing import NamedTuple, Sequence
 
 import mpmath
 import numpy as np
+from mpmath.libmp import to_fixed
 
-from .exceptions import (DomainError, NonConverged, PoleCollisionError,
-                         PoleError)
+from .exceptions import (ComplexityError, DomainError, NonConverged,
+                         PoleCollisionError, PoleError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
 from .numerics import (_DPS_STEP, _POLE_TOL, lgamma_signed,  # noqa: F401
                        ln_abs, log_gamma_complex, mp_sum,
@@ -43,6 +44,9 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 _MERGE_RTOL = 1e-14
 _NEAR_RTOL = 1e-10
 _MAX_TERMS = 2000
+# bits the integer re-sum (_ResidueTable.exact_sum) keeps past the working
+# precision, so that its truncations stay below mpmath's own rounding
+_GUARD_BITS = 16
 _LOOP_NODES = 64
 _LOOP_RTOL = 1e-11
 _SEPARATION_POLES = 300
@@ -230,57 +234,71 @@ class _ResidueTable:
 
     def exact_sum(self, z: float, term_log: np.ndarray,
                   lost_digits: float) -> float:
-        """The residues whose float logs are term_log, summed in mpmath.
+        """The residues whose float logs are term_log, summed exactly.
 
-        The terms double until the last three lie below 1e-16 of the mpmath
+        The terms double until the last three lie below 1e-16 of the exact
         total (the float sum stops early where its own total is rounding
         noise), and numerics.mp_sum raises the precision from the float
         sum's measure of the loss until the digits lost to the largest
-        term leave enough.  z^{-u0} at the k-th pole of the family
-        Gamma(shift + slope*u) is formed as z^{shift/slope} (z^{1/slope})^k,
-        not as a general power.
+        term leave enough.  At a working precision of p bits the sum runs
+        on integer mantissas: coefficients as (mantissa, exponent) pairs,
+        z^{-u0} at the k-th pole of the family Gamma(shift + slope*u) as
+        z^{shift/slope} (z^{1/slope})^k cut to p + _GUARD_BITS bits per
+        step, and every term added into one integer in units of
+        2^{-p - _GUARD_BITS} of the largest term.  Those truncations cost
+        less than mpmath's rounding of each product and sum would.
         """
         log_z = math.log(z)
 
         def sum_at():
-            dps = mpmath.mp.dps
+            dps, bits = mpmath.mp.dps, mpmath.mp.prec + _GUARD_BITS
             coeffs = self.exact.setdefault(dps, [])
             mz = mpmath.mpf(z)
             log_mz = mpmath.log(mz)
-            powers = {}  # family -> [k, z^{-u0} at its k-th pole, step]
-            total = mpmath.mpf(0)
-            done, logs = 0, term_log
+            fixed_log_z = to_fixed(log_mz._mpf_, bits)
+            # family -> (k, m, e, m', e'): z^{-u0} = m 2^e at its k-th pole,
+            # z^{1/slope} = m' 2^e'
+            powers = {}
+            unit = math.floor(np.max(term_log) / math.log(2.0)) - bits
+            acc, done, logs = 0, 0, term_log
             while done < len(logs):
                 n = len(logs)
                 while len(coeffs) < n:
-                    coeffs.append(_exact_coefficient(
-                        self.num, self.den, self.entry(len(coeffs))))
+                    coeffs.append(_integer_coefficient(
+                        self.num, self.den, self.entry(len(coeffs)), bits))
                 for coeff in coeffs[done:n]:
                     if coeff is None:
                         continue
                     j, k, extra, parts = coeff
-                    if j not in powers:
-                        slope = mpmath.mpf(self.num[j].slope)
-                        powers[j] = [0, mz ** (self.num[j].shift / slope),
-                                     mz ** (1 / slope)]
-                    power = powers[j]
-                    while power[0] < k:
-                        power[0] += 1
-                        power[1] *= power[2]
+                    if j not in powers:  # w = z exactly where slope = 1
+                        shift, slope = self.num[j].shift, self.num[j].slope
+                        seed = mpmath.exp(log_mz * shift / slope)
+                        w = mz if slope == 1 else mpmath.exp(log_mz / slope)
+                        powers[j] = (0, *_mantissa(seed), *_mantissa(w))
+                    k0, pm, pe, wm, we = powers[j]
+                    for _ in range(k - k0):
+                        pm *= wm
+                        cut = max(pm.bit_length() - bits, 0)
+                        pm, pe = pm >> cut, pe + we + cut
+                    powers[j] = (k, pm, pe, wm, we)
                     if extra:  # a split pole, see _exact_coefficient
                         with mpmath.workdps(dps + extra):
                             log_w = mpmath.log(mz)
-                            total += power[1] * sum(
+                            part_sum = sum(
                                 c * mpmath.exp(-offset * log_w)
                                 * (1 if b is None else b - log_w)
                                 for offset, c, b in parts)
-                        continue
-                    (_, c, bracket), = parts  # one part, at offset 0
-                    term = c * power[1]
-                    if bracket is not None:
-                        term *= bracket - log_mz
-                    total += term
+                        man, exp = _mantissa(part_sum)
+                    else:
+                        man, exp, bracket = parts
+                        if bracket is not None:
+                            man *= bracket - fixed_log_z
+                            exp -= bits
+                    man *= pm
+                    exp += pe - unit
+                    acc += man << exp if exp >= 0 else man >> -exp
                 done = n
+                total = mpmath.mpf((acc, unit))
                 if total and not np.all(logs[-3:] < _LN_EPS + ln_abs(total)):
                     if n >= _MAX_TERMS:
                         raise NonConverged(f"residue series not converged "
@@ -321,9 +339,11 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     Pole locations and residue coefficients are cached per integrand, and
     the terms for all z are summed at once in floats; each z stops after
     three successive terms below 1e-16 of its partial sum.  A z that
-    loses more than two digits to cancellation is re-summed with mpmath
+    loses more than two digits to cancellation is re-summed on integer
+    mantissas at a precision numerics.mp_sum confirms
     (_ResidueTable.exact_sum), the float parameters taken as exact, which
-    confirms both its term count and its precision.
+    also confirms its term count.  A value past double range raises
+    ComplexityError, from the float sum or the re-sum alike.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):
@@ -372,12 +392,17 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     resum = lost > 2.0
     # the float total of a z that is re-summed can be rounding noise past
     # double range, so it is not exponentiated
-    values = np.sign(total) * np.exp(np.where(resum, 0.0, total_log))
+    with np.errstate(over="ignore"):
+        values = np.sign(total) * np.exp(np.where(resum, 0.0, total_log))
     for i in np.flatnonzero(resum):
         # alternating cancellation ate too many digits; redo the terms
-        # in elevated precision
+        # exactly at a confirmed precision
         values[i] = table.exact_sum(float(zs.flat[i]),
                                     term_log[:last[i] + 1, i], float(lost[i]))
+    if not np.all(np.isfinite(values)):
+        at = zs.flat[np.flatnonzero(~np.isfinite(values))[0]]
+        raise ComplexityError(f"residue series value at z = {at:g} lies "
+                              f"past double range")
     return _shaped_like(z, values)
 
 
@@ -485,6 +510,24 @@ def _exact_coefficient(num, den, pole: _Pole):
             parts.append((mpmath.mpf(offset.numerator) / offset.denominator,
                           c, bracket))
     return j0, k0, extra, parts
+
+
+def _integer_coefficient(num, den, pole: _Pole, bits: int):
+    """_exact_coefficient, its one part (m, e, bracket) as integers where
+    the pole is not split: C = m 2^e, and at a double pole the bracket in
+    fixed point, in units of 2^-bits (None at a simple pole)."""
+    coeff = _exact_coefficient(num, den, pole)
+    if coeff is None or coeff[2]:
+        return coeff
+    j, k, _, ((_, c, bracket),) = coeff
+    fixed = None if bracket is None else to_fixed(bracket._mpf_, bits)
+    return j, k, 0, (*_mantissa(c), fixed)
+
+
+def _mantissa(x) -> tuple[int, int]:
+    """(m, e), m a signed integer, with the mpmath number x = m 2^e."""
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
 
 
 def min_family_separation(num: Sequence[GammaFactor],

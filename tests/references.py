@@ -2,9 +2,10 @@
 
 Not collected as tests (the file name does not match test_*.py).  Each
 computes a quantity independently of the production route it checks:
-the Jacobi series by an mpmath sum, the bi-orthogonal families by their
-bordered moment determinants, and the 2D moment integrals by a tensor
-Gauss rule with the 1/(x+y) factor absorbed.
+the Jacobi series by an mpmath sum, the Mellin-Barnes residue series by
+mpmath gamma values, the bi-orthogonal families by their bordered moment
+determinants, and the 2D moment integrals by a tensor Gauss rule with the
+1/(x+y) factor absorbed.
 """
 from __future__ import annotations
 
@@ -55,6 +56,43 @@ def jacobi_series_value(n: int, alpha: float, x: float) -> float:
         return total, ln_abs(peak)
 
     return float(mp_sum(series))
+
+
+# ---------------------------------------------------------------------------
+# Mellin-Barnes residue series
+# ---------------------------------------------------------------------------
+
+def residue_sum(num, den, zs, dps: int) -> list:
+    """dps-digit sums of the simple residues of a foxh factor list at zs.
+
+    num and den are GammaFactor lists whose float shifts and slopes are
+    taken as exact, as the library takes them; each residue comes from
+    mpmath.gamma and rgamma at its pole, not from foxh's coefficient
+    tables.  zs ascend; each left family runs until its terms at max(zs)
+    lie dps digits below their largest.  Every left pole must be simple.
+    """
+    with mpmath.workdps(dps):
+        zs = [mpmath.mpf(z) for z in zs]
+        totals = [mpmath.mpf(0)] * len(zs)
+        for i, f in enumerate(num):
+            if f.slope < 0:
+                continue
+            k, top = 0, mpmath.mpf(0)
+            while True:
+                u = (-mpmath.mpf(f.shift) - k) / f.slope
+                c = (-1) ** k / (mpmath.factorial(k) * f.slope)
+                for j, g in enumerate(num):
+                    if j != i:
+                        c *= mpmath.gamma(g.shift + g.slope * u)
+                for g in den:
+                    c *= mpmath.rgamma(g.shift + g.slope * u)
+                size = abs(c) * zs[-1] ** -u
+                top = max(top, size)
+                if k > 20 and size < top * mpmath.mpf(10) ** -dps:
+                    break
+                totals = [t + c * z ** -u for t, z in zip(totals, zs)]
+                k += 1
+        return totals
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,17 @@ class TestFoxH:
         assert res.exit_code == 2
         assert "non-convergence" in res.stderr
 
+    def test_value_past_double_range_exits_one(self, runner, tmp_path):
+        # z^{-6.5} at z = 1e-60 once printed "value": Infinity with exit 0
+        spec = write_spec(tmp_path, {"upper": [],
+                                     "lower": [[0.0, 1.0], [-1.3, 0.2],
+                                               [-10.0, 1.0]],
+                                     "m": 2, "n": 0})
+        res = runner.invoke(main, ["foxh", spec, "--z", "1e-60"])
+        assert res.exit_code == 1
+        assert "past double range" in res.stderr
+        assert res.stdout == ""
+
     def test_missing_file_exits_nonzero(self, runner):
         res = runner.invoke(main, ["foxh", "/nonexistent.json", "--z", "1.0"])
         assert res.exit_code != 0

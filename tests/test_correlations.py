@@ -187,6 +187,16 @@ class TestValidationAndRecords:
         with pytest.raises(ComplexityError):
             rho_bures(big_b, route="brute")
 
+    @pytest.mark.parametrize("params", [EnsembleParams(0.3, 1.3, 0.2, 2),
+                                        EnsembleParams(3.0, 4.0, 0.5, 3)])
+    def test_tintegral_past_double_range_raises_typed_error(self, params):
+        # at small theta the G~ sides of the t-integral pass double range
+        # near t = 0; the residue series refuses them, with no
+        # RuntimeWarning (an error under the test settings) before
+        req = CorrelationRequest("bures", params, (0.9,))
+        with pytest.raises(ComplexityError, match="past double range"):
+            rho_bures(req, route="tintegral")
+
     def test_unknown_route_rejected(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,))
         with pytest.raises(DomainError, match="unknown route"):

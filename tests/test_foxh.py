@@ -9,13 +9,14 @@ from scipy.optimize import brentq
 
 from cauchybures import foxh
 from cauchybures.ensembles import EnsembleParams
-from cauchybures.exceptions import (DomainError, NonConverged,
-                                    PoleCollisionError)
+from cauchybures.exceptions import (ComplexityError, DomainError,
+                                    NonConverged, PoleCollisionError)
 from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
                               g_tilde_inf, g_tilde_n, hankel_loop,
                               mellin_barnes, min_family_separation,
                               residue_series)
 from cauchybures.kernels import hard_edge_kernel, k10
+from references import residue_sum
 
 
 def mp_residue_sum(num, den, zs, dps, u_min):
@@ -181,32 +182,18 @@ class TestGNReference:
                                                                 rel=1e-14)
 
 
-def mp_reference(num, den, zs, dps=210):
-    """dps-digit sums of simple residues, the factors' floats taken as
-    exact; each left family runs until its terms at max(zs) lie dps
-    digits below their largest."""
-    with mpmath.workdps(dps):
-        zs = [mpmath.mpf(z) for z in zs]
-        totals = [mpmath.mpf(0)] * len(zs)
-        for i, f in enumerate(num):
-            if f.slope < 0:
-                continue
-            k, top = 0, mpmath.mpf(0)
-            while True:
-                u = (-mpmath.mpf(f.shift) - k) / f.slope
-                c = (-1) ** k / (mpmath.factorial(k) * f.slope)
-                for j, g in enumerate(num):
-                    if j != i:
-                        c *= mpmath.gamma(g.shift + g.slope * u)
-                for g in den:
-                    c *= mpmath.rgamma(g.shift + g.slope * u)
-                size = abs(c) * zs[-1] ** -u
-                top = max(top, size)
-                if k > 20 and size < top * mpmath.mpf(10) ** -dps:
-                    break
-                totals = [t + c * z ** -u for t, z in zip(totals, zs)]
-                k += 1
-        return totals
+@pytest.fixture
+def resummed(monkeypatch):
+    """The z each call sends to the exact re-sum, cleared by the caller."""
+    seen = []
+    exact_sum = foxh._ResidueTable.exact_sum
+
+    def counted(table, z, term_log, lost):
+        seen.append(z)
+        return exact_sum(table, z, term_log, lost)
+
+    monkeypatch.setattr(foxh._ResidueTable, "exact_sum", counted)
+    return seen
 
 
 # z ascending; 3000 is one of the cases that went wrong
@@ -220,7 +207,7 @@ HARD_EDGE_CASES = {False: {0.3: (0.3, 0.5), 0.5: (0.5, 1.2), 1.0: (0.3, 0.5)},
 def hard_edge_reference(a, alpha, theta, tilde):
     """210-digit G_inf (G~_inf with tilde) at LARGE_ZS, keyed by z."""
     num, den = foxh._g_factors(a, alpha, theta, None, tilde)
-    return dict(zip(LARGE_ZS, mp_reference(num, den, LARGE_ZS)))
+    return dict(zip(LARGE_ZS, residue_sum(num, den, LARGE_ZS, 210)))
 
 
 class TestLargeArgument:
@@ -237,19 +224,11 @@ class TestLargeArgument:
 
     @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0])
     @pytest.mark.parametrize("tilde", [False, True])
-    def test_hard_edge_sweep(self, tilde, theta, monkeypatch):
+    def test_hard_edge_sweep(self, tilde, theta, resummed):
         # values the float sum keeps (at most two digits lost) carry its
         # rounding, up to 2e-13 here; re-summed values meet 1e-13
         a, alpha = HARD_EDGE_CASES[tilde][theta]
         fn = g_tilde_inf if tilde else g_inf
-        resummed = []
-        exact_sum = foxh._ResidueTable.exact_sum
-
-        def counted(table, z, term_log, lost):
-            resummed.append(z)
-            return exact_sum(table, z, term_log, lost)
-
-        monkeypatch.setattr(foxh._ResidueTable, "exact_sum", counted)
         for z, want in hard_edge_reference(a, alpha, theta, tilde).items():
             resummed.clear()
             got = fn(a, alpha, theta, z)
@@ -264,6 +243,80 @@ class TestLargeArgument:
         # no RuntimeWarning (an error under the test settings) comes first
         with pytest.raises(NonConverged):
             residue_series([GammaFactor(0.0, 1.0)], [], z)
+
+    @pytest.mark.parametrize("num,den,z,resum", [
+        # G~_inf at a = 1.3, theta = 0.2 starts at z^{-6.5}: 1e390 at
+        # z = 1e-60, a float total
+        (*foxh._gtinf_factors(1.3, 5.0, 0.2), 1e-60, False),
+        # families 1e-3 apart from u = 300 on lose three digits at z = 0.01
+        # and re-sum to about 1e600
+        ([GammaFactor(-300.0, 1.0), GammaFactor(-299.999, 1.0)], [], 0.01,
+         True)], ids=["float", "resum"])
+    def test_value_past_double_range_raises_typed_error(self, num, den, z,
+                                                        resum, resummed):
+        for arg in (z, np.array([1.0, z])):
+            resummed.clear()
+            with pytest.raises(ComplexityError, match="past double range"):
+                residue_series(num, den, arg)
+            assert (z in resummed) == resum
+
+
+class TestIntegerResum:
+    """The re-sum on integer mantissas against values it did not make: a
+    re-summed value is the double nearest the exact sum (within 1.1e-16)."""
+
+    @pytest.mark.parametrize("a,b,theta,n", [(0.3, 0.7, 1.5, 4),
+                                             (0.7, 0.7, 1.5, 6),
+                                             (0.3, 0.7, 1.5, None)])
+    def test_resummed_values_match_reference(self, a, b, theta, n,
+                                             resummed):
+        # the kernels' G~ at (a, b, theta, N), alpha = (a + b + 1)/theta - 1,
+        # at every z in [0.05, 3] that loses more than two digits, against
+        # 50 digits of simple residues
+        alpha = (a + b + 1.0) / theta - 1.0
+        num, den = foxh._g_factors(a, alpha, theta, n, True)
+        got = {}
+        for z in np.geomspace(0.05, 3.0, 60):
+            resummed.clear()
+            value = foxh._g(a, alpha, theta, n, True, float(z), "residue")
+            if resummed:
+                got[float(z)] = value
+        assert len(got) >= 10
+        want = residue_sum(num, den, list(got), 50)
+        for (z, value), ref in zip(got.items(), want):
+            assert abs(value - ref) <= 2.5e-16 * abs(ref), z
+
+    # the re-sum's values, equal to those of the mpmath loop it replaced
+    SPLIT = {5.0: -0.008945293563978607, 20.0: -0.0007885802890076412,
+             45.0: 0.00019786694755942645}
+    DOUBLE = {2.0: -0.011191535217037921, 7.0: 0.00046508623555281247,
+              20.0: -5.474357750089111e-06, 45.0: -1.3425491611471732e-07}
+
+    @pytest.mark.parametrize("case", ["split", "double"])
+    def test_split_and_double_poles_keep_their_values(self, case, resummed):
+        # split: a = 0.7, theta = 1.3 put the poles of Gamma(u) and
+        # Gamma(1.3u - 0.7) at u = -11 3.4e-16 apart, one pole in floats and
+        # two in the re-sum.  double: a = 0.5, theta = 1.5, n = 3 make u = -1
+        # a double pole.  Reference: simple residues of the float factors,
+        # a moved by 1e-30 (1e-25) to split the pairs that coincide exactly
+        if case == "split":
+            a, alpha, theta, n, dps, move = 0.7, 0.9, 1.3, None, 100, 30
+            values = self.SPLIT
+        else:
+            a, alpha, theta, n, dps, move = 0.5, 0.9, 1.5, 3, 80, 25
+            values = self.DOUBLE
+        num, den = foxh._g_factors(a, alpha, theta, n, True)
+        with mpmath.workdps(dps):
+            exact = [(mpmath.mpf(f.shift), f.slope) for f in num + den]
+            exact[len(num) - 1] = (mpmath.mpf(-a) - mpmath.mpf(10) ** -move,
+                                   theta)
+            want = mp_residue_sum(exact[:len(num)], exact[len(num):],
+                                  list(values), dps, -100)
+        for (z, value), ref in zip(values.items(), want):
+            resummed.clear()
+            assert foxh._g(a, alpha, theta, n, True, z, "residue") == value
+            assert resummed == [z]
+            assert abs(value - ref) <= 2.5e-16 * abs(ref), z
 
 
 class TestArrayArguments:
@@ -283,18 +336,10 @@ class TestArrayArguments:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_residue_series_array_equals_scalar_calls(self, case,
-                                                      monkeypatch):
+                                                      resummed):
         num, den = self.CASES[case]
-        resums = []
-        exact_sum = foxh._ResidueTable.exact_sum
-
-        def counted(table, z, term_log, lost):
-            resums.append(z)
-            return exact_sum(table, z, term_log, lost)
-
-        monkeypatch.setattr(foxh._ResidueTable, "exact_sum", counted)
         got = residue_series(num, den, self.ZS)
-        assert resums, "no z reached the mpmath re-sum"
+        assert resummed, "no z reached the exact re-sum"
         assert got.shape == self.ZS.shape
         for z, value in zip(self.ZS, got):
             one = residue_series(num, den, float(z))
