@@ -21,8 +21,8 @@ from mpmath.libmp import to_fixed
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          PoleCollisionError, PoleError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
-from .numerics import (_DPS_STEP, _POLE_TOL, lgamma_signed,  # noqa: F401
-                       ln_abs, log_gamma_complex, mp_sum,
+from .numerics import (_DPS_STEP, _GUARD_BITS, _POLE_TOL,  # noqa: F401
+                       lgamma_signed, ln_abs, log_gamma_complex, mp_sum,
                        refine_quadrature, require_positive)
 
 __all__ = [
@@ -44,9 +44,6 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 _MERGE_RTOL = 1e-14
 _NEAR_RTOL = 1e-10
 _MAX_TERMS = 2000
-# bits the integer re-sum (_ResidueTable.exact_sum) keeps past the working
-# precision, so that its truncations stay below mpmath's own rounding
-_GUARD_BITS = 16
 _LOOP_NODES = 64
 _LOOP_RTOL = 1e-11
 _SEPARATION_POLES = 300
@@ -178,6 +175,35 @@ class _ResidueTable:
         self.entries: list[_Pole] = []
         self._arrays = np.empty((5, 0))
         self.exact: dict[int, list] = {}
+        self.length = self._length()
+        if not self.length:
+            raise DomainError("a denominator gamma cancels every left pole")
+
+    def _length(self):
+        """Number of entries before the cancelled tail, math.inf if none.
+
+        A left family whose own denominator gamma (same slope, shift
+        larger by an integer d) cancels its poles from the d-th on (all of
+        them for d < 0) is exhausted there, as Gamma(u) is against
+        Gamma(n + u).  When every family is, each pole at or left of all
+        their tail starts is a zero term, and the series ends before it.
+        """
+        free, end = list(self.den), math.inf
+        for f in (f for f in self.num if f.slope > 0):
+            for g in free:
+                d = g.shift - f.shift
+                tol = _MERGE_RTOL * max(1.0, abs(g.shift), abs(f.shift))
+                if g.slope == f.slope and abs(d - round(d)) < tol:
+                    break
+            else:
+                return math.inf
+            free.remove(g)
+            end = min(end, f.pole(max(round(d), 0)))
+        # an end past _MAX_TERMS is never reached
+        n, tol = 0, _NEAR_RTOL * max(1.0, abs(end))
+        while n < _MAX_TERMS and self.entry(n).u0 > end + tol:
+            n += 1
+        return n if n < _MAX_TERMS else math.inf
 
     def entry(self, n: int) -> _Pole:
         while len(self.entries) <= n:
@@ -236,19 +262,20 @@ class _ResidueTable:
                   lost_digits: float) -> float:
         """The residues whose float logs are term_log, summed exactly.
 
-        The terms double until the last three lie below 1e-16 of the exact
-        total (the float sum stops early where its own total is rounding
-        noise), and numerics.mp_sum raises the precision from the float
-        sum's measure of the loss until the digits lost to the largest
-        term leave enough.  At a working precision of p bits the sum runs
-        on integer mantissas: coefficients as (mantissa, exponent) pairs,
+        The terms double until the last three nonzero ones lie below 1e-16
+        of the exact total, or to the series' end (`length`); the float
+        sum stops early where its own total is rounding noise.
+        numerics.mp_sum raises the precision from the float sum's measure
+        of the loss until the digits lost to the largest term leave
+        enough.  At a working precision of p bits the sum runs on integer
+        mantissas: coefficients as (mantissa, exponent) pairs,
         z^{-u0} at the k-th pole of the family Gamma(shift + slope*u) as
         z^{shift/slope} (z^{1/slope})^k cut to p + _GUARD_BITS bits per
         step, and every term added into one integer in units of
         2^{-p - _GUARD_BITS} of the largest term.  Those truncations cost
         less than mpmath's rounding of each product and sum would.
         """
-        log_z = math.log(z)
+        log_z, length = math.log(z), self.length
 
         def sum_at():
             dps, bits = mpmath.mp.dps, mpmath.mp.prec + _GUARD_BITS
@@ -299,11 +326,14 @@ class _ResidueTable:
                     acc += man << exp if exp >= 0 else man >> -exp
                 done = n
                 total = mpmath.mpf((acc, unit))
-                if total and not np.all(logs[-3:] < _LN_EPS + ln_abs(total)):
+                tail = logs[logs > -math.inf][-3:]
+                if total and n < length and not (
+                        len(tail) == 3 and np.all(tail < _LN_EPS
+                                                  + ln_abs(total))):
                     if n >= _MAX_TERMS:
                         raise NonConverged(f"residue series not converged "
                                            f"after {_MAX_TERMS} terms")
-                    logs = self.log_terms(min(2 * n, _MAX_TERMS),
+                    logs = self.log_terms(min(2 * n, _MAX_TERMS, length),
                                           np.array([log_z]))[0][:, 0]
             return total, float(np.max(logs))
 
@@ -338,12 +368,15 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     reading of the series sums accurately), raises PoleCollisionError.
     Pole locations and residue coefficients are cached per integrand, and
     the terms for all z are summed at once in floats; each z stops after
-    three successive terms below 1e-16 of its partial sum.  A z that
-    loses more than two digits to cancellation is re-summed on integer
-    mantissas at a precision numerics.mp_sum confirms
-    (_ResidueTable.exact_sum), the float parameters taken as exact, which
-    also confirms its term count.  A value past double range raises
-    ComplexityError, from the float sum or the re-sum alike.
+    three successive nonzero terms below 1e-16 of its partial sum, or
+    where every family's remaining poles are cancelled
+    (_ResidueTable.length), as after the n terms of G_n; where every
+    pole is cancelled it raises DomainError.  A z that loses more than
+    two digits to cancellation is re-summed on integer mantissas at a
+    precision numerics.mp_sum confirms (_ResidueTable.exact_sum), the
+    float parameters taken as exact, which also confirms its term count.
+    A value past double range raises ComplexityError, from the float sum
+    or the re-sum alike.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):
@@ -351,7 +384,8 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     log_z = np.log(zs).ravel()
     table = _residue_table(tuple(num), tuple(den))
     cols = np.arange(len(log_z))
-    n_terms = 32
+    length = table.length
+    n_terms = min(32, length)
     while True:
         term_log, term_sign = table.log_terms(n_terms, log_z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -365,23 +399,28 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
             partial = np.cumsum(term_sign * np.exp(term_log - top), axis=0)
             partial_log = np.where(partial != 0.0,
                                    top + np.log(np.abs(partial)), peak)
-        small = term_log < partial_log + _LN_EPS
+        u0, order, sign = table.arrays(n_terms)[:3]
+        # only nonzero terms count: a run of cancelled poles can lie
+        # between two poles of a sparse family (theta < 1/2)
+        nonzero = np.flatnonzero(sign)
+        small = (term_log < partial_log + _LN_EPS)[nonzero]
         run3 = small[2:] & small[1:-1] & small[:-2]
         done = run3.any(axis=0)
-        last = np.where(done, run3.argmax(axis=0) + 2, n_terms - 1)
-        u0, order = table.arrays(n_terms)[:2]
+        last = np.full(len(log_z), n_terms - 1)
+        if done.any():
+            last[done] = nonzero[run3.argmax(axis=0) + 2][done]
         bad = np.flatnonzero((order < 0) | (order > 2))
         if bad.size and bad[0] <= np.max(last, initial=-1):
             what, at = order[bad[0]], u0[bad[0]]
             raise PoleCollisionError(
                 f"pole of order {what:.0f} near u = {at:.6g}" if what > 0
                 else f"poles less than {_NEAR_RTOL:g} apart near u = {at:.6g}")
-        if done.all():
+        if done.all() or n_terms == length:
             break
         if n_terms >= _MAX_TERMS:
             raise NonConverged(f"residue series not converged after "
                                f"{_MAX_TERMS} terms")
-        n_terms = min(2 * n_terms, _MAX_TERMS)
+        n_terms = min(2 * n_terms, _MAX_TERMS, length)
 
     total, peak = partial[last, cols], peak[last, cols]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -5,9 +5,11 @@ sum over the bi-orthogonal pair, with i1 transforms on its integrated
 sides (`_cd_contract`), and a t-integral of the contour functions, so the
 routes can be played against each other in the tests; for K11 the second
 is an exact incomplete-gamma sum from cached O(N) vectors and guarded
-unit-step gamma chains (_k11_inc_core).  One table of the four kinds
-(_TILDE) and one dispatcher (_finite_kernel) choose every route; one
-tanh-sinh rule (_gg_t_integral) integrates every t-integral.
+unit-step gamma chains, contracted on Python integers (_k11_inc_core).
+The integrated side vectors are cached (_i1s), so the entries of one
+correlation share them.  One table of the four kinds (_TILDE) and one
+dispatcher (_finite_kernel) choose every route; one tanh-sinh rule
+(_gg_t_integral) integrates every t-integral.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import mul
 from typing import Callable, Optional
 
 import mpmath
@@ -24,8 +27,8 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
-from .numerics import (gauss_jacobi, ln_abs, mp_sum, refine_quadrature,
-                       require_positive, tanh_sinh_01)
+from .numerics import (_fixed_point, gauss_jacobi, ln_abs, mp_sum,
+                       refine_quadrature, require_positive, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -96,10 +99,19 @@ def _powers(params: EnsembleParams, log2_x: float):
     return np.exp2(t - exp), exp.astype(np.int64)
 
 
-def _i1s(params: EnsembleParams, exponent: float, c: float):
-    """i1(exponent + theta l, c), l < N, as (mantissa, binary exponent)."""
-    return np.frexp([i1_integral(exponent + params.theta * l, c)
-                     for l in range(params.n)])
+@lru_cache(maxsize=64)
+def _i1s(theta: float, n: int, exponent: float, c: float):
+    """i1(exponent + theta l, c), l < N, as (mantissa, binary exponent).
+
+    Cached, as read-only arrays: a correlation's entries share each of
+    their integrated sides (at most two exponents per point), so the N
+    quadratures of a side run once per correlation, not once per entry.
+    """
+    sides = np.frexp([i1_integral(exponent + theta * l, c)
+                      for l in range(n)])
+    for side in sides:
+        side.setflags(write=False)
+    return sides
 
 
 def cd_kernel(params: EnsembleParams, x: float, y: float,
@@ -247,7 +259,7 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     tilde = _TILDE[kind]
     if route == "direct":
         val = _cd_contract(params, *(
-            _i1s(params, e, p) if t else _powers(params, math.log2(p))
+            _i1s(theta, n, e, p) if t else _powers(params, math.log2(p))
             for t, e, p in zip(tilde, (a, b), (p1, p2))))
     elif route == "tintegral" and kind == "K11":
         return float(_k11_inc_core(params, p1, p2))
@@ -321,6 +333,14 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
     or less.  Integrating against both resolvent factors makes each gamma
     denominator an upper incomplete gamma, entire in the contour variable:
     only the Gamma(u) family contributes, and the sum is exact.
+
+    The double sum runs on Python integers: A, h and B are each converted
+    once to integers on a common unit (numerics._fixed_point, _GUARD_BITS
+    below the working precision under each vector's largest entry), the N
+    inner Hankel sums and the outer sum are exact, and one mpf is made at
+    the end.  The truncations add at most N^2 2^{-prec-16} of the peak
+    term, below the 2^{-prec} that mp_sum's spare digits allow for
+    N <= 256.
     """
     a, b, theta, n = params.a, params.b, params.theta, params.n
 
@@ -329,8 +349,10 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
         ay, bx = ([c * g for c, g in zip(coef, _k11_side(e, theta, n, w))]
                   for e, w in ((a, y), (b, x)))
         pole = 1 / (mpmath.mpf(x) + y)
-        total = theta * mpmath.fdot(ay, [mpmath.fdot(h[j:j + n], bx)
-                                         for j in range(n)])
+        (ia, ua), (ih, uh), (ib, ub) = map(_fixed_point, (ay, h, bx))
+        inner = [sum(map(mul, ih[j:j + n], ib)) for j in range(n)]
+        total = theta * mpmath.mpf((sum(map(mul, ia, inner)),
+                                    ua + uh + ub))
         # no term exceeds theta times the largest of each side over the
         # smallest denominator, 1 + alpha
         peak = theta * max(map(abs, ay)) * max(map(abs, bx)) * h[0]

@@ -41,6 +41,9 @@ _DPS_STEP = 16
 # working precision past which it gives up
 _SPARE_DIGITS = 20
 _MAX_DPS = 512
+# bits the integer sums (_fixed_point) keep past the working precision, so
+# that their truncations stay below mpmath's own rounding
+_GUARD_BITS = 16
 
 
 def require_positive(what: str, *values: float) -> None:
@@ -145,6 +148,22 @@ def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP):
                                f"more than {_MAX_DPS} would be needed")
         noise = lost > dps - 4
         dps = max(need, min(2 * dps, _MAX_DPS)) if noise else need
+
+
+def _fixed_point(xs) -> tuple[list, int]:
+    """mpmath numbers xs as integers m_i on one unit: x_i = m_i 2^unit,
+    each truncated toward zero, unit _GUARD_BITS bits below the working
+    precision under the largest |x_i|.  Sums and products of such
+    integers are exact, so a dot product or a double sum over them makes
+    one mpf at its end: mpmath.mpf((total, unit))."""
+    parts = [x._mpf_ for x in xs]
+    top = max((exp + bc for _, man, exp, bc in parts if man), default=0)
+    unit = top - mpmath.mp.prec - _GUARD_BITS
+    out = []
+    for sign, man, exp, _ in parts:
+        man = man << exp - unit if exp >= unit else man >> unit - exp
+        out.append(-man if sign else man)
+    return out, unit
 
 
 def ln_abs(x) -> float:

@@ -32,6 +32,10 @@ def write_spec(tmp_path, payload):
 
 
 EXP_SPEC = {"upper": [], "lower": [[0.0, 1.0]], "m": 1, "n": 0}
+# three cancelled Gamma(u) poles lie between two Gamma(0.2u - 0.5) poles
+SPARSE_SPEC = {"upper": [[-6.0, 1.0], [2.0, 1.0]],
+               "lower": [[0.0, 1.0], [-0.5, 0.2], [-4.0, 1.0]],
+               "m": 2, "n": 1}
 
 
 class TestFoxH:
@@ -46,6 +50,15 @@ class TestFoxH:
                                                  rel=1e-10)
             assert rec["strategy"] in ("ResidueSum", "HankelLoop")
             assert rec["est_error"] > 0
+
+    def test_sparse_family_spec(self, runner, tmp_path):
+        # G~_2 at b = 0.5, alpha = 4, theta = 0.2 as a Fox H spec; the
+        # reference is an mpmath quadrature of its Mellin-Barnes integral
+        spec = write_spec(tmp_path, SPARSE_SPEC)
+        res = runner.invoke(main, ["foxh", spec, "--z", "1.5"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["value"] == pytest.approx(
+            6.8604783677899580e-4, rel=1e-10)
 
     def test_output_file(self, runner, tmp_path):
         spec = write_spec(tmp_path, EXP_SPEC)

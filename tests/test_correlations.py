@@ -96,6 +96,17 @@ class TestBuresAgainstBruteForce:
         rev = rho_bures(CorrelationRequest("bures", p, (1.4, 0.7)))
         assert fwd == pytest.approx(rev, rel=1e-9)
 
+    @pytest.mark.parametrize("a,theta,n,z", [(-0.5, 0.2, 2, 0.9),
+                                             (-0.9, 0.3, 3, 0.5)])
+    def test_small_theta_tintegral(self, a, theta, n, z):
+        # the t-integral route once gave 0.3271 and 0.7725 here, against
+        # the oracle's 0.45594 and 0.70145: its G~ residue series stopped
+        # at a run of cancelled poles
+        req = CorrelationRequest("bures", EnsembleParams(a, a + 1.0, theta,
+                                                         n), (z,))
+        assert rho_bures(req, "tintegral") == pytest.approx(
+            rho_bures(req, "brute"), rel=1e-10)
+
     def test_direct_and_tintegral_routes_agree(self):
         p = EnsembleParams(0.3, 1.3, 1.0, 4)
         req = CorrelationRequest("bures", p, (0.7, 1.4))

@@ -15,7 +15,7 @@ from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
                               g_tilde_inf, g_tilde_n, hankel_loop,
                               mellin_barnes, min_family_separation,
                               residue_series)
-from cauchybures.kernels import hard_edge_kernel, k10
+from cauchybures.kernels import hard_edge_kernel, k01, k10
 from references import residue_sum
 
 
@@ -608,6 +608,55 @@ class TestFiniteToLimit:
             errs.append(abs(scaled / limit - 1.0))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-2
+
+
+class TestCancelledPoles:
+    """Zero terms (poles that Gamma(n + u) cancels) are no sign of
+    convergence: at theta = 0.2 three or four of them lie between two
+    poles of the Gamma(theta u - a) family."""
+
+    # G~_2 at b = 0.5, alpha = 4, theta = 0.2: an mpmath quadrature of the
+    # Mellin-Barnes integral along Re u = 4 and along Re u = 5.5 at 20
+    # digits; the two lines agree to 20 digits
+    SPARSE = {0.5: -3.2944250325939790964,
+              0.9979919516614258: 0.24428576785842677276,
+              1.5: 0.00068604783677899579664}
+
+    @pytest.mark.parametrize("strategy", ["auto", "hankel"])
+    def test_sparse_family_matches_contour_quadrature(self, strategy):
+        # the series once stopped at the cancelled poles u = -2, -3, -4 and
+        # gave -69.524 at z = 1.5, skipping the u = -7.5 term (~181)
+        for z, want in self.SPARSE.items():
+            got = g_tilde_n(0.5, 4.0, 0.2, 2, z, strategy)
+            assert got == pytest.approx(want, rel=1e-12), z
+        zs = np.array(list(self.SPARSE))
+        assert g_tilde_n(0.5, 4.0, 0.2, 2, zs) == pytest.approx(
+            list(self.SPARSE.values()), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 5, 80])
+    def test_g_n_series_ends_after_its_n_terms(self, n):
+        # Gamma(u) is exhausted from u = -n on and no family is left, so
+        # the series ends there instead of waiting for three small terms
+        num, den = foxh._g_factors(0.3, 0.8, 1.5, n, False)
+        assert foxh._residue_table(tuple(num), tuple(den)).length == n
+        num, den = foxh._g_factors(0.3, 0.8, 1.5, n, True)
+        assert foxh._residue_table(tuple(num), tuple(den)).length == math.inf
+
+    @pytest.mark.parametrize("shift", [0.0, -1.0])
+    def test_every_pole_cancelled_is_refused(self, shift):
+        # Gamma(u) / Gamma(u + shift) has no uncancelled left pole; the
+        # series once ran to its 2,000-term limit on zero terms
+        with pytest.raises(DomainError, match="cancels every left pole"):
+            residue_series([GammaFactor(0.0, 1.0)],
+                           [GammaFactor(shift, 1.0)], 1.5)
+
+    @pytest.mark.parametrize("kernel", ["k01", "k10"])
+    def test_small_theta_tintegral_matches_direct(self, kernel):
+        # k01 once gave 4.830 here by the t-integral, against 0.926
+        p = EnsembleParams(-0.5, 0.5, 0.2, 2)
+        fn = {"k01": k01, "k10": k10}[kernel]
+        assert fn(p, 0.9, 0.99, route="tintegral") == pytest.approx(
+            fn(p, 0.9, 0.99, route="direct"), rel=1e-10)
 
 
 class TestDomainValidation:

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cauchybures import kernels
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.foxh import g_inf, g_n, g_tilde_n
@@ -471,6 +472,41 @@ class TestLargeNAgainstMpmath:
 # ---------------------------------------------------------------------------
 # the exact finite-N K11 core
 # ---------------------------------------------------------------------------
+
+class TestSharedSides:
+    """Each integrated side is built once per correlation (_i1s cache)."""
+
+    # (request, distinct integrated sides, value before sides were cached): a
+    # two-point Bures correlation has sides (a, z1), (a, z2), (b, z1) and
+    # (b, z2); the 1+1 Cauchy one has (b, x) for K01 and K11, and (a, y)
+    # for K10 and K11
+    CASES = [
+        (CorrelationRequest("bures", EnsembleParams(0.3, 1.3, 1.0, 12),
+                            (0.8, 1.5)), 4, "2.0522810616610383"),
+        (CorrelationRequest("cauchy", EnsembleParams(0.5, 0.7, 1.5, 12),
+                            (0.8,), (1.3,)), 2, "1.6866504957204154")]
+
+    @pytest.mark.parametrize("req,sides,want", CASES)
+    def test_one_quadrature_set_per_side(self, monkeypatch, req, sides,
+                                         want):
+        calls = []
+
+        def counted(beta, c):
+            calls.append((beta, c))
+            return i1_integral(beta, c)
+
+        monkeypatch.setattr(kernels, "i1_integral", counted)
+        kernels._i1s.cache_clear()
+        rho = rho_bures if req.model == "bures" else rho_cauchy
+        assert repr(rho(req)) == want
+        assert len(calls) == sides * req.params.n
+
+    def test_cached_side_is_read_only(self):
+        mant, exp = kernels._i1s(1.5, 4, 0.7, 0.9)
+        for side in (mant, exp):
+            with pytest.raises(ValueError):
+                side[0] = 0
+
 
 class TestK11Core:
     @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 1.3])

@@ -1,5 +1,6 @@
 """Tests for log-scaled arithmetic, quadrature rules and Pfaffians."""
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from cauchybures.exceptions import DimensionError, DomainError, NonConverged
-from cauchybures.numerics import (LogValue, SkewMatrix, gauss_jacobi,
-                                  lgamma_signed, log_gamma_complex, mp_sum,
+from cauchybures.numerics import (LogValue, SkewMatrix, _fixed_point,
+                                  gauss_jacobi, lgamma_signed,
+                                  log_gamma_complex, mp_sum,
                                   pfaffian, pfaffian_bordered,
                                   refine_quadrature, tanh_sinh_01,
                                   tanh_sinh_half_line)
@@ -246,6 +248,30 @@ class TestMpSum:
         with pytest.raises(NonConverged, match="more than 512"):
             mp_sum(exp_taylor(800.0, levels), 32)
         assert levels == [32, 64, 128, 256, 512]
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize("prec", [53, 200, 600])
+    def test_dot_matches_fdot(self, prec):
+        # N = 80 entries of both signs, with zeros, over 30 decades; the
+        # integer dot and fdot at the same precision differ by at most
+        # 2^-prec of the largest term
+        rng = np.random.default_rng(7)
+        with mpmath.workprec(prec):
+            xs, ys = ([int(s) * mpmath.mpf(10) ** float(e) * bool(m)
+                       for s, e, m in zip(rng.choice([-1, 1], 80),
+                                          rng.uniform(-15, 15, 80),
+                                          rng.integers(0, 4, 80))]
+                      for _ in range(2))
+            (ix, ux), (iy, uy) = _fixed_point(xs), _fixed_point(ys)
+            got = mpmath.mpf((sum(map(operator.mul, ix, iy)), ux + uy))
+            want = mpmath.fdot(xs, ys)
+            peak = max(abs(x * y) for x, y in zip(xs, ys))
+            assert xs.count(0) > 5 and peak > 0
+            assert abs(got - want) <= mpmath.ldexp(peak, -prec)
+
+    def test_zero_vector(self):
+        assert _fixed_point([mpmath.mpf(0)] * 3)[0] == [0, 0, 0]
 
 
 class TestPfaffian:
