@@ -27,8 +27,9 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
-from .numerics import (_fixed_point, gauss_jacobi, ln_abs, mp_sum,
-                       refine_quadrature, require_positive, tanh_sinh_01)
+from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, gauss_jacobi,
+                       ln_abs, mp_sum, refine_quadrature, require_positive,
+                       tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -52,6 +53,10 @@ _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
 # the tanh-sinh nodes reach t = e^{-700}; the part of int t^alpha dt
 # below them, e^{-700 (alpha + 1)}, tops 1e-12 for alpha + 1 < 0.04
 _MIN_ALPHA1 = 0.04
+# digits an incomplete-gamma seed (_gamma_upper) keeps past the working
+# precision after its cancellation
+_SEED_SPARE = 4
+_LN10 = math.log(10.0)
 # each kernel kind K<d1><d2>: is its first / second side integrated
 # against the Cauchy weight?  An integrated side is an i1 transform on the
 # direct route and the companion G~ in the t-integral.
@@ -297,14 +302,50 @@ def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
         return tuple(coef), tuple(1 / (al + 1 + m) for m in range(2 * n - 1))
 
 
+def _gamma_upper(s, w):
+    """Gamma(s, w), w > 0, at the working precision: the method chosen by
+    region, as Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012) do.
+
+    mpmath's upper gammainc first tries its asymptotic series, which fails
+    unless e^{-w} lies below the working precision's unit, and then falls
+    back to the convergent Gamma(s) - gamma(s, w) (DLMF 8.2.3, 8.7.1),
+    at up to ten times the cost of that difference alone (4-10 ms against
+    0.5-1 ms at 180 digits).  Below that w the difference is formed here.
+    It cancels by about w log10(e) digits, which the first precision
+    allows for, and by up to 17 more within 1e-17 of a pole of Gamma, so
+    mp_sum measures the digits lost, log10 max(|Gamma(s)|, |gamma(s, w)|)
+    / Gamma(s, w), and repeats until the working precision is kept.  An
+    integer s keeps mpmath's exact path, as does a loss past mp_sum's
+    ceiling.
+    """
+    keep = mpmath.mp.dps + _SEED_SPARE
+    if mpmath.isint(s) or w > keep * _LN10:
+        return mpmath.gammainc(s, w)
+
+    def difference():
+        g, low = mpmath.gamma(s), mpmath.gammainc(s, 0, w)
+        peak = max(abs(g), abs(low))
+        # Gamma(s, w) > 0: a zero difference lost every digit, which a
+        # value below the peak's last bit tells mp_sum
+        return (g - low) or mpmath.ldexp(peak, -mpmath.mp.prec), ln_abs(peak)
+
+    start = _DPS_STEP * math.ceil((keep + w / _LN10) / _DPS_STEP)
+    try:
+        return +mp_sum(difference, start, keep)
+    except NonConverged:
+        return mpmath.gammainc(s, w)
+
+
 def _k11_side(e: float, theta: float, n: int, w: float) -> list:
     """H(s_j) = e^w w^{-s_j} Gamma(s_j, w) at s_j = -e - theta j, j < N.
 
     Where theta = p/q exactly (the float taken as exact) with q < N,
     H(s_j) follows from H(s_{j-q}) by p unit steps of DLMF 8.8.2,
-    H(s-1) = (w H(s) - 1)/(s-1): one gammainc seed per chain, and one
-    per j otherwise (as at theta = 1.3).  A step scales an error by w/|s-1|,
-    so the chains carry log10 of those factors' product as guard digits.
+    H(s-1) = (w H(s) - 1)/(s-1): q chains, each from one _gamma_upper
+    seed.  Otherwise (as at theta = 1.3) every j is a seed.  A step scales
+    an error by w/|s-1|, so the chains carry log10 of those factors'
+    product as guard digits.  The steps run on integers in fixed point
+    (numerics._fixed_point), at about half the cost of mpf arithmetic.
     """
     p, q = theta.as_integer_ratio()
     guard = sum(max(0.0, math.log10(w / (e + theta * j + i + 1.0)))
@@ -312,14 +353,24 @@ def _k11_side(e: float, theta: float, n: int, w: float) -> list:
     with mpmath.workdps(mpmath.mp.dps + math.ceil(guard)):
         # s in working precision: the sum cancels ~4^N deep, and an
         # exponent rounded to a double perturbs the terms incoherently
-        ww, s = mpmath.mpf(w), [-e - mpmath.mpf(theta) * j for j in range(n)]
-        out = [mpmath.exp(ww) * ww ** -s[j] * mpmath.gammainc(s[j], ww)
+        ww, th, me = mpmath.mpf(w), mpmath.mpf(theta), -mpmath.mpf(e)
+        s = [me - th * j for j in range(n)]
+        out = [mpmath.exp(ww) * ww ** -s[j] * _gamma_upper(s[j], w)
                for j in range(min(q, n))]
+        # every H(s) = int_1^inf u^{s-1} e^{-w(u-1)} du exceeds
+        # 1/(w + 1 - s) (s < 1), so on this unit each keeps _GUARD_BITS
+        # past the working precision
+        bits = (mpmath.mp.prec + _GUARD_BITS
+                + math.ceil(w + 1 + e + theta * n).bit_length())
+        one = 1 << bits
+        (wf, *chain), _ = _fixed_point([ww] + out, -bits)
+        sf, _ = _fixed_point(s, -bits)
         for j in range(q, n):
-            out.append(out[j - q])
-            for i in range(p, 0, -1):
-                out[j] = (ww * out[j] - 1) / (s[j] + i - 1)
-    return out
+            h = chain[j - q]
+            for i in range(p - 1, -1, -1):
+                h = (((wf * h >> bits) - one) << bits) // (sf[j] + i * one)
+            chain.append(h)
+    return out + [mpmath.mpf((h, -bits)) for h in chain[q:]]
 
 
 def _k11_inc_core(params: EnsembleParams, y: float, x: float):
@@ -360,8 +411,11 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
 
     # the double sum cancels roughly as 16^N (each factor contributes
     # ~4^N), and in the bulk k11 lies a further 0.2N-0.3N digits below
-    # 1/(x + y), so the precision hint grows with N
-    return mp_sum(double_sum, 40 + int(1.7 * n))
+    # 1/(x + y), so the precision hint grows with N; rounded up to a
+    # _DPS_STEP multiple, so that the N of one step share _k11_tables
+    # entries and mpmath's per-precision gamma caches
+    return mp_sum(double_sum,
+                  _DPS_STEP * math.ceil((40 + 1.7 * n) / _DPS_STEP))
 
 
 def k11(params: EnsembleParams, y: float, x: float,

@@ -120,13 +120,14 @@ class LogValue:
 # mpmath sums
 # ---------------------------------------------------------------------------
 
-def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP):
+def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP,
+           keep: int = _SPARE_DIGITS):
     """An mpmath sum at a working precision its own cancellation confirms.
 
     sum_at() sums at the current mpmath precision and returns (total,
     log_peak), log_peak the natural log of the largest |term| (or of a
     bound on it).  The first sum runs at `dps` digits, a hint.  While the
-    digits lost, log10(peak / |total|), leave fewer than _SPARE_DIGITS of
+    digits lost, log10(peak / |total|), leave fewer than `keep` digits of
     the working precision, the sum runs again at the _DPS_STEP multiple
     that would leave them, and at least twice the digits (up to _MAX_DPS)
     where the total is rounding noise (it kept fewer than 4 digits), whose
@@ -140,9 +141,9 @@ def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP):
         if not total:
             return total
         lost = (log_peak - ln_abs(total)) / math.log(10.0)
-        if dps - lost >= _SPARE_DIGITS:
+        if dps - lost >= keep:
             return total
-        need = _DPS_STEP * math.ceil((lost + _SPARE_DIGITS) / _DPS_STEP)
+        need = _DPS_STEP * math.ceil((lost + keep) / _DPS_STEP)
         if need > _MAX_DPS:
             raise NonConverged(f"mpmath sum loses {lost:.0f} digits; "
                                f"more than {_MAX_DPS} would be needed")
@@ -150,15 +151,16 @@ def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP):
         dps = max(need, min(2 * dps, _MAX_DPS)) if noise else need
 
 
-def _fixed_point(xs) -> tuple[list, int]:
+def _fixed_point(xs, unit: int | None = None) -> tuple[list, int]:
     """mpmath numbers xs as integers m_i on one unit: x_i = m_i 2^unit,
     each truncated toward zero, unit _GUARD_BITS bits below the working
-    precision under the largest |x_i|.  Sums and products of such
-    integers are exact, so a dot product or a double sum over them makes
-    one mpf at its end: mpmath.mpf((total, unit))."""
+    precision under the largest |x_i| unless given.  Sums and products of
+    such integers are exact, so a dot product or a double sum over them
+    makes one mpf at its end: mpmath.mpf((total, unit))."""
     parts = [x._mpf_ for x in xs]
-    top = max((exp + bc for _, man, exp, bc in parts if man), default=0)
-    unit = top - mpmath.mp.prec - _GUARD_BITS
+    if unit is None:
+        top = max((exp + bc for _, man, exp, bc in parts if man), default=0)
+        unit = top - mpmath.mp.prec - _GUARD_BITS
     out = []
     for sign, man, exp, _ in parts:
         man = man << exp - unit if exp >= unit else man >> unit - exp

@@ -6,16 +6,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from cauchybures import kernels
+from cauchybures import kernels, numerics
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.foxh import g_inf, g_n, g_tilde_n
 from cauchybures.correlations import CorrelationRequest, rho_bures, rho_cauchy
-from cauchybures.kernels import (KernelGrid, _k11_side, _k11_tables,
-                                 cd_hard_scaled, cd_kernel, delta_k00_inf,
-                                 delta_k11_inf, hard_edge_kernel, hatted,
-                                 i1_integral, k01, k10, k11, make_grid,
-                                 sigma_k01_inf)
+from cauchybures.kernels import (KernelGrid, _gamma_upper, _k11_side,
+                                 _k11_tables, cd_hard_scaled, cd_kernel,
+                                 delta_k00_inf, delta_k11_inf,
+                                 hard_edge_kernel, hatted, i1_integral, k01,
+                                 k10, k11, make_grid, sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
 from references import simplex_quad_2d
 
@@ -509,24 +509,83 @@ class TestSharedSides:
 
 
 class TestK11Core:
-    @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 1.3])
-    @pytest.mark.parametrize("c", [0.5, 3.0, 40.0])
+    @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 1.3, 0.9])
+    @pytest.mark.parametrize("c", [0.004, 0.5, 3.0, 40.0, 400.0])
     def test_chains_match_gammainc(self, theta, c):
-        # H(s) = e^c c^{-s} Gamma(s, c) at s = -e - theta j, against one
-        # gammainc per j.  e = 0 seeds a chain at s = 0; at c = 40 a chain
-        # without guard digits loses 8-13 digits; theta = 1.3 has no chain.
-        # The reference runs 30 digits above the working 50, because
-        # mpmath's gammainc itself loses up to 9 at c = 40, s = -j.
+        # H(s) = e^c c^{-s} Gamma(s, c) at s = -e - theta j, and each seed
+        # Gamma(s, c) that _k11_side takes (_gamma_upper), against one
+        # mpmath upper gammainc per j.  e = 0 seeds a chain at s = 0, an
+        # integer; e = -0.9 has s > 0; at c = 40 a chain without guard
+        # digits loses 8-13 digits, and at c = 400, where e^{-c} lies
+        # below the working precision, the seeds are mpmath's own; theta =
+        # 1.3 and 0.9 have no chain, so every j is a seed, and (e, theta) =
+        # (0.1, 0.9) puts s_1 2.8e-17 off -1.  The reference runs 30 digits
+        # above the working 50, because mpmath's gammainc itself loses up to
+        # 9 at c = 40, s = -j.
         n = 12
-        for e in (0.0, 0.7, -0.9):
+        seeds = min(theta.as_integer_ratio()[1], n)
+        for e in (0.0, 0.7, -0.9, 0.1):
             with mpmath.workdps(50):
+                th = mpmath.mpf(theta)
                 got = _k11_side(e, theta, n, c)
+                seed = [_gamma_upper(-e - th * j, c) for j in range(seeds)]
             with mpmath.workdps(80):
-                th, w = mpmath.mpf(theta), mpmath.mpf(c)
-                err = max(abs(g / (mpmath.exp(w) * w ** (e + th * j)
-                                   * mpmath.gammainc(-e - th * j, w)) - 1)
-                          for j, g in enumerate(got))
+                w = mpmath.mpf(c)
+                ref = [mpmath.gammainc(-e - th * j, w) for j in range(n)]
+                err = max(abs(g / (mpmath.exp(w) * w ** (e + th * j) * r)
+                              - 1) for j, (g, r) in enumerate(zip(got, ref)))
+                seed_err = max(abs(g / r - 1) for g, r in zip(seed, ref))
             assert err < 1e-48, (e, mpmath.nstr(err, 3))
+            assert seed_err < 1e-48, (e, mpmath.nstr(seed_err, 3))
+
+    def test_seed_past_total_cancellation(self):
+        # 2.8e-17 from the pole at -1 the difference loses 18 digits at
+        # w = 2: at 5 working digits its first try, at 16, is exactly 0
+        with mpmath.workdps(50):
+            s = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
+        with mpmath.workdps(5):
+            got = _gamma_upper(s, 2.0)
+        with mpmath.workdps(80):
+            assert abs(got / mpmath.gammainc(s, 2.0) - 1) < 1e-3
+
+    def test_seed_past_the_precision_ceiling(self, monkeypatch):
+        # a loss that mp_sum refuses falls back to mpmath's own route
+        monkeypatch.setattr(numerics, "_MAX_DPS", 64)
+        with mpmath.workdps(50):
+            s = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
+            got = _gamma_upper(s, 40.0)
+        with mpmath.workdps(80):
+            assert abs(got / mpmath.gammainc(s, 40.0) - 1) < 1e-48
+
+    # (params, seeds per side): one chain per residue mod q where theta =
+    # p/q with q < N, a seed per j otherwise
+    @pytest.mark.parametrize("p,seeds", [
+        ((0.0, 0.0, 1.0, 12), 1), ((0.2, 0.9, 2.0, 12), 1),
+        ((0.3, 0.7, 1.5, 12), 2), ((0.4, 1.4, 1.3, 12), 12)])
+    def test_one_seed_per_chain(self, monkeypatch, p, seeds):
+        sides, seeded, upper = [], [], []
+        side, seed, gammainc = (kernels._k11_side, kernels._gamma_upper,
+                                mpmath.gammainc)
+
+        def counted_side(*args):
+            sides.append(args)
+            return side(*args)
+
+        def counted_seed(s, w):
+            seeded.append(s)
+            return seed(s, w)
+
+        def spied_gammainc(z, *args, **kwargs):
+            if len(args) == 1:  # Gamma(z, w), the upper incomplete gamma
+                upper.append(z)
+            return gammainc(z, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_k11_side", counted_side)
+        monkeypatch.setattr(kernels, "_gamma_upper", counted_seed)
+        monkeypatch.setattr(mpmath, "gammainc", spied_gammainc)
+        k11(EnsembleParams(*p), 0.6564, 1.8995)
+        assert len(seeded) == seeds * len(sides) > 0
+        assert all(mpmath.isint(z) for z in upper)
 
     def test_cached_tables_are_isolated(self):
         p = EnsembleParams(0.2, 0.9, 2.0, 12)
@@ -550,6 +609,13 @@ class TestK11Core:
     def test_hard_edge_scale_sweep(self, p, y, x, want):
         assert k11(EnsembleParams(*p), y, x) == pytest.approx(
             want, rel=0, abs=1e-15 / (x + y))
+
+    def test_bulk_value_by_seed_per_j(self):
+        # theta = 1.3 seeds every j (no chain); perfbench/mpref.k11 at
+        # 40 + 2N digits, confirmed at 30 more
+        p = EnsembleParams(0.4, 1.4, 1.3, 40)
+        assert k11(p, 1.2, 1.0) == pytest.approx(-1.1285618521507182e-14,
+                                                 rel=1e-12)
 
     def test_bulk_value_below_its_floor(self):
         # in the bulk K11 is ~1e-16 of its 1/(x+y) floor: a core whose
