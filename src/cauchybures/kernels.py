@@ -6,9 +6,10 @@ sides (`_cd_contract`), and a t-integral of the contour functions, so the
 routes can be played against each other in the tests; for K11 the second
 is an exact incomplete-gamma sum from cached O(N) vectors and guarded
 unit-step gamma chains, contracted on Python integers (_k11_inc_core).
-The integrated side vectors are cached (_i1s), so the entries of one
-correlation share them.  One table of the four kinds (_TILDE) and one
-dispatcher (_finite_kernel) choose every route; one tanh-sinh rule
+The direct route's integrated side vectors (_i1s) and the t-integrals'
+G / G~ sides on each tanh-sinh level (_t_side) are cached, so the entries
+of one correlation share them.  One table of the four kinds (_TILDE) and
+one dispatcher (_finite_kernel) choose every route; one tanh-sinh rule
 (_gg_t_integral) integrates every t-integral.
 """
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
-from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, gauss_jacobi,
-                       ln_abs, mp_sum, refine_quadrature, require_positive,
-                       tanh_sinh_01)
+from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _tanh_sinh_level,
+                       gauss_jacobi, ln_abs, mp_sum, refine_quadrature,
+                       require_positive, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -50,6 +51,9 @@ __all__ = [
 
 _SINGULAR_TOL = 1e-12
 _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
+# the largest sum w|f| / |integral| at which the t-integrand's ~1e-14
+# rounding stays within _T_RTOL
+_MAX_CANCEL = _T_RTOL / 1e-14
 # the tanh-sinh nodes reach t = e^{-700}; the part of int t^alpha dt
 # below them, e^{-700 (alpha + 1)}, tops 1e-12 for alpha + 1 < 0.04
 _MIN_ALPHA1 = 0.04
@@ -139,41 +143,77 @@ def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> floa
 # t-integrals of G / G~ products
 # ---------------------------------------------------------------------------
 
-def _gg_t_integral(alpha: float, f1: Callable, z1: float, f2: Callable,
-                   z2: float) -> float:
-    """integral_0^1 t^alpha f1(t z1) f2(t z2) dt by tanh-sinh, every kind.
+def _kept(alpha: float, t: np.ndarray) -> np.ndarray:
+    """Mask of the t-integral nodes: those with t^{alpha+1} >= 1e-60 (t >=
+    1e-60 for alpha >= 0).  The rest hold less than 1e-60 of the t^alpha
+    mass; they are left out, since a G~ factor alone can overflow there."""
+    return t ** min(alpha + 1.0, 1.0) >= 1e-60
+
+
+def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
+    """integral_0^1 t^alpha F1(t z1) F2(t z2) dt by tanh-sinh, every kind.
 
     tanh-sinh converges through the t^alpha weight of K00's entire G G
     and through a G~'s algebraic t^{-a/theta} endpoint behavior, which no
-    single polynomial weight fits.  f1 and f2 take arrays, so each level
-    costs one call of each, on that level's new nodes.  Raises
+    single polynomial weight fits.  side1(level) and side2(level) are the
+    factors on the nodes of that tanh-sinh level that _kept keeps
+    (_t_side), so each level costs at most one evaluation of each side.
+
+    The factors are good to about 1e-14 relative, and cancellation in the
+    integral scales that error by M/|I|, M = sum w|f| over the same nodes.
+    Once a level's change lies within _T_RTOL M, an M above _MAX_CANCEL
+    |I| raises ComplexityError: the value could miss _T_RTOL.  Raises
     ComplexityError for alpha + 1 below _MIN_ALPHA1.
     """
     if alpha + 1.0 < _MIN_ALPHA1:
         raise ComplexityError(f"t-integral: alpha + 1 = {alpha + 1.0:.3g} "
                               f"puts t^alpha mass below the tanh-sinh nodes")
+    level, value, mass = 0, 0.0, 0.0
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        # the nodes with t^{alpha+1} < 1e-60 (t < 1e-60 for alpha >= 0)
-        # hold less than 1e-60 of the t^alpha mass; they are left out,
-        # since a G~ factor alone can overflow there
+        # tanh_sinh_01 calls f once per level, on levels 0, 1, 2, ... in
+        # turn; value and mass repeat its level sums, of f and of |f|
+        nonlocal level, value, mass
         out = np.zeros(len(t))
-        keep = t ** min(alpha + 1.0, 1.0) >= 1e-60
-        t = t[keep]
-        out[keep] = t ** alpha * f1(t * z1) * f2(t * z2)
+        keep = _kept(alpha, t)
+        out[keep] = t[keep] ** alpha * side1(level) * side2(level)
+        weights = _tanh_sinh_level(level).weights
+        prev, value = value, 0.5 * value + float(weights @ out)
+        mass = 0.5 * mass + float(weights @ np.abs(out))
+        if (level and abs(value - prev) <= _T_RTOL * mass
+                and mass > _MAX_CANCEL * abs(value)):
+            raise ComplexityError(
+                f"t-integral cancels: sum w|f| / |integral| = "
+                f"{mass / abs(value) if value else math.inf:.3g} exceeds "
+                f"{_MAX_CANCEL:.0e}, so the integrand's rounding could "
+                f"pass the {_T_RTOL:.0e} tolerance; at finite N "
+                f"route='direct' avoids the t-integral (its float sum "
+                f"loses digits as N grows)")
+        level += 1
         return out
 
     return tanh_sinh_01(integrand, rtol=_T_RTOL)
 
 
-def _g_fn(tilde: bool, a: float, alpha: float, theta: float,
-          n: Optional[int]):
-    """z -> G_n (or G~_n with tilde); G_inf (G~_inf) for n=None."""
+@lru_cache(maxsize=256)
+def _t_side(tilde: bool, e: float, alpha: float, theta: float,
+            n: Optional[int], z: float, level: int) -> np.ndarray:
+    """G_n (G~_n with tilde; G_inf, G~_inf for n=None) of exponent e at
+    t z, over the nodes t of tanh-sinh level `level` that _kept keeps.
+
+    Cached, as read-only arrays: the t-integrals of a correlation's
+    entries, or of a grid's cells, share each side (at most four per
+    point: G or G~, exponent a or b), so each is evaluated once per level
+    it reaches.  alpha fixes the node mask as well as the function.
+    """
+    t = _tanh_sinh_level(level).nodes
+    tz = t[_kept(alpha, t)] * z
     if n is None:
-        g = g_tilde_inf if tilde else g_inf
-        return lambda z: g(a, alpha, theta, z)
-    g = g_tilde_n if tilde else g_n
-    return lambda z: g(a, alpha, theta, n, z)
+        vals = (g_tilde_inf if tilde else g_inf)(e, alpha, theta, tz)
+    else:
+        vals = (g_tilde_n if tilde else g_n)(e, alpha, theta, n, tz)
+    vals.setflags(write=False)
+    return vals
 
 
 def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
@@ -185,22 +225,22 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
     on an integrated side (_TILDE) and G otherwise, times x1^a and x2^b
     for an integrated first and second side.  G, G~ are G_n, G~_n, or the
     hard-edge G_inf, G~_inf for n=None.  Every kind is integrated by
-    _gg_t_integral.  The finite-N kernels carry a further e^{x} per
-    integrated side, and their K11 is not this integral (see
-    _finite_kernel).
+    _gg_t_integral over cached sides (_t_side).  The finite-N kernels
+    carry a further e^{x} per integrated side, and their K11 is not this
+    integral (see _finite_kernel).
     """
     if kind not in _TILDE:
         raise DomainError(f"unknown kernel kind {kind!r}")
     alpha = (a + b + 1.0) / theta - 1.0
     tilde1, tilde2 = _TILDE[kind]
-    g1 = _g_fn(tilde1, a, alpha, theta, n)
-    g2 = _g_fn(tilde2, b, alpha, theta, n)
     weight = theta
     if tilde2:
         weight *= x2 ** b
     if tilde1:
         weight *= x1 ** a
-    return weight * _gg_t_integral(alpha, g1, x1 ** theta, g2, x2 ** theta)
+    return weight * _gg_t_integral(
+        alpha, partial(_t_side, tilde1, a, alpha, theta, n, x1 ** theta),
+        partial(_t_side, tilde2, b, alpha, theta, n, x2 ** theta))
 
 
 # ---------------------------------------------------------------------------

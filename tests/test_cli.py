@@ -164,6 +164,17 @@ class TestKernelGrid:
         assert payload["kind"] == "K00"
         assert len(payload["values"]) == 3
 
+    def test_cancelling_t_integral_exits_one(self, runner):
+        # K01 cancels in t by 1.4e6 at (10, 15), past what the t-integral
+        # resolves; the grid once printed a value 8.4e-9 off with exit 0
+        res = runner.invoke(main, ["kernel-grid", "--a", "0", "--b", "0.7",
+                                   "--theta", "1", "--n", "1", "--kind",
+                                   "K01", "--grid-min", "10", "--grid-max",
+                                   "15", "--grid-count", "2"])
+        assert res.exit_code == 1
+        assert "route='direct'" in res.stderr
+        assert res.stdout == ""
+
     def test_file_output(self, runner, tmp_path):
         out = tmp_path / "grid.csv"
         res = runner.invoke(main, self.ARGS + ["--out", str(out)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cauchybures import foxh
+from cauchybures import foxh, kernels
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import (ComplexityError, DomainError,
                                     NonConverged, PoleCollisionError)
@@ -571,6 +571,8 @@ class TestLogarithmicCase:
             raise AssertionError("hankel_loop called on a kernel path")
 
         monkeypatch.setattr(foxh, "hankel_loop", no_loop)
+        # sides cached by an earlier test would hide a loop call
+        kernels._t_side.cache_clear()
         params = EnsembleParams(0.5, 0.7, 1.5, 2)
         got = k10(params, 0.4399, 1.2688, route="tintegral")
         assert got == pytest.approx(

@@ -1,6 +1,9 @@
 """Tests for the Christoffel-Darboux kernel family and hard-edge limits."""
 import json
 import math
+import time
+from collections import Counter
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -10,7 +13,8 @@ from cauchybures import kernels, numerics
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.foxh import g_inf, g_n, g_tilde_n
-from cauchybures.correlations import CorrelationRequest, rho_bures, rho_cauchy
+from cauchybures.correlations import (CorrelationRequest, rho_bures,
+                                       rho_bures_hard_edge, rho_cauchy)
 from cauchybures.kernels import (KernelGrid, _gamma_upper, _k11_side,
                                  _k11_tables, cd_hard_scaled, cd_kernel,
                                  delta_k00_inf, delta_k11_inf,
@@ -120,6 +124,35 @@ class TestTIntegralEndpoint:
             with pytest.raises(ComplexityError, match="alpha \\+ 1"):
                 call()
         assert math.isfinite(cd_kernel(p, 0.3, 0.8, route="direct"))
+
+
+class TestTIntegralCancellation:
+    # K01 at (a, b, theta, N) = (0, 0.7, 1, 1) cancels in t as x, x' grow:
+    # sum w|f| / |integral| is 1.3e3 at (8, 8), 3.6e3 at (6, 9), 7e4 at
+    # (10, 12) and 1.4e6 at (10, 15), where the relative rule alone
+    # returned 0.10236171430417267, 8.4e-9 off
+    P = EnsembleParams(0.0, 0.7, 1.0, 1)
+    # perfbench/mpref.k01 at 40 digits, confirmed at 70
+    KEPT = [((6.0, 9.0), 0.16095519574094565852),
+            ((8.0, 8.0), 0.17802305349535627721)]
+
+    @pytest.mark.parametrize("pts", [(10.0, 15.0), (10.0, 12.0)])
+    def test_refused_past_the_cancellation_limit(self, pts):
+        with pytest.raises(ComplexityError, match="route='direct'"):
+            k01(self.P, *pts)
+
+    def test_deep_cancellation_is_refused_at_once(self):
+        # the relative rule alone ran 35 s into NonConverged here
+        start = time.perf_counter()
+        with pytest.raises(ComplexityError, match="cancels"):
+            k01(self.P, 30.0, 45.0)
+        assert time.perf_counter() - start < 2.0
+        assert k01(self.P, 30.0, 45.0, route="direct") == pytest.approx(
+            0.036429860341399106105, rel=1e-13)
+
+    @pytest.mark.parametrize("pts,want", KEPT)
+    def test_kept_below_the_limit(self, pts, want):
+        assert k01(self.P, *pts) == pytest.approx(want, rel=1e-10)
 
 
 class TestReproducingProperty:
@@ -506,6 +539,84 @@ class TestSharedSides:
         for side in (mant, exp):
             with pytest.raises(ValueError):
                 side[0] = 0
+
+
+class TestSharedTSides:
+    """Each t-integral side is evaluated once per tanh-sinh level it
+    reaches (_t_side cache), shared by a correlation's entries and by a
+    grid's cells."""
+
+    @staticmethod
+    def evaluations(monkeypatch, run):
+        """run()'s value and its side evaluations per tanh-sinh level."""
+        level = [None]
+        per_level = Counter()
+        rule = kernels._tanh_sinh_level
+
+        def level_rule(lev):
+            level[0] = lev
+            return rule(lev)
+
+        def counted(g):
+            def wrapper(*args):
+                per_level[level[0]] += 1
+                return g(*args)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "_tanh_sinh_level", level_rule)
+        for name in ("g_inf", "g_tilde_inf"):
+            monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+        kernels._t_side.cache_clear()
+        return run(), per_level
+
+    def test_two_point_hard_edge_bures(self, monkeypatch):
+        # sides G and G~ at exponents a and a + 1 at each of two points; 24
+        # evaluations per level before the cache
+        value, per_level = self.evaluations(
+            monkeypatch, lambda: rho_bures_hard_edge(0.3, 1.5, (0.8, 1.5)))
+        assert repr(value) == "0.004269423544277214"
+        assert per_level and max(per_level.values()) <= 8
+
+    def test_hard_k10_grid(self, monkeypatch):
+        # a G~ side per row and a G side per column; 18 before the cache
+        grid, per_level = self.evaluations(monkeypatch, lambda: make_grid(
+            "hard-K10", (0.4, 0.9, 1.6), (0.5, 1.1, 2.0),
+            partial(hard_edge_kernel, 0.5, 0.7, 1.5, "K10"), {}))
+        assert [repr(v) for row in grid.values for v in row] == [
+            "0.9413651146791044", "0.8562456195008474", "0.6869036342895602",
+            "0.47893550889783176", "0.4435687083572398", "0.3728746676961192",
+            "0.22467606435343446", "0.2137542664834991", "0.1916727273117456"]
+        assert per_level and max(per_level.values()) <= 6
+
+    def test_cached_side_is_read_only(self):
+        side = kernels._t_side(True, 0.5, 0.3, 1.5, None, 0.8, 2)
+        with pytest.raises(ValueError):
+            side[0] = 0.0
+
+    def test_key_is_complete(self):
+        # each call after the first has a side whose key differs from one of
+        # an earlier call in one field (tilde, exponent, alpha, theta, N or
+        # the hard edge, z); warm, a key without that field would hand it
+        # the earlier call's side
+        calls = [
+            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K00", 0.25, 0.6),
+            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K10", 0.25, 0.6),
+            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K01", 0.25, 0.6),
+            lambda: hard_edge_kernel(0.7, 0.3, 1.0, "K00", 0.25, 0.6),
+            lambda: hard_edge_kernel(0.3, 0.9, 1.0, "K00", 0.25, 0.6),
+            # alpha = 1 again, and 0.5^2 = 0.25 exactly
+            lambda: hard_edge_kernel(0.3, 2.7, 2.0, "K00", 0.5, 0.6),
+            lambda: cd_kernel(EnsembleParams(0.3, 0.7, 1.0, 3), 0.25, 0.6,
+                              route="tintegral"),
+            lambda: cd_kernel(EnsembleParams(0.3, 0.7, 1.0, 4), 0.25, 0.6,
+                              route="tintegral"),
+            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K00", 0.4, 0.6),
+        ]
+        kernels._t_side.cache_clear()
+        warm = [call() for call in calls]
+        for call, value in zip(calls, warm):
+            kernels._t_side.cache_clear()
+            assert call() == value
 
 
 class TestK11Core:
