@@ -6,8 +6,7 @@ from .exceptions import (CauchyBuresError, ComplexityError, DimensionError,
                          DomainError, NonConverged, PoleCollisionError,
                          PoleError, SignError, SingularPointError)
 from .numerics import LogValue, SkewMatrix, pfaffian, pfaffian_bordered
-from .foxh import (FoxHSpec, fox_h, g_inf, g_n, g_tilde_inf, g_tilde_n,
-                   mellin_barnes)
+from .foxh import FoxHSpec, fox_h, g_inf, g_n, g_tilde_inf, g_tilde_n
 # partition_cauchy_det and partition_bures_squared_identity are the
 # route="det" / route="cauchy" partials perfbench binds; not in __all__
 from .ensembles import (EnsembleParams, moment_b, moment_c, partition_bures,
@@ -29,7 +28,6 @@ __all__ = [
     "SingularPointError",
     "LogValue", "SkewMatrix", "pfaffian", "pfaffian_bordered",
     "FoxHSpec", "fox_h", "g_inf", "g_n", "g_tilde_inf", "g_tilde_n",
-    "mellin_barnes",
     "EnsembleParams", "moment_b", "moment_c", "partition_bures",
     "partition_cauchy",
     "PolySeries", "coeff_c", "jacobi_p", "monic_pair", "p_hat", "phi_bures",

@@ -18,8 +18,7 @@ from .raney import raney as raney_number
 from .raney import sz_moment
 from .exceptions import CauchyBuresError, NonConverged
 # hankel_loop and residue_series stay bound here for perfbench/tracer.py
-from .foxh import (FoxHSpec, hankel_loop, mellin_barnes,  # noqa: F401
-                   residue_series)
+from .foxh import FoxHSpec, hankel_loop, residue_series  # noqa: F401
 from .numerics import SkewMatrix, gauss_jacobi, pfaffian, require_positive
 
 # the spec'd exit contract reserves 2 for non-convergence; route click's
@@ -79,9 +78,6 @@ def _load_foxh_spec(path: str) -> FoxHSpec:
         _fail(1, f"invalid spec: {exc}")
 
 
-_ROUTE_NAMES = {"residue": "ResidueSum", "hankel": "HankelLoop"}
-
-
 @main.command()
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--z", "zs", type=float, multiple=True, required=True)
@@ -93,8 +89,8 @@ def foxh(spec_file, zs, out):
     num, den = spec.factors()
     records = []
     for z in zs:
-        value, route = mellin_barnes(num, den, z)
-        rec = {"z": z, "value": value, "strategy": _ROUTE_NAMES[route],
+        value = residue_series(num, den, z)
+        rec = {"z": z, "value": value, "strategy": "ResidueSum",
                "est_error": max(1e-13, 1e-11 * abs(value))}
         records.append(rec)
         click.echo(json.dumps(rec, sort_keys=True))

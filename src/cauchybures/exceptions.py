@@ -22,10 +22,11 @@ class NonConverged(CauchyBuresError):
 
 
 class PoleCollisionError(CauchyBuresError):
-    """Mellin-Barnes poles the residue series cannot sum.
+    """A Mellin-Barnes integrand whose left and right pole families meet.
 
-    Raised for a pole of order 3 or more, or for left and right pole
-    families that overlap.  Coinciding pairs (double poles) are summed.
+    No contour separates the two families there, so the Fox H-function is
+    undefined.  Poles of one side that coincide or nearly coincide are
+    summed, at any order.
     """
 
 

@@ -1,8 +1,11 @@
-"""Fox H-functions via residue series and numerical Mellin-Barnes contours.
+"""Fox H-functions as one residue series, and the kernel building blocks.
 
-Evaluates general Fox H specifications plus the four kernel building
-blocks: the finite-N polynomials G_N, their companions G~_N carrying a
-Gamma(theta*u - a) factor, and the hard-edge limits G_inf, G~_inf.
+Every Mellin-Barnes integral of the library (`fox_h`, the finite-N
+polynomials G_N, their companions G~_N carrying a Gamma(theta*u - a)
+factor, and the hard-edge limits G_inf, G~_inf) is the sum of its left
+residues (`residue_series`), at poles of any order.  `hankel_loop`
+integrates the same integrand along a contour; no library route calls
+it, and it is kept as the tests' independent reference.
 """
 from __future__ import annotations
 
@@ -33,21 +36,21 @@ __all__ = [
     "g_tilde_n",
     "g_inf",
     "g_tilde_inf",
-    "mellin_barnes",
+    "residue_series",
 ]
 
 _LN_EPS = math.log(1e-16)
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-# Poles closer than _MERGE_RTOL (GammaFactor.pole_gap) coincide up to
-# rounding and are one pole of the residue series; unmerged pairs closer
-# than _NEAR_RTOL are a near-collision, for which the series raises.
-_MERGE_RTOL = 1e-14
-_NEAR_RTOL = 1e-10
+# Poles closer than _MERGE_RTOL (GammaFactor.pole_gap) are one entry of the
+# float series; a z whose terms reach an entry merged across _ROUND_RTOL or
+# more is re-summed exactly, where the entry splits into its exact poles.
+# Closer than _ROUND_RTOL, poles coincide up to rounding.
+_MERGE_RTOL = 1e-10
+_ROUND_RTOL = 1e-14
 _MAX_TERMS = 2000
 _LOOP_NODES = 64
 _LOOP_RTOL = 1e-11
 _SEPARATION_POLES = 300
-_STRATEGIES = ("auto", "residue", "hankel")
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +59,26 @@ _STRATEGIES = ("auto", "residue", "hankel")
 
 @dataclass(frozen=True)
 class GammaFactor:
-    """One factor Gamma(shift + slope * u) of a Mellin-Barnes integrand."""
+    """One factor Gamma(shift + slope * u) of a Mellin-Barnes integrand;
+    `exact` is the shift the exact re-sum reads where the float rounds it
+    (0.4 + 5.0 is 3.3e-16 above Fraction(0.4) + 5), None the float."""
 
     shift: float
     slope: float
+    exact: Fraction | None = None
+
+    def exact_shift(self) -> Fraction:
+        return Fraction(self.shift) if self.exact is None else self.exact
+
+    def mp_shift(self):
+        """exact_shift() in mpmath, at the working precision; a power-of-two
+        denominator, as of any float plus an integer, takes no division."""
+        if self.exact is None:
+            return mpmath.mpf(self.shift)
+        p, q = self.exact.numerator, self.exact.denominator
+        if q & (q - 1):
+            return mpmath.mpf(p) / q
+        return mpmath.mpf((p, 1 - q.bit_length()))
 
     def pole(self, k: int) -> float:
         return -(self.shift + k) / self.slope
@@ -107,30 +126,28 @@ def _log_integrand(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                    u: np.ndarray, log_z: float) -> np.ndarray:
     """log of z^{-u} prod Gamma(num) / prod Gamma(den) at an array of nodes.
 
-    A numerator gamma pole at any node raises PoleError; a denominator
-    gamma pole is a zero of the integrand, so its node gets log -inf.
+    A numerator gamma pole (within log_gamma_complex's tolerance) at any
+    node raises PoleError; a denominator one is a zero, so log -inf.
     """
-    from scipy.special import loggamma  # only the Hankel route needs scipy
+    from scipy.special import loggamma  # the loop alone needs scipy
+
+    def on_pole(w):
+        n = np.round(w.real)
+        return (n <= 0) & (np.abs(w - n) < _POLE_TOL)
+
     acc = -u * log_z
     for f in num:
         w = f.shift + f.slope * u
-        hit = _on_pole(w)
-        if hit.any():
-            raise PoleError(f"log-gamma pole at z = {w[hit][0]}")
+        if on_pole(w).any():
+            raise PoleError(f"log-gamma pole at z = {w[on_pole(w)][0]}")
         acc += loggamma(w)
     zero = np.zeros(len(u), dtype=bool)
     for f in den:
         w = f.shift + f.slope * u
-        zero |= _on_pole(w)
+        zero |= on_pole(w)
         acc -= loggamma(w)
     acc[zero] = complex(-math.inf, 0.0)
     return acc
-
-
-def _on_pole(w: np.ndarray) -> np.ndarray:
-    """Mask of the entries of w on a gamma pole, at log_gamma_complex's tol."""
-    n = np.round(w.real)
-    return (n <= 0) & (np.abs(w - n) < _POLE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -140,30 +157,27 @@ def _on_pole(w: np.ndarray) -> np.ndarray:
 class _Pole(NamedTuple):
     """One left pole u0 and the z-independent part of its residue.
 
-    The residue is sign * exp(log_c) * z^{-u0} at a simple pole and that
-    times (bracket - log z) at a double pole.  order 0 is a pole cancelled
-    by a denominator gamma (a zero term), order -1 a near-collision;
-    sing_num and sing_den hold the (index, k) of every gamma factor
-    singular at u0.
+    At order m the residue is sign * exp(log_c) * z^{-u0} _monic(poly, y),
+    y = -log z, a monic polynomial of degree m - 1; order 0 is a pole a
+    denominator gamma cancels (a zero term).  gap is the largest pole_gap
+    of the poles merged here, sing_num and sing_den the (index, k) of each
+    gamma singular at u0.
     """
 
     u0: float
     order: int
     sign: int
     log_c: float
-    bracket: float
+    gap: float
+    poly: tuple
     sing_num: tuple
     sing_den: tuple
 
 
 class _ResidueTable:
-    """Left poles of one integrand, in the order the residue series sums them.
-
-    Entries depend on the integrand only, so the heap walk, the pole scans
-    and every gamma and digamma value are computed once per integrand and
-    reused at every z.  `exact` holds the same coefficients in mpmath
-    numbers, one list per working precision.
-    """
+    """Left poles of one integrand, in the order the residue series sums
+    them, computed once per integrand and reused at every z; `exact` holds
+    the same coefficients in mpmath, one list per working precision."""
 
     def __init__(self, num: tuple, den: tuple):
         self.num, self.den = num, den
@@ -182,17 +196,16 @@ class _ResidueTable:
     def _length(self):
         """Number of entries before the cancelled tail, math.inf if none.
 
-        A left family whose own denominator gamma (same slope, shift
-        larger by an integer d) cancels its poles from the d-th on (all of
-        them for d < 0) is exhausted there, as Gamma(u) is against
-        Gamma(n + u).  When every family is, each pole at or left of all
-        their tail starts is a zero term, and the series ends before it.
+        A denominator gamma of a left family's slope, its shift larger by
+        an integer d, cancels the family's poles from the d-th on (all for
+        d < 0), as Gamma(n + u) does Gamma(u)'s; once every family is
+        cancelled, the series ends.
         """
         free, end = list(self.den), math.inf
         for f in (f for f in self.num if f.slope > 0):
             for g in free:
                 d = g.shift - f.shift
-                tol = _MERGE_RTOL * max(1.0, abs(g.shift), abs(f.shift))
+                tol = _ROUND_RTOL * max(1.0, abs(g.shift), abs(f.shift))
                 if g.slope == f.slope and abs(d - round(d)) < tol:
                     break
             else:
@@ -200,7 +213,7 @@ class _ResidueTable:
             free.remove(g)
             end = min(end, f.pole(max(round(d), 0)))
         # an end past _MAX_TERMS is never reached
-        n, tol = 0, _NEAR_RTOL * max(1.0, abs(end))
+        n, tol = 0, _MERGE_RTOL * max(1.0, abs(end))
         while n < _MAX_TERMS and self.entry(n).u0 > end + tol:
             n += 1
         return n if n < _MAX_TERMS else math.inf
@@ -211,69 +224,78 @@ class _ResidueTable:
         return self.entries[n]
 
     def arrays(self, n: int) -> np.ndarray:
-        """Rows u0, order, sign, log_c, bracket of the first n poles."""
+        """Rows u0, order, sign, log_c, gap, then poly (zero-padded), of
+        the first n poles."""
         if self._arrays.shape[1] < n:
             self.entry(n - 1)
-            self._arrays = np.array([pole[:5] for pole in self.entries]).T
+            width = max(len(pole.poly) for pole in self.entries)
+            self._arrays = np.array([
+                (*pole[:5], *pole.poly, *[0.0] * (width - len(pole.poly)))
+                for pole in self.entries]).T
         return self._arrays[:, :n]
 
     def _extend(self) -> None:
         num, den = self.num, self.den
         while True:
-            neg_u, i, k = heapq.heappop(self.heap)
-            heapq.heappush(self.heap, (-num[i].pole(k + 1), i, k + 1))
+            neg_u, i, k = self.heap[0]
             u0 = -neg_u
-            near_num = _singular(num, u0)
-            sing_num = tuple(p[:2] for p in near_num if p[2] < _MERGE_RTOL)
+            sing_num = _singular(num, u0)
+            # checked before the heap moves, so every later call raises too
+            if any(num[j].slope < 0 for j, _, _ in sing_num):
+                raise PoleCollisionError(  # + 0.0 prints u = -0.0 as 0
+                    f"a left and a right pole family meet near "
+                    f"u = {u0 + 0.0:.6g}")
+            heapq.heapreplace(self.heap, (-num[i].pole(k + 1), i, k + 1))
             if sing_num[0][0] == i:
                 break
             # same point reached from another family; counted once only
-        near_den = _singular(den, u0)
-        sing_den = tuple(p[:2] for p in near_den if p[2] < _MERGE_RTOL)
+        sing_den = _singular(den, u0)
+        gap = max(p[2] for p in sing_num + sing_den)
+        sing_num, sing_den = (tuple(p[:2] for p in sing)
+                              for sing in (sing_num, sing_den))
         order = max(len(sing_num) - len(sing_den), 0)
-        if len(near_num + near_den) > len(sing_num + sing_den):
-            order = -1  # a factor near u0 that does not merge
-        sign, log_c, bracket = 0, -math.inf, 0.0
-        if order in (1, 2):
-            sign, log_c = _leading_coefficient(num, den, u0, sing_num,
-                                               sing_den)
-        if order == 2:
-            bracket = float(_log_bracket(num, den, u0, sing_num, sing_den,
-                                         mpmath.digamma))
-        self.entries.append(_Pole(u0, order, sign, log_c, bracket, sing_num,
-                                  sing_den))
+        sign, log_c, poly = 0, -math.inf, ()
+        if order:
+            gammas = list(_gammas_at(num, den, sing_num, sing_den,
+                                     lambda f: f.shift + f.slope * u0))
+            sign, log_c = _leading_coefficient(gammas)
+        if order > 1:
+            poly = tuple(map(float, _log_poly(gammas, order)))
+            log_c -= math.lgamma(order)
+        self.entries.append(_Pole(u0, order, sign, log_c, gap, poly,
+                                  sing_num, sing_den))
 
     def log_terms(self, n: int, log_z: np.ndarray):
         """(log |term|, sign) of the first n residues at each log z.
 
         Arrays of shape (n, len(log_z)); a zero term has sign 0, log -inf.
         """
-        u0, order, sign, log_c, bracket = self.arrays(n)
+        rows = self.arrays(n)
+        u0, order, sign, log_c = rows[:4]
         term_log = log_c[:, None] - u0[:, None] * log_z
         term_sign = sign[:, None] * np.ones_like(term_log)
-        double = order == 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = bracket[double, None] - log_z
-            term_sign[double] *= np.sign(factor)
-            term_log[double] += np.log(np.abs(factor))
+        for m in range(2, int(order.max(initial=0)) + 1):
+            at = order == m
+            if at.any():
+                factor = _monic([q[at, None] for q in rows[5:4 + m]], -log_z)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    term_sign[at] *= np.sign(factor)
+                    term_log[at] += np.log(np.abs(factor))
         return term_log, term_sign
 
     def exact_sum(self, z: float, term_log: np.ndarray,
                   lost_digits: float) -> float:
-        """The residues whose float logs are term_log, summed exactly.
+        """The residues whose float logs are term_log, summed exactly, at
+        the exact shifts and float slopes.
 
         The terms double until the last three nonzero ones lie below 1e-16
-        of the exact total, or to the series' end (`length`); the float
-        sum stops early where its own total is rounding noise.
-        numerics.mp_sum raises the precision from the float sum's measure
-        of the loss until the digits lost to the largest term leave
-        enough.  At a working precision of p bits the sum runs on integer
-        mantissas: coefficients as (mantissa, exponent) pairs,
-        z^{-u0} at the k-th pole of the family Gamma(shift + slope*u) as
-        z^{shift/slope} (z^{1/slope})^k cut to p + _GUARD_BITS bits per
-        step, and every term added into one integer in units of
-        2^{-p - _GUARD_BITS} of the largest term.  Those truncations cost
-        less than mpmath's rounding of each product and sum would.
+        of the exact total, or to the series' end (`length`), and
+        numerics.mp_sum raises the precision until the digits lost to the
+        largest term leave enough.  At p bits the sum runs on integer
+        mantissas: z^{-u0} at the k-th pole of Gamma(shift + slope*u) is
+        z^{shift/slope} (z^{1/slope})^k, cut to p + _GUARD_BITS bits per
+        step, and every term is added into one integer in units of
+        2^{-p - _GUARD_BITS} of the largest, cheaper than mpmath's rounding.
         """
         log_z, length = math.log(z), self.length
 
@@ -282,7 +304,7 @@ class _ResidueTable:
             coeffs = self.exact.setdefault(dps, [])
             mz = mpmath.mpf(z)
             log_mz = mpmath.log(mz)
-            fixed_log_z = to_fixed(log_mz._mpf_, bits)
+            neg_log_z = -to_fixed(log_mz._mpf_, bits)
             # family -> (k, m, e, m', e'): z^{-u0} = m 2^e at its k-th pole,
             # z^{1/slope} = m' 2^e'
             powers = {}
@@ -291,16 +313,17 @@ class _ResidueTable:
             while done < len(logs):
                 n = len(logs)
                 while len(coeffs) < n:
-                    coeffs.append(_integer_coefficient(
+                    coeffs.append(_exact_coefficient(
                         self.num, self.den, self.entry(len(coeffs)), bits))
                 for coeff in coeffs[done:n]:
                     if coeff is None:
                         continue
                     j, k, extra, parts = coeff
                     if j not in powers:  # w = z exactly where slope = 1
-                        shift, slope = self.num[j].shift, self.num[j].slope
-                        seed = mpmath.exp(log_mz * shift / slope)
-                        w = mz if slope == 1 else mpmath.exp(log_mz / slope)
+                        f = self.num[j]
+                        seed = mpmath.exp(log_mz * f.mp_shift() / f.slope)
+                        w = mz if f.slope == 1 else mpmath.exp(log_mz
+                                                               / f.slope)
                         powers[j] = (0, *_mantissa(seed), *_mantissa(w))
                     k0, pm, pe, wm, we = powers[j]
                     for _ in range(k - k0):
@@ -313,13 +336,16 @@ class _ResidueTable:
                             log_w = mpmath.log(mz)
                             part_sum = sum(
                                 c * mpmath.exp(-offset * log_w)
-                                * (1 if b is None else b - log_w)
-                                for offset, c, b in parts)
+                                * _monic(poly, -log_w)
+                                for offset, c, poly in parts)
                         man, exp = _mantissa(part_sum)
                     else:
-                        man, exp, bracket = parts
-                        if bracket is not None:
-                            man *= bracket - fixed_log_z
+                        man, exp, poly = parts
+                        if poly is not None:  # _monic in fixed point
+                            fixed = neg_log_z + poly[-1]
+                            for q in poly[-2::-1]:
+                                fixed = (fixed * neg_log_z >> bits) + q
+                            man *= fixed
                             exp -= bits
                     man *= pm
                     exp += pe - unit
@@ -347,36 +373,28 @@ def _residue_table(num: tuple, den: tuple) -> _ResidueTable:
 
 
 def _singular(factors, u0) -> tuple:
-    """(index, k, gap) of each factor with a pole within _NEAR_RTOL of u0."""
-    out = []
-    for j, f in enumerate(factors):
-        k, gap = f.pole_gap(u0)
-        if gap < _NEAR_RTOL:
-            out.append((j, k, gap))
-    return tuple(out)
+    """(index, k, gap) of each factor with a pole within _MERGE_RTOL of u0."""
+    return tuple((j, *kg) for j, f in enumerate(factors)
+                 if (kg := f.pole_gap(u0))[1] < _MERGE_RTOL)
 
 
 def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                    z):
-    """Sum of residues over the left pole families (slope > 0 numerators).
+    """A Mellin-Barnes integral as the sum of its left residues.
 
-    z is a float (a plain float is returned) or an ndarray (an array of
-    the same shape is returned).  Poles that coincide up to rounding are
-    one pole, a double pole contributing its logarithmic residue; poles
-    cancelled by a denominator gamma are skipped.  A pole of order 3 or
-    more, or an unmerged pair closer than _NEAR_RTOL (which neither
-    reading of the series sums accurately), raises PoleCollisionError.
-    Pole locations and residue coefficients are cached per integrand, and
-    the terms for all z are summed at once in floats; each z stops after
-    three successive nonzero terms below 1e-16 of its partial sum, or
-    where every family's remaining poles are cancelled
-    (_ResidueTable.length), as after the n terms of G_n; where every
-    pole is cancelled it raises DomainError.  A z that loses more than
-    two digits to cancellation is re-summed on integer mantissas at a
-    precision numerics.mp_sum confirms (_ResidueTable.exact_sum), the
-    float parameters taken as exact, which also confirms its term count.
-    A value past double range raises ComplexityError, from the float sum
-    or the re-sum alike.
+    The left families are the numerator gammas of positive slope; z is a
+    float (a plain float is returned) or an ndarray (an array of its shape
+    is returned).  Poles closer than _MERGE_RTOL are one pole of any order
+    (_Pole); a left pole on a pole of a numerator of negative slope (a
+    right family) leaves the integral undefined and raises
+    PoleCollisionError.  The terms for all z are summed at once in floats
+    over a table cached per integrand; each z stops after three nonzero
+    terms below 1e-16 of its partial sum, or where every family's poles
+    are cancelled (_ResidueTable.length, as after the n terms of G_n).  A z
+    that loses more than two digits, or whose terms reach poles merged
+    across _ROUND_RTOL or more or of order 3 or more, is re-summed exactly
+    (_ResidueTable.exact_sum).  Every pole cancelled raises DomainError, a
+    value past double range ComplexityError.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):
@@ -399,22 +417,15 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
             partial = np.cumsum(term_sign * np.exp(term_log - top), axis=0)
             partial_log = np.where(partial != 0.0,
                                    top + np.log(np.abs(partial)), peak)
-        u0, order, sign = table.arrays(n_terms)[:3]
         # only nonzero terms count: a run of cancelled poles can lie
         # between two poles of a sparse family (theta < 1/2)
-        nonzero = np.flatnonzero(sign)
+        nonzero = np.flatnonzero(table.arrays(n_terms)[2])
         small = (term_log < partial_log + _LN_EPS)[nonzero]
         run3 = small[2:] & small[1:-1] & small[:-2]
         done = run3.any(axis=0)
         last = np.full(len(log_z), n_terms - 1)
         if done.any():
             last[done] = nonzero[run3.argmax(axis=0) + 2][done]
-        bad = np.flatnonzero((order < 0) | (order > 2))
-        if bad.size and bad[0] <= np.max(last, initial=-1):
-            what, at = order[bad[0]], u0[bad[0]]
-            raise PoleCollisionError(
-                f"pole of order {what:.0f} near u = {at:.6g}" if what > 0
-                else f"poles less than {_NEAR_RTOL:g} apart near u = {at:.6g}")
         if done.all() or n_terms == length:
             break
         if n_terms >= _MAX_TERMS:
@@ -428,139 +439,170 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         # digits lost; a sum that cancels to exactly zero lost all 16
         lost = np.where(total != 0.0, (peak - total_log) / math.log(10.0),
                         np.where(peak > -math.inf, 16.0, 0.0))
-    resum = lost > 2.0
+    # the float table sums poles merged across a gap as if they coincided,
+    # and a residue polynomial of degree 2 or more in log z can cancel
+    # where the loss estimate does not look: from the first such pole on
+    # (n_terms: none), no float term is trusted
+    _, order, _, _, gap = table.arrays(n_terms)[:5]
+    first = np.append(np.flatnonzero((gap >= _ROUND_RTOL) | (order > 2)),
+                      n_terms)[0]
+    resum = (lost > 2.0) | (last >= first)
     # the float total of a z that is re-summed can be rounding noise past
     # double range, so it is not exponentiated
     with np.errstate(over="ignore"):
         values = np.sign(total) * np.exp(np.where(resum, 0.0, total_log))
     for i in np.flatnonzero(resum):
-        # alternating cancellation ate too many digits; redo the terms
-        # exactly at a confirmed precision
+        # alternating cancellation ate too many digits, or a float term is
+        # not trusted; redo the terms exactly at a confirmed precision
         values[i] = table.exact_sum(float(zs.flat[i]),
                                     term_log[:last[i] + 1, i], float(lost[i]))
     if not np.all(np.isfinite(values)):
         at = zs.flat[np.flatnonzero(~np.isfinite(values))[0]]
         raise ComplexityError(f"residue series value at z = {at:g} lies "
                               f"past double range")
-    return _shaped_like(z, values)
+    return float(values[0]) if np.ndim(z) == 0 else values.reshape(zs.shape)
 
 
-def _shaped_like(z, values: np.ndarray):
-    """values as a plain float for a scalar z, else in the shape of z."""
-    if np.ndim(z) == 0:
-        return float(values[0])
-    return values.reshape(np.shape(z))
+def _monic(poly, y):
+    """y^m + poly[m-1] y^(m-1) + ... + poly[0], m = len(poly); 1 for None.
+
+    Works on floats, arrays and mpmath numbers alike."""
+    if poly is None:
+        return 1
+    acc = y + poly[-1]
+    for q in poly[-2::-1]:
+        acc = acc * y + q
+    return acc
 
 
-def _leading_coefficient(num, den, u0, sing_num, sing_den):
-    """Signed log of the Laurent leading coefficient at u0, without z^{-u0}.
-
-    Each singular numerator gamma contributes (-1)^k / (k! * slope);
-    singular denominator gammas divide out the same way; the regular
-    gammas contribute their values at u0.
-    """
-    sign = 1
-    log_mag = 0.0
+def _gammas_at(num, den, sing_num, sing_den, at):
+    """(factor, 1 or -1 (numerator or denominator), k, w) for each gamma of
+    the integrand at a pole: first those singular there, at their k-th
+    pole (w None), then the regular ones, k None and w = at(factor) their
+    argument."""
     for factors, sing, dirn in ((num, sing_num, 1), (den, sing_den, -1)):
         for j, k in sing:
-            slope = factors[j].slope
-            log_mag -= dirn * (math.lgamma(k + 1) + math.log(abs(slope)))
-            if (k % 2 == 1) != (slope < 0):
-                sign = -sign
+            yield factors[j], dirn, k, None
         skip = {j for j, _ in sing}
         for j, f in enumerate(factors):
             if j not in skip:
-                s, lm = lgamma_signed(f.shift + f.slope * u0)
-                sign *= s
-                log_mag += dirn * lm
+                yield f, dirn, None, at(f)
+
+
+def _leading_coefficient(gammas):
+    """Signed log of the Laurent leading coefficient at u0, without z^{-u0}:
+    (-1)^k / (k! * slope) per singular gamma, its value per regular one,
+    numerators multiplying and denominators dividing."""
+    sign, log_mag = 1, 0.0
+    for f, dirn, k, w in gammas:
+        if k is None:
+            s, lm = lgamma_signed(w)
+        else:
+            s = -1 if (k % 2 == 1) != (f.slope < 0) else 1
+            lm = -math.lgamma(k + 1) - math.log(abs(f.slope))
+        sign *= s
+        log_mag += dirn * lm
     return sign, log_mag
 
 
-def _log_bracket(num, den, u0, sing_num, sing_den, psi):
-    """z-independent part of the log-derivative bracket at a double pole.
+def _log_poly(gammas, order):
+    """poly of _Pole at a pole of order m, in mpmath numbers.
 
-    Near u0 the integrand is C (u-u0)^{-2} (1 + B (u-u0) + ...) with
-    B = bracket - log z, so the residue is C * B.  Works in floats or in
-    mpmath numbers, whichever u0 and psi are.
+    Near u0 the integrand is C e^{-m} z^{-u0} exp(sum_k d_k e^k - e log z),
+    e = u - u0, so the residue is C z^{-u0} sum_{j<m} B_{m-1-j}
+    (-log z)^j / j!, B_0 = 1 and r B_r = sum_{k<=r} k d_k B_{r-k} the
+    Taylor coefficients of exp(sum_k d_k e^k); poly is that sum times
+    (m-1)!, made monic.  A gamma regular at u0, Gamma(w0) (_gammas_at),
+    adds d_k = slope^k psi^(k-1)(w0) / k!, one singular
+    at -k0 slope^k _pole_log_taylor(k, k0) / k!; denominators subtract.
+    Order 2 gives poly = (d_1,), the sum of slope * digamma over them.
     """
-    total = 0
-    for factors, sing, dirn in ((num, sing_num, 1), (den, sing_den, -1)):
-        skip = {j for j, _ in sing}
-        for j, k in sing:
-            total += dirn * factors[j].slope * psi(k + 1)
-        for j, f in enumerate(factors):
-            if j not in skip:
-                total += dirn * f.slope * psi(f.shift + f.slope * u0)
-    return total
+    d = [0] * order  # k! d_k
+    for f, dirn, k0, w0 in gammas:
+        for k in range(1, order):
+            t = (_pole_log_taylor(k, k0, mpmath.mp.prec) if w0 is None
+                 else mpmath.digamma(w0) if k == 1 else mpmath.psi(k - 1, w0))
+            d[k] += dirn * f.slope ** k * t
+    if order == 2:  # the common double pole, in the fewest operations
+        return (d[1],)
+    b = [1]
+    for r in range(1, order):
+        b.append(sum(d[k] * b[r - k] / math.factorial(k - 1)
+                     for k in range(1, r + 1)) / r)
+    m = order - 1
+    return tuple(b[m - j] * (math.factorial(m) // math.factorial(j))
+                 for j in range(m))
 
 
-def _exact_coefficient(num, den, pole: _Pole):
-    """(j, k, extra, parts) in mpmath of the k-th pole u0 of num[j], or None.
+@lru_cache(maxsize=4096)
+def _pole_log_taylor(k: int, k0: int, prec: int):
+    """k! times the x^k coefficient of log((-1)^k0 k0! x Gamma(x - k0)) at
+    prec bits: psi^(k-1)(1) + (k-1)! H^(k)_k0, H^(k)_k0 = sum_{i<=k0} i^-k."""
+    with mpmath.workprec(prec):  # H^(k)_k0 from psi^(k-1) at k0+1 and 1
+        if k == 1:  # mpmath.digamma: extra digits, unlike mpmath.psi(0, .)
+            return mpmath.digamma(k0 + 1)
+        t = mpmath.psi(k - 1, k0 + 1)
+        return 2 * mpmath.psi(k - 1, 1) - t if k % 2 == 0 else t
 
-    The residue is z^{-u0} times the sum over parts (offset, C, bracket)
-    of C z^{-offset}, times (bracket - log z) at a double pole.  Poles the
-    float table merged may lie apart with the float parameters taken as
-    exact (for a = 0.7, theta = 1.3 the poles of Gamma(u) and
-    Gamma(theta*u - a) at u = -11 are 3.4e-16 apart); each exact location
-    is then a part, and their 1/gap residues, which cancel, are formed and
-    summed at `extra` more digits: the gap's digits once to place the poles
-    and once for the cancellation.
+
+def _exact_coefficient(num, den, pole: _Pole, bits: int):
+    """(j, k, extra, parts) of the k-th pole u0 of num[j], or None.
+
+    The residue is z^{-u0} times the sum over parts (offset, C, poly) of
+    C z^{-offset} _monic(poly, -log z) (poly None at a simple pole).  Poles
+    the float table merged may lie apart at the exact shifts and float
+    slopes, by up to _MERGE_RTOL (for a = 0.7, theta = 1.3 the poles of
+    Gamma(u) and Gamma(theta*u - a) at u = -11 are 3.4e-16 apart).  Each
+    exact location is then a part, and their residues, which cancel by
+    about 1/gap per merged numerator pole past the first, are summed at
+    `extra` more digits, the gap's once per merged numerator pole.  None
+    where a denominator gamma cancels every pole.  An unsplit pole's one
+    part is (m, e, poly) in integers: C = m 2^e, poly in units of 2^-bits.
     """
-    if pole.order == 0:
-        return None
     spots = {}  # exact location -> singular (num, den) factors there
     group = len(pole.sing_num) + len(pole.sing_den) > 1
     for factors, sing, side in ((num, pole.sing_num, 0),
                                 (den, pole.sing_den, 1)):
-        for j, k in sing:  # the pole, its float parameters taken as exact
+        for j, k in sing:  # the pole at the exact shift and float slope
             f = factors[j]
-            at = (-Fraction(f.shift) - k) / Fraction(f.slope) if group else 0
+            at = (-f.exact_shift() - k) / Fraction(f.slope) if group else 0
             spots.setdefault(at, ([], []))[side].append((j, k))
     j0, k0 = pole.sing_num[0]
     base = next(iter(spots))  # the k0-th pole of num[j0], inserted first
     gap = min((abs(x - y) for x in spots for y in spots if x != y), default=1)
-    extra = _DPS_STEP * math.ceil(-2 * math.log10(gap) / _DPS_STEP)
+    extra = _DPS_STEP * math.ceil(-len(pole.sing_num) * math.log10(gap)
+                                  / _DPS_STEP)
     parts = []
     with mpmath.workdps(mpmath.mp.dps + extra):
         for at, (sing_num, sing_den) in spots.items():
             order = len(sing_num) - len(sing_den)
             if order <= 0:
                 continue
-            if order > 2:
-                raise PoleCollisionError(f"pole of order {order} near u = "
-                                         f"{float(at):.6g}")
             j, k = sing_num[0]
-            u0 = (mpmath.mpf(-num[j].shift) - k) / mpmath.mpf(num[j].slope)
+            u0 = (-num[j].mp_shift() - k) / mpmath.mpf(num[j].slope)
+            gammas = list(_gammas_at(
+                num, den, sing_num, sing_den,
+                lambda f: f.mp_shift() + mpmath.mpf(f.slope) * u0))
             c = mpmath.mpf(1)
-            for factors, sing, dirn in ((num, sing_num, 1),
-                                        (den, sing_den, -1)):
-                for j, k in sing:
-                    c *= ((-1) ** k * mpmath.factorial(k)
-                          * mpmath.mpf(factors[j].slope)) ** -dirn
-                gamma = mpmath.gamma if dirn > 0 else mpmath.rgamma
-                skip = {j for j, _ in sing}
-                for j, f in enumerate(factors):
-                    if j not in skip:
-                        c *= gamma(mpmath.mpf(f.shift)
-                                   + mpmath.mpf(f.slope) * u0)
-            bracket = None if order < 2 else _log_bracket(
-                num, den, u0, sing_num, sing_den, mpmath.digamma)
+            for f, dirn, kf, w in gammas:
+                if kf is None:
+                    c *= (mpmath.gamma if dirn > 0 else mpmath.rgamma)(w)
+                else:
+                    c *= ((-1) ** kf * mpmath.factorial(kf)
+                          * mpmath.mpf(f.slope)) ** -dirn
+            poly = None
+            if order > 1:
+                poly = _log_poly(gammas, order)
+                c /= math.factorial(order - 1)
             offset = at - base
             parts.append((mpmath.mpf(offset.numerator) / offset.denominator,
-                          c, bracket))
-    return j0, k0, extra, parts
-
-
-def _integer_coefficient(num, den, pole: _Pole, bits: int):
-    """_exact_coefficient, its one part (m, e, bracket) as integers where
-    the pole is not split: C = m 2^e, and at a double pole the bracket in
-    fixed point, in units of 2^-bits (None at a simple pole)."""
-    coeff = _exact_coefficient(num, den, pole)
-    if coeff is None or coeff[2]:
-        return coeff
-    j, k, _, ((_, c, bracket),) = coeff
-    fixed = None if bracket is None else to_fixed(bracket._mpf_, bits)
-    return j, k, 0, (*_mantissa(c), fixed)
+                          c, poly))
+    if not parts or extra:
+        return (j0, k0, extra, parts) if parts else None
+    ((_, c, poly),) = parts
+    if poly is not None:
+        poly = tuple(to_fixed(q._mpf_, bits) for q in poly)
+    return j0, k0, 0, (*_mantissa(c), poly)
 
 
 def _mantissa(x) -> tuple[int, int]:
@@ -571,13 +613,9 @@ def _mantissa(x) -> tuple[int, int]:
 
 def min_family_separation(num: Sequence[GammaFactor],
                           den: Sequence[GammaFactor]) -> float:
-    """Smallest u-plane distance between uncancelled left pole pairs.
-
-    A diagnostic that chooses no route (residue_series itself raises for a
-    near-collision).  It scans _SEPARATION_POLES poles of each left family
-    and leaves out pairs that coincide up to rounding, one pole of the
-    residue series.
-    """
+    """Smallest u-plane distance between uncancelled left pole pairs, over
+    _SEPARATION_POLES poles of each left family, leaving out pairs that
+    coincide up to rounding (_ROUND_RTOL); a diagnostic only."""
     left = [f for f in num if f.slope > 0]
     best = math.inf
     for i, f in enumerate(left):
@@ -585,13 +623,13 @@ def min_family_separation(num: Sequence[GammaFactor],
             for u0 in map(f.pole, range(_SEPARATION_POLES)):
                 m = round(-(g.shift + g.slope * u0))
                 if m >= 0 and min(h.pole_gap(u0)[1]
-                                  for h in (g, *den)) >= _MERGE_RTOL:
+                                  for h in (g, *den)) >= _ROUND_RTOL:
                     best = min(best, abs(u0 - g.pole(m)))
     return best
 
 
 # ---------------------------------------------------------------------------
-# contour quadrature
+# contour quadrature (a test reference; no library route calls it)
 # ---------------------------------------------------------------------------
 
 def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
@@ -654,65 +692,42 @@ def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                              rtol=_LOOP_RTOL, max_order=65536)
 
 
-def mellin_barnes(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                  z, strategy: str = "auto") -> tuple:
-    """Evaluate a gamma-ratio Mellin-Barnes integral; (value, route name).
-
-    z is a float or an ndarray, and the value a plain float or an array of
-    the same shape; one route serves every z of a call (residue_series
-    sums all of them at once, the Hankel loop takes them one by one).
-    strategy "residue" or "hankel" forces that route.  "auto" sums the
-    residue series and integrates the Hankel loop only where the series
-    raises PoleCollisionError, at a pole of order 3 or more or a
-    near-collision.  This is the one place where the route is chosen.
-    """
-    if strategy not in _STRATEGIES:
-        raise DomainError(f"unknown strategy {strategy!r}; choose from "
-                          f"{'|'.join(_STRATEGIES)}")
-    if strategy != "hankel":
-        try:
-            return residue_series(num, den, z), "residue"
-        except PoleCollisionError:
-            if strategy == "residue":
-                raise
-    values = [hankel_loop(num, den, float(x)) for x in np.ravel(z)]
-    return _shaped_like(z, np.array(values)), "hankel"
-
-
 # ---------------------------------------------------------------------------
 # Fox H front end
 # ---------------------------------------------------------------------------
 
-def fox_h(spec: FoxHSpec, z: float, strategy: str = "auto") -> float:
-    """Fox H-function of positive real argument."""
-    num, den = spec.factors()
-    return mellin_barnes(num, den, z, strategy)[0]
+def fox_h(spec: FoxHSpec, z: float) -> float:
+    """Fox H-function of positive real argument (residue_series)."""
+    return residue_series(*spec.factors(), z)
 
 
 # ---------------------------------------------------------------------------
 # kernel specializations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def _g_factors(a, alpha, theta, n, tilde):
-    """(num, den) of G_n, or with tilde of G~_n; n=None is the hard edge.
+    """(num, den) tuples of G_n, or with tilde of G~_n; n=None is the hard
+    edge.
 
     Numerators Gamma(u) [Gamma(alpha+n+1-u)] [Gamma(theta*u - a)],
     denominators [Gamma(n+u)] Gamma(alpha+1-u) [Gamma(a+1-theta*u)]:
     Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, and the
     companion moves the theta factor from the denominator to the
-    numerator as Gamma(theta*u - a).
+    numerator as Gamma(theta*u - a).  Shifts summed in floats keep their
+    exact sums (GammaFactor.exact).
     """
-    num = [GammaFactor(0.0, 1.0)]
-    den = []
+    num, den = [GammaFactor(0.0, 1.0)], []
     if n is not None:
-        num.append(GammaFactor(alpha + n + 1.0, -1.0))
+        num.append(GammaFactor(alpha + n + 1.0, -1.0,
+                               Fraction(alpha) + n + 1))
         den.append(GammaFactor(float(n), 1.0))
-    den.append(GammaFactor(alpha + 1.0, -1.0))
+    den.append(GammaFactor(alpha + 1.0, -1.0, Fraction(alpha) + 1))
     if tilde:
         num.append(GammaFactor(-a, theta))
     else:
-        den.append(GammaFactor(a + 1.0, -theta))
-    return num, den
+        den.append(GammaFactor(a + 1.0, -theta, Fraction(a) + 1))
+    return tuple(num), tuple(den)
 
 
 # the companions' factor lists under the names perfbench/refgen.py uses
@@ -720,8 +735,8 @@ _gtn_factors = partial(_g_factors, tilde=True)
 _gtinf_factors = partial(_g_factors, n=None, tilde=True)
 
 
-def _g(a, alpha, theta, n, tilde, z, strategy):
-    """G_n, or with tilde G~_n, at z by mellin_barnes; n=None: hard edge.
+def _g(a, alpha, theta, n, tilde, z):
+    """G_n, or with tilde G~_n, at z by residue_series; n=None: hard edge.
 
     A float z = 0 gives G_n's (G_inf's) residue at u = 0, its constant
     term: the factors other than Gamma(u) at u = 0.
@@ -738,54 +753,44 @@ def _g(a, alpha, theta, n, tilde, z, strategy):
         for f in den:
             log_c -= math.lgamma(f.shift)
         return math.exp(log_c)
-    return mellin_barnes(num, den, z, strategy)[0]
+    return residue_series(num, den, z)
 
 
-def g_n(a: float, alpha: float, theta: float, n: int, z,
-        strategy: str = "auto"):
+def g_n(a: float, alpha: float, theta: float, n: int, z):
     """Finite-N kernel polynomial G_{n,a}(z), a residue series (_g_factors).
 
     Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, so the series
-    is a polynomial of degree n - 1, summed by mellin_barnes
-    like every G function; z is a float or an ndarray of positive values
-    (a float z = 0 gives the constant term).  strategy="hankel" integrates
-    the loop contour instead (verification route).
+    is a polynomial of degree n - 1; z is a float or an ndarray of
+    positive values (a float z = 0 gives the constant term).
     """
-    return _g(a, alpha, theta, n, False, z, strategy)
+    return _g(a, alpha, theta, n, False, z)
 
 
-def g_tilde_n(a: float, alpha: float, theta: float, n: int, z,
-              strategy: str = "auto"):
+def g_tilde_n(a: float, alpha: float, theta: float, n: int, z):
     """Companion function G~_{n,a}(z) with the Gamma(theta*u - a) factor.
 
     Residue series over the pole families {-k} and {(a-m)/theta}; where
     they coincide (rational theta, e.g. a=0.5, theta=1.5) the shared
-    poles are double and carry logarithmic residues.  strategy="hankel"
-    integrates the loop contour instead (verification route; see
-    mellin_barnes).
+    poles are double and carry logarithmic residues.
     """
-    return _g(a, alpha, theta, n, True, z, strategy)
+    return _g(a, alpha, theta, n, True, z)
 
 
-def g_inf(a: float, alpha: float, theta: float, z,
-          strategy: str = "auto"):
+def g_inf(a: float, alpha: float, theta: float, z):
     """Hard-edge limit function: sum_k (-z)^k / (k! G(alpha+1+k) G(a+theta*k+1)).
 
     This is the residue series of the limiting contour integral
     (_g_factors with n=None), and the actual N -> infinity limit of the
-    rescaled G_{N,a}; z is a float or an ndarray of positive values, as in
-    mellin_barnes (a float z = 0 gives the first term).  strategy="hankel"
-    integrates the loop contour instead (verification route).
+    rescaled G_{N,a}; z is a float or an ndarray of positive values (a
+    float z = 0 gives the first term).
     """
-    return _g(a, alpha, theta, None, False, z, strategy)
+    return _g(a, alpha, theta, None, False, z)
 
 
-def g_tilde_inf(a: float, alpha: float, theta: float, z,
-                strategy: str = "auto"):
+def g_tilde_inf(a: float, alpha: float, theta: float, z):
     """Hard-edge companion with Gamma(theta*u - a).
 
     Residue series over the families {-k} and {(a-m)/theta}, with
-    logarithmic residues where they coincide; strategy="hankel"
-    integrates the loop contour instead (see mellin_barnes).
+    logarithmic residues where they coincide.
     """
-    return _g(a, alpha, theta, None, True, z, strategy)
+    return _g(a, alpha, theta, None, True, z)

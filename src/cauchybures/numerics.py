@@ -184,12 +184,11 @@ def log_gamma_complex(z: complex) -> complex:
 
     Raises PoleError when z is within 1e-12 of a non-positive integer.
     """
-    from scipy.special import loggamma  # only the Hankel route needs scipy
     z = complex(z)
     n = round(z.real)
     if n <= 0 and abs(z - n) < _POLE_TOL:
         raise PoleError(f"log-gamma pole at z = {z}")
-    return complex(loggamma(z))
+    return complex(mpmath.loggamma(z))
 
 
 def lgamma_signed(x: float) -> tuple[int, float]:

@@ -65,13 +65,18 @@ def jacobi_series_value(n: int, alpha: float, x: float) -> float:
 def residue_sum(num, den, zs, dps: int) -> list:
     """dps-digit sums of the simple residues of a foxh factor list at zs.
 
-    num and den are GammaFactor lists whose float shifts and slopes are
-    taken as exact, as the library takes them; each residue comes from
-    mpmath.gamma and rgamma at its pole, not from foxh's coefficient
-    tables.  zs ascend; each left family runs until its terms at max(zs)
-    lie dps digits below their largest.  Every left pole must be simple.
+    num and den are GammaFactor lists, read with their exact shifts
+    (GammaFactor.exact_shift) and float slopes, as the library reads them;
+    each residue comes from mpmath.gamma and rgamma at its pole, not from
+    foxh's coefficient tables.  zs ascend; each left family runs until its
+    terms at max(zs) lie dps digits below their largest.  Every left pole
+    must be simple.
     """
     with mpmath.workdps(dps):
+        def shift(f):
+            exact = f.exact_shift()
+            return mpmath.mpf(exact.numerator) / exact.denominator
+
         zs = [mpmath.mpf(z) for z in zs]
         totals = [mpmath.mpf(0)] * len(zs)
         for i, f in enumerate(num):
@@ -79,13 +84,13 @@ def residue_sum(num, den, zs, dps: int) -> list:
                 continue
             k, top = 0, mpmath.mpf(0)
             while True:
-                u = (-mpmath.mpf(f.shift) - k) / f.slope
+                u = (-shift(f) - k) / f.slope
                 c = (-1) ** k / (mpmath.factorial(k) * f.slope)
                 for j, g in enumerate(num):
                     if j != i:
-                        c *= mpmath.gamma(g.shift + g.slope * u)
+                        c *= mpmath.gamma(shift(g) + g.slope * u)
                 for g in den:
-                    c *= mpmath.rgamma(g.shift + g.slope * u)
+                    c *= mpmath.rgamma(shift(g) + g.slope * u)
                 size = abs(c) * zs[-1] ** -u
                 top = max(top, size)
                 if k > 20 and size < top * mpmath.mpf(10) ** -dps:

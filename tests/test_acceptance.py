@@ -12,7 +12,8 @@ from cauchybures.correlations import (CorrelationRequest, rho_bures,
                                       rho_bures_hard_edge, rho_cauchy)
 from cauchybures.ensembles import (EnsembleParams, partition_bures,
                                    partition_cauchy)
-from cauchybures.foxh import FoxHSpec, fox_h, g_inf, g_tilde_inf
+from cauchybures import foxh
+from cauchybures.foxh import FoxHSpec, fox_h, g_inf, g_tilde_inf, hankel_loop
 from cauchybures.kernels import (cd_hard_scaled, cd_kernel, hard_edge_kernel,
                                  k01, k10, k11)
 from cauchybures.polynomials import (jacobi_p, monic_pair, p_hat,
@@ -230,10 +231,11 @@ def test_criterion_10_foxh_cross_validation(check):
         alpha = 2.0 * (a + 1.0) / theta - 1.0
         for z in rng.uniform(0.05, 4.0, 20):
             r = g_inf(a, alpha, theta, z)
-            c = g_inf(a, alpha, theta, z, strategy="hankel")
+            c = hankel_loop(*foxh._g_factors(a, alpha, theta, None, False),
+                            z)
             worst = max(worst, abs(r / c - 1.0))
-            rt = g_tilde_inf(a, alpha, theta, z, strategy="residue")
-            ct = g_tilde_inf(a, alpha, theta, z, strategy="hankel")
+            rt = g_tilde_inf(a, alpha, theta, z)
+            ct = hankel_loop(*foxh._gtinf_factors(a, alpha, theta), z)
             worst = max(worst, abs(rt / ct - 1.0))
     check("criterion-10a entire-kernel dual-route agreement", worst, 1e-8)
     worst = 0.0

@@ -48,7 +48,7 @@ class TestFoxH:
         for rec in lines:
             assert rec["value"] == pytest.approx(math.exp(-rec["z"]),
                                                  rel=1e-10)
-            assert rec["strategy"] in ("ResidueSum", "HankelLoop")
+            assert rec["strategy"] == "ResidueSum"
             assert rec["est_error"] > 0
 
     def test_sparse_family_spec(self, runner, tmp_path):
@@ -138,6 +138,18 @@ class TestFoxH:
         res = runner.invoke(main, ["foxh", spec, "--z", "1e-60"])
         assert res.exit_code == 1
         assert "past double range" in res.stderr
+        assert res.stdout == ""
+
+    def test_meeting_left_and_right_families_exit_one(self, runner,
+                                                      tmp_path):
+        # Gamma(u) Gamma(-u): u = 0 is a pole of both families, so the
+        # H-function is undefined; the series once summed it as a double
+        # pole and printed -1.0986122886681
+        spec = write_spec(tmp_path, {"upper": [[1.0, 1.0]],
+                                     "lower": [[0.0, 1.0]], "m": 1, "n": 1})
+        res = runner.invoke(main, ["foxh", spec, "--z", "0.5"])
+        assert res.exit_code == 1
+        assert "meet" in res.stderr
         assert res.stdout == ""
 
     def test_missing_file_exits_nonzero(self, runner):
@@ -402,10 +414,21 @@ print("\\n" + json.dumps(codes))  # a JSON grid ends without a newline
 
 class TestWithoutScipy:
     def test_cold_commands_need_no_scipy(self, tmp_path):
-        # scipy serves only the Hankel route; the commands below, the
-        # brute-force oracles and verify among them, never reach it
+        # the library imports no scipy; only the tests' Hankel loop does.
+        # The commands below, the brute-force oracles and verify among
+        # them, run without it
         spec = write_spec(tmp_path, {"upper": [], "m": 2, "n": 0,
                                      "lower": [[0.0, 1.0], [0.0, 1.0]]})
+        # a triple pole, and a pole pair 1e-12 apart, at z = 1.3: mpmath's
+        # G^{3,0}_{0,3}(z | 0, 0, 0) and 2 z^{d/2} K_d(2 sqrt z), d = 1e-12
+        outs = {}
+        for name, lower, want in (
+                ("triple", [[0, 1], [0, 1], [0, 1]], 0.11507790101178193883),
+                ("near", [[0, 1], [1e-12, 1]], 0.16205943499510957518)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"upper": [], "lower": lower,
+                                        "m": len(lower), "n": 0}))
+            outs[name] = (str(path), str(tmp_path / f"{name}.out"), want)
         grid = ["--grid-min", "0.37", "--grid-max", "0.72",
                 "--grid-count", "2"]
         corr = ["corr", "--model", "cauchy", "--a", "0.5", "--b", "0.7",
@@ -425,6 +448,8 @@ class TestWithoutScipy:
              "--kind", "hard-K10", "--format", "json", *grid],
             ["kernel-grid", "--a", "0.5", "--b", "0.7", "--theta", "1.5",
              "--kind", "hard-K00", "--format", "json", *grid],
+            *(["foxh", path, "--z", "1.3", "--out", out]
+              for path, out, _ in outs.values()),
         ]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         res = subprocess.run(
@@ -433,3 +458,7 @@ class TestWithoutScipy:
             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout.splitlines()[-1]) == [0] * len(blocked)
+        for _, out, want in outs.values():
+            with open(out) as fh:
+                value = json.load(fh)["records"][0]["value"]
+            assert abs(value - want) <= 1e-13 * want, out

@@ -13,8 +13,7 @@ from cauchybures.exceptions import (ComplexityError, DomainError,
                                     NonConverged, PoleCollisionError)
 from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
                               g_tilde_inf, g_tilde_n, hankel_loop,
-                              mellin_barnes, min_family_separation,
-                              residue_series)
+                              min_family_separation, residue_series)
 from cauchybures.kernels import hard_edge_kernel, k01, k10
 from references import residue_sum
 
@@ -59,44 +58,49 @@ class TestExponentialSpecialCase:
 
 
 class TestStrategyCrossValidation:
+    """The residue series against the Hankel loop, a contour quadrature
+    of the same integrand that no library route calls."""
+
     @pytest.mark.parametrize("theta", [math.sqrt(2.0), 1.5])
     def test_g_inf_residue_vs_hankel(self, theta):
         rng = np.random.default_rng(42)
         a, alpha = 0.5, 0.9
+        factors = foxh._g_factors(a, alpha, theta, None, False)
         for z in rng.uniform(0.05, 8.0, size=20):
             series = g_inf(a, alpha, theta, float(z))
-            contour = g_inf(a, alpha, theta, float(z), strategy="hankel")
+            contour = hankel_loop(*factors, float(z))
             assert contour == pytest.approx(series, rel=1e-8)
 
     @pytest.mark.parametrize("theta", [math.sqrt(2.0), 1.5])
     def test_g_tilde_inf_residue_vs_hankel(self, theta):
         rng = np.random.default_rng(43)
         a, alpha = 0.3, 0.9
+        factors = foxh._gtinf_factors(a, alpha, theta)
         for z in rng.uniform(0.05, 8.0, size=20):
-            series = g_tilde_inf(a, alpha, theta, float(z),
-                                 strategy="residue")
-            contour = g_tilde_inf(a, alpha, theta, float(z),
-                                  strategy="hankel")
+            series = g_tilde_inf(a, alpha, theta, float(z))
+            contour = hankel_loop(*factors, float(z))
             assert contour == pytest.approx(series, rel=1e-8)
 
     def test_g_n_polynomial_vs_contour(self):
         a, alpha, theta, n = 0.5, 0.9, 1.5, 6
+        factors = foxh._g_factors(a, alpha, theta, n, False)
         for z in (0.2, 1.0, 3.7):
-            contour = g_n(a, alpha, theta, n, z, strategy="hankel")
+            contour = hankel_loop(*factors, z)
             assert contour == pytest.approx(g_n(a, alpha, theta, n, z),
                                             rel=1e-10)
 
     def test_g_tilde_n_residue_vs_contour(self):
         a, alpha, theta, n = 0.3, 0.9, 1.5, 5
+        factors = foxh._gtn_factors(a, alpha, theta, n)
         for z in (0.2, 1.0, 3.7):
-            got = g_tilde_n(a, alpha, theta, n, z, strategy="residue")
-            ref = g_tilde_n(a, alpha, theta, n, z, strategy="hankel")
+            got = g_tilde_n(a, alpha, theta, n, z)
+            ref = hankel_loop(*factors, z)
             assert ref == pytest.approx(got, rel=1e-9)
 
     def test_fox_h_hankel_route_equals_exp(self):
         spec = FoxHSpec(upper=(), lower=((0.0, 1.0),), m=1, n=0)
         for z in (0.5, 1.0, 2.0):
-            got = fox_h(spec, z, strategy="hankel")
+            got = hankel_loop(*spec.factors(), z)
             assert got == pytest.approx(math.exp(-z), rel=1e-9)
 
 
@@ -261,6 +265,66 @@ class TestLargeArgument:
             assert (z in resummed) == resum
 
 
+def g_tilde_inf_meijer_g(a, alpha, p, q, z):
+    """G~_inf at theta = p/q as one Meijer G-function (Gauss multiplication
+    of Gamma(u) and Gamma(theta*u - a)), in mpmath at its working
+    precision; the float parameters are taken as exact."""
+    a, alpha, z = mpmath.mpf(a), mpmath.mpf(alpha), mpmath.mpf(z)
+    b1 = ([mpmath.mpf(k) / q for k in range(q)]
+          + [(k - a) / p for k in range(p)])
+    b2 = [1 - (alpha + 1 + k) / q for k in range(q)]
+    w = z ** q / (mpmath.mpf(q) ** (2 * q) * mpmath.mpf(p) ** p)
+    c = ((2 * mpmath.pi) ** (mpmath.mpf(1 - p) / 2)
+         * mpmath.mpf(p) ** (-a - mpmath.mpf(0.5)) * mpmath.mpf(q) ** -alpha)
+    return c * mpmath.meijerg([[], []], [b1, b2], w)
+
+
+class TestHardEdgeAgainstMeijerG:
+    """G~_inf against values the library did not make: 30 digits of
+    g_tilde_inf_meijer_g, confirmed at 40."""
+
+    ZS = (0.05, 0.5, 1.0, 3.0, 12.0)
+    # (a, alpha, p, q) -> values at ZS; a = 0.5, theta = 1.5 has colliding
+    # families (double poles), a = 0.7, theta = 1.3 poles 3.4e-16 apart
+    VALUES = {
+        (0.3, 0.9, 3, 2): ("2.06843597680346798944469663330",
+                           "0.433561889519513395712049810800",
+                           "0.207641828143318478077232315248",
+                           "0.0339088718171933330675148591880",
+                           "-0.00421090492445862864592321318297"),
+        (0.5, 0.9, 3, 2): ("2.59664285043077838199029695068",
+                           "0.430549869264221535657883587211",
+                           "0.189282234761438191339871902659",
+                           "0.0243592131271298536486727630284",
+                           "-0.00396652785631154398836028779335"),
+        (0.7, 0.4, 13, 10): ("3.11399983521139120338585856192",
+                             "0.168203938062526016061876944665",
+                             "0.00124289853753647148075078799789",
+                             "-0.0357895399485781296595884541286",
+                             "-0.00206750292756458487002557182916"),
+        (0.2, 0.5, 1, 1): ("3.01144268150245654758687036519",
+                           "0.397406539286950980566076153738",
+                           "0.0903199278236983440406253433128",
+                           "-0.0496783867345757746374114776950",
+                           "-0.00127715220853705955118113561547"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VALUES))
+    def test_g_tilde_inf_matches_meijer_g(self, case):
+        a, alpha, p, q = case
+        got = g_tilde_inf(a, alpha, p / q, np.array(self.ZS))
+        for z, value, want in zip(self.ZS, got, self.VALUES[case]):
+            want = float(want)
+            assert abs(value - want) <= 1e-13 * abs(want), z
+
+    def test_values_are_the_meijer_g_form(self):
+        # the formula itself, at one cheap case (theta = 1)
+        with mpmath.workdps(30):
+            got = g_tilde_inf_meijer_g(0.2, 0.5, 1, 1, 3.0)
+            want = mpmath.mpf(self.VALUES[(0.2, 0.5, 1, 1)][3])
+            assert abs(got - want) <= mpmath.mpf(10) ** -28 * abs(want)
+
+
 class TestIntegerResum:
     """The re-sum on integer mantissas against values it did not make: a
     re-summed value is the double nearest the exact sum (within 1.1e-16)."""
@@ -278,7 +342,7 @@ class TestIntegerResum:
         got = {}
         for z in np.geomspace(0.05, 3.0, 60):
             resummed.clear()
-            value = foxh._g(a, alpha, theta, n, True, float(z), "residue")
+            value = foxh._g(a, alpha, theta, n, True, float(z))
             if resummed:
                 got[float(z)] = value
         assert len(got) >= 10
@@ -286,18 +350,19 @@ class TestIntegerResum:
         for (z, value), ref in zip(got.items(), want):
             assert abs(value - ref) <= 2.5e-16 * abs(ref), z
 
-    # the re-sum's values, equal to those of the mpmath loop it replaced
-    SPLIT = {5.0: -0.008945293563978607, 20.0: -0.0007885802890076412,
-             45.0: 0.00019786694755942645}
-    DOUBLE = {2.0: -0.011191535217037921, 7.0: 0.00046508623555281247,
-              20.0: -5.474357750089111e-06, 45.0: -1.3425491611471732e-07}
+    # the re-sum's values, each the double nearest its reference
+    SPLIT = {5.0: -0.008945293563978603, 20.0: -0.0007885802890076414,
+             45.0: 0.00019786694755942642}
+    DOUBLE = {2.0: -0.01119153521703792, 7.0: 0.0004650862355528122,
+              20.0: -5.474357750089102e-06, 45.0: -1.342549161147174e-07}
 
     @pytest.mark.parametrize("case", ["split", "double"])
     def test_split_and_double_poles_keep_their_values(self, case, resummed):
         # split: a = 0.7, theta = 1.3 put the poles of Gamma(u) and
         # Gamma(1.3u - 0.7) at u = -11 3.4e-16 apart, one pole in floats and
         # two in the re-sum.  double: a = 0.5, theta = 1.5, n = 3 make u = -1
-        # a double pole.  Reference: simple residues of the float factors,
+        # a double pole.  Reference: simple residues of the factors at their
+        # exact shifts (alpha + 1 = Fraction(0.9) + 1, not the float 1.9),
         # a moved by 1e-30 (1e-25) to split the pairs that coincide exactly
         if case == "split":
             a, alpha, theta, n, dps, move = 0.7, 0.9, 1.3, None, 100, 30
@@ -307,14 +372,16 @@ class TestIntegerResum:
             values = self.DOUBLE
         num, den = foxh._g_factors(a, alpha, theta, n, True)
         with mpmath.workdps(dps):
-            exact = [(mpmath.mpf(f.shift), f.slope) for f in num + den]
+            exact = [(mpmath.mpf(f.exact_shift().numerator)
+                      / f.exact_shift().denominator, f.slope)
+                     for f in num + den]
             exact[len(num) - 1] = (mpmath.mpf(-a) - mpmath.mpf(10) ** -move,
                                    theta)
             want = mp_residue_sum(exact[:len(num)], exact[len(num):],
                                   list(values), dps, -100)
         for (z, value), ref in zip(values.items(), want):
             resummed.clear()
-            assert foxh._g(a, alpha, theta, n, True, z, "residue") == value
+            assert foxh._g(a, alpha, theta, n, True, z) == value
             assert resummed == [z]
             assert abs(value - ref) <= 2.5e-16 * abs(ref), z
 
@@ -348,22 +415,20 @@ class TestArrayArguments:
         grid = residue_series(num, den, self.ZS[:30].reshape(5, 6))
         assert np.array_equal(grid, got[:30].reshape(5, 6))
 
+    # the public Mellin-Barnes integrals of CASES
+    PUBLIC = {"separated": functools.partial(g_tilde_inf, 0.3, 0.9, 1.5),
+              "colliding": functools.partial(g_tilde_n, 0.5, 0.9, 1.5, 3),
+              "g_inf": functools.partial(g_inf, 0.4, 1.2, 1.0)}
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_mellin_barnes_array_equals_scalar_calls(self, case):
-        num, den = self.CASES[case]
-        values, route = mellin_barnes(num, den, self.ZS)
-        assert route == "residue"
+        fn = self.PUBLIC[case]
+        values = fn(self.ZS)
+        assert values.shape == self.ZS.shape
         for z, value in zip(self.ZS, values):
-            one, one_route = mellin_barnes(num, den, float(z))
-            assert one_route == route
+            one = fn(float(z))
+            assert type(one) is float
             assert value == pytest.approx(one, rel=1e-15, abs=0.0)
-
-    def test_hankel_route_takes_arrays(self):
-        num, den = self.CASES["separated"]
-        zs = np.array([0.3, 2.0])
-        values, route = mellin_barnes(num, den, zs, strategy="hankel")
-        assert route == "hankel"
-        assert list(values) == [hankel_loop(num, den, z) for z in zs]
 
     def test_array_with_a_nonpositive_z_rejected(self):
         num, den = self.CASES["separated"]
@@ -379,57 +444,45 @@ class TestPoleCollisions:
         num = [GammaFactor(0.0, 1.0), GammaFactor(alpha + 1.0, -1.0),
                GammaFactor(-a, theta)]
         assert min_family_separation(num, []) == math.inf
-        value, route = mellin_barnes(num, [], 1.0)
-        assert route == "residue"
+        value = residue_series(num, [], 1.0)
         assert value == pytest.approx(hankel_loop(num, [], 1.0), rel=1e-10)
 
-    def test_auto_strategy_falls_back_to_hankel(self):
+    def test_near_coinciding_families_match_the_loop(self):
         # exactly coinciding families: the series matches the loop
-        val = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="auto")
-        ref = g_tilde_inf(1.0, 0.9, 1.0, 1.3, strategy="hankel")
+        val = g_tilde_inf(1.0, 0.9, 1.0, 1.3)
+        ref = hankel_loop(*foxh._gtinf_factors(1.0, 0.9, 1.0), 1.3)
         assert val == pytest.approx(ref, rel=1e-10)
         # families 5e-8 apart are two simple poles of the series; the
         # mpmath re-sum absorbs their 1/gap cancellation
         num, den = foxh._gtinf_factors(1.0 + 5e-8, 0.9, 1.0)
-        value, route = mellin_barnes(num, den, 0.3)
-        assert route == "residue"
+        value = residue_series(num, den, 0.3)
         assert value == pytest.approx(hankel_loop(num, den, 0.3), rel=1e-12)
-        # 5e-12 apart: a near-collision, too far apart to merge, so the
-        # series raises and auto integrates the loop
-        near = g_tilde_inf(1.0 + 5e-12, 0.9, 1.0, 0.3, strategy="auto")
-        assert near == g_tilde_inf(1.0 + 5e-12, 0.9, 1.0, 0.3,
-                                   strategy="hankel")
-        assert near == pytest.approx(g_tilde_inf(1.0, 0.9, 1.0, 0.3),
-                                     rel=1e-9)
+        # 5e-12 apart: one double pole of the float table, split into its
+        # two simple poles by the exact re-sum
+        num, den = foxh._gtinf_factors(1.0 + 5e-12, 0.9, 1.0)
+        near = g_tilde_inf(1.0 + 5e-12, 0.9, 1.0, 0.3)
+        assert near == pytest.approx(hankel_loop(num, den, 0.3), rel=1e-10)
+        want = residue_sum(num, den, [0.3], 80)[0]
+        assert abs(near - want) <= 1e-14 * abs(want)
 
     def test_separation_reports_distance(self):
         num = [GammaFactor(0.0, 1.0), GammaFactor(-0.5, 1.0)]
         assert min_family_separation(num, []) == pytest.approx(0.5)
 
-    def test_dispatcher_names_the_route(self):
-        # coinciding families are a double pole of the series and pairs
-        # 1e-7 apart two simple poles; a near collision and a triple pole
-        # go to the loop
-        collide = [GammaFactor(0.0, 1.0), GammaFactor(0.0, 1.0)]
-        value, route = mellin_barnes(collide, [], 1.3)
-        assert route == "residue"
-        assert value == pytest.approx(hankel_loop(collide, [], 1.3),
-                                      rel=1e-10)
-        apart = [GammaFactor(0.0, 1.0), GammaFactor(1e-7, 1.0)]
-        value, route = mellin_barnes(apart, [], 1.3)
-        assert route == "residue"
-        assert value == pytest.approx(hankel_loop(apart, [], 1.3), rel=1e-10)
-        near = [GammaFactor(0.0, 1.0), GammaFactor(1e-12, 1.0)]
-        value, route = mellin_barnes(near, [], 1.3)
-        assert route == "hankel"
-        assert value == hankel_loop(near, [], 1.3)
-        with pytest.raises(PoleCollisionError):
-            mellin_barnes(near, [], 1.3, strategy="residue")
-        assert mellin_barnes([GammaFactor(0.0, 1.0)] * 3, [], 1.3)[1] == (
-            "hankel")
-        value, route = mellin_barnes([GammaFactor(0.0, 1.0)], [], 1.3)
-        assert route == "residue"
-        assert value == pytest.approx(math.exp(-1.3), rel=1e-12)
+    @pytest.mark.parametrize("delta", [0.0, 1e-7, 1e-12])
+    def test_collisions_of_every_kind_are_summed(self, delta):
+        # Gamma(u) Gamma(u + delta) z^{-u} = 2 z^{delta/2} K_delta(2 sqrt z):
+        # coinciding families are a double pole, pairs 1e-7 apart two
+        # simple poles, and pairs 1e-12 apart one double pole of the float
+        # table that the exact re-sum splits
+        num = [GammaFactor(0.0, 1.0), GammaFactor(delta, 1.0)]
+        with mpmath.workdps(40):
+            z = mpmath.mpf(1.3)
+            want = 2 * z ** (delta / 2) * mpmath.besselk(delta,
+                                                         2 * mpmath.sqrt(z))
+        value = residue_series(num, [], 1.3)
+        assert abs(value - want) <= 1e-14 * want
+        assert value == pytest.approx(hankel_loop(num, [], 1.3), rel=1e-10)
 
     def test_hankel_loop_returns_plain_float(self):
         value = hankel_loop([GammaFactor(0.0, 1.0)], [], 0.7)
@@ -442,17 +495,55 @@ class TestPoleCollisions:
         num, den = foxh._gtn_factors(0.5, 0.9, 1.5, 2)
 
         def series(z):
-            return mellin_barnes(num, den, z, strategy="residue")[0]
+            return residue_series(num, den, z)
 
         for z0 in (0.850945, 7.795487):
             root = brentq(series, z0 - 1e-3, z0 + 1e-3, xtol=1e-15)
-            value, route = mellin_barnes(num, den, root, strategy="hankel")
-            assert route == "hankel"
+            value = hankel_loop(num, den, root)
             assert abs(value - series(root)) < 1e-12
 
-    def test_triple_pole_raises(self):
-        with pytest.raises(PoleCollisionError):
-            residue_series([GammaFactor(0.0, 1.0)] * 3, [], 1.0)
+    # G^{m,0}_{0,m}(z | 0, ..., 0) by mpmath.meijerg at 40 digits,
+    # confirmed at 50
+    MEIJER_G = {3: {0.05: "2.6199587829332575519",
+                    1.3: "0.11507790101178193883",
+                    20.0: "0.00037376575333259882575"},
+                4: {0.05: "2.8089465944360449132",
+                    1.3: "0.087447903717075763664",
+                    20.0: "0.00050629306500551588468"}}
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_poles_of_any_order_match_meijer_g(self, m):
+        # Gamma(u)^m: a pole of order m at every -k
+        spec = FoxHSpec(upper=(), lower=((0.0, 1.0),) * m, m=m, n=0)
+        for z, want in self.MEIJER_G[m].items():
+            want = float(want)
+            assert abs(fox_h(spec, z) - want) <= 1e-14 * want, z
+
+    def test_mixed_orders_match_the_duplication_formula(self):
+        # Gamma(u)^2 Gamma(2u) = Gamma(u)^3 Gamma(u + 1/2) 2^{2u-1}/sqrt(pi):
+        # triple poles at -k, simple ones at -k - 1/2, and the series is
+        # G^{4,0}_{0,4}(z/4 | 0, 0, 0, 1/2) / (2 sqrt(pi))
+        num = [GammaFactor(0.0, 1.0), GammaFactor(0.0, 1.0),
+               GammaFactor(0.0, 2.0)]
+        for z in (0.3, 2.0):
+            with mpmath.workdps(30):
+                want = mpmath.meijerg([[], []], [[0, 0, 0, 0.5], []], z / 4)
+                want /= 2 * mpmath.sqrt(mpmath.pi)
+            got = residue_series(num, [], z)
+            assert abs(got - want) <= 1e-14 * abs(want), z
+
+    def test_left_and_right_families_meeting_raise(self):
+        # Gamma(u) Gamma(-u) z^{-u}: u = 0 is a pole of both families, so
+        # no contour separates them and the H-function is undefined
+        spec = FoxHSpec(upper=((1.0, 1.0),), lower=((0.0, 1.0),), m=1, n=1)
+        for _ in range(2):  # a cached table raises again
+            with pytest.raises(PoleCollisionError, match="meet"):
+                fox_h(spec, 0.5)
+        # interleaved families that do not meet: sum_k (-1)^k/k!
+        # Gamma(k - 1/2) z^k = Gamma(-1/2) sqrt(1 + z)
+        spec = FoxHSpec(upper=((1.5, 1.0),), lower=((0.0, 1.0),), m=1, n=1)
+        assert fox_h(spec, 0.5) == pytest.approx(-4.341607527349606,
+                                                 rel=1e-15)
 
 
 class TestNearCollisions:
@@ -463,10 +554,13 @@ class TestNearCollisions:
                                        0.0])
     def test_g_tilde_inf_near_coinciding_families(self, delta):
         # a = 0.5 + delta, theta = 1.5: every other pole of Gamma(1.5u - a)
-        # lies delta/1.5 from one of Gamma(u).  Pairs that coincide up to
-        # rounding are one double pole, pairs 1e-10 or more apart two simple
-        # poles, and only the band between goes to the loop.  Reference: 80
-        # digits of simple residues (at delta = 0, a moved by 1e-25)
+        # lies delta/1.5 from one of Gamma(u).  Pairs closer than 1e-10 are
+        # one double pole of the float table, which the exact re-sum splits
+        # where they lie 1e-14 or more apart; pairs further apart are two
+        # simple poles.  Reference: 80 digits of simple residues (at
+        # delta = 0, a moved by 1e-25).  The worst error, 2.9e-14 at
+        # delta = 1e-14, is a float double pole standing for two poles
+        # 6.7e-15 apart
         a, alpha, theta = 0.5 + delta, 0.9, 1.5
         with mpmath.workdps(80):
             shifted = mpmath.mpf(a) + (mpmath.mpf(10) ** -25 if delta == 0
@@ -476,15 +570,31 @@ class TestNearCollisions:
                                   80, -60)
         got = g_tilde_inf(a, alpha, theta, np.array(self.ZS))
         for z, value, ref in zip(self.ZS, got, want):
-            assert abs(value - ref) <= 2e-11 * abs(ref), z
+            assert abs(value - ref) <= 1e-13 * abs(ref), z
+
+    @pytest.mark.parametrize("delta", [1e-11, 1e-12, 1e-13])
+    def test_merged_pairs_are_resummed_exactly(self, delta, resummed):
+        # pole pairs 1e-11 to 1e-13 apart, one double pole of the float
+        # table, which is 1.5e-13 to 1.4e-11 off; every z reaches them and
+        # is re-summed with the pairs split
+        zs = [0.05, 0.3, 1.0, 3.0, 8.0, 30.0, 100.0]
+        num, den = foxh._gtinf_factors(0.5 + delta, 0.9, 1.5)
+        want = residue_sum(num, den, zs, 80)
+        got = g_tilde_inf(0.5 + delta, 0.9, 1.5, np.array(zs))
+        assert sorted(resummed) == zs
+        for z, value, ref in zip(zs, got, want):
+            assert abs(value - ref) <= 1e-14 * abs(ref), z
 
     @pytest.mark.parametrize("a,theta", [(0.7, 1.3), (0.3, 1.7)])
     def test_g_tilde_n_inexact_float_collisions(self, a, theta):
         # the binary values of 0.7 and 1.3 put the poles of Gamma(u) and
         # Gamma(1.3u - 0.7) at u = -11 3.4e-16 apart: one pole in floats,
-        # two in the mpmath re-sum, whose cancellation reaches 12 digits at
-        # z = 30.  Reference: 100 digits of simple residues, a moved by
-        # 1e-30 to split the pole pair at u = -1 that coincides exactly
+        # two in the mpmath re-sum, whose cancellation reaches 17 digits at
+        # z = 60.  Reference: 100 digits of simple residues, a moved by
+        # 1e-30 to split the pole pair at u = -1 that coincides exactly,
+        # with the exact shift alpha + 1 + n: the float 0.4 + 4.0 lies
+        # 3.3e-16 above it, which put z = 60 2.7e-12 off.  Worst error
+        # now: 4.4e-17
         alpha, n = 0.4, 3
         zs = [1.0, 10.0, 30.0, 60.0]
         with mpmath.workdps(100):
@@ -494,7 +604,7 @@ class TestNearCollisions:
                                   [(n, 1), (extra, -1)], zs, 100, -100)
         for z, ref in zip(zs, want):
             value = g_tilde_n(a, alpha, theta, n, z)
-            assert abs(value - ref) <= (1e-10 if z <= 30 else 1e-8) * abs(ref)
+            assert abs(value - ref) <= 1e-15 * abs(ref), z
 
     @pytest.mark.parametrize("a", [0.9, 0.5, -0.1])
     def test_theta_collision_grid_merges_every_pair(self, a):
@@ -508,23 +618,20 @@ class TestNearCollisions:
         orders = [pole.order for pole in table.entries]
         assert min(orders) >= 0 and orders.count(2) >= 10
         for z in (0.5, 5.0, 30.0):
-            value, route = mellin_barnes(num, den, z)
-            assert route == "residue"
+            value = residue_series(num, den, z)
             assert value == pytest.approx(hankel_loop(num, den, z),
                                           rel=1e-10)
 
     def test_route_is_chosen_without_the_separation_scan(self, monkeypatch):
+        # the series merges, splits and re-sums poles from its own table
         def scan(*args, **kwargs):
             raise AssertionError("min_family_separation called")
 
         monkeypatch.setattr(foxh, "min_family_separation", scan)
         near = ([GammaFactor(0.0, 1.0), GammaFactor(1e-12, 1.0)], [])
-        for (num, den), route in ((foxh._gtinf_factors(0.3, 0.9, 1.5),
-                                   "residue"),
-                                  (foxh._gtn_factors(0.5, 0.9, 1.5, 3),
-                                   "residue"),
-                                  (near, "hankel")):
-            assert mellin_barnes(num, den, 1.3)[1] == route
+        for num, den in (foxh._gtinf_factors(0.3, 0.9, 1.5),
+                         foxh._gtn_factors(0.5, 0.9, 1.5, 3), near):
+            assert math.isfinite(residue_series(num, den, 1.3))
 
 
 class TestLogarithmicCase:
@@ -550,9 +657,7 @@ class TestLogarithmicCase:
             num, den = foxh._gtn_factors(a, alpha, theta, n)
 
         def series(z):
-            value, route = mellin_barnes(num, den, float(z))
-            assert route == "residue"
-            return value
+            return residue_series(num, den, float(z))
 
         zs = list(np.geomspace(1e-3, 30.0, 25))
         signs = [math.copysign(1.0, series(z)) for z in zs]
@@ -563,7 +668,7 @@ class TestLogarithmicCase:
                 zs += [root * (1 - 1e-3), root * (1 + 1e-3)]
         assert len(zs) > 25
         for z in zs:
-            loop = mellin_barnes(num, den, float(z), strategy="hankel")[0]
+            loop = hankel_loop(num, den, float(z))
             assert series(z) == pytest.approx(loop, rel=1e-10)
 
     def test_kernels_never_reach_the_loop(self, monkeypatch):
@@ -624,12 +729,16 @@ class TestCancelledPoles:
               0.9979919516614258: 0.24428576785842677276,
               1.5: 0.00068604783677899579664}
 
-    @pytest.mark.parametrize("strategy", ["auto", "hankel"])
-    def test_sparse_family_matches_contour_quadrature(self, strategy):
+    @pytest.mark.parametrize("route", ["auto", "hankel"])
+    def test_sparse_family_matches_contour_quadrature(self, route):
         # the series once stopped at the cancelled poles u = -2, -3, -4 and
-        # gave -69.524 at z = 1.5, skipping the u = -7.5 term (~181)
+        # gave -69.524 at z = 1.5, skipping the u = -7.5 term (~181); the
+        # library's own evaluation ("auto") and the Hankel loop both meet
+        # the quadrature
+        factors = foxh._gtn_factors(0.5, 4.0, 0.2, 2)
         for z, want in self.SPARSE.items():
-            got = g_tilde_n(0.5, 4.0, 0.2, 2, z, strategy)
+            got = (g_tilde_n(0.5, 4.0, 0.2, 2, z) if route == "auto"
+                   else hankel_loop(*factors, z))
             assert got == pytest.approx(want, rel=1e-12), z
         zs = np.array(list(self.SPARSE))
         assert g_tilde_n(0.5, 4.0, 0.2, 2, zs) == pytest.approx(
@@ -672,29 +781,38 @@ class TestDomainValidation:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("array", [False, True])
-    @pytest.mark.parametrize("strategy", ["auto", "hankel"])
-    def test_non_finite_argument_rejected(self, bad, array, strategy):
+    @pytest.mark.parametrize("route", ["auto", "hankel"])
+    def test_non_finite_argument_rejected(self, bad, array, route):
         # inf once gave 0 * inf in the term logs (a RuntimeWarning), nan
-        # a 2,000-pole table or "integrand does not decay"
+        # a 2,000-pole table or "integrand does not decay"; the library's
+        # own evaluation ("auto") and the Hankel loop, one z at a time,
+        # both refuse it
         z = np.array([1.0, bad]) if array else bad
         a, alpha, theta = 0.3, 0.9, 1.5
         spec = FoxHSpec(upper=(), lower=((0.0, 1.0),), m=1, n=0)
-        for call in (lambda: g_n(a, alpha, theta, 3, z, strategy),
-                     lambda: g_tilde_n(a, alpha, theta, 3, z, strategy),
-                     lambda: g_inf(a, alpha, theta, z, strategy),
-                     lambda: g_tilde_inf(a, alpha, theta, z, strategy),
-                     lambda: fox_h(spec, z, strategy),
-                     lambda: mellin_barnes(*spec.factors(), z, strategy)):
+        if route == "auto":
+            calls = (lambda: g_n(a, alpha, theta, 3, z),
+                     lambda: g_tilde_n(a, alpha, theta, 3, z),
+                     lambda: g_inf(a, alpha, theta, z),
+                     lambda: g_tilde_inf(a, alpha, theta, z),
+                     lambda: fox_h(spec, z),
+                     lambda: residue_series(*spec.factors(), z))
+        else:
+            calls = [functools.partial(
+                lambda f: [hankel_loop(*f, float(x)) for x in np.ravel(z)],
+                factors) for factors in (
+                    foxh._g_factors(a, alpha, theta, 3, False),
+                    foxh._gtn_factors(a, alpha, theta, 3),
+                    foxh._g_factors(a, alpha, theta, None, False),
+                    foxh._gtinf_factors(a, alpha, theta), spec.factors())]
+        for call in calls:
             with pytest.raises(DomainError, match="finite and positive"):
                 call()
-        if not array:
-            with pytest.raises(DomainError, match="finite and positive"):
-                hankel_loop(*spec.factors(), bad)
 
     def test_small_argument_stability(self):
         # the loop contour stays accurate deep into the origin region
         a, alpha, theta = 0.3, 0.9, 1.5
         for z in (1e-6, 1e-12, 1e-30):
-            series = g_tilde_inf(a, alpha, theta, z, strategy="residue")
-            contour = g_tilde_inf(a, alpha, theta, z, strategy="hankel")
+            series = g_tilde_inf(a, alpha, theta, z)
+            contour = hankel_loop(*foxh._gtinf_factors(a, alpha, theta), z)
             assert contour == pytest.approx(series, rel=1e-8)

@@ -12,7 +12,6 @@ import pytest
 from cauchybures import kernels, numerics
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
-from cauchybures.foxh import g_inf, g_n, g_tilde_n
 from cauchybures.correlations import (CorrelationRequest, rho_bures,
                                        rho_bures_hard_edge, rho_cauchy)
 from cauchybures.kernels import (KernelGrid, _gamma_upper, _k11_side,
@@ -61,13 +60,6 @@ class TestStrategyAgreement:
         with pytest.raises(DomainError):
             cd_kernel(EnsembleParams(0.5, 0.7, 1.5, 3), 1.0, 1.0,
                       route="nope")
-
-    def test_unknown_mellin_barnes_strategy_rejected(self):
-        for call in (lambda s: g_tilde_n(0.5, 0.9, 1.5, 3, 1.0, strategy=s),
-                     lambda s: g_n(0.5, 0.9, 1.5, 3, 1.0, strategy=s),
-                     lambda s: g_inf(0.5, 0.9, 1.5, 1.0, strategy=s)):
-            with pytest.raises(DomainError):
-                call("hankle")
 
     @pytest.mark.parametrize("fn,pts", [
         (k01, [(0.3, 0.8), (0.6, 1.1), (1.0, 1.0), (1.7, 0.4), (2.2, 2.9)]),
