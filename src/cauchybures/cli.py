@@ -90,8 +90,7 @@ def foxh(spec_file, zs, out):
     records = []
     for z in zs:
         value = residue_series(num, den, z)
-        rec = {"z": z, "value": value, "strategy": "ResidueSum",
-               "est_error": max(1e-13, 1e-11 * abs(value))}
+        rec = {"z": z, "value": value, "strategy": "ResidueSum"}
         records.append(rec)
         click.echo(json.dumps(rec, sort_keys=True))
     if out:

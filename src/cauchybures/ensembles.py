@@ -13,8 +13,6 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-import numpy as np
-
 from .exceptions import DomainError, SignError
 from .numerics import LogValue, require_positive
 
@@ -131,6 +129,38 @@ def _log_core_product(beta: float, theta: float, n: int,
     return log
 
 
+def _log_core_det(beta: float, theta: float, n: int) -> tuple[int, float]:
+    """(sign, log |det[1/(theta(beta+j+k-2))]|), j, k <= n, exactly.
+
+    beta is read as the number its float denotes, p/q, so that the entry
+    at m = j + k - 2 is q / (theta d_m), d_m = p + m q.  Row j times
+    prod_k d_{j+k-2} makes every entry an integer, and fraction-free
+    (Bareiss) elimination gives their determinant exactly, so only the
+    final log rounds.  The core is a Cauchy matrix with beta > 0, every
+    leading minor positive; a zero pivot raises SignError all the same.
+    """
+    p, q = beta.as_integer_ratio()
+    d = [p + m * q for m in range(2 * n - 1)]
+    scales = [math.prod(d[j:j + n]) for j in range(n)]
+    rows = [[s // d[j + k] for k in range(n)] for j, s in enumerate(scales)]
+    prev = 1  # the last pivot is the determinant
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if not pivot:
+            raise SignError("singular moment core matrix")
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    det, den = prev * q ** n, math.prod(scales)
+    # |det| / den = r 2^e with r in (1/2, 2), as one correctly rounded double
+    e = abs(det).bit_length() - den.bit_length()
+    r = (abs(det) << max(-e, 0)) / (den << max(e, 0))
+    return (1 if det > 0 else -1,
+            math.log(r) + e * math.log(2.0) - n * math.log(theta))
+
+
 def partition_cauchy(params: EnsembleParams,
                      route: str = "product") -> LogValue:
     """Cauchy partition function by its closed product or its determinant.
@@ -138,9 +168,9 @@ def partition_cauchy(params: EnsembleParams,
     route="product" is the closed product form; non-integer factorials
     are read as gamma functions: (beta+k-2)! -> Gamma(beta+k-1).
     route="det" is the moment determinant, the gamma prefactors pulled
-    out of the core det[1/(theta(beta+j+k-2))]: the core by LU for
-    n <= 8, and above that by the closed product (LU loses all digits
-    past n ~ 10), so there it is no independent check.
+    out of the core det[1/(theta(beta+j+k-2))]: the core exactly
+    (_log_core_det) for n <= 8, and above that by the closed product, so
+    there it is no independent check.
     """
     beta, theta, n = params.beta, params.theta, params.n
     if route == "product":
@@ -151,13 +181,8 @@ def partition_cauchy(params: EnsembleParams,
     if n > 8:
         sign, logdet = 1, _log_core_product(beta, theta, n)
     else:
-        jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1),
-                             indexing="ij")
-        core = 1.0 / (theta * (beta + jj + kk - 2.0))
-        sign, logdet = np.linalg.slogdet(core)
-        if sign == 0:
-            raise SignError("singular moment core matrix")
-    return LogValue(int(sign), float(logdet) + _log_gamma_prefactor(params))
+        sign, logdet = _log_core_det(beta, theta, n)
+    return LogValue(sign, logdet + _log_gamma_prefactor(params))
 
 
 # ---------------------------------------------------------------------------

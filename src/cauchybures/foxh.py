@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
@@ -60,28 +60,27 @@ _SEPARATION_POLES = 300
 @dataclass(frozen=True)
 class GammaFactor:
     """One factor Gamma(shift + slope * u) of a Mellin-Barnes integrand;
-    `exact` is the shift the exact re-sum reads where the float rounds it
-    (0.4 + 5.0 is 3.3e-16 above Fraction(0.4) + 5), None the float."""
+    shift is exact, a float read as the number it denotes (Fraction(0.4) + 4
+    is 3.3e-16 below 0.4 + 4.0); the float series reads its double, `near`."""
 
-    shift: float
+    shift: Fraction
     slope: float
-    exact: Fraction | None = None
+    near: float = field(init=False, repr=False, compare=False)
 
-    def exact_shift(self) -> Fraction:
-        return Fraction(self.shift) if self.exact is None else self.exact
+    def __post_init__(self):
+        object.__setattr__(self, "shift", Fraction(self.shift))
+        object.__setattr__(self, "near", float(self.shift))
 
     def mp_shift(self):
-        """exact_shift() in mpmath, at the working precision; a power-of-two
+        """shift in mpmath, at the working precision; a power-of-two
         denominator, as of any float plus an integer, takes no division."""
-        if self.exact is None:
-            return mpmath.mpf(self.shift)
-        p, q = self.exact.numerator, self.exact.denominator
+        p, q = self.shift.numerator, self.shift.denominator
         if q & (q - 1):
             return mpmath.mpf(p) / q
         return mpmath.mpf((p, 1 - q.bit_length()))
 
     def pole(self, k: int) -> float:
-        return -(self.shift + k) / self.slope
+        return -(self.near + k) / self.slope
 
     def pole_gap(self, u0: float) -> tuple[int, float]:
         """(k, gap): the k-th pole of this factor is the one nearest u0.
@@ -89,11 +88,11 @@ class GammaFactor:
         gap is their distance relative to the terms of shift + slope*u0, so
         that it measures rounding whatever the pole's size (inf: no pole).
         """
-        w = self.shift + self.slope * u0
+        w = self.near + self.slope * u0
         k = round(w)
         if k > 0:
             return 0, math.inf
-        return -k, abs(w - k) / max(abs(self.slope), abs(self.shift), abs(w))
+        return -k, abs(w - k) / max(abs(self.slope), abs(self.near), abs(w))
 
 
 @dataclass(frozen=True)
@@ -106,19 +105,21 @@ class FoxHSpec:
     n: int
 
     def __post_init__(self):
-        for _, slope in (*self.upper, *self.lower):
-            if slope <= 0:
-                raise DomainError("all slopes A_j, B_j must be positive")
+        for shift, slope in (*self.upper, *self.lower):
+            if not (slope > 0 and math.isfinite(shift)):
+                raise DomainError("every shift must be finite, every slope "
+                                  "A_j, B_j positive")
         if not 0 <= self.m <= len(self.lower):
             raise DomainError(f"m out of range: {self.m}")
         if not 0 <= self.n <= len(self.upper):
             raise DomainError(f"n out of range: {self.n}")
 
     def factors(self) -> tuple[list[GammaFactor], list[GammaFactor]]:
-        num = [GammaFactor(b, B) for b, B in self.lower[:self.m]]
-        num += [GammaFactor(1.0 - a, -A) for a, A in self.upper[:self.n]]
-        den = [GammaFactor(1.0 - b, -B) for b, B in self.lower[self.m:]]
-        den += [GammaFactor(a, A) for a, A in self.upper[self.n:]]
+        up, low, m, n = self.upper, self.lower, self.m, self.n
+        num = [GammaFactor(b, B) for b, B in low[:m]]
+        num += [GammaFactor(1 - Fraction(a), -A) for a, A in up[:n]]
+        den = [GammaFactor(1 - Fraction(b), -B) for b, B in low[m:]]
+        den += [GammaFactor(a, A) for a, A in up[n:]]
         return num, den
 
 
@@ -137,13 +138,13 @@ def _log_integrand(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
 
     acc = -u * log_z
     for f in num:
-        w = f.shift + f.slope * u
+        w = f.near + f.slope * u
         if on_pole(w).any():
             raise PoleError(f"log-gamma pole at z = {w[on_pole(w)][0]}")
         acc += loggamma(w)
     zero = np.zeros(len(u), dtype=bool)
     for f in den:
-        w = f.shift + f.slope * u
+        w = f.near + f.slope * u
         zero |= on_pole(w)
         acc -= loggamma(w)
     acc[zero] = complex(-math.inf, 0.0)
@@ -204,8 +205,8 @@ class _ResidueTable:
         free, end = list(self.den), math.inf
         for f in (f for f in self.num if f.slope > 0):
             for g in free:
-                d = g.shift - f.shift
-                tol = _ROUND_RTOL * max(1.0, abs(g.shift), abs(f.shift))
+                d = g.near - f.near
+                tol = _ROUND_RTOL * max(1.0, abs(g.near), abs(f.near))
                 if g.slope == f.slope and abs(d - round(d)) < tol:
                     break
             else:
@@ -257,7 +258,7 @@ class _ResidueTable:
         sign, log_c, poly = 0, -math.inf, ()
         if order:
             gammas = list(_gammas_at(num, den, sing_num, sing_den,
-                                     lambda f: f.shift + f.slope * u0))
+                                     lambda f: f.near + f.slope * u0))
             sign, log_c = _leading_coefficient(gammas)
         if order > 1:
             poly = tuple(map(float, _log_poly(gammas, order)))
@@ -565,7 +566,7 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
                                 (den, pole.sing_den, 1)):
         for j, k in sing:  # the pole at the exact shift and float slope
             f = factors[j]
-            at = (-f.exact_shift() - k) / Fraction(f.slope) if group else 0
+            at = (-f.shift - k) / Fraction(f.slope) if group else 0
             spots.setdefault(at, ([], []))[side].append((j, k))
     j0, k0 = pole.sing_num[0]
     base = next(iter(spots))  # the k0-th pole of num[j0], inserted first
@@ -587,9 +588,10 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
             for f, dirn, kf, w in gammas:
                 if kf is None:
                     c *= (mpmath.gamma if dirn > 0 else mpmath.rgamma)(w)
-                else:
-                    c *= ((-1) ** kf * mpmath.factorial(kf)
-                          * mpmath.mpf(f.slope)) ** -dirn
+                else:  # (-1)^kf / (kf! slope) per numerator
+                    g = _factorial(kf) * f.slope
+                    c = c / g if dirn > 0 else c * g
+                    c = -c if kf % 2 else c
             poly = None
             if order > 1:
                 poly = _log_poly(gammas, order)
@@ -603,6 +605,24 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
     if poly is not None:
         poly = tuple(to_fixed(q._mpf_, bits) for q in poly)
     return j0, k0, 0, (*_mantissa(c), poly)
+
+
+@lru_cache(maxsize=16)
+def _factorials(prec: int) -> list:
+    """k! at prec + 32 bits, k = 0, 1, ..., grown by _factorial."""
+    return [mpmath.mpf(1)]
+
+
+def _factorial(k: int):
+    """k! at the working precision from _factorials' products, rounded
+    once per product: k < 2^16 roundings stay 2^16 below its last bit,
+    where mpmath.factorial runs its Stirling series anew at every k."""
+    table = _factorials(mpmath.mp.prec)
+    if len(table) <= k:
+        with mpmath.workprec(mpmath.mp.prec + 32):
+            while len(table) <= k:
+                table.append(table[-1] * len(table))
+    return table[k]
 
 
 def _mantissa(x) -> tuple[int, int]:
@@ -621,7 +641,7 @@ def min_family_separation(num: Sequence[GammaFactor],
     for i, f in enumerate(left):
         for g in left[i + 1:]:
             for u0 in map(f.pole, range(_SEPARATION_POLES)):
-                m = round(-(g.shift + g.slope * u0))
+                m = round(-(g.near + g.slope * u0))
                 if m >= 0 and min(h.pole_gap(u0)[1]
                                   for h in (g, *den)) >= _ROUND_RTOL:
                     best = min(best, abs(u0 - g.pole(m)))
@@ -714,19 +734,17 @@ def _g_factors(a, alpha, theta, n, tilde):
     denominators [Gamma(n+u)] Gamma(alpha+1-u) [Gamma(a+1-theta*u)]:
     Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, and the
     companion moves the theta factor from the denominator to the
-    numerator as Gamma(theta*u - a).  Shifts summed in floats keep their
-    exact sums (GammaFactor.exact).
+    numerator as Gamma(theta*u - a).  Each shift is an exact sum.
     """
-    num, den = [GammaFactor(0.0, 1.0)], []
+    num, den = [GammaFactor(0, 1.0)], []
     if n is not None:
-        num.append(GammaFactor(alpha + n + 1.0, -1.0,
-                               Fraction(alpha) + n + 1))
-        den.append(GammaFactor(float(n), 1.0))
-    den.append(GammaFactor(alpha + 1.0, -1.0, Fraction(alpha) + 1))
+        num.append(GammaFactor(Fraction(alpha) + n + 1, -1.0))
+        den.append(GammaFactor(n, 1.0))
+    den.append(GammaFactor(Fraction(alpha) + 1, -1.0))
     if tilde:
         num.append(GammaFactor(-a, theta))
     else:
-        den.append(GammaFactor(a + 1.0, -theta, Fraction(a) + 1))
+        den.append(GammaFactor(Fraction(a) + 1, -theta))
     return tuple(num), tuple(den)
 
 
@@ -749,9 +767,9 @@ def _g(a, alpha, theta, n, tilde, z):
     if not tilde and np.ndim(z) == 0 and z == 0.0:
         log_c = 0.0
         for f in num[1:]:
-            log_c += math.lgamma(f.shift)
+            log_c += math.lgamma(f.near)
         for f in den:
-            log_c -= math.lgamma(f.shift)
+            log_c -= math.lgamma(f.near)
         return math.exp(log_c)
     return residue_series(num, den, z)
 

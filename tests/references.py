@@ -3,9 +3,11 @@
 Not collected as tests (the file name does not match test_*.py).  Each
 computes a quantity independently of the production route it checks:
 the Jacobi series by an mpmath sum, the Mellin-Barnes residue series by
-mpmath gamma values, the bi-orthogonal families by their bordered moment
-determinants, and the 2D moment integrals by a tensor Gauss rule with the
-1/(x+y) factor absorbed.
+mpmath gamma values, the hard-edge kernels and correlations by mpmath
+quadratures of Meijer-G and power-series sides (G~_inf by Gauss's
+multiplication formula, not by residues), the bi-orthogonal families
+by their bordered moment determinants, and the 2D moment integrals by a
+tensor Gauss rule with the 1/(x+y) factor absorbed.
 """
 from __future__ import annotations
 
@@ -65,17 +67,16 @@ def jacobi_series_value(n: int, alpha: float, x: float) -> float:
 def residue_sum(num, den, zs, dps: int) -> list:
     """dps-digit sums of the simple residues of a foxh factor list at zs.
 
-    num and den are GammaFactor lists, read with their exact shifts
-    (GammaFactor.exact_shift) and float slopes, as the library reads them;
-    each residue comes from mpmath.gamma and rgamma at its pole, not from
-    foxh's coefficient tables.  zs ascend; each left family runs until its
+    num and den are GammaFactor lists, read with their exact shifts and
+    float slopes, as the library reads them; each residue comes from
+    mpmath.gamma and rgamma at its pole, not from foxh's coefficient
+    tables.  zs ascend; each left family runs until its
     terms at max(zs) lie dps digits below their largest.  Every left pole
     must be simple.
     """
     with mpmath.workdps(dps):
         def shift(f):
-            exact = f.exact_shift()
-            return mpmath.mpf(exact.numerator) / exact.denominator
+            return mpmath.mpf(f.shift.numerator) / f.shift.denominator
 
         zs = [mpmath.mpf(z) for z in zs]
         totals = [mpmath.mpf(0)] * len(zs)
@@ -98,6 +99,92 @@ def residue_sum(num, den, zs, dps: int) -> list:
                 totals = [t + c * z ** -u for t, z in zip(totals, zs)]
                 k += 1
         return totals
+
+
+# ---------------------------------------------------------------------------
+# hard-edge limits
+# ---------------------------------------------------------------------------
+
+def g_tilde_inf_meijer_g(a, alpha, p, q, z):
+    """G~_inf at theta = p/q as one Meijer G-function (Gauss multiplication
+    of Gamma(u) and Gamma(theta*u - a)), in mpmath at its working
+    precision; the float parameters are taken as exact."""
+    a, alpha, z = mpmath.mpf(a), mpmath.mpf(alpha), mpmath.mpf(z)
+    b1 = ([mpmath.mpf(k) / q for k in range(q)]
+          + [(k - a) / p for k in range(p)])
+    b2 = [1 - (alpha + 1 + k) / q for k in range(q)]
+    w = z ** q / (mpmath.mpf(q) ** (2 * q) * mpmath.mpf(p) ** p)
+    c = ((2 * mpmath.pi) ** (mpmath.mpf(1 - p) / 2)
+         * mpmath.mpf(p) ** (-a - mpmath.mpf(0.5)) * mpmath.mpf(q) ** -alpha)
+    return c * mpmath.meijerg([[], []], [b1, b2], w)
+
+
+def g_inf_series(a, alpha, theta, z):
+    """G_inf(z) = sum_k (-z)^k / (k! Gamma(alpha+1+k) Gamma(a+theta k+1)),
+    its defining power series, in mpmath at its working precision."""
+    total, k = mpmath.mpf(0), 0
+    while True:
+        term = ((-z) ** k * mpmath.rgamma(k + 1) * mpmath.rgamma(alpha + 1 + k)
+                * mpmath.rgamma(a + theta * k + 1))
+        total += term
+        if k > max(z, 4) and abs(term) < mpmath.eps * abs(total):
+            return total
+        k += 1
+
+
+def hard_edge_kernel_quad(a, b, p, q, kind: str, x1, x2):
+    """kernels.hard_edge_kernel at theta = p/q by mpmath.quad, at its
+    working precision: theta x1^a x2^b (each on an integrated side of
+    kind) times int_0^1 t^alpha F1(t x1^theta) F2(t x2^theta) dt,
+    alpha = (a+b+1)/theta - 1, with F the Meijer-G form of G~_inf on an
+    integrated side and G_inf's power series otherwise.  The float
+    parameters are taken as exact."""
+    a, b, x1, x2 = map(mpmath.mpf, (a, b, x1, x2))
+    theta = mpmath.mpf(p) / q
+    alpha = (a + b + 1) / theta - 1
+    sides, weight = [], theta
+    for tilde, e, x in ((kind[1] == "1", a, x1), (kind[2] == "1", b, x2)):
+        z = x ** theta
+        if tilde:
+            weight *= x ** e
+            sides.append(lambda t, e=e, z=z: g_tilde_inf_meijer_g(
+                e, alpha, p, q, t * z))
+        else:
+            sides.append(lambda t, e=e, z=z: g_inf_series(e, alpha, theta,
+                                                          t * z))
+    f1, f2 = sides
+    return weight * mpmath.quad(lambda t: t ** alpha * f1(t) * f2(t), [0, 1])
+
+
+def rho_bures_hard_edge_quad(a, p, q, zs):
+    """correlations.rho_bures_hard_edge at theta = p/q and one or two
+    points, in mpmath: the Pfaffian of the dressed blocks of
+    hard_edge_kernel_quad on the pair (a, a + 1).  A dressed kernel is
+    p1^(a+1) on an integrated first side and p2^a on an integrated second
+    side times the kernel, less 1/(p1 + p2) for K11."""
+    b = a + 1.0  # the pair as the library forms it, in floats
+
+    def hk(kind, p1, p2):
+        val = hard_edge_kernel_quad(a, b, p, q, kind, p1, p2)
+        p1, p2 = mpmath.mpf(p1), mpmath.mpf(p2)
+        if kind == "K11":
+            val -= 1 / (p1 + p2)
+        if kind[1] == "1":
+            val *= p1 ** mpmath.mpf(b)
+        if kind[2] == "1":
+            val *= p2 ** mpmath.mpf(a)
+        return val
+
+    def s01(zi, zj):
+        return hk("K01", zj, zi) + hk("K10", zi, zj)
+
+    if len(zs) == 1:
+        return s01(zs[0], zs[0]) / 2
+    z0, z1 = zs
+    d11 = hk("K11", z0, z1) - hk("K11", z1, z0)
+    d00 = hk("K00", z1, z0) - hk("K00", z0, z1)
+    return -(d11 * d00 - s01(z0, z0) * s01(z1, z1)
+             + s01(z0, z1) * s01(z1, z0)) / 4
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,26 @@ class TestCauchyPartition:
                                            (0.5, 0.25, 1.0),
                                            (0.3, 0.7, 1.5),
                                            (0.0, 0.0, 2.0)])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_closed_form_equals_moment_determinant(self, a, b, theta, n):
+        # the core determinant is exact, so only the logs' rounding is
+        # left (worst 2.8e-14; the float LU missed by 5e-7 at n = 8)
         p = EnsembleParams(a, b, theta, n)
         closed = partition_cauchy(p)
         det = partition_cauchy(p, route="det")
-        assert closed.to_real() == pytest.approx(det.to_real(), rel=1e-8)
+        assert det.sign == closed.sign == 1
+        assert abs(det.log_mag - closed.log_mag) <= 1e-13
+
+    @pytest.mark.parametrize("p,log", [
+        ((0.4, 1.4, 1.3, 8), 14.848455294509133),
+        ((0.4, 1.4, 1.3, 7), 5.382852777659358),
+        ((0.0, 0.0, 1.0, 7), -21.92917333698638),
+        ((0.5, 0.7, 1.5, 6), 7.966435131349834)])
+    def test_moment_determinant_against_mpmath(self, p, log):
+        # log Z from the closed product at 60 digits in mpmath; the float
+        # LU this route used was 5e-7 off at the first two
+        det = partition_cauchy(EnsembleParams(*p), route="det")
+        assert det.sign == 1 and abs(det.log_mag - log) <= 1e-13
 
     def test_large_n_stays_finite_in_log_form(self):
         p = EnsembleParams(0.5, 0.7, 1.5, 40)

@@ -1,6 +1,7 @@
 """Tests for Mellin-Barnes evaluation and the kernel-building functions."""
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
                               g_tilde_inf, g_tilde_n, hankel_loop,
                               min_family_separation, residue_series)
 from cauchybures.kernels import hard_edge_kernel, k01, k10
-from references import residue_sum
+from references import g_tilde_inf_meijer_g, residue_sum
 
 
 def mp_residue_sum(num, den, zs, dps, u_min):
@@ -265,20 +266,6 @@ class TestLargeArgument:
             assert (z in resummed) == resum
 
 
-def g_tilde_inf_meijer_g(a, alpha, p, q, z):
-    """G~_inf at theta = p/q as one Meijer G-function (Gauss multiplication
-    of Gamma(u) and Gamma(theta*u - a)), in mpmath at its working
-    precision; the float parameters are taken as exact."""
-    a, alpha, z = mpmath.mpf(a), mpmath.mpf(alpha), mpmath.mpf(z)
-    b1 = ([mpmath.mpf(k) / q for k in range(q)]
-          + [(k - a) / p for k in range(p)])
-    b2 = [1 - (alpha + 1 + k) / q for k in range(q)]
-    w = z ** q / (mpmath.mpf(q) ** (2 * q) * mpmath.mpf(p) ** p)
-    c = ((2 * mpmath.pi) ** (mpmath.mpf(1 - p) / 2)
-         * mpmath.mpf(p) ** (-a - mpmath.mpf(0.5)) * mpmath.mpf(q) ** -alpha)
-    return c * mpmath.meijerg([[], []], [b1, b2], w)
-
-
 class TestHardEdgeAgainstMeijerG:
     """G~_inf against values the library did not make: 30 digits of
     g_tilde_inf_meijer_g, confirmed at 40."""
@@ -372,8 +359,8 @@ class TestIntegerResum:
             values = self.DOUBLE
         num, den = foxh._g_factors(a, alpha, theta, n, True)
         with mpmath.workdps(dps):
-            exact = [(mpmath.mpf(f.exact_shift().numerator)
-                      / f.exact_shift().denominator, f.slope)
+            exact = [(mpmath.mpf(f.shift.numerator) / f.shift.denominator,
+                      f.slope)
                      for f in num + den]
             exact[len(num) - 1] = (mpmath.mpf(-a) - mpmath.mpf(10) ** -move,
                                    theta)
@@ -384,6 +371,54 @@ class TestIntegerResum:
             assert foxh._g(a, alpha, theta, n, True, z) == value
             assert resummed == [z]
             assert abs(value - ref) <= 2.5e-16 * abs(ref), z
+
+
+class TestExactShifts:
+    """Each GammaFactor holds one exact shift; the float series reads its
+    nearest double."""
+
+    @pytest.mark.parametrize("tilde", [False, True])
+    def test_g_factors_pass_each_exact_sum_once(self, tilde):
+        # alpha + n + 1, alpha + 1 and a + 1 as the floats define them: the
+        # double 0.4 + 4.0 lies 3.3e-16 above Fraction(0.4) + 4
+        a, alpha, theta, n = 0.7, 0.4, 1.3, 4
+        num, den = foxh._g_factors(a, alpha, theta, n, tilde)
+        assert [f.shift for f in num] == [0, Fraction(alpha) + n + 1,
+                                          *[-Fraction(a)] * tilde]
+        assert [f.shift for f in den] == [n, Fraction(alpha) + 1,
+                                          *[Fraction(a) + 1] * (not tilde)]
+        assert num[1].shift != Fraction(alpha + n + 1.0)
+        for f in num + den:
+            assert type(f.shift) is Fraction
+            assert f.near == float(f.shift)
+            assert not hasattr(f, "exact") and not hasattr(f, "exact_shift")
+
+    def test_fox_h_spec_forms_one_minus_a_exactly(self):
+        # the double 1.0 - 0.1 is 0.9, 2.8e-17 above 1 - Fraction(0.1)
+        spec = FoxHSpec(upper=((0.1, 1.0), (0.3, 2.0)),
+                        lower=((0.7, 1.0), (0.2, 0.5)), m=1, n=1)
+        num, den = spec.factors()
+        assert [f.shift for f in num] == [Fraction(0.7), 1 - Fraction(0.1)]
+        assert [f.shift for f in den] == [1 - Fraction(0.2), Fraction(0.3)]
+        assert num[1].shift != Fraction(1.0 - 0.1)
+        assert [f.slope for f in num + den] == [1.0, -1.0, -0.5, 2.0]
+
+    def test_equality_and_hash_read_the_exact_shift(self):
+        # two shifts that round to one double are two factors, and the
+        # double is no constructor argument
+        exact, rounded = (GammaFactor(s, -1.0)
+                          for s in (Fraction(0.4) + 4, 0.4 + 4.0))
+        assert exact.near == rounded.near and exact != rounded
+        assert GammaFactor(0.5, 1.0) == GammaFactor(Fraction(1, 2), 1.0)
+        assert len({GammaFactor(0.5, 1.0), GammaFactor(Fraction(1, 2), 1.0),
+                    exact, rounded}) == 3
+        with pytest.raises(TypeError):
+            GammaFactor(0.5, 1.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spec_shift_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            FoxHSpec(upper=(), lower=((bad, 1.0),), m=1, n=0)
 
 
 class TestArrayArguments:

@@ -20,7 +20,7 @@ from cauchybures.kernels import (KernelGrid, _gamma_upper, _k11_side,
                                  hard_edge_kernel, hatted, i1_integral, k01,
                                  k10, k11, make_grid, sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
-from references import simplex_quad_2d
+from references import hard_edge_kernel_quad, simplex_quad_2d
 
 
 def fast_cd(params):
@@ -492,6 +492,58 @@ class TestLargeNAgainstMpmath:
         req = CorrelationRequest("bures", EnsembleParams(a, a + 1.0, theta, n),
                                  zs)
         assert rho_bures(req) == pytest.approx(float(want), rel=1e-6)
+
+
+class TestHardEdgeAgainstQuadrature:
+    """hard_edge_kernel against values the library did not make: 30 digits
+    of references.hard_edge_kernel_quad (mpmath.quad over the Meijer-G
+    form of G~_inf and the power series of G_inf), confirmed at 40 (to 22
+    digits or more; K11 at theta = 3/2 is the hardest quadrature).  Worst
+    error 1.8e-14 (K10 at (0.5, 0.7, 1.5), (2.4, 0.55))."""
+
+    POINTS = ((0.8387, 1.3539), (2.4, 0.55))
+    # (a, b, p, q) -> kind -> values at POINTS; a = 0.5, theta = 3/2 has
+    # colliding families (double poles of G~), (0.3, 1.3) is a Bures pair
+    VALUES = {
+        (0.3, 0.7, 3, 2): {
+            "K10": ("0.467775010812383457109554811222",
+                    "0.0954825723168811096720787330256"),
+            "K01": ("0.271244806225170305138147954665",
+                    "0.427152608534010127426166113211"),
+            "K11": ("0.455980594756931880094817696036",
+                    "0.342161777946423340379462008008")},
+        (0.5, 0.7, 3, 2): {
+            "K10": ("0.456299781555264310732511366041",
+                    "0.103545067620033750855154592724"),
+            "K01": ("0.286021568299018961752250194804",
+                    "0.466481662133492067628159770456"),
+            "K11": ("0.454982808736303522101812245544",
+                    "0.345123321008790224354373407675")},
+        (0.3, 1.3, 1, 1): {
+            "K10": ("0.120541504483376273321068766909",
+                    "0.0524259377261078121673900405238"),
+            "K01": ("0.238773161628329628020043506044",
+                    "0.270757689342059989685559264673"),
+            "K11": ("0.432718294671737132215477325547",
+                    "0.317635400472421586906628382364")},
+    }
+
+    @pytest.mark.parametrize("kind", ["K10", "K01", "K11"])
+    @pytest.mark.parametrize("case", sorted(VALUES))
+    def test_hard_edge_kernel_matches_quadrature(self, case, kind):
+        a, b, p, q = case
+        for (x1, x2), want in zip(self.POINTS, self.VALUES[case][kind]):
+            want = float(want)
+            got = hard_edge_kernel(a, b, p / q, kind, x1, x2)
+            assert abs(got - want) <= 1e-12 * abs(want), (x1, x2)
+
+    def test_values_are_the_quadrature(self):
+        # the reference itself, at one cheap case (theta = 1, K11: two
+        # Meijer-G sides)
+        with mpmath.workdps(20):
+            got = hard_edge_kernel_quad(0.3, 1.3, 1, 1, "K11", 2.4, 0.55)
+        want = mpmath.mpf(self.VALUES[(0.3, 1.3, 1, 1)]["K11"][1])
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 # ---------------------------------------------------------------------------
