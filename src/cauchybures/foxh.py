@@ -25,8 +25,9 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          PoleCollisionError, PoleError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
 from .numerics import (_DPS_STEP, _GUARD_BITS, _POLE_TOL,  # noqa: F401
-                       lgamma_signed, ln_abs, log_gamma_complex, mp_sum,
-                       refine_quadrature, require_positive)
+                       _SPARE_DIGITS, lgamma_signed, ln_abs,
+                       log_gamma_complex, mp_sum, refine_quadrature,
+                       require_positive)
 
 __all__ = [
     "GammaFactor",
@@ -178,7 +179,8 @@ class _Pole(NamedTuple):
 class _ResidueTable:
     """Left poles of one integrand, in the order the residue series sums
     them, computed once per integrand and reused at every z; `exact` holds
-    the same coefficients in mpmath, one list per working precision."""
+    the same coefficients in mpmath, at the most bits a sum has asked for
+    (`exact_prec`), which serve every sum at fewer."""
 
     def __init__(self, num: tuple, den: tuple):
         self.num, self.den = num, den
@@ -189,7 +191,7 @@ class _ResidueTable:
         heapq.heapify(self.heap)
         self.entries: list[_Pole] = []
         self._arrays = np.empty((5, 0))
-        self.exact: dict[int, list] = {}
+        self.exact, self.exact_prec = [], 0
         self.length = self._length()
         if not self.length:
             raise DomainError("a denominator gamma cancels every left pole")
@@ -292,37 +294,42 @@ class _ResidueTable:
         The terms double until the last three nonzero ones lie below 1e-16
         of the exact total, or to the series' end (`length`), and
         numerics.mp_sum raises the precision until the digits lost to the
-        largest term leave enough.  At p bits the sum runs on integer
-        mantissas: z^{-u0} at the k-th pole of Gamma(shift + slope*u) is
-        z^{shift/slope} (z^{1/slope})^k, cut to p + _GUARD_BITS bits per
-        step, and every term is added into one integer in units of
+        largest term leave enough, from lost_digits.  At p bits the sum runs
+        on integer mantissas: z^{-u0} at the k-th pole of Gamma(shift +
+        slope*u) is z^{shift/slope} (z^{1/slope})^k, cut to p + _GUARD_BITS
+        bits per step, and every term is added into one integer in units of
         2^{-p - _GUARD_BITS} of the largest, cheaper than mpmath's rounding.
         """
-        log_z, length = math.log(z), self.length
+        log_z, length, peak = math.log(z), self.length, float(term_log.max())
 
         def sum_at():
             dps, bits = mpmath.mp.dps, mpmath.mp.prec + _GUARD_BITS
-            coeffs = self.exact.setdefault(dps, [])
+            if mpmath.mp.prec > self.exact_prec:
+                self.exact, self.exact_prec = [], mpmath.mp.prec
+            fix = self.exact_prec + _GUARD_BITS  # the unit of each poly
             mz = mpmath.mpf(z)
             log_mz = mpmath.log(mz)
-            neg_log_z = -to_fixed(log_mz._mpf_, bits)
+            neg_log_z = -to_fixed(log_mz._mpf_, fix)
             # family -> (k, m, e, m', e'): z^{-u0} = m 2^e at its k-th pole,
             # z^{1/slope} = m' 2^e'
             powers = {}
-            unit = math.floor(np.max(term_log) / math.log(2.0)) - bits
+            unit = math.floor(peak / math.log(2.0)) - bits
             acc, done, logs = 0, 0, term_log
             while done < len(logs):
                 n = len(logs)
-                while len(coeffs) < n:
-                    coeffs.append(_exact_coefficient(
-                        self.num, self.den, self.entry(len(coeffs)), bits))
-                for coeff in coeffs[done:n]:
+                if len(self.exact) < n:  # at the precision of the rest
+                    with mpmath.workprec(self.exact_prec):
+                        self.exact += [_exact_coefficient(
+                            self.num, self.den, self.entry(i), fix)
+                            for i in range(len(self.exact), n)]
+                for coeff in self.exact[done:n]:
                     if coeff is None:
                         continue
                     j, k, extra, parts = coeff
                     if j not in powers:  # w = z exactly where slope = 1
                         f = self.num[j]
-                        seed = mpmath.exp(log_mz * f.mp_shift() / f.slope)
+                        seed = mpmath.exp(log_mz * f.mp_shift() / f.slope
+                                          ) if f.shift else mpmath.mpf(1)
                         w = mz if f.slope == 1 else mpmath.exp(log_mz
                                                                / f.slope)
                         powers[j] = (0, *_mantissa(seed), *_mantissa(w))
@@ -345,9 +352,9 @@ class _ResidueTable:
                         if poly is not None:  # _monic in fixed point
                             fixed = neg_log_z + poly[-1]
                             for q in poly[-2::-1]:
-                                fixed = (fixed * neg_log_z >> bits) + q
+                                fixed = (fixed * neg_log_z >> fix) + q
                             man *= fixed
-                            exp -= bits
+                            exp -= fix
                     man *= pm
                     exp += pe - unit
                     acc += man << exp if exp >= 0 else man >> -exp
@@ -364,8 +371,14 @@ class _ResidueTable:
                                           np.array([log_z]))[0][:, 0]
             return total, float(np.max(logs))
 
-        hint = _DPS_STEP * math.ceil((25 + 1.2 * lost_digits) / _DPS_STEP)
-        return float(mp_sum(sum_at, hint))
+        # a loss within a digit of the terms' noise, 1e-16 of log_c and of u0
+        # log z each, is noise: start where a total of order one keeps digits
+        u0 = max(abs(self.entries[0].u0),  # the poles run leftward
+                 abs(self.entries[len(term_log) - 1].u0))
+        if lost_digits > 15 - math.log10(1 + abs(peak) + 2 * abs(log_z) * u0):
+            lost_digits = max(lost_digits, peak / math.log(10.0))
+        dps = _DPS_STEP * math.ceil((lost_digits + _SPARE_DIGITS) / _DPS_STEP)
+        return float(mp_sum(sum_at, dps))
 
 
 @lru_cache(maxsize=128)
@@ -506,6 +519,35 @@ def _leading_coefficient(gammas):
     return sign, log_mag
 
 
+def _exact_leading(gammas):
+    """_leading_coefficient in mpmath: (-1)^k / (k! slope) per singular
+    gamma, its value per regular one, numerators multiplying and
+    denominators dividing.  A regular numerator and denominator of one
+    slope whose shifts differ by an integer d, |d| <= 10, as in G~_n, are
+    the |d| linear factors of Gamma(v + d) / Gamma(v), not two gammas."""
+    den = [(g, v) for g, dirn, k, v in gammas if k is None and dirn < 0]
+    c = mpmath.mpf(1)
+    for f, dirn, k, w in gammas:
+        if k is not None:
+            fac = _factorial(k) * f.slope
+            c = c / fac if dirn > 0 else c * fac
+            c = -c if k % 2 else c
+        elif dirn > 0:
+            i = next((i for i, (g, _) in enumerate(den) if g.slope == f.slope
+                      and (f.shift - g.shift).denominator == 1
+                      and abs(f.shift - g.shift) <= 10), None)
+            if i is None:
+                c *= mpmath.gamma(w)
+                continue
+            g, v = den.pop(i)
+            d = int(f.shift - g.shift)  # w = v + d
+            c = (c * mpmath.fprod(v + n for n in range(d)) if d >= 0
+                 else c / mpmath.fprod(w + n for n in range(-d)))
+    for _, v in den:
+        c *= mpmath.rgamma(v)
+    return c
+
+
 def _log_poly(gammas, order):
     """poly of _Pole at a pole of order m, in mpmath numbers.
 
@@ -573,8 +615,16 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
     gap = min((abs(x - y) for x in spots for y in spots if x != y), default=1)
     extra = _DPS_STEP * math.ceil(-len(pole.sing_num) * math.log10(gap)
                                   / _DPS_STEP)
+    # a regular gamma d from a pole of its own magnifies the rounding of u0
+    # by 1/d, up to 1e10 (_MERGE_RTOL); past 1e4 the sum's 20 spare digits
+    # would not keep a double's 16, so _DPS_STEP more are worked in
+    near = min((abs(w - round(w)) for *_, k, w in _gammas_at(
+        num, den, pole.sing_num, pole.sing_den,
+        lambda f: f.near + f.slope * pole.u0) if k is None and w < 0.5),
+        default=1.0)
     parts = []
-    with mpmath.workdps(mpmath.mp.dps + extra):
+    with mpmath.workdps(mpmath.mp.dps + extra
+                        + (_DPS_STEP if near < 1e-4 else 0)):
         for at, (sing_num, sing_den) in spots.items():
             order = len(sing_num) - len(sing_den)
             if order <= 0:
@@ -584,15 +634,7 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
             gammas = list(_gammas_at(
                 num, den, sing_num, sing_den,
                 lambda f: f.mp_shift() + mpmath.mpf(f.slope) * u0))
-            c = mpmath.mpf(1)
-            for f, dirn, kf, w in gammas:
-                if kf is None:
-                    c *= (mpmath.gamma if dirn > 0 else mpmath.rgamma)(w)
-                else:  # (-1)^kf / (kf! slope) per numerator
-                    g = _factorial(kf) * f.slope
-                    c = c / g if dirn > 0 else c * g
-                    c = -c if kf % 2 else c
-            poly = None
+            c, poly = _exact_leading(gammas), None
             if order > 1:
                 poly = _log_poly(gammas, order)
                 c /= math.factorial(order - 1)
@@ -604,7 +646,7 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
     ((_, c, poly),) = parts
     if poly is not None:
         poly = tuple(to_fixed(q._mpf_, bits) for q in poly)
-    return j0, k0, 0, (*_mantissa(c), poly)
+    return j0, k0, 0, (*_mantissa(+c), poly)  # rounded to the working prec
 
 
 @lru_cache(maxsize=16)

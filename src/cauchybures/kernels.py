@@ -161,14 +161,25 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
 
     The factors are good to about 1e-14 relative, and cancellation in the
     integral scales that error by M/|I|, M = sum w|f| over the same nodes.
-    Once a level's change lies within _T_RTOL M, an M above _MAX_CANCEL
-    |I| raises ComplexityError: the value could miss _T_RTOL.  Raises
-    ComplexityError for alpha + 1 below _MIN_ALPHA1.
+    An M above _MAX_CANCEL |I| on the level tanh_sinh_01 accepts, or on an
+    earlier one whose change lies within _T_RTOL M, raises ComplexityError:
+    the value could miss _T_RTOL.  So does alpha + 1 below _MIN_ALPHA1.
     """
     if alpha + 1.0 < _MIN_ALPHA1:
         raise ComplexityError(f"t-integral: alpha + 1 = {alpha + 1.0:.3g} "
                               f"puts t^alpha mass below the tanh-sinh nodes")
     level, value, mass = 0, 0.0, 0.0
+
+    def checked(result: float) -> float:
+        if mass > _MAX_CANCEL * abs(value):
+            raise ComplexityError(
+                f"t-integral cancels: sum w|f| / |integral| = "
+                f"{mass / abs(value) if value else math.inf:.3g} exceeds "
+                f"{_MAX_CANCEL:.0e}, so the integrand's rounding could "
+                f"pass the {_T_RTOL:.0e} tolerance; at finite N "
+                f"route='direct' avoids the t-integral (its float sum "
+                f"loses digits as N grows)")
+        return result
 
     def integrand(t: np.ndarray) -> np.ndarray:
         # tanh_sinh_01 calls f once per level, on levels 0, 1, 2, ... in
@@ -180,19 +191,12 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
         weights = _tanh_sinh_level(level).weights
         prev, value = value, 0.5 * value + float(weights @ out)
         mass = 0.5 * mass + float(weights @ np.abs(out))
-        if (level and abs(value - prev) <= _T_RTOL * mass
-                and mass > _MAX_CANCEL * abs(value)):
-            raise ComplexityError(
-                f"t-integral cancels: sum w|f| / |integral| = "
-                f"{mass / abs(value) if value else math.inf:.3g} exceeds "
-                f"{_MAX_CANCEL:.0e}, so the integrand's rounding could "
-                f"pass the {_T_RTOL:.0e} tolerance; at finite N "
-                f"route='direct' avoids the t-integral (its float sum "
-                f"loses digits as N grows)")
+        if level and abs(value - prev) <= _T_RTOL * mass:
+            checked(value)
         level += 1
         return out
 
-    return tanh_sinh_01(integrand, rtol=_T_RTOL)
+    return checked(tanh_sinh_01(integrand, rtol=_T_RTOL))
 
 
 @lru_cache(maxsize=256)

@@ -35,7 +35,7 @@ __all__ = [
 
 _POLE_TOL = 1e-12
 # mpmath sums run at a multiple of this many digits, so that one cached
-# coefficient list serves a range of cancellation depths
+# table serves a range of cancellation depths
 _DPS_STEP = 16
 # digits an mpmath sum keeps beyond those its cancellation eats, and the
 # working precision past which it gives up
@@ -260,25 +260,29 @@ def refine_quadrature(value_at: Callable[[int], float], start_order: int = 16,
     """Order-doubling convergence protocol.
 
     Doubles the order until successive values differ by < rtol relative,
-    raising NonConverged past max_order.  value_at may instead return a
-    (value, magnitude) pair, magnitude being the same rule applied to |f|;
-    the tolerance is then relative to that as well, so an integral that
-    cancels to zero still converges.
+    or that change rel falls so that rel^2 / rel_prev <= 1e-2 rtol: where
+    the error squares as the order doubles (tanh-sinh, Gauss rules) that
+    is the next change.  Raises NonConverged past max_order.  value_at may
+    instead return a (value, magnitude) pair, magnitude being the same rule
+    applied to |f|; the tolerance is then relative to that as well, so an
+    integral that cancels to zero still converges.
     """
     def step(order: int) -> tuple[float, float]:
         out = value_at(order)
         return out if isinstance(out, tuple) else (out, 0.0)
 
     prev = step(start_order)[0]
-    delta = math.inf
+    delta, rel_prev = math.inf, 0.0  # 0: no earlier change to compare
     order = 2 * start_order
     while order <= max_order:
         cur, magnitude = step(order)
         scale = max(abs(cur), abs(prev), magnitude)
         delta = abs(cur - prev)
-        if delta <= rtol * scale or scale == 0.0:
+        rel = delta / scale if scale else 0.0  # its square cannot overflow
+        if (delta <= rtol * scale or scale == 0.0
+                or rel_prev > rel and rel * rel <= 1e-2 * rtol * rel_prev):
             return cur
-        prev = cur
+        prev, rel_prev = cur, rel
         order *= 2
     raise NonConverged(
         f"quadrature not converged at order {max_order} (last delta "

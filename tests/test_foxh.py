@@ -249,6 +249,25 @@ class TestLargeArgument:
         with pytest.raises(NonConverged):
             residue_series([GammaFactor(0.0, 1.0)], [], z)
 
+    def test_overflowing_float_total_builds_each_coefficient_once(
+            self, monkeypatch):
+        # the float total loses 11.6 digits against a noise floor of 11.8
+        # (1e-16 of log_c and u0 log z each), so the re-sum starts at the
+        # largest term's 346 digits plus 20 and builds the 2,000
+        # coefficients once before it refuses, not at 48, 96, 192 and 384
+        built = []
+        build = foxh._exact_coefficient
+
+        def counted(*args):
+            built.append(mpmath.mp.dps)
+            return build(*args)
+
+        monkeypatch.setattr(foxh, "_exact_coefficient", counted)
+        foxh._residue_table.cache_clear()
+        with pytest.raises(NonConverged, match="after 2000 terms"):
+            residue_series([GammaFactor(0.0, 1.0)], [], 800.0)
+        assert len(built) == 2000 and len(set(built)) == 1
+
     @pytest.mark.parametrize("num,den,z,resum", [
         # G~_inf at a = 1.3, theta = 0.2 starts at z^{-6.5}: 1e390 at
         # z = 1e-60, a float total
@@ -726,16 +745,38 @@ class TestLogarithmicCase:
         def values():
             return [g_tilde_inf(0.5, 0.9, 1.5, z) for z in (0.7, 30.0)]
 
+        def table():
+            return foxh._residue_table(*map(tuple, foxh._gtinf_factors(
+                0.5, 0.9, 1.5)))
+
         foxh._residue_table.cache_clear()
         cold = values()
+        cold_prec = table().exact_prec
         foxh._residue_table.cache_clear()
-        # warm the table with other z and other working precisions
-        for z in (1e-3, 2.0, 8.0, 20.0, 45.0):
+        # warm the table with other z; z = 1000 re-sums at more digits
+        # than the cold call needs, and its coefficients serve both
+        for z in (1e-3, 2.0, 8.0, 20.0, 45.0, 1000.0):
+            g_tilde_inf(0.5, 0.9, 1.5, z)
+        assert table().exact_prec > cold_prec
+        assert values() == cold
+
+    def test_exact_coefficients_are_built_once(self, monkeypatch):
+        # the re-sums of one integrand share one coefficient list, which a
+        # sum rebuilds only where it needs more digits than any before
+        built = []
+        build = foxh._exact_coefficient
+
+        def counted(*args):
+            built.append(args[2])
+            return build(*args)
+
+        monkeypatch.setattr(foxh, "_exact_coefficient", counted)
+        foxh._residue_table.cache_clear()
+        for z in (0.7, 2.0, 8.0, 30.0):
             g_tilde_inf(0.5, 0.9, 1.5, z)
         table = foxh._residue_table(*map(tuple, foxh._gtinf_factors(
             0.5, 0.9, 1.5)))
-        assert len(table.exact) >= 2
-        assert values() == cold
+        assert len(built) == len(table.exact) > 0
 
 
 class TestFiniteToLimit:

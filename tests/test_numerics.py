@@ -206,6 +206,37 @@ class TestQuadrature:
         got = refine_quadrature(value_at)
         assert got == pytest.approx(math.e - 1.0, rel=1e-11)
 
+    def test_refine_quadrature_stops_where_the_error_squares(self):
+        # an error that squares as the order doubles, as a Gauss or
+        # tanh-sinh rule's does: changes 1.7e-5 then 2.8e-10, so the next
+        # is about 2.8e-10^2 / 1.7e-5 = 4.6e-15, and order 64 is accepted
+        # where the rtol rule alone ran order 128 to confirm it
+        orders = []
+
+        def value_at(order):
+            orders.append(order)
+            return 1.0 + math.exp(-11.0 * order / 16)
+
+        assert refine_quadrature(value_at) == 1.0 + math.exp(-44.0)
+        assert orders == [16, 32, 64]
+
+    def test_refine_quadrature_does_not_stop_early_on_linear_convergence(
+            self):
+        # changes that only halve: near 1e173 the squares of absolute
+        # changes overflow, and inf <= inf would accept a value 21% off (as
+        # i1 at beta = 110 was); relative changes near rtol must reach it
+        with pytest.raises(NonConverged):
+            refine_quadrature(lambda m: 1e173 * (1.0 + 1.0 / m),
+                              max_order=1024)
+        orders = []
+
+        def value_at(order):
+            orders.append(order)
+            return 1.0 + 1e-9 / order
+
+        assert refine_quadrature(value_at) == 1.0 + 1e-9 / 128
+        assert orders == [16, 32, 64, 128]
+
     def test_refine_quadrature_reports_nonconvergence(self):
         # 1/m never settles: the error names the last step's delta
         # 1/64 - 1/128; with no doubling allowed it still raises
