@@ -6,11 +6,14 @@ sides (`_cd_contract`), and a t-integral of the contour functions, so the
 routes can be played against each other in the tests; for K11 the second
 is an exact incomplete-gamma sum from cached O(N) vectors and guarded
 unit-step gamma chains, contracted on Python integers (_k11_inc_core).
-The direct route's integrated side vectors (_i1s) and the t-integrals'
-G / G~ sides on each tanh-sinh level (_t_side) are cached, so the entries
-of one correlation share them.  One table of the four kinds (_TILDE) and
-one dispatcher (_finite_kernel) choose every route; one tanh-sinh rule
-(_gg_t_integral) integrates every t-integral.
+The direct route's integrated sides (_i1s) are unit-step i1 chains, one
+quadrature seed per residue class of l mod q where theta = p/q
+(_i1_chain); a side refuses where i1_integral does at its largest
+exponent, where y^beta overflows a double.  They and the t-integrals'
+G / G~ sides on each tanh-sinh level (_t_side) are cached, so the
+entries of one correlation share them.  One table of the four kinds
+(_TILDE) and one dispatcher (_finite_kernel) choose every route; one
+tanh-sinh rule (_gg_t_integral) integrates every t-integral.
 """
 from __future__ import annotations
 
@@ -112,15 +115,53 @@ def _powers(params: EnsembleParams, log2_x: float):
 def _i1s(theta: float, n: int, exponent: float, c: float):
     """i1(exponent + theta l, c), l < N, as (mantissa, binary exponent).
 
+    Where theta = p/q exactly (the float taken as exact) with q < N, the
+    l of one residue class mod q lie p unit steps apart, so the side is
+    q chains of _i1_chain, one quadrature seed each.  Otherwise (as at
+    theta = 1.3) every l is its own seed.  The largest exponent is
+    integrated first, and its quadrature gives l = N-1: i1_integral's
+    refusal where y^beta overflows a double therefore stands for the side.
     Cached, as read-only arrays: a correlation's entries share each of
-    their integrated sides (at most two exponents per point), so the N
-    quadratures of a side run once per correlation, not once per entry.
+    their integrated sides (at most two exponents per point), so a side
+    is built once per correlation, not once per entry.
     """
-    sides = np.frexp([i1_integral(exponent + theta * l, c)
-                      for l in range(n)])
+    p, q = theta.as_integer_ratio()
+    q = min(q, n)  # q >= N (as at theta = 1.3): N one-seed chains
+    bases = [exponent + theta * r for r in range(q)]
+    steps = [p * ((n - 1 - r) // q) for r in range(q)]
+    top = bases[(n - 1) % q] + steps[(n - 1) % q]
+    seeds = {top: i1_integral(top, c)}
+    vals = np.empty(n)
+    for r in range(q):
+        vals[r::q] = _i1_chain(bases[r], steps[r], c, seeds)[::p]
+    vals[-1] = seeds[top]
+    sides = np.frexp(vals)
     for side in sides:
         side.setflags(write=False)
     return sides
+
+
+def _i1_chain(beta: float, steps: int, c: float, seeds: dict) -> list:
+    """i1(beta + j, c), j <= steps, from one seed by the unit step
+    i1(b + 1) = Gamma(b + 1) - c i1(b) (DLMF 8.8.2 in i1 form).
+
+    The seed is i1_integral (or its value in seeds) at the lowest
+    exponent b with b + 1 >= c, or at the top if there is none.  Steps
+    run upward above it and downward, i1(b) = (Gamma(b + 1) - i1(b + 1))/c,
+    below it, the directions in which they are stable (Gautschi, SIAM
+    Rev. 9, 1967): by Jensen, i1(b) >= Gamma(b + 1)/(c + b + 1), a step
+    scales a relative error by at most (c + 1)/(b + 1) upward from b and
+    (b + 1)/c downward to b, below 1 but for the upward steps with b < c,
+    and Gamma(b + 1) exceeds the difference it forms by one more than that.
+    """
+    s = min(steps, max(0, math.ceil(c - 1.0 - beta)))
+    chain = [0.0] * (steps + 1)
+    chain[s] = seeds.get(beta + s) or i1_integral(beta + s, c)
+    for j in range(s, steps):
+        chain[j + 1] = math.gamma(beta + (j + 1)) - c * chain[j]
+    for j in range(s, 0, -1):
+        chain[j - 1] = (math.gamma(beta + j) - chain[j]) / c
+    return chain
 
 
 def cd_kernel(params: EnsembleParams, x: float, y: float,
@@ -336,10 +377,13 @@ def k10(params: EnsembleParams, y: float, yp: float,
 def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
     """_k11_inc_core's O(N) z-independent vectors at `prec` bits: its
     coefficients (one vector for both sides) and h_m, m < 2N-1; alpha
-    from the float parameters taken as exact, not from a rounded double."""
+    from the float parameters taken as exact, not from a rounded double.
+    The leading coefficient is a product, not rf(alpha + 1, N)/(N-1)!,
+    whose gammas would build mpmath's Taylor tables at more precisions."""
     with mpmath.workprec(prec):
         al = (mpmath.mpf(a) + b + 1) / theta - 1
-        coef = [mpmath.rf(al + 1, n) / mpmath.factorial(n - 1)]
+        coef = [mpmath.fprod(al + 1 + i for i in range(n))
+                / math.factorial(n - 1)]
         for j in range(n - 1):
             coef.append(-coef[-1] * (al + n + 1 + j) * (n - 1 - j)
                         / ((j + 1) * (al + 1 + j)))

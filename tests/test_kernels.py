@@ -3,7 +3,7 @@ import json
 import math
 import time
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -217,6 +217,42 @@ class TestAuxiliaryIntegral:
                             * mpmath.mpf(c) ** beta
                             * mpmath.gammainc(-beta, c))
                 worst = max(worst, abs(i1_integral(beta, c) / want - 1))
+        assert worst < 1e-13
+
+    @staticmethod
+    def _i1_side_cases():
+        """(theta, e, c, N) of _i1s sides: unit-step chains at theta = 1,
+        1.5, 2 and per-l quadratures at theta = 1.3.  Chains seed at the
+        lowest exponent with beta + 1 >= c: c = 0.05 steps up from the
+        bottom, c = 150 down from the top, c = 0.8 and 3.7 turn near the
+        bottom, and c = 40 turns inside the N = 40 chains of theta = 1.5
+        and 2."""
+        for theta in (1.0, 1.5, 2.0, 1.3):
+            for e in (-0.9, 0.3, 1.4):
+                for c in (0.05, 0.8, 3.7, 40.0, 150.0):
+                    yield theta, e, c, 4
+        for theta in (1.0, 1.5, 2.0):
+            for n in (16, 40):
+                for c in (0.05, 40.0):
+                    yield theta, 0.3, c, n
+            yield theta, -0.9, 150.0, 16
+
+    def test_i1_side_chains_against_incomplete_gamma(self):
+        # 40 digits agree with 120 on every value here to 1e-39; 100, as
+        # above, would cost about 2 s for these 335 values
+        @lru_cache(maxsize=None)
+        def want(beta, c):
+            with mpmath.workdps(40):
+                b = mpmath.mpf(beta)
+                return (mpmath.gamma(1 + b) * mpmath.e ** c
+                        * mpmath.mpf(c) ** b * mpmath.gammainc(-b, c))
+
+        worst = 0.0
+        for theta, e, c, n in self._i1_side_cases():
+            kernels._i1s.cache_clear()
+            side = np.ldexp(*kernels._i1s(theta, n, e, c))
+            worst = max(worst, *(abs(v / want(e + theta * l, c) - 1)
+                                 for l, v in enumerate(side)))
         assert worst < 1e-13
 
     def test_i1_overflow_raises_typed_error(self):
@@ -592,6 +628,8 @@ class TestSharedSides:
 
     @pytest.mark.parametrize("req,sides", CASES)
     def test_one_quadrature_set_per_side(self, monkeypatch, req, sides):
+        # a side of theta = p/q, q < N, integrates its q chain seeds and
+        # its top exponent; at these small points no chain seeds at its top
         rho = rho_bures if req.model == "bures" else rho_cauchy
         with monkeypatch.context() as m:  # every entry builds its own sides
             m.setattr(kernels, "_i1s", kernels._i1s.__wrapped__)
@@ -605,7 +643,8 @@ class TestSharedSides:
         monkeypatch.setattr(kernels, "i1_integral", counted)
         kernels._i1s.cache_clear()
         assert repr(rho(req)) == repr(uncached)
-        assert len(calls) == sides * req.params.n
+        q = req.params.theta.as_integer_ratio()[1]
+        assert len(calls) == sides * (q + 1)
 
     def test_cached_side_is_read_only(self):
         mant, exp = kernels._i1s(1.5, 4, 0.7, 0.9)
