@@ -13,7 +13,8 @@ exponent, where y^beta overflows a double.  They and the t-integrals'
 G / G~ sides on each tanh-sinh level (_t_side) are cached, so the
 entries of one correlation share them.  One table of the four kinds
 (_TILDE) and one dispatcher (_finite_kernel) choose every route; one
-tanh-sinh rule (_gg_t_integral) integrates every t-integral.
+tanh-sinh rule integrates every t-integral (_gg_t_integral) and both
+halves of i1_integral.
 """
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
 from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _tanh_sinh_level,
-                       gauss_jacobi, ln_abs, mp_sum, refine_quadrature,
-                       require_positive, tanh_sinh_01)
+                       ln_abs, mp_sum, require_positive, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -54,9 +54,6 @@ __all__ = [
 
 _SINGULAR_TOL = 1e-12
 _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
-# the largest sum w|f| / |integral| at which the t-integrand's ~1e-14
-# rounding stays within _T_RTOL
-_MAX_CANCEL = _T_RTOL / 1e-14
 # the tanh-sinh nodes reach t = e^{-700}; the part of int t^alpha dt
 # below them, e^{-700 (alpha + 1)}, tops 1e-12 for alpha + 1 < 0.04
 _MIN_ALPHA1 = 0.04
@@ -200,44 +197,31 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
     factors on the nodes of that tanh-sinh level that _kept keeps
     (_t_side), so each level costs at most one evaluation of each side.
 
-    The factors are good to about 1e-14 relative, and cancellation in the
-    integral scales that error by M/|I|, M = sum w|f| over the same nodes.
-    An M above _MAX_CANCEL |I| on the level tanh_sinh_01 accepts, or on an
-    earlier one whose change lies within _T_RTOL M, raises ComplexityError:
-    the value could miss _T_RTOL.  So does alpha + 1 below _MIN_ALPHA1.
+    The factors are good to about 1e-14 relative; where cancellation could
+    scale that past _T_RTOL, tanh_sinh_01 raises ComplexityError, which
+    this passes on with the direct route as the way round it.  So does
+    alpha + 1 below _MIN_ALPHA1.
     """
     if alpha + 1.0 < _MIN_ALPHA1:
         raise ComplexityError(f"t-integral: alpha + 1 = {alpha + 1.0:.3g} "
                               f"puts t^alpha mass below the tanh-sinh nodes")
-    level, value, mass = 0, 0.0, 0.0
-
-    def checked(result: float) -> float:
-        if mass > _MAX_CANCEL * abs(value):
-            raise ComplexityError(
-                f"t-integral cancels: sum w|f| / |integral| = "
-                f"{mass / abs(value) if value else math.inf:.3g} exceeds "
-                f"{_MAX_CANCEL:.0e}, so the integrand's rounding could "
-                f"pass the {_T_RTOL:.0e} tolerance; at finite N "
-                f"route='direct' avoids the t-integral (its float sum "
-                f"loses digits as N grows)")
-        return result
+    level = 0
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        # tanh_sinh_01 calls f once per level, on levels 0, 1, 2, ... in
-        # turn; value and mass repeat its level sums, of f and of |f|
-        nonlocal level, value, mass
+        # tanh_sinh_01 calls f once per level, on levels 0, 1, 2, ... in turn
+        nonlocal level
         out = np.zeros(len(t))
         keep = _kept(alpha, t)
         out[keep] = t[keep] ** alpha * side1(level) * side2(level)
-        weights = _tanh_sinh_level(level).weights
-        prev, value = value, 0.5 * value + float(weights @ out)
-        mass = 0.5 * mass + float(weights @ np.abs(out))
-        if level and abs(value - prev) <= _T_RTOL * mass:
-            checked(value)
         level += 1
         return out
 
-    return checked(tanh_sinh_01(integrand, rtol=_T_RTOL))
+    try:
+        return tanh_sinh_01(integrand, rtol=_T_RTOL)
+    except ComplexityError as err:
+        raise ComplexityError(f"t-integral: {err}; at finite N route='direct'"
+                              f" avoids it (its float sum loses digits as N"
+                              f" grows)") from None
 
 
 @lru_cache(maxsize=256)
@@ -295,23 +279,21 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
 def i1_integral(beta: float, c: float) -> float:
     """integral_0^infty y^beta e^{-y} / (c + y) dy, split at y = c.
 
-    Below the split the substitution y = c*u gives a Jacobi-weight
-    integral; above it, tanh-sinh on y = c + span t, t in (0, 1).
-    Raises ComplexityError when y^beta overflows a double (beta above ~115).
+    Both halves run on tanh-sinh: below the split after y = c s^g, g =
+    1/(beta + 1), which absorbs y^beta (c^beta g int_0^1 e^{-c s^g} /
+    (1 + s^g) ds), above it on y = c + span t.  Raises ComplexityError
+    when y^beta overflows a double (beta above ~115).
     """
     require_positive("c and beta + 1", c, beta + 1.0)
-
-    def lower(order: int) -> float:
-        rule = gauss_jacobi(order, beta)
-        vals = np.exp(-c * rule.nodes) / (1.0 + rule.nodes)
-        return c ** beta * float(rule.weights @ vals)
-
+    g = 1.0 / (beta + 1.0)
     # above the split the integrand has structure on the scale of c near
     # t = 0, where tanh-sinh clusters its nodes; span reaches the e^{-y} tail
     span = 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
     try:
         with np.errstate(over="raise"):
-            return refine_quadrature(lower) + span * tanh_sinh_01(
+            lower = c ** beta * g * tanh_sinh_01(
+                lambda s: np.exp(-c * s ** g) / (1.0 + s ** g))
+            return lower + span * tanh_sinh_01(
                 lambda t: (c + span * t) ** beta * np.exp(-c - span * t)
                 / (2.0 * c + span * t))
     except (OverflowError, FloatingPointError):

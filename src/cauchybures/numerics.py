@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Sequence
 import mpmath
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, NonConverged, PoleError
+from .exceptions import (ComplexityError, DimensionError, DomainError,
+                         NonConverged, PoleError)
 
 __all__ = [
     "LogValue",
@@ -44,6 +45,7 @@ _MAX_DPS = 512
 # bits the integer sums (_fixed_point) keep past the working precision, so
 # that their truncations stay below mpmath's own rounding
 _GUARD_BITS = 16
+_TS_ROUNDING = 1e-14  # tanh_sinh_01's integrand rounding, relative
 
 
 def require_positive(what: str, *values: float) -> None:
@@ -312,30 +314,46 @@ def _tanh_sinh_level(level: int) -> QuadratureRule:
     return QuadratureRule(t[keep], w[keep])
 
 
-def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray], rtol: float = 1e-11,
-                 max_level: int = 12) -> float:
+def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray],
+                 rtol: float = 1e-11) -> float:
     """Double-exponential quadrature of f over (0, 1).
 
     f maps an ndarray of nodes to the array of its values.  It is called
-    once per level, on only the nodes that level adds (cached per level,
-    see _tanh_sinh_level); a level's value is half the previous level's
-    plus the new weighted sum, so each doubling reuses every earlier
-    evaluation.  Converges geometrically even when f has integrable
-    algebraic singularities at either endpoint, which Gauss rules with a
-    fixed weight cannot handle.
-    """
-    value = 0.0
+    once per level, on levels 0, 1, 2, ... in turn, with only the nodes
+    that level adds (cached per level, see _tanh_sinh_level); a level's
+    value is half the previous level's plus the new weighted sum, so each
+    doubling reuses every earlier evaluation.  Converges geometrically
+    even when f has integrable algebraic singularities at either endpoint.
 
-    # refine_quadrature asks for orders 2, 4, 8, ... in turn, i.e. the
-    # levels 0, 1, 2, ... with step h = 1/order
+    f's rounding, _TS_ROUNDING of M = sum w|f|, passes rtol |I| where M
+    exceeds (rtol / _TS_ROUNDING) |I|: that on the level the loop accepts,
+    or on an earlier one whose change lies within rtol M, raises
+    ComplexityError.  A non-negative f (M = |I|) never raises.
+    """
+    value = mass = 0.0
+
+    def checked(result: float) -> float:
+        if mass > rtol / _TS_ROUNDING * abs(value):
+            raise ComplexityError(
+                f"tanh-sinh integral cancels: sum w|f| / |integral| = "
+                f"{mass / abs(value) if value else math.inf:.3g} exceeds "
+                f"{rtol / _TS_ROUNDING:.0e}, past what rtol {rtol:.0e} allows")
+        return result
+
+    # refine_quadrature asks for orders 2, 4, ..., 2^13 in turn, i.e. the
+    # levels 0, 1, ..., 12 with step h = 1/order
     def level_sum(order: int) -> float:
-        nonlocal value
-        level = _tanh_sinh_level(order.bit_length() - 2)
-        value = 0.5 * value + level.integrate(f)
+        nonlocal value, mass
+        rule = _tanh_sinh_level(order.bit_length() - 2)
+        vals = np.asarray(f(rule.nodes), dtype=float)
+        prev, value = value, 0.5 * value + float(rule.weights @ vals)
+        mass = 0.5 * mass + float(rule.weights @ np.abs(vals))
+        if order > 2 and abs(value - prev) <= rtol * mass:
+            checked(value)
         return value
 
-    return refine_quadrature(level_sum, start_order=2, rtol=rtol,
-                             max_order=2 ** (max_level + 1))
+    return checked(refine_quadrature(level_sum, start_order=2, rtol=rtol,
+                                     max_order=2 ** 13))
 
 
 def tanh_sinh_half_line(f: Callable[[np.ndarray], np.ndarray]) -> float:

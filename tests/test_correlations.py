@@ -1,9 +1,11 @@
 """Tests for determinantal and Pfaffian correlation functions."""
 import json
 import math
+import sys
 
 import pytest
 
+from cauchybures import kernels, numerics
 from cauchybures.correlations import (CorrelationRequest,
                                       correlation_record, rho_bures,
                                       rho_bures_hard_edge, rho_cauchy)
@@ -250,3 +252,36 @@ class TestValidationAndRecords:
         assert rec["model"] == "cauchy"
         assert rec["route"] == "direct"
         assert rec["discrepancy"] == pytest.approx(abs(val) * 0.001, rel=1e-9)
+
+
+class TestDirectRouteQuadrature:
+    # perfbench/mpref.rho_cauchy at 60 digits, confirmed at 90; a
+    # Gauss-Jacobi lower half of i1 left these 1.2e-13 and 6.0e-12 off
+    @pytest.mark.parametrize("params,xs,ys,want,rel", [
+        ((-0.9, 0.5, 1.0, 4), (0.8,), (60.0,), 1.139711373793392883e-21,
+         5e-14),
+        ((0.3, 0.7, 1.5, 6), (), (150.0,), 2.0067165605229304876e-51,
+         2e-12)])
+    def test_direct_route_at_large_points(self, params, xs, ys, want, rel):
+        req = CorrelationRequest("cauchy", EnsembleParams(*params), xs, ys)
+        assert rho_cauchy(req) == pytest.approx(want, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [1.5, 1.3])
+    def test_no_direct_route_builds_a_gauss_jacobi_rule(self, monkeypatch,
+                                                        theta):
+        def refuse(*args):
+            raise AssertionError("a library route built a Gauss-Jacobi rule")
+
+        rule = numerics.gauss_jacobi
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("cauchybures")
+                    and getattr(mod, "gauss_jacobi", None) is rule):
+                monkeypatch.setattr(mod, "gauss_jacobi", refuse)
+        kernels._i1s.cache_clear()
+        p = EnsembleParams(0.5, 0.7, theta, 12)
+        for fn in (kernels.k01, kernels.k10, kernels.k11):
+            assert math.isfinite(fn(p, 0.8, 1.3, route="direct"))
+        assert math.isfinite(rho_cauchy(
+            CorrelationRequest("cauchy", p, (0.8,), (1.3,))))
+        assert math.isfinite(rho_bures(CorrelationRequest(
+            "bures", EnsembleParams(0.5, 1.5, theta, 12), (0.9, 1.4))))

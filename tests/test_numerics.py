@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from cauchybures.exceptions import DimensionError, DomainError, NonConverged
+from cauchybures.exceptions import (ComplexityError, DimensionError,
+                                    DomainError, NonConverged)
 from cauchybures.numerics import (LogValue, SkewMatrix, _fixed_point,
                                   gauss_jacobi, lgamma_signed,
                                   log_gamma_complex, mp_sum,
@@ -153,6 +154,21 @@ class TestQuadrature:
         got = tanh_sinh_01(np.log)
         assert got == pytest.approx(-1.0, rel=1e-10)
 
+    def test_tanh_sinh_refuses_a_cancelling_integrand(self):
+        # integral 1, sum w|f| about 5e4: past the 1e3 = rtol / 1e-14 at
+        # which the values' rounding could pass rtol = 1e-11
+        with pytest.raises(ComplexityError, match="cancels"):
+            tanh_sinh_01(lambda t: 1.0 + 1e5 * (2.0 * t - 1.0))
+
+    @pytest.mark.parametrize("f,want", [
+        (lambda t: np.zeros_like(t), 0.0),
+        (lambda t: 1e-300 * t, 5e-301),
+        (lambda t: np.exp(-200.0 * t), 1.0 / 200.0),
+        (lambda t: t ** -0.9 * (1.0 - t) ** 5, special.beta(0.1, 6.0))])
+    def test_tanh_sinh_never_refuses_a_non_negative_integrand(self, f, want):
+        # sum w|f| is then the integral itself
+        assert tanh_sinh_01(f) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_tanh_sinh_evaluates_each_node_once(self):
         # f sees one array per level, holding only the nodes that level
         # adds; the result equals the last level's trapezoid sum over all
@@ -244,7 +260,8 @@ class TestQuadrature:
             refine_quadrature(lambda m: 1.0 / m, start_order=16,
                               max_order=128)
         with pytest.raises(NonConverged):
-            tanh_sinh_01(lambda t: t, max_level=0)
+            refine_quadrature(lambda m: 1.0 / m, start_order=16,
+                              max_order=16)
 
 
 def exp_taylor(x: float, levels: list):
