@@ -4,8 +4,10 @@ Every finite-N kernel is computable by two routes: the Christoffel-Darboux
 sum over the bi-orthogonal pair, with i1 transforms on its integrated
 sides (`_cd_contract`), and a t-integral of the contour functions, so the
 routes can be played against each other in the tests; for K11 the second
-is an exact incomplete-gamma sum from cached O(N) vectors and guarded
-unit-step gamma chains, contracted on Python integers (_k11_inc_core).
+is an exact incomplete-gamma sum on Python integers from its inputs to one
+final mpf (_k11_inc_core): exact-rational vectors cached per (a, b, theta,
+N) and cut to each precision, and unit-step gamma chains run in whichever
+direction needs fewer guard bits from seeds chosen by region (_h_seed).
 The direct route's integrated sides (_i1s) are unit-step i1 chains, one
 quadrature seed per residue class of l mod q where theta = p/q
 (_i1_chain); a side refuses where i1_integral does at its largest
@@ -21,12 +23,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 from operator import mul
 from typing import Callable, Optional
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
@@ -57,10 +61,14 @@ _T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
 # the tanh-sinh nodes reach t = e^{-700}; the part of int t^alpha dt
 # below them, e^{-700 (alpha + 1)}, tops 1e-12 for alpha + 1 < 0.04
 _MIN_ALPHA1 = 0.04
-# digits an incomplete-gamma seed (_gamma_upper) keeps past the working
-# precision after its cancellation
+# an incomplete-gamma seed (_h_seed): digits it keeps past its unit after
+# its cancellation, the w from which it takes the continued fraction, and
+# the w at which _gamma_scaled splits Gamma(s), where its sum and its
+# continued fraction cost about the same
 _SEED_SPARE = 4
-_LN10 = math.log(10.0)
+_CF_MIN_W = 24.0
+_GAMMA_W = 128.0
+_LN2, _LN10 = math.log(2.0), math.log(10.0)
 # each kernel kind K<d1><d2>: is its first / second side integrated
 # against the Cauchy weight?  An integrated side is an i1 transform on the
 # direct route and the companion G~ in the t-integral.
@@ -320,8 +328,8 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     i1(b + theta l, p2) where that side is integrated (_TILDE).
     "tintegral" is _kernel times e^{p} of each integrated side; for K11,
     whose t-integral of G~_n G~_n holds only asymptotically, it is the
-    exact incomplete-gamma core in mpmath (_k11_inc_core: cached vectors,
-    _k11_side's guarded gamma chains).  K11 is returned without its
+    exact incomplete-gamma core (_k11_inc_core: exact-rational vectors,
+    _k11_side's integer gamma chains).  K11 is returned without its
     1/(p1 + p2) singular part.
     """
     require_positive("kernel arguments", p1, p2)
@@ -356,91 +364,195 @@ def k10(params: EnsembleParams, y: float, yp: float,
 
 
 @lru_cache(maxsize=32)
+def _k11_rationals(a: float, b: float, theta: float, n: int) -> tuple:
+    """_k11_inc_core's z-independent vectors, exact: with alpha + 1 =
+    (a + b + 1)/theta = P/Q (the floats read as exact), coef_j = (-1)^j
+    C(N-1, j) prod_{i=j}^{N+j-1} (P + iQ) / ((N-1)! Q^N) and h_m = Q/(P +
+    mQ).  Returns (the numerators of coef_j, their denominator, P, Q)."""
+    al1 = (Fraction(a) + Fraction(b) + 1) / Fraction(theta)
+    p, q = al1.numerator, al1.denominator
+    prod, binom, nums = math.prod(p + i * q for i in range(n)), 1, []
+    for j in range(n):
+        nums.append(-binom * prod if j % 2 else binom * prod)
+        prod = prod * (p + (n + j) * q) // (p + j * q)
+        binom = binom * (n - 1 - j) // (j + 1)
+    return tuple(nums), math.factorial(n - 1) * q ** n, p, q
+
+
+@lru_cache(maxsize=32)
 def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
-    """_k11_inc_core's O(N) z-independent vectors at `prec` bits: its
-    coefficients (one vector for both sides) and h_m, m < 2N-1; alpha
-    from the float parameters taken as exact, not from a rounded double.
-    The leading coefficient is a product, not rf(alpha + 1, N)/(N-1)!,
-    whose gammas would build mpmath's Taylor tables at more precisions."""
-    with mpmath.workprec(prec):
-        al = (mpmath.mpf(a) + b + 1) / theta - 1
-        coef = [mpmath.fprod(al + 1 + i for i in range(n))
-                / math.factorial(n - 1)]
-        for j in range(n - 1):
-            coef.append(-coef[-1] * (al + n + 1 + j) * (n - 1 - j)
-                        / ((j + 1) * (al + 1 + j)))
-        return tuple(coef), tuple(1 / (al + 1 + m) for m in range(2 * n - 1))
+    """_k11_rationals cut to integers for `prec` bits, without mpmath:
+    (coef, its unit, h_m for m < 2N-1, its unit), x = m 2^unit, each on a
+    unit _GUARD_BITS below prec under its first entry (coef_0, the least
+    |coef_j|, whose side value is the largest, and h_0, the largest h)."""
+    nums, den, p, q = _k11_rationals(a, b, theta, n)
+    cut = max(0, prec + _GUARD_BITS + den.bit_length() - nums[0].bit_length())
+    hcut = max(0, prec + _GUARD_BITS + p.bit_length() - q.bit_length())
+    return (tuple((x << cut) // den for x in nums), -cut,
+            tuple((q << hcut) // (p + m * q) for m in range(2 * n - 1)), -hcut)
 
 
-def _gamma_upper(s, w):
-    """Gamma(s, w), w > 0, at the working precision: the method chosen by
-    region, as Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012) do.
+def _one_scale(*xs) -> tuple[list, int]:
+    """Dyadic rationals (floats, Fractions) as integers over one 2^scale."""
+    fr = [Fraction(x) for x in xs]
+    scale = max(f.denominator.bit_length() for f in fr) - 1
+    return [f.numerator << scale + 1 - f.denominator.bit_length()
+            for f in fr], scale
 
-    mpmath's upper gammainc first tries its asymptotic series, which fails
-    unless e^{-w} lies below the working precision's unit, and then falls
-    back to the convergent Gamma(s) - gamma(s, w) (DLMF 8.2.3, 8.7.1),
-    at up to ten times the cost of that difference alone (4-10 ms against
-    0.5-1 ms at 180 digits).  Below that w the difference is formed here.
-    It cancels by about w log10(e) digits, which the first precision
-    allows for, and by up to 17 more within 1e-17 of a pole of Gamma, so
-    mp_sum measures the digits lost, log10 max(|Gamma(s)|, |gamma(s, w)|)
-    / Gamma(s, w), and repeats until the working precision is kept.  An
-    integer s keeps mpmath's exact path, as does a loss past mp_sum's
-    ceiling.
+
+def _h_fraction(s: Fraction, w: float, bits: int) -> int:
+    """H(s) = e^w w^{-s} Gamma(s, w), s < 1, on the unit 2^-bits, from
+    Legendre's continued fraction (DLMF 8.9.2), even form: 1/H(s) = w + 1
+    - s - 1(1-s)/(w + 3 - s - 2(2-s)/(w + 5 - s - ...)), by the modified
+    Lentz method on integers.  Its K ~ (bits ln 2)^2/(12 w) terms round off
+    log2(K (w + 2K - s)/w) bits, under the 48 guard bits for the K < 1e5
+    it is allowed."""
+    (big_w, big_s), scale = _one_scale(w, s)
+    fix = bits + 48
+    one = 1 << fix
+    b = (big_w + (1 << scale) - big_s << fix) >> scale
+    f, c, d = b, b, 0
+    for k in range(1, 100_000):
+        a = -k * ((k << scale) - big_s)  # -k (k - s), times 2^scale
+        b += 2 * one
+        d = (one << fix) // (b + (a * d >> scale))
+        c = b + ((a << 2 * fix) // c >> scale)
+        delta = c * d >> fix
+        f = f * delta >> fix
+        if abs(delta - one) >> fix - bits - _GUARD_BITS == 0:
+            return (1 << fix + bits) // f
+    raise NonConverged(f"incomplete gamma at w = {w:g}: continued fraction "
+                       f"unsettled after 1e5 terms at {bits} bits")
+
+
+def _h_sum(s: Fraction, w: float) -> tuple:
+    """sum_k w^k/(s)_{k+1} (DLMF 8.7.1), s < 1 not an integer, at the
+    working precision, and the ln of its largest |term|.  It runs backward
+    (Horner) on integers, which bounds its error by the unit times the sum
+    of its |terms|; their sizes, from doubles, set where it stops."""
+    (big_w, big_s), scale = _one_scale(w, s)
+    prec, lw, ls = mpmath.mp.prec, math.log(w), scale * _LN2
+    log_t = log_max = ls - math.log(abs(big_s))  # term 0: 1/s
+    k, sf = 0, float(s)
+    while k < w - sf:  # s + k exact: it may lie within 1e-17 of 0
+        k += 1
+        log_t += lw + ls - math.log(abs(big_s + (k << scale)))
+        log_max = max(log_max, log_t)
+    while log_t > log_max - (prec + _GUARD_BITS) * _LN2:
+        k += 1  # s + k > w: the terms fall
+        log_t += lw - math.log(sf + k)
+    fix = prec + _GUARD_BITS + k.bit_length()
+    one = r = 1 << fix
+    for i in range(k, 0, -1):  # r <- 1 + w r/(s + i)
+        r = one + big_w * r // (big_s + (i << scale))
+    return mpmath.ldexp(r, scale - fix) / big_s, log_max
+
+
+@lru_cache(maxsize=256)
+def _gamma_scaled(s: Fraction, prec: int):
+    """e^W W^{-s} Gamma(s) at W = _GAMMA_W, s < 1 not an integer, to `prec`
+    bits without mpmath's gamma (whose tables cost 7-31 ms per precision):
+    _h_sum at W, which no term cancels at this W, plus H(s, W) < 1/W from
+    the continued fraction, down to the sum's last bit.  Cached: the seeds
+    of one working precision share it."""
+    with mpmath.workprec(prec + _GUARD_BITS):
+        series = _h_sum(s, _GAMMA_W)[0]
+        bits = max(1, prec + _GUARD_BITS - int(ln_abs(series) / _LN2))
+        return series + mpmath.ldexp(_h_fraction(s, _GAMMA_W, bits), -bits)
+
+
+def _h_series(s: Fraction, w: float) -> tuple:
+    """For mp_sum: H(s) = e^w w^{-s} Gamma(s) - _h_sum(s, w) at the working
+    precision, s < 1 not an integer, and the ln of its larger part, with
+    e^w w^{-s} Gamma(s) = e^{w-W} (w/W)^{-s} _gamma_scaled(s)."""
+    series, log_max = _h_sum(s, w)
+    (big_s,), scale = _one_scale(s)
+    sm = mpmath.mp.make_mpf(from_man_exp(big_s, -scale))  # s exact
+    ww = mpmath.mpf(w) / _GAMMA_W
+    gamma_part = (mpmath.exp(_GAMMA_W * (ww - 1) - sm * mpmath.log(ww))
+                  * _gamma_scaled(s, mpmath.mp.prec))
+    log_peak = max(log_max, ln_abs(gamma_part))
+    # H(s) > 0: a zero difference lost every digit, which a value below
+    # the peak's last bit tells mp_sum
+    return ((gamma_part - series)
+            or mpmath.ldexp(mpmath.exp(log_peak), -mpmath.mp.prec)), log_peak
+
+
+def _h_seed(s: Fraction, w: float, bits: int) -> int:
+    """H(s) = e^w w^{-s} Gamma(s, w), s < 1, on the unit 2^-bits, by region
+    as Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012) choose.
+
+    From w = _CF_MIN_W on, _h_fraction.  Below, _h_series's difference,
+    which cancels by about w log10(e) digits (17 more within 1e-17 of a
+    pole of Gamma): mp_sum repeats it until it keeps the digits down to
+    2^-bits.  Its first try runs two _DPS_STEPs above the working
+    precision, whatever s, w and bits, so that the seeds of one working
+    precision share _gamma_scaled's values.  An integer s takes mpmath's
+    upper gammainc; a loss past mp_sum's ceiling takes _h_fraction, which
+    refuses where it needs more than 1e5 terms (w well below 1 there).
     """
-    keep = mpmath.mp.dps + _SEED_SPARE
-    if mpmath.isint(s) or w > keep * _LN10:
-        return mpmath.gammainc(s, w)
+    if w >= _CF_MIN_W:
+        return _h_fraction(s, w, bits)
+    # a relative error of 2^-bits is at most the unit where H(s) <= 1, and
+    # where H(s) > 1 (w < 1) the chain's steps down shrink absolute errors
+    keep = math.ceil(bits * _LN2 / _LN10) + _SEED_SPARE
+    if s.denominator == 1:
+        with mpmath.workdps(keep):
+            val = (mpmath.exp(w) * mpmath.mpf(w) ** -int(s)
+                   * mpmath.gammainc(int(s), w))
+    else:
+        try:
+            val = mp_sum(partial(_h_series, s, w),
+                         mpmath.mp.dps + 2 * _DPS_STEP, keep)
+        except NonConverged:
+            return _h_fraction(s, w, bits)
+    return int(mpmath.ldexp(val, bits))
 
-    def difference():
-        g, low = mpmath.gamma(s), mpmath.gammainc(s, 0, w)
-        peak = max(abs(g), abs(low))
-        # Gamma(s, w) > 0: a zero difference lost every digit, which a
-        # value below the peak's last bit tells mp_sum
-        return (g - low) or mpmath.ldexp(peak, -mpmath.mp.prec), ln_abs(peak)
 
-    start = _DPS_STEP * math.ceil((keep + w / _LN10) / _DPS_STEP)
-    try:
-        return +mp_sum(difference, start, keep)
-    except NonConverged:
-        return mpmath.gammainc(s, w)
+def _k11_side(e: float, theta: float, n: int, w: float) -> tuple[list, int]:
+    """H(s_j) = e^w w^{-s_j} Gamma(s_j, w) at s_j = -e - theta j, j < N, as
+    integers on one unit 2^-bits, _GUARD_BITS past the working precision
+    under 1/(w + 1 - s), a lower bound of every H(s) at s < 1; s_j and w
+    exact (the floats read as exact), each step truncated once.
 
-
-def _k11_side(e: float, theta: float, n: int, w: float) -> list:
-    """H(s_j) = e^w w^{-s_j} Gamma(s_j, w) at s_j = -e - theta j, j < N.
-
-    Where theta = p/q exactly (the float taken as exact) with q < N,
-    H(s_j) follows from H(s_{j-q}) by p unit steps of DLMF 8.8.2,
-    H(s-1) = (w H(s) - 1)/(s-1): q chains, each from one _gamma_upper
-    seed.  Otherwise (as at theta = 1.3) every j is a seed.  A step scales
-    an error by w/|s-1|, so the chains carry log10 of those factors'
-    product as guard digits.  The steps run on integers in fixed point
-    (numerics._fixed_point), at about half the cost of mpf arithmetic.
+    Where theta = p/q exactly with q < N, the s_j of one residue class mod
+    q lie p unit steps apart: q chains of DLMF 8.8.2, one _h_seed each, run
+    down from the top, H(s-1) = (w H(s) - 1)/(s-1), or up from the bottom,
+    H(s+1) = (s H(s) + 1)/w, whichever needs fewer guard bits: a step
+    scales an error by w/|s-1| down and |s|/w up (Gautschi, SIAM Rev. 9,
+    1967), and a chain carries log2 of the product of those factors above
+    1.  Otherwise (as at theta = 1.3) every j is a seed.
     """
     p, q = theta.as_integer_ratio()
-    guard = sum(max(0.0, math.log10(w / (e + theta * j + i + 1.0)))
-                for j in range(n - q) for i in range(p))
-    with mpmath.workdps(mpmath.mp.dps + math.ceil(guard)):
-        # s in working precision: the sum cancels ~4^N deep, and an
-        # exponent rounded to a double perturbs the terms incoherently
-        ww, th, me = mpmath.mpf(w), mpmath.mpf(theta), -mpmath.mpf(e)
-        s = [me - th * j for j in range(n)]
-        out = [mpmath.exp(ww) * ww ** -s[j] * _gamma_upper(s[j], w)
-               for j in range(min(q, n))]
-        # every H(s) = int_1^inf u^{s-1} e^{-w(u-1)} du exceeds
-        # 1/(w + 1 - s) (s < 1), so on this unit each keeps _GUARD_BITS
-        # past the working precision
-        bits = (mpmath.mp.prec + _GUARD_BITS
-                + math.ceil(w + 1 + e + theta * n).bit_length())
-        one = 1 << bits
-        (wf, *chain), _ = _fixed_point([ww] + out, -bits)
-        sf, _ = _fixed_point(s, -bits)
-        for j in range(q, n):
-            h = chain[j - q]
-            for i in range(p - 1, -1, -1):
-                h = (((wf * h >> bits) - one) << bits) // (sf[j] + i * one)
-            chain.append(h)
-    return out + [mpmath.mpf((h, -bits)) for h in chain[q:]]
+    q = min(q, n)  # q >= N (as at theta = 1.3): N one-seed chains
+    (big_w, big_e, big_t), scale = _one_scale(w, e, theta)
+    bits = (mpmath.mp.prec + _GUARD_BITS
+            + math.ceil(w + 1 + e + theta * n).bit_length())
+    unit_s, out = 1 << scale, [0] * n
+    for r in range(q):
+        js = range(r, n, q)
+        steps = p * (len(js) - 1)
+        top, bottom = -e - theta * r, -e - theta * js[-1]
+        # the factors above 1 (s < 0 at every step)
+        down = sum(math.log2(w / (t + 1 - top)) for t in
+                   range(min(steps, max(0, math.ceil(w - 1 + top)))))
+        up = sum(math.log2(-(bottom + t) / w) for t in
+                 range(min(steps, max(0, math.ceil(-w - bottom)))))
+        guard = math.ceil(min(up, down))
+        start = -big_e - big_t * (js[-1] if up < down else r)
+        one = 1 << bits + guard + scale  # 1 on the chain's unit, times 2^scale
+        h = _h_seed(Fraction(start, unit_s), w, bits + guard)
+        chain = [h]
+        for t in range(1, steps + 1):
+            if up < down:  # H(s + 1) from H(s), s = bottom + t - 1
+                h = ((start + (t - 1) * unit_s) * h + one) // big_w
+            else:  # H(s - 1) from H(s), s - 1 = top - t
+                h = (big_w * h - one) // (start - t * unit_s)
+            if t % p == 0:
+                chain.append(h)
+        for j, h in zip(js, chain[::-1] if up < down else chain):
+            out[j] = h >> guard
+    return out, -bits
 
 
 def _k11_inc_core(params: EnsembleParams, y: float, x: float):
@@ -455,35 +567,36 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
     denominator an upper incomplete gamma, entire in the contour variable:
     only the Gamma(u) family contributes, and the sum is exact.
 
-    The double sum runs on Python integers: A, h and B are each converted
-    once to integers on a common unit (numerics._fixed_point, _GUARD_BITS
-    below the working precision under each vector's largest entry), the N
-    inner Hankel sums and the outer sum are exact, and one mpf is made at
-    the end.  The truncations add at most N^2 2^{-prec-16} of the peak
-    term, below the 2^{-prec} that mp_sum's spare digits allow for
-    N <= 256.
+    It runs on Python integers up to one final mpf: coef and h from exact
+    rationals (_k11_tables), the sides on one unit each, A_j and B_k their
+    products cut back by numerics._fixed_point, and the N inner Hankel sums
+    and the outer sum exact.  The truncations add at most N^2 2^{-prec-16}
+    of the peak term, below the 2^{-prec} that mp_sum's spare digits allow
+    for N <= 256.
     """
     a, b, theta, n = params.a, params.b, params.theta, params.n
 
     def double_sum():
-        coef, h = _k11_tables(a, b, theta, n, mpmath.mp.prec)
-        ay, bx = ([c * g for c, g in zip(coef, _k11_side(e, theta, n, w))]
-                  for e, w in ((a, y), (b, x)))
+        coef, uc, h, uh = _k11_tables(a, b, theta, n, mpmath.mp.prec)
+        (ia, ua), (ib, ub) = (
+            _fixed_point([c * g for c, g in zip(coef, side)], uc + unit)
+            for side, unit in (_k11_side(a, theta, n, y),
+                               _k11_side(b, theta, n, x)))
         pole = 1 / (mpmath.mpf(x) + y)
-        (ia, ua), (ih, uh), (ib, ub) = map(_fixed_point, (ay, h, bx))
-        inner = [sum(map(mul, ih[j:j + n], ib)) for j in range(n)]
+        inner = [sum(map(mul, h[j:j + n], ib)) for j in range(n)]
         total = theta * mpmath.mpf((sum(map(mul, ia, inner)),
                                     ua + uh + ub))
         # no term exceeds theta times the largest of each side over the
         # smallest denominator, 1 + alpha
-        peak = theta * max(map(abs, ay)) * max(map(abs, bx)) * h[0]
-        return total - pole, ln_abs(max(peak, pole))
+        peak = (math.log(theta) + (ua + uh + ub) * _LN2 + math.log(h[0])
+                + math.log(max(map(abs, ia))) + math.log(max(map(abs, ib))))
+        return total - pole, max(peak, ln_abs(pole))
 
     # the double sum cancels roughly as 16^N (each factor contributes
     # ~4^N), and in the bulk k11 lies a further 0.2N-0.3N digits below
     # 1/(x + y), so the precision hint grows with N; rounded up to a
     # _DPS_STEP multiple, so that the N of one step share _k11_tables
-    # entries and mpmath's per-precision gamma caches
+    # entries and _gamma_scaled's values
     return mp_sum(double_sum,
                   _DPS_STEP * math.ceil((40 + 1.7 * n) / _DPS_STEP))
 
@@ -492,8 +605,9 @@ def k11(params: EnsembleParams, y: float, x: float,
         route: str = "tintegral") -> float:
     """K11(y, x): doubly integrated kernel minus the 1/(x+y) singularity.
 
-    At finite N "tintegral" is no t-integral but the exact mpmath sum of
-    _k11_inc_core, from cached O(N) vectors and guarded gamma chains.
+    At finite N "tintegral" is no t-integral but the exact sum of
+    _k11_inc_core, on integers from exact-rational vectors and gamma
+    chains that run up or down, whichever needs fewer guard bits.
     """
     return _finite_kernel(params, "K11", y, x, route)
 

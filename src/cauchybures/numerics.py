@@ -153,21 +153,14 @@ def mp_sum(sum_at: Callable[[], tuple], dps: int = 2 * _DPS_STEP,
         dps = max(need, min(2 * dps, _MAX_DPS)) if noise else need
 
 
-def _fixed_point(xs, unit: int | None = None) -> tuple[list, int]:
-    """mpmath numbers xs as integers m_i on one unit: x_i = m_i 2^unit,
-    each truncated toward zero, unit _GUARD_BITS bits below the working
-    precision under the largest |x_i| unless given.  Sums and products of
-    such integers are exact, so a dot product or a double sum over them
-    makes one mpf at its end: mpmath.mpf((total, unit))."""
-    parts = [x._mpf_ for x in xs]
-    if unit is None:
-        top = max((exp + bc for _, man, exp, bc in parts if man), default=0)
-        unit = top - mpmath.mp.prec - _GUARD_BITS
-    out = []
-    for sign, man, exp, _ in parts:
-        man = man << exp - unit if exp >= unit else man >> unit - exp
-        out.append(-man if sign else man)
-    return out, unit
+def _fixed_point(xs: list, unit: int) -> tuple[list, int]:
+    """Integers xs on the unit 2^unit, truncated to a unit _GUARD_BITS
+    below the working precision under the largest |x|: sums and products
+    of such integers are exact, so a dot product or a double sum over them
+    makes one mpf at its end, mpmath.mpf((total, unit))."""
+    drop = max(0, max(map(abs, xs)).bit_length() - mpmath.mp.prec
+               - _GUARD_BITS)
+    return [x >> drop for x in xs], unit + drop
 
 
 def ln_abs(x) -> float:

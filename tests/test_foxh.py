@@ -208,11 +208,58 @@ HARD_EDGE_CASES = {False: {0.3: (0.3, 0.5), 0.5: (0.5, 1.2), 1.0: (0.3, 0.5)},
                    True: {t: (0.37, 1.2) for t in (0.3, 0.5, 1.0)}}
 
 
-@functools.lru_cache(maxsize=None)
+# G_inf (G~_inf with tilde) at LARGE_ZS per (tilde, theta) of
+# HARD_EDGE_CASES: references.residue_sum at 210 digits, each within 1e-130
+# of the same sum at 250 digits, rounded to doubles; printed by
+#   PYTHONPATH=src:tests python -c "from cauchybures import foxh;
+#   from references import residue_sum; from test_foxh import
+#   HARD_EDGE_CASES as C, LARGE_ZS as Z; print({(t, th): [float(v) for v in
+#   residue_sum(*foxh._g_factors(a, al, th, None, t), Z, 210)] for t in C
+#   for th, (a, al) in C[t].items()})"
+HARD_EDGE_REFERENCE = {
+    (False, 0.3): [
+        0.5593943264639277, 0.05164065362474262, -0.33681599534610734,
+        0.03319925889096495, 0.0660997342589391, 0.20265826344052393,
+        -0.1195569994941222, 1.67820166090895, -4.652288684864366,
+        106.34160851968738, -4204.771302486642, 3714.342354520641,
+        1062940.7910110224, -2623586705.5998297],
+    (False, 0.5): [
+        0.6575792881565972, 0.33634367143184785, -0.07019591567093914,
+        -0.18785916193463606, 0.19737694422100738, -0.26475430308356046,
+        0.124898893577269, 0.5753956050634881, -11.050261718631745,
+        -121.91050887738461, 6494.661131595145, 83514.82880711833,
+        2088748.4382726657, 2973377320.807707],
+    (False, 1.0): [
+        0.6669939814117994, 0.11268805550043343, -0.679931616981668,
+        -1.0065046363920502, 1.1026070630853877, 1.631739940716515,
+        -9.086534503015974, 25.90710985595545, 415.71497427686484,
+        4822.023219376812, 462289.85927149776, -1945939.0755905332,
+        -70004598.12451696, -61721080746.46419],
+    (True, 0.3): [
+        0.6906716907774576, -0.30965071949966666, -0.1573201153894085,
+        0.03263794558266949, -0.004569498448540836, 0.0018296328290117385,
+        0.00011617470438327518, 2.067439556742243e-05, 1.0594858740535762e-07,
+        9.345275996035688e-09, -9.668130622055537e-11, -3.1961943362593915e-12,
+        3.7188257268264497e-14, -1.9951884484795357e-18],
+    (True, 0.5): [
+        0.5235159667865847, -0.04126049663626041, -0.06843070801000053,
+        0.002087696614001619, 0.0018610454755433326, -0.00019297098371355163,
+        -4.55499693461819e-05, -2.573294254650481e-06, -8.783272004532522e-09,
+        -9.822205023232442e-10, 2.970716474803066e-12, -8.917215809788474e-14,
+        -1.1300265058087613e-15, 5.587986666541087e-20],
+    (True, 1.0): [
+        0.2940778121114126, 0.061744500914701746, -0.0067275389483691,
+        -0.006737201045811864, -6.9376378624949e-05, 0.00018226682453336467,
+        -2.1768760514228774e-05, 1.357797485505076e-06, 1.1896762259928669e-08,
+        -1.9865995076589387e-10, 5.531817301756357e-12, -4.732953032282389e-13,
+        -1.132405898050455e-14, -4.003924809419577e-18],
+}
+
+
 def hard_edge_reference(a, alpha, theta, tilde):
-    """210-digit G_inf (G~_inf with tilde) at LARGE_ZS, keyed by z."""
-    num, den = foxh._g_factors(a, alpha, theta, None, tilde)
-    return dict(zip(LARGE_ZS, residue_sum(num, den, LARGE_ZS, 210)))
+    """The frozen G_inf (G~_inf with tilde) at LARGE_ZS, keyed by z."""
+    assert HARD_EDGE_CASES[tilde][theta] == (a, alpha)
+    return dict(zip(LARGE_ZS, HARD_EDGE_REFERENCE[tilde, theta]))
 
 
 class TestLargeArgument:

@@ -3,6 +3,7 @@ import json
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache, partial
 
 import mpmath
@@ -14,9 +15,9 @@ from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.correlations import (CorrelationRequest, rho_bures,
                                        rho_bures_hard_edge, rho_cauchy)
-from cauchybures.kernels import (KernelGrid, _gamma_upper, _k11_side,
-                                 _k11_tables, cd_hard_scaled, cd_kernel,
-                                 delta_k00_inf, delta_k11_inf,
+from cauchybures.kernels import (KernelGrid, _h_seed, _h_series, _k11_side,
+                                 _k11_rationals, _k11_tables, cd_hard_scaled,
+                                 cd_kernel, delta_k00_inf, delta_k11_inf,
                                  hard_edge_kernel, hatted, i1_integral, k01,
                                  k10, k11, make_grid, sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
@@ -741,51 +742,98 @@ class TestSharedTSides:
 class TestK11Core:
     @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 1.3, 0.9])
     @pytest.mark.parametrize("c", [0.004, 0.5, 3.0, 40.0, 400.0])
-    def test_chains_match_gammainc(self, theta, c):
-        # H(s) = e^c c^{-s} Gamma(s, c) at s = -e - theta j, and each seed
-        # Gamma(s, c) that _k11_side takes (_gamma_upper), against one
-        # mpmath upper gammainc per j.  e = 0 seeds a chain at s = 0, an
-        # integer; e = -0.9 has s > 0; at c = 40 a chain without guard
-        # digits loses 8-13 digits, and at c = 400, where e^{-c} lies
-        # below the working precision, the seeds are mpmath's own; theta =
-        # 1.3 and 0.9 have no chain, so every j is a seed, and (e, theta) =
-        # (0.1, 0.9) puts s_1 2.8e-17 off -1.  The reference runs 30 digits
-        # above the working 50, because mpmath's gammainc itself loses up to
-        # 9 at c = 40, s = -j.
-        n = 12
-        seeds = min(theta.as_integer_ratio()[1], n)
+    def test_chains_match_gammainc(self, monkeypatch, theta, c):
+        # H(s) = e^c c^{-s} Gamma(s, c) at s = -e - theta j, each side value
+        # and each seed that _k11_side takes (_h_seed), against one mpmath
+        # upper gammainc per s.  e = 0 puts s = 0 and, at theta = 1 and 2,
+        # every s on an integer; e = -0.9 has s > 0; c = 0.004-3 seeds by
+        # the series, which loses up to 17 digits within 1e-17 of a pole,
+        # c = 40 and 400 by the continued fraction; at c = 3 a chain runs
+        # down with up to 7 guard bits (up it would need 8-39), at c = 40
+        # and 400 up with none (down 31-128); theta = 1.3 and 0.9 have no
+        # chain, so every j is a seed, and (e, theta) = (0.1, 0.9) puts s_1
+        # 2.8e-17 off -1.  The reference runs 30 digits above the working
+        # 50, because mpmath's gammainc itself loses up to 9 at c = 40.
+        n, seeds = 12, []
+        seed = kernels._h_seed
+
+        def spied_seed(s, w, bits):
+            seeds.append((s, bits, seed(s, w, bits)))
+            return seeds[-1][-1]
+
+        monkeypatch.setattr(kernels, "_h_seed", spied_seed)
+        want = min(theta.as_integer_ratio()[1], n)
         for e in (0.0, 0.7, -0.9, 0.1):
+            seeds.clear()
             with mpmath.workdps(50):
-                th = mpmath.mpf(theta)
-                got = _k11_side(e, theta, n, c)
-                seed = [_gamma_upper(-e - th * j, c) for j in range(seeds)]
+                got, unit = _k11_side(e, theta, n, c)
+            assert len(seeds) == want
             with mpmath.workdps(80):
                 w = mpmath.mpf(c)
-                ref = [mpmath.gammainc(-e - th * j, w) for j in range(n)]
-                err = max(abs(g / (mpmath.exp(w) * w ** (e + th * j) * r)
-                              - 1) for j, (g, r) in enumerate(zip(got, ref)))
-                seed_err = max(abs(g / r - 1) for g, r in zip(seed, ref))
+
+                def ref(s):
+                    return mpmath.exp(w) * w ** -s * mpmath.gammainc(s, w)
+
+                th = mpmath.mpf(theta)
+                err = max(abs(mpmath.ldexp(g, unit) / ref(-e - th * j) - 1)
+                          for j, g in enumerate(got))
+                seed_err = max(abs(mpmath.ldexp(g, -bits) / ref(
+                    mpmath.mpf(s.numerator) / s.denominator) - 1)
+                    for s, bits, g in seeds)
             assert err < 1e-48, (e, mpmath.nstr(err, 3))
             assert seed_err < 1e-48, (e, mpmath.nstr(seed_err, 3))
 
-    def test_seed_past_total_cancellation(self):
-        # 2.8e-17 from the pole at -1 the difference loses 18 digits at
-        # w = 2: at 5 working digits its first try, at 16, is exactly 0
-        with mpmath.workdps(50):
-            s = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
+    def test_seed_past_total_cancellation(self, monkeypatch):
+        # 2.8e-17 from the pole at -1 the series' difference loses 18
+        # digits at w = 2: a first try at 5 + 2 * 4 = 13 digits keeps none
+        # (it reads 3.8e3 against 0.277), and mp_sum must see that
+        monkeypatch.setattr(kernels, "_DPS_STEP", 4)
+        s = -Fraction(0.1) - Fraction(0.9)
+        with mpmath.workdps(13):
+            noise, log_peak = _h_series(s, 2.0)
+        assert abs(noise) > 100
         with mpmath.workdps(5):
-            got = _gamma_upper(s, 2.0)
+            got = _h_seed(s, 2.0, 40)
         with mpmath.workdps(80):
-            assert abs(got / mpmath.gammainc(s, 2.0) - 1) < 1e-3
+            sm = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
+            want = mpmath.exp(2) * 2 ** -sm * mpmath.gammainc(sm, 2)
+            assert abs(mpmath.ldexp(got, -40) / want - 1) < 1e-10
 
     def test_seed_past_the_precision_ceiling(self, monkeypatch):
-        # a loss that mp_sum refuses falls back to mpmath's own route
+        # a loss that mp_sum refuses falls back to the continued fraction,
+        # which needs no Gamma(s)
         monkeypatch.setattr(numerics, "_MAX_DPS", 64)
+        fractions, fraction = [], kernels._h_fraction
+
+        def spied_fraction(*args):
+            fractions.append(args)
+            return fraction(*args)
+
+        monkeypatch.setattr(kernels, "_h_fraction", spied_fraction)
+        s = -Fraction(0.1) - Fraction(0.9)
         with mpmath.workdps(50):
-            s = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
-            got = _gamma_upper(s, 40.0)
+            got = _h_seed(s, 2.0, 220)
+        assert len(fractions) == 1
         with mpmath.workdps(80):
-            assert abs(got / mpmath.gammainc(s, 40.0) - 1) < 1e-48
+            sm = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
+            want = mpmath.exp(2) * 2 ** -sm * mpmath.gammainc(sm, 2)
+            assert abs(mpmath.ldexp(got, -220) / want - 1) < 1e-48
+
+    @pytest.mark.parametrize("s", [
+        -Fraction(0.3), -Fraction(0.1) - Fraction(0.9), Fraction(0.9),
+        -Fraction(0.3) - Fraction(1.3) * 160],
+        ids=["-0.3", "near-pole", "0.9", "-208.3"])
+    def test_gamma_scaled_without_mpmath_gamma(self, s):
+        # e^W W^{-s} Gamma(s) at W = 128 from the sum and the continued
+        # fraction at W, 2.8e-17 from a pole, at s > 0 and at s = -208.3,
+        # against mpmath's gamma 64 bits above; without the fraction's
+        # H(s, W) it is about e^{-128} = 2^{-185} off
+        prec = 700
+        got = kernels._gamma_scaled(s, prec)
+        with mpmath.workprec(prec + 64):
+            sm = mpmath.mpf(s.numerator) / s.denominator
+            want = mpmath.exp(128) * mpmath.mpf(128) ** -sm * mpmath.gamma(sm)
+            assert abs(got / want - 1) < mpmath.ldexp(1, 4 - prec)
 
     # (params, seeds per side): one chain per residue mod q where theta =
     # p/q with q < N, a seed per j otherwise
@@ -793,39 +841,91 @@ class TestK11Core:
         ((0.0, 0.0, 1.0, 12), 1), ((0.2, 0.9, 2.0, 12), 1),
         ((0.3, 0.7, 1.5, 12), 2), ((0.4, 1.4, 1.3, 12), 12)])
     def test_one_seed_per_chain(self, monkeypatch, p, seeds):
-        sides, seeded, upper = [], [], []
-        side, seed, gammainc = (kernels._k11_side, kernels._gamma_upper,
+        sides, seeded, upper, lower = [], [], [], []
+        side, seed, gammainc = (kernels._k11_side, kernels._h_seed,
                                 mpmath.gammainc)
 
         def counted_side(*args):
             sides.append(args)
             return side(*args)
 
-        def counted_seed(s, w):
+        def counted_seed(s, w, bits):
             seeded.append(s)
-            return seed(s, w)
+            return seed(s, w, bits)
 
         def spied_gammainc(z, *args, **kwargs):
-            if len(args) == 1:  # Gamma(z, w), the upper incomplete gamma
-                upper.append(z)
+            # Gamma(z, w), the upper incomplete gamma, or gamma(z, w)
+            (upper if len(args) == 1 else lower).append(z)
             return gammainc(z, *args, **kwargs)
 
         monkeypatch.setattr(kernels, "_k11_side", counted_side)
-        monkeypatch.setattr(kernels, "_gamma_upper", counted_seed)
+        monkeypatch.setattr(kernels, "_h_seed", counted_seed)
         monkeypatch.setattr(mpmath, "gammainc", spied_gammainc)
         k11(EnsembleParams(*p), 0.6564, 1.8995)
         assert len(seeded) == seeds * len(sides) > 0
-        assert all(mpmath.isint(z) for z in upper)
+        assert all(mpmath.isint(z) for z in upper) and not lower
 
     def test_cached_tables_are_isolated(self):
         p = EnsembleParams(0.2, 0.9, 2.0, 12)
         want = repr(k11(p, 0.4, 0.9))
         k11(EnsembleParams(0.2, 0.9, 2.0, 14), 0.4, 0.9)
+        _k11_rationals.cache_clear()
         for prec in (100, 700):
             _k11_tables(p.a, p.b, p.theta, p.n, prec)
+        # one rational build serves every precision
+        assert _k11_rationals.cache_info()[:2] == (1, 1)
         assert repr(k11(p, 0.4, 0.9)) == want
         _k11_tables.cache_clear()
         assert repr(k11(p, 0.4, 0.9)) == want
+
+    @pytest.mark.parametrize("p", [(0.3, 0.7, 1.5, 12), (0.4, 1.4, 1.3, 40)])
+    @pytest.mark.parametrize("prec", [100, 700])
+    def test_integer_tables_are_the_exact_rationals(self, p, prec):
+        # coef_j by the recurrence of Gamma(alpha+N+1+j) / (j! Gamma(N-j)
+        # Gamma(alpha+1+j)) in Fractions, h_m = 1/(alpha+1+m), to one unit
+        a, b, theta, n = p
+        al1 = (Fraction(a) + Fraction(b) + 1) / Fraction(theta)
+        coef = [math.prod(al1 + i for i in range(n)) / math.factorial(n - 1)]
+        for j in range(n - 1):
+            coef.append(-coef[-1] * (al1 + n + j) * (n - 1 - j)
+                        / ((j + 1) * (al1 + j)))
+        h = [1 / (al1 + m) for m in range(2 * n - 1)]
+        got_c, uc, got_h, uh = _k11_tables(a, b, theta, n, prec)
+        for got, unit, want in ((got_c, uc, coef), (got_h, uh, h)):
+            assert len(got) == len(want)
+            assert all(abs(g - x / Fraction(2) ** unit) < 1
+                       for g, x in zip(got, want))
+        # each vector keeps prec + 16 bits under its first entry
+        assert got_c[0].bit_length() >= prec + 16
+        assert got_h[0].bit_length() >= prec + 16
+
+    def test_large_point_needs_no_guard_digits(self):
+        # at w = 650 and 700 every chain runs upward, where no step grows
+        # an error, from a continued-fraction seed; downward it would carry
+        # 168 guard digits (3.5 s for the first call); perfbench/mpref.k11
+        # at 40 + 2N digits, confirmed at 30 more
+        p = EnsembleParams(0.3, 0.7, 1.5, 40)
+        assert k11(p, 700.0, 650.0) == pytest.approx(-5.5394905050230754e-7,
+                                                     rel=1e-12)
+
+    def test_every_seed_by_the_continued_fraction(self, monkeypatch):
+        # theta = 1.3 has no chain: all 2N seeds, at w >= 300, come from
+        # the continued fraction, none from the series; perfbench/mpref.k11
+        # at 40 + 2N digits, confirmed at 30 more
+        calls = Counter()
+
+        def counted(fn):
+            def call(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return call
+
+        for name in ("_h_fraction", "_h_series"):
+            monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+        p = EnsembleParams(0.4, 1.4, 1.3, 24)
+        assert k11(p, 320.0, 300.0) == pytest.approx(
+            -1.001723379766171883e-05, rel=1e-12)
+        assert calls == {"_h_fraction": 2 * p.n}
 
     # hard-edge-scale points x, y ~ N^{-2/theta}, where |K11| is ~1e-2 of
     # its 1/(x+y) floor (in the bulk it is ~1e-16 of it, and a core that

@@ -311,7 +311,10 @@ class TestFixedPoint:
                                           rng.uniform(-15, 15, 80),
                                           rng.integers(0, 4, 80))]
                       for _ in range(2))
-            (ix, ux), (iy, uy) = _fixed_point(xs), _fixed_point(ys)
+            # exact integers on 2^-700, below every x's last bit, cut back
+            (ix, ux), (iy, uy) = (
+                _fixed_point([int(mpmath.ldexp(x, 700)) for x in v], -700)
+                for v in (xs, ys))
             got = mpmath.mpf((sum(map(operator.mul, ix, iy)), ux + uy))
             want = mpmath.fdot(xs, ys)
             peak = max(abs(x * y) for x, y in zip(xs, ys))
@@ -319,7 +322,7 @@ class TestFixedPoint:
             assert abs(got - want) <= mpmath.ldexp(peak, -prec)
 
     def test_zero_vector(self):
-        assert _fixed_point([mpmath.mpf(0)] * 3)[0] == [0, 0, 0]
+        assert _fixed_point([0] * 3, -5) == ([0, 0, 0], -5)
 
 
 class TestPfaffian:
