@@ -19,7 +19,10 @@ from typing import NamedTuple, Sequence
 
 import mpmath
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
+                          from_man_exp, fzero, mpf_add,
+                          mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg,
+                          mpf_pos, round_nearest, to_fixed)
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          PoleCollisionError, PoleError)
@@ -41,6 +44,8 @@ __all__ = [
 ]
 
 _LN_EPS = math.log(1e-16)
+_LN2 = math.log(2.0)
+_FACTORIALS = [1]
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 # Poles closer than _MERGE_RTOL (GammaFactor.pole_gap) are one entry of the
 # float series; a z whose terms reach an entry merged across _ROUND_RTOL or
@@ -71,14 +76,6 @@ class GammaFactor:
     def __post_init__(self):
         object.__setattr__(self, "shift", Fraction(self.shift))
         object.__setattr__(self, "near", float(self.shift))
-
-    def mp_shift(self):
-        """shift in mpmath, at the working precision; a power-of-two
-        denominator, as of any float plus an integer, takes no division."""
-        p, q = self.shift.numerator, self.shift.denominator
-        if q & (q - 1):
-            return mpmath.mpf(p) / q
-        return mpmath.mpf((p, 1 - q.bit_length()))
 
     def pole(self, k: int) -> float:
         return -(self.near + k) / self.slope
@@ -179,7 +176,7 @@ class _Pole(NamedTuple):
 class _ResidueTable:
     """Left poles of one integrand, in the order the residue series sums
     them, computed once per integrand and reused at every z; `exact` holds
-    the same coefficients in mpmath, at the most bits a sum has asked for
+    the same coefficients on integers, at the most bits a sum has asked for
     (`exact_prec`), which serve every sum at fewer."""
 
     def __init__(self, num: tuple, den: tuple):
@@ -192,6 +189,20 @@ class _ResidueTable:
         self.entries: list[_Pole] = []
         self._arrays = np.empty((5, 0))
         self.exact, self.exact_prec = [], 0
+        self.runs, self.family, self.chains = {}, {}, {}
+        # per factor (p b, a q, q b), its shift p/q and slope a/b exact: at
+        # u = U/V its argument is (p b V + a q U) / (q b V)
+        self.forms = tuple(
+            [(f.shift.numerator * b, a * f.shift.denominator,
+              f.shift.denominator * b)
+             for f in factors for a, b in [f.slope.as_integer_ratio()]]
+            for factors in (num, den))
+        # per numerator, the (index, d) of each denominator of its slope
+        # whose shift is smaller by an integer d (_exact_leading)
+        self.pairs = [[(j, int(f.shift - g.shift)) for j, g in enumerate(den)
+                       if g.slope == f.slope
+                       and (f.shift - g.shift).denominator == 1]
+                      for f in num]
         self.length = self._length()
         if not self.length:
             raise DomainError("a denominator gamma cancels every left pole")
@@ -286,99 +297,164 @@ class _ResidueTable:
                     term_log[at] += np.log(np.abs(factor))
         return term_log, term_sign
 
-    def exact_sum(self, z: float, term_log: np.ndarray,
-                  lost_digits: float) -> float:
-        """The residues whose float logs are term_log, summed exactly, at
-        the exact shifts and float slopes.
+    def exact_sum(self, zs: list, term_logs: list, lost: list) -> list:
+        """The residues whose float logs are term_logs[i] (lists), summed
+        exactly at zs[i], at the exact shifts and float slopes: one pass
+        over every z a residue_series call re-sums.
 
-        The terms double until the last three nonzero ones lie below 1e-16
-        of the exact total, or to the series' end (`length`), and
-        numerics.mp_sum raises the precision until the digits lost to the
-        largest term leave enough, from lost_digits.  At p bits the sum runs
-        on integer mantissas: z^{-u0} at the k-th pole of Gamma(shift +
-        slope*u) is z^{shift/slope} (z^{1/slope})^k, cut to p + _GUARD_BITS
-        bits per step, and every term is added into one integer in units of
-        2^{-p - _GUARD_BITS} of the largest, cheaper than mpmath's rounding.
+        The pass builds the coefficients it needs once (`_ensure`), at the
+        largest of the zs' precision hints: the float loss plus 20 digits,
+        or, where the float total is rounding noise, the largest term's
+        digits plus 20.  numerics.mp_sum then confirms each z's digits from
+        its own hint, raising that z's precision alone.  Each z's terms
+        double until the last three nonzero ones lie below 1e-16 of its
+        exact total, or to the series' end (`length`).
         """
-        log_z, length, peak = math.log(z), self.length, float(term_log.max())
+        hints = []
+        for z, logs, lost_digits in zip(zs, term_logs, lost):
+            peak, log_z = max(logs), math.log(z)
+            # a loss within a digit of the terms' noise, 1e-16 of log_c and
+            # of u0 log z each, is noise: start where a total of order one
+            # keeps digits
+            u0 = max(abs(self.entries[0].u0),  # the poles run leftward
+                     abs(self.entries[len(logs) - 1].u0))
+            if lost_digits > 15 - math.log10(1 + abs(peak)
+                                             + 2 * abs(log_z) * u0):
+                lost_digits = max(lost_digits, peak / math.log(10.0))
+            hints.append(_DPS_STEP * math.ceil((lost_digits + _SPARE_DIGITS)
+                                               / _DPS_STEP))
+        with mpmath.workdps(max(hints)):
+            self._ensure(max(map(len, term_logs)))
+        return [float(mp_sum(partial(self._sum_at, z, logs), dps))
+                for z, logs, dps in zip(zs, term_logs, hints)]
 
-        def sum_at():
-            dps, bits = mpmath.mp.dps, mpmath.mp.prec + _GUARD_BITS
-            if mpmath.mp.prec > self.exact_prec:
-                self.exact, self.exact_prec = [], mpmath.mp.prec
-            fix = self.exact_prec + _GUARD_BITS  # the unit of each poly
-            mz = mpmath.mpf(z)
-            log_mz = mpmath.log(mz)
-            neg_log_z = -to_fixed(log_mz._mpf_, fix)
-            # family -> (k, m, e, m', e'): z^{-u0} = m 2^e at its k-th pole,
-            # z^{1/slope} = m' 2^e'
-            powers = {}
-            unit = math.floor(peak / math.log(2.0)) - bits
-            acc, done, logs = 0, 0, term_log
-            while done < len(logs):
-                n = len(logs)
-                if len(self.exact) < n:  # at the precision of the rest
-                    with mpmath.workprec(self.exact_prec):
-                        self.exact += [_exact_coefficient(
-                            self.num, self.den, self.entry(i), fix)
-                            for i in range(len(self.exact), n)]
-                for coeff in self.exact[done:n]:
-                    if coeff is None:
-                        continue
-                    j, k, extra, parts = coeff
-                    if j not in powers:  # w = z exactly where slope = 1
-                        f = self.num[j]
-                        seed = mpmath.exp(log_mz * f.mp_shift() / f.slope
-                                          ) if f.shift else mpmath.mpf(1)
-                        w = mz if f.slope == 1 else mpmath.exp(log_mz
-                                                               / f.slope)
-                        powers[j] = (0, *_mantissa(seed), *_mantissa(w))
-                    k0, pm, pe, wm, we = powers[j]
-                    for _ in range(k - k0):
+    def _ensure(self, n: int) -> None:
+        """Exact coefficients of the first n entries at the working
+        precision or more: `exact` by entry, None where every pole is
+        cancelled, and `runs`, each left family's (entry, k, m, e, poly,
+        split) in k order (_exact_coefficient).  A sum at more bits than any
+        before rebuilds them, with each family's shift/slope and slope as
+        libmp values at those bits (`family`)."""
+        prec = mpmath.mp.prec
+        if prec > self.exact_prec:
+            self.exact, self.exact_prec = [], prec
+            self.runs, self.family, self.chains = {}, {}, {}
+            for j, (f, (pb, aq, _)) in enumerate(zip(self.num,
+                                                     self.forms[0])):
+                if f.slope > 0:
+                    self.runs[j] = []
+                    self.family[j] = (_ratio(pb, aq, prec) if pb else None,
+                                      from_float(f.slope))
+        if len(self.exact) < n:
+            with mpmath.workprec(self.exact_prec):
+                fix = self.exact_prec + _GUARD_BITS  # the unit of each poly
+                for i in range(len(self.exact), n):
+                    coeff = _exact_coefficient(self, self.entry(i), fix)
+                    self.exact.append(coeff)
+                    if coeff is not None:
+                        self.runs[coeff[0]].append((i, *coeff[1:]))
+
+    def gamma_ratio(self, i, g, d: int, p: int, q: int):
+        """Gamma(w)/Gamma(w - d) at w = p/q for numerator i and denominator
+        g of one slope whose shifts differ by d; Gamma(w) where g is None,
+        1/Gamma(w) where i is None (d = 0).  A libmp value at the working
+        precision.
+
+        The arguments of one factor, or pair, at one left family's poles
+        that differ by integers form a chain (`chains`).  Its first value is
+        mpmath.gamma or rgamma, or a pair's |d| linear factors (_rising);
+        each next one is the last times the linear factors between them,
+        one fraction of integers, rounded once to _GUARD_BITS past the
+        working precision, so that _MAX_TERMS steps stay below its last bit.
+        """
+        prec = mpmath.mp.prec
+        wp = prec + _GUARD_BITS
+        key = (prec, i, g, q, p % q)
+        if key in self.chains:
+            p0, value = self.chains[key]
+            m = (p - p0) // q
+            top, bottom = (1, 1) if i is None else _rising(p0, q, m)
+            if g is not None:
+                b, t = _rising(p0 - d * q, q, m)
+                top, bottom = top * t, bottom * b
+            value = mpf_mul(value, _ratio(top, bottom, wp), wp)
+        elif i is not None and g is not None:
+            value = _ratio(*_rising(p - d * q, q, d), wp)
+        else:
+            x = _mpf_ratio(p, q)
+            value = (mpmath.rgamma(x) if i is None else mpmath.gamma(x))._mpf_
+        self.chains[key] = (p, value)
+        return value
+
+    def _sum_at(self, z: float, logs: list) -> tuple:
+        """(total, log of the largest term) of the residues at z at the
+        working precision p, for numerics.mp_sum.
+
+        The sum runs on integers, one left family at a time: z^{-u0} at the
+        k-th pole of Gamma(shift + slope*u) is z^{shift/slope}
+        (z^{1/slope})^k, cut to p + _GUARD_BITS bits per step, and every
+        term is added into one integer in units of 2^{-p - _GUARD_BITS} of
+        the largest.  A split pole's parts are summed in libmp at their
+        extra digits.  More terms than the float sum kept (logs) are taken
+        where its tail does not lie below the exact total.
+        """
+        prec = mpmath.mp.prec
+        bits = prec + _GUARD_BITS
+        self._ensure(len(logs))
+        fix = self.exact_prec + _GUARD_BITS
+        log_z = mpf_log(from_float(z), prec, round_nearest)
+        neg_log_z = -to_fixed(log_z, fix)
+        chains = {}  # family -> (terms done, k, m, e, m', e'): z^{-u0} =
+        # m 2^e at its k-th pole, z^{1/slope} = m' 2^e'
+        for j, (ratio, slope) in self.family.items():
+            seed = mpf_exp(mpf_mul(log_z, ratio, prec), prec) if ratio else fone
+            w = (from_float(z) if slope == fone  # z exactly
+                 else mpf_exp(mpf_div(log_z, slope, prec), prec))
+            chains[j] = (0, 0, *_mantissa(seed), *_mantissa(w))
+        unit = math.floor(max(logs) / _LN2) - bits
+        acc = 0
+        while True:
+            n = len(logs)
+            for j, run in self.runs.items():
+                done, k0, pm, pe, wm, we = chains[j]
+                for i, k, man, exp, poly, split in run[done:]:
+                    if i >= n:
+                        break
+                    done += 1
+                    while k0 < k:
+                        k0 += 1
                         pm *= wm
-                        cut = max(pm.bit_length() - bits, 0)
-                        pm, pe = pm >> cut, pe + we + cut
-                    powers[j] = (k, pm, pe, wm, we)
-                    if extra:  # a split pole, see _exact_coefficient
-                        with mpmath.workdps(dps + extra):
-                            log_w = mpmath.log(mz)
-                            part_sum = sum(
-                                c * mpmath.exp(-offset * log_w)
-                                * _monic(poly, -log_w)
-                                for offset, c, poly in parts)
-                        man, exp = _mantissa(part_sum)
-                    else:
-                        man, exp, poly = parts
-                        if poly is not None:  # _monic in fixed point
-                            fixed = neg_log_z + poly[-1]
-                            for q in poly[-2::-1]:
-                                fixed = (fixed * neg_log_z >> fix) + q
-                            man *= fixed
-                            exp -= fix
+                        cut = pm.bit_length() - bits
+                        if cut > 0:
+                            pm >>= cut
+                            pe += cut
+                        pe += we
+                    if split:  # see _exact_coefficient
+                        man, exp = _mantissa(_split_sum(*split, z))
+                    elif poly is not None:  # _monic in fixed point
+                        fixed = neg_log_z + poly[-1]
+                        for q in poly[-2::-1]:
+                            fixed = (fixed * neg_log_z >> fix) + q
+                        man *= fixed
+                        exp -= fix
                     man *= pm
                     exp += pe - unit
                     acc += man << exp if exp >= 0 else man >> -exp
-                done = n
-                total = mpmath.mpf((acc, unit))
-                tail = logs[logs > -math.inf][-3:]
-                if total and n < length and not (
-                        len(tail) == 3 and np.all(tail < _LN_EPS
-                                                  + ln_abs(total))):
-                    if n >= _MAX_TERMS:
-                        raise NonConverged(f"residue series not converged "
-                                           f"after {_MAX_TERMS} terms")
-                    logs = self.log_terms(min(2 * n, _MAX_TERMS, length),
-                                          np.array([log_z]))[0][:, 0]
-            return total, float(np.max(logs))
-
-        # a loss within a digit of the terms' noise, 1e-16 of log_c and of u0
-        # log z each, is noise: start where a total of order one keeps digits
-        u0 = max(abs(self.entries[0].u0),  # the poles run leftward
-                 abs(self.entries[len(term_log) - 1].u0))
-        if lost_digits > 15 - math.log10(1 + abs(peak) + 2 * abs(log_z) * u0):
-            lost_digits = max(lost_digits, peak / math.log(10.0))
-        dps = _DPS_STEP * math.ceil((lost_digits + _SPARE_DIGITS) / _DPS_STEP)
-        return float(mp_sum(sum_at, dps))
+                chains[j] = (done, k0, pm, pe, wm, we)
+            total = mpmath.mp.make_mpf(from_man_exp(acc, unit, prec,
+                                                    round_nearest))
+            if not total or n >= self.length:
+                break
+            tail = [t for t in logs if t > -math.inf][-3:]
+            if len(tail) == 3 and max(tail) < _LN_EPS + ln_abs(total):
+                break
+            if n >= _MAX_TERMS:
+                raise NonConverged(f"residue series not converged after "
+                                   f"{_MAX_TERMS} terms")
+            logs = self.log_terms(min(2 * n, _MAX_TERMS, self.length),
+                                  np.array([math.log(z)]))[0][:, 0].tolist()
+            self._ensure(len(logs))
+        return total, max(logs)
 
 
 @lru_cache(maxsize=128)
@@ -406,9 +482,10 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     terms below 1e-16 of its partial sum, or where every family's poles
     are cancelled (_ResidueTable.length, as after the n terms of G_n).  A z
     that loses more than two digits, or whose terms reach poles merged
-    across _ROUND_RTOL or more or of order 3 or more, is re-summed exactly
-    (_ResidueTable.exact_sum).  Every pole cancelled raises DomainError, a
-    value past double range ComplexityError.
+    across _ROUND_RTOL or more or of order 3 or more, is re-summed exactly,
+    every such z of the call in one pass (_ResidueTable.exact_sum).  Every
+    pole cancelled raises DomainError, a value past double range
+    ComplexityError.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):
@@ -465,11 +542,14 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     # double range, so it is not exponentiated
     with np.errstate(over="ignore"):
         values = np.sign(total) * np.exp(np.where(resum, 0.0, total_log))
-    for i in np.flatnonzero(resum):
+    redo = np.flatnonzero(resum)
+    if len(redo):
         # alternating cancellation ate too many digits, or a float term is
         # not trusted; redo the terms exactly at a confirmed precision
-        values[i] = table.exact_sum(float(zs.flat[i]),
-                                    term_log[:last[i] + 1, i], float(lost[i]))
+        values[redo] = table.exact_sum(
+            zs.flat[redo].tolist(),
+            [term_log[:last[i] + 1, i].tolist() for i in redo],
+            lost[redo].tolist())
     if not np.all(np.isfinite(values)):
         at = zs.flat[np.flatnonzero(~np.isfinite(values))[0]]
         raise ComplexityError(f"residue series value at z = {at:g} lies "
@@ -478,11 +558,8 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
 
 
 def _monic(poly, y):
-    """y^m + poly[m-1] y^(m-1) + ... + poly[0], m = len(poly); 1 for None.
-
-    Works on floats, arrays and mpmath numbers alike."""
-    if poly is None:
-        return 1
+    """y^m + poly[m-1] y^(m-1) + ... + poly[0], m = len(poly), on floats
+    or arrays."""
     acc = y + poly[-1]
     for q in poly[-2::-1]:
         acc = acc * y + q
@@ -519,33 +596,85 @@ def _leading_coefficient(gammas):
     return sign, log_mag
 
 
-def _exact_leading(gammas):
-    """_leading_coefficient in mpmath: (-1)^k / (k! slope) per singular
-    gamma, its value per regular one, numerators multiplying and
-    denominators dividing.  A regular numerator and denominator of one
-    slope whose shifts differ by an integer d, |d| <= 10, as in G~_n, are
-    the |d| linear factors of Gamma(v + d) / Gamma(v), not two gammas."""
-    den = [(g, v) for g, dirn, k, v in gammas if k is None and dirn < 0]
-    c = mpmath.mpf(1)
-    for f, dirn, k, w in gammas:
-        if k is not None:
-            fac = _factorial(k) * f.slope
-            c = c / fac if dirn > 0 else c * fac
-            c = -c if k % 2 else c
-        elif dirn > 0:
-            i = next((i for i, (g, _) in enumerate(den) if g.slope == f.slope
-                      and (f.shift - g.shift).denominator == 1
-                      and abs(f.shift - g.shift) <= 10), None)
-            if i is None:
-                c *= mpmath.gamma(w)
+def _exact_leading(table, sing_num, sing_den):
+    """_leading_coefficient at the exact pole of sing_num[0], a libmp value
+    at the working precision, and every gamma there as _gammas_at gives it,
+    but with the argument of a regular one an exact fraction (p, q).
+
+    The pole and every argument shift + slope*u0 are exact rationals, so
+    the singular gammas' (-1)^k / (k! slope) are one fraction of integers.
+    A regular numerator and denominator of one slope whose shifts differ by
+    an integer d (`_ResidueTable.pairs`) are one ratio Gamma(w)/Gamma(w -
+    d), |d| linear factors (as Gamma(alpha+n+1-u)/Gamma(alpha+1-u) and
+    Gamma(u)/Gamma(n+u) of G~_n); it and every unpaired regular gamma come
+    from their chains (`_ResidueTable.gamma_ratio`).
+    """
+    prec = mpmath.mp.prec
+    j, k = sing_num[0]
+    pb, aq, qb = table.forms[0][j]
+    big_u, big_v = -(pb + k * qb), aq  # u0 = U / V
+    top, bottom, gammas, regular = 1, 1, [], ({}, {})
+    for side, (factors, sing, dirn) in enumerate(((table.num, sing_num, 1),
+                                                  (table.den, sing_den, -1))):
+        singular = dict(sing)
+        for i, (f, (pb, aq, qb)) in enumerate(zip(factors, table.forms[side])):
+            if i not in singular:
+                regular[side][i] = (pb * big_v + aq * big_u, qb * big_v)
                 continue
-            g, v = den.pop(i)
-            d = int(f.shift - g.shift)  # w = v + d
-            c = (c * mpmath.fprod(v + n for n in range(d)) if d >= 0
-                 else c / mpmath.fprod(w + n for n in range(-d)))
-    for _, v in den:
-        c *= mpmath.rgamma(v)
-    return c
+            k = singular[i]
+            gammas.append((f, dirn, k, None))
+            # (-1)^k / (k! slope), slope = aq / qb
+            p, q = (-qb if k % 2 else qb), _factorial(k) * aq
+            top, bottom = (top * p, bottom * q) if dirn > 0 else (top * q,
+                                                                  bottom * p)
+    value = fone
+    for i, (p, q) in regular[0].items():
+        gammas.append((table.num[i], 1, None, (p, q)))
+        g, d = next(((g, d) for g, d in table.pairs[i] if g in regular[1]),
+                    (None, 0))
+        if g is not None:
+            gammas.append((table.den[g], -1, None, regular[1].pop(g)))
+        value = mpf_mul(value, table.gamma_ratio(i, g, d, p, q), prec)
+    for g, (p, q) in regular[1].items():
+        gammas.append((table.den[g], -1, None, (p, q)))
+        value = mpf_mul(value, table.gamma_ratio(None, g, 0, p, q), prec)
+    return mpf_mul(_ratio(top, bottom, prec), value, prec,
+                   round_nearest), gammas
+
+
+def _factorial(k: int) -> int:
+    """k!, from a list grown by one product per new k (math.factorial
+    recomputes every k! of a series from scratch)."""
+    while len(_FACTORIALS) <= k:
+        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
+    return _FACTORIALS[k]
+
+
+def _rising(p: int, q: int, m: int) -> tuple[int, int]:
+    """(top, bottom), Gamma(w + m)/Gamma(w) = top/bottom at w = p/q for any
+    integer m: the |m| linear factors w (w + 1) ... (w + m - 1), or their
+    reciprocal (w - 1) ... (w + m) for m < 0, as one fraction."""
+    acc = 1
+    for t in range(m) if m >= 0 else range(-1, m - 1, -1):
+        acc *= p + t * q
+    return (acc, q ** m) if m >= 0 else (q ** -m, acc)
+
+
+def _ratio(p: int, q: int, prec: int):
+    """p/q as a libmp value of prec bits, from one integer division to
+    _GUARD_BITS more (libmp's own from_rational strips the trailing zero
+    bits of p and q, 8 per pass, slow on the large powers of two of a
+    product of float shifts)."""
+    if q < 0:
+        p, q = -p, -q
+    shift = prec + _GUARD_BITS - p.bit_length() + q.bit_length()
+    man = (p << shift) // q if shift >= 0 else p // (q << -shift)
+    return from_man_exp(man, -shift, prec, round_nearest)
+
+
+def _mpf_ratio(p: int, q: int):
+    """p/q in mpmath at the working precision."""
+    return mpmath.mp.make_mpf(_ratio(p, q, mpmath.mp.prec))
 
 
 def _log_poly(gammas, order):
@@ -588,8 +717,9 @@ def _pole_log_taylor(k: int, k0: int, prec: int):
         return 2 * mpmath.psi(k - 1, 1) - t if k % 2 == 0 else t
 
 
-def _exact_coefficient(num, den, pole: _Pole, bits: int):
-    """(j, k, extra, parts) of the k-th pole u0 of num[j], or None.
+def _exact_coefficient(table, pole: _Pole, bits: int):
+    """(j, k, m, e, poly, split) of the k-th pole u0 of num[j], or None
+    where a denominator gamma cancels every pole.
 
     The residue is z^{-u0} times the sum over parts (offset, C, poly) of
     C z^{-offset} _monic(poly, -log z) (poly None at a simple pole).  Poles
@@ -598,10 +728,12 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
     Gamma(u) and Gamma(theta*u - a) at u = -11 are 3.4e-16 apart).  Each
     exact location is then a part, and their residues, which cancel by
     about 1/gap per merged numerator pole past the first, are summed at
-    `extra` more digits, the gap's once per merged numerator pole.  None
-    where a denominator gamma cancels every pole.  An unsplit pole's one
-    part is (m, e, poly) in integers: C = m 2^e, poly in units of 2^-bits.
+    `extra` more digits, the gap's once per merged numerator pole: split is
+    (parts, extra), libmp values at those digits (`_split_sum`).  An
+    unsplit pole's one part is in integers, split None: C = m 2^e at the
+    working precision, poly in units of 2^-bits.
     """
+    num, den = table.num, table.den
     spots = {}  # exact location -> singular (num, den) factors there
     group = len(pole.sing_num) + len(pole.sing_den) > 1
     for factors, sing, side in ((num, pole.sing_num, 0),
@@ -615,61 +747,63 @@ def _exact_coefficient(num, den, pole: _Pole, bits: int):
     gap = min((abs(x - y) for x in spots for y in spots if x != y), default=1)
     extra = _DPS_STEP * math.ceil(-len(pole.sing_num) * math.log10(gap)
                                   / _DPS_STEP)
-    # a regular gamma d from a pole of its own magnifies the rounding of u0
-    # by 1/d, up to 1e10 (_MERGE_RTOL); past 1e4 the sum's 20 spare digits
-    # would not keep a double's 16, so _DPS_STEP more are worked in
+    # a regular gamma d from a pole of its own magnifies the rounding of its
+    # argument by 1/d, up to 1e10 (_MERGE_RTOL); past 1e4 the sum's 20 spare
+    # digits would not keep a double's 16, so _DPS_STEP more are worked in
     near = min((abs(w - round(w)) for *_, k, w in _gammas_at(
         num, den, pole.sing_num, pole.sing_den,
         lambda f: f.near + f.slope * pole.u0) if k is None and w < 0.5),
         default=1.0)
-    parts = []
+    parts, prec = [], mpmath.mp.prec
     with mpmath.workdps(mpmath.mp.dps + extra
                         + (_DPS_STEP if near < 1e-4 else 0)):
+        wp = mpmath.mp.prec
         for at, (sing_num, sing_den) in spots.items():
             order = len(sing_num) - len(sing_den)
             if order <= 0:
                 continue
-            j, k = sing_num[0]
-            u0 = (-num[j].mp_shift() - k) / mpmath.mpf(num[j].slope)
-            gammas = list(_gammas_at(
-                num, den, sing_num, sing_den,
-                lambda f: f.mp_shift() + mpmath.mpf(f.slope) * u0))
-            c, poly = _exact_leading(gammas), None
+            c, gammas = _exact_leading(table, sing_num, sing_den)
+            poly = None
             if order > 1:
-                poly = _log_poly(gammas, order)
-                c /= math.factorial(order - 1)
+                poly = tuple(q._mpf_ for q in _log_poly(
+                    [(f, dirn, k, w if w is None else _mpf_ratio(*w))
+                     for f, dirn, k, w in gammas], order))
+                c = mpf_div(c, from_int(math.factorial(order - 1)), wp)
             offset = at - base
-            parts.append((mpmath.mpf(offset.numerator) / offset.denominator,
-                          c, poly))
-    if not parts or extra:
-        return (j0, k0, extra, parts) if parts else None
+            if extra:
+                offset = _ratio(offset.numerator, offset.denominator, wp)
+            parts.append((offset, c, poly))
+    if not parts:
+        return None
+    if extra:
+        return j0, k0, 0, 0, None, (parts, extra)
     ((_, c, poly),) = parts
     if poly is not None:
-        poly = tuple(to_fixed(q._mpf_, bits) for q in poly)
-    return j0, k0, 0, (*_mantissa(+c), poly)  # rounded to the working prec
+        poly = tuple(to_fixed(q, bits) for q in poly)
+    # rounded to the working precision
+    return j0, k0, *_mantissa(mpf_pos(c, prec, round_nearest)), poly, None
 
 
-@lru_cache(maxsize=16)
-def _factorials(prec: int) -> list:
-    """k! at prec + 32 bits, k = 0, 1, ..., grown by _factorial."""
-    return [mpmath.mpf(1)]
-
-
-def _factorial(k: int):
-    """k! at the working precision from _factorials' products, rounded
-    once per product: k < 2^16 roundings stay 2^16 below its last bit,
-    where mpmath.factorial runs its Stirling series anew at every k."""
-    table = _factorials(mpmath.mp.prec)
-    if len(table) <= k:
-        with mpmath.workprec(mpmath.mp.prec + 32):
-            while len(table) <= k:
-                table.append(table[-1] * len(table))
-    return table[k]
+def _split_sum(parts, extra: int, z: float):
+    """The parts of a split pole (_exact_coefficient) at z, summed in libmp
+    at `extra` digits past the working precision."""
+    wp = dps_to_prec(mpmath.mp.dps + extra)
+    y = mpf_neg(mpf_log(from_float(z), wp, round_nearest))  # -log z
+    total = fzero
+    for offset, c, poly in parts:
+        term = mpf_mul(c, mpf_exp(mpf_mul(offset, y, wp), wp), wp)
+        if poly is not None:  # _monic in libmp
+            acc = mpf_add(y, poly[-1], wp)
+            for q in poly[-2::-1]:
+                acc = mpf_add(mpf_mul(acc, y, wp), q, wp)
+            term = mpf_mul(term, acc, wp)
+        total = mpf_add(total, term, wp)
+    return total
 
 
 def _mantissa(x) -> tuple[int, int]:
-    """(m, e), m a signed integer, with the mpmath number x = m 2^e."""
-    sign, man, exp, _ = x._mpf_
+    """(m, e), m a signed integer, with the libmp value x = m 2^e."""
+    sign, man, exp, _ = x
     return -man if sign else man, exp
 
 

@@ -193,9 +193,9 @@ def resummed(monkeypatch):
     seen = []
     exact_sum = foxh._ResidueTable.exact_sum
 
-    def counted(table, z, term_log, lost):
-        seen.append(z)
-        return exact_sum(table, z, term_log, lost)
+    def counted(table, zs, term_logs, lost):
+        seen.extend(zs)
+        return exact_sum(table, zs, term_logs, lost)
 
     monkeypatch.setattr(foxh._ResidueTable, "exact_sum", counted)
     return seen
@@ -436,6 +436,89 @@ class TestIntegerResum:
             resummed.clear()
             assert foxh._g(a, alpha, theta, n, True, z) == value
             assert resummed == [z]
+            assert abs(value - ref) <= 2.5e-16 * abs(ref), z
+
+    # the G~ of the t-integrals at (a, b, theta) = (0.3, 0.7, 1.5): G~_6 of
+    # k10 at N = 6 over its nodes' range of z, and G~_inf of either side of
+    # the hard-edge kernels; every z loses 2.2 to 5.6 digits and re-sums
+    FROZEN = {
+        "g_tilde_6": (foxh._gtn_factors(
+            0.3, EnsembleParams(0.3, 0.7, 1.5, 6).alpha, 1.5, 6),
+            np.geomspace(0.035, 1.1, 10)),
+        "g_tilde_inf_a": (foxh._gtinf_factors(0.3, 2.0 / 1.5 - 1.0, 1.5),
+                          np.geomspace(1.5, 30.0, 8)),
+        "g_tilde_inf_b": (foxh._gtinf_factors(0.7, 2.0 / 1.5 - 1.0, 1.5),
+                          np.geomspace(1.5, 30.0, 8)),
+    }
+    # references.residue_sum of FROZEN at 60 digits, each within 1e-54 of
+    # the same sum at 80, rounded to doubles; printed by
+    #   PYTHONPATH=src:tests python -c "from references import residue_sum;
+    #   from test_foxh import TestIntegerResum as T; print({c: [float(v)
+    #   for v in residue_sum(*f, list(zs), 60)] for c, (f, zs) in
+    #   T.FROZEN.items()})"
+    FROZEN_REFERENCE = {
+        "g_tilde_6": [
+            0.34821623573281885, -0.02470821017576592, -0.19889831922236786,
+            -0.23669461837978453, -0.19651580272035285, -0.12693689258070606,
+            -0.06178221204135672, -0.018026770751346646,
+            0.002281093932214923, 0.006399936641411155],
+        "g_tilde_inf_a": [
+            0.019092452823723384, -0.010105920847347563,
+            -0.020379921917990523, -0.01915047946686985,
+            -0.012868718165051446, -0.0062189335674908705,
+            -0.0016798864142101642, 0.0003098586304727771],
+        "g_tilde_inf_b": [
+            -0.015792065838084856, -0.026708173127752585,
+            -0.024532103209640974, -0.016931841648760895,
+            -0.008981336059472596, -0.003265269681338679,
+            -0.0003338242331217543, 0.000524547945043759],
+    }
+
+    @pytest.mark.parametrize("case", sorted(FROZEN))
+    def test_resummed_values_are_frozen(self, case, resummed):
+        # one call on the array re-sums every z in one pass; each value is
+        # within an ulp of its reference, and calls one z at a time on a
+        # cold table return the same doubles bit for bit
+        (num, den), zs = self.FROZEN[case]
+        foxh._residue_table.cache_clear()
+        got = residue_series(num, den, zs)
+        assert resummed == list(zs)
+        for z, value, want in zip(zs, got, self.FROZEN_REFERENCE[case]):
+            assert abs(value - want) <= math.ulp(want), z
+        foxh._residue_table.cache_clear()
+        assert [residue_series(num, den, float(z)) for z in zs] == list(got)
+
+    def test_ratio_pairs_call_no_gamma_at_n_40(self, monkeypatch, resummed):
+        # G~_40 at (a, theta) = (0.3, 1.5): at a pole of Gamma(theta*u - a)
+        # the other gammas pair as Gamma(u)/Gamma(40 + u) and
+        # Gamma(alpha + 41 - u)/Gamma(alpha + 1 - u), 40 linear factors
+        # each, so no coefficient of that family calls mpmath's gamma
+        calls, builds = [], []
+        for name in ("gamma", "rgamma"):
+            def spy(x, real=getattr(mpmath, name)):
+                calls.append(x)
+                return real(x)
+            monkeypatch.setattr(mpmath, name, spy)
+        build = foxh._exact_coefficient
+
+        def counted(table, pole, bits):
+            before = len(calls)
+            coeff = build(table, pole, bits)
+            builds.append((pole.sing_num[0][0], len(calls) - before))
+            return coeff
+
+        monkeypatch.setattr(foxh, "_exact_coefficient", counted)
+        num, den = foxh._gtn_factors(
+            0.3, EnsembleParams(0.3, 0.7, 1.5, 40).alpha, 1.5, 40)
+        zs = np.geomspace(0.05, 3.0, 12)
+        foxh._residue_table.cache_clear()
+        got = residue_series(num, den, zs)
+        assert resummed == list(zs)
+        theta_family = [n for j, n in builds if num[j].slope == 1.5]
+        assert len(theta_family) >= 40 and not any(theta_family)
+        monkeypatch.undo()
+        want = residue_sum(num, den, list(zs), 50)
+        for z, value, ref in zip(zs, got, want):
             assert abs(value - ref) <= 2.5e-16 * abs(ref), z
 
 
