@@ -20,9 +20,9 @@ from typing import NamedTuple, Sequence
 import mpmath
 import numpy as np
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
-                          from_man_exp, fzero, mpf_add,
-                          mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg,
-                          mpf_pos, round_nearest, to_fixed)
+                          from_man_exp, fzero, mpf_add, mpf_div, mpf_exp,
+                          mpf_log, mpf_mul, mpf_neg, mpf_pos, round_nearest,
+                          to_fixed)
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          PoleCollisionError, PoleError)
@@ -45,7 +45,6 @@ __all__ = [
 
 _LN_EPS = math.log(1e-16)
 _LN2 = math.log(2.0)
-_FACTORIALS = [1]
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 # Poles closer than _MERGE_RTOL (GammaFactor.pole_gap) are one entry of the
 # float series; a z whose terms reach an entry merged across _ROUND_RTOL or
@@ -190,6 +189,7 @@ class _ResidueTable:
         self._arrays = np.empty((5, 0))
         self.exact, self.exact_prec = [], 0
         self.runs, self.family, self.chains = {}, {}, {}
+        self.factorials = [1]
         # per factor (p b, a q, q b), its shift p/q and slope a/b exact: at
         # u = U/V its argument is (p b V + a q U) / (q b V)
         self.forms = tuple(
@@ -354,6 +354,13 @@ class _ResidueTable:
                     if coeff is not None:
                         self.runs[coeff[0]].append((i, *coeff[1:]))
 
+    def factorial(self, k: int) -> int:
+        """k!, from `factorials`, grown by one product per new k
+        (math.factorial recomputes each k! of a series from scratch)."""
+        while len(self.factorials) <= k:
+            self.factorials.append(self.factorials[-1] * len(self.factorials))
+        return self.factorials[k]
+
     def gamma_ratio(self, i, g, d: int, p: int, q: int):
         """Gamma(w)/Gamma(w - d) at w = p/q for numerator i and denominator
         g of one slope whose shifts differ by d; Gamma(w) where g is None,
@@ -407,7 +414,8 @@ class _ResidueTable:
         chains = {}  # family -> (terms done, k, m, e, m', e'): z^{-u0} =
         # m 2^e at its k-th pole, z^{1/slope} = m' 2^e'
         for j, (ratio, slope) in self.family.items():
-            seed = mpf_exp(mpf_mul(log_z, ratio, prec), prec) if ratio else fone
+            seed = (mpf_exp(mpf_mul(log_z, ratio, prec), prec) if ratio
+                    else fone)
             w = (from_float(z) if slope == fone  # z exactly
                  else mpf_exp(mpf_div(log_z, slope, prec), prec))
             chains[j] = (0, 0, *_mantissa(seed), *_mantissa(w))
@@ -624,7 +632,7 @@ def _exact_leading(table, sing_num, sing_den):
             k = singular[i]
             gammas.append((f, dirn, k, None))
             # (-1)^k / (k! slope), slope = aq / qb
-            p, q = (-qb if k % 2 else qb), _factorial(k) * aq
+            p, q = (-qb if k % 2 else qb), table.factorial(k) * aq
             top, bottom = (top * p, bottom * q) if dirn > 0 else (top * q,
                                                                   bottom * p)
     value = fone
@@ -640,14 +648,6 @@ def _exact_leading(table, sing_num, sing_den):
         value = mpf_mul(value, table.gamma_ratio(None, g, 0, p, q), prec)
     return mpf_mul(_ratio(top, bottom, prec), value, prec,
                    round_nearest), gammas
-
-
-def _factorial(k: int) -> int:
-    """k!, from a list grown by one product per new k (math.factorial
-    recomputes every k! of a series from scratch)."""
-    while len(_FACTORIALS) <= k:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[k]
 
 
 def _rising(p: int, q: int, m: int) -> tuple[int, int]:
