@@ -19,9 +19,8 @@ from typing import NamedTuple, Sequence
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
-                          from_man_exp, fzero, mpf_add, mpf_div, mpf_exp,
-                          mpf_log, mpf_mul, mpf_neg, mpf_pos, round_nearest,
+from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_div,
+                          mpf_exp, mpf_log, mpf_mul, mpf_pos, round_nearest,
                           to_fixed)
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
@@ -175,8 +174,8 @@ class _Pole(NamedTuple):
 class _ResidueTable:
     """Left poles of one integrand, in the order the residue series sums
     them, computed once per integrand and reused at every z; `exact` holds
-    the same coefficients on integers, at the most bits a sum has asked for
-    (`exact_prec`), which serve every sum at fewer."""
+    them on integers, a part per exact pole location, at the most bits a
+    sum has asked for (`exact_prec`), which serve every sum at fewer."""
 
     def __init__(self, num: tuple, den: tuple):
         self.num, self.den = num, den
@@ -306,7 +305,8 @@ class _ResidueTable:
         largest of the zs' precision hints: the float loss plus 20 digits,
         or, where the float total is rounding noise, the largest term's
         digits plus 20.  numerics.mp_sum then confirms each z's digits from
-        its own hint, raising that z's precision alone.  Each z's terms
+        its own hint, raising that z's precision alone, and measures the
+        cancellation of a split pole's parts (_sum_at).  Each z's terms
         double until the last three nonzero ones lie below 1e-16 of its
         exact total, or to the series' end (`length`).
         """
@@ -330,11 +330,11 @@ class _ResidueTable:
 
     def _ensure(self, n: int) -> None:
         """Exact coefficients of the first n entries at the working
-        precision or more: `exact` by entry, None where every pole is
-        cancelled, and `runs`, each left family's (entry, k, m, e, poly,
-        split) in k order (_exact_coefficient).  A sum at more bits than any
-        before rebuilds them, with each family's shift/slope and slope as
-        libmp values at those bits (`family`)."""
+        precision or more: `exact`, each entry's parts (_exact_coefficient),
+        and `runs`, each left family's parts as (entry, k, m, e, poly) in k
+        order.  A sum at more bits than any before rebuilds them, with each
+        family's shift/slope and slope as libmp values at those bits
+        (`family`)."""
         prec = mpmath.mp.prec
         if prec > self.exact_prec:
             self.exact, self.exact_prec = [], prec
@@ -349,10 +349,10 @@ class _ResidueTable:
             with mpmath.workprec(self.exact_prec):
                 fix = self.exact_prec + _GUARD_BITS  # the unit of each poly
                 for i in range(len(self.exact), n):
-                    coeff = _exact_coefficient(self, self.entry(i), fix)
-                    self.exact.append(coeff)
-                    if coeff is not None:
-                        self.runs[coeff[0]].append((i, *coeff[1:]))
+                    parts = _exact_coefficient(self, self.entry(i), fix)
+                    self.exact.append(parts)
+                    for j, *part in parts:
+                        self.runs[j].append((i, *part))
 
     def factorial(self, k: int) -> int:
         """k!, from `factorials`, grown by one product per new k
@@ -401,9 +401,11 @@ class _ResidueTable:
         k-th pole of Gamma(shift + slope*u) is z^{shift/slope}
         (z^{1/slope})^k, cut to p + _GUARD_BITS bits per step, and every
         term is added into one integer in units of 2^{-p - _GUARD_BITS} of
-        the largest.  A split pole's parts are summed in libmp at their
-        extra digits.  More terms than the float sum kept (logs) are taken
-        where its tail does not lie below the exact total.
+        the largest.  The parts of a split pole are terms of their own
+        families that cancel by about 1/gap; their sizes join the largest
+        term, so that mp_sum sees the loss.  More terms than the float sum
+        kept (logs) are taken where its tail does not lie below the exact
+        total.
         """
         prec = mpmath.mp.prec
         bits = prec + _GUARD_BITS
@@ -420,12 +422,13 @@ class _ResidueTable:
                  else mpf_exp(mpf_div(log_z, slope, prec), prec))
             chains[j] = (0, 0, *_mantissa(seed), *_mantissa(w))
         unit = math.floor(max(logs) / _LN2) - bits
-        acc = 0
+        exact = self.exact  # only grows while p stays
+        acc, top = 0, -math.inf  # top: log2 of the largest part, less unit
         while True:
             n = len(logs)
             for j, run in self.runs.items():
                 done, k0, pm, pe, wm, we = chains[j]
-                for i, k, man, exp, poly, split in run[done:]:
+                for i, k, man, exp, poly in run[done:]:
                     if i >= n:
                         break
                     done += 1
@@ -437,9 +440,7 @@ class _ResidueTable:
                             pm >>= cut
                             pe += cut
                         pe += we
-                    if split:  # see _exact_coefficient
-                        man, exp = _mantissa(_split_sum(*split, z))
-                    elif poly is not None:  # _monic in fixed point
+                    if poly is not None:  # _monic in fixed point
                         fixed = neg_log_z + poly[-1]
                         for q in poly[-2::-1]:
                             fixed = (fixed * neg_log_z >> fix) + q
@@ -447,6 +448,8 @@ class _ResidueTable:
                         exp -= fix
                     man *= pm
                     exp += pe - unit
+                    if len(exact[i]) > 1:  # a split pole's part
+                        top = max(top, man.bit_length() + exp)
                     acc += man << exp if exp >= 0 else man >> -exp
                 chains[j] = (done, k0, pm, pe, wm, we)
             total = mpmath.mp.make_mpf(from_man_exp(acc, unit, prec,
@@ -462,7 +465,7 @@ class _ResidueTable:
             logs = self.log_terms(min(2 * n, _MAX_TERMS, self.length),
                                   np.array([math.log(z)]))[0][:, 0].tolist()
             self._ensure(len(logs))
-        return total, max(logs)
+        return total, max(max(logs), (top + unit) * _LN2)
 
 
 @lru_cache(maxsize=128)
@@ -717,21 +720,21 @@ def _pole_log_taylor(k: int, k0: int, prec: int):
         return 2 * mpmath.psi(k - 1, 1) - t if k % 2 == 0 else t
 
 
-def _exact_coefficient(table, pole: _Pole, bits: int):
-    """(j, k, m, e, poly, split) of the k-th pole u0 of num[j], or None
-    where a denominator gamma cancels every pole.
+def _exact_coefficient(table, pole: _Pole, bits: int) -> list:
+    """One part (j, k, m, e, poly) per exact location of the pole's
+    numerator poles, none where denominators cancel them all: num[j] is the
+    first numerator singular there, at its k-th pole u, and the part's
+    residue is C z^{-u} _monic(poly, -log z), C = m 2^e at the working
+    precision, poly (None at a simple pole) in units of 2^-bits.
 
-    The residue is z^{-u0} times the sum over parts (offset, C, poly) of
-    C z^{-offset} _monic(poly, -log z) (poly None at a simple pole).  Poles
-    the float table merged may lie apart at the exact shifts and float
-    slopes, by up to _MERGE_RTOL (for a = 0.7, theta = 1.3 the poles of
-    Gamma(u) and Gamma(theta*u - a) at u = -11 are 3.4e-16 apart).  Each
-    exact location is then a part, and their residues, which cancel by
-    about 1/gap per merged numerator pole past the first, are summed at
-    `extra` more digits, the gap's once per merged numerator pole: split is
-    (parts, extra), libmp values at those digits (`_split_sum`).  An
-    unsplit pole's one part is in integers, split None: C = m 2^e at the
-    working precision, poly in units of 2^-bits.
+    Poles the float table merged may lie apart at the exact shifts and
+    float slopes, by up to _MERGE_RTOL (for a = 0.7, theta = 1.3 the poles
+    of Gamma(u) and Gamma(theta*u - a) at u = -11 are 3.4e-16 apart), each
+    location a part on its own family's chain.  Their residues cancel by
+    about 1/gap, which the sum measures (_ResidueTable._sum_at); each holds
+    the other merged numerators within the gap of a pole, where the
+    rounding of a gamma's argument is magnified by up to 1/gap, so it is
+    worked at the gap's digits once per other merged numerator.
     """
     num, den = table.num, table.den
     spots = {}  # exact location -> singular (num, den) factors there
@@ -742,10 +745,8 @@ def _exact_coefficient(table, pole: _Pole, bits: int):
             f = factors[j]
             at = (-f.shift - k) / Fraction(f.slope) if group else 0
             spots.setdefault(at, ([], []))[side].append((j, k))
-    j0, k0 = pole.sing_num[0]
-    base = next(iter(spots))  # the k0-th pole of num[j0], inserted first
     gap = min((abs(x - y) for x in spots for y in spots if x != y), default=1)
-    extra = _DPS_STEP * math.ceil(-len(pole.sing_num) * math.log10(gap)
+    extra = _DPS_STEP * math.ceil(-(len(pole.sing_num) - 1) * math.log10(gap)
                                   / _DPS_STEP)
     # a regular gamma d from a pole of its own magnifies the rounding of its
     # argument by 1/d, up to 1e10 (_MERGE_RTOL); past 1e4 the sum's 20 spare
@@ -757,48 +758,22 @@ def _exact_coefficient(table, pole: _Pole, bits: int):
     parts, prec = [], mpmath.mp.prec
     with mpmath.workdps(mpmath.mp.dps + extra
                         + (_DPS_STEP if near < 1e-4 else 0)):
-        wp = mpmath.mp.prec
-        for at, (sing_num, sing_den) in spots.items():
+        for sing_num, sing_den in spots.values():
             order = len(sing_num) - len(sing_den)
             if order <= 0:
                 continue
             c, gammas = _exact_leading(table, sing_num, sing_den)
             poly = None
             if order > 1:
-                poly = tuple(q._mpf_ for q in _log_poly(
+                poly = tuple(to_fixed(q._mpf_, bits) for q in _log_poly(
                     [(f, dirn, k, w if w is None else _mpf_ratio(*w))
                      for f, dirn, k, w in gammas], order))
-                c = mpf_div(c, from_int(math.factorial(order - 1)), wp)
-            offset = at - base
-            if extra:
-                offset = _ratio(offset.numerator, offset.denominator, wp)
-            parts.append((offset, c, poly))
-    if not parts:
-        return None
-    if extra:
-        return j0, k0, 0, 0, None, (parts, extra)
-    ((_, c, poly),) = parts
-    if poly is not None:
-        poly = tuple(to_fixed(q, bits) for q in poly)
-    # rounded to the working precision
-    return j0, k0, *_mantissa(mpf_pos(c, prec, round_nearest)), poly, None
-
-
-def _split_sum(parts, extra: int, z: float):
-    """The parts of a split pole (_exact_coefficient) at z, summed in libmp
-    at `extra` digits past the working precision."""
-    wp = dps_to_prec(mpmath.mp.dps + extra)
-    y = mpf_neg(mpf_log(from_float(z), wp, round_nearest))  # -log z
-    total = fzero
-    for offset, c, poly in parts:
-        term = mpf_mul(c, mpf_exp(mpf_mul(offset, y, wp), wp), wp)
-        if poly is not None:  # _monic in libmp
-            acc = mpf_add(y, poly[-1], wp)
-            for q in poly[-2::-1]:
-                acc = mpf_add(mpf_mul(acc, y, wp), q, wp)
-            term = mpf_mul(term, acc, wp)
-        total = mpf_add(total, term, wp)
-    return total
+                c = mpf_div(c, from_int(math.factorial(order - 1)),
+                            mpmath.mp.prec)
+            # rounded to the working precision
+            parts.append((*sing_num[0], *_mantissa(
+                mpf_pos(c, prec, round_nearest)), poly))
+    return parts
 
 
 def _mantissa(x) -> tuple[int, int]:

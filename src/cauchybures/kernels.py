@@ -290,7 +290,10 @@ def i1_integral(beta: float, c: float) -> float:
     Both halves run on tanh-sinh: below the split after y = c s^g, g =
     1/(beta + 1), which absorbs y^beta (c^beta g int_0^1 e^{-c s^g} /
     (1 + s^g) ds), above it on y = c + span t.  Raises ComplexityError
-    when y^beta overflows a double (beta above ~115).
+    where y^beta overflows a double before e^{-y} scales it, as (c +
+    span)^beta does past 1.8e308, span = 60 + 2 beta + 10 sqrt(beta): the
+    first refused beta falls with c, 118.2 at c = 1, 116.6 at 40, 112.8 at
+    150 and 106.7 at 400 (in steps of 0.1).
     """
     require_positive("c and beta + 1", c, beta + 1.0)
     g = 1.0 / (beta + 1.0)

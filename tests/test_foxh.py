@@ -16,6 +16,7 @@ from cauchybures.foxh import (FoxHSpec, GammaFactor, fox_h, g_inf, g_n,
                               g_tilde_inf, g_tilde_n, hankel_loop,
                               min_family_separation, residue_series)
 from cauchybures.kernels import hard_edge_kernel, k01, k10
+from cauchybures.numerics import ln_abs
 from references import g_tilde_inf_meijer_g, residue_sum
 
 
@@ -408,8 +409,13 @@ class TestIntegerResum:
              45.0: 0.00019786694755942642}
     DOUBLE = {2.0: -0.01119153521703792, 7.0: 0.0004650862355528122,
               20.0: -5.474357750089102e-06, 45.0: -1.342549161147174e-07}
+    # SPLIT's integrand further out, where the parts of the pair at u = -11
+    # cancel by up to 29 digits; its references agree with the same at 200
+    SPLIT_FAR = {100.0: -8.202626372968159e-07,
+                 300.0: 4.854918977241915e-07,
+                 1000.0: 1.7314098504568807e-09}
 
-    @pytest.mark.parametrize("case", ["split", "double"])
+    @pytest.mark.parametrize("case", ["split", "double", "split_far"])
     def test_split_and_double_poles_keep_their_values(self, case, resummed):
         # split: a = 0.7, theta = 1.3 put the poles of Gamma(u) and
         # Gamma(1.3u - 0.7) at u = -11 3.4e-16 apart, one pole in floats and
@@ -417,12 +423,13 @@ class TestIntegerResum:
         # a double pole.  Reference: simple residues of the factors at their
         # exact shifts (alpha + 1 = Fraction(0.9) + 1, not the float 1.9),
         # a moved by 1e-30 (1e-25) to split the pairs that coincide exactly
-        if case == "split":
-            a, alpha, theta, n, dps, move = 0.7, 0.9, 1.3, None, 100, 30
-            values = self.SPLIT
-        else:
+        if case == "double":
             a, alpha, theta, n, dps, move = 0.5, 0.9, 1.5, 3, 80, 25
             values = self.DOUBLE
+        else:
+            a, alpha, theta, n, move = 0.7, 0.9, 1.3, None, 30
+            dps, values = ((100, self.SPLIT) if case == "split"
+                           else (150, self.SPLIT_FAR))
         num, den = foxh._g_factors(a, alpha, theta, n, True)
         with mpmath.workdps(dps):
             exact = [(mpmath.mpf(f.shift.numerator) / f.shift.denominator,
@@ -437,6 +444,30 @@ class TestIntegerResum:
             assert foxh._g(a, alpha, theta, n, True, z) == value
             assert resummed == [z]
             assert abs(value - ref) <= 2.5e-16 * abs(ref), z
+
+    def test_split_pole_cancellation_is_measured(self, monkeypatch):
+        # the parts of SPLIT_FAR's pair are terms of their own families'
+        # chains, and their own sizes, not the float term logs, set the
+        # loss that mp_sum sees first: 28.9 digits at z = 1000, where the
+        # float terms show 16
+        losses, mp_sum = [], foxh.mp_sum
+
+        def spy(sum_at, dps):
+            first = []
+
+            def sum_once():
+                total, log_peak = sum_at()
+                first.append((log_peak - ln_abs(total)) / math.log(10.0))
+                return total, log_peak
+
+            total = mp_sum(sum_once, dps)
+            losses.append(first[0])
+            return total
+
+        monkeypatch.setattr(foxh, "mp_sum", spy)
+        foxh._residue_table.cache_clear()
+        assert g_tilde_inf(0.7, 0.9, 1.3, 1000.0) == self.SPLIT_FAR[1000.0]
+        assert len(losses) == 1 and losses[0] >= 25
 
     # the G~ of the t-integrals at (a, b, theta) = (0.3, 0.7, 1.5): G~_6 of
     # k10 at N = 6 over its nodes' range of z, and G~_inf of either side of
@@ -667,6 +698,21 @@ class TestPoleCollisions:
         value = residue_series(num, [], 1.3)
         assert abs(value - want) <= 1e-14 * want
         assert value == pytest.approx(hankel_loop(num, [], 1.3), rel=1e-10)
+
+    @pytest.mark.parametrize("delta", [1e-12, 3e-15])
+    def test_three_merged_numerators_match_meijer_g(self, delta):
+        # Gamma(u) Gamma(u + delta) Gamma(u + 2 delta) z^{-u}: one triple
+        # pole of the float table, three simple poles of the exact re-sum,
+        # each of whose coefficients holds the two other gammas within
+        # delta of a pole.  Reference: mpmath.meijerg at 80 digits, within
+        # 6e-82 of the same at 120
+        num = [GammaFactor(0.0, 1.0), GammaFactor(delta, 1.0),
+               GammaFactor(2 * delta, 1.0)]
+        for z in (0.3, 1.3, 8.0):
+            with mpmath.workdps(80):
+                want = mpmath.meijerg([[], []], [[0, delta, 2 * delta], []],
+                                      z)
+            assert abs(residue_series(num, [], z) - want) <= 1e-14 * want, z
 
     def test_hankel_loop_returns_plain_float(self):
         value = hankel_loop([GammaFactor(0.0, 1.0)], [], 0.7)
