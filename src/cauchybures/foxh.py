@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -27,9 +28,8 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          PoleCollisionError, PoleError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
 from .numerics import (_DPS_STEP, _GUARD_BITS, _POLE_TOL,  # noqa: F401
-                       _SPARE_DIGITS, lgamma_signed, ln_abs,
-                       log_gamma_complex, mp_sum, refine_quadrature,
-                       require_positive)
+                       _SPARE_DIGITS, lgamma_signed, log_gamma_complex,
+                       mp_sum, refine_quadrature, require_positive)
 
 __all__ = [
     "GammaFactor",
@@ -173,9 +173,10 @@ class _Pole(NamedTuple):
 
 class _ResidueTable:
     """Left poles of one integrand, in the order the residue series sums
-    them, computed once per integrand and reused at every z; `exact` holds
-    them on integers, a part per exact pole location, at the most bits a
-    sum has asked for (`exact_prec`), which serve every sum at fewer."""
+    them, computed once per integrand and reused at every z; `runs` holds
+    the first `exact` of them on integers, a term per exact pole location,
+    at the most bits a sum has asked for (`exact_prec`), which serve every
+    sum at fewer."""
 
     def __init__(self, num: tuple, den: tuple):
         self.num, self.den = num, den
@@ -186,7 +187,7 @@ class _ResidueTable:
         heapq.heapify(self.heap)
         self.entries: list[_Pole] = []
         self._arrays = np.empty((5, 0))
-        self.exact, self.exact_prec = [], 0
+        self.exact, self.exact_prec, self.nonzero = 0, 0, []
         self.runs, self.family, self.chains = {}, {}, {}
         self.factorials = [1]
         # per factor (p b, a q, q b), its shift p/q and slope a/b exact: at
@@ -278,66 +279,46 @@ class _ResidueTable:
         self.entries.append(_Pole(u0, order, sign, log_c, gap, poly,
                                   sing_num, sing_den))
 
-    def log_terms(self, n: int, log_z: np.ndarray):
-        """(log |term|, sign) of the first n residues at each log z.
-
-        Arrays of shape (n, len(log_z)); a zero term has sign 0, log -inf.
-        """
-        rows = self.arrays(n)
-        u0, order, sign, log_c = rows[:4]
-        term_log = log_c[:, None] - u0[:, None] * log_z
-        term_sign = sign[:, None] * np.ones_like(term_log)
-        for m in range(2, int(order.max(initial=0)) + 1):
-            at = order == m
-            if at.any():
-                factor = _monic([q[at, None] for q in rows[5:4 + m]], -log_z)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    term_sign[at] *= np.sign(factor)
-                    term_log[at] += np.log(np.abs(factor))
-        return term_log, term_sign
-
-    def exact_sum(self, zs: list, term_logs: list, lost: list) -> list:
-        """The residues whose float logs are term_logs[i] (lists), summed
-        exactly at zs[i], at the exact shifts and float slopes: one pass
-        over every z a residue_series call re-sums.
+    def exact_sum(self, zs: list, ns: list, peaks: list, lost: list) -> list:
+        """The first ns[i] residues summed exactly at zs[i], at the exact
+        shifts and float slopes, where the float sum's largest term is
+        e^peaks[i] and its loss lost[i] digits: one pass over every z a
+        residue_series call re-sums.
 
         The pass builds the coefficients it needs once (`_ensure`), at the
         largest of the zs' precision hints: the float loss plus 20 digits,
         or, where the float total is rounding noise, the largest term's
         digits plus 20.  numerics.mp_sum then confirms each z's digits from
-        its own hint, raising that z's precision alone, and measures the
-        cancellation of a split pole's parts (_sum_at).  Each z's terms
-        double until the last three nonzero ones lie below 1e-16 of its
-        exact total, or to the series' end (`length`).
+        its own hint against its exact terms' sizes (_sum_at), raising that
+        z's precision alone.
         """
         hints = []
-        for z, logs, lost_digits in zip(zs, term_logs, lost):
-            peak, log_z = max(logs), math.log(z)
+        for z, n, peak, lost_digits in zip(zs, ns, peaks, lost):
             # a loss within a digit of the terms' noise, 1e-16 of log_c and
             # of u0 log z each, is noise: start where a total of order one
             # keeps digits
             u0 = max(abs(self.entries[0].u0),  # the poles run leftward
-                     abs(self.entries[len(logs) - 1].u0))
+                     abs(self.entries[n - 1].u0))
             if lost_digits > 15 - math.log10(1 + abs(peak)
-                                             + 2 * abs(log_z) * u0):
+                                             + 2 * abs(math.log(z)) * u0):
                 lost_digits = max(lost_digits, peak / math.log(10.0))
             hints.append(_DPS_STEP * math.ceil((lost_digits + _SPARE_DIGITS)
                                                / _DPS_STEP))
         with mpmath.workdps(max(hints)):
-            self._ensure(max(map(len, term_logs)))
-        return [float(mp_sum(partial(self._sum_at, z, logs), dps))
-                for z, logs, dps in zip(zs, term_logs, hints)]
+            self._ensure(max(ns))
+        return [float(mp_sum(partial(self._sum_at, z, n, peak), dps))
+                for z, n, peak, dps in zip(zs, ns, peaks, hints)]
 
     def _ensure(self, n: int) -> None:
-        """Exact coefficients of the first n entries at the working
-        precision or more: `exact`, each entry's parts (_exact_coefficient),
-        and `runs`, each left family's parts as (entry, k, m, e, poly) in k
-        order.  A sum at more bits than any before rebuilds them, with each
-        family's shift/slope and slope as libmp values at those bits
-        (`family`)."""
+        """Exact coefficients of the first `exact` >= n entries at the
+        working precision or more: `runs`, each left family's parts
+        (_exact_coefficient) as (entry, k, m, e, poly) in k order, and
+        `nonzero`, the entries with a part.  A sum at more bits than any
+        before rebuilds them, with each family's shift/slope and slope as
+        libmp values at those bits (`family`)."""
         prec = mpmath.mp.prec
         if prec > self.exact_prec:
-            self.exact, self.exact_prec = [], prec
+            self.exact, self.exact_prec, self.nonzero = 0, prec, []
             self.runs, self.family, self.chains = {}, {}, {}
             for j, (f, (pb, aq, _)) in enumerate(zip(self.num,
                                                      self.forms[0])):
@@ -345,14 +326,16 @@ class _ResidueTable:
                     self.runs[j] = []
                     self.family[j] = (_ratio(pb, aq, prec) if pb else None,
                                       from_float(f.slope))
-        if len(self.exact) < n:
+        if self.exact < n:
             with mpmath.workprec(self.exact_prec):
                 fix = self.exact_prec + _GUARD_BITS  # the unit of each poly
-                for i in range(len(self.exact), n):
+                for i in range(self.exact, n):
                     parts = _exact_coefficient(self, self.entry(i), fix)
-                    self.exact.append(parts)
+                    if parts:
+                        self.nonzero.append(i)
                     for j, *part in parts:
                         self.runs[j].append((i, *part))
+            self.exact = n
 
     def factorial(self, k: int) -> int:
         """k!, from `factorials`, grown by one product per new k
@@ -393,23 +376,23 @@ class _ResidueTable:
         self.chains[key] = (p, value)
         return value
 
-    def _sum_at(self, z: float, logs: list) -> tuple:
-        """(total, log of the largest term) of the residues at z at the
-        working precision p, for numerics.mp_sum.
+    def _sum_at(self, z: float, n: int, peak: float) -> tuple:
+        """(total, log of the largest term) of the first n residues at z, or
+        more, at the working precision p, for numerics.mp_sum.
 
         The sum runs on integers, one left family at a time: z^{-u0} at the
         k-th pole of Gamma(shift + slope*u) is z^{shift/slope}
         (z^{1/slope})^k, cut to p + _GUARD_BITS bits per step, and every
         term is added into one integer in units of 2^{-p - _GUARD_BITS} of
-        the largest.  The parts of a split pole are terms of their own
-        families that cancel by about 1/gap; their sizes join the largest
-        term, so that mp_sum sees the loss.  More terms than the float sum
-        kept (logs) are taken where its tail does not lie below the exact
-        total.
+        e^peak.  Each term's size in those units, floor log2, is taken as it
+        is added: the largest (`high`) is the log-peak, so that mp_sum sees
+        the 1/gap cancellation of a split pole's two terms, and n doubles
+        (to `length`) until the largest terms of the last three nonzero
+        entries (`sizes`) lie 53 bits or more below the total's.
         """
         prec = mpmath.mp.prec
         bits = prec + _GUARD_BITS
-        self._ensure(len(logs))
+        self._ensure(n)
         fix = self.exact_prec + _GUARD_BITS
         log_z = mpf_log(from_float(z), prec, round_nearest)
         neg_log_z = -to_fixed(log_z, fix)
@@ -421,11 +404,11 @@ class _ResidueTable:
             w = (from_float(z) if slope == fone  # z exactly
                  else mpf_exp(mpf_div(log_z, slope, prec), prec))
             chains[j] = (0, 0, *_mantissa(seed), *_mantissa(w))
-        unit = math.floor(max(logs) / _LN2) - bits
-        exact = self.exact  # only grows while p stays
-        acc, top = 0, -math.inf  # top: log2 of the largest part, less unit
+        unit = math.floor(peak / _LN2) - bits
+        acc, high, sizes = 0, -math.inf, {}
         while True:
-            n = len(logs)
+            sizes = {i: sizes.get(i, -math.inf) for i in
+                     self.nonzero[:bisect_left(self.nonzero, n)][-3:]}
             for j, run in self.runs.items():
                 done, k0, pm, pe, wm, we = chains[j]
                 for i, k, man, exp, poly in run[done:]:
@@ -448,24 +431,24 @@ class _ResidueTable:
                         exp -= fix
                     man *= pm
                     exp += pe - unit
-                    if len(exact[i]) > 1:  # a split pole's part
-                        top = max(top, man.bit_length() + exp)
+                    size = man.bit_length() - 1 + exp
+                    if size > high:
+                        high = size
+                    if i in sizes:
+                        sizes[i] = max(sizes[i], size)
                     acc += man << exp if exp >= 0 else man >> -exp
                 chains[j] = (done, k0, pm, pe, wm, we)
-            total = mpmath.mp.make_mpf(from_man_exp(acc, unit, prec,
-                                                    round_nearest))
-            if not total or n >= self.length:
-                break
-            tail = [t for t in logs if t > -math.inf][-3:]
-            if len(tail) == 3 and max(tail) < _LN_EPS + ln_abs(total):
+            if (not acc or n >= self.length or len(sizes) == 3
+                    and max(sizes.values()) < abs(acc).bit_length() - 53):
                 break
             if n >= _MAX_TERMS:
                 raise NonConverged(f"residue series not converged after "
                                    f"{_MAX_TERMS} terms")
-            logs = self.log_terms(min(2 * n, _MAX_TERMS, self.length),
-                                  np.array([math.log(z)]))[0][:, 0].tolist()
-            self._ensure(len(logs))
-        return total, max(max(logs), (top + unit) * _LN2)
+            n = min(2 * n, _MAX_TERMS, self.length)
+            self._ensure(n)
+        return (mpmath.mp.make_mpf(from_man_exp(acc, unit, prec,
+                                                round_nearest)),
+                (high + unit) * _LN2)
 
 
 @lru_cache(maxsize=128)
@@ -507,8 +490,19 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     length = table.length
     n_terms = min(32, length)
     while True:
-        term_log, term_sign = table.log_terms(n_terms, log_z)
+        # log |term| and sign of the first n_terms residues at each z
+        rows = table.arrays(n_terms)
+        u0, order, sign, log_c, gap = rows[:5]
+        term_log = log_c[:, None] - u0[:, None] * log_z
+        term_sign = sign[:, None] * np.ones_like(term_log)
         with np.errstate(divide="ignore", invalid="ignore"):
+            for m in range(2, int(order.max(initial=0)) + 1):
+                at = order == m
+                if at.any():
+                    factor = _monic([q[at, None] for q in rows[5:4 + m]],
+                                    -log_z)
+                    term_sign[at] *= np.sign(factor)
+                    term_log[at] += np.log(np.abs(factor))
             # a zero term (sign 0) has log -inf, so it never sets the peak
             peak = np.maximum.accumulate(term_log, axis=0)
             # scale by the first nonzero term, as a running sum does,
@@ -521,7 +515,7 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                                    top + np.log(np.abs(partial)), peak)
         # only nonzero terms count: a run of cancelled poles can lie
         # between two poles of a sparse family (theta < 1/2)
-        nonzero = np.flatnonzero(table.arrays(n_terms)[2])
+        nonzero = np.flatnonzero(sign)
         small = (term_log < partial_log + _LN_EPS)[nonzero]
         run3 = small[2:] & small[1:-1] & small[:-2]
         done = run3.any(axis=0)
@@ -545,7 +539,6 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     # and a residue polynomial of degree 2 or more in log z can cancel
     # where the loss estimate does not look: from the first such pole on
     # (n_terms: none), no float term is trusted
-    _, order, _, _, gap = table.arrays(n_terms)[:5]
     first = np.append(np.flatnonzero((gap >= _ROUND_RTOL) | (order > 2)),
                       n_terms)[0]
     resum = (lost > 2.0) | (last >= first)
@@ -558,9 +551,8 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         # alternating cancellation ate too many digits, or a float term is
         # not trusted; redo the terms exactly at a confirmed precision
         values[redo] = table.exact_sum(
-            zs.flat[redo].tolist(),
-            [term_log[:last[i] + 1, i].tolist() for i in redo],
-            lost[redo].tolist())
+            zs.flat[redo].tolist(), (last[redo] + 1).tolist(),
+            peak[redo].tolist(), lost[redo].tolist())
     if not np.all(np.isfinite(values)):
         at = zs.flat[np.flatnonzero(~np.isfinite(values))[0]]
         raise ComplexityError(f"residue series value at z = {at:g} lies "
@@ -733,8 +725,9 @@ def _exact_coefficient(table, pole: _Pole, bits: int) -> list:
     location a part on its own family's chain.  Their residues cancel by
     about 1/gap, which the sum measures (_ResidueTable._sum_at); each holds
     the other merged numerators within the gap of a pole, where the
-    rounding of a gamma's argument is magnified by up to 1/gap, so it is
-    worked at the gap's digits once per other merged numerator.
+    rounding of a gamma's argument is magnified by up to 1/gap.  Those
+    relative errors add, however many numerators merge, so it is worked
+    at the gap's digits.
     """
     num, den = table.num, table.den
     spots = {}  # exact location -> singular (num, den) factors there
@@ -746,8 +739,7 @@ def _exact_coefficient(table, pole: _Pole, bits: int) -> list:
             at = (-f.shift - k) / Fraction(f.slope) if group else 0
             spots.setdefault(at, ([], []))[side].append((j, k))
     gap = min((abs(x - y) for x in spots for y in spots if x != y), default=1)
-    extra = _DPS_STEP * math.ceil(-(len(pole.sing_num) - 1) * math.log10(gap)
-                                  / _DPS_STEP)
+    extra = _DPS_STEP * math.ceil(-math.log10(gap) / _DPS_STEP)
     # a regular gamma d from a pole of its own magnifies the rounding of its
     # argument by 1/d, up to 1e10 (_MERGE_RTOL); past 1e4 the sum's 20 spare
     # digits would not keep a double's 16, so _DPS_STEP more are worked in

@@ -70,26 +70,19 @@ def test_criterion_02_squared_partition_identity(check):
 
 
 def test_criterion_03_biorthogonality(check):
+    # each polynomial evaluated once on the rule's nodes; the 7 x 7 inner
+    # products <p_n, q_m> are one weighted matrix product
     worst = 0.0
     for a, b, theta in ((0.5, 0.7, 1.5), (0.0, 0.0, 1.0)):
         p = EnsembleParams(a, b, theta, 8)
         rule = simplex_quad_2d(a, b, 320, 320)
-        polys_p = [p_hat(p, n) for n in range(7)]
-        polys_q = [q_hat(p, m) for m in range(7)]
-
-        def val(series, t):
-            out = np.zeros_like(t)
-            for k, c in enumerate(series.coeffs):
-                out = out + c * t ** k
-            return out
-
-        for n, pn in enumerate(polys_p):
-            for m, qm in enumerate(polys_q):
-                got = rule.integrate(
-                    lambda x, y: val(pn, x ** theta) * val(qm, y ** theta))
-                want = (1.0 / (2.0 * theta * n + a + b + 1.0)
-                        if n == m else 0.0)
-                worst = max(worst, abs(got - want))
+        ps = np.array([np.polynomial.polynomial.polyval(
+            rule.xs ** theta, p_hat(p, n).coeffs) for n in range(7)])
+        qs = np.array([np.polynomial.polynomial.polyval(
+            rule.ys ** theta, q_hat(p, m).coeffs) for m in range(7)])
+        got = (ps * rule.weights) @ qs.T
+        want = np.diag(1.0 / (2.0 * theta * np.arange(7) + a + b + 1.0))
+        worst = max(worst, float(np.max(np.abs(got - want))))
     check("criterion-03 bi-orthogonality", worst, 1e-8)
 
 
