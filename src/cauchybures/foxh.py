@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import mpmath
 import numpy as np
 from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_div,
-                          mpf_exp, mpf_log, mpf_mul, mpf_pos, round_nearest,
+                          mpf_exp, mpf_log, mpf_mul, round_nearest,
                           to_fixed)
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
@@ -154,18 +154,22 @@ def _log_integrand(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
 class _Pole(NamedTuple):
     """One left pole u0 and the z-independent part of its residue.
 
-    At order m the residue is sign * exp(log_c) * z^{-u0} _monic(poly, y),
-    y = -log z, a monic polynomial of degree m - 1; order 0 is a pole a
-    denominator gamma cancels (a zero term).  gap is the largest pole_gap
-    of the poles merged here, sing_num and sing_den the (index, k) of each
-    gamma singular at u0.
+    At order m the residue is sign * exp(log_c) * z^{-u0} times the monic
+    polynomial y^(m-1) + poly[-1] y^(m-2) + ... + poly[0] in y = -log z;
+    order 0 is a pole a denominator gamma cancels (a zero term).  The float
+    term is trusted where the poles merged here coincide up to _ROUND_RTOL
+    (the table sums them as one), the order is 2 or less (a polynomial of
+    degree 2 or more can cancel where the loss estimate does not look), and
+    every regular gamma lies 1e-4 or more from a pole of its own (closer,
+    the rounding of its float argument reaches its value).  sing_num and
+    sing_den are the (index, k) of each gamma singular at u0.
     """
 
     u0: float
     order: int
     sign: int
     log_c: float
-    gap: float
+    trusted: bool
     poly: tuple
     sing_num: tuple
     sing_den: tuple
@@ -238,13 +242,16 @@ class _ResidueTable:
         return self.entries[n]
 
     def arrays(self, n: int) -> np.ndarray:
-        """Rows u0, order, sign, log_c, gap, then poly (zero-padded), of
-        the first n poles."""
+        """Rows u0, sign, log_c, trusted, then the monic polynomial of
+        each of the first n poles, highest power first, right-aligned (1,
+        poly[-1], ..., poly[0], zero-padded above), for one Horner sweep
+        over every order."""
         if self._arrays.shape[1] < n:
             self.entry(n - 1)
             width = max(len(pole.poly) for pole in self.entries)
             self._arrays = np.array([
-                (*pole[:5], *pole.poly, *[0.0] * (width - len(pole.poly)))
+                (pole.u0, pole.sign, pole.log_c, pole.trusted,
+                 *[0.0] * (width - len(pole.poly)), 1.0, *pole.poly[::-1])
                 for pole in self.entries]).T
         return self._arrays[:, :n]
 
@@ -264,19 +271,22 @@ class _ResidueTable:
                 break
             # same point reached from another family; counted once only
         sing_den = _singular(den, u0)
-        gap = max(p[2] for p in sing_num + sing_den)
+        order = max(len(sing_num) - len(sing_den), 0)
+        trusted = order <= 2 and all(p[2] < _ROUND_RTOL
+                                     for p in sing_num + sing_den)
         sing_num, sing_den = (tuple(p[:2] for p in sing)
                               for sing in (sing_num, sing_den))
-        order = max(len(sing_num) - len(sing_den), 0)
         sign, log_c, poly = 0, -math.inf, ()
         if order:
-            gammas = list(_gammas_at(num, den, sing_num, sing_den,
-                                     lambda f: f.near + f.slope * u0))
+            gammas = list(_gammas_at(num, den, sing_num, sing_den, u0))
             sign, log_c = _leading_coefficient(gammas)
+            trusted = trusted and all(w is None or w >= 0.5
+                                      or abs(w - round(w)) >= 1e-4
+                                      for *_, w in gammas)
         if order > 1:
             poly = tuple(map(float, _log_poly(gammas, order)))
             log_c -= math.lgamma(order)
-        self.entries.append(_Pole(u0, order, sign, log_c, gap, poly,
+        self.entries.append(_Pole(u0, order, sign, log_c, trusted, poly,
                                   sing_num, sing_den))
 
     def exact_sum(self, zs: list, ns: list, peaks: list, lost: list) -> list:
@@ -352,14 +362,16 @@ class _ResidueTable:
 
         The arguments of one factor, or pair, at one left family's poles
         that differ by integers form a chain (`chains`).  Its first value is
-        mpmath.gamma or rgamma, or a pair's |d| linear factors (_rising);
-        each next one is the last times the linear factors between them,
-        one fraction of integers, rounded once to _GUARD_BITS past the
-        working precision, so that _MAX_TERMS steps stay below its last bit.
+        a pair's |d| linear factors (_rising), or mpmath.gamma or rgamma at
+        w + m > 0, m = 1 - floor(w) for w <= 0, times the m linear factors
+        down to w (DLMF 5.5.1): no gamma is taken at a rounded argument
+        beside a pole, whose rounding its value would magnify.  Each next
+        value is the last times the linear factors between them, one
+        fraction of integers, rounded once to _GUARD_BITS past the working
+        precision, so that _MAX_TERMS steps stay below its last bit.
         """
-        prec = mpmath.mp.prec
-        wp = prec + _GUARD_BITS
-        key = (prec, i, g, q, p % q)
+        wp = mpmath.mp.prec + _GUARD_BITS
+        key = (i, g, q, p % q)
         if key in self.chains:
             p0, value = self.chains[key]
             m = (p - p0) // q
@@ -370,9 +382,15 @@ class _ResidueTable:
             value = mpf_mul(value, _ratio(top, bottom, wp), wp)
         elif i is not None and g is not None:
             value = _ratio(*_rising(p - d * q, q, d), wp)
-        else:
-            x = _mpf_ratio(p, q)
-            value = (mpmath.rgamma(x) if i is None else mpmath.gamma(x))._mpf_
+        else:  # Gamma(w) = Gamma(w + m) bottom/top, 1/Gamma(w) the inverse
+            m = 1 - p // q if p <= 0 else 0
+            top, bottom = _rising(p, q, m)
+            x = _mpf_ratio(p + m * q, q)
+            if i is None:
+                x, top, bottom = mpmath.rgamma(x), bottom, top
+            else:
+                x = mpmath.gamma(x)
+            value = mpf_mul(x._mpf_, _ratio(bottom, top, wp), wp)
         self.chains[key] = (p, value)
         return value
 
@@ -423,7 +441,7 @@ class _ResidueTable:
                             pm >>= cut
                             pe += cut
                         pe += we
-                    if poly is not None:  # _monic in fixed point
+                    if poly is not None:  # the monic polynomial, fixed point
                         fixed = neg_log_z + poly[-1]
                         for q in poly[-2::-1]:
                             fixed = (fixed * neg_log_z >> fix) + q
@@ -475,11 +493,12 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     over a table cached per integrand; each z stops after three nonzero
     terms below 1e-16 of its partial sum, or where every family's poles
     are cancelled (_ResidueTable.length, as after the n terms of G_n).  A z
-    that loses more than two digits, or whose terms reach poles merged
-    across _ROUND_RTOL or more or of order 3 or more, is re-summed exactly,
-    every such z of the call in one pass (_ResidueTable.exact_sum).  Every
-    pole cancelled raises DomainError, a value past double range
-    ComplexityError.
+    that loses more than two digits, or whose terms reach a pole whose
+    float term is not trusted (_Pole: merged across _ROUND_RTOL or more, of
+    order 3 or more, or beside a pole of a regular gamma), is re-summed
+    exactly, every such z of the call in one pass
+    (_ResidueTable.exact_sum).  Every pole cancelled raises DomainError, a
+    value past double range ComplexityError.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):
@@ -492,17 +511,16 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     while True:
         # log |term| and sign of the first n_terms residues at each z
         rows = table.arrays(n_terms)
-        u0, order, sign, log_c, gap = rows[:5]
+        u0, sign, log_c, trusted = rows[:4]
         term_log = log_c[:, None] - u0[:, None] * log_z
         term_sign = sign[:, None] * np.ones_like(term_log)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for m in range(2, int(order.max(initial=0)) + 1):
-                at = order == m
-                if at.any():
-                    factor = _monic([q[at, None] for q in rows[5:4 + m]],
-                                    -log_z)
-                    term_sign[at] *= np.sign(factor)
-                    term_log[at] += np.log(np.abs(factor))
+            if len(rows) > 5:  # a pole of order 2 or more: one Horner sweep
+                factor = rows[4][:, None]
+                for q in rows[5:]:
+                    factor = factor * -log_z + q[:, None]
+                term_sign *= np.sign(factor)
+                term_log += np.log(np.abs(factor))
             # a zero term (sign 0) has log -inf, so it never sets the peak
             peak = np.maximum.accumulate(term_log, axis=0)
             # scale by the first nonzero term, as a running sum does,
@@ -535,12 +553,9 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         # digits lost; a sum that cancels to exactly zero lost all 16
         lost = np.where(total != 0.0, (peak - total_log) / math.log(10.0),
                         np.where(peak > -math.inf, 16.0, 0.0))
-    # the float table sums poles merged across a gap as if they coincided,
-    # and a residue polynomial of degree 2 or more in log z can cancel
-    # where the loss estimate does not look: from the first such pole on
-    # (n_terms: none), no float term is trusted
-    first = np.append(np.flatnonzero((gap >= _ROUND_RTOL) | (order > 2)),
-                      n_terms)[0]
+    # float terms count up to the first pole whose term is not trusted
+    # (_Pole); n_terms where every one is
+    first = np.append(np.flatnonzero(trusted == 0.0), n_terms)[0]
     resum = (lost > 2.0) | (last >= first)
     # the float total of a z that is re-summed can be rounding noise past
     # double range, so it is not exponentiated
@@ -560,19 +575,10 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     return float(values[0]) if np.ndim(z) == 0 else values.reshape(zs.shape)
 
 
-def _monic(poly, y):
-    """y^m + poly[m-1] y^(m-1) + ... + poly[0], m = len(poly), on floats
-    or arrays."""
-    acc = y + poly[-1]
-    for q in poly[-2::-1]:
-        acc = acc * y + q
-    return acc
-
-
-def _gammas_at(num, den, sing_num, sing_den, at):
+def _gammas_at(num, den, sing_num, sing_den, u0):
     """(factor, 1 or -1 (numerator or denominator), k, w) for each gamma of
-    the integrand at a pole: first those singular there, at their k-th
-    pole (w None), then the regular ones, k None and w = at(factor) their
+    the integrand at the pole u0: first those singular there, at their
+    k-th pole (w None), then the regular ones, k None and w their float
     argument."""
     for factors, sing, dirn in ((num, sing_num, 1), (den, sing_den, -1)):
         for j, k in sing:
@@ -580,7 +586,7 @@ def _gammas_at(num, den, sing_num, sing_den, at):
         skip = {j for j, _ in sing}
         for j, f in enumerate(factors):
             if j not in skip:
-                yield f, dirn, None, at(f)
+                yield f, dirn, None, f.near + f.slope * u0
 
 
 def _leading_coefficient(gammas):
@@ -716,18 +722,19 @@ def _exact_coefficient(table, pole: _Pole, bits: int) -> list:
     """One part (j, k, m, e, poly) per exact location of the pole's
     numerator poles, none where denominators cancel them all: num[j] is the
     first numerator singular there, at its k-th pole u, and the part's
-    residue is C z^{-u} _monic(poly, -log z), C = m 2^e at the working
-    precision, poly (None at a simple pole) in units of 2^-bits.
+    residue is C z^{-u} times the monic polynomial of _Pole in -log z, C =
+    m 2^e at the working precision, poly (None at a simple pole) in units
+    of 2^-bits.
 
     Poles the float table merged may lie apart at the exact shifts and
     float slopes, by up to _MERGE_RTOL (for a = 0.7, theta = 1.3 the poles
     of Gamma(u) and Gamma(theta*u - a) at u = -11 are 3.4e-16 apart), each
     location a part on its own family's chain.  Their residues cancel by
-    about 1/gap, which the sum measures (_ResidueTable._sum_at); each holds
-    the other merged numerators within the gap of a pole, where the
-    rounding of a gamma's argument is magnified by up to 1/gap.  Those
-    relative errors add, however many numerators merge, so it is worked
-    at the gap's digits.
+    about 1/gap, which the sum measures from their sizes
+    (_ResidueTable._sum_at) and numerics.mp_sum answers with digits.  Each
+    part holds the other merged gammas within the gap of a pole, but at an
+    exact argument reduced off it (_ResidueTable.gamma_ratio), so every
+    part is built at the working precision.
     """
     num, den = table.num, table.den
     spots = {}  # exact location -> singular (num, den) factors there
@@ -738,33 +745,20 @@ def _exact_coefficient(table, pole: _Pole, bits: int) -> list:
             f = factors[j]
             at = (-f.shift - k) / Fraction(f.slope) if group else 0
             spots.setdefault(at, ([], []))[side].append((j, k))
-    gap = min((abs(x - y) for x in spots for y in spots if x != y), default=1)
-    extra = _DPS_STEP * math.ceil(-math.log10(gap) / _DPS_STEP)
-    # a regular gamma d from a pole of its own magnifies the rounding of its
-    # argument by 1/d, up to 1e10 (_MERGE_RTOL); past 1e4 the sum's 20 spare
-    # digits would not keep a double's 16, so _DPS_STEP more are worked in
-    near = min((abs(w - round(w)) for *_, k, w in _gammas_at(
-        num, den, pole.sing_num, pole.sing_den,
-        lambda f: f.near + f.slope * pole.u0) if k is None and w < 0.5),
-        default=1.0)
-    parts, prec = [], mpmath.mp.prec
-    with mpmath.workdps(mpmath.mp.dps + extra
-                        + (_DPS_STEP if near < 1e-4 else 0)):
-        for sing_num, sing_den in spots.values():
-            order = len(sing_num) - len(sing_den)
-            if order <= 0:
-                continue
-            c, gammas = _exact_leading(table, sing_num, sing_den)
-            poly = None
-            if order > 1:
-                poly = tuple(to_fixed(q._mpf_, bits) for q in _log_poly(
-                    [(f, dirn, k, w if w is None else _mpf_ratio(*w))
-                     for f, dirn, k, w in gammas], order))
-                c = mpf_div(c, from_int(math.factorial(order - 1)),
-                            mpmath.mp.prec)
-            # rounded to the working precision
-            parts.append((*sing_num[0], *_mantissa(
-                mpf_pos(c, prec, round_nearest)), poly))
+    parts = []
+    for sing_num, sing_den in spots.values():
+        order = len(sing_num) - len(sing_den)
+        if order <= 0:
+            continue
+        c, gammas = _exact_leading(table, sing_num, sing_den)
+        poly = None
+        if order > 1:
+            poly = tuple(to_fixed(q._mpf_, bits) for q in _log_poly(
+                [(f, dirn, k, w if w is None else _mpf_ratio(*w))
+                 for f, dirn, k, w in gammas], order))
+            c = mpf_div(c, from_int(math.factorial(order - 1)),
+                        mpmath.mp.prec)
+        parts.append((*sing_num[0], *_mantissa(c), poly))
     return parts
 
 

@@ -719,10 +719,12 @@ class TestPoleCollisions:
         # u = -11 the three poles lie 3.4e-16 and 5e-13 apart, one triple
         # pole of the float table, three simple poles of the exact re-sum,
         # whose coefficients each hold the two other gammas near a pole.
-        # With no extra digits z = 100 is 1.2e-7 off; one gap's worked
-        # digits keep 1e-14.  Reference: simple residues at 120 digits, a
-        # moved by 1e-40 to split the pair at u = -1 that coincides exactly
-        # (within 3e-40 of the same at 160)
+        # Those gammas are taken at exact arguments reduced off their poles,
+        # so the parts need no digits past the working precision (a gamma
+        # at an argument rounded there, with no digits added, leaves z = 100
+        # 1.2e-7 off).  Reference: simple residues at 120 digits, a moved by
+        # 1e-40 to split the pair at u = -1 that coincides exactly (within
+        # 3e-40 of the same at 160)
         num = [GammaFactor(0.0, 1.0), GammaFactor(-0.7, 1.3),
                GammaFactor(22 + 1e-12, 2.0)]
         moved = [num[0], GammaFactor(-Fraction(0.7) - Fraction(1, 10 ** 40),
@@ -734,6 +736,61 @@ class TestPoleCollisions:
             value = residue_series(num, [], z)
             assert resummed == [z]
             assert abs(value - ref) <= 1e-14 * abs(ref), z
+
+    # (lower, upper, {z: G^{m,0}_{p,m}(z)}), m = len(lower), by
+    # mpmath.meijerg at 120 digits, each within 1e-121 of the same at 160.
+    # near_zero: Gamma(u)^2 / Gamma(u + delta), a zero of 1/Gamma delta
+    # beside each double pole; near_pole: Gamma(u)^2 Gamma(u + delta), a
+    # simple pole delta beside each double pole, whose coefficient holds
+    # the digamma of Gamma(u + delta) there
+    NEAR_POLES = {
+        "near_zero": [
+            ((0, 0), (1e-6,), {0.5: "0.6065310801270277708263",
+                               3.0: "0.04978701367119428266789",
+                               30.0: "9.357591141771252569588e-14"}),
+            ((0, 0), (1e-9,), {0.5: "0.6065306601330484396844",
+                               3.0: "0.04978706831316725786911",
+                               30.0: "9.357622937013051918533e-14"})],
+        "near_pole": [
+            ((0, 0, 1e-15), (), {100.0: "6.846405092429222581363e-7",
+                                 1000.0: "3.357669316706931478643e-14"}),
+            ((0, 0, 3e-13), (), {100.0: "6.846405092432364957804e-7",
+                                 1000.0: "3.357669316709243143119e-14"})],
+    }
+
+    @pytest.mark.parametrize("case", sorted(NEAR_POLES))
+    def test_gammas_beside_a_pole_match_meijer_g(self, case):
+        # a gamma within 1e-4 of a pole of its own sends its float term to
+        # the exact re-sum, which takes it at an exact argument reduced off
+        # the pole; the float sum, which rounds that argument, is 8.2e-13
+        # off at delta = 1e-6, z = 3
+        for lower, upper, values in self.NEAR_POLES[case]:
+            spec = FoxHSpec(upper=tuple((a, 1.0) for a in upper),
+                            lower=tuple((b, 1.0) for b in lower),
+                            m=len(lower), n=0)
+            for z, want in values.items():
+                want = float(want)
+                assert abs(fox_h(spec, z) - want) <= 1e-14 * want, z
+
+    def test_exact_gammas_take_positive_arguments(self, monkeypatch,
+                                                  resummed):
+        # every chain of the exact re-sum starts at mpmath.gamma or rgamma
+        # of its argument moved right of 0 by whole steps, whose linear
+        # factors are exact: on the split pole of G~_inf(0.7, 0.9, 1.3) and
+        # on three merged families of different slopes, whose chains start
+        # at arguments down to -25
+        args = []
+        for name in ("gamma", "rgamma"):
+            def spy(x, real=getattr(mpmath, name)):
+                args.append(x)
+                return real(x)
+            monkeypatch.setattr(mpmath, name, spy)
+        foxh._residue_table.cache_clear()
+        g_tilde_inf(0.7, 0.9, 1.3, 20.0)
+        residue_series([GammaFactor(0.0, 1.0), GammaFactor(-0.7, 1.3),
+                        GammaFactor(22 + 1e-12, 2.0)], [], 100.0)
+        assert resummed == [20.0, 100.0]
+        assert args and min(args) > 0
 
     def test_hankel_loop_returns_plain_float(self):
         value = hankel_loop([GammaFactor(0.0, 1.0)], [], 0.7)
