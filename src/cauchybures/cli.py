@@ -182,9 +182,8 @@ def _checks_ensembles(rng, tol):
     det = ensembles.partition_cauchy(q, route="det")
     yield ("cauchy_partition_closed_vs_det",
            abs(closed.to_real() / det.to_real() - 1.0), tol)
-    r = ensembles.EnsembleParams(0.4, 1.4, 1.3, 3)
-    product = ensembles.partition_bures(r).to_real()
-    ident = ensembles.partition_bures(r, route="cauchy").to_real()
+    product = ensembles.partition_bures(q).to_real()
+    ident = ensembles.partition_bures(q, route="cauchy").to_real()
     yield ("bures_partition_product_vs_identity",
            abs(product / ident - 1.0), tol)
 

@@ -3,9 +3,9 @@
 Every Mellin-Barnes integral of the library (`fox_h`, the finite-N
 polynomials G_N, their companions G~_N carrying a Gamma(theta*u - a)
 factor, and the hard-edge limits G_inf, G~_inf) is the sum of its left
-residues (`residue_series`), at poles of any order.  `hankel_loop`
-integrates the same integrand along a contour; no library route calls
-it, and it is kept as the tests' independent reference.
+residues (`residue_series`), at poles of any order; it is the library's
+one evaluator of them.  The Hankel contour quadrature of the same
+integrand is a test reference (tests/references.py).
 """
 from __future__ import annotations
 
@@ -25,11 +25,11 @@ from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_div,
                           to_fixed)
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
-                         PoleCollisionError, PoleError)
+                         PoleCollisionError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
-from .numerics import (_DPS_STEP, _GUARD_BITS, _POLE_TOL,  # noqa: F401
-                       _SPARE_DIGITS, lgamma_signed, log_gamma_complex,
-                       mp_sum, refine_quadrature, require_positive)
+from .numerics import (_DPS_STEP, _GUARD_BITS, _SPARE_DIGITS,  # noqa: F401
+                       lgamma_signed, log_gamma_complex, mp_sum,
+                       require_positive)
 
 __all__ = [
     "GammaFactor",
@@ -44,7 +44,6 @@ __all__ = [
 
 _LN_EPS = math.log(1e-16)
 _LN2 = math.log(2.0)
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 # Poles closer than _MERGE_RTOL (GammaFactor.pole_gap) are one entry of the
 # float series; a z whose terms reach an entry merged across _ROUND_RTOL or
 # more is re-summed exactly, where the entry splits into its exact poles.
@@ -52,8 +51,6 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 _MERGE_RTOL = 1e-10
 _ROUND_RTOL = 1e-14
 _MAX_TERMS = 2000
-_LOOP_NODES = 64
-_LOOP_RTOL = 1e-11
 _SEPARATION_POLES = 300
 
 
@@ -117,34 +114,6 @@ class FoxHSpec:
         den = [GammaFactor(1 - Fraction(b), -B) for b, B in low[m:]]
         den += [GammaFactor(a, A) for a, A in up[n:]]
         return num, den
-
-
-def _log_integrand(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
-                   u: np.ndarray, log_z: float) -> np.ndarray:
-    """log of z^{-u} prod Gamma(num) / prod Gamma(den) at an array of nodes.
-
-    A numerator gamma pole (within log_gamma_complex's tolerance) at any
-    node raises PoleError; a denominator one is a zero, so log -inf.
-    """
-    from scipy.special import loggamma  # the loop alone needs scipy
-
-    def on_pole(w):
-        n = np.round(w.real)
-        return (n <= 0) & (np.abs(w - n) < _POLE_TOL)
-
-    acc = -u * log_z
-    for f in num:
-        w = f.near + f.slope * u
-        if on_pole(w).any():
-            raise PoleError(f"log-gamma pole at z = {w[on_pole(w)][0]}")
-        acc += loggamma(w)
-    zero = np.zeros(len(u), dtype=bool)
-    for f in den:
-        w = f.near + f.slope * u
-        zero |= on_pole(w)
-        acc -= loggamma(w)
-    acc[zero] = complex(-math.inf, 0.0)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +657,8 @@ def _log_poly(gammas, order):
     (m-1)!, made monic.  A gamma regular at u0, Gamma(w0) (_gammas_at),
     adds d_k = slope^k psi^(k-1)(w0) / k!, one singular
     at -k0 slope^k _pole_log_taylor(k, k0) / k!; denominators subtract.
-    Order 2 gives poly = (d_1,), the sum of slope * digamma over them.
+    Order 2 gives poly = (d_1,), the sum of slope * digamma over them: the
+    recurrence's other steps multiply and divide by the integer 1.
     """
     d = [0] * order  # k! d_k
     for f, dirn, k0, w0 in gammas:
@@ -696,8 +666,6 @@ def _log_poly(gammas, order):
             t = (_pole_log_taylor(k, k0, mpmath.mp.prec) if w0 is None
                  else mpmath.digamma(w0) if k == 1 else mpmath.psi(k - 1, w0))
             d[k] += dirn * f.slope ** k * t
-    if order == 2:  # the common double pole, in the fewest operations
-        return (d[1],)
     b = [1]
     for r in range(1, order):
         b.append(sum(d[k] * b[r - k] / math.factorial(k - 1)
@@ -785,68 +753,12 @@ def min_family_separation(num: Sequence[GammaFactor],
     return best
 
 
-# ---------------------------------------------------------------------------
-# contour quadrature (a test reference; no library route calls it)
-# ---------------------------------------------------------------------------
-
 def hankel_loop(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
                 z: float) -> float:
-    """Parabolic loop around the negative real u-axis.
-
-    The contour u(t) = v0*(1 - t^2) + i*c*t opens leftward with vertex v0
-    to the right of every enclosed pole; the integrand decays
-    super-exponentially along it, so the trapezoid rule with node doubling
-    converges geometrically.
-    """
-    require_positive("z", z)
-    log_z = math.log(z)
-    # rightmost left-family pole, leftmost right-family pole
-    left_max = max((f.pole(0) for f in num if f.slope > 0), default=-math.inf)
-    right_min = min((f.pole(0) for f in num if f.slope < 0), default=math.inf)
-    if left_max == -math.inf:
-        raise DomainError("no left pole family to enclose")
-    # For z << 1 the factor z^{-u} peaks at the contour vertex; keeping the
-    # vertex within ~1/|log z| of the rightmost enclosed pole keeps that peak
-    # comparable to the residue the integral actually equals, so the
-    # trapezoid sum is not asked to resolve catastrophic cancellation.
-    offset = 1.0
-    if log_z < -1.0:
-        offset = max(1.0 / -log_z, 1e-3)
-    v0 = left_max + offset
-    if v0 >= right_min - 0.3:
-        v0 = 0.5 * (left_max + right_min)
-        if v0 <= left_max + 1e-9:
-            raise PoleCollisionError("left and right pole families overlap")
-    c = 2.0 * max(1.0, v0 + 1.0)
-
-    def log_g(t: np.ndarray) -> np.ndarray:
-        u = v0 * (1.0 - t * t) + 1j * c * t
-        du = -2.0 * v0 * t + 1j * c
-        return _log_integrand(num, den, u, log_z) + np.log(du)
-
-    # locate the truncation point: integrand 1e-18 below its peak
-    t_max = 2.0
-    for _ in range(60):
-        re = log_g(np.linspace(0.0, t_max, 48)).real
-        if re[-1] < re.max() - 45.0:
-            break
-        t_max *= 1.5
-    else:
-        raise NonConverged("integrand does not decay along the Hankel loop")
-
-    # judged against the sum of |integrand| too: at a zero of the integral
-    # the value itself is rounding noise and no relative test can pass
-    def value_at(order: int) -> tuple[float, float]:
-        t = np.linspace(0.0, t_max, order + 1)
-        lg = log_g(t)
-        m = lg.real.max()
-        vals = np.exp(lg - m).imag
-        scale = math.exp(m) / math.pi
-        return (float(scale * _trapz(vals, t)),
-                float(scale * _trapz(np.abs(vals), t)))
-
-    return refine_quadrature(value_at, start_order=_LOOP_NODES,
-                             rtol=_LOOP_RTOL, max_order=65536)
+    """residue_series under the name perfbench/tracer.py binds (the tests'
+    contour quadrature is tests/references.py's hankel_loop); a function of
+    its own, so that the tracer does not count residue_series twice."""
+    return residue_series(num, den, z)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ sum over the bi-orthogonal pair, with i1 transforms on its integrated
 sides (`_cd_contract`), and a t-integral of the contour functions, so the
 routes can be played against each other in the tests; for K11 the second
 is an exact incomplete-gamma sum on Python integers from its inputs to one
-final mpf (_k11_inc_core): exact-rational vectors cached per (a, b, theta,
-N) and cut to each precision, and unit-step gamma chains run in whichever
-direction needs fewer guard bits from seeds chosen by region (_h_seed).
+final mpf (_k11_inc_core): exact-rational vectors cut to integers and
+cached per (a, b, theta, N, precision), and unit-step gamma chains run in
+whichever direction needs fewer guard bits from seeds chosen by region
+(_h_seed).
 The direct route's integrated sides (_i1s) are unit-step i1 chains, one
 quadrature seed per residue class of l mod q where theta = p/q
 (_i1_chain); a side refuses where i1_integral does at its largest
@@ -367,11 +368,14 @@ def k10(params: EnsembleParams, y: float, yp: float,
 
 
 @lru_cache(maxsize=32)
-def _k11_rationals(a: float, b: float, theta: float, n: int) -> tuple:
-    """_k11_inc_core's z-independent vectors, exact: with alpha + 1 =
-    (a + b + 1)/theta = P/Q (the floats read as exact), coef_j = (-1)^j
-    C(N-1, j) prod_{i=j}^{N+j-1} (P + iQ) / ((N-1)! Q^N) and h_m = Q/(P +
-    mQ).  Returns (the numerators of coef_j, their denominator, P, Q)."""
+def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
+    """_k11_inc_core's z-independent vectors as integers for `prec` bits,
+    without mpmath: (coef, its unit, h_m for m < 2N-1, its unit), x = m
+    2^unit.  With alpha + 1 = (a + b + 1)/theta = P/Q (the floats read as
+    exact), coef_j = (-1)^j C(N-1, j) prod_{i=j}^{N+j-1} (P + iQ) / ((N-1)!
+    Q^N) and h_m = Q/(P + mQ), exact rationals cut on a unit _GUARD_BITS
+    below prec under their first entry (coef_0, the least |coef_j|, whose
+    side value is the largest, and h_0, the largest h)."""
     al1 = (Fraction(a) + Fraction(b) + 1) / Fraction(theta)
     p, q = al1.numerator, al1.denominator
     prod, binom, nums = math.prod(p + i * q for i in range(n)), 1, []
@@ -379,16 +383,7 @@ def _k11_rationals(a: float, b: float, theta: float, n: int) -> tuple:
         nums.append(-binom * prod if j % 2 else binom * prod)
         prod = prod * (p + (n + j) * q) // (p + j * q)
         binom = binom * (n - 1 - j) // (j + 1)
-    return tuple(nums), math.factorial(n - 1) * q ** n, p, q
-
-
-@lru_cache(maxsize=32)
-def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
-    """_k11_rationals cut to integers for `prec` bits, without mpmath:
-    (coef, its unit, h_m for m < 2N-1, its unit), x = m 2^unit, each on a
-    unit _GUARD_BITS below prec under its first entry (coef_0, the least
-    |coef_j|, whose side value is the largest, and h_0, the largest h)."""
-    nums, den, p, q = _k11_rationals(a, b, theta, n)
+    den = math.factorial(n - 1) * q ** n
     cut = max(0, prec + _GUARD_BITS + den.bit_length() - nums[0].bit_length())
     hcut = max(0, prec + _GUARD_BITS + p.bit_length() - q.bit_length())
     return (tuple((x << cut) // den for x in nums), -cut,

@@ -3,11 +3,12 @@
 Not collected as tests (the file name does not match test_*.py).  Each
 computes a quantity independently of the production route it checks:
 the Jacobi series by an mpmath sum, the Mellin-Barnes residue series by
-mpmath gamma values, the hard-edge kernels and correlations by mpmath
-quadratures of Meijer-G and power-series sides (G~_inf by Gauss's
-multiplication formula, not by residues), the bi-orthogonal families
-by their bordered moment determinants, and the 2D moment integrals by a
-tensor Gauss rule with the 1/(x+y) factor absorbed.
+mpmath gamma values and by a trapezoid quadrature of the same integrand
+on a Hankel contour (scipy's complex log-gamma), the hard-edge kernels
+and correlations by mpmath quadratures of Meijer-G and power-series
+sides (G~_inf by Gauss's multiplication formula, not by residues), the
+bi-orthogonal families by their bordered moment determinants, and the 2D
+moment integrals by a tensor Gauss rule with the 1/(x+y) factor absorbed.
 """
 from __future__ import annotations
 
@@ -18,13 +19,18 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_jacobi
+from scipy.special import loggamma, roots_genlaguerre, roots_jacobi
 
 from cauchybures.ensembles import EnsembleParams, moment_c, partition_cauchy
-from cauchybures.exceptions import DomainError
-from cauchybures.numerics import LogValue, QuadratureRule, ln_abs, mp_sum
+from cauchybures.exceptions import (DomainError, NonConverged,
+                                    PoleCollisionError, PoleError)
+from cauchybures.numerics import (_POLE_TOL, LogValue, QuadratureRule, ln_abs,
+                                  mp_sum, refine_quadrature, require_positive)
 from cauchybures.polynomials import _check_degree
 
+_trapz = getattr(np, "trapezoid", None) or np.trapz
+_LOOP_NODES = 64
+_LOOP_RTOL = 1e-11
 # the determinant forms miss 1e-8 from degree 5 on (8e-5 at degree 8,
 # 1e-1 at degree 10): the float moment determinant is ill-conditioned
 _MAX_DEGREE = 5
@@ -99,6 +105,92 @@ def residue_sum(num, den, zs, dps: int) -> list:
                 totals = [t + c * z ** -u for t, z in zip(totals, zs)]
                 k += 1
         return totals
+
+
+def _log_integrand(num, den, u: np.ndarray, log_z: float) -> np.ndarray:
+    """log of z^{-u} prod Gamma(num) / prod Gamma(den) at an array of nodes.
+
+    A numerator gamma pole (within _POLE_TOL) at any node raises
+    PoleError; a denominator one is a zero, so log -inf.
+    """
+    def on_pole(w):
+        n = np.round(w.real)
+        return (n <= 0) & (np.abs(w - n) < _POLE_TOL)
+
+    acc = -u * log_z
+    for f in num:
+        w = f.near + f.slope * u
+        if on_pole(w).any():
+            raise PoleError(f"log-gamma pole at z = {w[on_pole(w)][0]}")
+        acc += loggamma(w)
+    zero = np.zeros(len(u), dtype=bool)
+    for f in den:
+        w = f.near + f.slope * u
+        zero |= on_pole(w)
+        acc -= loggamma(w)
+    acc[zero] = complex(-math.inf, 0.0)
+    return acc
+
+
+def hankel_loop(num, den, z: float) -> float:
+    """The Mellin-Barnes integral of a foxh factor list (num, den) at z, by
+    the trapezoid rule on a parabolic loop around the negative real u-axis,
+    in floats, with no residue.
+
+    The contour u(t) = v0*(1 - t^2) + i*c*t opens leftward with vertex v0
+    to the right of every enclosed pole; the integrand decays
+    super-exponentially along it, so the trapezoid rule with node doubling
+    converges geometrically.
+    """
+    require_positive("z", z)
+    log_z = math.log(z)
+    # rightmost left-family pole, leftmost right-family pole
+    left_max = max((f.pole(0) for f in num if f.slope > 0), default=-math.inf)
+    right_min = min((f.pole(0) for f in num if f.slope < 0), default=math.inf)
+    if left_max == -math.inf:
+        raise DomainError("no left pole family to enclose")
+    # For z << 1 the factor z^{-u} peaks at the contour vertex; keeping the
+    # vertex within ~1/|log z| of the rightmost enclosed pole keeps that peak
+    # comparable to the residue the integral actually equals, so the
+    # trapezoid sum is not asked to resolve catastrophic cancellation.
+    offset = 1.0
+    if log_z < -1.0:
+        offset = max(1.0 / -log_z, 1e-3)
+    v0 = left_max + offset
+    if v0 >= right_min - 0.3:
+        v0 = 0.5 * (left_max + right_min)
+        if v0 <= left_max + 1e-9:
+            raise PoleCollisionError("left and right pole families overlap")
+    c = 2.0 * max(1.0, v0 + 1.0)
+
+    def log_g(t: np.ndarray) -> np.ndarray:
+        u = v0 * (1.0 - t * t) + 1j * c * t
+        du = -2.0 * v0 * t + 1j * c
+        return _log_integrand(num, den, u, log_z) + np.log(du)
+
+    # locate the truncation point: integrand 1e-18 below its peak
+    t_max = 2.0
+    for _ in range(60):
+        re = log_g(np.linspace(0.0, t_max, 48)).real
+        if re[-1] < re.max() - 45.0:
+            break
+        t_max *= 1.5
+    else:
+        raise NonConverged("integrand does not decay along the Hankel loop")
+
+    # judged against the sum of |integrand| too: at a zero of the integral
+    # the value itself is rounding noise and no relative test can pass
+    def value_at(order: int) -> tuple[float, float]:
+        t = np.linspace(0.0, t_max, order + 1)
+        lg = log_g(t)
+        m = lg.real.max()
+        vals = np.exp(lg - m).imag
+        scale = math.exp(m) / math.pi
+        return (float(scale * _trapz(vals, t)),
+                float(scale * _trapz(np.abs(vals), t)))
+
+    return refine_quadrature(value_at, start_order=_LOOP_NODES,
+                             rtol=_LOOP_RTOL, max_order=65536)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ from cauchybures.correlations import (CorrelationRequest, rho_bures,
 from cauchybures.ensembles import (EnsembleParams, partition_bures,
                                    partition_cauchy)
 from cauchybures import foxh
-from cauchybures.foxh import FoxHSpec, fox_h, g_inf, g_tilde_inf, hankel_loop
+from cauchybures.foxh import FoxHSpec, fox_h, g_inf, g_tilde_inf
 from cauchybures.kernels import (cd_hard_scaled, cd_kernel, hard_edge_kernel,
                                  k01, k10, k11)
 from cauchybures.polynomials import (jacobi_p, monic_pair, p_hat,
                                      phi_bures, q_hat)
 from cauchybures.raney import (density_asymptote, raney, sz_density,
                                sz_moment)
-from references import jacobi_series_value, simplex_quad_2d
+from references import hankel_loop, jacobi_series_value, simplex_quad_2d
 
 
 def poly_kernel(params):

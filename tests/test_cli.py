@@ -415,7 +415,7 @@ print("\\n" + json.dumps(codes))  # a JSON grid ends without a newline
 
 class TestWithoutScipy:
     def test_cold_commands_need_no_scipy(self, tmp_path):
-        # the library imports no scipy; only the tests' Hankel loop does.
+        # the library imports no scipy; only the tests' references do.
         # The commands below, the brute-force oracles and verify among
         # them, run without it
         spec = write_spec(tmp_path, {"upper": [], "m": 2, "n": 0,

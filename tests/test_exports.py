@@ -44,3 +44,12 @@ def test_benchmark_bound_names_resolve():
     from cauchybures import foxh
     for attr in ("_gtn_factors", "_gtinf_factors", "min_family_separation"):
         assert callable(getattr(foxh, attr))
+
+
+def test_hankel_loop_alias_is_the_residue_series():
+    # a function of its own: bound to residue_series itself, the tracer
+    # would rewrap every residue_series binding as foxh.hankel_loop too
+    from cauchybures.foxh import GammaFactor, hankel_loop, residue_series
+    assert hankel_loop is not residue_series
+    num = [GammaFactor(0.0, 1.0)]
+    assert hankel_loop(num, [], 0.7) == residue_series(num, [], 0.7)

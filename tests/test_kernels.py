@@ -16,8 +16,8 @@ from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.correlations import (CorrelationRequest, rho_bures,
                                        rho_bures_hard_edge, rho_cauchy)
 from cauchybures.kernels import (KernelGrid, _h_seed, _h_series, _k11_side,
-                                 _k11_rationals, _k11_tables, cd_hard_scaled,
-                                 cd_kernel, delta_k00_inf, delta_k11_inf,
+                                 _k11_tables, cd_hard_scaled, cd_kernel,
+                                 delta_k00_inf, delta_k11_inf,
                                  hard_edge_kernel, hatted, i1_integral, k01,
                                  k10, k11, make_grid, sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
@@ -869,11 +869,8 @@ class TestK11Core:
         p = EnsembleParams(0.2, 0.9, 2.0, 12)
         want = repr(k11(p, 0.4, 0.9))
         k11(EnsembleParams(0.2, 0.9, 2.0, 14), 0.4, 0.9)
-        _k11_rationals.cache_clear()
         for prec in (100, 700):
             _k11_tables(p.a, p.b, p.theta, p.n, prec)
-        # one rational build serves every precision
-        assert _k11_rationals.cache_info()[:2] == (1, 1)
         assert repr(k11(p, 0.4, 0.9)) == want
         _k11_tables.cache_clear()
         assert repr(k11(p, 0.4, 0.9)) == want
