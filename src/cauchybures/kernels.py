@@ -13,11 +13,11 @@ The direct route's integrated sides (_i1s) are unit-step i1 chains, one
 quadrature seed per residue class of l mod q where theta = p/q
 (_i1_chain); a side refuses where i1_integral does at its largest
 exponent, where y^beta overflows a double.  They and the t-integrals'
-G / G~ sides on each tanh-sinh level (_t_side) are cached, so the
-entries of one correlation share them.  One table of the four kinds
-(_TILDE) and one dispatcher (_finite_kernel) choose every route; one
-tanh-sinh rule integrates every t-integral (_gg_t_integral) and both
-halves of i1_integral.
+G / G~ sides on each tanh-sinh call (_t_side, levels 0-2 on the first)
+are cached, so the entries of one correlation share them.  One table of
+the four kinds (_TILDE) and one dispatcher (_finite_kernel) choose every
+route; one tanh-sinh rule integrates every t-integral (_gg_t_integral)
+and both halves of i1_integral.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
-from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _tanh_sinh_level,
+from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _tanh_sinh_call,
                        ln_abs, mp_sum, require_positive, tanh_sinh_01)
 from .polynomials import _hat_table
 
@@ -202,9 +202,10 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
 
     tanh-sinh converges through the t^alpha weight of K00's entire G G
     and through a G~'s algebraic t^{-a/theta} endpoint behavior, which no
-    single polynomial weight fits.  side1(level) and side2(level) are the
-    factors on the nodes of that tanh-sinh level that _kept keeps
-    (_t_side), so each level costs at most one evaluation of each side.
+    single polynomial weight fits.  side1(call) and side2(call) are the
+    factors on the nodes of tanh_sinh_01's call `call` of the integrand
+    that _kept keeps (_t_side): call 0 holds levels 0-2, each later call
+    one level, so each call costs at most one evaluation of each side.
 
     The factors are good to about 1e-14 relative; where cancellation could
     scale that past _T_RTOL, tanh_sinh_01 raises ComplexityError, which
@@ -214,15 +215,15 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
     if alpha + 1.0 < _MIN_ALPHA1:
         raise ComplexityError(f"t-integral: alpha + 1 = {alpha + 1.0:.3g} "
                               f"puts t^alpha mass below the tanh-sinh nodes")
-    level = 0
+    call = 0
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        # tanh_sinh_01 calls f once per level, on levels 0, 1, 2, ... in turn
-        nonlocal level
+        # tanh_sinh_01's calls of f are those of _tanh_sinh_call, in turn
+        nonlocal call
         out = np.zeros(len(t))
         keep = _kept(alpha, t)
-        out[keep] = t[keep] ** alpha * side1(level) * side2(level)
-        level += 1
+        out[keep] = t[keep] ** alpha * side1(call) * side2(call)
+        call += 1
         return out
 
     try:
@@ -235,16 +236,17 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
 
 @lru_cache(maxsize=256)
 def _t_side(tilde: bool, e: float, alpha: float, theta: float,
-            n: Optional[int], z: float, level: int) -> np.ndarray:
+            n: Optional[int], z: float, call: int) -> np.ndarray:
     """G_n (G~_n with tilde; G_inf, G~_inf for n=None) of exponent e at
-    t z, over the nodes t of tanh-sinh level `level` that _kept keeps.
+    t z, over the nodes t of tanh_sinh_01's call `call` of the integrand
+    (_tanh_sinh_call: levels 0-2 for call 0) that _kept keeps.
 
     Cached, as read-only arrays: the t-integrals of a correlation's
     entries, or of a grid's cells, share each side (at most four per
-    point: G or G~, exponent a or b), so each is evaluated once per level
+    point: G or G~, exponent a or b), so each is evaluated once per call
     it reaches.  alpha fixes the node mask as well as the function.
     """
-    t = _tanh_sinh_level(level).nodes
+    t = _tanh_sinh_call(call)
     tz = t[_kept(alpha, t)] * z
     if n is None:
         vals = (g_tilde_inf if tilde else g_inf)(e, alpha, theta, tz)

@@ -46,6 +46,10 @@ _MAX_DPS = 512
 # that their truncations stay below mpmath's own rounding
 _GUARD_BITS = 16
 _TS_ROUNDING = 1e-14  # tanh_sinh_01's integrand rounding, relative
+# refine_quadrature's quadratic rule needs two changes, level 0 to 1 and 1
+# to 2, so it accepts level 2 at the earliest: tanh_sinh_01's first call of
+# f holds the nodes of levels 0 to _TS_FIRST_LEVELS - 1
+_TS_FIRST_LEVELS = 3
 
 
 def require_positive(what: str, *values: float) -> None:
@@ -307,23 +311,38 @@ def _tanh_sinh_level(level: int) -> QuadratureRule:
     return QuadratureRule(t[keep], w[keep])
 
 
+@lru_cache(maxsize=None)
+def _tanh_sinh_call(call: int) -> np.ndarray:
+    """Nodes of tanh_sinh_01's call `call` of f: levels 0 to
+    _TS_FIRST_LEVELS - 1 in turn for call 0, then one level per call."""
+    if call:
+        return _tanh_sinh_level(call + _TS_FIRST_LEVELS - 1).nodes
+    nodes = np.concatenate([_tanh_sinh_level(level).nodes
+                            for level in range(_TS_FIRST_LEVELS)])
+    nodes.setflags(write=False)
+    return nodes
+
+
 def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray],
                  rtol: float = 1e-11) -> float:
     """Double-exponential quadrature of f over (0, 1).
 
-    f maps an ndarray of nodes to the array of its values.  It is called
-    once per level, on levels 0, 1, 2, ... in turn, with only the nodes
-    that level adds (cached per level, see _tanh_sinh_level); a level's
-    value is half the previous level's plus the new weighted sum, so each
-    doubling reuses every earlier evaluation.  Converges geometrically
-    even when f has integrable algebraic singularities at either endpoint.
+    f maps an ndarray of nodes to the array of its values.  Its first call
+    holds the nodes of levels 0-2 (_TS_FIRST_LEVELS), each later call those
+    that one more level adds (_tanh_sinh_call); a level's value is half the
+    previous level's plus the new weighted sum, taken level by level, so
+    each doubling reuses every earlier evaluation and every value is that
+    of one call per level.  Where the loop accepts level 1 (by rtol, or f
+    zero on every node), f has still seen level 2's nodes, and an error it
+    raises there propagates.  Converges geometrically even when f has
+    integrable algebraic singularities at either endpoint.
 
     f's rounding, _TS_ROUNDING of M = sum w|f|, passes rtol |I| where M
     exceeds (rtol / _TS_ROUNDING) |I|: that on the level the loop accepts,
     or on an earlier one whose change lies within rtol M, raises
     ComplexityError.  A non-negative f (M = |I|) never raises.
     """
-    value = mass = 0.0
+    value, mass, ahead = 0.0, 0.0, None
 
     def checked(result: float) -> float:
         if mass > rtol / _TS_ROUNDING * abs(value):
@@ -336,9 +355,14 @@ def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray],
     # refine_quadrature asks for orders 2, 4, ..., 2^13 in turn, i.e. the
     # levels 0, 1, ..., 12 with step h = 1/order
     def level_sum(order: int) -> float:
-        nonlocal value, mass
-        rule = _tanh_sinh_level(order.bit_length() - 2)
-        vals = np.asarray(f(rule.nodes), dtype=float)
+        nonlocal value, mass, ahead
+        level = order.bit_length() - 2
+        rule = _tanh_sinh_level(level)
+        if level == 0 or level >= _TS_FIRST_LEVELS:  # f's next call
+            call = max(level + 1 - _TS_FIRST_LEVELS, 0)
+            ahead = np.asarray(f(_tanh_sinh_call(call)), dtype=float)
+        # this level's values; ahead keeps those of the levels after it
+        vals, ahead = ahead[:len(rule.nodes)], ahead[len(rule.nodes):]
         prev, value = value, 0.5 * value + float(rule.weights @ vals)
         mass = 0.5 * mass + float(rule.weights @ np.abs(vals))
         if order > 2 and abs(value - prev) <= rtol * mass:

@@ -9,6 +9,8 @@ and correlations by mpmath quadratures of Meijer-G and power-series
 sides (G~_inf by Gauss's multiplication formula, not by residues), the
 bi-orthogonal families by their bordered moment determinants, and the 2D
 moment integrals by a tensor Gauss rule with the 1/(x+y) factor absorbed.
+tanh_sinh_01_per_level keeps tanh-sinh's earlier loop, one integrand call
+per level, which the library's loop must match to the bit.
 """
 from __future__ import annotations
 
@@ -22,9 +24,11 @@ import numpy as np
 from scipy.special import loggamma, roots_genlaguerre, roots_jacobi
 
 from cauchybures.ensembles import EnsembleParams, moment_c, partition_cauchy
-from cauchybures.exceptions import (DomainError, NonConverged,
-                                    PoleCollisionError, PoleError)
-from cauchybures.numerics import (_POLE_TOL, LogValue, QuadratureRule, ln_abs,
+from cauchybures.exceptions import (ComplexityError, DomainError,
+                                    NonConverged, PoleCollisionError,
+                                    PoleError)
+from cauchybures.numerics import (_POLE_TOL, _TS_ROUNDING, LogValue,
+                                  QuadratureRule, _tanh_sinh_level, ln_abs,
                                   mp_sum, refine_quadrature, require_positive)
 from cauchybures.polynomials import _check_degree
 
@@ -315,6 +319,37 @@ def q_hat_det(params: EnsembleParams, n: int, y) -> float:
     params_t = EnsembleParams(params.b, params.a, params.theta, params.n)
     # moment matrix transposed: border runs along the last row in y-powers
     return _det_form(params_t, n, y, transpose=True)
+
+
+# ---------------------------------------------------------------------------
+# tanh-sinh with one integrand call per level
+# ---------------------------------------------------------------------------
+
+def tanh_sinh_01_per_level(f: Callable[[np.ndarray], np.ndarray],
+                           rtol: float = 1e-11) -> float:
+    """numerics.tanh_sinh_01 as it ran before its first call of f held
+    levels 0-2: f is called once per level, on the nodes that level adds,
+    and no level is evaluated past the one the loop accepts.  The same
+    level sums, Sigma w|f| and refusals, so the two agree to the bit."""
+    value = mass = 0.0
+
+    def checked(result: float) -> float:
+        if mass > rtol / _TS_ROUNDING * abs(value):
+            raise ComplexityError("tanh-sinh integral cancels")
+        return result
+
+    def level_sum(order: int) -> float:
+        nonlocal value, mass
+        rule = _tanh_sinh_level(order.bit_length() - 2)
+        vals = np.asarray(f(rule.nodes), dtype=float)
+        prev, value = value, 0.5 * value + float(rule.weights @ vals)
+        mass = 0.5 * mass + float(rule.weights @ np.abs(vals))
+        if order > 2 and abs(value - prev) <= rtol * mass:
+            checked(value)
+        return value
+
+    return checked(refine_quadrature(level_sum, start_order=2, rtol=rtol,
+                                     max_order=2 ** 13))
 
 
 # ---------------------------------------------------------------------------

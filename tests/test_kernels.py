@@ -21,7 +21,8 @@ from cauchybures.kernels import (KernelGrid, _h_seed, _h_series, _k11_side,
                                  hard_edge_kernel, hatted, i1_integral, k01,
                                  k10, k11, make_grid, sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
-from references import hard_edge_kernel_quad, simplex_quad_2d
+from references import (hard_edge_kernel_quad, simplex_quad_2d,
+                        tanh_sinh_01_per_level)
 
 
 def fast_cd(params):
@@ -164,19 +165,89 @@ class TestTIntegralLevels:
     def test_converged_level_is_not_confirmed(self, monkeypatch):
         # relative level changes 2.8e-3, 1.8e-9: the quadratic rule accepts
         # level 2, where the rtol rule alone ran level 3, which holds half
-        # of the nodes.  perfbench/mpref.k01 at 48 digits, confirmed at 78
-        levels = set()
-        rule = kernels._tanh_sinh_level
+        # of the nodes.  Each side is evaluated on call 0 (levels 0-2)
+        # only; call 1 would be level 3.  perfbench/mpref.k01 at 48
+        # digits, confirmed at 78
+        calls = set()
+        nodes = kernels._tanh_sinh_call
 
-        def level_rule(lev):
-            levels.add(lev)
-            return rule(lev)
+        def call_nodes(call):
+            calls.add(call)
+            return nodes(call)
 
-        monkeypatch.setattr(kernels, "_tanh_sinh_level", level_rule)
+        monkeypatch.setattr(kernels, "_tanh_sinh_call", call_nodes)
         kernels._t_side.cache_clear()
         got = k01(EnsembleParams(0.3, 0.7, 1.5, 4), 1.103, 1.364)
         assert got == pytest.approx(1.5387909580762, rel=1e-13)
-        assert levels == {0, 1, 2}
+        assert calls == {0}
+
+    @staticmethod
+    def i1_upper_half(monkeypatch):
+        """i1_integral(7, 0.8)'s integrand above its split, which runs
+        tanh-sinh levels 0-4."""
+        halves = []
+
+        def captured(f, **kwargs):
+            halves.append(f)
+            return numerics.tanh_sinh_01(f, **kwargs)
+
+        monkeypatch.setattr(kernels, "tanh_sinh_01", captured)
+        i1_integral(7.0, 0.8)
+        return halves[1], 1e-11, 5
+
+    @staticmethod
+    def hard_edge_k10(monkeypatch):
+        """Hard-edge K10's G~ G t-integrand at (0.5, 0.7, 1.5), (0.8387,
+        1.3539), a pure function of its nodes; G~ has double poles."""
+        a, b, theta = 0.5, 0.7, 1.5
+        alpha = (a + b + 1.0) / theta - 1.0
+        z1, z2 = 0.8387 ** theta, 1.3539 ** theta
+
+        def f(t):
+            out = np.zeros(len(t))
+            keep = kernels._kept(alpha, t)
+            tk = t[keep]
+            out[keep] = (tk ** alpha * kernels.g_tilde_inf(a, alpha, theta,
+                                                           tk * z1)
+                         * kernels.g_inf(b, alpha, theta, tk * z2))
+            return out
+
+        # the library's t-integral over cached sides is the same sum
+        kernels._t_side.cache_clear()
+        sides = [partial(kernels._t_side, tilde, e, alpha, theta, None, z)
+                 for tilde, e, z in ((True, a, z1), (False, b, z2))]
+        want = kernels._gg_t_integral(alpha, *sides)
+        assert numerics.tanh_sinh_01(f, rtol=kernels._T_RTOL) == want
+        return f, kernels._T_RTOL, 3
+
+    @staticmethod
+    def endpoint_power(monkeypatch):
+        """t^-0.4 e^t, accepted at level 2; summing levels 0-2 as one dot
+        product over their joint nodes changes its last bit."""
+        return (lambda t: t ** -0.4 * np.exp(t)), 1e-11, 3
+
+    @staticmethod
+    def zero(monkeypatch):
+        """f = 0, which the loop accepts at level 1."""
+        return (lambda t: np.zeros(len(t))), 1e-11, 2
+
+    @pytest.mark.parametrize("integrand", ["i1_upper_half", "hard_edge_k10",
+                                           "endpoint_power", "zero"])
+    def test_first_call_of_three_levels_keeps_every_bit(self, monkeypatch,
+                                                        integrand):
+        # tanh_sinh_01 calls f on levels 0-2 at once, then once per level;
+        # references.tanh_sinh_01_per_level calls it once per level
+        f, rtol, levels = getattr(self, integrand)(monkeypatch)
+        grouped, per_level = [], []
+        got = numerics.tanh_sinh_01(
+            lambda t: grouped.append(len(t)) or f(t), rtol=rtol)
+        want = tanh_sinh_01_per_level(
+            lambda t: per_level.append(len(t)) or f(t), rtol=rtol)
+        assert len(per_level) == levels
+        first = sum(len(numerics._tanh_sinh_level(lev).nodes)
+                    for lev in range(3))
+        assert grouped == [first] + per_level[3:]
+        assert got == want
 
 
 class TestReproducingProperty:
@@ -662,51 +733,54 @@ class TestSharedSides:
 
 
 class TestSharedTSides:
-    """Each t-integral side is evaluated once per tanh-sinh level it
-    reaches (_t_side cache), shared by a correlation's entries and by a
-    grid's cells."""
+    """Each t-integral side is evaluated once per integrand call it
+    reaches (_t_side cache; call 0 holds tanh-sinh levels 0-2), shared by
+    a correlation's entries and by a grid's cells."""
 
     @staticmethod
     def evaluations(monkeypatch, run):
-        """run()'s value and its side evaluations per tanh-sinh level."""
-        level = [None]
-        per_level = Counter()
-        rule = kernels._tanh_sinh_level
+        """run()'s value and its side evaluations per integrand call."""
+        call = [None]
+        per_call = Counter()
+        nodes = kernels._tanh_sinh_call
 
-        def level_rule(lev):
-            level[0] = lev
-            return rule(lev)
+        def call_nodes(index):
+            call[0] = index
+            return nodes(index)
 
         def counted(g):
             def wrapper(*args):
-                per_level[level[0]] += 1
+                per_call[call[0]] += 1
                 return g(*args)
             return wrapper
 
-        monkeypatch.setattr(kernels, "_tanh_sinh_level", level_rule)
+        monkeypatch.setattr(kernels, "_tanh_sinh_call", call_nodes)
         for name in ("g_inf", "g_tilde_inf"):
             monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
         kernels._t_side.cache_clear()
-        return run(), per_level
+        value = run()
+        # every evaluation is counted under the call whose nodes it took
+        assert None not in per_call
+        return value, per_call
 
     def test_two_point_hard_edge_bures(self, monkeypatch):
         # sides G and G~ at exponents a and a + 1 at each of two points; 24
-        # evaluations per level before the cache
-        value, per_level = self.evaluations(
+        # evaluations per call before the cache
+        value, per_call = self.evaluations(
             monkeypatch, lambda: rho_bures_hard_edge(0.3, 1.5, (0.8, 1.5)))
         assert repr(value) == "0.004269423544277214"
-        assert per_level and max(per_level.values()) <= 8
+        assert per_call and max(per_call.values()) <= 8
 
     def test_hard_k10_grid(self, monkeypatch):
         # a G~ side per row and a G side per column; 18 before the cache
-        grid, per_level = self.evaluations(monkeypatch, lambda: make_grid(
+        grid, per_call = self.evaluations(monkeypatch, lambda: make_grid(
             "hard-K10", (0.4, 0.9, 1.6), (0.5, 1.1, 2.0),
             partial(hard_edge_kernel, 0.5, 0.7, 1.5, "K10"), {}))
         assert [repr(v) for row in grid.values for v in row] == [
             "0.9413651146791044", "0.8562456195008474", "0.6869036342895602",
             "0.47893550889783176", "0.4435687083572398", "0.3728746676961192",
             "0.22467606435343446", "0.2137542664834991", "0.1916727273117456"]
-        assert per_level and max(per_level.values()) <= 6
+        assert per_call and max(per_call.values()) <= 6
 
     def test_cached_side_is_read_only(self):
         side = kernels._t_side(True, 0.5, 0.3, 1.5, None, 0.8, 2)

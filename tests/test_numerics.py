@@ -170,37 +170,40 @@ class TestQuadrature:
         assert tanh_sinh_01(f) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_tanh_sinh_evaluates_each_node_once(self):
-        # f sees one array per level, holding only the nodes that level
-        # adds; the result equals the last level's trapezoid sum over all
-        # of its nodes, formed from scratch
-        def f_scalar(t):
-            return 0.5 / math.sqrt(t) + (1.0 - t) ** -0.3
+        # f sees the nodes of levels 0-2 in one array, then one array per
+        # level, holding only the nodes that level adds; the result equals
+        # the last level's trapezoid sum over all of its nodes, formed from
+        # scratch
+        for f_of, levels in (
+                # algebraic singularities at both ends: levels 0-2
+                (lambda m, t: 0.5 / m.sqrt(t) + (1.0 - t) ** -0.3, 3),
+                # a pole 1e-3 below t = 0: levels 0-4
+                (lambda m, t: 1.0 / (1e-3 + t), 5)):
+            seen = []
 
-        seen = []
+            def f(t):
+                seen.append(len(t))
+                return f_of(np, t)
 
-        def f(t):
-            seen.append(len(t))
-            return 0.5 / np.sqrt(t) + (1.0 - t) ** -0.3
-
-        got = tanh_sinh_01(f)
-        h = 0.5 ** len(seen)  # step of the last level
-        total, new = 0.0, [0] * len(seen)
-        j = 0
-        while 0.5 * math.pi * math.sinh(j * h) <= 350.0:
-            arg = 0.5 * math.pi * math.sinh(j * h)
-            w = 0.5 * math.pi * math.cosh(j * h) / math.cosh(arg) ** 2
-            # j = m * 2^v, m odd, is new at level len(seen) - 1 - v
-            level = max(len(seen) - (j & -j).bit_length(), 0) if j else 0
-            # a set: at j = 0 both branches are the one node t = 1/2
-            ts = {1.0 / (1.0 + math.exp(-2.0 * arg)),
-                  1.0 / (1.0 + math.exp(2.0 * arg))}
-            for t in ts:
-                if 0.0 < t < 1.0:
-                    total += w * f_scalar(t)
-                    new[level] += 1
-            j += 1
-        assert seen == new
-        assert got == pytest.approx(0.5 * h * total, rel=1e-15)
+            got = tanh_sinh_01(f)
+            h = 0.5 ** levels  # step of the last level
+            total, new = 0.0, [0] * levels
+            j = 0
+            while 0.5 * math.pi * math.sinh(j * h) <= 350.0:
+                arg = 0.5 * math.pi * math.sinh(j * h)
+                w = 0.5 * math.pi * math.cosh(j * h) / math.cosh(arg) ** 2
+                # j = m * 2^v, m odd, is new at level levels - 1 - v
+                level = max(levels - (j & -j).bit_length(), 0) if j else 0
+                # a set: at j = 0 both branches are the one node t = 1/2
+                ts = {1.0 / (1.0 + math.exp(-2.0 * arg)),
+                      1.0 / (1.0 + math.exp(2.0 * arg))}
+                for t in ts:
+                    if 0.0 < t < 1.0:
+                        total += w * f_of(math, t)
+                        new[level] += 1
+                j += 1
+            assert seen == [sum(new[:3])] + new[3:]
+            assert got == pytest.approx(0.5 * h * total, rel=1e-15)
 
     @pytest.mark.parametrize("p", [-0.9, 0.0, 2.5, 20.0])
     def test_half_line_gamma_integrals(self, p):
