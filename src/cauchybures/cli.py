@@ -19,7 +19,7 @@ from .raney import sz_moment
 from .exceptions import CauchyBuresError, NonConverged
 # hankel_loop and residue_series stay bound here for perfbench/tracer.py
 from .foxh import FoxHSpec, hankel_loop, residue_series  # noqa: F401
-from .numerics import SkewMatrix, gauss_jacobi, pfaffian, require_positive
+from .numerics import SkewMatrix, pfaffian, require_positive, tanh_sinh_01
 
 # the spec'd exit contract reserves 2 for non-convergence; route click's
 # usage failures to 1 instead
@@ -62,20 +62,7 @@ def _load_foxh_spec(path: str) -> FoxHSpec:
     for key in ("upper", "lower", "m", "n"):
         if key not in raw:
             _fail(1, f"spec file missing field {key!r}")
-    for key in ("upper", "lower"):
-        entries = raw[key]
-        if not isinstance(entries, list) or any(
-                not isinstance(e, list) or len(e) != 2 for e in entries):
-            _fail(1, f"field {key!r} must be a list of [shift, slope] pairs")
-    for key in ("m", "n"):
-        if type(raw[key]) is not int:  # a JSON integer; not 1.7, not true
-            _fail(1, f"field {key!r} must be an integer, got {raw[key]!r}")
-    try:
-        return FoxHSpec(upper=tuple(tuple(map(float, e)) for e in raw["upper"]),
-                        lower=tuple(tuple(map(float, e)) for e in raw["lower"]),
-                        m=raw["m"], n=raw["n"])
-    except (TypeError, ValueError) as exc:
-        _fail(1, f"invalid spec: {exc}")
+    return FoxHSpec(raw["upper"], raw["lower"], raw["m"], raw["n"])
 
 
 @main.command()
@@ -167,9 +154,8 @@ def _checks_numerics(rng, tol):
     pf = pfaffian(skew).to_real()
     det = np.linalg.det(skew.entries)
     yield ("pfaffian_squared_equals_det", abs(pf * pf - det) / abs(det), tol)
-    rule = gauss_jacobi(12, 0.7)
     exact = 1.0 / (0.7 + 6.0)  # integral of t^0.7 t^5 over (0,1)
-    got = rule.integrate(lambda t: t ** 5)
+    got = tanh_sinh_01(lambda t: t ** 0.7 * t ** 5)
     yield ("jacobi_weight_monomial", abs(got - exact) / exact, tol)
 
 

@@ -90,7 +90,8 @@ class GammaFactor:
 
 @dataclass(frozen=True)
 class FoxHSpec:
-    """Parameter lists (a_j, A_j), (b_j, B_j) and indices (m, n)."""
+    """Parameter lists (a_j, A_j), (b_j, B_j) and indices (m, n); the
+    pairs are stored as tuples of floats."""
 
     upper: tuple[tuple[float, float], ...]
     lower: tuple[tuple[float, float], ...]
@@ -98,6 +99,19 @@ class FoxHSpec:
     n: int
 
     def __post_init__(self):
+        for key in ("upper", "lower"):
+            try:  # x + 0.0 is a number's float, a TypeError for a string
+                pairs = tuple((shift + 0.0, slope + 0.0)
+                              for shift, slope in getattr(self, key))
+            except (TypeError, ValueError):
+                raise DomainError(f"field {key!r} must be a list of "
+                                  f"[shift, slope] pairs") from None
+            object.__setattr__(self, key, pairs)
+        for key in ("m", "n"):
+            k = getattr(self, key)
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+                raise DomainError(f"field {key!r} must be an integer, "
+                                  f"got {k!r}")
         for shift, slope in (*self.upper, *self.lower):
             if not (slope > 0 and math.isfinite(shift)):
                 raise DomainError("every shift must be finite, every slope "

@@ -50,6 +50,7 @@ _TS_ROUNDING = 1e-14  # tanh_sinh_01's integrand rounding, relative
 # to 2, so it accepts level 2 at the earliest: tanh_sinh_01's first call of
 # f holds the nodes of levels 0 to _TS_FIRST_LEVELS - 1
 _TS_FIRST_LEVELS = 3
+_TS_LEVELS = 13  # refine_quadrature's levels, 0 to 12
 
 
 def require_positive(what: str, *values: float) -> None:
@@ -254,37 +255,27 @@ def gauss_jacobi(order: int, alpha: float) -> QuadratureRule:
     return QuadratureRule(t, w / (alpha + 1.0))
 
 
-def refine_quadrature(value_at: Callable[[int], float], start_order: int = 16,
-                      rtol: float = 1e-11, max_order: int = 512) -> float:
-    """Order-doubling convergence protocol.
+def refine_quadrature(value_at: Callable[[int], float],
+                      rtol: float = 1e-11) -> float:
+    """Tanh-sinh's stop rule over its levels.
 
-    Doubles the order until successive values differ by < rtol relative,
-    or that change rel falls so that rel^2 / rel_prev <= 1e-2 rtol: where
-    the error squares as the order doubles (tanh-sinh, Gauss rules) that
-    is the next change.  Raises NonConverged past max_order.  value_at may
-    instead return a (value, magnitude) pair, magnitude being the same rule
-    applied to |f|; the tolerance is then relative to that as well, so an
-    integral that cancels to zero still converges.
+    Calls value_at(0), value_at(1), ... until successive values differ by
+    < rtol relative, or that change rel falls so that rel^2 / rel_prev <=
+    1e-2 rtol: where the error squares as the level halves the step, that
+    is the next change.  Raises NonConverged after _TS_LEVELS levels.
     """
-    def step(order: int) -> tuple[float, float]:
-        out = value_at(order)
-        return out if isinstance(out, tuple) else (out, 0.0)
-
-    prev = step(start_order)[0]
-    delta, rel_prev = math.inf, 0.0  # 0: no earlier change to compare
-    order = 2 * start_order
-    while order <= max_order:
-        cur, magnitude = step(order)
-        scale = max(abs(cur), abs(prev), magnitude)
+    prev, rel_prev = value_at(0), 0.0  # 0: no earlier change to compare
+    for level in range(1, _TS_LEVELS):
+        cur = value_at(level)
+        scale = max(abs(cur), abs(prev))
         delta = abs(cur - prev)
         rel = delta / scale if scale else 0.0  # its square cannot overflow
         if (delta <= rtol * scale or scale == 0.0
                 or rel_prev > rel and rel * rel <= 1e-2 * rtol * rel_prev):
             return cur
         prev, rel_prev = cur, rel
-        order *= 2
     raise NonConverged(
-        f"quadrature not converged at order {max_order} (last delta "
+        f"quadrature not converged in {_TS_LEVELS} levels (last delta "
         f"{delta:.3e})")
 
 
@@ -352,11 +343,8 @@ def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray],
                 f"{rtol / _TS_ROUNDING:.0e}, past what rtol {rtol:.0e} allows")
         return result
 
-    # refine_quadrature asks for orders 2, 4, ..., 2^13 in turn, i.e. the
-    # levels 0, 1, ..., 12 with step h = 1/order
-    def level_sum(order: int) -> float:
+    def level_sum(level: int) -> float:
         nonlocal value, mass, ahead
-        level = order.bit_length() - 2
         rule = _tanh_sinh_level(level)
         if level == 0 or level >= _TS_FIRST_LEVELS:  # f's next call
             call = max(level + 1 - _TS_FIRST_LEVELS, 0)
@@ -365,12 +353,11 @@ def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray],
         vals, ahead = ahead[:len(rule.nodes)], ahead[len(rule.nodes):]
         prev, value = value, 0.5 * value + float(rule.weights @ vals)
         mass = 0.5 * mass + float(rule.weights @ np.abs(vals))
-        if order > 2 and abs(value - prev) <= rtol * mass:
+        if level and abs(value - prev) <= rtol * mass:
             checked(value)
         return value
 
-    return checked(refine_quadrature(level_sum, start_order=2, rtol=rtol,
-                                     max_order=2 ** 13))
+    return checked(refine_quadrature(level_sum, rtol=rtol))
 
 
 def tanh_sinh_half_line(f: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -34,6 +34,7 @@ from cauchybures.polynomials import _check_degree
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 _LOOP_NODES = 64
+_LOOP_MAX_NODES = 65536
 _LOOP_RTOL = 1e-11
 # the determinant forms miss 1e-8 from degree 5 on (8e-5 at degree 8,
 # 1e-1 at degree 10): the float moment determinant is ill-conditioned
@@ -182,8 +183,6 @@ def hankel_loop(num, den, z: float) -> float:
     else:
         raise NonConverged("integrand does not decay along the Hankel loop")
 
-    # judged against the sum of |integrand| too: at a zero of the integral
-    # the value itself is rounding noise and no relative test can pass
     def value_at(order: int) -> tuple[float, float]:
         t = np.linspace(0.0, t_max, order + 1)
         lg = log_g(t)
@@ -193,8 +192,26 @@ def hankel_loop(num, den, z: float) -> float:
         return (float(scale * _trapz(vals, t)),
                 float(scale * _trapz(np.abs(vals), t)))
 
-    return refine_quadrature(value_at, start_order=_LOOP_NODES,
-                             rtol=_LOOP_RTOL, max_order=65536)
+    # numerics.refine_quadrature's stop rule over node counts doubling
+    # from _LOOP_NODES to _LOOP_MAX_NODES, judged against the sum of
+    # |integrand| too: at a zero of the integral the value itself is
+    # rounding noise and no relative test can pass
+    prev = value_at(_LOOP_NODES)[0]
+    delta, rel_prev = math.inf, 0.0
+    order = 2 * _LOOP_NODES
+    while order <= _LOOP_MAX_NODES:
+        cur, magnitude = value_at(order)
+        scale = max(abs(cur), abs(prev), magnitude)
+        delta = abs(cur - prev)
+        rel = delta / scale if scale else 0.0
+        if (delta <= _LOOP_RTOL * scale or scale == 0.0
+                or rel_prev > rel
+                and rel * rel <= 1e-2 * _LOOP_RTOL * rel_prev):
+            return cur
+        prev, rel_prev = cur, rel
+        order *= 2
+    raise NonConverged(f"Hankel loop not converged at {_LOOP_MAX_NODES} "
+                       f"nodes (last delta {delta:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +355,17 @@ def tanh_sinh_01_per_level(f: Callable[[np.ndarray], np.ndarray],
             raise ComplexityError("tanh-sinh integral cancels")
         return result
 
-    def level_sum(order: int) -> float:
+    def level_sum(level: int) -> float:
         nonlocal value, mass
-        rule = _tanh_sinh_level(order.bit_length() - 2)
+        rule = _tanh_sinh_level(level)
         vals = np.asarray(f(rule.nodes), dtype=float)
         prev, value = value, 0.5 * value + float(rule.weights @ vals)
         mass = 0.5 * mass + float(rule.weights @ np.abs(vals))
-        if order > 2 and abs(value - prev) <= rtol * mass:
+        if level and abs(value - prev) <= rtol * mass:
             checked(value)
         return value
 
-    return checked(refine_quadrature(level_sum, start_order=2, rtol=rtol,
-                                     max_order=2 ** 13))
+    return checked(refine_quadrature(level_sum, rtol=rtol))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cauchybures import cli
+from cauchybures import cli, numerics
 from cauchybures.cli import main
 from cauchybures.correlations import CorrelationRequest, rho_cauchy
 from cauchybures.ensembles import (EnsembleParams, partition_bures,
@@ -247,6 +247,25 @@ class TestVerify:
         assert all(item["status"] == "pass" for item in report)
         assert all(item["check_name"].startswith(suite + ".")
                    for item in report)
+
+    def test_numerics_suite_builds_no_gauss_jacobi_rule(self, runner,
+                                                        monkeypatch):
+        # the Jacobi-weight check integrates t^0.7 t^5 by tanh-sinh
+        def refuse(*args):
+            raise AssertionError("verify built a Gauss-Jacobi rule")
+
+        rule = numerics.gauss_jacobi
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("cauchybures")
+                    and getattr(mod, "gauss_jacobi", None) is rule):
+                monkeypatch.setattr(mod, "gauss_jacobi", refuse)
+        res = runner.invoke(main, ["verify", "--suite", "numerics"])
+        assert res.exit_code == 0, res.exception
+        report = json.loads(res.output)
+        assert [item["check_name"] for item in report] == [
+            "numerics.pfaffian_squared_equals_det",
+            "numerics.jacobi_weight_monomial"]
+        assert report[1]["measured"] < 1e-15
 
     @pytest.mark.parametrize("error,code", [(NonConverged, 2),
                                             (DomainError, 1)])

@@ -600,6 +600,27 @@ class TestExactShifts:
         with pytest.raises(DomainError, match="finite"):
             FoxHSpec(upper=(), lower=((bad, 1.0),), m=1, n=0)
 
+    def test_spec_checks_its_own_fields(self):
+        # each once passed __post_init__ as a wrong index, or raised a bare
+        # TypeError or ValueError, in fox_h or in the check itself; a
+        # string is no number and no pair, even where float() reads it
+        for fields, message in [
+                ({"m": 1.0}, "field 'm' must be an integer, got 1.0"),
+                ({"m": True}, "field 'm' must be an integer, got True"),
+                ({"lower": ((0.0, 1.0, 2.0),)},
+                 "field 'lower' must be a list of [shift, slope] pairs"),
+                ({"lower": (("0", 1.0),)},
+                 "field 'lower' must be a list of [shift, slope] pairs"),
+                ({"lower": ("01",)},
+                 "field 'lower' must be a list of [shift, slope] pairs")]:
+            spec = {"upper": (), "lower": ((0.0, 1.0),), "m": 1, "n": 0}
+            with pytest.raises(DomainError) as err:
+                FoxHSpec(**{**spec, **fields})
+            assert str(err.value) == message
+        spec = FoxHSpec(upper=[], lower=[[0, 1]], m=1, n=0)
+        assert spec.lower == ((0.0, 1.0),) and type(spec.lower[0][0]) is float
+        assert fox_h(spec, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+
 
 class TestArrayArguments:
     """One call on an array of z equals the same calls one z at a time."""

@@ -219,25 +219,25 @@ class TestQuadrature:
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_refine_quadrature_converges(self):
-        def value_at(order):
-            rule = gauss_jacobi(order, 0.0)
+        def value_at(level):
+            rule = gauss_jacobi(16 * 2 ** level, 0.0)
             return rule.integrate(lambda t: np.exp(t))
         got = refine_quadrature(value_at)
         assert got == pytest.approx(math.e - 1.0, rel=1e-11)
 
     def test_refine_quadrature_stops_where_the_error_squares(self):
-        # an error that squares as the order doubles, as a Gauss or
-        # tanh-sinh rule's does: changes 1.7e-5 then 2.8e-10, so the next
-        # is about 2.8e-10^2 / 1.7e-5 = 4.6e-15, and order 64 is accepted
-        # where the rtol rule alone ran order 128 to confirm it
-        orders = []
+        # an error that squares with each level, as tanh-sinh's does:
+        # changes 1.7e-5 then 2.8e-10, so the next is about
+        # 2.8e-10^2 / 1.7e-5 = 4.6e-15, and level 2 is accepted where the
+        # rtol rule alone ran level 3 to confirm it
+        levels = []
 
-        def value_at(order):
-            orders.append(order)
-            return 1.0 + math.exp(-11.0 * order / 16)
+        def value_at(level):
+            levels.append(level)
+            return 1.0 + math.exp(-11.0 * 2 ** level)
 
         assert refine_quadrature(value_at) == 1.0 + math.exp(-44.0)
-        assert orders == [16, 32, 64]
+        assert levels == [0, 1, 2]
 
     def test_refine_quadrature_does_not_stop_early_on_linear_convergence(
             self):
@@ -245,26 +245,21 @@ class TestQuadrature:
         # changes overflow, and inf <= inf would accept a value 21% off (as
         # i1 at beta = 110 was); relative changes near rtol must reach it
         with pytest.raises(NonConverged):
-            refine_quadrature(lambda m: 1e173 * (1.0 + 1.0 / m),
-                              max_order=1024)
-        orders = []
+            refine_quadrature(lambda level: 1e173 * (1.0 + 2.0 ** -level))
+        levels = []
 
-        def value_at(order):
-            orders.append(order)
-            return 1.0 + 1e-9 / order
+        def value_at(level):
+            levels.append(level)
+            return 1.0 + 1e-9 / 2 ** (level + 4)
 
         assert refine_quadrature(value_at) == 1.0 + 1e-9 / 128
-        assert orders == [16, 32, 64, 128]
+        assert levels == [0, 1, 2, 3]
 
     def test_refine_quadrature_reports_nonconvergence(self):
-        # 1/m never settles: the error names the last step's delta
-        # 1/64 - 1/128; with no doubling allowed it still raises
+        # 2^(5 - level) never settles: the error names the last step's
+        # delta, level 11 to 12, 1/64 - 1/128
         with pytest.raises(NonConverged, match=r"last delta 7\.81"):
-            refine_quadrature(lambda m: 1.0 / m, start_order=16,
-                              max_order=128)
-        with pytest.raises(NonConverged):
-            refine_quadrature(lambda m: 1.0 / m, start_order=16,
-                              max_order=16)
+            refine_quadrature(lambda level: 2.0 ** (5 - level))
 
 
 def exp_taylor(x: float, levels: list):
