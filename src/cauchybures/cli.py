@@ -59,6 +59,8 @@ def _load_foxh_spec(path: str) -> FoxHSpec:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         _fail(1, f"cannot parse spec file: {exc}")
+    if not isinstance(raw, dict):
+        _fail(1, "spec file must hold a JSON object")
     for key in ("upper", "lower", "m", "n"):
         if key not in raw:
             _fail(1, f"spec file missing field {key!r}")

@@ -68,6 +68,13 @@ class EnsembleParams:
 # moments
 # ---------------------------------------------------------------------------
 
+def _check_indices(*js) -> None:
+    """Refuse a moment index that is not a positive integer."""
+    if not all(isinstance(j, numbers.Integral) and j >= 1 for j in js):
+        raise DomainError(f"moment indices must be positive integers, "
+                          f"got {js!r}")
+
+
 @lru_cache(maxsize=None)
 def _moment_c_log(a: float, b: float, theta: float, j: int, k: int) -> LogValue:
     denom = 1.0 + a + b + theta * (j + k - 2)
@@ -78,22 +85,19 @@ def _moment_c_log(a: float, b: float, theta: float, j: int, k: int) -> LogValue:
 
 def moment_c(params: EnsembleParams, j: int, k: int) -> float:
     """Cauchy bimoment I_{j,k} = G(a+t(j-1)+1) G(b+t(k-1)+1) / (1+a+b+t(j+k-2))."""
-    if j < 1 or k < 1:
-        raise DomainError("moment indices start at 1")
+    _check_indices(j, k)
     return _moment_c_log(params.a, params.b, params.theta, j, k).to_real()
 
 
 def moment_b_vec(params: EnsembleParams, j: int) -> float:
     """Scalar Bures moment i_j = Gamma(a + theta*(j-1) + 1)."""
-    if j < 1:
-        raise DomainError("moment indices start at 1")
+    _check_indices(j)
     return math.exp(math.lgamma(params.a + params.theta * (j - 1) + 1.0))
 
 
 def moment_b(params: EnsembleParams, j: int, k: int) -> float:
     """Skew Bures bimoment via 2 I^C_{j,k}(a, a+1) = I^B_{j,k} + i_j i_k."""
-    if j < 1 or k < 1:
-        raise DomainError("moment indices start at 1")
+    _check_indices(j, k)
     if j == k:
         return 0.0
     cp = params.bures_pair()

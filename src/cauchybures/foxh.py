@@ -103,7 +103,7 @@ class FoxHSpec:
             try:  # x + 0.0 is a number's float, a TypeError for a string
                 pairs = tuple((shift + 0.0, slope + 0.0)
                               for shift, slope in getattr(self, key))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"field {key!r} must be a list of "
                                   f"[shift, slope] pairs") from None
             object.__setattr__(self, key, pairs)

@@ -117,7 +117,8 @@ def _hat_table(alpha: float, exponent: float, theta: float,
 
 def coeff_c(n: int, l: int, alpha: float) -> float:
     """c_{n,l} = (-1)^l Gamma(alpha+n+l+1) / (l! (n-l)! Gamma(alpha+l+1))."""
-    if not 0 <= l <= n:
+    _check_degree(n)
+    if not isinstance(l, numbers.Integral) or not 0 <= l <= n:
         raise DomainError(f"l must satisfy 0 <= l <= n, got l={l}, n={n}")
     mant, exp = _hat_table(alpha, 0.0, 0.0, n + 1)
     return math.ldexp(mant[n, l], int(exp[n, l]))
@@ -151,8 +152,7 @@ def _hat_family(params: EnsembleParams, n: int, exponent: float) -> PolySeries:
 
 def jacobi_p(n: int, alpha: float, x) -> float:
     """Jacobi polynomial P_n^(alpha, 0) at argument 1 - 2x, by recurrence."""
-    if n < 0:
-        raise DomainError("degree must be non-negative")
+    _check_degree(n)
     if alpha <= -1.0:
         raise DomainError("alpha must exceed -1")
     t = 1.0 - 2.0 * np.asarray(x, dtype=float)

@@ -77,6 +77,28 @@ class TestFoxH:
         res = runner.invoke(main, ["foxh", spec, "--z", "1.0"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ("5", "spec file must hold a JSON object"),
+        ("null", "spec file must hold a JSON object"),
+        ("[]", "spec file must hold a JSON object"),
+        ('"spec"', "spec file must hold a JSON object"),
+        ('{"upper": [], "lower": [[1' + "0" * 400 + ', 1.0]], "m": 1, "n": 0}',
+         "field 'lower' must be a list")],
+        ids=["number", "null", "list", "string", "huge-shift"])
+    def test_malformed_spec_exits_one_without_traceback(self, runner,
+                                                        tmp_path, text,
+                                                        message):
+        # 5 and null once ended in a TypeError from `key not in raw`, the
+        # 400-digit shift in an OverflowError
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        res = runner.invoke(main, ["foxh", str(spec), "--z", "1.0"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_bad_pair_shape_exits_one(self, runner, tmp_path):
         spec = write_spec(tmp_path, {"upper": [[1.0]], "lower": [],
                                      "m": 0, "n": 1})
@@ -239,7 +261,7 @@ class TestKernelGrid:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["numerics", "raney"])
+    @pytest.mark.parametrize("suite", list(cli._SUITES))
     def test_single_suite_passes(self, runner, suite):
         res = runner.invoke(main, ["verify", "--suite", suite])
         assert res.exit_code == 0

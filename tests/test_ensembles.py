@@ -72,6 +72,19 @@ class TestMoments:
         with pytest.raises(DomainError):
             moment_b(p, 1, 0)
 
+    def test_indices_must_be_integers(self):
+        # the bimoments are defined at integer indices only; these once
+        # returned 0.617 and -1.680
+        for call in (
+                lambda: moment_c(EnsembleParams(0.5, 0.7, 1.5, 3), 1.5, 2),
+                lambda: moment_b(EnsembleParams(0.5, 1.5, 1.5, 3), 2.5, 1),
+                lambda: moment_b_vec(EnsembleParams(0.5, 1.5, 1.5, 3), 1.5)):
+            with pytest.raises(DomainError, match="positive integers"):
+                call()
+        # numpy integers are integers
+        p = EnsembleParams(0.5, 0.7, 1.5, 3)
+        assert moment_c(p, np.int64(2), np.int64(1)) == moment_c(p, 2, 1)
+
 
 class TestCauchyPartition:
     def test_hand_value_n2(self):

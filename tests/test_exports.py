@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -21,6 +22,20 @@ def test_all_names_resolve(name):
                if not hasattr(module, n)]
     assert not missing
 
+
+def test_readme_contract_names_every_public_function():
+    # the README's contract table has a row for each public function
+    # (classes and exceptions aside) and for kernels.cd_hard_scaled
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        table = fh.read().partition("## Contract")[2].partition("\n## ")[0]
+    listed = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            listed.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    public = {name for name in cauchybures.__all__
+              if not isinstance(getattr(cauchybures, name), type)}
+    missing = (public | {"cd_hard_scaled"}) - listed
+    assert not missing, sorted(missing)
 
 
 def test_benchmark_bound_names_resolve():

@@ -602,8 +602,9 @@ class TestExactShifts:
 
     def test_spec_checks_its_own_fields(self):
         # each once passed __post_init__ as a wrong index, or raised a bare
-        # TypeError or ValueError, in fox_h or in the check itself; a
-        # string is no number and no pair, even where float() reads it
+        # TypeError, ValueError or OverflowError, in fox_h or in the check
+        # itself; a string is no number and no pair, even where float()
+        # reads it
         for fields, message in [
                 ({"m": 1.0}, "field 'm' must be an integer, got 1.0"),
                 ({"m": True}, "field 'm' must be an integer, got True"),
@@ -612,6 +613,8 @@ class TestExactShifts:
                 ({"lower": (("0", 1.0),)},
                  "field 'lower' must be a list of [shift, slope] pairs"),
                 ({"lower": ("01",)},
+                 "field 'lower' must be a list of [shift, slope] pairs"),
+                ({"lower": ((10 ** 400, 1.0),)},  # no double: OverflowError
                  "field 'lower' must be a list of [shift, slope] pairs")]:
             spec = {"upper": (), "lower": ((0.0, 1.0),), "m": 1, "n": 0}
             with pytest.raises(DomainError) as err:

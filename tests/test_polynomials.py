@@ -101,7 +101,8 @@ class TestJacobiConnection:
 
 class TestDegreeRange:
     def test_coeff_c_index_outside_degree_is_domain_error(self):
-        for l in (-1, 4):
+        # a non-integer l once raised a bare IndexError
+        for l in (-1, 4, 1.5):
             with pytest.raises(DomainError):
                 coeff_c(3, l, 0.5)
 
@@ -136,9 +137,11 @@ class TestDegreeRange:
 
     @pytest.mark.parametrize("n", [2.5, -1])
     def test_degree_must_be_a_non_negative_integer(self, n):
+        # coeff_c and jacobi_p once raised a bare TypeError from range()
         p = EnsembleParams(0.5, 0.7, 1.5, 3)
-        for call in (lambda: p_hat(p, n), lambda: jacobi_series_value(n, 0.8,
-                                                                      0.5)):
+        for call in (lambda: p_hat(p, n), lambda: coeff_c(n, 0, 0.3),
+                     lambda: jacobi_p(n, 0.0, 0.3),
+                     lambda: jacobi_series_value(n, 0.8, 0.5)):
             with pytest.raises(DomainError, match="non-negative integer"):
                 call()
 
