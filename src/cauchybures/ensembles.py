@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
-from .exceptions import DomainError, SignError
+from .exceptions import ComplexityError, DomainError, SignError
 from .numerics import LogValue, require_positive
 
 __all__ = [
@@ -75,24 +75,29 @@ def _check_indices(*js) -> None:
                           f"got {js!r}")
 
 
-@lru_cache(maxsize=None)
-def _moment_c_log(a: float, b: float, theta: float, j: int, k: int) -> LogValue:
-    denom = 1.0 + a + b + theta * (j + k - 2)
-    log = (math.lgamma(a + theta * (j - 1) + 1.0)
-           + math.lgamma(b + theta * (k - 1) + 1.0) - math.log(denom))
-    return LogValue(1, log)
+def _moment_exp(log: float) -> float:
+    """e^log of a moment's log, or ComplexityError past double range."""
+    try:
+        return math.exp(log)
+    except OverflowError:
+        raise ComplexityError(f"a moment of log {log:.6g} overflows a "
+                              f"double") from None
 
 
 def moment_c(params: EnsembleParams, j: int, k: int) -> float:
     """Cauchy bimoment I_{j,k} = G(a+t(j-1)+1) G(b+t(k-1)+1) / (1+a+b+t(j+k-2))."""
     _check_indices(j, k)
-    return _moment_c_log(params.a, params.b, params.theta, j, k).to_real()
+    a, b, theta = params.a, params.b, params.theta
+    denom = 1.0 + a + b + theta * (j + k - 2)
+    return _moment_exp(math.lgamma(a + theta * (j - 1) + 1.0)
+                       + math.lgamma(b + theta * (k - 1) + 1.0)
+                       - math.log(denom))
 
 
 def moment_b_vec(params: EnsembleParams, j: int) -> float:
     """Scalar Bures moment i_j = Gamma(a + theta*(j-1) + 1)."""
     _check_indices(j)
-    return math.exp(math.lgamma(params.a + params.theta * (j - 1) + 1.0))
+    return _moment_exp(math.lgamma(params.a + params.theta * (j - 1) + 1.0))
 
 
 def moment_b(params: EnsembleParams, j: int, k: int) -> float:
@@ -102,6 +107,8 @@ def moment_b(params: EnsembleParams, j: int, k: int) -> float:
         return 0.0
     cp = params.bures_pair()
     val = 2.0 * moment_c(cp, j, k) - moment_b_vec(params, j) * moment_b_vec(params, k)
+    if not math.isfinite(val):  # i_j i_k > I^C_{j,k} may overflow alone
+        raise ComplexityError(f"moment_b({j}, {k}) overflows a double")
     return val
 
 

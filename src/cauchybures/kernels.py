@@ -1,23 +1,21 @@
 """Christoffel-Darboux and correlation kernels with their hard-edge limits.
 
-Every finite-N kernel is computable by two routes: the Christoffel-Darboux
-sum over the bi-orthogonal pair, with i1 transforms on its integrated
-sides (`_cd_contract`), and a t-integral of the contour functions, so the
-routes can be played against each other in the tests; for K11 the second
-is an exact incomplete-gamma sum on Python integers from its inputs to one
-final mpf (_k11_inc_core): exact-rational vectors cut to integers and
-cached per (a, b, theta, N, precision), and unit-step gamma chains run in
-whichever direction needs fewer guard bits from seeds chosen by region
-(_h_seed).
-The direct route's integrated sides (_i1s) are unit-step i1 chains, one
-quadrature seed per residue class of l mod q where theta = p/q
-(_i1_chain); a side refuses where i1_integral does at its largest
-exponent, where y^beta overflows a double.  They and the t-integrals'
-G / G~ sides on each tanh-sinh call (_t_side, levels 0-2 on the first)
-are cached, so the entries of one correlation share them.  One table of
-the four kinds (_TILDE) and one dispatcher (_finite_kernel) choose every
-route; one tanh-sinh rule integrates every t-integral (_gg_t_integral)
-and both halves of i1_integral.
+Every finite-N kernel is computable by two routes, played against each
+other in the tests: the Christoffel-Darboux sum over the bi-orthogonal
+pair (_cd_contract), and a t-integral of the contour functions, which for
+K11 is an exact incomplete-gamma sum on Python integers up to one final
+mpf (_k11_inc_core).  Either route's integrated sides come from one chain
+code, _h_chain: H(s, w) = e^w w^{-s} Gamma(s, w) = i1(-s, w)/Gamma(1 - s)
+at s = -e - theta l, in unit steps on integers, one chain per residue
+class of l mod q where theta = p/q, each seeded once where it turns, so
+that it runs only in stable directions.  K11 seeds by region (_h_seed),
+the direct route by i1_integral, whose overflow refusal a direct side
+takes in closed form (_i1_side).  Those sides and the t-integrals' G / G~
+sides on each tanh-sinh call (_t_side) are cached, so the entries of one
+correlation share them.  One table of the four kinds (_TILDE) and one
+dispatcher (_finite_kernel) choose every route; one tanh-sinh rule
+integrates every t-integral (_gg_t_integral) and both halves of
+i1_integral.
 """
 from __future__ import annotations
 
@@ -82,20 +80,17 @@ _TILDE = {"K00": (False, False), "K01": (False, True),
 # ---------------------------------------------------------------------------
 
 def _cd_contract(params: EnsembleParams, u, v, scale: float = 1.0) -> float:
-    """scale * sum_m (2 m theta + a + b + 1) (P u)_m (Q v)_m.
-
-    P, Q are the hat-coefficient tables of P-hat, Q-hat (rows m < N), and
-    u, v the side vectors as (mantissa, binary exponent) pairs: u_l =
-    x^{theta l} at a point (_powers), or i1(a + theta l, c) on an
-    integrated side (_i1s).  With both sides at points this is the
-    Christoffel-Darboux kernel K_N(x, y).  Sums run on mantissas scaled to
-    their largest term, so no coefficient or power leaves double range.
-    """
+    """scale * sum_m (2 m theta + a + b + 1) (T1 u)_m (T2 v)_m over two
+    sides (T, u), a table of rows m < N and a vector over l < N, each as
+    (mantissa, binary exponent) pairs: at a point (_point_side) the hat
+    table of P-hat or Q-hat and x^{theta l}, on an integrated side c_{m,l}
+    and H(-e - theta l, c) (_i1_side).  With both sides at points this is
+    K_N(x, y).  Sums run on mantissas scaled to their largest term, so no
+    coefficient or power leaves double range."""
     a, b, theta, n = params.a, params.b, params.theta, params.n
-    p_mant, p_exp = _hat_table(params.alpha, a, theta, n)
-    q_mant, q_exp = _hat_table(params.alpha, b, theta, n)
-    pu_mant, pu_exp = _scaled_sum(p_mant * u[0], p_exp + u[1])
-    qv_mant, qv_exp = _scaled_sum(q_mant * v[0], q_exp + v[1])
+    (pu_mant, pu_exp), (qv_mant, qv_exp) = (
+        _scaled_sum(t_mant * s_mant, t_exp + s_exp)
+        for (t_mant, t_exp), (s_mant, s_exp) in (u, v))
     s_mant, s_exp = math.frexp(scale)
     weight = 2.0 * theta * np.arange(n) + a + b + 1.0
     mant, exp = _scaled_sum(weight * pu_mant * qv_mant * s_mant,
@@ -110,64 +105,46 @@ def _scaled_sum(mant: np.ndarray, exp: np.ndarray):
     return total, shift + top[..., 0]
 
 
-def _powers(params: EnsembleParams, log2_x: float):
-    """x^{theta l}, l < N, from log2 x, as (mantissa, binary exponent)."""
+def _point_side(params: EnsembleParams, e: float, log2_x: float):
+    """_cd_contract's side of exponent e at a point x, from log2 x: the hat
+    table of e and x^{theta l}, l < N, as (mantissa, binary exponent)."""
     t = params.theta * np.arange(params.n) * log2_x
     exp = np.floor(t)
-    return np.exp2(t - exp), exp.astype(np.int64)
+    return (_hat_table(params.alpha, e, params.theta, params.n),
+            (np.exp2(t - exp), exp.astype(np.int64)))
+
+
+def _i1_overflow(beta: float, c: float) -> ComplexityError:
+    """i1_integral's refusal where y^beta overflows a double."""
+    return ComplexityError(f"i1_integral: y^beta overflows a double at "
+                           f"beta = {beta:g} (c = {c:g})")
+
+
+def _i1_seed(s: Fraction, c: float, bits: int) -> int:
+    """H(s, c) on the unit 2^-bits from i1(-s, c) = Gamma(1 - s) H(s, c)."""
+    beta = -float(s)
+    return int(math.ldexp(i1_integral(beta, c) / math.gamma(beta + 1.0), bits))
 
 
 @lru_cache(maxsize=64)
-def _i1s(theta: float, n: int, exponent: float, c: float):
-    """i1(exponent + theta l, c), l < N, as (mantissa, binary exponent).
-
-    Where theta = p/q exactly (the float taken as exact) with q < N, the
-    l of one residue class mod q lie p unit steps apart, so the side is
-    q chains of _i1_chain, one quadrature seed each.  Otherwise (as at
-    theta = 1.3) every l is its own seed.  The largest exponent is
-    integrated first, and its quadrature gives l = N-1: i1_integral's
-    refusal where y^beta overflows a double therefore stands for the side.
-    Cached, as read-only arrays: a correlation's entries share each of
-    their integrated sides (at most two exponents per point), so a side
-    is built once per correlation, not once per entry.
-    """
-    p, q = theta.as_integer_ratio()
-    q = min(q, n)  # q >= N (as at theta = 1.3): N one-seed chains
-    bases = [exponent + theta * r for r in range(q)]
-    steps = [p * ((n - 1 - r) // q) for r in range(q)]
-    top = bases[(n - 1) % q] + steps[(n - 1) % q]
-    seeds = {top: i1_integral(top, c)}
-    vals = np.empty(n)
-    for r in range(q):
-        vals[r::q] = _i1_chain(bases[r], steps[r], c, seeds)[::p]
-    vals[-1] = seeds[top]
-    sides = np.frexp(vals)
-    for side in sides:
-        side.setflags(write=False)
-    return sides
-
-
-def _i1_chain(beta: float, steps: int, c: float, seeds: dict) -> list:
-    """i1(beta + j, c), j <= steps, from one seed by the unit step
-    i1(b + 1) = Gamma(b + 1) - c i1(b) (DLMF 8.8.2 in i1 form).
-
-    The seed is i1_integral (or its value in seeds) at the lowest
-    exponent b with b + 1 >= c, or at the top if there is none.  Steps
-    run upward above it and downward, i1(b) = (Gamma(b + 1) - i1(b + 1))/c,
-    below it, the directions in which they are stable (Gautschi, SIAM
-    Rev. 9, 1967): by Jensen, i1(b) >= Gamma(b + 1)/(c + b + 1), a step
-    scales a relative error by at most (c + 1)/(b + 1) upward from b and
-    (b + 1)/c downward to b, below 1 but for the upward steps with b < c,
-    and Gamma(b + 1) exceeds the difference it forms by one more than that.
-    """
-    s = min(steps, max(0, math.ceil(c - 1.0 - beta)))
-    chain = [0.0] * (steps + 1)
-    chain[s] = seeds.get(beta + s) or i1_integral(beta + s, c)
-    for j in range(s, steps):
-        chain[j + 1] = math.gamma(beta + (j + 1)) - c * chain[j]
-    for j in range(s, 0, -1):
-        chain[j - 1] = (math.gamma(beta + j) - chain[j]) / c
-    return chain
+def _i1_side(e: float, theta: float, n: int, c: float):
+    """H(-e - theta l, c) = i1(e + theta l, c)/Gamma(e + theta l + 1), l <
+    N, as read-only (mantissa, binary exponent) arrays: _h_chain seeded by
+    i1_integral, on a unit _GUARD_BITS past a double's 53 bits under the
+    least H, rounded once to doubles.  It refuses where i1_integral does at
+    its top exponent, before any quadrature.  Cached: a correlation's
+    entries share each of their sides (two exponents per point at most)."""
+    top = e + theta * (n - 1)
+    try:  # i1_integral's refusal in closed form: (c + span)^top overflows
+        (c + _i1_span(top)) ** top
+    except OverflowError:
+        raise _i1_overflow(top, c) from None
+    bits = 53 + _GUARD_BITS + math.ceil(c + 1 + e + theta * n).bit_length()
+    side = np.frexp([math.ldexp(h, -bits)
+                     for h in _h_chain(e, theta, n, c, bits, _i1_seed)])
+    for vec in side:
+        vec.setflags(write=False)
+    return side
 
 
 def cd_kernel(params: EnsembleParams, x: float, y: float,
@@ -181,9 +158,10 @@ def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> floa
     require_positive("kernel arguments", x_hard, y_hard)
     # N^{-2 l} enters through the log of each power, never by itself
     shift = -2.0 / params.theta * math.log2(params.n)
-    return _cd_contract(params, _powers(params, math.log2(x_hard) + shift),
-                        _powers(params, math.log2(y_hard) + shift),
-                        params.n ** (-2.0 * (params.alpha + 1.0)))
+    return _cd_contract(
+        params, _point_side(params, params.a, math.log2(x_hard) + shift),
+        _point_side(params, params.b, math.log2(y_hard) + shift),
+        params.n ** (-2.0 * (params.alpha + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +277,7 @@ def i1_integral(beta: float, c: float) -> float:
     150 and 106.7 at 400 (in steps of 0.1).
     """
     require_positive("c and beta + 1", c, beta + 1.0)
-    g = 1.0 / (beta + 1.0)
-    # above the split the integrand has structure on the scale of c near
-    # t = 0, where tanh-sinh clusters its nodes; span reaches the e^{-y} tail
-    span = 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
+    g, span = 1.0 / (beta + 1.0), _i1_span(beta)
     try:
         with np.errstate(over="raise"):
             lower = c ** beta * g * tanh_sinh_01(
@@ -311,9 +286,13 @@ def i1_integral(beta: float, c: float) -> float:
                 lambda t: (c + span * t) ** beta * np.exp(-c - span * t)
                 / (2.0 * c + span * t))
     except (OverflowError, FloatingPointError):
-        raise ComplexityError(
-            f"i1_integral: y^beta overflows a double at beta = {beta:g} "
-            f"(c = {c:g})") from None
+        raise _i1_overflow(beta, c) from None
+
+
+def _i1_span(beta: float) -> float:
+    """How far i1_integral's upper half reaches above y = c: into the
+    e^{-y} tail, with the structure on the scale of c near its t = 0."""
+    return 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
 
 
 def _exp(x: float) -> float:
@@ -329,9 +308,9 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
                    route: str) -> float:
     """The finite-N kernel of `kind` at (p1, p2) by `route`.
 
-    "direct" contracts the Christoffel-Darboux sum with one side vector
-    per side: the powers p^{theta l} at a point, i1(a + theta l, p1) or
-    i1(b + theta l, p2) where that side is integrated (_TILDE).
+    "direct" contracts the Christoffel-Darboux sum with one side per
+    side: the powers p^{theta l} at a point, H(-a - theta l, p1) or
+    H(-b - theta l, p2) where that side is integrated (_TILDE).
     "tintegral" is _kernel times e^{p} of each integrated side; for K11,
     whose t-integral of G~_n G~_n holds only asymptotically, it is the
     exact incomplete-gamma core (_k11_inc_core: exact-rational vectors,
@@ -345,7 +324,8 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     tilde = _TILDE[kind]
     if route == "direct":
         val = _cd_contract(params, *(
-            _i1s(theta, n, e, p) if t else _powers(params, math.log2(p))
+            (_hat_table(params.alpha, 0.0, 0.0, n), _i1_side(e, theta, n, p))
+            if t else _point_side(params, e, math.log2(p))
             for t, e, p in zip(tilde, (a, b), (p1, p2))))
     elif route == "tintegral" and kind == "K11":
         return float(_k11_inc_core(params, p1, p2))
@@ -451,11 +431,18 @@ def _h_sum(s: Fraction, w: float) -> tuple:
 @lru_cache(maxsize=256)
 def _gamma_scaled(s: Fraction, prec: int):
     """e^W W^{-s} Gamma(s) at W = _GAMMA_W, s < 1 not an integer, to `prec`
-    bits without mpmath's gamma (whose tables cost 7-31 ms per precision):
-    _h_sum at W, which no term cancels at this W, plus H(s, W) < 1/W from
-    the continued fraction, down to the sum's last bit.  Cached: the seeds
-    of one working precision share it."""
+    bits without mpmath's gamma (whose tables cost 7-31 ms per precision).
+    In (0, 1): _h_sum at W, which no term cancels at this W, plus H(s, W) <
+    1/W from the continued fraction, down to the sum's last bit.  Below:
+    its value at s + k in (0, 1) times W^k/(s)_k (DLMF 5.5.1).  Cached: the
+    seeds of one working precision and fractional part share the former."""
+    k = math.ceil(-s)
     with mpmath.workprec(prec + _GUARD_BITS):
+        if k:
+            (big_s,), scale = _one_scale(s)  # (s)_k 2^{k scale} on integers
+            rising = math.prod(big_s + (i << scale) for i in range(k))
+            return (_gamma_scaled(s + k, prec)
+                    * mpmath.mpf(int(_GAMMA_W) ** k << k * scale) / rising)
         series = _h_sum(s, _GAMMA_W)[0]
         bits = max(1, prec + _GUARD_BITS - int(ln_abs(series) / _LN2))
         return series + mpmath.ldexp(_h_fraction(s, _GAMMA_W, bits), -bits)
@@ -509,50 +496,48 @@ def _h_seed(s: Fraction, w: float, bits: int) -> int:
     return int(mpmath.ldexp(val, bits))
 
 
-def _k11_side(e: float, theta: float, n: int, w: float) -> tuple[list, int]:
+def _h_chain(e: float, theta: float, n: int, w: float, bits: int,
+             seed: Callable) -> list:
     """H(s_j) = e^w w^{-s_j} Gamma(s_j, w) at s_j = -e - theta j, j < N, as
-    integers on one unit 2^-bits, _GUARD_BITS past the working precision
-    under 1/(w + 1 - s), a lower bound of every H(s) at s < 1; s_j and w
-    exact (the floats read as exact), each step truncated once.
+    integers on the unit 2^-bits, from seed(s, w, bits), H(s) on that unit
+    at an exact s < 1; s_j and w exact (the floats read as exact), each
+    step truncated once.
 
     Where theta = p/q exactly with q < N, the s_j of one residue class mod
-    q lie p unit steps apart: q chains of DLMF 8.8.2, one _h_seed each, run
-    down from the top, H(s-1) = (w H(s) - 1)/(s-1), or up from the bottom,
-    H(s+1) = (s H(s) + 1)/w, whichever needs fewer guard bits: a step
-    scales an error by w/|s-1| down and |s|/w up (Gautschi, SIAM Rev. 9,
-    1967), and a chain carries log2 of the product of those factors above
-    1.  Otherwise (as at theta = 1.3) every j is a seed.
+    q lie p unit steps apart: q chains of DLMF 8.8.2, one seed each;
+    otherwise (as at theta = 1.3) every j is a seed.  A chain is seeded
+    where it turns, at its first s from the top with |s - 1| >= w, and
+    runs down, H(s-1) = (w H(s) - 1)/(s-1), and up, H(s+1) = (s H(s) +
+    1)/w, which scale an error by w/|s-1| and |s|/w, at most 1 on their
+    sides of the seed (Gautschi, SIAM Rev. 9, 1967).
     """
     p, q = theta.as_integer_ratio()
     q = min(q, n)  # q >= N (as at theta = 1.3): N one-seed chains
     (big_w, big_e, big_t), scale = _one_scale(w, e, theta)
-    bits = (mpmath.mp.prec + _GUARD_BITS
-            + math.ceil(w + 1 + e + theta * n).bit_length())
     unit_s, out = 1 << scale, [0] * n
+    one = 1 << bits + scale  # 1 on the unit, times 2^scale
     for r in range(q):
         js = range(r, n, q)
         steps = p * (len(js) - 1)
-        top, bottom = -e - theta * r, -e - theta * js[-1]
-        # the factors above 1 (s < 0 at every step)
-        down = sum(math.log2(w / (t + 1 - top)) for t in
-                   range(min(steps, max(0, math.ceil(w - 1 + top)))))
-        up = sum(math.log2(-(bottom + t) / w) for t in
-                 range(min(steps, max(0, math.ceil(-w - bottom)))))
-        guard = math.ceil(min(up, down))
-        start = -big_e - big_t * (js[-1] if up < down else r)
-        one = 1 << bits + guard + scale  # 1 on the chain's unit, times 2^scale
-        h = _h_seed(Fraction(start, unit_s), w, bits + guard)
-        chain = [h]
-        for t in range(1, steps + 1):
-            if up < down:  # H(s + 1) from H(s), s = bottom + t - 1
-                h = ((start + (t - 1) * unit_s) * h + one) // big_w
-            else:  # H(s - 1) from H(s), s - 1 = top - t
-                h = (big_w * h - one) // (start - t * unit_s)
-            if t % p == 0:
-                chain.append(h)
-        for j, h in zip(js, chain[::-1] if up < down else chain):
-            out[j] = h >> guard
-    return out, -bits
+        turn = min(steps, max(0, math.ceil(w - 1.0 - (e + theta * r))))
+        top = -big_e - big_t * r  # s at chain step t is top - t unit_s
+        chain = [0] * (steps + 1)
+        chain[turn] = seed(Fraction(top - turn * unit_s, unit_s), w, bits)
+        for t in range(turn, steps):
+            chain[t + 1] = ((big_w * chain[t] - one)
+                            // (top - (t + 1) * unit_s))
+        for t in range(turn, 0, -1):
+            chain[t - 1] = ((top - t * unit_s) * chain[t] + one) // big_w
+        out[r::q] = chain[::p]
+    return out
+
+
+def _k11_side(e: float, theta: float, n: int, w: float) -> tuple[list, int]:
+    """_h_chain from _h_seed, and -bits: the unit 2^-bits lies _GUARD_BITS
+    past the working precision under 1/(w + 1 - s) < H(s), s < 1."""
+    bits = (mpmath.mp.prec + _GUARD_BITS
+            + math.ceil(w + 1 + e + theta * n).bit_length())
+    return _h_chain(e, theta, n, w, bits, _h_seed), -bits
 
 
 def _k11_inc_core(params: EnsembleParams, y: float, x: float):
@@ -607,7 +592,7 @@ def k11(params: EnsembleParams, y: float, x: float,
 
     At finite N "tintegral" is no t-integral but the exact sum of
     _k11_inc_core, on integers from exact-rational vectors and gamma
-    chains that run up or down, whichever needs fewer guard bits.
+    chains (_h_chain).
     """
     return _finite_kernel(params, "K11", y, x, route)
 

@@ -24,7 +24,9 @@ SZ_EDGE = 3.0 * math.sqrt(3.0) / 2.0
 
 def raney(p: float, r: float, n: float) -> float:
     """Raney number R_{p,r}(n) = r/(pn+r) * binom(pn+r, n), the binomial
-    continued through gamma functions; ComplexityError past double range."""
+    continued through gamma functions; ComplexityError past double range.
+    It is 0 where only Gamma(pn + r - n + 1), whose reciprocal enters,
+    has a pole; PoleError at any other pole."""
     if n < 0:
         raise DomainError("n must be non-negative")
     if n == 0:
@@ -33,8 +35,11 @@ def raney(p: float, r: float, n: float) -> float:
     if abs(top) < 1e-14:
         raise PoleError("p*n + r vanishes")
     # lgamma_signed raises PoleError at a pole
-    (s1, l1), (_, l2), (s3, l3) = (lgamma_signed(v) for v in
-                                   (top + 1.0, n + 1.0, top - n + 1.0))
+    (s1, l1), (_, l2) = lgamma_signed(top + 1.0), lgamma_signed(n + 1.0)
+    try:
+        s3, l3 = lgamma_signed(top - n + 1.0)
+    except PoleError:
+        return 0.0
     try:
         # the gamma form first: past double range it raises here, before
         # math.comb builds a huge integer

@@ -277,7 +277,7 @@ class TestDirectRouteQuadrature:
             if (name.startswith("cauchybures")
                     and getattr(mod, "gauss_jacobi", None) is rule):
                 monkeypatch.setattr(mod, "gauss_jacobi", refuse)
-        kernels._i1s.cache_clear()
+        kernels._i1_side.cache_clear()
         p = EnsembleParams(0.5, 0.7, theta, 12)
         for fn in (kernels.k01, kernels.k10, kernels.k11):
             assert math.isfinite(fn(p, 0.8, 1.3, route="direct"))

@@ -9,7 +9,7 @@ from cauchybures.ensembles import (EnsembleParams, moment_b, moment_b_vec,
                                    moment_c, partition_bures,
                                    partition_bures_squared_identity,
                                    partition_cauchy, partition_cauchy_det)
-from cauchybures.exceptions import DomainError
+from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.numerics import SkewMatrix, pfaffian, pfaffian_bordered
 
 
@@ -84,6 +84,18 @@ class TestMoments:
         # numpy integers are integers
         p = EnsembleParams(0.5, 0.7, 1.5, 3)
         assert moment_c(p, np.int64(2), np.int64(1)) == moment_c(p, 2, 1)
+
+    def test_past_double_range_raises_complexity_error(self):
+        # as raney does; the first three raised a bare OverflowError, and
+        # the last returned -inf, where i_j i_k overflows but I^C does not
+        p = EnsembleParams(0.5, 0.7, 1.5, 3)
+        for call in (lambda: moment_c(p, 200, 200),
+                     lambda: moment_b(p, 200, 100),
+                     lambda: moment_b_vec(p, 200),
+                     lambda: moment_b(EnsembleParams(0.6, 0.7, 1.0, 3), 171,
+                                      2)):
+            with pytest.raises(ComplexityError, match="overflows a double"):
+                call()
 
 
 class TestCauchyPartition:

@@ -300,8 +300,8 @@ class TestAuxiliaryIntegral:
 
     @staticmethod
     def _i1_side_cases():
-        """(theta, e, c, N) of _i1s sides: unit-step chains at theta = 1,
-        1.5, 2 and per-l quadratures at theta = 1.3.  Chains seed at the
+        """(theta, e, c, N) of _i1_side sides: unit-step chains at theta =
+        1, 1.5, 2 and per-l quadratures at theta = 1.3.  Chains seed at the
         lowest exponent with beta + 1 >= c: c = 0.05 steps up from the
         bottom, c = 150 down from the top, c = 0.8 and 3.7 turn near the
         bottom, and c = 40 turns inside the N = 40 chains of theta = 1.5
@@ -317,28 +317,53 @@ class TestAuxiliaryIntegral:
             yield theta, -0.9, 150.0, 16
 
     def test_i1_side_chains_against_incomplete_gamma(self):
-        # 40 digits agree with 120 on every value here to 1e-39; 100, as
-        # above, would cost about 2 s for these 335 values
+        # the side is H(-beta, c) = e^c c^beta Gamma(-beta, c), i1 without
+        # its Gamma(1 + beta); 40 digits agree with 120 on every value here
+        # to 1e-39; 100, as above, would cost about 2 s for these 335 values
         @lru_cache(maxsize=None)
         def want(beta, c):
             with mpmath.workdps(40):
                 b = mpmath.mpf(beta)
-                return (mpmath.gamma(1 + b) * mpmath.e ** c
-                        * mpmath.mpf(c) ** b * mpmath.gammainc(-b, c))
+                return (mpmath.e ** c * mpmath.mpf(c) ** b
+                        * mpmath.gammainc(-b, c))
 
         worst = 0.0
         for theta, e, c, n in self._i1_side_cases():
-            kernels._i1s.cache_clear()
-            side = np.ldexp(*kernels._i1s(theta, n, e, c))
+            kernels._i1_side.cache_clear()
+            side = np.ldexp(*kernels._i1_side(e, theta, n, c))
             worst = max(worst, *(abs(v / want(e + theta * l, c) - 1)
                                  for l, v in enumerate(side)))
-        assert worst < 2e-14
+        assert worst < 1e-14  # 3.8e-15 on this grid
 
     def test_i1_overflow_raises_typed_error(self):
         # y^beta overflows a double inside the float quadrature from
         # beta ~ 115; the error names beta instead of a bare OverflowError
         with pytest.raises(ComplexityError, match=r"beta = 150\b"):
             i1_integral(150.0, 1.2)
+
+    @pytest.mark.parametrize("c,first", [
+        (0.05, 118.3), (1.0, 118.2), (40.0, 116.6), (150.0, 112.8),
+        (400.0, 106.7)])
+    def test_direct_side_refuses_where_i1_integral_does(self, c, first):
+        # a direct-route side refuses in closed form at its top exponent,
+        # before any quadrature; it must refuse exactly where i1_integral's
+        # quadrature refuses there, in steps of 0.1 around the first refusal
+        def refuses(build):
+            try:
+                build()
+            except ComplexityError as err:
+                assert f"beta = {beta:g} (c = {c:g})" in str(err)
+                return True
+            return False
+
+        for k in range(-10, 11):
+            beta = round(first + k / 10, 1)
+            e = beta - 2.0  # exact: beta and e lie in [64, 128)
+            assert e + 1.0 * 2 == beta  # the side's top exponent
+            assert refuses(lambda: i1_integral(beta, c)) == (k >= 0), beta
+            kernels._i1_side.cache_clear()
+            assert refuses(lambda: kernels._i1_side(e, 1.0, 3, c)) == (
+                k >= 0), beta
 
 
 def _bures_scaled(a, theta, n):
@@ -694,7 +719,8 @@ class TestHardEdgeAgainstQuadrature:
 # ---------------------------------------------------------------------------
 
 class TestSharedSides:
-    """Each integrated side is built once per correlation (_i1s cache)."""
+    """Each integrated side is built once per correlation (_i1_side
+    cache)."""
 
     # (request, distinct integrated sides): a two-point Bures correlation
     # has sides (a, z1), (a, z2), (b, z1) and (b, z2); the 1+1 Cauchy one
@@ -707,11 +733,10 @@ class TestSharedSides:
 
     @pytest.mark.parametrize("req,sides", CASES)
     def test_one_quadrature_set_per_side(self, monkeypatch, req, sides):
-        # a side of theta = p/q, q < N, integrates its q chain seeds and
-        # its top exponent; at these small points no chain seeds at its top
+        # a side of theta = p/q, q < N, integrates its q chain seeds only
         rho = rho_bures if req.model == "bures" else rho_cauchy
         with monkeypatch.context() as m:  # every entry builds its own sides
-            m.setattr(kernels, "_i1s", kernels._i1s.__wrapped__)
+            m.setattr(kernels, "_i1_side", kernels._i1_side.__wrapped__)
             uncached = rho(req)
         calls = []
 
@@ -720,13 +745,13 @@ class TestSharedSides:
             return i1_integral(beta, c)
 
         monkeypatch.setattr(kernels, "i1_integral", counted)
-        kernels._i1s.cache_clear()
+        kernels._i1_side.cache_clear()
         assert repr(rho(req)) == repr(uncached)
         q = req.params.theta.as_integer_ratio()[1]
-        assert len(calls) == sides * (q + 1)
+        assert len(calls) == sides * q
 
     def test_cached_side_is_read_only(self):
-        mant, exp = kernels._i1s(1.5, 4, 0.7, 0.9)
+        mant, exp = kernels._i1_side(0.7, 1.5, 4, 0.9)
         for side in (mant, exp):
             with pytest.raises(ValueError):
                 side[0] = 0
@@ -822,9 +847,9 @@ class TestK11Core:
         # upper gammainc per s.  e = 0 puts s = 0 and, at theta = 1 and 2,
         # every s on an integer; e = -0.9 has s > 0; c = 0.004-3 seeds by
         # the series, which loses up to 17 digits within 1e-17 of a pole,
-        # c = 40 and 400 by the continued fraction; at c = 3 a chain runs
-        # down with up to 7 guard bits (up it would need 8-39), at c = 40
-        # and 400 up with none (down 31-128); theta = 1.3 and 0.9 have no
+        # c = 40 and 400 by the continued fraction; at c = 3 a chain turns
+        # at s <= -2 and runs both ways from there, at c = 40 and 400 it
+        # seeds at its bottom and runs up; theta = 1.3 and 0.9 have no
         # chain, so every j is a seed, and (e, theta) = (0.1, 0.9) puts s_1
         # 2.8e-17 off -1.  The reference runs 30 digits above the working
         # 50, because mpmath's gammainc itself loses up to 9 at c = 40.

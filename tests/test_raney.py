@@ -1,12 +1,13 @@
 """Tests for Raney numbers and the squared-singular-value density."""
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybures.exceptions import ComplexityError, DomainError
+from cauchybures.exceptions import ComplexityError, DomainError, PoleError
 from cauchybures.raney import (SZ_EDGE, density_asymptote, fuss_catalan_moment,
                                raney, sz_density, sz_moment, sz_support)
 
@@ -57,6 +58,24 @@ class TestRaneyNumbers:
         # R_{0.3,0.5}(3) = 0.5/1.4 * binom(1.4, 3), and binom(1.4, 3) =
         # 1.4 * 0.4 * (-0.6) / 6 < 0: Gamma(-0.6) is negative
         assert raney(0.3, 0.5, 3) == pytest.approx(-0.02, rel=1e-14)
+
+    def test_zero_at_a_pole_of_the_denominator_gamma(self):
+        # pn + r - n + 1 = 3/2 - 7n/10 is a non-positive integer at n = 5,
+        # 15, ..., 395: there 1/Gamma(pn + r - n + 1) vanishes, and so does
+        # binom(pn + r, n), which mpmath takes at the integer pn + r
+        p, r = Fraction(3, 10), Fraction(1, 2)
+        ns = [n for n in range(400)
+              if (p * n + r - n + 1).denominator == 1 and p * n + r - n < 0]
+        assert len(ns) == 40
+        for n in ns:
+            top = p * n + r
+            want = float(r / top * mpmath.binomial(int(top), n))
+            assert raney(0.3, 0.5, n) == want == 0.0, n
+
+    def test_pole_of_the_numerator_gamma_raises(self):
+        # pn + r = -1: Gamma(pn + r + 1) has a pole (as has the other)
+        with pytest.raises(PoleError):
+            raney(-0.5, 0.5, 3)
 
     def test_zeroth_value_is_one(self):
         for p, r in ((2.0, 1.0), (1.5, 0.5), (3.7, 0.4)):
