@@ -16,7 +16,7 @@ import numpy as np
 from . import correlations, ensembles, kernels, polynomials
 from .raney import raney as raney_number
 from .raney import sz_moment
-from .exceptions import CauchyBuresError, NonConverged
+from .exceptions import CauchyBuresError, ComplexityError, NonConverged
 # hankel_loop and residue_series stay bound here for perfbench/tracer.py
 from .foxh import FoxHSpec, hankel_loop, residue_series  # noqa: F401
 from .numerics import SkewMatrix, pfaffian, require_positive, tanh_sinh_01
@@ -278,7 +278,7 @@ def _print_value(label: str, value_log):
     # value is null when |Z| is not a double; sign and log_abs still carry Z
     try:
         value = value_log.to_real()
-    except OverflowError:
+    except ComplexityError:
         value = None
     if value == 0.0 and value_log.sign != 0:
         value = None

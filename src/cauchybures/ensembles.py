@@ -9,12 +9,11 @@ suite cross-check.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 from .exceptions import ComplexityError, DomainError, SignError
-from .numerics import LogValue, require_positive
+from .numerics import LogValue, checked_exp, require_integer, require_positive
 
 __all__ = [
     "EnsembleParams",
@@ -45,8 +44,7 @@ class EnsembleParams:
             # the 1/(x+y) factor makes every Cauchy bimoment diverge there
             raise DomainError("a + b must exceed -1")
         require_positive("theta", self.theta)
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        require_integer("n", self.n, least=1)
 
     @property
     def alpha(self) -> float:
@@ -68,41 +66,26 @@ class EnsembleParams:
 # moments
 # ---------------------------------------------------------------------------
 
-def _check_indices(*js) -> None:
-    """Refuse a moment index that is not a positive integer."""
-    if not all(isinstance(j, numbers.Integral) and j >= 1 for j in js):
-        raise DomainError(f"moment indices must be positive integers, "
-                          f"got {js!r}")
-
-
-def _moment_exp(log: float) -> float:
-    """e^log of a moment's log, or ComplexityError past double range."""
-    try:
-        return math.exp(log)
-    except OverflowError:
-        raise ComplexityError(f"a moment of log {log:.6g} overflows a "
-                              f"double") from None
-
-
 def moment_c(params: EnsembleParams, j: int, k: int) -> float:
     """Cauchy bimoment I_{j,k} = G(a+t(j-1)+1) G(b+t(k-1)+1) / (1+a+b+t(j+k-2))."""
-    _check_indices(j, k)
+    require_integer("moment index", j, k, least=1)
     a, b, theta = params.a, params.b, params.theta
     denom = 1.0 + a + b + theta * (j + k - 2)
-    return _moment_exp(math.lgamma(a + theta * (j - 1) + 1.0)
+    return checked_exp("a moment", math.lgamma(a + theta * (j - 1) + 1.0)
                        + math.lgamma(b + theta * (k - 1) + 1.0)
                        - math.log(denom))
 
 
 def moment_b_vec(params: EnsembleParams, j: int) -> float:
     """Scalar Bures moment i_j = Gamma(a + theta*(j-1) + 1)."""
-    _check_indices(j)
-    return _moment_exp(math.lgamma(params.a + params.theta * (j - 1) + 1.0))
+    require_integer("moment index", j, least=1)
+    return checked_exp("a moment",
+                       math.lgamma(params.a + params.theta * (j - 1) + 1.0))
 
 
 def moment_b(params: EnsembleParams, j: int, k: int) -> float:
     """Skew Bures bimoment via 2 I^C_{j,k}(a, a+1) = I^B_{j,k} + i_j i_k."""
-    _check_indices(j, k)
+    require_integer("moment index", j, k, least=1)
     if j == k:
         return 0.0
     cp = params.bures_pair()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +27,8 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          PoleCollisionError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
 from .numerics import (_DPS_STEP, _GUARD_BITS, _SPARE_DIGITS,  # noqa: F401
-                       lgamma_signed, log_gamma_complex, mp_sum,
-                       require_positive)
+                       checked_exp, lgamma_signed, log_gamma_complex, mp_sum,
+                       require_integer, require_positive)
 
 __all__ = [
     "GammaFactor",
@@ -108,10 +107,7 @@ class FoxHSpec:
                                   f"[shift, slope] pairs") from None
             object.__setattr__(self, key, pairs)
         for key in ("m", "n"):
-            k = getattr(self, key)
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-                raise DomainError(f"field {key!r} must be an integer, "
-                                  f"got {k!r}")
+            require_integer(f"field {key!r}", getattr(self, key))
         for shift, slope in (*self.upper, *self.lower):
             if not (slope > 0 and math.isfinite(shift)):
                 raise DomainError("every shift must be finite, every slope "
@@ -824,8 +820,8 @@ def _g(a, alpha, theta, n, tilde, z):
     """
     require_positive("a + 1, alpha + 1 and theta", a + 1.0, alpha + 1.0,
                      theta)
-    if n is not None and (not isinstance(n, numbers.Integral) or n < 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if n is not None:
+        require_integer("n", n, least=1)
     num, den = _g_factors(a, alpha, theta, n, tilde)
     if not tilde and np.ndim(z) == 0 and z == 0.0:
         log_c = 0.0
@@ -833,7 +829,7 @@ def _g(a, alpha, theta, n, tilde, z):
             log_c += math.lgamma(f.near)
         for f in den:
             log_c -= math.lgamma(f.near)
-        return math.exp(log_c)
+        return checked_exp("G's constant term", log_c)
     return residue_series(num, den, z)
 
 

@@ -36,7 +36,8 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
 from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _tanh_sinh_call,
-                       ln_abs, mp_sum, require_positive, tanh_sinh_01)
+                       checked_exp, ln_abs, mp_sum, require_positive,
+                       tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -95,7 +96,7 @@ def _cd_contract(params: EnsembleParams, u, v, scale: float = 1.0) -> float:
     weight = 2.0 * theta * np.arange(n) + a + b + 1.0
     mant, exp = _scaled_sum(weight * pu_mant * qv_mant * s_mant,
                             pu_exp + qv_exp + s_exp)
-    return math.ldexp(float(mant), int(exp))
+    return checked_exp("the kernel", float(mant), int(exp), power=math.ldexp)
 
 
 def _scaled_sum(mant: np.ndarray, exp: np.ndarray):
@@ -188,7 +189,8 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
     The factors are good to about 1e-14 relative; where cancellation could
     scale that past _T_RTOL, tanh_sinh_01 raises ComplexityError, which
     this passes on with the direct route as the way round it.  So does
-    alpha + 1 below _MIN_ALPHA1.
+    alpha + 1 below _MIN_ALPHA1.  A product of the factors past double
+    range raises a ComplexityError of its own, which names no way round.
     """
     if alpha + 1.0 < _MIN_ALPHA1:
         raise ComplexityError(f"t-integral: alpha + 1 = {alpha + 1.0:.3g} "
@@ -200,7 +202,9 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
         nonlocal call
         out = np.zeros(len(t))
         keep = _kept(alpha, t)
-        out[keep] = t[keep] ** alpha * side1(call) * side2(call)
+        f1, f2 = side1(call), side2(call)
+        with np.errstate(over="raise"):
+            out[keep] = t[keep] ** alpha * f1 * f2
         call += 1
         return out
 
@@ -210,6 +214,9 @@ def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
         raise ComplexityError(f"t-integral: {err}; at finite N route='direct'"
                               f" avoids it (its float sum loses digits as N"
                               f" grows)") from None
+    except FloatingPointError:
+        raise ComplexityError("t-integral: the integrand overflows a "
+                              "double") from None
 
 
 @lru_cache(maxsize=256)
@@ -251,14 +258,15 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
         raise DomainError(f"unknown kernel kind {kind!r}")
     alpha = (a + b + 1.0) / theta - 1.0
     tilde1, tilde2 = _TILDE[kind]
+    pw = partial(checked_exp, "a power of a kernel argument", power=pow)
     weight = theta
     if tilde2:
-        weight *= x2 ** b
+        weight *= pw(x2, b)
     if tilde1:
-        weight *= x1 ** a
+        weight *= pw(x1, a)
     return weight * _gg_t_integral(
-        alpha, partial(_t_side, tilde1, a, alpha, theta, n, x1 ** theta),
-        partial(_t_side, tilde2, b, alpha, theta, n, x2 ** theta))
+        alpha, partial(_t_side, tilde1, a, alpha, theta, n, pw(x1, theta)),
+        partial(_t_side, tilde2, b, alpha, theta, n, pw(x2, theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +303,6 @@ def _i1_span(beta: float) -> float:
     return 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
 
 
-def _exp(x: float) -> float:
-    """e^x, or ComplexityError where it leaves double range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise ComplexityError(f"e^{x:g} overflows a double; the "
-                              f"t-integral route cannot carry it") from None
-
-
 def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
                    route: str) -> float:
     """The finite-N kernel of `kind` at (p1, p2) by `route`.
@@ -330,7 +329,8 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     elif route == "tintegral" and kind == "K11":
         return float(_k11_inc_core(params, p1, p2))
     elif route == "tintegral":
-        val = (_exp(sum(p for t, p in zip(tilde, (p1, p2)) if t))
+        val = (checked_exp("e^p of the integrated points",
+                           sum(p for t, p in zip(tilde, (p1, p2)) if t))
                * _kernel(a, b, theta, n, kind, p1, p2))
     else:
         raise DomainError(f"unknown route {route!r}")
@@ -606,9 +606,9 @@ def _weight(a: float, b: float, kind: str, p1: float, p2: float,
     weight = (math.exp(-sum(p for t, p in zip(tilde, (p1, p2)) if t))
               if decay else 1.0)
     if tilde2:
-        weight *= p2 ** a
+        weight *= checked_exp("a weight p^a", p2, a, power=pow)
     if tilde1:
-        weight *= p1 ** b
+        weight *= checked_exp("a weight p^b", p1, b, power=pow)
     return weight
 
 
@@ -687,10 +687,9 @@ class KernelGrid:
 
     def __post_init__(self):
         xs, ys = np.asarray(self.xs), np.asarray(self.ys)
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
+        if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
             raise DomainError("grid axes must be strictly increasing")
-        if np.any(xs <= 0) or np.any(ys <= 0):
-            raise DomainError("grid points must be positive")
+        require_positive("grid points", *xs, *ys)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (len(xs), len(ys)):
             raise DomainError("values shape mismatch")

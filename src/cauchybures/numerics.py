@@ -7,9 +7,10 @@ mpmath summation rule (`mp_sum`) whose precision checks itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -23,8 +24,10 @@ __all__ = [
     "QuadratureRule",
     "log_gamma_complex",
     "lgamma_signed",
+    "checked_exp",
     "ln_abs",
     "mp_sum",
+    "require_integer",
     "require_positive",
     "gauss_jacobi",
     "pfaffian",
@@ -57,6 +60,24 @@ def require_positive(what: str, *values: float) -> None:
     """Raise DomainError unless every value is finite and positive."""
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise DomainError(f"{what} must be finite and positive")
+
+
+def require_integer(what: str, *values, least: Optional[int] = None) -> None:
+    """DomainError unless each value is an integer, not a bool, >= least."""
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                or least is not None and v < least):
+            kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+            raise DomainError(f"{what} must be {kind} integer, got {v!r}")
+
+
+def checked_exp(what: str, *args, power: Callable = math.exp) -> float:
+    """power(*args): math.exp, math.ldexp, pow or the float of an integer;
+    ComplexityError "{what} overflows a double" past double range."""
+    try:
+        return power(*args)
+    except OverflowError:
+        raise ComplexityError(f"{what} overflows a double") from None
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +117,7 @@ class LogValue:
     def to_real(self) -> float:
         if self.sign == 0:
             return 0.0
-        return self.sign * math.exp(self.log_mag)
+        return self.sign * checked_exp("a LogValue", self.log_mag)
 
     def __mul__(self, other: "LogValue") -> "LogValue":
         if self.sign == 0 or other.sign == 0:
@@ -391,6 +412,8 @@ class SkewMatrix:
         entries = np.zeros((n, n))
         iu = np.triu_indices(n, k=1)
         entries[iu] = upper[iu]
+        if not np.all(np.isfinite(entries)):
+            raise DomainError("SkewMatrix entries must be finite")
         entries -= entries.T
         self.dim = n
         self.entries = entries

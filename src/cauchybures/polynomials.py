@@ -8,7 +8,6 @@ coefficient of its defining (bordered) Pfaffian is a Schur Pfaffian.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .ensembles import EnsembleParams, _log_schur, partition_cauchy
-from .numerics import LogValue
+from .numerics import LogValue, require_integer, require_positive
 
 __all__ = [
     "PolySeries",
@@ -117,17 +116,13 @@ def _hat_table(alpha: float, exponent: float, theta: float,
 
 def coeff_c(n: int, l: int, alpha: float) -> float:
     """c_{n,l} = (-1)^l Gamma(alpha+n+l+1) / (l! (n-l)! Gamma(alpha+l+1))."""
-    _check_degree(n)
-    if not isinstance(l, numbers.Integral) or not 0 <= l <= n:
+    require_integer("degree", n, least=0)
+    require_integer("l", l)
+    if not 0 <= l <= n:
         raise DomainError(f"l must satisfy 0 <= l <= n, got l={l}, n={n}")
+    require_positive("alpha + 1", alpha + 1.0)
     mant, exp = _hat_table(alpha, 0.0, 0.0, n + 1)
     return math.ldexp(mant[n, l], int(exp[n, l]))
-
-
-def _check_degree(n: int) -> None:
-    """Refuse a degree that is not a non-negative integer."""
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise DomainError(f"degree must be a non-negative integer, got {n!r}")
 
 
 def p_hat(params: EnsembleParams, n: int) -> PolySeries:
@@ -142,7 +137,7 @@ def q_hat(params: EnsembleParams, n: int) -> PolySeries:
 
 def _hat_family(params: EnsembleParams, n: int, exponent: float) -> PolySeries:
     """Row n of the table the kernels contract, sized max(N, n+1)."""
-    _check_degree(n)
+    require_integer("degree", n, least=0)
     mant, exp = _hat_table(params.alpha, exponent, params.theta,
                            max(params.n, n + 1))
     with np.errstate(over="ignore"):
@@ -152,9 +147,8 @@ def _hat_family(params: EnsembleParams, n: int, exponent: float) -> PolySeries:
 
 def jacobi_p(n: int, alpha: float, x) -> float:
     """Jacobi polynomial P_n^(alpha, 0) at argument 1 - 2x, by recurrence."""
-    _check_degree(n)
-    if alpha <= -1.0:
-        raise DomainError("alpha must exceed -1")
+    require_integer("degree", n, least=0)
+    require_positive("alpha + 1", alpha + 1.0)
     t = 1.0 - 2.0 * np.asarray(x, dtype=float)
     p_prev = np.ones_like(t)
     if n == 0:
@@ -174,7 +168,7 @@ def jacobi_p(n: int, alpha: float, x) -> float:
 def monic_pair(params: EnsembleParams, n: int
                ) -> tuple[PolySeries, PolySeries, NormalizationData]:
     """Monic rescalings with h_n and the partition ratio Z_{n+1}/Z_n."""
-    _check_degree(n)
+    require_integer("degree", n, least=0)
     h_n = params.theta / (2.0 * n * params.theta + params.a + params.b + 1.0)
     z_n = partition_cauchy(params.with_n(n)) if n else LogValue.one()  # Z_0
     ratio = partition_cauchy(params.with_n(n + 1)) / z_n
@@ -194,7 +188,7 @@ def phi_bures(params: EnsembleParams, n: int) -> PolySeries:
     along that column makes the z^j coefficient (-1)^{n+j} times the
     Schur Pfaffian of the x's without x_j; Z^B cancels in the monic form.
     """
-    _check_degree(n)
+    require_integer("degree", n, least=0)
     xs = [params.a + 1.0 + params.theta * j for j in range(n + 1)]
     logs = np.array([_log_schur(xs[:j] + xs[j + 1:]) for j in range(n + 1)])
     signs = (-1.0) ** (n + np.arange(n + 1))

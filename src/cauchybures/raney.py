@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from .exceptions import ComplexityError, DomainError, PoleError
-from .numerics import lgamma_signed, tanh_sinh_01
+from .exceptions import DomainError, PoleError
+from .numerics import checked_exp, lgamma_signed, tanh_sinh_01
 
 __all__ = [
     "raney",
@@ -27,8 +27,8 @@ def raney(p: float, r: float, n: float) -> float:
     continued through gamma functions; ComplexityError past double range.
     It is 0 where only Gamma(pn + r - n + 1), whose reciprocal enters,
     has a pole; PoleError at any other pole."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    if not all(map(math.isfinite, (p, r, n))) or n < 0:
+        raise DomainError("p, r and n must be finite, n non-negative")
     if n == 0:
         return 1.0
     top = p * n + r
@@ -40,18 +40,14 @@ def raney(p: float, r: float, n: float) -> float:
         s3, l3 = lgamma_signed(top - n + 1.0)
     except PoleError:
         return 0.0
-    try:
-        # the gamma form first: past double range it raises here, before
-        # math.comb builds a huge integer
-        value = s1 * s3 * math.copysign(
-            math.exp(l1 - l2 - l3 + math.log(abs(r / top))), r / top)
-        if p > 0 and r > 0 and all(float(v).is_integer() for v in (p, r, n)):
-            # integer parameters give integer Raney numbers; compute exactly
-            ti = int(top)
-            value = float(int(r) * math.comb(ti, int(n)) // ti)
-    except OverflowError:
-        raise ComplexityError(
-            f"R_{{{p},{r}}}({n}) overflows a double") from None
+    # the gamma form first: it refuses before math.comb builds a huge integer
+    value = s1 * s3 * math.copysign(checked_exp(
+        "a Raney number", l1 - l2 - l3 + math.log(abs(r / top))), r / top)
+    if p > 0 and r > 0 and all(float(v).is_integer() for v in (p, r, n)):
+        # integer parameters give integer Raney numbers; compute exactly
+        ti = int(top)
+        exact = int(r) * math.comb(ti, int(n)) // ti
+        value = checked_exp("a Raney number", exact, power=float)
     return value
 
 
@@ -75,7 +71,7 @@ def sz_density(x) -> float:
     diverges like x^(-2/3).
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # NaN refused too
         raise DomainError("density requires x > 0")
     out = np.zeros_like(arr)
     inside = arr < SZ_EDGE
@@ -97,8 +93,8 @@ def sz_moment(n: float) -> float:
     origin; its nodes reach x ~ 1e-304, below which the integral holds
     less than 1e-100.
     """
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    if not 0 <= n < math.inf:
+        raise DomainError("n must be finite and non-negative")
     return SZ_EDGE * tanh_sinh_01(
         lambda t: (SZ_EDGE * t) ** n * sz_density(SZ_EDGE * t))
 
@@ -108,7 +104,7 @@ def density_asymptote(p: float, r: float, x) -> float:
     if p <= 0 or r <= 0 or r > p:
         raise DomainError("need 0 < r <= p")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise DomainError("asymptote requires x > 0")
     out = math.sin(r * math.pi / p) / math.pi * arr ** (-(p - r) / p)
     return out if np.ndim(out) else float(out)

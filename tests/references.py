@@ -29,8 +29,8 @@ from cauchybures.exceptions import (ComplexityError, DomainError,
                                     PoleError)
 from cauchybures.numerics import (_POLE_TOL, _TS_ROUNDING, LogValue,
                                   QuadratureRule, _tanh_sinh_level, ln_abs,
-                                  mp_sum, refine_quadrature, require_positive)
-from cauchybures.polynomials import _check_degree
+                                  mp_sum, refine_quadrature, require_integer,
+                                  require_positive)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 _LOOP_NODES = 64
@@ -53,7 +53,7 @@ def jacobi_series_value(n: int, alpha: float, x: float) -> float:
     than ~1e-10 absolute; mp_sum raises the working precision until the
     digits the cancellation eats leave enough.
     """
-    _check_degree(n)
+    require_integer("degree", n, least=0)
 
     def series():
         al = mpmath.mpf(alpha)
@@ -306,7 +306,7 @@ def rho_bures_hard_edge_quad(a, p, q, zs):
 
 def _det_form(params: EnsembleParams, n: int, x, transpose: bool) -> float:
     """Bordered moment determinant with the sqrt(h_n/(theta Z_n Z_{n+1})) factor."""
-    _check_degree(n)
+    require_integer("degree", n, least=0)
     if n >= _MAX_DEGREE:
         raise DomainError(f"degree {n} refused: the moment determinant is "
                           f"ill-conditioned (limit {_MAX_DEGREE})")

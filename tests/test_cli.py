@@ -83,8 +83,9 @@ class TestFoxH:
         ("[]", "spec file must hold a JSON object"),
         ('"spec"', "spec file must hold a JSON object"),
         ('{"upper": [], "lower": [[1' + "0" * 400 + ', 1.0]], "m": 1, "n": 0}',
-         "field 'lower' must be a list")],
-        ids=["number", "null", "list", "string", "huge-shift"])
+         "field 'lower' must be a list"),
+        ('{"upper": [', "cannot parse spec file")],
+        ids=["number", "null", "list", "string", "huge-shift", "not-json"])
     def test_malformed_spec_exits_one_without_traceback(self, runner,
                                                         tmp_path, text,
                                                         message):
@@ -220,6 +221,29 @@ class TestKernelGrid:
         res = runner.invoke(main, ["kernel-grid", "--grid-min", "2.0",
                                    "--grid-max", "1.0"])
         assert res.exit_code == 1
+
+    def test_single_point_grid_exits_one(self, runner):
+        res = runner.invoke(main, ["kernel-grid", "--grid-count", "1"])
+        assert res.exit_code == 1
+        assert "grid count must be at least 2" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "K00", "--n", "3", "--grid-min", "1e299",
+         "--grid-max", "1e300"],
+        ["--kind", "hard-K00", "--grid-min", "3e5", "--grid-max", "4e5"]],
+        ids=["K00", "hard-K00"])
+    def test_value_past_double_range_exits_one(self, runner, args):
+        # K00 once ended in an OverflowError traceback, hard-K00 in 84 s
+        # of overflow warnings per cell and then exit 2
+        res = runner.invoke(main, ["kernel-grid", "--a", "0.5", "--b", "0.7",
+                                   "--theta", "1.5", "--grid-count", "2"]
+                            + args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert "overflows a double" in res.stderr
+        assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("kind,fn", [
         ("K00", cd_kernel), ("K01", k01), ("K10", k10), ("K11", k11),

@@ -10,7 +10,8 @@ from cauchybures.correlations import (CorrelationRequest,
                                       correlation_record, rho_bures,
                                       rho_bures_hard_edge, rho_cauchy)
 from cauchybures.ensembles import EnsembleParams
-from cauchybures.exceptions import ComplexityError, DomainError
+from cauchybures.exceptions import (ComplexityError, DimensionError,
+                                    DomainError)
 
 
 PSET = EnsembleParams(0.5, 0.7, 1.5, 2)
@@ -201,6 +202,23 @@ class TestValidationAndRecords:
         with pytest.raises(DomainError, match="one species"):
             CorrelationRequest("bures", p, (), (5.0,))
 
+    @pytest.mark.parametrize("model,xs,ys,error,message", [
+        ("gaussian", (0.8,), (), DomainError, "unknown model 'gaussian'"),
+        ("cauchy", (0.8, 1.1, 1.4), (), DimensionError,
+         "more points than eigenvalues"),
+        ("cauchy", (0.8,), (0.9, 1.1, 1.4), DimensionError,
+         "more points than eigenvalues"),
+        ("bures", (0.8, 1.1, 1.4), (), DimensionError,
+         "more points than eigenvalues")],
+        ids=["model", "first-species", "second-species", "bures"])
+    def test_malformed_requests_rejected(self, model, xs, ys, error,
+                                         message):
+        with pytest.raises(error, match=message):
+            CorrelationRequest(model, PSET, xs, ys)
+
+    def test_no_points_is_one(self):
+        assert rho_cauchy(CorrelationRequest("cauchy", PSET, ())) == 1.0
+
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_points_must_be_finite_and_positive(self, bad):
         with pytest.raises(DomainError, match="finite and positive"):
@@ -215,6 +233,11 @@ class TestValidationAndRecords:
                                    (0.8,))
         with pytest.raises(ComplexityError):
             rho_bures(big_b, route="brute")
+
+    def test_brute_force_bures_integrates_at_most_two_variables(self):
+        req = CorrelationRequest("bures", EnsembleParams(0.3, 1.3, 1.0, 3), ())
+        with pytest.raises(ComplexityError, match="too many integrated"):
+            rho_bures(req, route="brute")
 
     @pytest.mark.parametrize("params", [EnsembleParams(0.3, 1.3, 0.2, 2),
                                         EnsembleParams(3.0, 4.0, 0.5, 3)])

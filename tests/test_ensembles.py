@@ -28,7 +28,8 @@ class TestParams:
                                      (0.5, 0.7, math.nan, 3),
                                      (0.5, 0.7, math.inf, 3),
                                      (0.5, 0.7, 1.5, 2.5),
-                                     (0.5, 0.7, 1.5, 3.0)])
+                                     (0.5, 0.7, 1.5, 3.0),
+                                     (0.0, 0.0, 1.0, True)])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(DomainError):
             EnsembleParams(*bad)
@@ -79,11 +80,22 @@ class TestMoments:
                 lambda: moment_c(EnsembleParams(0.5, 0.7, 1.5, 3), 1.5, 2),
                 lambda: moment_b(EnsembleParams(0.5, 1.5, 1.5, 3), 2.5, 1),
                 lambda: moment_b_vec(EnsembleParams(0.5, 1.5, 1.5, 3), 1.5)):
-            with pytest.raises(DomainError, match="positive integers"):
+            with pytest.raises(DomainError, match="moment index must be "
+                                                  "a positive integer"):
                 call()
         # numpy integers are integers
         p = EnsembleParams(0.5, 0.7, 1.5, 3)
         assert moment_c(p, np.int64(2), np.int64(1)) == moment_c(p, 2, 1)
+
+    def test_bool_indices_refused(self):
+        # moment_c(p, True, True) once returned I_{1,1}
+        p = EnsembleParams(0.5, 0.7, 1.5, 3)
+        for call in (lambda: moment_c(p, True, True),
+                     lambda: moment_b(p, 2, True),
+                     lambda: moment_b_vec(p, False)):
+            with pytest.raises(DomainError, match="moment index must be a "
+                                                  "positive integer, got"):
+                call()
 
     def test_past_double_range_raises_complexity_error(self):
         # as raney does; the first three raised a bare OverflowError, and
@@ -137,6 +149,13 @@ class TestCauchyPartition:
         p = EnsembleParams(0.5, 0.7, 1.5, 40)
         lv = partition_cauchy(p)
         assert math.isfinite(lv.log_mag)
+
+    def test_to_real_past_double_range_raises_complexity_error(self):
+        # Z at N = 80 is e^{1.8e4}: to_real once raised a bare OverflowError
+        z = partition_cauchy(EnsembleParams(0.5, 0.7, 2.0, 80))
+        assert z.sign == 1 and z.log_mag > 710.0
+        with pytest.raises(ComplexityError, match="overflows a double"):
+            z.to_real()
 
 
 class TestBuresPartition:

@@ -187,6 +187,19 @@ class TestGNReference:
         assert g_n(a, alpha, theta, n, 1e-300) == pytest.approx(want,
                                                                 rel=1e-14)
 
+    def test_constant_term_past_double_range_is_typed(self):
+        # Gamma(alpha + n + 1) / (Gamma(n) Gamma(alpha + 1)) ~ e^2772 here
+        with pytest.raises(ComplexityError, match="overflows a double"):
+            g_n(0.0, 2000.0, 1.0, 2000, 0.0)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_n_must_be_a_positive_integer(self, n):
+        # n = True once returned G_1
+        for fn in (g_n, g_tilde_n):
+            with pytest.raises(DomainError, match="n must be a positive "
+                                                  f"integer, got {n!r}"):
+                fn(0.5, 0.5, 1.5, n, 0.7)
+
 
 @pytest.fixture
 def resummed(monkeypatch):
@@ -615,7 +628,10 @@ class TestExactShifts:
                 ({"lower": ("01",)},
                  "field 'lower' must be a list of [shift, slope] pairs"),
                 ({"lower": ((10 ** 400, 1.0),)},  # no double: OverflowError
-                 "field 'lower' must be a list of [shift, slope] pairs")]:
+                 "field 'lower' must be a list of [shift, slope] pairs"),
+                ({"m": 2}, "m out of range: 2"),
+                ({"m": -1}, "m out of range: -1"),
+                ({"n": 1}, "n out of range: 1")]:
             spec = {"upper": (), "lower": ((0.0, 1.0),), "m": 1, "n": 0}
             with pytest.raises(DomainError) as err:
                 FoxHSpec(**{**spec, **fields})

@@ -12,11 +12,12 @@ import pytest
 
 from cauchybures import kernels, numerics
 from cauchybures.ensembles import EnsembleParams
-from cauchybures.exceptions import ComplexityError, DomainError
+from cauchybures.exceptions import (ComplexityError, DomainError,
+                                    NonConverged, SingularPointError)
 from cauchybures.correlations import (CorrelationRequest, rho_bures,
                                        rho_bures_hard_edge, rho_cauchy)
-from cauchybures.kernels import (KernelGrid, _h_seed, _h_series, _k11_side,
-                                 _k11_tables, cd_hard_scaled, cd_kernel,
+from cauchybures.kernels import (KernelGrid, _h_fraction, _h_seed, _h_series,
+                                 _k11_side, _k11_tables, cd_hard_scaled, cd_kernel,
                                  delta_k00_inf, delta_k11_inf,
                                  hard_edge_kernel, hatted, i1_integral, k01,
                                  k10, k11, make_grid, sigma_k01_inf)
@@ -403,6 +404,41 @@ class TestEntryPointValidation:
         with pytest.raises(DomainError, match="unknown route"):
             hatted(self.P, "K00", 1.0, 1.0, route="nonsense")
 
+    def test_unknown_kind_rejected(self):
+        for call in (lambda: hatted(self.P, "K22", 1.0, 1.0),
+                     lambda: hard_edge_kernel(0.5, 0.7, 1.5, "K22", 1.0, 1.0)):
+            with pytest.raises(DomainError, match="unknown kernel kind 'K22'"):
+                call()
+
+    @pytest.mark.parametrize("route", ["tintegral", "direct"])
+    def test_k11_refuses_the_singular_point(self, route):
+        with pytest.raises(SingularPointError, match="singularity cutoff"):
+            k11(self.P, 4e-13, 5e-13, route)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: cd_kernel(p, 1e300, 1.0),
+        lambda p: cd_kernel(p, 1e300, 1.0, route="tintegral"),
+        lambda p: cd_hard_scaled(p, 1e300, 1.0),
+        lambda p: hatted(EnsembleParams(1.5, 0.7, 1.5, 3), "K01", 1.0, 1e300)],
+        ids=["cd_kernel", "cd_kernel-tintegral", "cd_hard_scaled",
+             "hatted-weight"])
+    def test_kernel_past_double_range_raises_complexity_error(self, call):
+        # each once raised a bare OverflowError: the CD sum's final ldexp,
+        # x^theta before the t-integral, and hatted's weight x'^a
+        with pytest.raises(ComplexityError, match="overflows a double"):
+            call(self.P)
+
+    def test_hard_edge_integrand_past_double_range_raises_at_once(self):
+        # G G at (3e5, 3e5) overflows in the t-integrand's product: this
+        # once ran 84 s through overflow warnings into NonConverged, and
+        # no route avoids it, so the refusal names none
+        start = time.perf_counter()
+        with pytest.raises(ComplexityError, match="overflows a double") as err:
+            hard_edge_kernel(0.5, 0.7, 1.5, "K00", 3e5, 3e5)
+        assert "route=" not in str(err.value)
+        assert time.perf_counter() - start < 10.0
+        assert math.isfinite(hard_edge_kernel(0.5, 0.7, 1.5, "K00", 1e5, 1e5))
+
     @pytest.mark.parametrize("route", ["tintegral", "direct"])
     def test_hatted_k00_takes_its_route(self, route):
         # K00 has no weight, so hatted is cd_kernel by the same route
@@ -547,6 +583,22 @@ class TestKernelGrid:
     def test_rejects_nonpositive_points(self):
         with pytest.raises(DomainError):
             KernelGrid("K00", {}, [0.0, 0.5], [0.4], [[1.0], [1.0]])
+
+    @pytest.mark.parametrize("xs,ys,values,error,message", [
+        ([1.0, math.nan], [1.0, 2.0], [[1, 2], [3, 4]], DomainError,
+         "strictly increasing"),
+        ([math.nan], [1.0], [[1.0]], DomainError, "finite and positive"),
+        ([1.0, math.inf], [1.0], [[1.0], [2.0]], DomainError,
+         "finite and positive"),
+        ([1.0, 2.0], [1.0], [[1.0, 2.0]], DomainError,
+         "values shape mismatch"),
+        ([1.0, 2.0], [1.0], [[1.0], [math.inf]], NonConverged,
+         "non-finite kernel value")],
+        ids=["nan-step", "nan-point", "inf-point", "shape", "inf-value"])
+    def test_rejects_malformed_grids(self, xs, ys, values, error, message):
+        # NaN axes once passed both the step and the sign test
+        with pytest.raises(error, match=message):
+            KernelGrid("K00", {}, xs, ys, values)
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +969,11 @@ class TestK11Core:
             sm = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
             want = mpmath.exp(2) * 2 ** -sm * mpmath.gammainc(sm, 2)
             assert abs(mpmath.ldexp(got, -220) / want - 1) < 1e-48
+
+    def test_continued_fraction_refuses_past_its_term_cap(self):
+        # at w = 1e-3 Legendre's fraction needs far more than its 1e5 terms
+        with pytest.raises(NonConverged, match="unsettled after 1e5 terms"):
+            _h_fraction(Fraction(-1, 2), 1e-3, 64)
 
     @pytest.mark.parametrize("s", [
         -Fraction(0.3), -Fraction(0.1) - Fraction(0.9), Fraction(0.9),

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from cauchybures.exceptions import (ComplexityError, DimensionError,
-                                    DomainError, NonConverged)
-from cauchybures.numerics import (LogValue, SkewMatrix, _fixed_point,
-                                  gauss_jacobi, lgamma_signed,
-                                  log_gamma_complex, mp_sum,
+                                    DomainError, NonConverged, PoleError)
+from cauchybures.numerics import (LogValue, QuadratureRule, SkewMatrix,
+                                  _fixed_point, checked_exp, gauss_jacobi,
+                                  lgamma_signed, log_gamma_complex, mp_sum,
                                   pfaffian, pfaffian_bordered,
-                                  refine_quadrature, tanh_sinh_01,
-                                  tanh_sinh_half_line)
+                                  refine_quadrature, require_integer,
+                                  tanh_sinh_01, tanh_sinh_half_line)
 from references import gauss_jacobi_pair, gauss_laguerre, simplex_quad_2d
 
 finite_nonzero = st.floats(min_value=1e-8, max_value=1e8).map(
@@ -39,9 +39,61 @@ class TestLogValue:
         z = LogValue.zero()
         assert z.sign == 0
         assert z.to_real() == 0.0
+        assert LogValue.from_real(0.0) == z
+        one = LogValue.one()
+        assert z * one == one * z == z / one == z
+        with pytest.raises(ZeroDivisionError, match="division by LogValue"):
+            one / z
+
+    def test_sign_must_be_a_unit(self):
+        with pytest.raises(ValueError, match="sign must be -1, 0 or"):
+            LogValue(2, 0.0)
+
+    def test_past_double_range_raises_complexity_error(self):
+        # to_real once raised a bare OverflowError
+        assert LogValue(-1, 709.0).to_real() == -math.exp(709.0)
+        with pytest.raises(ComplexityError, match="overflows a double"):
+            LogValue(-1, 710.0).to_real()
+
+
+class TestRequireInteger:
+    @pytest.mark.parametrize("least,kind", [(None, "an"),
+                                            (0, "a non-negative"),
+                                            (1, "a positive")])
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+    def test_non_integers_and_bools_refused(self, least, kind, value):
+        with pytest.raises(DomainError) as err:
+            require_integer("k", 2, value, least=least)
+        assert str(err.value) == f"k must be {kind} integer, got {value!r}"
+
+    def test_bound(self):
+        require_integer("k", -5, np.int64(3))
+        require_integer("k", 0, np.int64(1), least=0)
+        with pytest.raises(DomainError, match="a non-negative integer"):
+            require_integer("k", 0, -1, least=0)
+        with pytest.raises(DomainError, match="a positive integer, got 0"):
+            require_integer("k", np.int64(1), 0, least=1)
+
+
+class TestCheckedExp:
+    @pytest.mark.parametrize("power,outside,inside", [
+        (math.exp, (710.0,), (709.0,)),
+        (math.ldexp, (0.75, 1025), (0.75, 1024)),
+        (pow, (1e300, 1.5), (1e200, 1.5)),
+        (float, (2 ** 1024,), (2 ** 1023,))],
+        ids=["exp", "ldexp", "pow", "float"])
+    def test_past_double_range_names_what(self, power, outside, inside):
+        with pytest.raises(ComplexityError, match="^x overflows a double$"):
+            checked_exp("x", *outside, power=power)
+        # inside double range it is the conversion itself
+        assert checked_exp("x", *inside, power=power) == power(*inside)
 
 
 class TestSignedLogGamma:
+    def test_complex_log_gamma_refuses_a_pole(self):
+        with pytest.raises(PoleError, match="log-gamma pole"):
+            log_gamma_complex(-2.0 + 1e-13j)
+
     def test_positive_arguments(self):
         for x in (0.3, 1.0, 4.5):
             sign, logmag = lgamma_signed(x)
@@ -73,6 +125,13 @@ class TestQuadrature:
         for k in range(0, 20):
             got = rule.integrate(lambda t, k=k: t ** k)
             assert got == pytest.approx(1.0 / (alpha + k + 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("order,alpha,message", [
+        (0, 0.5, "order must be >= 1, got 0"),
+        (4, -1.0, "exponent must exceed -1, got -1.0")])
+    def test_gauss_jacobi_refuses_bad_arguments(self, order, alpha, message):
+        with pytest.raises(DomainError, match=message):
+            gauss_jacobi(order, alpha)
 
     @pytest.mark.parametrize("alpha", [-0.9, -0.3, 0.7, 20.0])
     def test_gauss_jacobi_against_mpmath(self, alpha):
@@ -145,6 +204,10 @@ class TestQuadrature:
     def test_simplex_rule_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
             simplex_quad_2d(-1.5, 0.0, 8, 8)
+
+    def test_rule_needs_a_weight_per_node(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            QuadratureRule(np.ones(2), np.ones(3))
 
     def test_tanh_sinh_endpoint_singularity(self):
         got = tanh_sinh_01(lambda t: 0.5 / np.sqrt(t))
@@ -374,3 +437,29 @@ class TestPfaffian:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             SkewMatrix(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        # pfaffian once returned LogValue(-1, nan) for these
+        with pytest.raises(DomainError, match="entries must be finite"):
+            SkewMatrix([[0.0, bad], [0.0, 0.0]])
+        # only the strict upper triangle is read
+        assert SkewMatrix([[bad, 1.0], [bad, 0.0]]).entries[1, 0] == -1.0
+
+    def test_odd_or_empty_dimension(self):
+        with pytest.raises(DimensionError, match="even dimension, got 3"):
+            pfaffian(SkewMatrix(np.ones((3, 3))))
+        assert pfaffian(SkewMatrix(np.zeros((0, 0)))) == LogValue.one()
+
+    def test_zero_row_or_zero_pivot_gives_zero(self):
+        row = SkewMatrix(np.triu(np.ones((4, 4)), 1) * [1, 1, 1, 0])
+        assert not row.entries[3].any() and pfaffian(row) == LogValue.zero()
+        # Pf = a01 a23 - a02 a13 + a03 a12 = 1 - 1 + 0 with no zero row:
+        # the second pivot is an exact zero
+        m = np.zeros((4, 4))
+        m[0, 1] = m[2, 3] = m[0, 2] = m[1, 3] = 1.0
+        assert pfaffian(SkewMatrix(m)) == LogValue.zero()
+
+    def test_bordered_requires_a_border_of_the_dimension(self):
+        with pytest.raises(DimensionError, match="border length"):
+            pfaffian_bordered(SkewMatrix(np.ones((3, 3))), np.ones(4))

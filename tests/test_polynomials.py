@@ -106,6 +106,29 @@ class TestDegreeRange:
             with pytest.raises(DomainError):
                 coeff_c(3, l, 0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda: p_hat(EnsembleParams(0.5, 0.7, 1.5, 3), True),
+        lambda: coeff_c(True, False, 0.5)], ids=["p_hat", "coeff_c"])
+    def test_bool_degree_refused(self, call):
+        # each once ended in a bare TypeError
+        with pytest.raises(DomainError, match="degree must be a non-negative "
+                                              "integer, got True"):
+            call()
+
+    def test_coeff_c_refuses_a_bool_index(self):
+        with pytest.raises(DomainError, match="l must be an integer, got"):
+            coeff_c(3, False, 0.5)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -2.0, math.nan, math.inf])
+    def test_coeff_c_and_jacobi_p_refuse_alpha_out_of_domain(self, alpha):
+        # coeff_c once raised a bare ValueError (math domain error) at -1
+        # and -2; every EnsembleParams has alpha > -1
+        for call in (lambda: coeff_c(3, 1, alpha),
+                     lambda: jacobi_p(3, alpha, 0.3)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == "alpha + 1 must be finite and positive"
+
     @pytest.mark.parametrize("a,theta", [(0.0, 1.0), (0.3, 1.5), (0.2, 2.0)])
     def test_hat_coefficients_at_degree_79(self, a, theta):
         # N = 80: the coefficients span ~1e-234 to ~1e21, all doubles;
@@ -159,6 +182,19 @@ class TestPolySeriesCall:
         assert values.shape == ts.shape
         np.testing.assert_allclose(values, poly_eval(series, ts),
                                    rtol=1e-14)
+
+    def test_refuses_non_finite_coefficients_and_a_zero_lead(self):
+        with pytest.raises(DomainError, match="exceed double range"):
+            PolySeries((1.0, math.inf))
+        assert PolySeries((1.0, 2.0, 0.0)).degree == 2
+        with pytest.raises(DomainError, match="zero leading coefficient"):
+            PolySeries((1.0, 0.0)).monic()
+
+    def test_coeff_c_past_the_double_gamma(self):
+        # Gamma(alpha + 1) = Gamma(201) passes double range: mpmath's gamma
+        # gives its mantissa and exponent; c_{2,1} = -(alpha + 3)(alpha + 2)
+        assert coeff_c(2, 1, 200.0) == pytest.approx(-203.0 * 202.0,
+                                                     rel=1e-14)
 
 
 class TestDeterminantForms:

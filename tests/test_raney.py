@@ -103,6 +103,14 @@ class TestDensity:
         with pytest.raises(DomainError):
             sz_density(-0.5)
 
+    def test_nan_argument_rejected(self):
+        # NaN once passed the x <= 0 test and returned 0.0; x = inf lies
+        # beyond the edge, where the density is 0
+        for x in (math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError, match="density requires x > 0"):
+                sz_density(x)
+        assert sz_density(math.inf) == 0.0
+
     def test_moments_equal_raney_numbers(self):
         for n in range(8):
             assert sz_moment(n) == pytest.approx(raney(1.5, 0.5, n),
@@ -134,6 +142,28 @@ class TestDensity:
         ratio = (density_asymptote(1.5, 0.5, 1e-6)
                  / density_asymptote(1.5, 0.5, 8e-6))
         assert ratio == pytest.approx(8.0 ** (2.0 / 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: raney(2.0, 1.0, -1), DomainError, "n non-negative"),
+        (lambda: raney(2.0, 1.0, math.nan), DomainError, "must be finite"),
+        (lambda: raney(2.0, 1.0, math.inf), DomainError, "must be finite"),
+        (lambda: raney(math.nan, 1.0, 3), DomainError, "must be finite"),
+        (lambda: raney(-1.0, 2.0, 2), PoleError, r"p\*n \+ r vanishes"),
+        (lambda: fuss_catalan_moment(0.0, 3), DomainError,
+         "theta must be positive"),
+        (lambda: fuss_catalan_moment(1.0, math.nan), DomainError,
+         "must be finite"),
+        (lambda: sz_moment(-1), DomainError, "n must be finite and non-neg"),
+        (lambda: sz_moment(math.nan), DomainError,
+         "n must be finite and non-neg")],
+        ids=["raney-n<0", "raney-n-nan", "raney-n-inf", "raney-p-nan",
+             "raney-pole", "fuss-catalan-theta-0", "fuss-catalan-n-nan",
+             "sz-moment-n<0", "sz-moment-n-nan"])
+    def test_refused_arguments(self, call, error, message):
+        # the NaN and inf cases once raised a bare ValueError (cannot
+        # convert float NaN to integer), sz_moment(nan) NonConverged
+        with pytest.raises(error, match=message):
+            call()
 
     def test_asymptote_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
