@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .ensembles import EnsembleParams, partition_bures, partition_cauchy
 from .kernels import _bures_block, _hatted_inf, hatted
 # the hard-edge blocks stay bound here for perfbench/tracer.py
 from .kernels import delta_k00_inf, delta_k11_inf, sigma_k01_inf  # noqa: F401
-from .numerics import (SkewMatrix, pfaffian, require_positive, tanh_sinh_01,
-                       tanh_sinh_half_line)
+from .numerics import (SkewMatrix, checked_exp, pfaffian, require_positive,
+                       tanh_sinh_01, tanh_sinh_half_line)
 
 __all__ = [
     "CorrelationRequest",
@@ -180,28 +181,31 @@ def _brute_cauchy(params: EnsembleParams, xs, ys) -> float:
         raise ComplexityError("Cauchy brute force supports N <= 2 only")
     a, b, theta = params.a, params.b, params.theta
     r, s = len(xs), len(ys)
+    lxs, lys = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    # the weights x^a e^{-x}, y^b e^{-y} and 1/(Z (N-r)! (N-s)!) as a log,
+    # to which each term adds its powers x_i^{theta tau_i}, y_j^{theta rho_j}
+    log_pref = (a * sum(lxs) - sum(xs) + b * sum(lys) - sum(ys)
+                - partition_cauchy(params).log_mag
+                - math.lgamma(n - r + 1) - math.lgamma(n - s + 1))
     perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(n))]
     total = 0.0
     for (sigma, sg1), (tau, sg2), (rho, sg3) in itertools.product(perms,
                                                                   repeat=3):
         prod = float(sg1 * sg2 * sg3)
         for i, j in enumerate(sigma):
-            px, py = theta * tau[i], theta * rho[j]
+            px, py = a + theta * tau[i], b + theta * rho[j]
             if i < r and j < s:
-                prod *= xs[i] ** px * ys[j] ** py / (xs[i] + ys[j])
+                prod /= xs[i] + ys[j]
             elif i < r or j < s:
                 # one side at the point c, the other integrated
-                c, pc, w = ((xs[i], px, _gamma_weight(b + py)) if i < r
-                            else (ys[j], py, _gamma_weight(a + px)))
-                prod *= c ** pc * tanh_sinh_half_line(lambda t: w(t) / (c + t))
+                c, w = ((xs[i], _gamma_weight(py)) if i < r
+                        else (ys[j], _gamma_weight(px)))
+                prod *= tanh_sinh_half_line(lambda t: w(t) / (c + t))
             else:
-                prod *= _brute_pair_integral(a + px, b + py)
-        total += prod
-    weight = (math.prod(x ** a * math.exp(-x) for x in xs)
-              * math.prod(y ** b * math.exp(-y) for y in ys))
-    norm = math.exp(-partition_cauchy(params).log_mag) / (
-        math.factorial(n - r) * math.factorial(n - s))
-    return norm * weight * total
+                prod *= _brute_pair_integral(px, py)
+        total += prod * checked_exp("a brute-force term", log_pref + theta * (
+            sum(map(mul, tau, lxs)) + sum(map(mul, rho, lys))))
+    return total
 
 
 def _perm_sign(perm) -> int:
@@ -221,13 +225,17 @@ def _bures_pair_factor(u, v, theta: float):
 
 
 def _brute_bures(params: EnsembleParams, zs) -> float:
-    n = params.n
+    n, k, a, theta = params.n, len(zs), params.a, params.theta
     if n > 3:
         raise ComplexityError("Bures brute force supports N <= 3 only")
-    k = len(zs)
-    a, theta = params.a, params.theta
+    if n - k > 2:
+        raise ComplexityError("too many integrated variables: the brute route"
+                              " integrates at most two (N - k <= 2)")
+    # log of z^a e^{-z} / (Z (N-k)!), whose negative is density's default shift
+    log_pref = (a * sum(map(math.log, zs)) - sum(zs)
+                - partition_bures(params).log_mag - math.lgamma(n - k + 1))
 
-    def density(free, shift=0.0):
+    def density(free, shift=-log_pref):
         # e^{-shift} times the density at the integrated points `free`,
         # formed as exp(sum of logs) times the pair factors' bounded rests,
         # so that a node near 0 or far out overflows only where the
@@ -239,25 +247,19 @@ def _brute_bures(params: EnsembleParams, zs) -> float:
         return np.exp(log) * rest
 
     if k == n:
-        integral = density(())
-    elif n - k == 1:
-        integral = tanh_sinh_half_line(lambda x: density((x,)))
-    elif n - k == 2:
-        def outer(x):
-            # one inner integral per outer node x, scaled by x's own
-            # factors and max(x, 1)^theta so that it stays O(1) and its
-            # relative tolerance holds wherever x lies
-            shift = (a * math.log(x) - x + theta * math.log(max(x, 1.0))
-                     + sum(_bures_pair_factor(z, x, theta)[0] for z in zs))
-            return np.exp(shift) * tanh_sinh_half_line(
-                lambda y: density((x, y), shift))
-        integral = tanh_sinh_half_line(
-            lambda xs: np.array([outer(x) for x in xs]))
-    else:
-        raise ComplexityError("too many integrated variables")
-    pref = math.exp(-partition_bures(params).log_mag) / math.factorial(n - k)
-    return float(pref * math.prod(z ** a * math.exp(-z) for z in zs)
-                 * integral)
+        return float(density(()))
+    if n - k == 1:
+        return tanh_sinh_half_line(lambda x: density((x,)))
+
+    def outer(x):
+        # one inner integral per outer node x, scaled by x's own
+        # factors and max(x, 1)^theta so that it stays O(1) and its
+        # relative tolerance holds wherever x lies
+        shift = (a * math.log(x) - x + theta * math.log(max(x, 1.0))
+                 + sum(_bures_pair_factor(z, x, theta)[0] for z in zs))
+        return np.exp(log_pref + shift) * tanh_sinh_half_line(
+            lambda y: density((x, y), shift))
+    return tanh_sinh_half_line(lambda xs: np.array([outer(x) for x in xs]))
 
 
 def correlation_record(req: CorrelationRequest, value: float, route: str,

@@ -233,6 +233,8 @@ def _t_side(tilde: bool, e: float, alpha: float, theta: float,
     """
     t = _tanh_sinh_call(call)
     tz = t[_kept(alpha, t)] * z
+    if not tz.all():
+        raise ComplexityError("t x^theta underflows to 0 at a node")
     if n is None:
         vals = (g_tilde_inf if tilde else g_inf)(e, alpha, theta, tz)
     else:
@@ -601,15 +603,11 @@ def _weight(a: float, b: float, kind: str, p1: float, p2: float,
             decay: bool) -> float:
     """The one-point weights of kind's integrated sides (_TILDE): p^e at
     its point p, e = b on the first side and a on the second, each times
-    e^{-p} with decay (finite N; the hard edge has no e^{-p})."""
-    tilde1, tilde2 = tilde = _TILDE[kind]
-    weight = (math.exp(-sum(p for t, p in zip(tilde, (p1, p2)) if t))
-              if decay else 1.0)
-    if tilde2:
-        weight *= checked_exp("a weight p^a", p2, a, power=pow)
-    if tilde1:
-        weight *= checked_exp("a weight p^b", p1, b, power=pow)
-    return weight
+    e^{-p} with decay (finite N; the hard edge has no e^{-p}), as one
+    exponential of their logs: 0 where the product underflows."""
+    return checked_exp("a kernel weight", sum(
+        e * math.log(p) - (p if decay else 0.0)
+        for t, e, p in zip(_TILDE[kind], (b, a), (p1, p2)) if t))
 
 
 def hatted(params: EnsembleParams, kind: str, p1: float, p2: float,
@@ -715,11 +713,14 @@ class KernelGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "KernelGrid":
-        d = json.loads(text)
-        return cls(kind=d["kind"], params=d["params"],
-                   xs=[float(x) for x in d["xs"]],
-                   ys=[float(y) for y in d["ys"]],
-                   values=[[float(v) for v in row] for row in d["values"]])
+        try:  # the grid's own checks raise CauchyBuresErrors, not these
+            d = json.loads(text)
+            return cls(kind=d["kind"], params=d["params"],
+                       xs=[float(x) for x in d["xs"]],
+                       ys=[float(y) for y in d["ys"]],
+                       values=[[float(v) for v in row] for row in d["values"]])
+        except (ValueError, TypeError, KeyError) as err:
+            raise DomainError(f"not a kernel grid in JSON: {err!r}") from None
 
 
 def make_grid(kind: str, xs, ys, evaluator: Callable[[float, float], float],

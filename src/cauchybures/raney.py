@@ -27,6 +27,8 @@ def raney(p: float, r: float, n: float) -> float:
     continued through gamma functions; ComplexityError past double range.
     It is 0 where only Gamma(pn + r - n + 1), whose reciprocal enters,
     has a pole; PoleError at any other pole."""
+    p, r, n = (checked_exp("a Raney argument", v, power=float)
+               for v in (p, r, n))
     if not all(map(math.isfinite, (p, r, n))) or n < 0:
         raise DomainError("p, r and n must be finite, n non-negative")
     if n == 0:
@@ -43,7 +45,7 @@ def raney(p: float, r: float, n: float) -> float:
     # the gamma form first: it refuses before math.comb builds a huge integer
     value = s1 * s3 * math.copysign(checked_exp(
         "a Raney number", l1 - l2 - l3 + math.log(abs(r / top))), r / top)
-    if p > 0 and r > 0 and all(float(v).is_integer() for v in (p, r, n)):
+    if p > 0 and r > 0 and all(v.is_integer() for v in (p, r, n)):
         # integer parameters give integer Raney numbers; compute exactly
         ti = int(top)
         exact = int(r) * math.comb(ti, int(n)) // ti

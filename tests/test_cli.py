@@ -431,6 +431,17 @@ class TestCorr:
         rec = json.loads(res.output)
         assert rec["discrepancy"] < 1e-6 * abs(rec["value"])
 
+    def test_underflowing_weight_prints_zero_with_its_oracle(self, runner):
+        # x^a e^{-x} at x = 1e300 underflows to 0; this once exited 1 with
+        # "a weight p^a overflows a double"
+        res = runner.invoke(main, ["corr", "--model", "cauchy",
+                                   "--a", "1.5", "--b", "0.7",
+                                   "--theta", "1.5", "--n", "1",
+                                   "--x", "1e300", "--oracle"])
+        assert res.exit_code == 0
+        rec = json.loads(res.output)
+        assert rec["value"] == 0.0 and rec["oracle_value"] == 0.0
+
     def test_i1_overflow_exits_one_without_traceback(self, runner):
         # at N = 80, theta = 2 the direct route needs i1 at beta up to
         # 158.7, past where y^beta overflows a double

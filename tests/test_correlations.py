@@ -234,6 +234,21 @@ class TestValidationAndRecords:
         with pytest.raises(ComplexityError):
             rho_bures(big_b, route="brute")
 
+    @pytest.mark.parametrize("model,params,xs,ys,route", [
+        ("cauchy", EnsembleParams(1.5, 0.7, 1.5, 1), (1e300,), (), "direct"),
+        ("cauchy", EnsembleParams(1.5, 0.7, 1.5, 1), (1e300,), (), "brute"),
+        ("cauchy", EnsembleParams(1.5, 0.7, 1.5, 2), (1e300,), (1.0,),
+         "brute"),
+        ("bures", EnsembleParams(1.5, 2.5, 1.0, 1), (1e300,), (), "brute")],
+        ids=["cauchy-direct", "cauchy-brute", "cauchy-brute-n2",
+             "bures-brute"])
+    def test_weight_underflow_gives_zero(self, model, params, xs, ys, route):
+        # x^a e^{-x} underflows at x = 1e300 though x^a overflows: the
+        # weight is one exponential of its log, which once raised "a
+        # weight p^a overflows a double" or a bare OverflowError
+        rho = rho_cauchy if model == "cauchy" else rho_bures
+        assert rho(CorrelationRequest(model, params, xs, ys), route) == 0.0
+
     def test_brute_force_bures_integrates_at_most_two_variables(self):
         req = CorrelationRequest("bures", EnsembleParams(0.3, 1.3, 1.0, 3), ())
         with pytest.raises(ComplexityError, match="too many integrated"):

@@ -424,7 +424,8 @@ class TestEntryPointValidation:
              "hatted-weight"])
     def test_kernel_past_double_range_raises_complexity_error(self, call):
         # each once raised a bare OverflowError: the CD sum's final ldexp,
-        # x^theta before the t-integral, and hatted's weight x'^a
+        # x^theta before the t-integral, and hatted's weight x'^a; that
+        # weight x'^a e^{-x'} is 0 now, and the kernel's e^{x'} refuses
         with pytest.raises(ComplexityError, match="overflows a double"):
             call(self.P)
 
@@ -438,6 +439,18 @@ class TestEntryPointValidation:
         assert "route=" not in str(err.value)
         assert time.perf_counter() - start < 10.0
         assert math.isfinite(hard_edge_kernel(0.5, 0.7, 1.5, "K00", 1e5, 1e5))
+
+    @pytest.mark.parametrize("call", [
+        lambda p: k01(p, 1e-250, 0.5),
+        lambda p: hard_edge_kernel(0.5, 0.7, 1.5, "K01", 1e-300, 1e-300),
+        lambda p: hard_edge_kernel(0.5, 0.7, 1.5, "K00", 1e-180, 0.5)],
+        ids=["k01-tintegral", "hard-K01", "hard-K00-node"])
+    def test_t_integral_refuses_where_t_x_theta_underflows(self, call):
+        # x^theta (or t x^theta at a kept node) underflows to 0, which the
+        # residue series once refused as input that is not positive
+        with pytest.raises(ComplexityError, match="underflows to 0"):
+            call(self.P)
+        assert math.isfinite(k01(self.P, 1e-250, 0.5, route="direct"))
 
     @pytest.mark.parametrize("route", ["tintegral", "direct"])
     def test_hatted_k00_takes_its_route(self, route):
@@ -575,6 +588,13 @@ class TestKernelGrid:
         assert all(type(v) is float for row in g.values for v in row)
         assert KernelGrid.from_json(g.to_json()).values == g.values
         assert "np.float64" not in g.to_csv()
+
+    @pytest.mark.parametrize("text", ["{}", "[1]", "nope", "5",
+                                      '{"kind": "K00", "params": {}}'])
+    def test_from_json_refuses_text_that_holds_no_grid(self, text):
+        # once a bare KeyError, TypeError or JSONDecodeError
+        with pytest.raises(DomainError, match="not a kernel grid"):
+            KernelGrid.from_json(text)
 
     def test_rejects_unsorted_axes(self):
         with pytest.raises(DomainError):

@@ -46,6 +46,13 @@ class TestRaneyNumbers:
         assert raney(2.0, 1.0, 400) == pytest.approx(
             float(mpmath.binomial(801, 400) / 801), rel=1e-14)
 
+    @pytest.mark.parametrize("args", [(2.0, 1.0, 10**400),
+                                      (10**400, 1.0, 3)])
+    def test_integer_past_double_range_raises_complexity_error(self, args):
+        # math.isfinite once raised a bare OverflowError on such an integer
+        with pytest.raises(ComplexityError, match="overflows a double"):
+            raney(*args)
+
     def test_non_integer_n_takes_gamma_continuation(self):
         # integer p and r with a non-integer n leave the exact branch
         with mpmath.workdps(30):
