@@ -217,11 +217,12 @@ def _bures_pair_factor(u, v, theta: float):
 
     Both differences have one sign, so the factor is |v-u|/(v+u) times
     hi^theta (1 - (lo/hi)^theta): lg = theta log hi, and rest lies in
-    [0, 1) however far apart u and v are.
+    [0, 1) however far apart u and v are (lo/hi, which can underflow,
+    enters as log lo - log hi).
     """
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    return (theta * np.log(hi),
-            (hi - lo) / (hi + lo) * -np.expm1(theta * np.log(lo / hi)))
+    return (theta * np.log(hi), (hi - lo) / (hi + lo)
+            * -np.expm1(theta * (np.log(lo) - np.log(hi))))
 
 
 def _brute_bures(params: EnsembleParams, zs) -> float:

@@ -80,22 +80,20 @@ _TILDE = {"K00": (False, False), "K01": (False, True),
 # Christoffel-Darboux sum
 # ---------------------------------------------------------------------------
 
-def _cd_contract(params: EnsembleParams, u, v, scale: float = 1.0) -> float:
-    """scale * sum_m (2 m theta + a + b + 1) (T1 u)_m (T2 v)_m over two
-    sides (T, u), a table of rows m < N and a vector over l < N, each as
-    (mantissa, binary exponent) pairs: at a point (_point_side) the hat
-    table of P-hat or Q-hat and x^{theta l}, on an integrated side c_{m,l}
-    and H(-e - theta l, c) (_i1_side).  With both sides at points this is
-    K_N(x, y).  Sums run on mantissas scaled to their largest term, so no
-    coefficient or power leaves double range."""
+def _cd_contract(params: EnsembleParams, u, v) -> float:
+    """sum_m (2 m theta + a + b + 1) (T1 u)_m (T2 v)_m over two sides (T,
+    u), a table of rows m < N and a vector over l < N, each as (mantissa,
+    binary exponent) pairs: at a point (_point_side) the hat table of P-hat
+    or Q-hat and x^{theta l}, on an integrated side c_{m,l} and H(-e -
+    theta l, c) (_i1_side).  With both sides at points this is K_N(x, y).
+    Sums run on mantissas scaled to their largest term, so no coefficient
+    or power leaves double range."""
     a, b, theta, n = params.a, params.b, params.theta, params.n
     (pu_mant, pu_exp), (qv_mant, qv_exp) = (
         _scaled_sum(t_mant * s_mant, t_exp + s_exp)
         for (t_mant, t_exp), (s_mant, s_exp) in (u, v))
-    s_mant, s_exp = math.frexp(scale)
     weight = 2.0 * theta * np.arange(n) + a + b + 1.0
-    mant, exp = _scaled_sum(weight * pu_mant * qv_mant * s_mant,
-                            pu_exp + qv_exp + s_exp)
+    mant, exp = _scaled_sum(weight * pu_mant * qv_mant, pu_exp + qv_exp)
     return checked_exp("the kernel", float(mant), int(exp), power=math.ldexp)
 
 
@@ -106,10 +104,10 @@ def _scaled_sum(mant: np.ndarray, exp: np.ndarray):
     return total, shift + top[..., 0]
 
 
-def _point_side(params: EnsembleParams, e: float, log2_x: float):
-    """_cd_contract's side of exponent e at a point x, from log2 x: the hat
-    table of e and x^{theta l}, l < N, as (mantissa, binary exponent)."""
-    t = params.theta * np.arange(params.n) * log2_x
+def _point_side(params: EnsembleParams, e: float, x: float):
+    """_cd_contract's side of exponent e at x: the hat table of e and
+    x^{theta l} = 2^{theta l log2 x}, l < N, as (mantissa, exponent)."""
+    t = params.theta * np.arange(params.n) * math.log2(x)
     exp = np.floor(t)
     return (_hat_table(params.alpha, e, params.theta, params.n),
             (np.exp2(t - exp), exp.astype(np.int64)))
@@ -155,14 +153,14 @@ def cd_kernel(params: EnsembleParams, x: float, y: float,
 
 
 def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> float:
-    """N^{-2(alpha+1)} K_N(X N^{-2/theta}, Y N^{-2/theta}) without under/overflow."""
+    """N^{-2(alpha+1)} K_N(X N^{-2/theta}, Y N^{-2/theta}): cd_kernel at
+    the scaled points, which must be normal doubles."""
     require_positive("kernel arguments", x_hard, y_hard)
-    # N^{-2 l} enters through the log of each power, never by itself
-    shift = -2.0 / params.theta * math.log2(params.n)
-    return _cd_contract(
-        params, _point_side(params, params.a, math.log2(x_hard) + shift),
-        _point_side(params, params.b, math.log2(y_hard) + shift),
-        params.n ** (-2.0 * (params.alpha + 1.0)))
+    x, y = (p * params.n ** (-2.0 / params.theta) for p in (x_hard, y_hard))
+    if min(x, y) < np.finfo(float).tiny:
+        raise ComplexityError("a scaled point falls below the smallest "
+                              "normal double")
+    return params.n ** (-2.0 * params.alpha - 2.0) * cd_kernel(params, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +324,7 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     if route == "direct":
         val = _cd_contract(params, *(
             (_hat_table(params.alpha, 0.0, 0.0, n), _i1_side(e, theta, n, p))
-            if t else _point_side(params, e, math.log2(p))
+            if t else _point_side(params, e, p)
             for t, e, p in zip(tilde, (a, b), (p1, p2))))
     elif route == "tintegral" and kind == "K11":
         return float(_k11_inc_core(params, p1, p2))
@@ -612,13 +610,12 @@ def _weight(a: float, b: float, kind: str, p1: float, p2: float,
 
 def hatted(params: EnsembleParams, kind: str, p1: float, p2: float,
            route: str = "tintegral") -> float:
-    """The kernel of `kind` by `route` times its _weight, which absorbs
-    the correlation prefactors; K00, with no side integrated, is cd_kernel."""
+    """The kernel of `kind` by `route` (_finite_kernel) times its _weight,
+    which absorbs the correlation prefactors."""
     if kind not in _TILDE:
         raise DomainError(f"unknown kernel kind {kind!r}")
-    kernel = {"K00": cd_kernel, "K01": k01, "K10": k10, "K11": k11}[kind]
     return (_weight(params.a, params.b, kind, p1, p2, True)
-            * kernel(params, p1, p2, route))
+            * _finite_kernel(params, kind, p1, p2, route))
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +626,7 @@ def hard_edge_kernel(a: float, b: float, theta: float, kind: str,
                      x1: float, x2: float) -> float:
     """Hard-edge limits: the exponent-free kernels at n=None.
 
-    K00: (X, Y); K01: (X, X'); K10: (Y, Y'); K11 smooth part: (Y, X).
+    K00: (X, Y); K01: (X, X'); K10: (Y, Y'); K11: (Y, X), 1/(X + Y) kept.
     """
     require_positive("kernel arguments", x1, x2)
     return _kernel(a, b, theta, None, kind, x1, x2)
@@ -665,7 +662,7 @@ def sigma_k01_inf(a: float, theta: float, zi: float, zj: float) -> float:
 
 
 def delta_k11_inf(a: float, theta: float, zi: float, zj: float) -> float:
-    """Hard-edge antisymmetrized K11 block, its 1/(z_i + z_j) part kept."""
+    """Hard-edge antisymmetrized K11 block without 1/(z_i + z_j), as k11."""
     return _bures_block(partial(_hatted_inf, a, theta), "K11", zi, zj)
 
 

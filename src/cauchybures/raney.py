@@ -46,8 +46,8 @@ def raney(p: float, r: float, n: float) -> float:
     value = s1 * s3 * math.copysign(checked_exp(
         "a Raney number", l1 - l2 - l3 + math.log(abs(r / top))), r / top)
     if p > 0 and r > 0 and all(v.is_integer() for v in (p, r, n)):
-        # integer parameters give integer Raney numbers; compute exactly
-        ti = int(top)
+        # integer arguments: exact on integers; the double top may round
+        ti = int(p) * int(n) + int(r)
         exact = int(r) * math.comb(ti, int(n)) // ti
         value = checked_exp("a Raney number", exact, power=float)
     return value

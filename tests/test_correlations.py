@@ -239,13 +239,17 @@ class TestValidationAndRecords:
         ("cauchy", EnsembleParams(1.5, 0.7, 1.5, 1), (1e300,), (), "brute"),
         ("cauchy", EnsembleParams(1.5, 0.7, 1.5, 2), (1e300,), (1.0,),
          "brute"),
-        ("bures", EnsembleParams(1.5, 2.5, 1.0, 1), (1e300,), (), "brute")],
+        ("bures", EnsembleParams(1.5, 2.5, 1.0, 1), (1e300,), (), "brute"),
+        ("bures", EnsembleParams(1.5, 2.5, 1.0, 2), (1e100,), (), "brute")],
         ids=["cauchy-direct", "cauchy-brute", "cauchy-brute-n2",
-             "bures-brute"])
+             "bures-brute", "bures-brute-n2"])
     def test_weight_underflow_gives_zero(self, model, params, xs, ys, route):
         # x^a e^{-x} underflows at x = 1e300 though x^a overflows: the
         # weight is one exponential of its log, which once raised "a
-        # weight p^a overflows a double" or a bare OverflowError
+        # weight p^a overflows a double" or a bare OverflowError.  At N =
+        # 2 the Bures pair factor's lo/hi underflows at the nodes near 0,
+        # so (lo/hi)^theta must not come from log(lo/hi), log(0) with a
+        # RuntimeWarning
         rho = rho_cauchy if model == "cauchy" else rho_bures
         assert rho(CorrelationRequest(model, params, xs, ys), route) == 0.0
 

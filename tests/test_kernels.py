@@ -429,6 +429,20 @@ class TestEntryPointValidation:
         with pytest.raises(ComplexityError, match="overflows a double"):
             call(self.P)
 
+    @pytest.mark.parametrize("params,x,y,message", [
+        (EnsembleParams(0.5, 0.7, 1.5, 3), 1e-310, 1.0,
+         "smallest normal double"),
+        (EnsembleParams(80.0, 0.0, 1.0, 80), 1e9, 1.3e9,
+         "the kernel overflows a double")],
+        ids=["scaled-point-underflow", "kernel-overflow"])
+    def test_cd_hard_scaled_refuses_what_cd_kernel_cannot_take(
+            self, params, x, y, message):
+        # cd_hard_scaled is cd_kernel at X N^{-2/theta}: a positive X
+        # whose scaled point is not a normal double, or a K_N past double
+        # range, is refused, where a folded log2 shift once computed both
+        with pytest.raises(ComplexityError, match=message):
+            cd_hard_scaled(params, x, y)
+
     def test_hard_edge_integrand_past_double_range_raises_at_once(self):
         # G G at (3e5, 3e5) overflows in the t-integrand's product: this
         # once ran 84 s through overflow warnings into NonConverged, and
@@ -509,6 +523,15 @@ class TestHardEdgeLimits:
         errs = [abs(cd_hard_scaled(EnsembleParams(a, b, theta, n), X, Y)
                     / limit - 1.0) for n in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_k11_scaling_approaches_the_limit_less_its_pole(self):
+        # hard_edge_kernel's K11 keeps 1/(X + Y), finite-N k11 leaves it
+        # out; one Richardson step in 1/N over N = 40, 80 (6.5e-5 off)
+        a, b, theta, X, Y = 0.3, 1.3, 1.0, 0.8, 1.5
+        f = {n: n ** -2.0 * k11(EnsembleParams(a, b, theta, n), X / n ** 2,
+                                Y / n ** 2) for n in (40, 80)}
+        limit = hard_edge_kernel(a, b, theta, "K11", X, Y) - 1.0 / (X + Y)
+        assert 2.0 * f[80] - f[40] == pytest.approx(limit, abs=1e-4)
 
     def test_delta_k00_block_scaling_approaches_limit(self):
         a, theta = 0.3, 1.0

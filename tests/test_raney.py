@@ -53,6 +53,19 @@ class TestRaneyNumbers:
         with pytest.raises(ComplexityError, match="overflows a double"):
             raney(*args)
 
+    @pytest.mark.parametrize("args,want", [
+        ((1.0, 1.0, 2.0 ** 53), 1.0),
+        ((1.0, 1.0, 2.0 ** 53 + 2), 1.0),
+        ((1.0, 2.0, 2.0 ** 60), float(2 ** 60 + 1)),
+        ((1.0, 1.0, 1e300), 1.0),
+        ((1.0, 3.0, 2.0 ** 53), float((2 ** 53 + 2) * (2 ** 53 + 1) // 2))],
+        ids=["r1-2^53", "r1-2^53+2", "r2-2^60", "r1-1e300", "r3-2^53"])
+    def test_integer_branch_is_exact_where_pn_plus_r_rounds(self, args, want):
+        # R_{1,r}(n) = C(n + r - 1, r - 1); p n + r once came from the
+        # rounded double, which gave 0.0, 4503599627370497.0, 0.0, 0.0
+        # and 9.13e46 here
+        assert raney(*args) == want
+
     def test_non_integer_n_takes_gamma_continuation(self):
         # integer p and r with a non-integer n leave the exact branch
         with mpmath.workdps(30):
