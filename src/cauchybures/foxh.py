@@ -68,6 +68,8 @@ class GammaFactor:
     near: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.shift) and math.isfinite(self.slope)):
+            raise DomainError("gamma factor shift and slope must be finite")
         object.__setattr__(self, "shift", Fraction(self.shift))
         object.__setattr__(self, "near", float(self.shift))
 
@@ -109,9 +111,9 @@ class FoxHSpec:
         for key in ("m", "n"):
             require_integer(f"field {key!r}", getattr(self, key))
         for shift, slope in (*self.upper, *self.lower):
-            if not (slope > 0 and math.isfinite(shift)):
+            if not (0 < slope < math.inf and math.isfinite(shift)):
                 raise DomainError("every shift must be finite, every slope "
-                                  "A_j, B_j positive")
+                                  "A_j, B_j finite and positive")
         if not 0 <= self.m <= len(self.lower):
             raise DomainError(f"m out of range: {self.m}")
         if not 0 <= self.n <= len(self.upper):
@@ -240,15 +242,15 @@ class _ResidueTable:
             neg_u, i, k = self.heap[0]
             u0 = -neg_u
             sing_num = _singular(num, u0)
-            # checked before the heap moves, so every later call raises too
+            # the heap moves once the entry is built, so later calls raise too
             if any(num[j].slope < 0 for j, _, _ in sing_num):
                 raise PoleCollisionError(  # + 0.0 prints u = -0.0 as 0
                     f"a left and a right pole family meet near "
                     f"u = {u0 + 0.0:.6g}")
-            heapq.heapreplace(self.heap, (-num[i].pole(k + 1), i, k + 1))
             if sing_num[0][0] == i:
                 break
             # same point reached from another family; counted once only
+            heapq.heapreplace(self.heap, (-num[i].pole(k + 1), i, k + 1))
         sing_den = _singular(den, u0)
         order = max(len(sing_num) - len(sing_den), 0)
         trusted = order <= 2 and all(p[2] < _ROUND_RTOL
@@ -265,6 +267,7 @@ class _ResidueTable:
         if order > 1:
             poly = tuple(map(float, _log_poly(gammas, order)))
             log_c -= math.lgamma(order)
+        heapq.heapreplace(self.heap, (-num[i].pole(k + 1), i, k + 1))
         self.entries.append(_Pole(u0, order, sign, log_c, trusted, poly,
                                   sing_num, sing_den))
 
@@ -816,7 +819,8 @@ def _g(a, alpha, theta, n, tilde, z):
     """G_n, or with tilde G~_n, at z by residue_series; n=None: hard edge.
 
     A float z = 0 gives G_n's (G_inf's) residue at u = 0, its constant
-    term: the factors other than Gamma(u) at u = 0.
+    term: its residue table's first entry, or, where that merged a
+    denominator's pole (alpha + 1 or a + 1 < 1e-10), the series at 5e-324.
     """
     require_positive("a + 1, alpha + 1 and theta", a + 1.0, alpha + 1.0,
                      theta)
@@ -824,12 +828,10 @@ def _g(a, alpha, theta, n, tilde, z):
         require_integer("n", n, least=1)
     num, den = _g_factors(a, alpha, theta, n, tilde)
     if not tilde and np.ndim(z) == 0 and z == 0.0:
-        log_c = 0.0
-        for f in num[1:]:
-            log_c += math.lgamma(f.near)
-        for f in den:
-            log_c -= math.lgamma(f.near)
-        return checked_exp("G's constant term", log_c)
+        pole = _residue_table(num, den).entry(0)
+        if pole.sign:
+            return pole.sign * checked_exp("G's constant term", pole.log_c)
+        z = math.ulp(0.0)
     return residue_series(num, den, z)
 
 

@@ -8,14 +8,14 @@ mpf (_k11_inc_core).  Either route's integrated sides come from one chain
 code, _h_chain: H(s, w) = e^w w^{-s} Gamma(s, w) = i1(-s, w)/Gamma(1 - s)
 at s = -e - theta l, in unit steps on integers, one chain per residue
 class of l mod q where theta = p/q, each seeded once where it turns, so
-that it runs only in stable directions.  K11 seeds by region (_h_seed),
-the direct route by i1_integral, whose overflow refusal a direct side
-takes in closed form (_i1_side).  Those sides and the t-integrals' G / G~
-sides on each tanh-sinh call (_t_side) are cached, so the entries of one
-correlation share them.  One table of the four kinds (_TILDE) and one
-dispatcher (_finite_kernel) choose every route; one tanh-sinh rule
-integrates every t-integral (_gg_t_integral) and both halves of
-i1_integral.
+that it runs only in stable directions, on a unit set by the precision
+asked.  K11 seeds by region (_h_seed), the direct route by i1_integral,
+whose overflow refusal a direct side takes in closed form (_i1_side).
+Those sides and the t-integrals' G / G~ sides on each tanh-sinh call
+(_t_side) are cached, so the entries of one correlation share them.  One
+table of the four kinds (_TILDE) and one dispatcher (_finite_kernel)
+choose every route; one tanh-sinh rule integrates every t-integral
+(_gg_t_integral) and both halves of i1_integral.
 """
 from __future__ import annotations
 
@@ -128,19 +128,17 @@ def _i1_seed(s: Fraction, c: float, bits: int) -> int:
 @lru_cache(maxsize=64)
 def _i1_side(e: float, theta: float, n: int, c: float):
     """H(-e - theta l, c) = i1(e + theta l, c)/Gamma(e + theta l + 1), l <
-    N, as read-only (mantissa, binary exponent) arrays: _h_chain seeded by
-    i1_integral, on a unit _GUARD_BITS past a double's 53 bits under the
-    least H, rounded once to doubles.  It refuses where i1_integral does at
-    its top exponent, before any quadrature.  Cached: a correlation's
+    N, as read-only (mantissa, binary exponent) arrays: _h_chain at 53 bits
+    seeded by i1_integral, rounded once.  It refuses where i1_integral does
+    at its top exponent, before any quadrature.  Cached: a correlation's
     entries share each of their sides (two exponents per point at most)."""
     top = e + theta * (n - 1)
     try:  # i1_integral's refusal in closed form: (c + span)^top overflows
         (c + _i1_span(top)) ** top
     except OverflowError:
         raise _i1_overflow(top, c) from None
-    bits = 53 + _GUARD_BITS + math.ceil(c + 1 + e + theta * n).bit_length()
-    side = np.frexp([math.ldexp(h, -bits)
-                     for h in _h_chain(e, theta, n, c, bits, _i1_seed)])
+    chain, unit = _h_chain(e, theta, n, c, 53, _i1_seed)
+    side = np.frexp([math.ldexp(h, unit) for h in chain])
     for vec in side:
         vec.setflags(write=False)
     return side
@@ -313,7 +311,7 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     "tintegral" is _kernel times e^{p} of each integrated side; for K11,
     whose t-integral of G~_n G~_n holds only asymptotically, it is the
     exact incomplete-gamma core (_k11_inc_core: exact-rational vectors,
-    _k11_side's integer gamma chains).  K11 is returned without its
+    _h_chain's integer gamma chains).  K11 is returned without its
     1/(p1 + p2) singular part.
     """
     require_positive("kernel arguments", p1, p2)
@@ -496,12 +494,12 @@ def _h_seed(s: Fraction, w: float, bits: int) -> int:
     return int(mpmath.ldexp(val, bits))
 
 
-def _h_chain(e: float, theta: float, n: int, w: float, bits: int,
-             seed: Callable) -> list:
-    """H(s_j) = e^w w^{-s_j} Gamma(s_j, w) at s_j = -e - theta j, j < N, as
-    integers on the unit 2^-bits, from seed(s, w, bits), H(s) on that unit
-    at an exact s < 1; s_j and w exact (the floats read as exact), each
-    step truncated once.
+def _h_chain(e: float, theta: float, n: int, w: float, prec: int,
+             seed: Callable) -> tuple[list, int]:
+    """(H(s_j) = e^w w^{-s_j} Gamma(s_j, w) at s_j = -e - theta j, j < N, as
+    integers on the unit 2^-bits, -bits): the unit lies _GUARD_BITS past
+    prec bits under 1/(w + 1 - s) < H(s), s < 1.  seed(s, w, bits) is H(s)
+    on it at an exact s < 1; s_j, w exact, each step truncated once.
 
     Where theta = p/q exactly with q < N, the s_j of one residue class mod
     q lie p unit steps apart: q chains of DLMF 8.8.2, one seed each;
@@ -511,6 +509,7 @@ def _h_chain(e: float, theta: float, n: int, w: float, bits: int,
     1)/w, which scale an error by w/|s-1| and |s|/w, at most 1 on their
     sides of the seed (Gautschi, SIAM Rev. 9, 1967).
     """
+    bits = prec + _GUARD_BITS + math.ceil(w + 1 + e + theta * n).bit_length()
     p, q = theta.as_integer_ratio()
     q = min(q, n)  # q >= N (as at theta = 1.3): N one-seed chains
     (big_w, big_e, big_t), scale = _one_scale(w, e, theta)
@@ -529,15 +528,7 @@ def _h_chain(e: float, theta: float, n: int, w: float, bits: int,
         for t in range(turn, 0, -1):
             chain[t - 1] = ((top - t * unit_s) * chain[t] + one) // big_w
         out[r::q] = chain[::p]
-    return out
-
-
-def _k11_side(e: float, theta: float, n: int, w: float) -> tuple[list, int]:
-    """_h_chain from _h_seed, and -bits: the unit 2^-bits lies _GUARD_BITS
-    past the working precision under 1/(w + 1 - s) < H(s), s < 1."""
-    bits = (mpmath.mp.prec + _GUARD_BITS
-            + math.ceil(w + 1 + e + theta * n).bit_length())
-    return _h_chain(e, theta, n, w, bits, _h_seed), -bits
+    return out, -bits
 
 
 def _k11_inc_core(params: EnsembleParams, y: float, x: float):
@@ -545,7 +536,7 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
 
         sum_{j,k<N} A_j B_k h_{j+k},  h_m = 1/(1+alpha+m),
         A_j = (-1)^j/j! Gamma(alpha+N+1+j) / (Gamma(N-j) Gamma(alpha+1+j))
-              * H(-a - theta j) at y (_k11_side), B_k the same at b, x,
+              * H(-a - theta j) at y (_h_chain), B_k the same at b, x,
 
     minus 1/(x + y), subtracted in mpmath: in the bulk k11 is 1e-16 of it
     or less.  Integrating against both resolvent factors makes each gamma
@@ -562,11 +553,11 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
     a, b, theta, n = params.a, params.b, params.theta, params.n
 
     def double_sum():
-        coef, uc, h, uh = _k11_tables(a, b, theta, n, mpmath.mp.prec)
+        coef, uc, h, uh = _k11_tables(a, b, theta, n, prec := mpmath.mp.prec)
         (ia, ua), (ib, ub) = (
             _fixed_point([c * g for c, g in zip(coef, side)], uc + unit)
-            for side, unit in (_k11_side(a, theta, n, y),
-                               _k11_side(b, theta, n, x)))
+            for side, unit in (_h_chain(a, theta, n, y, prec, _h_seed),
+                               _h_chain(b, theta, n, x, prec, _h_seed)))
         pole = 1 / (mpmath.mpf(x) + y)
         inner = [sum(map(mul, h[j:j + n], ib)) for j in range(n)]
         total = theta * mpmath.mpf((sum(map(mul, ia, inner)),

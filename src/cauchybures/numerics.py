@@ -110,6 +110,8 @@ class LogValue:
 
     @classmethod
     def from_real(cls, x: float) -> "LogValue":
+        if not math.isfinite(x):
+            raise DomainError(f"LogValue.from_real needs a finite x, got {x}")
         if x == 0.0:
             return cls.zero()
         return cls(1 if x > 0 else -1, math.log(abs(x)))
@@ -117,6 +119,8 @@ class LogValue:
     def to_real(self) -> float:
         if self.sign == 0:
             return 0.0
+        if self.log_mag == math.inf:  # math.exp(inf) is inf, no OverflowError
+            raise ComplexityError("a LogValue overflows a double")
         return self.sign * checked_exp("a LogValue", self.log_mag)
 
     def __mul__(self, other: "LogValue") -> "LogValue":
@@ -213,9 +217,9 @@ def log_gamma_complex(z: complex) -> complex:
 
 
 def lgamma_signed(x: float) -> tuple[int, float]:
-    """(sign, log|Gamma(x)|) for real x off the poles."""
+    """(sign, log|Gamma(x)|) for real x off the poles and below 2.5e305."""
     if x > 0:
-        return 1, math.lgamma(x)
+        return 1, checked_exp("log Gamma(x)", x, power=math.lgamma)
     n = round(x)
     if abs(x - n) < _POLE_TOL:
         raise PoleError(f"gamma pole at x = {x}")

@@ -150,6 +150,8 @@ def jacobi_p(n: int, alpha: float, x) -> float:
     require_integer("degree", n, least=0)
     require_positive("alpha + 1", alpha + 1.0)
     t = 1.0 - 2.0 * np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("x must be finite")
     p_prev = np.ones_like(t)
     if n == 0:
         return p_prev if p_prev.ndim else float(p_prev)

@@ -84,13 +84,17 @@ class TestFoxH:
         ('"spec"', "spec file must hold a JSON object"),
         ('{"upper": [], "lower": [[1' + "0" * 400 + ', 1.0]], "m": 1, "n": 0}',
          "field 'lower' must be a list"),
-        ('{"upper": [', "cannot parse spec file")],
-        ids=["number", "null", "list", "string", "huge-shift", "not-json"])
+        ('{"upper": [', "cannot parse spec file"),
+        ('{"upper": [], "lower": [[0.0, 1e999]], "m": 1, "n": 0}',
+         "every slope A_j, B_j finite and positive")],
+        ids=["number", "null", "list", "string", "huge-shift", "not-json",
+             "infinite-slope"])
     def test_malformed_spec_exits_one_without_traceback(self, runner,
                                                         tmp_path, text,
                                                         message):
         # 5 and null once ended in a TypeError from `key not in raw`, the
-        # 400-digit shift in an OverflowError
+        # 400-digit shift and the slope 1e999 (json's inf) in an
+        # OverflowError
         spec = tmp_path / "spec.json"
         spec.write_text(text)
         res = runner.invoke(main, ["foxh", str(spec), "--z", "1.0"])

@@ -187,6 +187,28 @@ class TestGNReference:
         assert g_n(a, alpha, theta, n, 1e-300) == pytest.approx(want,
                                                                 rel=1e-14)
 
+    def test_constant_terms_are_the_residue_tables_first(self):
+        # the residue table's first coefficient; the same doubles as the
+        # lgamma sum over the factors it replaced
+        assert g_n(0.5, 0.2, 1.5, 3, 0.0) == 4.766273601811448
+        assert g_n(0.3, 0.9, 2.0, 10, 0.0) == 99.86397958742582
+        assert g_inf(0.5, 0.2, 1.5, 0.0) == 1.2289453070971883
+
+    @pytest.mark.parametrize("a,alpha", [(0.0, -1 + 1e-12),
+                                         (-1 + 1e-12, 0.5)])
+    def test_constant_term_beside_a_denominator_pole(self, a, alpha):
+        # 1/Gamma(alpha + 1 - u) or 1/Gamma(a + 1 - u) has a pole 1e-12
+        # from u = 0, which the float table merges with Gamma(u)'s into one
+        # cancelled entry; the exact re-sum splits them.  The lgamma sum
+        # once read 2e-15 to 4e-15 off here
+        with mpmath.workdps(40):
+            a_, alpha_ = mpmath.mpf(a), mpmath.mpf(alpha)
+            rg = mpmath.rgamma(alpha_ + 1) * mpmath.rgamma(a_ + 1)
+            want = (rg * mpmath.gamma(alpha_ + 4) / 2, rg)
+        got = (g_n(a, alpha, 1.0, 3, 0.0), g_inf(a, alpha, 1.0, 0.0))
+        for value, ref in zip(got, want):
+            assert value == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
     def test_constant_term_past_double_range_is_typed(self):
         # Gamma(alpha + n + 1) / (Gamma(n) Gamma(alpha + 1)) ~ e^2772 here
         with pytest.raises(ComplexityError, match="overflows a double"):
@@ -612,6 +634,27 @@ class TestExactShifts:
     def test_non_finite_spec_shift_is_a_domain_error(self, bad):
         with pytest.raises(DomainError, match="finite"):
             FoxHSpec(upper=(), lower=((bad, 1.0),), m=1, n=0)
+
+    @pytest.mark.parametrize("shift,slope", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, -math.inf)])
+    def test_non_finite_gamma_factor_is_a_domain_error(self, shift, slope):
+        # a nan or inf shift once raised Fraction's bare ValueError or
+        # OverflowError
+        with pytest.raises(DomainError, match="must be finite"):
+            GammaFactor(shift, slope)
+
+    def test_infinite_spec_slope_is_a_domain_error(self):
+        # once accepted; fox_h then raised a bare OverflowError
+        with pytest.raises(DomainError, match="finite and positive"):
+            FoxHSpec([], [[0.0, math.inf]], 1, 0)
+
+    def test_log_gamma_past_double_range_is_typed(self):
+        # 1/Gamma(0.5 + 1e308) at the pole u = -1 once raised math.lgamma's
+        # bare OverflowError; the table, cached, raises it again
+        spec = FoxHSpec([], [[0.0, 1.0], [0.5, 1e308]], 1, 0)
+        for _ in range(2):
+            with pytest.raises(ComplexityError, match="log Gamma"):
+                fox_h(spec, 0.7)
 
     def test_spec_checks_its_own_fields(self):
         # each once passed __post_init__ as a wrong index, or raised a bare

@@ -16,9 +16,9 @@ from cauchybures.exceptions import (ComplexityError, DomainError,
                                     NonConverged, SingularPointError)
 from cauchybures.correlations import (CorrelationRequest, rho_bures,
                                        rho_bures_hard_edge, rho_cauchy)
-from cauchybures.kernels import (KernelGrid, _h_fraction, _h_seed, _h_series,
-                                 _k11_side, _k11_tables, cd_hard_scaled, cd_kernel,
-                                 delta_k00_inf, delta_k11_inf,
+from cauchybures.kernels import (KernelGrid, _h_chain, _h_fraction, _h_seed,
+                                 _h_series, _k11_tables, cd_hard_scaled,
+                                 cd_kernel, delta_k00_inf, delta_k11_inf,
                                  hard_edge_kernel, hatted, i1_integral, k01,
                                  k10, k11, make_grid, sigma_k01_inf)
 from cauchybures.polynomials import p_hat, q_hat
@@ -938,7 +938,7 @@ class TestK11Core:
     @pytest.mark.parametrize("c", [0.004, 0.5, 3.0, 40.0, 400.0])
     def test_chains_match_gammainc(self, monkeypatch, theta, c):
         # H(s) = e^c c^{-s} Gamma(s, c) at s = -e - theta j, each side value
-        # and each seed that _k11_side takes (_h_seed), against one mpmath
+        # and each seed that _h_chain takes (_h_seed), against one mpmath
         # upper gammainc per s.  e = 0 puts s = 0 and, at theta = 1 and 2,
         # every s on an integer; e = -0.9 has s > 0; c = 0.004-3 seeds by
         # the series, which loses up to 17 digits within 1e-17 of a pole,
@@ -960,7 +960,8 @@ class TestK11Core:
         for e in (0.0, 0.7, -0.9, 0.1):
             seeds.clear()
             with mpmath.workdps(50):
-                got, unit = _k11_side(e, theta, n, c)
+                got, unit = _h_chain(e, theta, n, c, mpmath.mp.prec,
+                                     kernels._h_seed)
             assert len(seeds) == want
             with mpmath.workdps(80):
                 w = mpmath.mpf(c)
@@ -1040,13 +1041,13 @@ class TestK11Core:
         ((0.0, 0.0, 1.0, 12), 1), ((0.2, 0.9, 2.0, 12), 1),
         ((0.3, 0.7, 1.5, 12), 2), ((0.4, 1.4, 1.3, 12), 12)])
     def test_one_seed_per_chain(self, monkeypatch, p, seeds):
-        sides, seeded, upper, lower = [], [], [], []
-        side, seed, gammainc = (kernels._k11_side, kernels._h_seed,
-                                mpmath.gammainc)
+        chains, seeded, upper, lower = [], [], [], []
+        chain, seed, gammainc = (kernels._h_chain, kernels._h_seed,
+                                 mpmath.gammainc)
 
-        def counted_side(*args):
-            sides.append(args)
-            return side(*args)
+        def counted_chain(*args):
+            chains.append(args)
+            return chain(*args)
 
         def counted_seed(s, w, bits):
             seeded.append(s)
@@ -1057,11 +1058,11 @@ class TestK11Core:
             (upper if len(args) == 1 else lower).append(z)
             return gammainc(z, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "_k11_side", counted_side)
+        monkeypatch.setattr(kernels, "_h_chain", counted_chain)
         monkeypatch.setattr(kernels, "_h_seed", counted_seed)
         monkeypatch.setattr(mpmath, "gammainc", spied_gammainc)
         k11(EnsembleParams(*p), 0.6564, 1.8995)
-        assert len(seeded) == seeds * len(sides) > 0
+        assert len(seeded) == seeds * len(chains) > 0
         assert all(mpmath.isint(z) for z in upper) and not lower
 
     def test_cached_tables_are_isolated(self):

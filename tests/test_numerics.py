@@ -17,6 +17,8 @@ from cauchybures.numerics import (LogValue, QuadratureRule, SkewMatrix,
                                   pfaffian, pfaffian_bordered,
                                   refine_quadrature, require_integer,
                                   tanh_sinh_01, tanh_sinh_half_line)
+from cauchybures.polynomials import jacobi_p
+from cauchybures.raney import density_asymptote
 from references import gauss_jacobi_pair, gauss_laguerre, simplex_quad_2d
 
 finite_nonzero = st.floats(min_value=1e-8, max_value=1e8).map(
@@ -54,6 +56,40 @@ class TestLogValue:
         assert LogValue(-1, 709.0).to_real() == -math.exp(709.0)
         with pytest.raises(ComplexityError, match="overflows a double"):
             LogValue(-1, 710.0).to_real()
+
+    @pytest.mark.parametrize("terms,want", [
+        ([(1, math.log(3.0)), (-1, 0.0)], (1, math.log(2.0))),
+        ([], (0, 0.0)),
+        ([(0, 0.0)], (0, 0.0)),
+        ([(1, 1000.0), (-1, 1000.0)], (0, 0.0)),  # exact cancellation
+        ([(1, 1000.0), (1, 1000.0 + math.log(2.0))],
+         (1, 1000.0 + math.log(3.0))),  # past double range
+        ([(1, 800.0), (-1, 0.0)], (1, 800.0))],  # 1 is below 800's ulp
+        ids=["difference", "empty", "zero", "cancelled", "large", "absorbed"])
+    def test_sum(self, terms, want):
+        got = LogValue.sum(LogValue(*t) for t in terms)
+        assert got.sign == want[0]
+        assert got.log_mag == pytest.approx(want[1], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: jacobi_p(3, 0.5, math.nan), DomainError),
+    (lambda: jacobi_p(3, 0.5, math.inf), DomainError),
+    (lambda: jacobi_p(3, 0.5, np.array([0.5, math.inf])), DomainError),
+    (lambda: density_asymptote(math.nan, 0.5, 1.0), DomainError),
+    (lambda: density_asymptote(2.0, math.nan, 1.0), DomainError),
+    (lambda: density_asymptote(math.inf, 0.5, 1.0), DomainError),
+    (lambda: density_asymptote(2.0, 0.5, math.inf), DomainError),
+    (lambda: LogValue.from_real(math.nan), DomainError),
+    (lambda: LogValue(1, math.inf).to_real(), ComplexityError)],
+    ids=["jacobi-nan", "jacobi-inf", "jacobi-array-inf", "asymptote-p-nan",
+         "asymptote-r-nan", "asymptote-p-inf", "asymptote-x-inf",
+         "from-real-nan", "to-real-inf"])
+def test_non_finite_arguments_are_typed(call, error):
+    # each once returned nan, inf or 0.0, or warned (jacobi_p at inf);
+    # the README promises DomainError for a non-finite argument
+    with pytest.raises(error):
+        call()
 
 
 class TestRequireInteger:
@@ -99,6 +135,12 @@ class TestSignedLogGamma:
             sign, logmag = lgamma_signed(x)
             assert sign == 1
             assert logmag == pytest.approx(special.gammaln(x), rel=1e-13)
+
+    def test_log_past_double_range_is_typed(self):
+        # math.lgamma once raised a bare OverflowError here
+        assert lgamma_signed(2e305)[1] == pytest.approx(1.4e308, rel=1e-2)
+        with pytest.raises(ComplexityError, match="log Gamma"):
+            lgamma_signed(1e306)
 
     def test_negative_arguments_alternating_sign(self):
         # Gamma alternates sign between consecutive negative integers.

@@ -45,6 +45,11 @@ class TestRaneyNumbers:
                 raney(p, 1.0, 600)
         assert raney(2.0, 1.0, 400) == pytest.approx(
             float(mpmath.binomial(801, 400) / 801), rel=1e-14)
+        # log Gamma(pn + r + 1) itself past double range: math.lgamma's
+        # bare OverflowError once
+        for p in (1.0, 2.5):
+            with pytest.raises(ComplexityError, match="log Gamma"):
+                raney(p, 0.5, 1e306)
 
     @pytest.mark.parametrize("args", [(2.0, 1.0, 10**400),
                                       (10**400, 1.0, 3)])
