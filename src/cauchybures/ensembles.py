@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .exceptions import ComplexityError, DomainError, SignError
+from .exceptions import DomainError, SignError
 from .numerics import LogValue, checked_exp, require_integer, require_positive
 
 __all__ = [
@@ -89,10 +89,10 @@ def moment_b(params: EnsembleParams, j: int, k: int) -> float:
     if j == k:
         return 0.0
     cp = params.bures_pair()
-    val = 2.0 * moment_c(cp, j, k) - moment_b_vec(params, j) * moment_b_vec(params, k)
-    if not math.isfinite(val):  # i_j i_k > I^C_{j,k} may overflow alone
-        raise ComplexityError(f"moment_b({j}, {k}) overflows a double")
-    return val
+    # i_j i_k > I^C_{j,k} may overflow alone
+    return checked_exp(f"moment_b({j}, {k})", 2.0 * moment_c(cp, j, k)
+                       - moment_b_vec(params, j) * moment_b_vec(params, k),
+                       power=float)
 
 
 # ---------------------------------------------------------------------------

@@ -819,8 +819,8 @@ def _g(a, alpha, theta, n, tilde, z):
     """G_n, or with tilde G~_n, at z by residue_series; n=None: hard edge.
 
     A float z = 0 gives G_n's (G_inf's) residue at u = 0, its constant
-    term: its residue table's first entry, or, where that merged a
-    denominator's pole (alpha + 1 or a + 1 < 1e-10), the series at 5e-324.
+    term: its residue table's first entry, exact, where a denominator pole
+    the float entry merged (alpha + 1 or a + 1 < 1e-10) lies apart.
     """
     require_positive("a + 1, alpha + 1 and theta", a + 1.0, alpha + 1.0,
                      theta)
@@ -828,10 +828,12 @@ def _g(a, alpha, theta, n, tilde, z):
         require_integer("n", n, least=1)
     num, den = _g_factors(a, alpha, theta, n, tilde)
     if not tilde and np.ndim(z) == 0 and z == 0.0:
-        pole = _residue_table(num, den).entry(0)
-        if pole.sign:
-            return pole.sign * checked_exp("G's constant term", pole.log_c)
-        z = math.ulp(0.0)
+        table = _residue_table(num, den)
+        with mpmath.workdps(2 * _DPS_STEP):  # an exact sum's fewest digits
+            table._ensure(1)
+        _, _, man, exp, _ = table.runs[0][0]  # Gamma(u)'s part at u = 0
+        return checked_exp("G's constant term", mpmath.mpf((man, exp)),
+                           power=float)
     return residue_series(num, den, z)
 
 

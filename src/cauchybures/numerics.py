@@ -72,12 +72,17 @@ def require_integer(what: str, *values, least: Optional[int] = None) -> None:
 
 
 def checked_exp(what: str, *args, power: Callable = math.exp) -> float:
-    """power(*args): math.exp, math.ldexp, pow or the float of an integer;
-    ComplexityError "{what} overflows a double" past double range."""
+    """power(*args): math.exp, lgamma or ldexp, pow, or float; ComplexityError
+    "{what} overflows a double" for an infinite result, raised or returned
+    (math.exp(inf), float(mpf)), DomainError for a NaN."""
     try:
-        return power(*args)
+        value = power(*args)
     except OverflowError:
-        raise ComplexityError(f"{what} overflows a double") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise (DomainError(f"{what} is not a number") if math.isnan(value)
+               else ComplexityError(f"{what} overflows a double"))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +122,6 @@ class LogValue:
         return cls(1 if x > 0 else -1, math.log(abs(x)))
 
     def to_real(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        if self.log_mag == math.inf:  # math.exp(inf) is inf, no OverflowError
-            raise ComplexityError("a LogValue overflows a double")
         return self.sign * checked_exp("a LogValue", self.log_mag)
 
     def __mul__(self, other: "LogValue") -> "LogValue":
@@ -217,7 +218,9 @@ def log_gamma_complex(z: complex) -> complex:
 
 
 def lgamma_signed(x: float) -> tuple[int, float]:
-    """(sign, log|Gamma(x)|) for real x off the poles and below 2.5e305."""
+    """(sign, log|Gamma(x)|) for finite x off the poles, below 2.5e305."""
+    if not math.isfinite(x):
+        raise DomainError(f"lgamma_signed needs a finite x, got {x}")
     if x > 0:
         return 1, checked_exp("log Gamma(x)", x, power=math.lgamma)
     n = round(x)

@@ -149,9 +149,10 @@ def jacobi_p(n: int, alpha: float, x) -> float:
     """Jacobi polynomial P_n^(alpha, 0) at argument 1 - 2x, by recurrence."""
     require_integer("degree", n, least=0)
     require_positive("alpha + 1", alpha + 1.0)
-    t = 1.0 - 2.0 * np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        t = 1.0 - 2.0 * np.asarray(x, dtype=float)
     if not np.all(np.isfinite(t)):
-        raise DomainError("x must be finite")
+        raise DomainError("x and 1 - 2x must be finite")
     p_prev = np.ones_like(t)
     if n == 0:
         return p_prev if p_prev.ndim else float(p_prev)

@@ -27,10 +27,11 @@ def raney(p: float, r: float, n: float) -> float:
     continued through gamma functions; ComplexityError past double range.
     It is 0 where only Gamma(pn + r - n + 1), whose reciprocal enters,
     has a pole; PoleError at any other pole."""
+    # compared, not converted: float(10**400) overflows
+    if not (all(abs(v) < math.inf for v in (p, r)) and 0 <= n < math.inf):
+        raise DomainError("p, r and n must be finite, n non-negative")
     p, r, n = (checked_exp("a Raney argument", v, power=float)
                for v in (p, r, n))
-    if not all(map(math.isfinite, (p, r, n))) or n < 0:
-        raise DomainError("p, r and n must be finite, n non-negative")
     if n == 0:
         return 1.0
     top = p * n + r

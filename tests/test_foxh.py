@@ -187,27 +187,43 @@ class TestGNReference:
         assert g_n(a, alpha, theta, n, 1e-300) == pytest.approx(want,
                                                                 rel=1e-14)
 
-    def test_constant_terms_are_the_residue_tables_first(self):
-        # the residue table's first coefficient; the same doubles as the
-        # lgamma sum over the factors it replaced
-        assert g_n(0.5, 0.2, 1.5, 3, 0.0) == 4.766273601811448
-        assert g_n(0.3, 0.9, 2.0, 10, 0.0) == 99.86397958742582
-        assert g_inf(0.5, 0.2, 1.5, 0.0) == 1.2289453070971883
-
-    @pytest.mark.parametrize("a,alpha", [(0.0, -1 + 1e-12),
-                                         (-1 + 1e-12, 0.5)])
-    def test_constant_term_beside_a_denominator_pole(self, a, alpha):
-        # 1/Gamma(alpha + 1 - u) or 1/Gamma(a + 1 - u) has a pole 1e-12
-        # from u = 0, which the float table merges with Gamma(u)'s into one
-        # cancelled entry; the exact re-sum splits them.  The lgamma sum
-        # once read 2e-15 to 4e-15 off here
+    @staticmethod
+    def _constant_term(a, alpha, n):
+        # 1 / (Gamma(alpha + 1) Gamma(a + 1)), times Gamma(alpha + n + 1) /
+        # Gamma(n) for finite n, at 40 digits
         with mpmath.workdps(40):
-            a_, alpha_ = mpmath.mpf(a), mpmath.mpf(alpha)
-            rg = mpmath.rgamma(alpha_ + 1) * mpmath.rgamma(a_ + 1)
-            want = (rg * mpmath.gamma(alpha_ + 4) / 2, rg)
-        got = (g_n(a, alpha, 1.0, 3, 0.0), g_inf(a, alpha, 1.0, 0.0))
-        for value, ref in zip(got, want):
-            assert value == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+            a, alpha = mpmath.mpf(a), mpmath.mpf(alpha)
+            c = mpmath.rgamma(alpha + 1) * mpmath.rgamma(a + 1)
+            if n is not None:
+                c *= mpmath.gamma(alpha + n + 1) / mpmath.gamma(n)
+            return float(c)
+
+    @pytest.mark.parametrize("a,alpha,theta,n,want", [
+        (0.5, 0.2, 1.5, 3, 4.766273601811445),
+        (0.3, 0.9, 2.0, 10, 99.86397958742555),
+        (0.5, 0.2, 1.5, None, 1.2289453070971879)])
+    def test_constant_terms_are_correctly_rounded(self, a, alpha, theta, n,
+                                                  want):
+        # the residue table's first coefficient, exact; the lgamma sum over
+        # the same factors read 4.766273601811448, 99.86397958742582 and
+        # 1.2289453070971883, 3 to 19 ulps off
+        got = (g_inf(a, alpha, theta, 0.0) if n is None
+               else g_n(a, alpha, theta, n, 0.0))
+        assert got == want == self._constant_term(a, alpha, n)
+
+    @pytest.mark.parametrize("n", [1, 3, None])
+    @pytest.mark.parametrize("a,alpha", [
+        (0.0, -1 + 1e-12), (-1 + 1e-12, 0.5),
+        (0.0, -1 + 1e-15), (-1 + 1e-15, 0.5)])
+    def test_constant_term_beside_a_denominator_pole(self, a, alpha, n):
+        # 1/Gamma(alpha + 1 - u) or 1/Gamma(a + 1 - u) has a pole 1e-12 or
+        # 1e-15 from u = 0, which the float table merges with Gamma(u)'s
+        # into one cancelled entry, trusted below 1e-14; the exact entry
+        # splits them.  The table's float entry alone read 0.0 here, its
+        # series at 5e-324 0.0 or -3e-323 at 1e-15
+        got = (g_inf(a, alpha, 1.0, 0.0) if n is None
+               else g_n(a, alpha, 1.0, n, 0.0))
+        assert got == self._constant_term(a, alpha, n)
 
     def test_constant_term_past_double_range_is_typed(self):
         # Gamma(alpha + n + 1) / (Gamma(n) Gamma(alpha + 1)) ~ e^2772 here

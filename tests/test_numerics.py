@@ -80,14 +80,24 @@ class TestLogValue:
     (lambda: density_asymptote(2.0, math.nan, 1.0), DomainError),
     (lambda: density_asymptote(math.inf, 0.5, 1.0), DomainError),
     (lambda: density_asymptote(2.0, 0.5, math.inf), DomainError),
+    (lambda: jacobi_p(3, 0.5, 1e308), DomainError),
     (lambda: LogValue.from_real(math.nan), DomainError),
-    (lambda: LogValue(1, math.inf).to_real(), ComplexityError)],
+    (lambda: LogValue(1, math.inf).to_real(), ComplexityError),
+    (lambda: LogValue(1, math.nan).to_real(), DomainError),
+    (lambda: lgamma_signed(math.nan), DomainError),
+    (lambda: lgamma_signed(-math.inf), DomainError),
+    (lambda: checked_exp("x", math.inf), ComplexityError),
+    (lambda: checked_exp("x", math.nan), DomainError)],
     ids=["jacobi-nan", "jacobi-inf", "jacobi-array-inf", "asymptote-p-nan",
          "asymptote-r-nan", "asymptote-p-inf", "asymptote-x-inf",
-         "from-real-nan", "to-real-inf"])
+         "jacobi-1-2x-overflows", "from-real-nan", "to-real-inf",
+         "to-real-nan", "lgamma-nan", "lgamma-minus-inf", "exp-inf",
+         "exp-nan"])
 def test_non_finite_arguments_are_typed(call, error):
-    # each once returned nan, inf or 0.0, or warned (jacobi_p at inf);
-    # the README promises DomainError for a non-finite argument
+    # each once returned nan, inf or 0.0, warned (jacobi_p at inf) or
+    # raised a bare ValueError or OverflowError (lgamma_signed); the
+    # README promises DomainError for a non-finite argument (jacobi_p's
+    # argument is 1 - 2x)
     with pytest.raises(error):
         call()
 
