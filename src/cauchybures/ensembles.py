@@ -39,6 +39,12 @@ class EnsembleParams:
     n: int
 
     def __post_init__(self):
+        for key in ("a", "b", "theta"):
+            try:  # x + 0.0 is a number's float, a TypeError for a Decimal
+                object.__setattr__(self, key, float(getattr(self, key) + 0.0))
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"{key} must be a real number in double "
+                                  f"range") from None
         require_positive("a + 1, b + 1", self.a + 1.0, self.b + 1.0)
         if self.a + self.b <= -1.0:
             # the 1/(x+y) factor makes every Cauchy bimoment diverge there

@@ -10,7 +10,7 @@ at s = -e - theta l, in unit steps on integers, one chain per residue
 class of l mod q where theta = p/q, each seeded once where it turns, so
 that it runs only in stable directions, on a unit set by the precision
 asked.  K11 seeds by region (_h_seed), the direct route by i1_integral,
-whose overflow refusal a direct side takes in closed form (_i1_side).
+whose one refusal (_i1_span) a direct side takes before any quadrature.
 Those sides and the t-integrals' G / G~ sides on each tanh-sinh call
 (_t_side) are cached, so the entries of one correlation share them.  One
 table of the four kinds (_TILDE) and one dispatcher (_finite_kernel)
@@ -113,12 +113,6 @@ def _point_side(params: EnsembleParams, e: float, x: float):
             (np.exp2(t - exp), exp.astype(np.int64)))
 
 
-def _i1_overflow(beta: float, c: float) -> ComplexityError:
-    """i1_integral's refusal where y^beta overflows a double."""
-    return ComplexityError(f"i1_integral: y^beta overflows a double at "
-                           f"beta = {beta:g} (c = {c:g})")
-
-
 def _i1_seed(s: Fraction, c: float, bits: int) -> int:
     """H(s, c) on the unit 2^-bits from i1(-s, c) = Gamma(1 - s) H(s, c)."""
     beta = -float(s)
@@ -132,11 +126,7 @@ def _i1_side(e: float, theta: float, n: int, c: float):
     seeded by i1_integral, rounded once.  It refuses where i1_integral does
     at its top exponent, before any quadrature.  Cached: a correlation's
     entries share each of their sides (two exponents per point at most)."""
-    top = e + theta * (n - 1)
-    try:  # i1_integral's refusal in closed form: (c + span)^top overflows
-        (c + _i1_span(top)) ** top
-    except OverflowError:
-        raise _i1_overflow(top, c) from None
+    _i1_span(e + theta * (n - 1), c)
     chain, unit = _h_chain(e, theta, n, c, 53, _i1_seed)
     side = np.frexp([math.ldexp(h, unit) for h in chain])
     for vec in side:
@@ -276,29 +266,33 @@ def i1_integral(beta: float, c: float) -> float:
 
     Both halves run on tanh-sinh: below the split after y = c s^g, g =
     1/(beta + 1), which absorbs y^beta (c^beta g int_0^1 e^{-c s^g} /
-    (1 + s^g) ds), above it on y = c + span t.  Raises ComplexityError
-    where y^beta overflows a double before e^{-y} scales it, as (c +
-    span)^beta does past 1.8e308, span = 60 + 2 beta + 10 sqrt(beta): the
-    first refused beta falls with c, 118.2 at c = 1, 116.6 at 40, 112.8 at
-    150 and 106.7 at 400 (in steps of 0.1).
+    (1 + s^g) ds), above it on y = c + span t.  Refuses first (_i1_span)
+    where either half's integrand leaves double range.
     """
     require_positive("c and beta + 1", c, beta + 1.0)
-    g, span = 1.0 / (beta + 1.0), _i1_span(beta)
+    g, span = 1.0 / (beta + 1.0), _i1_span(beta, c)
+    lower = c ** beta * g * tanh_sinh_01(
+        lambda s: np.exp(-c * s ** g) / (1.0 + s ** g))
+    return lower + span * tanh_sinh_01(
+        lambda t: (c + span * t) ** beta * np.exp(-c - span * t)
+        / (2.0 * c + span * t))
+
+
+def _i1_span(beta: float, c: float) -> float:
+    """How far i1_integral's upper half reaches above y = c, into the
+    e^{-y} tail.  The one i1 refusal: ComplexityError where the largest
+    value either half forms overflows a double, (c + span)^beta for beta
+    >= 0 (from beta = 118.2 at c = 1, 116.6 at 40, 112.8 at 150 and 106.7
+    at 400) and y^beta/(c + y) at y = c, c^beta/(2c), for beta < 0."""
+    span = 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
     try:
-        with np.errstate(over="raise"):
-            lower = c ** beta * g * tanh_sinh_01(
-                lambda s: np.exp(-c * s ** g) / (1.0 + s ** g))
-            return lower + span * tanh_sinh_01(
-                lambda t: (c + span * t) ** beta * np.exp(-c - span * t)
-                / (2.0 * c + span * t))
-    except (OverflowError, FloatingPointError):
-        raise _i1_overflow(beta, c) from None
-
-
-def _i1_span(beta: float) -> float:
-    """How far i1_integral's upper half reaches above y = c: into the
-    e^{-y} tail, with the structure on the scale of c near its t = 0."""
-    return 60.0 + 2.0 * beta + 10.0 * math.sqrt(max(beta, 1.0))
+        peak = (c + span) ** beta if beta >= 0.0 else c ** beta / (2.0 * c)
+    except OverflowError:
+        peak = math.inf
+    if peak == math.inf:
+        raise ComplexityError(f"i1_integral: y^beta overflows a double at "
+                              f"beta = {beta:g} (c = {c:g})")
+    return span
 
 
 def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
@@ -384,9 +378,9 @@ def _h_fraction(s: Fraction, w: float, bits: int) -> int:
     - s - 1(1-s)/(w + 3 - s - 2(2-s)/(w + 5 - s - ...)), by the modified
     Lentz method on integers.  Its K ~ (bits ln 2)^2/(12 w) terms round off
     log2(K (w + 2K - s)/w) bits, under the 48 guard bits for the K < 1e5
-    it is allowed."""
+    it is allowed; d ~ 1/b loses w's bits more, which the unit adds."""
     (big_w, big_s), scale = _one_scale(w, s)
-    fix = bits + 48
+    fix = bits + 48 + math.ceil(w).bit_length()
     one = 1 << fix
     b = (big_w + (1 << scale) - big_s << fix) >> scale
     f, c, d = b, b, 0
@@ -426,14 +420,16 @@ def _h_sum(s: Fraction, w: float) -> tuple:
     return mpmath.ldexp(r, scale - fix) / big_s, log_max
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _gamma_scaled(s: Fraction, prec: int):
     """e^W W^{-s} Gamma(s) at W = _GAMMA_W, s < 1 not an integer, to `prec`
     bits without mpmath's gamma (whose tables cost 7-31 ms per precision).
     In (0, 1): _h_sum at W, which no term cancels at this W, plus H(s, W) <
     1/W from the continued fraction, down to the sum's last bit.  Below:
     its value at s + k in (0, 1) times W^k/(s)_k (DLMF 5.5.1).  Cached: the
-    seeds of one working precision and fractional part share the former."""
+    seeds of one working precision and fractional part share the former;
+    1,024 entries hold both sides' 2N values (s and s + k) at N = 80 where
+    every j is a seed (theta = 1.3), at two precisions."""
     k = math.ceil(-s)
     with mpmath.workprec(prec + _GUARD_BITS):
         if k:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import ComplexityError, DomainError
 from .ensembles import EnsembleParams, _log_schur, partition_cauchy
 from .numerics import LogValue, require_integer, require_positive
 
@@ -157,14 +157,17 @@ def jacobi_p(n: int, alpha: float, x) -> float:
     if n == 0:
         return p_prev if p_prev.ndim else float(p_prev)
     p_cur = (alpha + 1.0) + (alpha + 2.0) * (t - 1.0) / 2.0
-    for m in range(2, n + 1):
-        c1 = 2.0 * m * (m + alpha) * (2.0 * m + alpha - 2.0)
-        c2 = (2.0 * m + alpha - 1.0)
-        c3 = (2.0 * m + alpha) * (2.0 * m + alpha - 2.0)
-        c4 = alpha * alpha
-        c5 = 2.0 * (m + alpha - 1.0) * (m - 1.0) * (2.0 * m + alpha)
-        p_next = (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
-        p_prev, p_cur = p_cur, p_next
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for m in range(2, n + 1):
+            c1 = 2.0 * m * (m + alpha) * (2.0 * m + alpha - 2.0)
+            c2 = (2.0 * m + alpha - 1.0)
+            c3 = (2.0 * m + alpha) * (2.0 * m + alpha - 2.0)
+            c4 = alpha * alpha
+            c5 = 2.0 * (m + alpha - 1.0) * (m - 1.0) * (2.0 * m + alpha)
+            p_next = (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
+            p_prev, p_cur = p_cur, p_next
+    if not np.all(np.isfinite(p_cur)):  # an inf stays inf or turns NaN
+        raise ComplexityError("jacobi_p: the recurrence overflows a double")
     return p_cur if p_cur.ndim else float(p_cur)
 
 

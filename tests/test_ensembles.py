@@ -1,5 +1,7 @@
 """Tests for moments and partition functions of both ensembles."""
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,10 +31,24 @@ class TestParams:
                                      (0.5, 0.7, math.inf, 3),
                                      (0.5, 0.7, 1.5, 2.5),
                                      (0.5, 0.7, 1.5, 3.0),
-                                     (0.0, 0.0, 1.0, True)])
+                                     (0.0, 0.0, 1.0, True),
+                                     # a Decimal theta once reached the
+                                     # kernels and raised a bare TypeError
+                                     (0.4, 1.4, Decimal("1.3"), 8),
+                                     ("0.4", 1.4, 1.3, 8),
+                                     (0.4, 1j, 1.3, 8),
+                                     (0.4, 1.4, 10 ** 400, 8)])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(DomainError):
             EnsembleParams(*bad)
+
+    def test_parameters_stored_as_floats(self):
+        # a Fraction theta was kept, and the kernels read 13/10 over the
+        # wrong power of two; every field is now a Python float
+        p = EnsembleParams(0, Fraction(7, 5), Fraction(13, 10), 8)
+        assert (p.a, p.b, p.theta) == (0.0, 1.4, 1.3)
+        assert all(type(v) is float for v in (p.a, p.b, p.theta))
+        assert type(EnsembleParams(np.float64(0.5), 0.7, 1.5, 3).a) is float
 
     def test_divergent_bimoments_rejected(self):
         # a, b > -1 each, but a + b <= -1: every Cauchy bimoment diverges,

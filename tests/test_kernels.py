@@ -342,6 +342,13 @@ class TestAuxiliaryIntegral:
         with pytest.raises(ComplexityError, match=r"beta = 150\b"):
             i1_integral(150.0, 1.2)
 
+    def test_i1_refuses_where_its_lower_power_overflows(self):
+        # beta < 0: c^beta/(2c), y^beta/(c + y) at the split, bounds both
+        # halves; (5e-324)^-0.99 alone passes 1.8e308
+        with pytest.raises(ComplexityError, match=r"at beta = -0\.99 \(c = "
+                                                  r"4\.94066e-324\)$"):
+            i1_integral(-0.99, 5e-324)
+
     @pytest.mark.parametrize("c,first", [
         (0.05, 118.3), (1.0, 118.2), (40.0, 116.6), (150.0, 112.8),
         (400.0, 106.7)])
@@ -386,6 +393,18 @@ class TestEntryPointValidation:
             for x, y in ((bad, 1.0), (1.0, bad)):
                 with pytest.raises(DomainError, match="finite and positive"):
                     fn(x, y)
+
+    def test_exact_theta_read_as_its_float(self):
+        # a Fraction theta reached _one_scale, which read 13/10 over a
+        # power of two (k11 returned -8.98e-4); at 3/2 cd_kernel and direct
+        # k01 raised a bare TypeError
+        def at(theta):
+            return EnsembleParams(0.4, 1.4, theta, 8)
+
+        assert k11(at(Fraction(13, 10)), 0.7, 1.9) == 4.29213394764088e-06
+        assert k11(at(1.3), 0.7, 1.9) == 4.29213394764088e-06
+        for fn in (cd_kernel, partial(k01, route="direct")):
+            assert fn(at(Fraction(3, 2)), 0.7, 1.9) == fn(at(1.5), 0.7, 1.9)
 
     @pytest.mark.parametrize("beta,c", [(math.nan, 1.0), (0.5, math.nan),
                                         (0.5, math.inf), (-1.0, 1.0)])
@@ -1104,6 +1123,28 @@ class TestK11Core:
         p = EnsembleParams(0.3, 0.7, 1.5, 40)
         assert k11(p, 700.0, 650.0) == pytest.approx(-5.5394905050230754e-7,
                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("y,want", [
+        (1e15, -1.2039965054675063e-16), (1e20, -1.203996505467528e-21),
+        (1e300, -1.2039965054675278e-301)])
+    def test_points_past_1e15(self, y, want):
+        # the continued fraction's Lentz fixed point divides by b ~ w, so
+        # it loses w's bits; it once never settled from about 1e15 on.
+        # perfbench/mpref.k11's nearest double at 80 digits (110 agree)
+        assert k11(EnsembleParams(0.5, 0.7, 1.5, 3), y, 1.0) == want
+
+    def test_gamma_cache_holds_a_parameter_set(self):
+        # theta = 1.3 seeds every j: the two N = 80 sides of k11 at
+        # (0.4, 1.4, 1.3, 80) ask _gamma_scaled for 159 s and cache 318
+        # values (each s and its reduction into (0, 1)); the next point, at
+        # the same s, finds all 159.  A cache of 256 entries found none.
+        kernels._gamma_scaled.cache_clear()
+        with mpmath.workdps(15):
+            for w in (0.6564, 1.8995):
+                for e in (0.4, 1.4):
+                    _h_chain(e, 1.3, 80, w, mpmath.mp.prec, _h_seed)
+        info = kernels._gamma_scaled.cache_info()
+        assert (info.hits, info.misses) == (159, 318)
 
     def test_every_seed_by_the_continued_fraction(self, monkeypatch):
         # theta = 1.3 has no chain: all 2N seeds, at w >= 300, come from

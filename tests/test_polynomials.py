@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cauchybures.exceptions import DomainError
+from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.ensembles import (EnsembleParams, moment_c, partition_bures,
                                    partition_cauchy)
 from cauchybures.polynomials import (PolySeries, coeff_c, jacobi_p,
@@ -128,6 +128,14 @@ class TestDegreeRange:
             with pytest.raises(DomainError) as err:
                 call()
             assert str(err.value) == "alpha + 1 must be finite and positive"
+
+    def test_jacobi_p_past_double_range_is_typed(self):
+        # P_80 at 1 - 2e10 is about 1e826: the recurrence once warned and
+        # returned nan; a warning fails tier-1 (pyproject's filterwarnings)
+        assert jacobi_p(80, 0.5, 1e3) == 1.2475898168028721e+287
+        for x in (1e10, np.array([0.3, 1e10])):
+            with pytest.raises(ComplexityError, match="recurrence overflows"):
+                jacobi_p(80, 0.5, x)
 
     @pytest.mark.parametrize("a,theta", [(0.0, 1.0), (0.3, 1.5), (0.2, 2.0)])
     def test_hat_coefficients_at_degree_79(self, a, theta):
