@@ -3,8 +3,8 @@
 Every finite-N kernel is computable by two routes, played against each
 other in the tests: the Christoffel-Darboux sum over the bi-orthogonal
 pair (_cd_contract), and a t-integral of the contour functions, which for
-K11 is an exact incomplete-gamma sum on Python integers up to one final
-mpf (_k11_inc_core).  Either route's integrated sides come from one chain
+K11 is an exact incomplete-gamma double sum, one integer product, up to
+a final mpf (_k11_inc_core).  Either route's integrated sides come from one chain
 code, _h_chain: H(s, w) = e^w w^{-s} Gamma(s, w) = i1(-s, w)/Gamma(1 - s)
 at s = -e - theta l, in unit steps on integers, one chain per residue
 class of l mod q where theta = p/q, each seeded once where it turns, so
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import mul
 from typing import Callable, Optional
 
 import mpmath
@@ -35,9 +34,9 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
-from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _tanh_sinh_call,
-                       checked_exp, ln_abs, mp_sum, require_positive,
-                       tanh_sinh_01)
+from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _hankel_form,
+                       _tanh_sinh_call, checked_exp, ln_abs, mp_sum,
+                       require_positive, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -541,10 +540,10 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
 
     It runs on Python integers up to one final mpf: coef and h from exact
     rationals (_k11_tables), the sides on one unit each, A_j and B_k their
-    products cut back by numerics._fixed_point, and the N inner Hankel sums
-    and the outer sum exact.  The truncations add at most N^2 2^{-prec-16}
-    of the peak term, below the 2^{-prec} that mp_sum's spare digits allow
-    for N <= 256.
+    products cut back by numerics._fixed_point, and the double sum exact,
+    as one product of A and B packed (_hankel_form).  The truncations add
+    at most N^2 2^{-prec-16} of the peak term, below the 2^{-prec} that
+    mp_sum's spare digits allow for N <= 256.
     """
     a, b, theta, n = params.a, params.b, params.theta, params.n
 
@@ -555,9 +554,7 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
             for side, unit in (_h_chain(a, theta, n, y, prec, _h_seed),
                                _h_chain(b, theta, n, x, prec, _h_seed)))
         pole = 1 / (mpmath.mpf(x) + y)
-        inner = [sum(map(mul, h[j:j + n], ib)) for j in range(n)]
-        total = theta * mpmath.mpf((sum(map(mul, ia, inner)),
-                                    ua + uh + ub))
+        total = theta * mpmath.mpf((_hankel_form(ia, ib, h), ua + uh + ub))
         # no term exceeds theta times the largest of each side over the
         # smallest denominator, 1 + alpha
         peak = (math.log(theta) + (ua + uh + ub) * _LN2 + math.log(h[0])

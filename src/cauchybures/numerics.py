@@ -194,6 +194,22 @@ def _fixed_point(xs: list, unit: int) -> tuple[list, int]:
     return [x >> drop for x in xs], unit + drop
 
 
+def _hankel_form(ia: list, ib: list, h: Sequence[int]) -> int:
+    """sum_{j,k<N} ia_j ib_k h_{j+k}, exact, by Kronecker substitution: ia,
+    ib in N two's-complement W-bit slots, whose product's slot m holds c_m
+    = sum_{j+k=m} ia_j ib_k, |c_m| < N max|ia| max|ib| <= 2^{W-1}."""
+    n, w = len(ia), (max(map(abs, ia)).bit_length() + len(ia).bit_length()
+                     + max(map(abs, ib)).bit_length() + 8) // 8  # W / 8
+    # 2^{W-1} per slot: sign bits (a negative slot reads 2^W high) and bias
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * (2 * n - 1), "little")
+    a, b = (u - ((u & bias) << 1) for u in (
+        int.from_bytes(b"".join(x.to_bytes(w, "little", signed=True)
+                                for x in v), "little") for v in (ia, ib)))
+    conv = (a * b + bias).to_bytes((2 * n - 1) * w, "little")
+    return sum((int.from_bytes(conv[i * w:i * w + w], "little")
+                - (1 << 8 * w - 1)) * x for i, x in enumerate(h))
+
+
 def ln_abs(x) -> float:
     """ln |x| of a nonzero mpmath number, through a double where x is one
     (far cheaper than an mpmath log at the working precision)."""

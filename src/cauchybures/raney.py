@@ -4,10 +4,11 @@ density of a product of two Ginibre factors.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import DomainError, PoleError
+from .exceptions import ComplexityError, DomainError, PoleError
 from .numerics import checked_exp, lgamma_signed, tanh_sinh_01
 
 __all__ = [
@@ -24,9 +25,9 @@ SZ_EDGE = 3.0 * math.sqrt(3.0) / 2.0
 
 def raney(p: float, r: float, n: float) -> float:
     """Raney number R_{p,r}(n) = r/(pn+r) * binom(pn+r, n), the binomial
-    continued through gamma functions; ComplexityError past double range.
-    It is 0 where only Gamma(pn + r - n + 1), whose reciprocal enters,
-    has a pole; PoleError at any other pole."""
+    continued through gamma functions; ComplexityError past double range or
+    accuracy (integer arguments are exact).  It is 0 where only Gamma(pn +
+    r - n + 1), whose reciprocal enters, has a pole; PoleError at others."""
     # compared, not converted: float(10**400) overflows
     if not (all(abs(v) < math.inf for v in (p, r)) and 0 <= n < math.inf):
         raise DomainError("p, r and n must be finite, n non-negative")
@@ -50,7 +51,13 @@ def raney(p: float, r: float, n: float) -> float:
         # integer arguments: exact on integers; the double top may round
         ti = int(p) * int(n) + int(r)
         exact = int(r) * math.comb(ti, int(n)) // ti
-        value = checked_exp("a Raney number", exact, power=float)
+        return checked_exp("a Raney number", exact, power=float)
+    # the lgammas' rounding, and top's times about d(l1 - l3)/d top
+    moved = Fraction(p) * Fraction(n) + Fraction(r) - Fraction(top)
+    err = (2.0 ** -53 * (abs(l1) + abs(l2) + abs(l3)) + abs(float(moved)
+           * math.log((1 + abs(top)) / (1 + abs(top - n)))))
+    if err > 3e-12:  # the README row's accuracy
+        raise ComplexityError(f"raney: its gamma form rounds off {err:.1e}")
     return value
 
 

@@ -10,7 +10,9 @@ sides (G~_inf by Gauss's multiplication formula, not by residues), the
 bi-orthogonal families by their bordered moment determinants, and the 2D
 moment integrals by a tensor Gauss rule with the 1/(x+y) factor absorbed.
 tanh_sinh_01_per_level keeps tanh-sinh's earlier loop, one integrand call
-per level, which the library's loop must match to the bit.
+per level, which the library's loop must match to the bit.  scipy is
+imported inside the three functions that use it, so that a test module
+that calls none of them runs without scipy.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy.special import loggamma, roots_genlaguerre, roots_jacobi
 
 from cauchybures.ensembles import EnsembleParams, moment_c, partition_cauchy
 from cauchybures.exceptions import (ComplexityError, DomainError,
@@ -118,6 +119,8 @@ def _log_integrand(num, den, u: np.ndarray, log_z: float) -> np.ndarray:
     A numerator gamma pole (within _POLE_TOL) at any node raises
     PoleError; a denominator one is a zero, so log -inf.
     """
+    from scipy.special import loggamma
+
     def on_pole(w):
         n = np.round(w.real)
         return (n <= 0) & (np.abs(w - n) < _POLE_TOL)
@@ -375,6 +378,7 @@ def tanh_sinh_01_per_level(f: Callable[[np.ndarray], np.ndarray],
 @lru_cache(maxsize=32)
 def gauss_jacobi_pair(order: int, alpha: float, beta: float) -> QuadratureRule:
     """Gauss rule for the weight t^alpha (1-t)^beta on (0, 1), cached."""
+    from scipy.special import roots_jacobi
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     if alpha <= -1.0 or beta <= -1.0:
@@ -386,6 +390,7 @@ def gauss_jacobi_pair(order: int, alpha: float, beta: float) -> QuadratureRule:
 @lru_cache(maxsize=32)
 def gauss_laguerre(order: int, gamma_exp: float = 0.0) -> QuadratureRule:
     """Gauss rule for the weight s^gamma_exp e^{-s} on (0, inf), cached."""
+    from scipy.special import roots_genlaguerre
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     if gamma_exp <= -1.0:

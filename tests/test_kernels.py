@@ -1,6 +1,7 @@
 """Tests for the Christoffel-Darboux kernel family and hard-edge limits."""
 import json
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -1192,3 +1193,62 @@ class TestK11Core:
         p = EnsembleParams(0.5, 0.7, 2.0, 80)
         assert k11(p, 1.2, 1.0) == pytest.approx(-1.6616642399593173e-16,
                                                  rel=1e-10)
+
+
+class TestHankelForm:
+    """numerics._hankel_form, K11's double sum as one big-integer product,
+    against the plain sum_j ia_j sum_k h_{j+k} ib_k it replaced."""
+
+    @staticmethod
+    def plain(ia, ib, h):
+        n = len(ia)
+        return sum(a * sum(x * y for x, y in zip(h[j:j + n], ib))
+                   for j, a in enumerate(ia))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 80])
+    @pytest.mark.parametrize("bits", [1, 64, 1200])
+    @pytest.mark.parametrize("signs", ["mixed", "negative", "zero"])
+    def test_equals_the_plain_double_sum(self, n, bits, signs):
+        # entries of 1 to `bits` bits, ib's at most half as wide as ia's
+        # (the slot width takes both), h of up to 700 bits; "zero" makes
+        # ia all zero, "negative" every entry of ia and ib negative
+        rng = random.Random(1000 * n + bits)
+
+        def entry(most, sign):
+            b = rng.randint(1, most)
+            return sign * (rng.getrandbits(b) | 1 << b - 1)
+
+        def vector(most):
+            return [entry(most, -1 if signs == "negative"
+                          else rng.choice((-1, 1))) for _ in range(n)]
+
+        ia = [0] * n if signs == "zero" else vector(bits)
+        ib = vector(max(1, bits // 2))
+        h = [rng.getrandbits(rng.randint(1, 700)) for _ in range(2 * n - 1)]
+        got = numerics._hankel_form(ia, ib, h)
+        assert got == self.plain(ia, ib, h)
+        assert numerics._hankel_form(ib, ia, h) == got
+        if signs == "zero":
+            assert got == 0
+
+    @pytest.mark.parametrize("n", [3, 80, 255])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slots_hold_the_largest_sums(self, n, sign):
+        # every entry at +-(2^603 - 1): the middle slot's sum nears N
+        # 2^1206, which needs the bits of N and a sign bit beyond 1206; at
+        # N = 3 that is 1209, one past the 1208 that whole bytes would give
+        # without the sign bit
+        ia = [(1 << 603) - 1] * n
+        ib = [sign * x for x in ia]
+        rng = random.Random(n)
+        h = [rng.getrandbits(700) for _ in range(2 * n - 1)]
+        assert numerics._hankel_form(ia, ib, h) == self.plain(ia, ib, h)
+
+    @pytest.mark.parametrize("p,y,x,want", [
+        ((0.5, 0.7, 1.5, 80), 2.1521, 2.5065, "3.0672019492017332e-27"),
+        ((0.0, 0.0, 1.0, 72), 1.3653, 2.0718, "-3.838838274295526e-27")])
+    def test_k11_keeps_its_bits(self, p, y, x, want):
+        # two of the benchmark's k11_hi cases (large_n), as the plain
+        # double sum gave them; each is also the nearest double to its
+        # 200- or 184-digit mpmath reference
+        assert repr(k11(EnsembleParams(*p), y, x)) == want

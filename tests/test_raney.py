@@ -51,6 +51,35 @@ class TestRaneyNumbers:
             with pytest.raises(ComplexityError, match="log Gamma"):
                 raney(p, 0.5, 1e306)
 
+    @pytest.mark.parametrize("args", [(1.0, 0.5, 1e15), (1.0, 2.5, 1e16)])
+    def test_refuses_where_the_gamma_form_rounds_past_its_accuracy(self, args):
+        # the lgammas of size n log n cancel: these once returned 5.01e-9
+        # (0.72 off) and 4.9e39 (for 7.5e23) with no error
+        with pytest.raises(ComplexityError, match="gamma form rounds off"):
+            raney(*args)
+
+    def test_rounding_refusal_spares_the_measured_range(self):
+        # README rows: n < 400 at p <= 4 below double range, Fuss-Catalan
+        # moments at theta 0.5-3 with n < 300; past double range the
+        # overflow refusal keeps its message
+        for p in (1.0, 1.5, 2.5, 3.9, 4.0):
+            for n in range(400):
+                try:
+                    raney(p, 0.5, n + 0.25 * (n % 4))
+                except ComplexityError as err:
+                    assert "overflows a double" in str(err), (p, n)
+        for k in range(26):
+            for n in range(300):
+                assert fuss_catalan_moment(0.5 + 0.1 * k, n) > 0.0
+        # at p = 1 the estimate first passes 3e-12 at n = 2040 (against
+        # mpmath the error is 2.3e-12 at n = 1900, 1.4e-13 at 2039)
+        assert raney(1.0, 0.5, 2039) > 0.0
+        with pytest.raises(ComplexityError, match="gamma form rounds off"):
+            raney(1.0, 0.5, 2040)
+        # p n + r = 1642.1 rounds: that adds 6.6e-13 to the lgammas' 2.3e-12
+        with pytest.raises(ComplexityError, match="gamma form rounds off"):
+            raney(1.0, 0.1, 1642)
+
     @pytest.mark.parametrize("args", [(2.0, 1.0, 10**400),
                                       (10**400, 1.0, 3)])
     def test_integer_past_double_range_raises_complexity_error(self, args):
