@@ -20,11 +20,10 @@ import numpy as np
 
 from .exceptions import ComplexityError, DimensionError, DomainError
 from .ensembles import EnsembleParams, partition_bures, partition_cauchy
-from .kernels import _bures_block, _hatted_inf, hatted
-# the hard-edge blocks stay bound here for perfbench/tracer.py
-from .kernels import delta_k00_inf, delta_k11_inf, sigma_k01_inf  # noqa: F401
+from .kernels import (_bures_block, delta_k00_inf, delta_k11_inf, hatted,
+                      sigma_k01_inf)
 from .numerics import (SkewMatrix, checked_exp, pfaffian, require_positive,
-                       tanh_sinh_01, tanh_sinh_half_line)
+                       require_real, tanh_sinh_01, tanh_sinh_half_line)
 
 __all__ = [
     "CorrelationRequest",
@@ -61,13 +60,13 @@ class CorrelationRequest:
             raise DimensionError("more points than eigenvalues")
 
 
-def _check_points(*species) -> None:
-    """Raise DomainError unless every point is finite and positive and
-    the points of each species are pairwise different."""
-    require_positive("points", *itertools.chain(*species))
-    for pts in species:
-        if len(set(pts)) != len(pts):
-            raise DomainError("points must be pairwise different")
+def _check_points(*species) -> list:
+    """Each species' points as floats (require_positive); DomainError
+    unless the points of each species are pairwise different."""
+    species = [tuple(require_positive("points", *pts)) for pts in species]
+    if any(len(set(pts)) != len(pts) for pts in species):
+        raise DomainError("points must be pairwise different")
+    return species
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +99,24 @@ def rho_cauchy(req: CorrelationRequest, route: str = "direct") -> float:
 # Bures Pfaffian correlations
 # ---------------------------------------------------------------------------
 
-def _bures_pfaffian(zs, hk) -> float:
-    """k-point Bures correlation from the dressed kernel hk(kind, p1, p2)
-    of the Cauchy pair (a, a+1).
+def _bures_pfaffian(zs, dk11, dk00, sk01) -> float:
+    """k-point Bures correlation from its block functions of (z_i, z_j),
+    kernels._bures_block of each kind over the Cauchy pair (a, a+1).
 
-    The 2k x 2k skew matrix is [[dK11, sK01], [-sK01^T, dK00]] of
-    kernels._bures_block; only its strict upper triangle is filled, and
-    SkewMatrix makes the lower-left block the negative transpose of the
-    upper-right one, which is what exact antisymmetry requires.  The
-    prefactor is (-1)^{k(k-1)/2} / 2^k, the same at every matrix size.
+    The 2k x 2k skew matrix is [[dK11, sK01], [-sK01^T, dK00]]; only its
+    strict upper triangle is filled, and SkewMatrix makes the lower-left
+    block the negative transpose of the upper-right one, which is what
+    exact antisymmetry requires.  The prefactor is (-1)^{k(k-1)/2} / 2^k,
+    the same at every matrix size.
     """
     k = len(zs)
     upper = np.zeros((2 * k, 2 * k))
     for i in range(k):
         for j in range(i + 1, k):
-            upper[i, j] = _bures_block(hk, "K11", zs[i], zs[j])
-            upper[k + i, k + j] = _bures_block(hk, "K00", zs[j], zs[i])
+            upper[i, j] = dk11(zs[i], zs[j])
+            upper[k + i, k + j] = dk00(zs[j], zs[i])
         for j in range(k):
-            upper[i, k + j] = _bures_block(hk, "K01", zs[i], zs[j])
+            upper[i, k + j] = sk01(zs[i], zs[j])
     pf = pfaffian(SkewMatrix(upper)).to_real()
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
     return sign * pf / 2.0 ** k
@@ -136,17 +135,19 @@ def rho_bures(req: CorrelationRequest, route: str = "direct") -> float:
         raise DomainError(f"unknown route {route!r}")
     if route == "brute":
         return _brute_bures(req.params, req.xs)
-    p_pair = req.params.bures_pair()
-    return _bures_pfaffian(req.xs, partial(hatted, p_pair, route=route))
+    hk = partial(hatted, req.params.bures_pair(), route=route)
+    return _bures_pfaffian(req.xs, *(partial(_bures_block, hk, kind)
+                                     for kind in ("K11", "K00", "K01")))
 
 
 def rho_bures_hard_edge(a: float, theta: float, zs) -> float:
-    """Hard-edge limit of the k-point Bures correlation: the Pfaffian of
-    rho_bures on the hard-edge limit of hatted."""
+    """Hard-edge limit of the k-point Bures correlation: rho_bures's
+    Pfaffian on the blocks delta_k11_inf, delta_k00_inf, sigma_k01_inf."""
+    a, theta = require_real("a and theta", a, theta)
     require_positive("a + 1 and theta", a + 1.0, theta)
-    zs = tuple(float(z) for z in zs)
-    _check_points(zs)
-    return _bures_pfaffian(zs, partial(_hatted_inf, a, theta))
+    zs, = _check_points(zs)
+    return _bures_pfaffian(zs, *(partial(f, a, theta) for f in (
+        delta_k11_inf, delta_k00_inf, sigma_k01_inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .exceptions import DomainError, SignError
-from .numerics import LogValue, checked_exp, require_integer, require_positive
+from .numerics import (LogValue, checked_exp, require_integer,
+                       require_positive, require_real)
 
 __all__ = [
     "EnsembleParams",
@@ -40,11 +41,8 @@ class EnsembleParams:
 
     def __post_init__(self):
         for key in ("a", "b", "theta"):
-            try:  # x + 0.0 is a number's float, a TypeError for a Decimal
-                object.__setattr__(self, key, float(getattr(self, key) + 0.0))
-            except (TypeError, ValueError, OverflowError):
-                raise DomainError(f"{key} must be a real number in double "
-                                  f"range") from None
+            object.__setattr__(self, key,
+                               *require_real(key, getattr(self, key)))
         require_positive("a + 1, b + 1", self.a + 1.0, self.b + 1.0)
         if self.a + self.b <= -1.0:
             # the 1/(x+y) factor makes every Cauchy bimoment diverge there

@@ -28,7 +28,7 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
 # log_gamma_complex stays bound here for perfbench/tracer.py
 from .numerics import (_DPS_STEP, _GUARD_BITS, _SPARE_DIGITS,  # noqa: F401
                        checked_exp, lgamma_signed, log_gamma_complex, mp_sum,
-                       require_integer, require_positive)
+                       require_integer, require_positive, require_real)
 
 __all__ = [
     "GammaFactor",
@@ -822,6 +822,7 @@ def _g(a, alpha, theta, n, tilde, z):
     term: its residue table's first entry, exact, where a denominator pole
     the float entry merged (alpha + 1 or a + 1 < 1e-10) lies apart.
     """
+    a, alpha, theta = require_real("a, alpha and theta", a, alpha, theta)
     require_positive("a + 1, alpha + 1 and theta", a + 1.0, alpha + 1.0,
                      theta)
     if n is not None:

@@ -36,7 +36,7 @@ from .ensembles import EnsembleParams
 from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
 from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _hankel_form,
                        _tanh_sinh_call, checked_exp, ln_abs, mp_sum,
-                       require_positive, tanh_sinh_01)
+                       require_positive, require_real, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -142,7 +142,7 @@ def cd_kernel(params: EnsembleParams, x: float, y: float,
 def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> float:
     """N^{-2(alpha+1)} K_N(X N^{-2/theta}, Y N^{-2/theta}): cd_kernel at
     the scaled points, which must be normal doubles."""
-    require_positive("kernel arguments", x_hard, y_hard)
+    x_hard, y_hard = require_positive("kernel arguments", x_hard, y_hard)
     x, y = (p * params.n ** (-2.0 / params.theta) for p in (x_hard, y_hard))
     if min(x, y) < np.finfo(float).tiny:
         raise ComplexityError("a scaled point falls below the smallest "
@@ -268,6 +268,7 @@ def i1_integral(beta: float, c: float) -> float:
     (1 + s^g) ds), above it on y = c + span t.  Refuses first (_i1_span)
     where either half's integrand leaves double range.
     """
+    beta, c = require_real("beta and c", beta, c)
     require_positive("c and beta + 1", c, beta + 1.0)
     g, span = 1.0 / (beta + 1.0), _i1_span(beta, c)
     lower = c ** beta * g * tanh_sinh_01(
@@ -307,7 +308,7 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     _h_chain's integer gamma chains).  K11 is returned without its
     1/(p1 + p2) singular part.
     """
-    require_positive("kernel arguments", p1, p2)
+    p1, p2 = require_positive("kernel arguments", p1, p2)
     if kind == "K11" and p1 + p2 < _SINGULAR_TOL:
         raise SingularPointError("x + y below the singularity cutoff")
     a, b, theta, n = params.a, params.b, params.theta, params.n
@@ -612,7 +613,8 @@ def hard_edge_kernel(a: float, b: float, theta: float, kind: str,
 
     K00: (X, Y); K01: (X, X'); K10: (Y, Y'); K11: (Y, X), 1/(X + Y) kept.
     """
-    require_positive("kernel arguments", x1, x2)
+    x1, x2 = require_positive("kernel arguments", x1, x2)
+    a, b, theta = require_real("a, b and theta", a, b, theta)
     return _kernel(a, b, theta, None, kind, x1, x2)
 
 
@@ -620,6 +622,7 @@ def _hatted_inf(a: float, theta: float, kind: str, z1: float,
                 z2: float) -> float:
     """hatted's hard-edge limit on the Bures pair (a, a+1): _weight
     without e^{-p}, and K11 minus 1/(z1 + z2), as finite-N k11."""
+    a, theta, z1, z2 = require_real("a, theta and points", a, theta, z1, z2)
     val = hard_edge_kernel(a, a + 1.0, theta, kind, z1, z2)
     if kind == "K11":
         val -= 1.0 / (z1 + z2)

@@ -29,6 +29,7 @@ __all__ = [
     "mp_sum",
     "require_integer",
     "require_positive",
+    "require_real",
     "gauss_jacobi",
     "pfaffian",
     "pfaffian_bordered",
@@ -56,10 +57,22 @@ _TS_FIRST_LEVELS = 3
 _TS_LEVELS = 13  # refine_quadrature's levels, 0 to 12
 
 
-def require_positive(what: str, *values: float) -> None:
-    """Raise DomainError unless every value is finite and positive."""
+def require_real(what: str, *values) -> list[float]:
+    """The values as Python floats, each read as x + 0.0; DomainError for a
+    string, None, a complex, a Decimal or an int past double range."""
+    try:
+        return [float(v + 0.0) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a real number in double "
+                          f"range") from None
+
+
+def require_positive(what: str, *values) -> list[float]:
+    """require_real's floats; DomainError unless all are finite, positive."""
+    values = require_real(what, *values)
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise DomainError(f"{what} must be finite and positive")
+    return values
 
 
 def require_integer(what: str, *values, least: Optional[int] = None) -> None:

@@ -2,10 +2,11 @@
 import json
 import math
 import sys
+from collections import Counter
 
 import pytest
 
-from cauchybures import kernels, numerics
+from cauchybures import correlations, kernels, numerics
 from cauchybures.correlations import (CorrelationRequest,
                                       correlation_record, rho_bures,
                                       rho_bures_hard_edge, rho_cauchy)
@@ -152,6 +153,31 @@ class TestHardEdge:
             self, a, theta, zs):
         with pytest.raises(DomainError, match="a \\+ 1 and theta"):
             rho_bures_hard_edge(a, theta, zs)
+
+    def test_blocks_come_from_the_public_block_functions(self, monkeypatch):
+        # the Pfaffian's entries are delta_k11_inf, delta_k00_inf and
+        # sigma_k01_inf, looked up in correlations at call time, so that
+        # perfbench/tracer.py counts them as kernel entries of a rho
+        calls = Counter()
+        for name in ("delta_k11_inf", "delta_k00_inf", "sigma_k01_inf"):
+            def counted(*args, fn=getattr(correlations, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(correlations, name, counted)
+        rho_bures_hard_edge(0.3, 1.0, (0.8, 1.5))
+        assert calls == {"delta_k11_inf": 1, "delta_k00_inf": 1,
+                         "sigma_k01_inf": 4}
+        calls.clear()
+        rho_bures_hard_edge(0.3, 1.0, (0.9,))
+        assert calls == {"sigma_k01_inf": 1}
+
+    @pytest.mark.parametrize("zs,want", [
+        ((0.9042, 1.5492), "0.0004948433396665124"),
+        ((1.0311, 1.504), "0.0002616018602690611")])
+    def test_keeps_its_bits_on_the_benchmark_pool(self, zs, want):
+        # tint_separated rho_hard_2-0 and -1, as the dressed-kernel
+        # Pfaffian returned them before it read the public block functions
+        assert repr(rho_bures_hard_edge(0.3, 1.0, zs)) == want
 
     def test_two_point_is_finite_and_subdeterminantal(self):
         # rho_2 <= rho_1(z1) rho_1(z2) for a Pfaffian point process with

@@ -1,0 +1,110 @@
+"""One reader for every real argument (numerics.require_real).
+
+An int, a Fraction or a numpy scalar is read as its double; a string,
+None, a complex, a Decimal or an int past double range raises DomainError.
+The entry points compute on the floats it returns, so they refuse what it
+refuses and return Python floats for numpy-scalar arguments too.  The
+file imports no scipy, so it runs where scipy is not installed.
+"""
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cauchybures import (CorrelationRequest, EnsembleParams, cd_kernel,
+                         g_inf, g_n, hard_edge_kernel, hatted, k01, k10, k11,
+                         rho_bures_hard_edge, rho_cauchy)
+from cauchybures.exceptions import DomainError
+from cauchybures.kernels import delta_k11_inf, i1_integral, sigma_k01_inf
+from cauchybures.numerics import require_positive, require_real
+
+P = EnsembleParams(0.5, 0.7, 1.5, 3)
+NOT_REAL = {"str": "0.8", "None": None, "complex": 0.8 + 0j,
+            "Decimal": Decimal("0.8"), "10**400": 10 ** 400}
+NOT_A_REAL_NUMBER = "must be a real number in double range"
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value,want", [
+        (4, 4.0), (Fraction(4, 5), 0.8), (np.float64(0.8), 0.8)],
+        ids=["int", "Fraction", "float64"])
+    def test_reads_a_real_number_as_its_float(self, value, want):
+        for read in (require_real, require_positive):
+            got = read("x", 1.5, value)
+            assert got == [1.5, want]
+            assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("bad", NOT_REAL.values(), ids=NOT_REAL.keys())
+    def test_refuses_what_is_no_real_number_in_double_range(self, bad):
+        for read in (require_real, require_positive):
+            with pytest.raises(DomainError, match=f"^x {NOT_A_REAL_NUMBER}$"):
+                read("x", 1.5, bad)
+
+    def test_positivity_is_checked_on_the_floats(self):
+        assert require_real("x", -1, math.inf) == [-1.0, math.inf]
+        for bad in (0, -1, math.inf, math.nan):
+            with pytest.raises(DomainError,
+                               match="^x must be finite and positive$"):
+                require_positive("x", 1.5, bad)
+
+
+class TestEntryPointsReadReals:
+    # each call below raised a bare TypeError or OverflowError, or
+    # returned a value, before the entry points read through require_real
+
+    @pytest.mark.parametrize("bad", ["0.8", None, 0.8 + 0j, Decimal("0.8")],
+                             ids=["str", "None", "complex", "Decimal"])
+    def test_kernel_point_that_is_no_real_number(self, bad):
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            k01(P, bad, 1.3)
+
+    @pytest.mark.parametrize("call", [
+        lambda: cd_kernel(P, 10 ** 400, 1.3),
+        lambda: hard_edge_kernel(0.5, 0.7, 1.5, "K01", 10 ** 400, 1.0)],
+        ids=["cd_kernel", "hard_edge_kernel"])
+    def test_int_point_past_double_range(self, call):
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            call()
+
+    def test_k11_at_a_fraction_point(self):
+        # mpmath refused the Fraction ("cannot create mpf"), k01 took it
+        value = k11(P, Fraction(4, 5), 1.3)
+        assert value == k11(P, 0.8, 1.3)
+        assert type(value) is float
+
+    @pytest.mark.parametrize("call", [
+        lambda: hard_edge_kernel("0.5", 0.7, 1.5, "K01", 1.0, 2.0),
+        lambda: g_n("0.3", 0.5, 1.0, 3, 0.5),
+        lambda: g_inf(0.3, 0.5, Decimal("1.0"), 0.5),
+        lambda: rho_bures_hard_edge("0.3", 1.0, (0.8,)),
+        lambda: rho_cauchy(CorrelationRequest("cauchy", P, ("0.8",))),
+        lambda: rho_cauchy(CorrelationRequest("cauchy", P,
+                                              (Decimal("0.8"),)))],
+        ids=["hard_edge_kernel-a", "g_n-a", "g_inf-theta",
+             "rho_bures_hard_edge-a", "rho_cauchy-str", "rho_cauchy-Decimal"])
+    def test_parameter_or_point_that_is_no_real_number(self, call):
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            call()
+
+    def test_hard_edge_correlation_at_a_string_point(self):
+        # float("0.8") read it, and 0.195913154987213 came back
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            rho_bures_hard_edge(0.3, 1.0, ("0.8",))
+
+    @pytest.mark.parametrize("fn", [
+        lambda x, y: k01(P, x, y),
+        lambda x, y: k10(P, x, y),
+        lambda x, y: k11(P, x, y, route="direct"),
+        lambda x, y: hatted(P, "K01", x, y),
+        lambda x, y: hard_edge_kernel(0.5, 0.7, 1.5, "K11", x, y),
+        lambda x, y: delta_k11_inf(0.5, 1.5, x, y),
+        lambda x, y: sigma_k01_inf(0.5, 1.5, x, y),
+        lambda x, y: i1_integral(x, y)],
+        ids=["k01", "k10", "k11-direct", "hatted", "hard_edge_kernel-K11",
+             "delta_k11_inf", "sigma_k01_inf", "i1_integral"])
+    def test_numpy_scalars_give_a_python_float(self, fn):
+        value = fn(np.float64(0.8), np.float64(1.3))
+        assert type(value) is float
+        assert value == fn(0.8, 1.3)
