@@ -27,8 +27,9 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
                          PoleCollisionError)
 # log_gamma_complex stays bound here for perfbench/tracer.py
 from .numerics import (_DPS_STEP, _GUARD_BITS, _SPARE_DIGITS,  # noqa: F401
-                       checked_exp, lgamma_signed, log_gamma_complex, mp_sum,
-                       require_integer, require_positive, require_real)
+                       _hankel_form, checked_exp, lgamma_signed,
+                       log_gamma_complex, mp_sum, require_integer,
+                       require_positive, require_real, require_real_array)
 
 __all__ = [
     "GammaFactor",
@@ -39,6 +40,7 @@ __all__ = [
     "g_inf",
     "g_tilde_inf",
     "residue_series",
+    "residue_integral",
 ]
 
 _LN_EPS = math.log(1e-16)
@@ -72,6 +74,11 @@ class GammaFactor:
             raise DomainError("gamma factor shift and slope must be finite")
         object.__setattr__(self, "shift", Fraction(self.shift))
         object.__setattr__(self, "near", float(self.shift))
+        # a residue table is looked up per call by its factors' hashes
+        object.__setattr__(self, "_hash", hash((self.shift, self.slope)))
+
+    def __hash__(self):
+        return self._hash
 
     def pole(self, k: int) -> float:
         return -(self.near + k) / self.slope
@@ -376,26 +383,22 @@ class _ResidueTable:
         self.chains[key] = (p, value)
         return value
 
-    def _sum_at(self, z: float, n: int, peak: float) -> tuple:
-        """(total, log of the largest term) of the first n residues at z, or
-        more, at the working precision p, for numerics.mp_sum.
-
-        The sum runs on integers, one left family at a time: z^{-u0} at the
-        k-th pole of Gamma(shift + slope*u) is z^{shift/slope}
-        (z^{1/slope})^k, cut to p + _GUARD_BITS bits per step, and every
-        term is added into one integer in units of 2^{-p - _GUARD_BITS} of
-        e^peak.  Each term's size in those units, floor log2, is taken as it
-        is added: the largest (`high`) is the log-peak, so that mp_sum sees
-        the 1/gap cancellation of a split pole's two terms, and n doubles
-        (to `length`) until the largest terms of the last three nonzero
-        entries (`sizes`) lie 53 bits or more below the total's.
+    def _terms(self, z: float):
+        """more(n), which lists the exact parts of the entries below n that
+        no earlier call listed, family by family, as (i, j, k, ds, exp):
+        entry i's part at the k-th pole u0 of num[j], whose residue at t z
+        is 2^exp sum_r ds[r] tau^r, tau = -log t, ds[r] = C z^{-u0}
+        P^(r)(y)/r! on integers (C and the monic P of _exact_coefficient, y
+        = -log z), at the working precision p.  z^{-u0} at the k-th pole of
+        Gamma(shift + slope*u) is z^{shift/slope} (z^{1/slope})^k, one power
+        chain per left family, cut to p + _GUARD_BITS bits per step.
         """
         prec = mpmath.mp.prec
         bits = prec + _GUARD_BITS
-        self._ensure(n)
-        fix = self.exact_prec + _GUARD_BITS
+        self._ensure(1)
+        fix = self.exact_prec + _GUARD_BITS  # the unit of each poly
         log_z = mpf_log(from_float(z), prec, round_nearest)
-        neg_log_z = -to_fixed(log_z, fix)
+        y = -to_fixed(log_z, fix)
         chains = {}  # family -> (terms done, k, m, e, m', e'): z^{-u0} =
         # m 2^e at its k-th pole, z^{1/slope} = m' 2^e'
         for j, (ratio, slope) in self.family.items():
@@ -404,11 +407,10 @@ class _ResidueTable:
             w = (from_float(z) if slope == fone  # z exactly
                  else mpf_exp(mpf_div(log_z, slope, prec), prec))
             chains[j] = (0, 0, *_mantissa(seed), *_mantissa(w))
-        unit = math.floor(peak / _LN2) - bits
-        acc, high, sizes = 0, -math.inf, {}
-        while True:
-            sizes = {i: sizes.get(i, -math.inf) for i in
-                     self.nonzero[:bisect_left(self.nonzero, n)][-3:]}
+
+        def more(n: int) -> list:
+            self._ensure(n)
+            out = []
             for j, run in self.runs.items():
                 done, k0, pm, pe, wm, we = chains[j]
                 for i, k, man, exp, poly in run[done:]:
@@ -423,21 +425,42 @@ class _ResidueTable:
                             pm >>= cut
                             pe += cut
                         pe += we
-                    if poly is not None:  # the monic polynomial, fixed point
-                        fixed = neg_log_z + poly[-1]
-                        for q in poly[-2::-1]:
-                            fixed = (fixed * neg_log_z >> fix) + q
-                        man *= fixed
-                        exp -= fix
-                    man *= pm
-                    exp += pe - unit
-                    size = man.bit_length() - 1 + exp
-                    if size > high:
-                        high = size
-                    if i in sizes:
-                        sizes[i] = max(sizes[i], size)
-                    acc += man << exp if exp >= 0 else man >> -exp
+                    ds = [1] if poly is None else _taylor(
+                        [1 << fix, *poly[::-1]], lambda d: d * y >> fix)
+                    out.append((i, j, k, [man * pm * d for d in ds],
+                                exp + pe - (0 if poly is None else fix)))
                 chains[j] = (done, k0, pm, pe, wm, we)
+            return out
+        return more
+
+    def _sum_at(self, z: float, n: int, peak: float) -> tuple:
+        """(total, log of the largest term) of the first n residues at z, or
+        more, at the working precision p, for numerics.mp_sum.
+
+        The sum runs on integers over _terms: every term P(y) C z^{-u0} is
+        added into one integer in units of 2^{-p - _GUARD_BITS} of e^peak.
+        Each term's size in those units, floor log2, is taken as it is
+        added: the largest (`high`) is the log-peak, so that mp_sum sees the
+        1/gap cancellation of a split pole's two terms, and n doubles (to
+        `length`) until the largest terms of the last three nonzero entries
+        (`sizes`) lie 53 bits or more below the total's.
+        """
+        prec = mpmath.mp.prec
+        more = self._terms(z)
+        unit = math.floor(peak / _LN2) - prec - _GUARD_BITS
+        acc, high, sizes = 0, -math.inf, {}
+        while True:
+            terms = more(n)
+            sizes = {i: sizes.get(i, -math.inf) for i in
+                     self.nonzero[:bisect_left(self.nonzero, n)][-3:]}
+            for i, _, _, (man, *_), exp in terms:
+                exp -= unit
+                size = man.bit_length() - 1 + exp
+                if size > high:
+                    high = size
+                if i in sizes:
+                    sizes[i] = max(sizes[i], size)
+                acc += man << exp if exp >= 0 else man >> -exp
             if (not acc or n >= self.length or len(sizes) == 3
                     and max(sizes.values()) < abs(acc).bit_length() - 53):
                 break
@@ -445,7 +468,6 @@ class _ResidueTable:
                 raise NonConverged(f"residue series not converged after "
                                    f"{_MAX_TERMS} terms")
             n = min(2 * n, _MAX_TERMS, self.length)
-            self._ensure(n)
         return (mpmath.mp.make_mpf(from_man_exp(acc, unit, prec,
                                                 round_nearest)),
                 (high + unit) * _LN2)
@@ -482,7 +504,7 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     (_ResidueTable.exact_sum).  Every pole cancelled raises DomainError, a
     value past double range ComplexityError.
     """
-    zs = np.asarray(z, dtype=float)
+    zs = require_real_array("z", z)
     if not np.all(np.isfinite(zs) & (zs > 0)):
         raise DomainError("z must be finite and positive")
     log_z = np.log(zs).ravel()
@@ -555,6 +577,206 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         raise ComplexityError(f"residue series value at z = {at:g} lies "
                               f"past double range")
     return float(values[0]) if np.ndim(z) == 0 else values.reshape(zs.shape)
+
+
+def residue_integral(c, one: tuple, two: tuple) -> float:
+    """int_0^1 t^{c-1} H1(t z1) H2(t z2) dt, each side (num, den, z) a
+    Mellin-Barnes integral as residue_series takes it, c exact (a float
+    reads as the number it denotes).
+
+    A side's residue at its pole u0 is sum_r D_r tau^r, tau = -log t, D_r =
+    C z^{-u0} P^(r)(y)/r! (_Pole's C and monic P, y = -log z).  With int_0^1
+    t^{s-1} tau^r dt = r!/s^{r+1}, the integral is the double sum over pole
+    pairs of sum_{r,r'} (r + r')! D_r D'_{r'} / s^{r+r'+1}, s = c - u0 - u0'
+    > 0 (DomainError otherwise).  A float pass over the outer product of the
+    tables' float terms ends each side three nonzero terms after the last
+    whose pairs add 1e-17 of the total or more (a bit deeper than the
+    exact pass's own stop rule, so that it seldom has to extend a side),
+    or where its poles are cancelled.  It is accepted by residue_series' rule (at most two digits
+    lost, every pole reached trusted); otherwise the sum is redone exactly
+    (_integral_at), confirmed by numerics.mp_sum.  A value past double range
+    raises ComplexityError.
+    """
+    sides = [(_residue_table(tuple(num), tuple(den)), z)
+             for (num, den, _), z in zip((one, two), require_positive(
+                 "z", one[2], two[2]))]
+    ns = [min(32, table.length) for table, _ in sides]
+    while True:
+        terms = [_float_terms(table, z, n) for (table, z), n in zip(sides, ns)]
+        (_, u1, r1, lam1, sig1, _), (_, u2, r2, lam2, sig2, _) = terms
+        s = float(c) - np.add.outer(u1, u2)
+        if not np.all(s > 0.0):
+            raise DomainError("the t-integral diverges at t = 0: c - u0 - "
+                              "u0' <= 0 at a pole pair")
+        r = np.add.outer(r1, r2)
+        log_term = np.add.outer(lam1, lam2) - (r + 1) * np.log(s) + np.array(
+            [math.lgamma(j + 1) for j in range(r.max(initial=0) + 1)])[r]
+        peak = log_term.max(initial=-math.inf)
+        if peak == -math.inf:
+            return 0.0
+        mass = np.exp(log_term - peak)
+        total = float(np.sum(np.outer(sig1, sig2) * mass))
+        lasts = []
+        for k, ((table, _), (i, *_), side) in enumerate(zip(
+                sides, terms, (mass.sum(axis=1), mass.sum(axis=0)))):
+            tail = i[np.flatnonzero(side >= 1e-17 * (abs(total) or 1.0))[-1]
+                     + 1:]
+            if len(tail) >= 3 or ns[k] == table.length:
+                lasts.append(tail[2] if len(tail) >= 3 else ns[k] - 1)
+            elif ns[k] >= _MAX_TERMS:
+                raise NonConverged(f"residue integral not converged after "
+                                   f"{_MAX_TERMS} terms")
+            else:
+                ns[k] = min(2 * ns[k], _MAX_TERMS, table.length)
+        if len(lasts) == 2:
+            break
+    lost = -math.log10(abs(total)) if total else 16.0
+    if lost <= 2.0 and all(term[-1][:last + 1].all()
+                           for term, last in zip(terms, lasts)):
+        return math.copysign(checked_exp("the t-integral", peak + math.log(
+            abs(total))), total)
+    # a loss within a digit of the terms' noise, 1e-16 of their logs over
+    # the root of their count, is noise: start where a total of order one
+    # keeps digits, or one at the top of double range
+    if lost > 15.0 - math.log10((1.0 + np.abs(lam1).max() + np.abs(
+            lam2).max()) * math.sqrt(mass.size)):
+        lost = max(lost, min(peak / math.log(10.0), 308.0))
+    return checked_exp("the t-integral", mp_sum(
+        partial(_integral_at, Fraction(c), sides,
+                [last + 1 for last in lasts]),
+        _DPS_STEP * math.ceil((lost + _SPARE_DIGITS) / _DPS_STEP)),
+        power=float)
+
+
+def _float_terms(table, z: float, n: int) -> tuple:
+    """(i, u0, r, lam, sig, trusted) of the first n entries at z: over each
+    nonzero D_r, in entry order, its entry i, pole u0, r, log |D_r| and
+    sign; trusted per entry (_ResidueTable.arrays, P's Taylor coefficients
+    from its rows by _taylor)."""
+    rows = table.arrays(n)
+    u0, sign, log_c, trusted = rows[:4]
+    taylor = np.array(_taylor(list(rows[4:]), lambda d: d * -math.log(z)))
+    sig = (sign * np.sign(taylor)).T.ravel()
+    keep = np.flatnonzero(sig)
+    i, r = np.divmod(keep, len(taylor))
+    with np.errstate(divide="ignore"):
+        lam = (log_c - u0 * math.log(z) + np.log(np.abs(taylor))).T.ravel()
+    return i, u0[i], r, lam[keep], sig[keep], trusted
+
+
+def _taylor(coef: list, times_y) -> list:
+    """P^(r)(y)/r!, r = 0, 1, ..., of the polynomial of coefficients coef,
+    highest power first, by repeated synthetic division; times_y(d) is d y
+    (in fixed point on integers)."""
+    out = []
+    while coef:
+        d, quot = coef[0], []
+        for q in coef[1:]:
+            quot.append(d)
+            d = times_y(d) + q
+        out.append(d)
+        coef = quot
+    return out
+
+
+def _integral_at(c: Fraction, sides: list, ns: list) -> tuple:
+    """(total, log of a bound on its largest term) of residue_integral's
+    double sum at the working precision p, for numerics.mp_sum: the first
+    ns[k] entries of side k (_ResidueTable._terms), or more.
+
+    Each side's D_r are cut to one unit per side, _GUARD_BITS past p bits
+    under its largest term over the spread of s, and summed family pair by
+    family pair (_family_sum).  As in _sum_at, a side's n doubles until
+    bounds on the pairs of its last three nonzero entries lie 53 bits or
+    more below the total, and the sum starts again.
+    """
+    bits = mpmath.mp.prec + _GUARD_BITS
+    more = [table._terms(z) for table, z in sides]
+    parts = [more[k](ns[k]) for k in (0, 1)]
+    while True:
+        # -u0 = (p + k q)/v of each part, (p, v, q) its family's form
+        neg_u = [np.array([(p + k * q) / v for _, j, k, *_ in side
+                           for p, v, q in [table.forms[0][j]]])
+                 for side, (table, _) in zip(parts, sides)]
+        s = float(c) + np.add.outer(*neg_u)
+        spread = math.ceil(math.log2(s.max() / s.min()))
+        units = [max(max(map(abs, ds)).bit_length() + exp
+                     for *_, ds, exp in side) - bits - spread
+                 for side in parts]
+        families, sizes = ({}, {}), []
+        for k, side in enumerate(parts):
+            # per r, the bits of each part's D_r on the side's unit
+            sizes.append([np.array([(r < len(ds) and abs(ds[r]).bit_length()
+                                     or -math.inf) + exp - units[k]
+                                    for *_, ds, exp in side])
+                          for r in range(max(len(t[3]) for t in side))])
+            for i, j, kk, ds, exp in side:
+                families[k].setdefault(j, {})[kk] = [
+                    d << exp - units[k] if exp >= units[k] else
+                    d >> units[k] - exp for d in ds]
+        # log2 of a bound on each pair: its largest (r + r')! D_r D'_{r'} /
+        # s^{r+r'+1}, times the number of (r, r')
+        bound = np.max([np.add.outer(a, b) + math.lgamma(r1 + r2 + 1) / _LN2
+                        - (r1 + r2 + 1) * np.log2(s)
+                        for r1, a in enumerate(sizes[0])
+                        for r2, b in enumerate(sizes[1])], axis=0) + math.log2(
+            len(sizes[0]) * len(sizes[1]))
+        acc = sum(_family_sum(c, sides[0][0].forms[0][j1],
+                              sides[1][0].forms[0][j2], a, b, bits + spread)
+                  for j1, a in families[0].items()
+                  for j2, b in families[1].items())
+        grow = False
+        for k, (table, _) in enumerate(sides):
+            rows = {}
+            for (i, *_), size in zip(parts[k], bound.max(axis=1 - k)):
+                rows[i] = max(rows.get(i, -math.inf), size)
+            last3 = table.nonzero[:bisect_left(table.nonzero, ns[k])][-3:]
+            if not acc or ns[k] >= table.length or len(last3) == 3 and max(
+                    rows.get(i, -math.inf) for i in last3) < (
+                    abs(acc).bit_length() - 53):
+                continue
+            if ns[k] >= _MAX_TERMS:
+                raise NonConverged(f"residue integral not converged after "
+                                   f"{_MAX_TERMS} terms")
+            ns[k] = min(2 * ns[k], _MAX_TERMS, table.length)
+            parts[k] += more[k](ns[k])
+            grow = True
+        if not grow:
+            return (mpmath.mp.make_mpf(from_man_exp(
+                acc, sum(units), mpmath.mp.prec, round_nearest)),
+                (bound.max() + sum(units)) * _LN2)
+
+
+def _family_sum(c: Fraction, fa: tuple, fb: tuple, a: dict, b: dict,
+                fix: int) -> int:
+    """sum over the poles u = -(p + k q)/v, (p, v, q) = fa and fb, of one
+    left family per side, of sum_{r,r'} (r + r')! a[k][r] b[k'][r'] /
+    s^{r+r'+1}, s = c - u - u' = P/Q exact, floored: one Kronecker product
+    per (r, r') (numerics._hankel_form) where the slopes agree, so that s
+    depends on k + k' only, else pair by pair, over m!/s^{m+1} on the unit
+    2^-fix."""
+    (pa, va, qa), (pb, vb, qb) = fa, fb
+    cn, cd = c.numerator, c.denominator
+    q, p0 = cd * va * vb, cn * va * vb + cd * (pa * vb + pb * va)
+
+    def frac(m: int, p: int) -> int:
+        if p <= 0:
+            raise DomainError("the t-integral diverges at t = 0: c - u0 - "
+                              "u0' <= 0 at a pole pair")
+        return (math.factorial(m) * q ** (m + 1) << fix) // p ** (m + 1)
+
+    if qa * vb != qb * va:
+        return sum(frac(r1 + r2, p0 + cd * (ka * qa * vb + kb * qb * va))
+                   * x * w for ka, xs in a.items() for kb, ws in b.items()
+                   for r1, x in enumerate(xs)
+                   for r2, w in enumerate(ws)) >> fix
+    n = max([*a, *b]) + 1
+    cols = [[[d[k][r] if len(d.get(k, ())) > r else 0 for k in range(n)]
+             for r in range(max(map(len, d.values())))] for d in (a, b)]
+    return sum(_hankel_form(x, w, [frac(r1 + r2, p0 + cd * qa * vb * m)
+                                   for m in range(2 * n - 1)])
+               for r1, x in enumerate(cols[0])
+               for r2, w in enumerate(cols[1])) >> fix
 
 
 def _gammas_at(num, den, sing_num, sing_den, u0):

@@ -11,11 +11,13 @@ class of l mod q where theta = p/q, each seeded once where it turns, so
 that it runs only in stable directions, on a unit set by the precision
 asked.  K11 seeds by region (_h_seed), the direct route by i1_integral,
 whose one refusal (_i1_span) a direct side takes before any quadrature.
-Those sides and the t-integrals' G / G~ sides on each tanh-sinh call
-(_t_side) are cached, so the entries of one correlation share them.  One
-table of the four kinds (_TILDE) and one dispatcher (_finite_kernel)
-choose every route; one tanh-sinh rule integrates every t-integral
-(_gg_t_integral) and both halves of i1_integral.
+Those sides are cached, so the entries of one correlation share them.
+Every other t-integral, at finite N and at the hard edge (_kernel), is
+the double sum of its G / G~ sides' residue tables against 1/(alpha + 1 -
+u - u'), integrated term by term (foxh.residue_integral); the tables are
+built once per side.  One table of the four kinds (_TILDE) and one
+dispatcher (_finite_kernel) choose every route; tanh-sinh runs only the
+two halves of i1_integral.
 """
 from __future__ import annotations
 
@@ -33,10 +35,13 @@ from mpmath.libmp import from_man_exp
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
 from .ensembles import EnsembleParams
-from .foxh import g_inf, g_n, g_tilde_inf, g_tilde_n
+# g_n, g_inf, g_tilde_n and g_tilde_inf stay bound here for
+# perfbench/tracer.py
+from .foxh import (_g_factors, g_inf, g_n, g_tilde_inf,  # noqa: F401
+                   g_tilde_n, residue_integral)
 from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _hankel_form,
-                       _tanh_sinh_call, checked_exp, ln_abs, mp_sum,
-                       require_positive, require_real, tanh_sinh_01)
+                       checked_exp, ln_abs, mp_sum, require_positive,
+                       require_real, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -56,10 +61,6 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
-_T_RTOL = 1e-10  # relative tolerance of the tanh-sinh t-integrals
-# the tanh-sinh nodes reach t = e^{-700}; the part of int t^alpha dt
-# below them, e^{-700 (alpha + 1)}, tops 1e-12 for alpha + 1 < 0.04
-_MIN_ALPHA1 = 0.04
 # an incomplete-gamma seed (_h_seed): digits it keeps past its unit after
 # its cancellation, the w from which it takes the continued fraction, and
 # the w at which _gamma_scaled splits Gamma(s), where its sum and its
@@ -154,80 +155,6 @@ def cd_hard_scaled(params: EnsembleParams, x_hard: float, y_hard: float) -> floa
 # t-integrals of G / G~ products
 # ---------------------------------------------------------------------------
 
-def _kept(alpha: float, t: np.ndarray) -> np.ndarray:
-    """Mask of the t-integral nodes: those with t^{alpha+1} >= 1e-60 (t >=
-    1e-60 for alpha >= 0).  The rest hold less than 1e-60 of the t^alpha
-    mass; they are left out, since a G~ factor alone can overflow there."""
-    return t ** min(alpha + 1.0, 1.0) >= 1e-60
-
-
-def _gg_t_integral(alpha: float, side1: Callable, side2: Callable) -> float:
-    """integral_0^1 t^alpha F1(t z1) F2(t z2) dt by tanh-sinh, every kind.
-
-    tanh-sinh converges through the t^alpha weight of K00's entire G G
-    and through a G~'s algebraic t^{-a/theta} endpoint behavior, which no
-    single polynomial weight fits.  side1(call) and side2(call) are the
-    factors on the nodes of tanh_sinh_01's call `call` of the integrand
-    that _kept keeps (_t_side): call 0 holds levels 0-2, each later call
-    one level, so each call costs at most one evaluation of each side.
-
-    The factors are good to about 1e-14 relative; where cancellation could
-    scale that past _T_RTOL, tanh_sinh_01 raises ComplexityError, which
-    this passes on with the direct route as the way round it.  So does
-    alpha + 1 below _MIN_ALPHA1.  A product of the factors past double
-    range raises a ComplexityError of its own, which names no way round.
-    """
-    if alpha + 1.0 < _MIN_ALPHA1:
-        raise ComplexityError(f"t-integral: alpha + 1 = {alpha + 1.0:.3g} "
-                              f"puts t^alpha mass below the tanh-sinh nodes")
-    call = 0
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        # tanh_sinh_01's calls of f are those of _tanh_sinh_call, in turn
-        nonlocal call
-        out = np.zeros(len(t))
-        keep = _kept(alpha, t)
-        f1, f2 = side1(call), side2(call)
-        with np.errstate(over="raise"):
-            out[keep] = t[keep] ** alpha * f1 * f2
-        call += 1
-        return out
-
-    try:
-        return tanh_sinh_01(integrand, rtol=_T_RTOL)
-    except ComplexityError as err:
-        raise ComplexityError(f"t-integral: {err}; at finite N route='direct'"
-                              f" avoids it (its float sum loses digits as N"
-                              f" grows)") from None
-    except FloatingPointError:
-        raise ComplexityError("t-integral: the integrand overflows a "
-                              "double") from None
-
-
-@lru_cache(maxsize=256)
-def _t_side(tilde: bool, e: float, alpha: float, theta: float,
-            n: Optional[int], z: float, call: int) -> np.ndarray:
-    """G_n (G~_n with tilde; G_inf, G~_inf for n=None) of exponent e at
-    t z, over the nodes t of tanh_sinh_01's call `call` of the integrand
-    (_tanh_sinh_call: levels 0-2 for call 0) that _kept keeps.
-
-    Cached, as read-only arrays: the t-integrals of a correlation's
-    entries, or of a grid's cells, share each side (at most four per
-    point: G or G~, exponent a or b), so each is evaluated once per call
-    it reaches.  alpha fixes the node mask as well as the function.
-    """
-    t = _tanh_sinh_call(call)
-    tz = t[_kept(alpha, t)] * z
-    if not tz.all():
-        raise ComplexityError("t x^theta underflows to 0 at a node")
-    if n is None:
-        vals = (g_tilde_inf if tilde else g_inf)(e, alpha, theta, tz)
-    else:
-        vals = (g_tilde_n if tilde else g_n)(e, alpha, theta, n, tz)
-    vals.setflags(write=False)
-    return vals
-
-
 def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
             x1: float, x2: float):
     """Exponent-free kernel of the pair (a, b): finite n, or n=None.
@@ -236,14 +163,16 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
     theta int_0^1 t^alpha F_a(t u1) F_b(t u2) dt, each F the companion G~
     on an integrated side (_TILDE) and G otherwise, times x1^a and x2^b
     for an integrated first and second side.  G, G~ are G_n, G~_n, or the
-    hard-edge G_inf, G~_inf for n=None.  Every kind is integrated by
-    _gg_t_integral over cached sides (_t_side).  The finite-N kernels
-    carry a further e^{x} per integrated side, and their K11 is not this
-    integral (see _finite_kernel).
+    hard-edge G_inf, G~_inf for n=None.  Every kind is the residue double
+    sum of the two sides' tables (foxh.residue_integral).  The finite-N
+    kernels carry a further e^{x} per integrated side, and their K11 is not
+    this integral (see _finite_kernel).
     """
     if kind not in _TILDE:
         raise DomainError(f"unknown kernel kind {kind!r}")
     alpha = (a + b + 1.0) / theta - 1.0
+    require_positive("a + 1, b + 1, alpha + 1 and theta", a + 1.0, b + 1.0,
+                     alpha + 1.0, theta)
     tilde1, tilde2 = _TILDE[kind]
     pw = partial(checked_exp, "a power of a kernel argument", power=pow)
     weight = theta
@@ -251,9 +180,12 @@ def _kernel(a: float, b: float, theta: float, n: Optional[int], kind: str,
         weight *= pw(x2, b)
     if tilde1:
         weight *= pw(x1, a)
-    return weight * _gg_t_integral(
-        alpha, partial(_t_side, tilde1, a, alpha, theta, n, pw(x1, theta)),
-        partial(_t_side, tilde2, b, alpha, theta, n, pw(x2, theta)))
+    z1, z2 = pw(x1, theta), pw(x2, theta)
+    if not (z1 and z2):
+        raise ComplexityError("x^theta underflows to 0")
+    return weight * residue_integral(
+        Fraction(alpha) + 1, (*_g_factors(a, alpha, theta, n, tilde1), z1),
+        (*_g_factors(b, alpha, theta, n, tilde2), z2))
 
 
 # ---------------------------------------------------------------------------

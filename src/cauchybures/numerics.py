@@ -67,6 +67,17 @@ def require_real(what: str, *values) -> list[float]:
                           f"range") from None
 
 
+def require_real_array(what: str, x) -> np.ndarray:
+    """x as a float ndarray: a scalar read by require_real, an array of
+    booleans, integers or floats as it is; DomainError for any other."""
+    if np.ndim(x) == 0:
+        return np.asarray(require_real(what, x)[0])
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be a real number in double range")
+    return arr.astype(float)
+
+
 def require_positive(what: str, *values) -> list[float]:
     """require_real's floats; DomainError unless all are finite, positive."""
     values = require_real(what, *values)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .exceptions import ComplexityError, DomainError
 from .ensembles import EnsembleParams, _log_schur, partition_cauchy
-from .numerics import LogValue, require_integer, require_positive
+from .numerics import (LogValue, require_integer, require_positive,
+                       require_real, require_real_array)
 
 __all__ = [
     "PolySeries",
@@ -120,6 +121,7 @@ def coeff_c(n: int, l: int, alpha: float) -> float:
     require_integer("l", l)
     if not 0 <= l <= n:
         raise DomainError(f"l must satisfy 0 <= l <= n, got l={l}, n={n}")
+    alpha, = require_real("alpha", alpha)
     require_positive("alpha + 1", alpha + 1.0)
     mant, exp = _hat_table(alpha, 0.0, 0.0, n + 1)
     return math.ldexp(mant[n, l], int(exp[n, l]))
@@ -148,9 +150,10 @@ def _hat_family(params: EnsembleParams, n: int, exponent: float) -> PolySeries:
 def jacobi_p(n: int, alpha: float, x) -> float:
     """Jacobi polynomial P_n^(alpha, 0) at argument 1 - 2x, by recurrence."""
     require_integer("degree", n, least=0)
+    alpha, = require_real("alpha", alpha)
     require_positive("alpha + 1", alpha + 1.0)
     with np.errstate(over="ignore"):
-        t = 1.0 - 2.0 * np.asarray(x, dtype=float)
+        t = 1.0 - 2.0 * require_real_array("x", x)
     if not np.all(np.isfinite(t)):
         raise DomainError("x and 1 - 2x must be finite")
     p_prev = np.ones_like(t)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ComplexityError, DomainError, PoleError
-from .numerics import checked_exp, lgamma_signed, tanh_sinh_01
+from .numerics import (checked_exp, lgamma_signed, require_real_array,
+                       tanh_sinh_01)
 
 __all__ = [
     "raney",
@@ -80,7 +81,7 @@ def sz_density(x) -> float:
     Zero beyond the right edge; DomainError at x <= 0 where the density
     diverges like x^(-2/3).
     """
-    arr = np.asarray(x, dtype=float)
+    arr = require_real_array("x", x)
     if not np.all(arr > 0.0):  # NaN refused too
         raise DomainError("density requires x > 0")
     out = np.zeros_like(arr)

@@ -204,16 +204,21 @@ class TestKernelGrid:
         assert payload["kind"] == "K00"
         assert len(payload["values"]) == 3
 
-    def test_cancelling_t_integral_exits_one(self, runner):
-        # K01 cancels in t by 1.4e6 at (10, 15), past what the t-integral
-        # resolves; the grid once printed a value 8.4e-9 off with exit 0
+    def test_cancelling_t_integral_prints_its_exact_value(self, runner):
+        # K01 cancels in t by 1.4e6 at (10, 15): a tanh-sinh t-integral
+        # once printed a value 8.4e-9 off with exit 0, then refused it; the
+        # residue double sum takes it exactly (perfbench/mpref.k01 at 60
+        # digits, confirmed at 90)
         res = runner.invoke(main, ["kernel-grid", "--a", "0", "--b", "0.7",
                                    "--theta", "1", "--n", "1", "--kind",
                                    "K01", "--grid-min", "10", "--grid-max",
                                    "15", "--grid-count", "2"])
-        assert res.exit_code == 1
-        assert "route='direct'" in res.stderr
-        assert res.stdout == ""
+        assert res.exit_code == 0
+        cells = {tuple(map(float, line.split(",")[:2])):
+                 float(line.split(",")[2])
+                 for line in res.stdout.splitlines()[2:]}
+        assert cells[10.0, 15.0] == pytest.approx(0.10236171344172491565,
+                                                  rel=1e-12)
 
     def test_file_output(self, runner, tmp_path):
         out = tmp_path / "grid.csv"
@@ -339,12 +344,22 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--tol", "1.0"])
         assert res.exit_code == 1
 
-    def test_impossible_tolerance_exits_three(self, runner):
-        # no single suite is sure to miss 1e-14 (the ensembles checks now
-        # agree to 3e-15); the full run has several round-off residuals
-        # of about 2e-14
+    def test_finest_tolerance_passes_every_check(self, runner):
+        # the full run's largest residual is 5.1e-15 (the k01 routes; 2.3e-14
+        # when the t-integral ran on tanh-sinh), below the finest tolerance
+        # verify takes
         res = runner.invoke(main, ["verify", "--tol", "1e-14"])
+        assert res.exit_code == 0
+
+    def test_failed_check_exits_three(self, runner, monkeypatch):
+        # a residual past its tolerance stops the run with exit 3, after
+        # the report of the checks so far
+        monkeypatch.setitem(cli._SUITES, "raney",
+                            lambda rng, tol: iter([("forced", 2 * tol, tol)]))
+        res = runner.invoke(main, ["verify", "--suite", "raney",
+                                   "--tol", "1e-14"])
         assert res.exit_code == 3
+        assert json.loads(res.stdout)[-1]["status"] == "fail"
 
 
 class TestPartition:

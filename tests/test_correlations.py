@@ -171,13 +171,19 @@ class TestHardEdge:
         rho_bures_hard_edge(0.3, 1.0, (0.9,))
         assert calls == {"sigma_k01_inf": 1}
 
-    @pytest.mark.parametrize("zs,want", [
-        ((0.9042, 1.5492), "0.0004948433396665124"),
-        ((1.0311, 1.504), "0.0002616018602690611")])
-    def test_keeps_its_bits_on_the_benchmark_pool(self, zs, want):
-        # tint_separated rho_hard_2-0 and -1, as the dressed-kernel
-        # Pfaffian returned them before it read the public block functions
-        assert repr(rho_bures_hard_edge(0.3, 1.0, zs)) == want
+    @pytest.mark.parametrize("zs,want,quad", [
+        ((0.9042, 1.5492), "0.0004948433396664745",
+         0.0004948433396665085843876198639024898123643),
+        ((1.0311, 1.504), "0.00026160186026906646",
+         0.0002616018602690567823433738860310735564894)])
+    def test_keeps_its_bits_on_the_benchmark_pool(self, zs, want, quad):
+        # tint_separated rho_hard_2-0 and -1 from the residue double sums
+        # (0.0004948433396665124 and 0.0002616018602690611 by tanh-sinh),
+        # and references.rho_bures_hard_edge_quad at 40 digits (30 agree):
+        # the Pfaffian cancels, so its entries' 1e-14 grow to 7e-14
+        got = rho_bures_hard_edge(0.3, 1.0, zs)
+        assert repr(got) == want
+        assert got == pytest.approx(quad, rel=2e-13)
 
     def test_two_point_is_finite_and_subdeterminantal(self):
         # rho_2 <= rho_1(z1) rho_1(z2) for a Pfaffian point process with
@@ -286,13 +292,15 @@ class TestValidationAndRecords:
 
     @pytest.mark.parametrize("params", [EnsembleParams(0.3, 1.3, 0.2, 2),
                                         EnsembleParams(3.0, 4.0, 0.5, 3)])
-    def test_tintegral_past_double_range_raises_typed_error(self, params):
-        # at small theta the G~ sides of the t-integral pass double range
-        # near t = 0; the residue series refuses them, with no
-        # RuntimeWarning (an error under the test settings) before
+    def test_tintegral_at_small_theta_matches_the_oracle(self, params):
+        # at small theta the G~ sides of a tanh-sinh t-integral passed
+        # double range near t = 0, which the residue series refused; the
+        # residue double sum needs no side near t = 0, and agrees with the
+        # brute-force oracle, with no RuntimeWarning (an error under the
+        # test settings)
         req = CorrelationRequest("bures", params, (0.9,))
-        with pytest.raises(ComplexityError, match="past double range"):
-            rho_bures(req, route="tintegral")
+        assert rho_bures(req, route="tintegral") == pytest.approx(
+            rho_bures(req, route="brute"), rel=1e-13)
 
     def test_unknown_route_rejected(self):
         req = CorrelationRequest("cauchy", PSET, (0.8,))

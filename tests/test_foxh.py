@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cauchybures import foxh, kernels
+from cauchybures import foxh
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import (ComplexityError, DomainError,
                                     NonConverged, PoleCollisionError)
@@ -1085,8 +1085,6 @@ class TestLogarithmicCase:
             raise AssertionError("hankel_loop called on a kernel path")
 
         monkeypatch.setattr(foxh, "hankel_loop", no_loop)
-        # sides cached by an earlier test would hide a loop call
-        kernels._t_side.cache_clear()
         params = EnsembleParams(0.5, 0.7, 1.5, 2)
         got = k10(params, 0.4399, 1.2688, route="tintegral")
         assert got == pytest.approx(

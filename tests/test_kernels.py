@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cauchybures import kernels, numerics
+from cauchybures import foxh, kernels, numerics
 from cauchybures.ensembles import EnsembleParams
 from cauchybures.exceptions import (ComplexityError, DomainError,
                                     NonConverged, SingularPointError)
@@ -98,8 +98,8 @@ def mp_hard_k00(a, b, theta, x, y, terms=40):
 
 
 class TestTIntegralEndpoint:
-    # alpha + 1 = (a + b + 1)/theta near 0 puts the t^alpha mass at the
-    # deepest tanh-sinh nodes, which the t-integral must keep
+    # alpha + 1 = (a + b + 1)/theta near 0 puts the t^alpha mass at t = 0,
+    # where the residue double sum's 1/(alpha + 1 - u - u') holds it
     @pytest.mark.parametrize("alpha1", [0.1, 0.05])
     def test_weight_near_its_integrability_limit(self, alpha1):
         a = b = 0.5 * alpha1 - 0.5
@@ -111,77 +111,142 @@ class TestTIntegralEndpoint:
         assert hard_edge_kernel(a, b, 1.0, "K00", 0.3, 0.8) == pytest.approx(
             mp_hard_k00(a, b, 1.0, 0.3, 0.8), rel=1e-12)
 
-    def test_refused_where_the_nodes_miss_the_mass(self):
-        a = b = -0.485  # alpha + 1 = 0.03
+    def test_where_tanh_sinh_nodes_missed_the_mass(self):
+        # alpha + 1 = 0.03: the tanh-sinh nodes, which reached t = e^{-700},
+        # missed more than 1e-12 of the t^alpha mass, and the t-integral
+        # refused; mpmath quad at 30 digits after t = s^{1/(alpha+1)} gives
+        # the hard-edge K00
+        a = b = -0.485
         p = EnsembleParams(a, b, 1.0, 3)
-        for call in (lambda: cd_kernel(p, 0.3, 0.8, route="tintegral"),
-                     lambda: k01(p, 0.3, 0.8),
-                     lambda: hard_edge_kernel(a, b, 1.0, "K00", 0.3, 0.8)):
-            with pytest.raises(ComplexityError, match="alpha \\+ 1"):
-                call()
-        assert math.isfinite(cd_kernel(p, 0.3, 0.8, route="direct"))
+        for fn in (cd_kernel, k01, k10):
+            assert fn(p, 0.3, 0.8, route="tintegral") == pytest.approx(
+                fn(p, 0.3, 0.8, route="direct"), rel=1e-12)
+        got = hard_edge_kernel(a, b, 1.0, "K00", 0.3, 0.8)
+        assert got == pytest.approx(0.11274353769191185, rel=1e-12)
+        assert got == pytest.approx(mp_hard_k00(a, b, 1.0, 0.3, 0.8),
+                                    rel=1e-12)
+
+
+class TestResidueIntegral:
+    """foxh.residue_integral: the t-integral of two residue series as their
+    double sum over pole pairs, on a float pass or an exact one."""
+
+    @staticmethod
+    def sides(a, b, theta, x, y, tilde=(False, False)):
+        alpha = (a + b + 1.0) / theta - 1.0
+        return (Fraction(alpha) + 1,
+                (*foxh._g_factors(a, alpha, theta, None, tilde[0]),
+                 x ** theta),
+                (*foxh._g_factors(b, alpha, theta, None, tilde[1]),
+                 y ** theta))
+
+    @pytest.mark.parametrize("x,y,exact", [(0.3, 0.8, 0), (1.7, 2.4, 0),
+                                           (30.0, 40.0, 1)])
+    def test_simple_poles_against_an_mpmath_double_sum(self, monkeypatch,
+                                                       x, y, exact):
+        # G_inf G_inf: the float pass where the sum loses under two digits,
+        # the exact pass (one mp_sum call) where it loses more
+        calls = []
+        monkeypatch.setattr(foxh, "_integral_at", lambda *args: calls.append(
+            1) or TestResidueIntegral.at(*args))
+        got = 1.5 * foxh.residue_integral(*self.sides(0.3, 0.7, 1.5, x, y))
+        assert got == pytest.approx(mp_hard_k00(0.3, 0.7, 1.5, x, y,
+                                                terms=60), rel=1e-13)
+        assert bool(calls) == bool(exact)
+
+    at = staticmethod(foxh._integral_at)
+
+    def test_double_poles_against_a_quadrature(self):
+        # at (a, theta) = (0.5, 1.5) the poles of Gamma(u) and
+        # Gamma(theta u - a) meet from u = -1 on: tau-moments r!/s^{r+1};
+        # TestHardEdgeAgainstQuadrature's 30-digit mpmath quadrature
+        c, one, two = self.sides(0.5, 0.7, 1.5, 0.8387, 1.3539, (True, True))
+        got = (1.5 * 0.8387 ** 0.5 * 1.3539 ** 0.7
+               * foxh.residue_integral(c, one, two))
+        assert got == pytest.approx(0.454982808736303522, rel=1e-12)
+
+    def test_pole_pair_at_the_origin_diverges(self):
+        # G~'s leading pole a/theta = 1/3 past c = 0.2: t^{c-1-2a/theta} is
+        # not integrable at t = 0
+        _, one, two = self.sides(0.5, 0.5, 1.5, 0.8, 0.9, (True, True))
+        with pytest.raises(DomainError, match="diverges at t = 0"):
+            foxh.residue_integral(0.2, one, two)
+
+
+class TestNoTQuadrature:
+    def test_t_integrals_take_no_tanh_sinh_node(self, monkeypatch):
+        # every kind, at finite N and at the hard edge, is the residue
+        # double sum (finite-N K11 the exact incomplete-gamma core); only
+        # i1_integral and the brute-force oracles run tanh-sinh
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("tanh_sinh_01 called by a t-integral")
+
+        for module in (numerics, kernels):
+            monkeypatch.setattr(module, "tanh_sinh_01", no_quadrature)
+        p = EnsembleParams(0.5, 0.7, 1.5, 3)
+        for kind in ("K00", "K01", "K10", "K11"):
+            assert math.isfinite(hatted(p, kind, 0.6, 1.3))
+            assert math.isfinite(hard_edge_kernel(0.5, 0.7, 1.5, kind,
+                                                  0.6, 1.3))
+        assert cd_kernel(p, 0.6, 1.3, route="tintegral") == hatted(
+            p, "K00", 0.6, 1.3)
 
 
 class TestTIntegralCancellation:
     # K01 at (a, b, theta, N) = (0, 0.7, 1, 1) cancels in t as x, x' grow:
     # sum w|f| / |integral| is 1.3e3 at (8, 8), 3.6e3 at (6, 9), 7e4 at
-    # (10, 12) and 1.4e6 at (10, 15), where the relative rule alone
-    # returned 0.10236171430417267, 8.4e-9 off
+    # (10, 12) and 1.4e6 at (10, 15), where a tanh-sinh t-integral returned
+    # 0.10236171430417267, 8.4e-9 off, and later refused; the residue
+    # double sum cancels as well, and its exact pass keeps the digits
     P = EnsembleParams(0.0, 0.7, 1.0, 1)
     # perfbench/mpref.k01 at 40 digits, confirmed at 70
     KEPT = [((6.0, 9.0), 0.16095519574094565852),
             ((8.0, 8.0), 0.17802305349535627721)]
+    # perfbench/mpref.k01 at 60 digits, confirmed at 90
+    DEEP = [((10.0, 15.0), 0.10236171344172491565),
+            ((10.0, 12.0), 0.12509659782439350899),
+            ((30.0, 45.0), 0.036429860341399106105)]
 
-    @pytest.mark.parametrize("pts", [(10.0, 15.0), (10.0, 12.0)])
-    def test_refused_past_the_cancellation_limit(self, pts):
-        with pytest.raises(ComplexityError, match="route='direct'"):
-            k01(self.P, *pts)
-
-    def test_deep_cancellation_is_refused_at_once(self):
-        # the relative rule alone ran 35 s into NonConverged here
+    @pytest.mark.parametrize("pts,want", DEEP)
+    def test_past_the_old_cancellation_limit(self, pts, want):
+        # (30, 45) cancels by about 1e21; once 35 s into NonConverged
         start = time.perf_counter()
-        with pytest.raises(ComplexityError, match="cancels"):
-            k01(self.P, 30.0, 45.0)
+        assert k01(self.P, *pts) == pytest.approx(want, rel=1e-12)
         assert time.perf_counter() - start < 2.0
-        assert k01(self.P, 30.0, 45.0, route="direct") == pytest.approx(
-            0.036429860341399106105, rel=1e-13)
+        assert k01(self.P, *pts, route="direct") == pytest.approx(
+            want, rel=1e-12)
 
     @pytest.mark.parametrize("pts,want", KEPT)
     def test_kept_below_the_limit(self, pts, want):
         assert k01(self.P, *pts) == pytest.approx(want, rel=1e-10)
 
-    def test_refused_on_whichever_level_is_accepted(self, monkeypatch):
-        # a loop that accepts a level whose change still exceeds
-        # _T_RTOL sum w|f|, as the quadratic stop rule may, is refused on
-        # that level too; here the loop's loose rtol accepts level 1, while
-        # tanh-sinh keeps its refusal at _T_RTOL
-        loop = numerics.refine_quadrature
-        monkeypatch.setattr(numerics, "refine_quadrature",
-                            lambda value_at, **kw: loop(value_at,
-                                                        **{**kw, "rtol": 1.0}))
-        with pytest.raises(ComplexityError, match="cancels"):
-            k01(self.P, 10.0, 15.0)
+    # perfbench/mpref.k01 at 60 digits, confirmed at 90, except the N = 80
+    # bulk values, which are mpref's at their own precision
+    CASES = [
+        # a zero of K01 (tanh-sinh refused it at sum w|f|/|I| = 2.14e4)
+        ((0.3, 0.7, 1.5, 8), (0.7, 1.9), -1.1629615463908386756e-4),
+        # t^{-0.9} at t = 0 (tanh-sinh: NonConverged after 1.8 s)
+        ((-0.9, 1.0, 1.0, 3), (0.3, 0.8), 0.3664232319606320961),
+        # direct returns 5.64e52 here, and tanh-sinh refused (3.38e4)
+        ((0.4, 1.4, 1.3, 80), (0.7, 1.9), 9.25966296905613e-5),
+        # direct returns -5.87e68 here
+        ((0.0, 0.7, 1.0, 80), (6.0, 9.0), 0.02119286881630993)]
+
+    @pytest.mark.parametrize("p,pts,want", CASES)
+    def test_where_no_route_gave_the_value(self, p, pts, want):
+        start = time.perf_counter()
+        assert k01(EnsembleParams(*p), *pts) == pytest.approx(want,
+                                                              rel=1e-12)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestTIntegralLevels:
-    def test_converged_level_is_not_confirmed(self, monkeypatch):
-        # relative level changes 2.8e-3, 1.8e-9: the quadratic rule accepts
-        # level 2, where the rtol rule alone ran level 3, which holds half
-        # of the nodes.  Each side is evaluated on call 0 (levels 0-2)
-        # only; call 1 would be level 3.  perfbench/mpref.k01 at 48
-        # digits, confirmed at 78
-        calls = set()
-        nodes = kernels._tanh_sinh_call
-
-        def call_nodes(call):
-            calls.add(call)
-            return nodes(call)
-
-        monkeypatch.setattr(kernels, "_tanh_sinh_call", call_nodes)
-        kernels._t_side.cache_clear()
+    def test_converged_level_is_not_confirmed(self):
+        # the point where tanh-sinh's quadratic rule accepted level 2 (its
+        # relative level changes 2.8e-3, 1.8e-9); perfbench/mpref.k01 at
+        # 48 digits, confirmed at 78
         got = k01(EnsembleParams(0.3, 0.7, 1.5, 4), 1.103, 1.364)
         assert got == pytest.approx(1.5387909580762, rel=1e-13)
-        assert calls == {0}
 
     @staticmethod
     def i1_upper_half(monkeypatch):
@@ -207,20 +272,14 @@ class TestTIntegralLevels:
 
         def f(t):
             out = np.zeros(len(t))
-            keep = kernels._kept(alpha, t)
+            keep = t >= 1e-60  # a G~ factor alone can overflow below
             tk = t[keep]
             out[keep] = (tk ** alpha * kernels.g_tilde_inf(a, alpha, theta,
                                                            tk * z1)
                          * kernels.g_inf(b, alpha, theta, tk * z2))
             return out
 
-        # the library's t-integral over cached sides is the same sum
-        kernels._t_side.cache_clear()
-        sides = [partial(kernels._t_side, tilde, e, alpha, theta, None, z)
-                 for tilde, e, z in ((True, a, z1), (False, b, z2))]
-        want = kernels._gg_t_integral(alpha, *sides)
-        assert numerics.tanh_sinh_01(f, rtol=kernels._T_RTOL) == want
-        return f, kernels._T_RTOL, 3
+        return f, 1e-10, 3
 
     @staticmethod
     def endpoint_power(monkeypatch):
@@ -476,15 +535,22 @@ class TestEntryPointValidation:
 
     @pytest.mark.parametrize("call", [
         lambda p: k01(p, 1e-250, 0.5),
-        lambda p: hard_edge_kernel(0.5, 0.7, 1.5, "K01", 1e-300, 1e-300),
-        lambda p: hard_edge_kernel(0.5, 0.7, 1.5, "K00", 1e-180, 0.5)],
-        ids=["k01-tintegral", "hard-K01", "hard-K00-node"])
-    def test_t_integral_refuses_where_t_x_theta_underflows(self, call):
-        # x^theta (or t x^theta at a kept node) underflows to 0, which the
-        # residue series once refused as input that is not positive
+        lambda p: hard_edge_kernel(0.5, 0.7, 1.5, "K01", 1e-300, 1e-300)],
+        ids=["k01-tintegral", "hard-K01"])
+    def test_t_integral_refuses_where_x_theta_underflows(self, call):
+        # x^theta underflows to 0, which the residue series once refused
+        # as input that is not positive
         with pytest.raises(ComplexityError, match="underflows to 0"):
             call(self.P)
         assert math.isfinite(k01(self.P, 1e-250, 0.5, route="direct"))
+
+    def test_hard_k00_where_t_x_theta_underflowed_at_a_node(self):
+        # x^theta = 1e-270 is a double, but t x^theta underflowed at the
+        # deepest tanh-sinh nodes, which the t-integral refused; the double
+        # sum needs no node
+        got = hard_edge_kernel(0.5, 0.7, 1.5, "K00", 1e-180, 0.5)
+        assert got == pytest.approx(mp_hard_k00(0.5, 0.7, 1.5, 1e-180, 0.5),
+                                    rel=1e-13)
 
     @pytest.mark.parametrize("route", ["tintegral", "direct"])
     def test_hatted_k00_takes_its_route(self, route):
@@ -872,85 +938,55 @@ class TestSharedSides:
                 side[0] = 0
 
 
-class TestSharedTSides:
-    """Each t-integral side is evaluated once per integrand call it
-    reaches (_t_side cache; call 0 holds tanh-sinh levels 0-2), shared by
-    a correlation's entries and by a grid's cells."""
+class TestSharedResidueTables:
+    """Each t-integral side is one residue table (foxh._residue_table),
+    built once and shared by a correlation's entries and by a grid's
+    cells; the double sum reads it at each point."""
 
     @staticmethod
-    def evaluations(monkeypatch, run):
-        """run()'s value and its side evaluations per integrand call."""
-        call = [None]
-        per_call = Counter()
-        nodes = kernels._tanh_sinh_call
-
-        def call_nodes(index):
-            call[0] = index
-            return nodes(index)
-
-        def counted(g):
-            def wrapper(*args):
-                per_call[call[0]] += 1
-                return g(*args)
-            return wrapper
-
-        monkeypatch.setattr(kernels, "_tanh_sinh_call", call_nodes)
-        for name in ("g_inf", "g_tilde_inf"):
-            monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
-        kernels._t_side.cache_clear()
+    def tables(run):
+        """run()'s value and the residue tables it built."""
+        foxh._residue_table.cache_clear()
         value = run()
-        # every evaluation is counted under the call whose nodes it took
-        assert None not in per_call
-        return value, per_call
+        return value, foxh._residue_table.cache_info()
 
-    def test_two_point_hard_edge_bures(self, monkeypatch):
-        # sides G and G~ at exponents a and a + 1 at each of two points; 24
-        # evaluations per call before the cache
-        value, per_call = self.evaluations(
-            monkeypatch, lambda: rho_bures_hard_edge(0.3, 1.5, (0.8, 1.5)))
-        assert repr(value) == "0.004269423544277214"
-        assert per_call and max(per_call.values()) <= 8
+    def test_two_point_hard_edge_bures(self):
+        # sides G and G~ at exponents a and a + 1: four tables for the
+        # Pfaffian's 12 kernel entries, 24 sides.  The tanh-sinh
+        # t-integral returned 0.004269423544277214 (2.3e-14 off)
+        value, info = self.tables(
+            lambda: rho_bures_hard_edge(0.3, 1.5, (0.8, 1.5)))
+        assert info.misses == 4 and info.hits == 20
+        assert repr(value) == "0.004269423544276869"
+        # references.rho_bures_hard_edge_quad at 40 digits (30 agree)
+        assert value == pytest.approx(
+            0.004269423544277114932080432011684831469074, rel=1e-13)
 
-    def test_hard_k10_grid(self, monkeypatch):
-        # a G~ side per row and a G side per column; 18 before the cache
-        grid, per_call = self.evaluations(monkeypatch, lambda: make_grid(
+    # references.hard_edge_kernel_quad at 40 digits (30 agree)
+    GRID = [0.9413651146791013010128882032784805451567,
+            0.8562456195008447852957837759025379910555,
+            0.6869036342895587329740512116256006464556,
+            0.4789355088978266971730932480975405075525,
+            0.443568708357235448392615498236497569902,
+            0.3728746676961161289048999003204557000752,
+            0.2246760643534308297114419148100999610646,
+            0.2137542664834958337482236703234778978759,
+            0.1916727273117429367321876979317980531822]
+
+    def test_hard_k10_grid(self):
+        # a G~ table for every row and a G table for every column: two in
+        # all for nine cells
+        grid, info = self.tables(lambda: make_grid(
             "hard-K10", (0.4, 0.9, 1.6), (0.5, 1.1, 2.0),
             partial(hard_edge_kernel, 0.5, 0.7, 1.5, "K10"), {}))
-        assert [repr(v) for row in grid.values for v in row] == [
-            "0.9413651146791044", "0.8562456195008474", "0.6869036342895602",
-            "0.47893550889783176", "0.4435687083572398", "0.3728746676961192",
-            "0.22467606435343446", "0.2137542664834991", "0.1916727273117456"]
-        assert per_call and max(per_call.values()) <= 6
-
-    def test_cached_side_is_read_only(self):
-        side = kernels._t_side(True, 0.5, 0.3, 1.5, None, 0.8, 2)
-        with pytest.raises(ValueError):
-            side[0] = 0.0
-
-    def test_key_is_complete(self):
-        # each call after the first has a side whose key differs from one of
-        # an earlier call in one field (tilde, exponent, alpha, theta, N or
-        # the hard edge, z); warm, a key without that field would hand it
-        # the earlier call's side
-        calls = [
-            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K00", 0.25, 0.6),
-            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K10", 0.25, 0.6),
-            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K01", 0.25, 0.6),
-            lambda: hard_edge_kernel(0.7, 0.3, 1.0, "K00", 0.25, 0.6),
-            lambda: hard_edge_kernel(0.3, 0.9, 1.0, "K00", 0.25, 0.6),
-            # alpha = 1 again, and 0.5^2 = 0.25 exactly
-            lambda: hard_edge_kernel(0.3, 2.7, 2.0, "K00", 0.5, 0.6),
-            lambda: cd_kernel(EnsembleParams(0.3, 0.7, 1.0, 3), 0.25, 0.6,
-                              route="tintegral"),
-            lambda: cd_kernel(EnsembleParams(0.3, 0.7, 1.0, 4), 0.25, 0.6,
-                              route="tintegral"),
-            lambda: hard_edge_kernel(0.3, 0.7, 1.0, "K00", 0.4, 0.6),
-        ]
-        kernels._t_side.cache_clear()
-        warm = [call() for call in calls]
-        for call, value in zip(calls, warm):
-            kernels._t_side.cache_clear()
-            assert call() == value
+        assert info.misses == 2 and info.hits == 16
+        values = [v for row in grid.values for v in row]
+        assert [repr(v) for v in values] == [
+            "0.9413651146791044", "0.8562456195008475", "0.6869036342895599",
+            "0.4789355088978312", "0.44356870835723944", "0.37287466769611805",
+            "0.224676064353437", "0.21375426648350107", "0.19167272731174648"]
+        for got, want in zip(values, self.GRID):
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestK11Core:

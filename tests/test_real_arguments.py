@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cauchybures import (CorrelationRequest, EnsembleParams, cd_kernel,
-                         g_inf, g_n, hard_edge_kernel, hatted, k01, k10, k11,
-                         rho_bures_hard_edge, rho_cauchy)
+from cauchybures import (CorrelationRequest, EnsembleParams, FoxHSpec,
+                         cd_kernel, coeff_c, fox_h, g_inf, g_n,
+                         hard_edge_kernel, hatted, jacobi_p, k01, k10, k11,
+                         rho_bures_hard_edge, rho_cauchy, sz_density)
 from cauchybures.exceptions import DomainError
 from cauchybures.kernels import delta_k11_inf, i1_integral, sigma_k01_inf
 from cauchybures.numerics import require_positive, require_real
@@ -108,3 +109,24 @@ class TestEntryPointsReadReals:
         value = fn(np.float64(0.8), np.float64(1.3))
         assert type(value) is float
         assert value == fn(0.8, 1.3)
+
+
+class TestArrayReaders:
+    # each of these read its argument by np.asarray(x, dtype=float), or
+    # formed alpha + 1 before any reader saw alpha: a string came back as
+    # a number, or raised a bare TypeError
+    @pytest.mark.parametrize("call", [
+        lambda: g_n(0.3, 0.5, 1.0, 3, "0.5"),
+        lambda: g_n(0.3, 0.5, 1.0, 3, ["0.5", "0.6"]),
+        lambda: fox_h(FoxHSpec([], [[0.0, 1.0]], 1, 0), "0.5"),
+        lambda: sz_density("0.5"),
+        lambda: sz_density(np.array(["0.5"])),
+        lambda: jacobi_p(3, 0.5, "0.3"),
+        lambda: jacobi_p(3, "0.5", 0.3),
+        lambda: coeff_c(3, 1, "0.5")],
+        ids=["g_n-z", "g_n-z-array", "fox_h-z", "sz_density",
+             "sz_density-array", "jacobi_p-x", "jacobi_p-alpha",
+             "coeff_c-alpha"])
+    def test_string_is_refused(self, call):
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            call()
