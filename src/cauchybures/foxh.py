@@ -52,6 +52,7 @@ _LN2 = math.log(2.0)
 _MERGE_RTOL = 1e-10
 _ROUND_RTOL = 1e-14
 _MAX_TERMS = 2000
+_FLOAT_LOSS = 2.0  # digits a float sum may lose and still be returned
 _SEPARATION_POLES = 300
 
 
@@ -181,7 +182,7 @@ class _ResidueTable:
         self._arrays = np.empty((5, 0))
         self.exact, self.exact_prec, self.nonzero = 0, 0, []
         self.runs, self.family, self.chains = {}, {}, {}
-        self.factorials = [1]
+        self.factorials, self.spot_maps, self.splits = [1], [], []
         # per factor (p b, a q, q b), its shift p/q and slope a/b exact: at
         # u = U/V its argument is (p b V + a q U) / (q b V)
         self.forms = tuple(
@@ -285,24 +286,15 @@ class _ResidueTable:
         residue_series call re-sums.
 
         The pass builds the coefficients it needs once (`_ensure`), at the
-        largest of the zs' precision hints: the float loss plus 20 digits,
-        or, where the float total is rounding noise, the largest term's
-        digits plus 20.  numerics.mp_sum then confirms each z's digits from
-        its own hint against its exact terms' sizes (_sum_at), raising that
-        z's precision alone.
+        largest of the zs' precision hints (_resum_dps).  numerics.mp_sum
+        then confirms each z's digits from its own hint against its exact
+        terms' sizes (_sum_at), raising that z's precision alone.
         """
-        hints = []
-        for z, n, peak, lost_digits in zip(zs, ns, peaks, lost):
-            # a loss within a digit of the terms' noise, 1e-16 of log_c and
-            # of u0 log z each, is noise: start where a total of order one
-            # keeps digits
-            u0 = max(abs(self.entries[0].u0),  # the poles run leftward
-                     abs(self.entries[n - 1].u0))
-            if lost_digits > 15 - math.log10(1 + abs(peak)
-                                             + 2 * abs(math.log(z)) * u0):
-                lost_digits = max(lost_digits, peak / math.log(10.0))
-            hints.append(_DPS_STEP * math.ceil((lost_digits + _SPARE_DIGITS)
-                                               / _DPS_STEP))
+        # noise: 1e-16 of log_c and of u0 log z each (poles run leftward)
+        hints = [_resum_dps(loss, peak, math.log10(1 + abs(peak) + 2 * abs(
+            math.log(z)) * max(abs(self.entries[i].u0) for i in (0, n - 1))),
+            self.split_digits(n))
+            for z, n, peak, loss in zip(zs, ns, peaks, lost)]
         with mpmath.workdps(max(hints)):
             self._ensure(max(ns))
         return [float(mp_sum(partial(self._sum_at, z, n, peak), dps))
@@ -329,7 +321,7 @@ class _ResidueTable:
             with mpmath.workprec(self.exact_prec):
                 fix = self.exact_prec + _GUARD_BITS  # the unit of each poly
                 for i in range(self.exact, n):
-                    parts = _exact_coefficient(self, self.entry(i), fix)
+                    parts = _exact_coefficient(self, i, fix)
                     if parts:
                         self.nonzero.append(i)
                     for j, *part in parts:
@@ -342,6 +334,55 @@ class _ResidueTable:
         while len(self.factorials) <= k:
             self.factorials.append(self.factorials[-1] * len(self.factorials))
         return self.factorials[k]
+
+    def grow(self, n: int, what: str) -> int:
+        """n doubled, up to `length` and _MAX_TERMS, for a residue `what`
+        not converged on its first n entries; NonConverged at _MAX_TERMS."""
+        if n >= _MAX_TERMS:
+            raise NonConverged(f"residue {what} not converged after "
+                               f"{_MAX_TERMS} terms")
+        return min(2 * n, _MAX_TERMS, self.length)
+
+    def settled(self, n: int, acc: int, sizes) -> bool:
+        """The exact sums' stop rule: acc, an integer sum over the first n
+        entries, is final where it is zero, n reaches `length`, or the terms
+        of the last three nonzero entries below n, sizes (bits on acc's
+        unit, entry) per term, lie 53 bits or more below it."""
+        last3 = self.nonzero[:bisect_left(self.nonzero, n)][-3:]
+        return not acc or n >= self.length or len(last3) == 3 and max(
+            (size for size, i in sizes if i in last3),
+            default=-math.inf) < abs(acc).bit_length() - 53
+
+    def spots(self, i: int) -> dict:
+        """exact location -> (sing_num, sing_den), entry i's gammas singular
+        there, where numerators outnumber denominators (0 for a lone gamma);
+        built once per entry, as is `splits`, the most digits an entry up
+        to i cancels between such poles, -log10 of each gap between them."""
+        while len(self.splits) <= i:
+            pole, spots = self.entry(len(self.splits)), {}
+            group = len(pole.sing_num) + len(pole.sing_den) > 1
+            for sing, side in ((pole.sing_num, 0), (pole.sing_den, 1)):
+                for j, k in sing:  # u = -(p b + k q b)/(a q) (`forms`)
+                    pb, aq, qb = self.forms[side][j]
+                    at = Fraction(-(pb + k * qb), aq) if group else 0
+                    spots.setdefault(at, ([], []))[side].append((j, k))
+            self.spot_maps.append({at: sing for at, sing in spots.items()
+                                   if len(sing[0]) > len(sing[1])})
+            at = sorted(self.spot_maps[-1])
+            self.splits.append(max(self.splits[-1:] + [sum(
+                -math.log10(v - u) for u, v in zip(at, at[1:]))]))
+        return self.spot_maps[i]
+
+    def split_digits(self, n: int) -> float:
+        """The most digits an entry below n cancels between its poles."""
+        self.spots(n - 1)
+        return self.splits[n - 1]
+
+    def accepted(self, lost, last):
+        """The float passes' accept test, elementwise: at most _FLOAT_LOSS
+        digits lost, and no pole up to entry `last` untrusted (`arrays`)."""
+        return (lost <= _FLOAT_LOSS) & (last < np.append(self._arrays[3],
+                                                         0.0).argmin())
 
     def gamma_ratio(self, i, g, d: int, p: int, q: int):
         """Gamma(w)/Gamma(w - d) at w = p/q for numerator i and denominator
@@ -440,37 +481,25 @@ class _ResidueTable:
         The sum runs on integers over _terms: every term P(y) C z^{-u0} is
         added into one integer in units of 2^{-p - _GUARD_BITS} of e^peak.
         Each term's size in those units, floor log2, is taken as it is
-        added: the largest (`high`) is the log-peak, so that mp_sum sees the
-        1/gap cancellation of a split pole's two terms, and n doubles (to
-        `length`) until the largest terms of the last three nonzero entries
-        (`sizes`) lie 53 bits or more below the total's.
+        added (`sizes`): the largest is the log-peak, so that mp_sum sees
+        the 1/gap cancellation of a split pole's two terms, and n grows
+        until the sum is settled (`grow`, `settled`).
         """
         prec = mpmath.mp.prec
         more = self._terms(z)
         unit = math.floor(peak / _LN2) - prec - _GUARD_BITS
-        acc, high, sizes = 0, -math.inf, {}
+        acc, sizes = 0, []
         while True:
-            terms = more(n)
-            sizes = {i: sizes.get(i, -math.inf) for i in
-                     self.nonzero[:bisect_left(self.nonzero, n)][-3:]}
-            for i, _, _, (man, *_), exp in terms:
+            for i, _, _, (man, *_), exp in more(n):
                 exp -= unit
-                size = man.bit_length() - 1 + exp
-                if size > high:
-                    high = size
-                if i in sizes:
-                    sizes[i] = max(sizes[i], size)
+                sizes.append((man.bit_length() - 1 + exp, i))
                 acc += man << exp if exp >= 0 else man >> -exp
-            if (not acc or n >= self.length or len(sizes) == 3
-                    and max(sizes.values()) < abs(acc).bit_length() - 53):
+            if self.settled(n, acc, sizes):
                 break
-            if n >= _MAX_TERMS:
-                raise NonConverged(f"residue series not converged after "
-                                   f"{_MAX_TERMS} terms")
-            n = min(2 * n, _MAX_TERMS, self.length)
+            n = self.grow(n, "series")
         return (mpmath.mp.make_mpf(from_man_exp(acc, unit, prec,
                                                 round_nearest)),
-                (high + unit) * _LN2)
+                (max(sizes, default=(-math.inf,))[0] + unit) * _LN2)
 
 
 @lru_cache(maxsize=128)
@@ -497,10 +526,9 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     over a table cached per integrand; each z stops after three nonzero
     terms below 1e-16 of its partial sum, or where every family's poles
     are cancelled (_ResidueTable.length, as after the n terms of G_n).  A z
-    that loses more than two digits, or whose terms reach a pole whose
-    float term is not trusted (_Pole: merged across _ROUND_RTOL or more, of
-    order 3 or more, or beside a pole of a regular gamma), is re-summed
-    exactly, every such z of the call in one pass
+    whose float sum is not accepted (_ResidueTable.accepted: more than two
+    digits lost, or a pole reached whose float term is not trusted) is
+    re-summed exactly, every such z of the call in one pass
     (_ResidueTable.exact_sum).  Every pole cancelled raises DomainError, a
     value past double range ComplexityError.
     """
@@ -510,12 +538,11 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
     log_z = np.log(zs).ravel()
     table = _residue_table(tuple(num), tuple(den))
     cols = np.arange(len(log_z))
-    length = table.length
-    n_terms = min(32, length)
+    n_terms = min(32, table.length)
     while True:
         # log |term| and sign of the first n_terms residues at each z
         rows = table.arrays(n_terms)
-        u0, sign, log_c, trusted = rows[:4]
+        u0, sign, log_c = rows[:3]
         term_log = log_c[:, None] - u0[:, None] * log_z
         term_sign = sign[:, None] * np.ones_like(term_log)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -544,12 +571,9 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         last = np.full(len(log_z), n_terms - 1)
         if done.any():
             last[done] = nonzero[run3.argmax(axis=0) + 2][done]
-        if done.all() or n_terms == length:
+        if done.all() or n_terms == table.length:
             break
-        if n_terms >= _MAX_TERMS:
-            raise NonConverged(f"residue series not converged after "
-                               f"{_MAX_TERMS} terms")
-        n_terms = min(2 * n_terms, _MAX_TERMS, length)
+        n_terms = table.grow(n_terms, "series")
 
     total, peak = partial[last, cols], peak[last, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -557,18 +581,11 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
         # digits lost; a sum that cancels to exactly zero lost all 16
         lost = np.where(total != 0.0, (peak - total_log) / math.log(10.0),
                         np.where(peak > -math.inf, 16.0, 0.0))
-    # float terms count up to the first pole whose term is not trusted
-    # (_Pole); n_terms where every one is
-    first = np.append(np.flatnonzero(trusted == 0.0), n_terms)[0]
-    resum = (lost > 2.0) | (last >= first)
-    # the float total of a z that is re-summed can be rounding noise past
-    # double range, so it is not exponentiated
+    # a re-summed z's float total may overflow: the exact sum overwrites it
     with np.errstate(over="ignore"):
-        values = np.sign(total) * np.exp(np.where(resum, 0.0, total_log))
-    redo = np.flatnonzero(resum)
+        values = np.sign(total) * np.exp(total_log)
+    redo = np.flatnonzero(~table.accepted(lost, last))
     if len(redo):
-        # alternating cancellation ate too many digits, or a float term is
-        # not trusted; redo the terms exactly at a confirmed precision
         values[redo] = table.exact_sum(
             zs.flat[redo].tolist(), (last[redo] + 1).tolist(),
             peak[redo].tolist(), lost[redo].tolist())
@@ -592,10 +609,9 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
     tables' float terms ends each side three nonzero terms after the last
     whose pairs add 1e-17 of the total or more (a bit deeper than the
     exact pass's own stop rule, so that it seldom has to extend a side),
-    or where its poles are cancelled.  It is accepted by residue_series' rule (at most two digits
-    lost, every pole reached trusted); otherwise the sum is redone exactly
-    (_integral_at), confirmed by numerics.mp_sum.  A value past double range
-    raises ComplexityError.
+    or where its poles are cancelled; accepted as residue_series' is
+    (_ResidueTable.accepted), else redone exactly (_integral_at, by
+    numerics.mp_sum).  A value past double range raises ComplexityError.
     """
     sides = [(_residue_table(tuple(num), tuple(den)), z)
              for (num, den, _), z in zip((one, two), require_positive(
@@ -603,7 +619,7 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
     ns = [min(32, table.length) for table, _ in sides]
     while True:
         terms = [_float_terms(table, z, n) for (table, z), n in zip(sides, ns)]
-        (_, u1, r1, lam1, sig1, _), (_, u2, r2, lam2, sig2, _) = terms
+        (_, u1, r1, lam1, sig1), (_, u2, r2, lam2, sig2) = terms
         s = float(c) - np.add.outer(u1, u2)
         if not np.all(s > 0.0):
             raise DomainError("the t-integral diverges at t = 0: c - u0 - "
@@ -616,52 +632,54 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
             return 0.0
         mass = np.exp(log_term - peak)
         total = float(np.sum(np.outer(sig1, sig2) * mass))
-        lasts = []
+        ends = []  # per side, the entries summed
         for k, ((table, _), (i, *_), side) in enumerate(zip(
                 sides, terms, (mass.sum(axis=1), mass.sum(axis=0)))):
             tail = i[np.flatnonzero(side >= 1e-17 * (abs(total) or 1.0))[-1]
                      + 1:]
             if len(tail) >= 3 or ns[k] == table.length:
-                lasts.append(tail[2] if len(tail) >= 3 else ns[k] - 1)
-            elif ns[k] >= _MAX_TERMS:
-                raise NonConverged(f"residue integral not converged after "
-                                   f"{_MAX_TERMS} terms")
+                ends.append(tail[2] + 1 if len(tail) >= 3 else ns[k])
             else:
-                ns[k] = min(2 * ns[k], _MAX_TERMS, table.length)
-        if len(lasts) == 2:
+                ns[k] = table.grow(ns[k], "integral")
+        if len(ends) == 2:
             break
     lost = -math.log10(abs(total)) if total else 16.0
-    if lost <= 2.0 and all(term[-1][:last + 1].all()
-                           for term, last in zip(terms, lasts)):
+    if all(table.accepted(lost, n - 1) for (table, _), n in zip(sides, ends)):
         return math.copysign(checked_exp("the t-integral", peak + math.log(
             abs(total))), total)
-    # a loss within a digit of the terms' noise, 1e-16 of their logs over
-    # the root of their count, is noise: start where a total of order one
-    # keeps digits, or one at the top of double range
-    if lost > 15.0 - math.log10((1.0 + np.abs(lam1).max() + np.abs(
-            lam2).max()) * math.sqrt(mass.size)):
-        lost = max(lost, min(peak / math.log(10.0), 308.0))
+    # noise: 1e-16 of the float terms' logs, over the root of their count
     return checked_exp("the t-integral", mp_sum(
-        partial(_integral_at, Fraction(c), sides,
-                [last + 1 for last in lasts]),
-        _DPS_STEP * math.ceil((lost + _SPARE_DIGITS) / _DPS_STEP)),
+        partial(_integral_at, Fraction(c), sides, ends), _resum_dps(
+            lost, peak, math.log10((1.0 + np.abs(lam1).max() + np.abs(
+                lam2).max()) * math.sqrt(mass.size)),
+            sum(table.split_digits(n) for (table, _), n in zip(sides, ends)))),
         power=float)
 
 
+def _resum_dps(lost: float, peak: float, noise: float, split: float) -> int:
+    """numerics.mp_sum's first digits for an exact re-sum: _SPARE_DIGITS
+    past the float loss `lost` and the `split` digits split poles cancel
+    (split_digits), on the _DPS_STEP grid.  A loss within a digit of the
+    float terms' rounding, `noise` digits above 1e-16, marks a noise total:
+    one of order one then keeps digits beside e^peak (at most 1e308)."""
+    if lost > 15.0 - noise:
+        lost = max(lost, min(peak / math.log(10.0), 308.0))
+    return _DPS_STEP * math.ceil((lost + split + _SPARE_DIGITS) / _DPS_STEP)
+
+
 def _float_terms(table, z: float, n: int) -> tuple:
-    """(i, u0, r, lam, sig, trusted) of the first n entries at z: over each
-    nonzero D_r, in entry order, its entry i, pole u0, r, log |D_r| and
-    sign; trusted per entry (_ResidueTable.arrays, P's Taylor coefficients
-    from its rows by _taylor)."""
+    """(i, u0, r, lam, sig) of the first n entries at z: over each nonzero
+    D_r, in entry order, its entry i, pole u0, r, log |D_r| and sign
+    (_ResidueTable.arrays; P's Taylor coefficients by _taylor)."""
     rows = table.arrays(n)
-    u0, sign, log_c, trusted = rows[:4]
+    u0, sign, log_c = rows[:3]
     taylor = np.array(_taylor(list(rows[4:]), lambda d: d * -math.log(z)))
     sig = (sign * np.sign(taylor)).T.ravel()
     keep = np.flatnonzero(sig)
     i, r = np.divmod(keep, len(taylor))
     with np.errstate(divide="ignore"):
         lam = (log_c - u0 * math.log(z) + np.log(np.abs(taylor))).T.ravel()
-    return i, u0[i], r, lam[keep], sig[keep], trusted
+    return i, u0[i], r, lam[keep], sig[keep]
 
 
 def _taylor(coef: list, times_y) -> list:
@@ -686,9 +704,8 @@ def _integral_at(c: Fraction, sides: list, ns: list) -> tuple:
 
     Each side's D_r are cut to one unit per side, _GUARD_BITS past p bits
     under its largest term over the spread of s, and summed family pair by
-    family pair (_family_sum).  As in _sum_at, a side's n doubles until
-    bounds on the pairs of its last three nonzero entries lie 53 bits or
-    more below the total, and the sum starts again.
+    family pair (_family_sum).  As in _sum_at, a side grows until bounds
+    on its pairs settle it (_ResidueTable.settled), and the sum restarts.
     """
     bits = mpmath.mp.prec + _GUARD_BITS
     more = [table._terms(z) for table, z in sides]
@@ -727,20 +744,11 @@ def _integral_at(c: Fraction, sides: list, ns: list) -> tuple:
                   for j2, b in families[1].items())
         grow = False
         for k, (table, _) in enumerate(sides):
-            rows = {}
-            for (i, *_), size in zip(parts[k], bound.max(axis=1 - k)):
-                rows[i] = max(rows.get(i, -math.inf), size)
-            last3 = table.nonzero[:bisect_left(table.nonzero, ns[k])][-3:]
-            if not acc or ns[k] >= table.length or len(last3) == 3 and max(
-                    rows.get(i, -math.inf) for i in last3) < (
-                    abs(acc).bit_length() - 53):
-                continue
-            if ns[k] >= _MAX_TERMS:
-                raise NonConverged(f"residue integral not converged after "
-                                   f"{_MAX_TERMS} terms")
-            ns[k] = min(2 * ns[k], _MAX_TERMS, table.length)
-            parts[k] += more[k](ns[k])
-            grow = True
+            if not table.settled(ns[k], acc, zip(
+                    bound.max(axis=1 - k), [i for i, *_ in parts[k]])):
+                ns[k] = table.grow(ns[k], "integral")
+                parts[k] += more[k](ns[k])
+                grow = True
         if not grow:
             return (mpmath.mp.make_mpf(from_man_exp(
                 acc, sum(units), mpmath.mp.prec, round_nearest)),
@@ -921,8 +929,8 @@ def _pole_log_taylor(k: int, k0: int, prec: int):
         return 2 * mpmath.psi(k - 1, 1) - t if k % 2 == 0 else t
 
 
-def _exact_coefficient(table, pole: _Pole, bits: int) -> list:
-    """One part (j, k, m, e, poly) per exact location of the pole's
+def _exact_coefficient(table, i: int, bits: int) -> list:
+    """One part (j, k, m, e, poly) per exact location of entry i's
     numerator poles, none where denominators cancel them all: num[j] is the
     first numerator singular there, at its k-th pole u, and the part's
     residue is C z^{-u} times the monic polynomial of _Pole in -log z, C =
@@ -933,26 +941,15 @@ def _exact_coefficient(table, pole: _Pole, bits: int) -> list:
     float slopes, by up to _MERGE_RTOL (for a = 0.7, theta = 1.3 the poles
     of Gamma(u) and Gamma(theta*u - a) at u = -11 are 3.4e-16 apart), each
     location a part on its own family's chain.  Their residues cancel by
-    about 1/gap, which the sum measures from their sizes
-    (_ResidueTable._sum_at) and numerics.mp_sum answers with digits.  Each
+    about 1/gap, which the re-sum's first digits count (`split_digits`)
+    and its sum measures from their sizes (_ResidueTable._sum_at).  Each
     part holds the other merged gammas within the gap of a pole, but at an
     exact argument reduced off it (_ResidueTable.gamma_ratio), so every
     part is built at the working precision.
     """
-    num, den = table.num, table.den
-    spots = {}  # exact location -> singular (num, den) factors there
-    group = len(pole.sing_num) + len(pole.sing_den) > 1
-    for factors, sing, side in ((num, pole.sing_num, 0),
-                                (den, pole.sing_den, 1)):
-        for j, k in sing:  # the pole at the exact shift and float slope
-            f = factors[j]
-            at = (-f.shift - k) / Fraction(f.slope) if group else 0
-            spots.setdefault(at, ([], []))[side].append((j, k))
     parts = []
-    for sing_num, sing_den in spots.values():
+    for sing_num, sing_den in table.spots(i).values():
         order = len(sing_num) - len(sing_den)
-        if order <= 0:
-            continue
         c, gammas = _exact_leading(table, sing_num, sing_den)
         poly = None
         if order > 1:

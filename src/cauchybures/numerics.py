@@ -49,6 +49,7 @@ _MAX_DPS = 512
 # bits the integer sums (_fixed_point) keep past the working precision, so
 # that their truncations stay below mpmath's own rounding
 _GUARD_BITS = 16
+_TS_RTOL = 1e-11  # tanh-sinh's relative tolerance (refine_quadrature)
 _TS_ROUNDING = 1e-14  # tanh_sinh_01's integrand rounding, relative
 # refine_quadrature's quadratic rule needs two changes, level 0 to 1 and 1
 # to 2, so it accepts level 2 at the earliest: tanh_sinh_01's first call of
@@ -323,14 +324,13 @@ def gauss_jacobi(order: int, alpha: float) -> QuadratureRule:
     return QuadratureRule(t, w / (alpha + 1.0))
 
 
-def refine_quadrature(value_at: Callable[[int], float],
-                      rtol: float = 1e-11) -> float:
+def refine_quadrature(value_at: Callable[[int], float]) -> float:
     """Tanh-sinh's stop rule over its levels.
 
     Calls value_at(0), value_at(1), ... until successive values differ by
-    < rtol relative, or that change rel falls so that rel^2 / rel_prev <=
-    1e-2 rtol: where the error squares as the level halves the step, that
-    is the next change.  Raises NonConverged after _TS_LEVELS levels.
+    < _TS_RTOL relative, or that change rel falls so that rel^2/rel_prev <=
+    1e-2 _TS_RTOL: where the error squares as the level halves the step,
+    that is the next change.  NonConverged after _TS_LEVELS levels.
     """
     prev, rel_prev = value_at(0), 0.0  # 0: no earlier change to compare
     for level in range(1, _TS_LEVELS):
@@ -338,8 +338,8 @@ def refine_quadrature(value_at: Callable[[int], float],
         scale = max(abs(cur), abs(prev))
         delta = abs(cur - prev)
         rel = delta / scale if scale else 0.0  # its square cannot overflow
-        if (delta <= rtol * scale or scale == 0.0
-                or rel_prev > rel and rel * rel <= 1e-2 * rtol * rel_prev):
+        if (delta <= _TS_RTOL * scale or scale == 0.0 or rel_prev > rel
+                and rel * rel <= 1e-2 * _TS_RTOL * rel_prev):
             return cur
         prev, rel_prev = cur, rel
     raise NonConverged(
@@ -382,33 +382,35 @@ def _tanh_sinh_call(call: int) -> np.ndarray:
     return nodes
 
 
-def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray],
-                 rtol: float = 1e-11) -> float:
+def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Double-exponential quadrature of f over (0, 1).
 
     f maps an ndarray of nodes to the array of its values.  Its first call
     holds the nodes of levels 0-2 (_TS_FIRST_LEVELS), each later call those
-    that one more level adds (_tanh_sinh_call); a level's value is half the
-    previous level's plus the new weighted sum, taken level by level, so
-    each doubling reuses every earlier evaluation and every value is that
-    of one call per level.  Where the loop accepts level 1 (by rtol, or f
-    zero on every node), f has still seen level 2's nodes, and an error it
-    raises there propagates.  Converges geometrically even when f has
-    integrable algebraic singularities at either endpoint.
+    that one more level adds (_tanh_sinh_call): half of i1_integral's
+    quadratures stop at level 2, so take one call of f rather than three.
+    A level's value is half the previous level's plus the new weighted sum,
+    taken level by level, so each doubling reuses every earlier evaluation
+    and every value is that of one call per level.  Where the loop accepts
+    level 1 (by _TS_RTOL, or f zero on every node), f has still seen level
+    2's nodes, and an error it raises there propagates.  Converges
+    geometrically even when f has integrable algebraic singularities at
+    either endpoint.
 
-    f's rounding, _TS_ROUNDING of M = sum w|f|, passes rtol |I| where M
-    exceeds (rtol / _TS_ROUNDING) |I|: that on the level the loop accepts,
-    or on an earlier one whose change lies within rtol M, raises
-    ComplexityError.  A non-negative f (M = |I|) never raises.
+    f's rounding, _TS_ROUNDING of M = sum w|f|, passes _TS_RTOL |I| where
+    M exceeds (_TS_RTOL / _TS_ROUNDING) |I|: that on the level the loop
+    accepts, or on an earlier one whose change lies within _TS_RTOL M,
+    raises ComplexityError.  A non-negative f (M = |I|) never raises.
     """
     value, mass, ahead = 0.0, 0.0, None
 
     def checked(result: float) -> float:
-        if mass > rtol / _TS_ROUNDING * abs(value):
+        if mass > _TS_RTOL / _TS_ROUNDING * abs(value):
             raise ComplexityError(
                 f"tanh-sinh integral cancels: sum w|f| / |integral| = "
                 f"{mass / abs(value) if value else math.inf:.3g} exceeds "
-                f"{rtol / _TS_ROUNDING:.0e}, past what rtol {rtol:.0e} allows")
+                f"{_TS_RTOL / _TS_ROUNDING:.0e}, past what rtol "
+                f"{_TS_RTOL:.0e} allows")
         return result
 
     def level_sum(level: int) -> float:
@@ -421,11 +423,11 @@ def tanh_sinh_01(f: Callable[[np.ndarray], np.ndarray],
         vals, ahead = ahead[:len(rule.nodes)], ahead[len(rule.nodes):]
         prev, value = value, 0.5 * value + float(rule.weights @ vals)
         mass = 0.5 * mass + float(rule.weights @ np.abs(vals))
-        if level and abs(value - prev) <= rtol * mass:
+        if level and abs(value - prev) <= _TS_RTOL * mass:
             checked(value)
         return value
 
-    return checked(refine_quadrature(level_sum, rtol=rtol))
+    return checked(refine_quadrature(level_sum))
 
 
 def tanh_sinh_half_line(f: Callable[[np.ndarray], np.ndarray]) -> float:

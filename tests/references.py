@@ -28,10 +28,10 @@ from cauchybures.ensembles import EnsembleParams, moment_c, partition_cauchy
 from cauchybures.exceptions import (ComplexityError, DomainError,
                                     NonConverged, PoleCollisionError,
                                     PoleError)
-from cauchybures.numerics import (_POLE_TOL, _TS_ROUNDING, LogValue,
-                                  QuadratureRule, _tanh_sinh_level, ln_abs,
-                                  mp_sum, refine_quadrature, require_integer,
-                                  require_positive)
+from cauchybures.numerics import (_POLE_TOL, _TS_ROUNDING, _TS_RTOL,
+                                  LogValue, QuadratureRule, _tanh_sinh_level,
+                                  ln_abs, mp_sum, refine_quadrature,
+                                  require_integer, require_positive)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 _LOOP_NODES = 64
@@ -345,8 +345,7 @@ def q_hat_det(params: EnsembleParams, n: int, y) -> float:
 # tanh-sinh with one integrand call per level
 # ---------------------------------------------------------------------------
 
-def tanh_sinh_01_per_level(f: Callable[[np.ndarray], np.ndarray],
-                           rtol: float = 1e-11) -> float:
+def tanh_sinh_01_per_level(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """numerics.tanh_sinh_01 as it ran before its first call of f held
     levels 0-2: f is called once per level, on the nodes that level adds,
     and no level is evaluated past the one the loop accepts.  The same
@@ -354,7 +353,7 @@ def tanh_sinh_01_per_level(f: Callable[[np.ndarray], np.ndarray],
     value = mass = 0.0
 
     def checked(result: float) -> float:
-        if mass > rtol / _TS_ROUNDING * abs(value):
+        if mass > _TS_RTOL / _TS_ROUNDING * abs(value):
             raise ComplexityError("tanh-sinh integral cancels")
         return result
 
@@ -364,11 +363,11 @@ def tanh_sinh_01_per_level(f: Callable[[np.ndarray], np.ndarray],
         vals = np.asarray(f(rule.nodes), dtype=float)
         prev, value = value, 0.5 * value + float(rule.weights @ vals)
         mass = 0.5 * mass + float(rule.weights @ np.abs(vals))
-        if level and abs(value - prev) <= rtol * mass:
+        if level and abs(value - prev) <= _TS_RTOL * mass:
             checked(value)
         return value
 
-    return checked(refine_quadrature(level_sum, rtol=rtol))
+    return checked(refine_quadrature(level_sum))
 
 
 # ---------------------------------------------------------------------------

@@ -352,8 +352,9 @@ class TestLargeArgument:
             self, monkeypatch):
         # the float total loses 11.6 digits against a noise floor of 11.8
         # (1e-16 of log_c and u0 log z each), so the re-sum starts at the
-        # largest term's 346 digits plus 20 and builds the 2,000
-        # coefficients once before it refuses, not at 48, 96, 192 and 384
+        # largest term's 346 digits, capped at 308, plus 20 and builds the
+        # 2,000 coefficients once before it refuses, not at 48, 96, 192
+        # and 384
         built = []
         build = foxh._exact_coefficient
 
@@ -366,6 +367,13 @@ class TestLargeArgument:
         with pytest.raises(NonConverged, match="after 2000 terms"):
             residue_series([GammaFactor(0.0, 1.0)], [], 800.0)
         assert len(built) == 2000 and len(set(built)) == 1
+
+    def test_term_limit_raises_non_converged(self):
+        # e^{-z} at z = 900 cancels to e^{-900} from terms up to e^{900}:
+        # its exact sum would need about 2,500 terms, past the limit
+        with pytest.raises(NonConverged, match="^residue series not "
+                           "converged after 2000 terms$"):
+            residue_series([GammaFactor(0, 1.0)], (), 900.0)
 
     @pytest.mark.parametrize("num,den,z,resum", [
         # G~_inf at a = 1.3, theta = 0.2 starts at z^{-6.5}: 1e390 at
@@ -520,6 +528,23 @@ class TestIntegerResum:
         assert g_tilde_inf(0.7, 0.9, 1.3, 1000.0) == self.SPLIT_FAR[1000.0]
         assert len(losses) == 1 and losses[0] >= 25
 
+    @pytest.mark.parametrize("call,want", [
+        (functools.partial(g_tilde_inf, 0.7, 0.9, 1.3, 100.0),
+         SPLIT_FAR[100.0]),
+        (functools.partial(g_tilde_inf, 0.7, 0.9, 1.3, 1000.0),
+         SPLIT_FAR[1000.0]),
+        (functools.partial(hard_edge_kernel, 0.7, 0.5, 1.3, "K01", 10, 12),
+         0.01067347034219872)], ids=["z100", "z1000", "hard_k01"])
+    def test_split_entry_resums_in_one_pass(self, monkeypatch, call, want):
+        # the first pass's digits count the 15.5 that SPLIT's pair, 3.4e-16
+        # apart, cancels; a hint of the float loss alone ran two passes
+        passes, mp_sum = [], foxh.mp_sum
+        monkeypatch.setattr(foxh, "mp_sum", lambda sum_at, dps: mp_sum(
+            lambda: passes.append(mpmath.mp.dps) or sum_at(), dps))
+        foxh._residue_table.cache_clear()
+        assert call() == want
+        assert len(passes) == 1
+
     # the G~ of the t-integrals at (a, b, theta) = (0.3, 0.7, 1.5): G~_6 of
     # k10 at N = 6 over its nodes' range of z, and G~_inf of either side of
     # the hard-edge kernels; every z loses 2.2 to 5.6 digits and re-sums
@@ -583,10 +608,11 @@ class TestIntegerResum:
             monkeypatch.setattr(mpmath, name, spy)
         build = foxh._exact_coefficient
 
-        def counted(table, pole, bits):
+        def counted(table, i, bits):
             before = len(calls)
-            coeff = build(table, pole, bits)
-            builds.append((pole.sing_num[0][0], len(calls) - before))
+            coeff = build(table, i, bits)
+            builds.append((table.entries[i].sing_num[0][0],
+                           len(calls) - before))
             return coeff
 
         monkeypatch.setattr(foxh, "_exact_coefficient", counted)
