@@ -233,8 +233,7 @@ class _ResidueTable:
     def arrays(self, n: int) -> np.ndarray:
         """Rows u0, sign, log_c, trusted, then the monic polynomial of
         each of the first n poles, highest power first, right-aligned (1,
-        poly[-1], ..., poly[0], zero-padded above), for one Horner sweep
-        over every order."""
+        poly[-1], ..., poly[0], zero-padded above), for _float_terms."""
         if self._arrays.shape[1] < n:
             self.entry(n - 1)
             width = max(len(pole.poly) for pole in self.entries)
@@ -279,26 +278,16 @@ class _ResidueTable:
         self.entries.append(_Pole(u0, order, sign, log_c, trusted, poly,
                                   sing_num, sing_den))
 
-    def exact_sum(self, zs: list, ns: list, peaks: list, lost: list) -> list:
-        """The first ns[i] residues summed exactly at zs[i], at the exact
-        shifts and float slopes, where the float sum's largest term is
-        e^peaks[i] and its loss lost[i] digits: one pass over every z a
-        residue_series call re-sums.
-
-        The pass builds the coefficients it needs once (`_ensure`), at the
-        largest of the zs' precision hints (_resum_dps).  numerics.mp_sum
-        then confirms each z's digits from its own hint against its exact
-        terms' sizes (_sum_at), raising that z's precision alone.
-        """
+    def resum(self, z: float, n: int, peak: float, lost: float) -> float:
+        """The first n residues summed exactly at z, at the exact shifts and
+        float slopes, where the float sum's largest term is e^peak and its
+        loss `lost` digits: numerics.mp_sum over _sum_at from the precision
+        hint _resum_dps."""
         # noise: 1e-16 of log_c and of u0 log z each (poles run leftward)
-        hints = [_resum_dps(loss, peak, math.log10(1 + abs(peak) + 2 * abs(
-            math.log(z)) * max(abs(self.entries[i].u0) for i in (0, n - 1))),
-            self.split_digits(n))
-            for z, n, peak, loss in zip(zs, ns, peaks, lost)]
-        with mpmath.workdps(max(hints)):
-            self._ensure(max(ns))
-        return [float(mp_sum(partial(self._sum_at, z, n, peak), dps))
-                for z, n, peak, dps in zip(zs, ns, peaks, hints)]
+        noise = math.log10(1 + abs(peak) + 2 * abs(math.log(z)) * max(
+            abs(self.entries[i].u0) for i in (0, n - 1)))
+        return float(mp_sum(partial(self._sum_at, z, n, peak), _resum_dps(
+            lost, peak, noise, self.split_digits(n))))
 
     def _ensure(self, n: int) -> None:
         """Exact coefficients of the first `exact` >= n entries at the
@@ -378,11 +367,10 @@ class _ResidueTable:
         self.spots(n - 1)
         return self.splits[n - 1]
 
-    def accepted(self, lost, last):
-        """The float passes' accept test, elementwise: at most _FLOAT_LOSS
-        digits lost, and no pole up to entry `last` untrusted (`arrays`)."""
-        return (lost <= _FLOAT_LOSS) & (last < np.append(self._arrays[3],
-                                                         0.0).argmin())
+    def accepted(self, lost: float, last: int) -> bool:
+        """The float passes' accept test: at most _FLOAT_LOSS digits lost,
+        and no pole up to entry `last` untrusted (`arrays`)."""
+        return lost <= _FLOAT_LOSS and bool(self._arrays[3, :last + 1].all())
 
     def gamma_ratio(self, i, g, d: int, p: int, q: int):
         """Gamma(w)/Gamma(w - d) at w = p/q for numerator i and denominator
@@ -519,81 +507,67 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
 
     The left families are the numerator gammas of positive slope; z is a
     float (a plain float is returned) or an ndarray (an array of its shape
-    is returned).  Poles closer than _MERGE_RTOL are one pole of any order
-    (_Pole); a left pole on a pole of a numerator of negative slope (a
-    right family) leaves the integral undefined and raises
-    PoleCollisionError.  The terms for all z are summed at once in floats
-    over a table cached per integrand; each z stops after three nonzero
-    terms below 1e-16 of its partial sum, or where every family's poles
-    are cancelled (_ResidueTable.length, as after the n terms of G_n).  A z
-    whose float sum is not accepted (_ResidueTable.accepted: more than two
-    digits lost, or a pole reached whose float term is not trusted) is
-    re-summed exactly, every such z of the call in one pass
-    (_ResidueTable.exact_sum).  Every pole cancelled raises DomainError, a
-    value past double range ComplexityError.
+    is returned, each z summed on its own by _series_at).  Poles closer
+    than _MERGE_RTOL are one pole of any order (_Pole); a left pole on a
+    pole of a numerator of negative slope (a right family) leaves the
+    integral undefined and raises PoleCollisionError.  Every pole
+    cancelled raises DomainError, a value past double range
+    ComplexityError.
     """
     zs = require_real_array("z", z)
     if not np.all(np.isfinite(zs) & (zs > 0)):
         raise DomainError("z must be finite and positive")
-    log_z = np.log(zs).ravel()
     table = _residue_table(tuple(num), tuple(den))
-    cols = np.arange(len(log_z))
-    n_terms = min(32, table.length)
+    values = np.array([_series_at(table, x) for x in zs.ravel().tolist()])
+    return float(values[0]) if np.ndim(z) == 0 else values.reshape(zs.shape)
+
+
+def _series_at(table, z: float) -> float:
+    """residue_series at one z, over its table's float terms (_float_terms
+    at r = 0, in entry order), summed in floats.  The sum stops after three
+    nonzero terms below 1e-16 of its partial sum, or where every family's
+    poles are cancelled (_ResidueTable.length, as after the n terms of
+    G_n).  A sum not accepted (_ResidueTable.accepted: more than two digits
+    lost, or a pole reached whose float term is not trusted) is re-summed
+    exactly (_ResidueTable.resum)."""
+    n = min(32, table.length)
     while True:
-        # log |term| and sign of the first n_terms residues at each z
-        rows = table.arrays(n_terms)
-        u0, sign, log_c = rows[:3]
-        term_log = log_c[:, None] - u0[:, None] * log_z
-        term_sign = sign[:, None] * np.ones_like(term_log)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if len(rows) > 5:  # a pole of order 2 or more: one Horner sweep
-                factor = rows[4][:, None]
-                for q in rows[5:]:
-                    factor = factor * -log_z + q[:, None]
-                term_sign *= np.sign(factor)
-                term_log += np.log(np.abs(factor))
-            # a zero term (sign 0) has log -inf, so it never sets the peak
-            peak = np.maximum.accumulate(term_log, axis=0)
-            # scale by the first nonzero term, as a running sum does,
-            # unless the terms grow more than e^30 past it
-            top = term_log[(term_sign != 0.0).argmax(axis=0), cols]
-            top = np.where(peak[-1] > top + 30.0, peak[-1], top)
-            top = np.where(top > -math.inf, top, 0.0)
-            partial = np.cumsum(term_sign * np.exp(term_log - top), axis=0)
-            partial_log = np.where(partial != 0.0,
-                                   top + np.log(np.abs(partial)), peak)
         # only nonzero terms count: a run of cancelled poles can lie
         # between two poles of a sparse family (theta < 1/2)
-        nonzero = np.flatnonzero(sign)
-        small = (term_log < partial_log + _LN_EPS)[nonzero]
-        run3 = small[2:] & small[1:-1] & small[:-2]
-        done = run3.any(axis=0)
-        last = np.full(len(log_z), n_terms - 1)
-        if done.any():
-            last[done] = nonzero[run3.argmax(axis=0) + 2][done]
-        if done.all() or n_terms == table.length:
+        i, _, r, lam, sig = _float_terms(table, z, n)
+        i, lam, sig = i[r == 0], lam[r == 0], sig[r == 0]
+        peak = np.maximum.accumulate(lam)
+        # scale by the first term, as a running sum does, unless the terms
+        # grow more than e^30 past it
+        top = 0.0
+        if len(lam):
+            top = peak[-1] if peak[-1] > lam[0] + 30.0 else lam[0]
+        partial = np.cumsum(sig * np.exp(lam - top))
+        with np.errstate(divide="ignore"):
+            partial_log = np.where(partial != 0.0,
+                                   top + np.log(np.abs(partial)), peak)
+        small = lam < partial_log + _LN_EPS
+        run3 = np.flatnonzero(small[2:] & small[1:-1] & small[:-2])
+        if len(run3) or n == table.length:
             break
-        n_terms = table.grow(n_terms, "series")
-
-    total, peak = partial[last, cols], peak[last, cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
+        n = table.grow(n, "series")
+    k, last = (run3[0] + 2, i[run3[0] + 2]) if len(run3) else (-1, n - 1)
+    total, peak = (partial[k], peak[k]) if len(lam) else (0.0, -math.inf)
+    with np.errstate(divide="ignore"):
         total_log = top + np.log(np.abs(total))
-        # digits lost; a sum that cancels to exactly zero lost all 16
-        lost = np.where(total != 0.0, (peak - total_log) / math.log(10.0),
-                        np.where(peak > -math.inf, 16.0, 0.0))
-    # a re-summed z's float total may overflow: the exact sum overwrites it
-    with np.errstate(over="ignore"):
-        values = np.sign(total) * np.exp(total_log)
-    redo = np.flatnonzero(~table.accepted(lost, last))
-    if len(redo):
-        values[redo] = table.exact_sum(
-            zs.flat[redo].tolist(), (last[redo] + 1).tolist(),
-            peak[redo].tolist(), lost[redo].tolist())
-    if not np.all(np.isfinite(values)):
-        at = zs.flat[np.flatnonzero(~np.isfinite(values))[0]]
-        raise ComplexityError(f"residue series value at z = {at:g} lies "
+    # digits lost; a sum that cancels to exactly zero lost all 16
+    lost = ((peak - total_log) / math.log(10.0) if total != 0.0
+            else 16.0 if peak > -math.inf else 0.0)
+    if table.accepted(lost, last):
+        # an accepted total may still overflow
+        with np.errstate(over="ignore"):
+            value = float(np.sign(total) * np.exp(total_log))
+    else:
+        value = table.resum(z, last + 1, peak, lost)
+    if not math.isfinite(value):
+        raise ComplexityError(f"residue series value at z = {z:g} lies "
                               f"past double range")
-    return float(values[0]) if np.ndim(z) == 0 else values.reshape(zs.shape)
+    return value
 
 
 def residue_integral(c, one: tuple, two: tuple) -> float:
@@ -628,8 +602,13 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
         log_term = np.add.outer(lam1, lam2) - (r + 1) * np.log(s) + np.array(
             [math.lgamma(j + 1) for j in range(r.max(initial=0) + 1)])[r]
         peak = log_term.max(initial=-math.inf)
-        if peak == -math.inf:
-            return 0.0
+        if peak == -math.inf:  # a side with no nonzero term yet grows
+            empty = [k for k, (i, *_) in enumerate(terms) if not len(i)]
+            if all(ns[k] == sides[k][0].length for k in empty):
+                return 0.0
+            for k in empty:
+                ns[k] = sides[k][0].grow(ns[k], "integral")
+            continue
         mass = np.exp(log_term - peak)
         total = float(np.sum(np.outer(sig1, sig2) * mass))
         ends = []  # per side, the entries summed
@@ -1062,7 +1041,7 @@ def g_n(a: float, alpha: float, theta: float, n: int, z):
 
     Gamma(n+u) cancels the poles of Gamma(u) from u = -n on, so the series
     is a polynomial of degree n - 1; z is a float or an ndarray of
-    positive values (a float z = 0 gives the constant term).
+    positive values, summed z by z (a float z = 0 gives the constant term).
     """
     return _g(a, alpha, theta, n, False, z)
 
@@ -1082,8 +1061,8 @@ def g_inf(a: float, alpha: float, theta: float, z):
 
     This is the residue series of the limiting contour integral
     (_g_factors with n=None), and the actual N -> infinity limit of the
-    rescaled G_{N,a}; z is a float or an ndarray of positive values (a
-    float z = 0 gives the first term).
+    rescaled G_{N,a}; z is a float or an ndarray of positive values,
+    summed z by z (a float z = 0 gives the first term).
     """
     return _g(a, alpha, theta, None, False, z)
 

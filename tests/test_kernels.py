@@ -172,6 +172,22 @@ class TestResidueIntegral:
         got = foxh.residue_integral(1, (*self.E, 2.0), (*self.E, 1.0))
         assert got == pytest.approx(-math.expm1(-3.0) / 3.0, rel=1e-15)
 
+    # H(z) = Gamma(u) Gamma(20 + u/2) / Gamma(u) z^{-u} = 2 z^40 e^{-z^2}:
+    # its first 40 poles are cancelled, so a side's first window holds no
+    # nonzero term (the integral once returned 0.0 there)
+    H = ([foxh.GammaFactor(0, 1.0), foxh.GammaFactor(20, 0.5)],
+         [foxh.GammaFactor(0, 1.0)])
+
+    @pytest.mark.parametrize("c,one,two,want", [
+        # 30-digit mpmath quadratures of int_0^1 t^{c-1} H1(t z1) H2(t z2)
+        (1, (*H, 0.9), (*E, 1.0), 1.2570851224986961e-4),
+        (1, (*E, 1.0), (*H, 0.9), 1.2570851224986961e-4),
+        (2.5, (*H, 0.9), (*H, 1.3), 2.2581583921855711)],
+        ids=["H-exp", "exp-H", "H-H"])
+    def test_side_grows_past_its_cancelled_poles(self, c, one, two, want):
+        got = foxh.residue_integral(c, one, two)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_term_limit_raises_non_converged(self):
         # e^{-900 t}: its side's exact sum would need more than 2,000 terms
         start = time.perf_counter()
