@@ -62,8 +62,12 @@ class CorrelationRequest:
 
 def _check_points(*species) -> list:
     """Each species' points as floats (require_positive); DomainError
-    unless the points of each species are pairwise different."""
-    species = [tuple(require_positive("points", *pts)) for pts in species]
+    unless each species is a sequence of pairwise different points."""
+    try:
+        species = [tuple(require_positive("points", *pts)) for pts in species]
+    except TypeError:  # a species that is no sequence, as 0.7 or None
+        raise DomainError("points must be a sequence of real "
+                          "numbers") from None
     if any(len(set(pts)) != len(pts) for pts in species):
         raise DomainError("points must be pairwise different")
     return species

@@ -43,7 +43,6 @@ __all__ = [
     "residue_integral",
 ]
 
-_LN_EPS = math.log(1e-16)
 _LN2 = math.log(2.0)
 # Poles closer than _MERGE_RTOL (GammaFactor.pole_gap) are one entry of the
 # float series; a z whose terms reach an entry merged across _ROUND_RTOL or
@@ -278,16 +277,12 @@ class _ResidueTable:
         self.entries.append(_Pole(u0, order, sign, log_c, trusted, poly,
                                   sing_num, sing_den))
 
-    def resum(self, z: float, n: int, peak: float, lost: float) -> float:
+    def resum(self, z: float, n: int, peak: float, lost: float, lam) -> float:
         """The first n residues summed exactly at z, at the exact shifts and
-        float slopes, where the float sum's largest term is e^peak and its
-        loss `lost` digits: numerics.mp_sum over _sum_at from the precision
-        hint _resum_dps."""
-        # noise: 1e-16 of log_c and of u0 log z each (poles run leftward)
-        noise = math.log10(1 + abs(peak) + 2 * abs(math.log(z)) * max(
-            abs(self.entries[i].u0) for i in (0, n - 1)))
+        float slopes: numerics.mp_sum over _sum_at, from _resum_dps's hint
+        on the float sum's terms e^lam, largest e^peak, `lost` digits lost."""
         return float(mp_sum(partial(self._sum_at, z, n, peak), _resum_dps(
-            lost, peak, noise, self.split_digits(n))))
+            lost, peak, [lam], self.split_digits(n))))
 
     def _ensure(self, n: int) -> None:
         """Exact coefficients of the first `exact` >= n entries at the
@@ -366,6 +361,18 @@ class _ResidueTable:
         """The most digits an entry below n cancels between its poles."""
         self.spots(n - 1)
         return self.splits[n - 1]
+
+    def summed(self, n: int, i, mass, total: float):
+        """The float passes' stop rule: the entries a sum over the first n
+        needs, to the third nonzero term (a sparse family, theta < 1/2, has
+        cancelled poles between) past the last whose mass, per term of
+        entries i on the largest term's unit, is 1e-17 of |total| or more
+        (deeper than `settled`: a re-sum seldom grows), or n at `length`;
+        None where the sum must grow, as one with no nonzero term must."""
+        big = np.flatnonzero(mass >= 1e-17 * (abs(total) or 1.0))
+        tail = i[big[-1] + 1:] if len(big) else i
+        return (tail[2] + 1 if len(tail) >= 3
+                else n if n >= self.length else None)
 
     def accepted(self, lost: float, last: int) -> bool:
         """The float passes' accept test: at most _FLOAT_LOSS digits lost,
@@ -524,46 +531,32 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
 
 def _series_at(table, z: float) -> float:
     """residue_series at one z, over its table's float terms (_float_terms
-    at r = 0, in entry order), summed in floats.  The sum stops after three
-    nonzero terms below 1e-16 of its partial sum, or where every family's
-    poles are cancelled (_ResidueTable.length, as after the n terms of
-    G_n).  A sum not accepted (_ResidueTable.accepted: more than two digits
-    lost, or a pole reached whose float term is not trusted) is re-summed
-    exactly (_ResidueTable.resum)."""
+    at r = 0, in entry order), summed in floats on the largest term's unit
+    until the float stop rule holds (_ResidueTable.summed).  A sum not
+    accepted (_ResidueTable.accepted: more than two digits lost, or a pole
+    reached whose float term is not trusted) is re-summed exactly
+    (_ResidueTable.resum)."""
     n = min(32, table.length)
     while True:
-        # only nonzero terms count: a run of cancelled poles can lie
-        # between two poles of a sparse family (theta < 1/2)
         i, _, r, lam, sig = _float_terms(table, z, n)
         i, lam, sig = i[r == 0], lam[r == 0], sig[r == 0]
-        peak = np.maximum.accumulate(lam)
-        # scale by the first term, as a running sum does, unless the terms
-        # grow more than e^30 past it
-        top = 0.0
-        if len(lam):
-            top = peak[-1] if peak[-1] > lam[0] + 30.0 else lam[0]
-        partial = np.cumsum(sig * np.exp(lam - top))
-        with np.errstate(divide="ignore"):
-            partial_log = np.where(partial != 0.0,
-                                   top + np.log(np.abs(partial)), peak)
-        small = lam < partial_log + _LN_EPS
-        run3 = np.flatnonzero(small[2:] & small[1:-1] & small[:-2])
-        if len(run3) or n == table.length:
+        peak = lam.max(initial=-math.inf)
+        mass = np.exp(lam - peak)
+        total = float(np.sum(sig * mass))
+        end = table.summed(n, i, mass, total)
+        if end:
             break
         n = table.grow(n, "series")
-    k, last = (run3[0] + 2, i[run3[0] + 2]) if len(run3) else (-1, n - 1)
-    total, peak = (partial[k], peak[k]) if len(lam) else (0.0, -math.inf)
-    with np.errstate(divide="ignore"):
-        total_log = top + np.log(np.abs(total))
+    if peak == -math.inf:  # no nonzero term
+        return 0.0
     # digits lost; a sum that cancels to exactly zero lost all 16
-    lost = ((peak - total_log) / math.log(10.0) if total != 0.0
-            else 16.0 if peak > -math.inf else 0.0)
-    if table.accepted(lost, last):
+    lost = -math.log10(abs(total)) if total else 16.0
+    if table.accepted(lost, end - 1):
         # an accepted total may still overflow
         with np.errstate(over="ignore"):
-            value = float(np.sign(total) * np.exp(total_log))
+            value = float(np.sign(total) * np.exp(peak + np.log(abs(total))))
     else:
-        value = table.resum(z, last + 1, peak, lost)
+        value = table.resum(z, end, peak, lost, lam)
     if not math.isfinite(value):
         raise ComplexityError(f"residue series value at z = {z:g} lies "
                               f"past double range")
@@ -572,21 +565,20 @@ def _series_at(table, z: float) -> float:
 
 def residue_integral(c, one: tuple, two: tuple) -> float:
     """int_0^1 t^{c-1} H1(t z1) H2(t z2) dt, each side (num, den, z) a
-    Mellin-Barnes integral as residue_series takes it, c exact (a float
-    reads as the number it denotes).
+    Mellin-Barnes integral as residue_series takes it, c > 0 exact (a
+    float reads as the number it denotes).
 
     A side's residue at its pole u0 is sum_r D_r tau^r, tau = -log t, D_r =
     C z^{-u0} P^(r)(y)/r! (_Pole's C and monic P, y = -log z).  With int_0^1
     t^{s-1} tau^r dt = r!/s^{r+1}, the integral is the double sum over pole
     pairs of sum_{r,r'} (r + r')! D_r D'_{r'} / s^{r+r'+1}, s = c - u0 - u0'
     > 0 (DomainError otherwise).  A float pass over the outer product of the
-    tables' float terms ends each side three nonzero terms after the last
-    whose pairs add 1e-17 of the total or more (a bit deeper than the
-    exact pass's own stop rule, so that it seldom has to extend a side),
-    or where its poles are cancelled; accepted as residue_series' is
-    (_ResidueTable.accepted), else redone exactly (_integral_at, by
-    numerics.mp_sum).  A value past double range raises ComplexityError.
+    tables' float terms, a side's mass per term the sum of its pairs', stops
+    and is accepted as residue_series' does (_ResidueTable.summed and
+    accepted), else is redone exactly (_integral_at, by numerics.mp_sum).
+    A value past double range raises ComplexityError.
     """
+    require_positive("c", c)
     sides = [(_residue_table(tuple(num), tuple(den)), z)
              for (num, den, _), z in zip((one, two), require_positive(
                  "z", one[2], two[2]))]
@@ -602,45 +594,37 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
         log_term = np.add.outer(lam1, lam2) - (r + 1) * np.log(s) + np.array(
             [math.lgamma(j + 1) for j in range(r.max(initial=0) + 1)])[r]
         peak = log_term.max(initial=-math.inf)
-        if peak == -math.inf:  # a side with no nonzero term yet grows
-            empty = [k for k, (i, *_) in enumerate(terms) if not len(i)]
-            if all(ns[k] == sides[k][0].length for k in empty):
-                return 0.0
-            for k in empty:
-                ns[k] = sides[k][0].grow(ns[k], "integral")
-            continue
         mass = np.exp(log_term - peak)
         total = float(np.sum(np.outer(sig1, sig2) * mass))
-        ends = []  # per side, the entries summed
-        for k, ((table, _), (i, *_), side) in enumerate(zip(
-                sides, terms, (mass.sum(axis=1), mass.sum(axis=0)))):
-            tail = i[np.flatnonzero(side >= 1e-17 * (abs(total) or 1.0))[-1]
-                     + 1:]
-            if len(tail) >= 3 or ns[k] == table.length:
-                ends.append(tail[2] + 1 if len(tail) >= 3 else ns[k])
-            else:
-                ns[k] = table.grow(ns[k], "integral")
-        if len(ends) == 2:
+        ends = [table.summed(n, i, side, total) for (table, _), n, (i, *_),
+                side in zip(sides, ns, terms, (mass.sum(axis=1),
+                                               mass.sum(axis=0)))]
+        if all(ends):
             break
+        ns = [n if end else table.grow(n, "integral")
+              for (table, _), n, end in zip(sides, ns, ends)]
+    if peak == -math.inf:  # no nonzero term on a side
+        return 0.0
     lost = -math.log10(abs(total)) if total else 16.0
     if all(table.accepted(lost, n - 1) for (table, _), n in zip(sides, ends)):
         return math.copysign(checked_exp("the t-integral", peak + math.log(
             abs(total))), total)
-    # noise: 1e-16 of the float terms' logs, over the root of their count
     return checked_exp("the t-integral", mp_sum(
         partial(_integral_at, Fraction(c), sides, ends), _resum_dps(
-            lost, peak, math.log10((1.0 + np.abs(lam1).max() + np.abs(
-                lam2).max()) * math.sqrt(mass.size)),
+            lost, peak, [lam1, lam2],
             sum(table.split_digits(n) for (table, _), n in zip(sides, ends)))),
         power=float)
 
 
-def _resum_dps(lost: float, peak: float, noise: float, split: float) -> int:
+def _resum_dps(lost: float, peak: float, logs: list, split: float) -> int:
     """numerics.mp_sum's first digits for an exact re-sum: _SPARE_DIGITS
     past the float loss `lost` and the `split` digits split poles cancel
     (split_digits), on the _DPS_STEP grid.  A loss within a digit of the
-    float terms' rounding, `noise` digits above 1e-16, marks a noise total:
-    one of order one then keeps digits beside e^peak (at most 1e308)."""
+    float terms' rounding marks a noise total: one of order one then keeps
+    digits beside e^peak (at most 1e308).  The rounding is 1e-16 of the
+    terms' logs (`logs`, an array per side) times the root of their count."""
+    noise = math.log10(sum((np.abs(lam).max() for lam in logs), 1.0)
+                       * math.sqrt(math.prod(map(len, logs))))
     if lost > 15.0 - noise:
         lost = max(lost, min(peak / math.log(10.0), 308.0))
     return _DPS_STEP * math.ceil((lost + split + _SPARE_DIGITS) / _DPS_STEP)

@@ -4,13 +4,14 @@ density of a product of two Ginibre factors.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from .exceptions import ComplexityError, DomainError, PoleError
-from .numerics import (checked_exp, lgamma_signed, require_real_array,
-                       tanh_sinh_01)
+from .numerics import (checked_exp, lgamma_signed, require_real,
+                       require_real_array, tanh_sinh_01)
 
 __all__ = [
     "raney",
@@ -29,7 +30,10 @@ def raney(p: float, r: float, n: float) -> float:
     continued through gamma functions; ComplexityError past double range or
     accuracy (integer arguments are exact).  It is 0 where only Gamma(pn +
     r - n + 1), whose reciprocal enters, has a pole; PoleError at others."""
-    # compared, not converted: float(10**400) overflows
+    # its own reader: an int no double holds (n = 10**400) is compared,
+    # not converted, and refused below as past double range
+    if not all(isinstance(v, numbers.Real) for v in (p, r, n)):
+        raise DomainError("each of p, r and n must be a real number")
     if not (all(abs(v) < math.inf for v in (p, r)) and 0 <= n < math.inf):
         raise DomainError("p, r and n must be finite, n non-negative")
     p, r, n = (checked_exp("a Raney argument", v, power=float)
@@ -64,6 +68,7 @@ def raney(p: float, r: float, n: float) -> float:
 
 def fuss_catalan_moment(theta: float, n: int) -> float:
     """n-th moment of the Fuss-Catalan distribution FC(theta): R_{theta+1,1}(n)."""
+    theta, = require_real("theta", theta)
     if theta <= 0:
         raise DomainError("theta must be positive")
     return raney(theta + 1.0, 1.0, n)
@@ -104,6 +109,7 @@ def sz_moment(n: float) -> float:
     origin; its nodes reach x ~ 1e-304, below which the integral holds
     less than 1e-100.
     """
+    n, = require_real("n", n)
     if not 0 <= n < math.inf:
         raise DomainError("n must be finite and non-negative")
     return SZ_EDGE * tanh_sinh_01(

@@ -779,6 +779,49 @@ class TestArrayArguments:
             residue_series(num, den, np.array([1.0, 0.0]))
 
 
+class TestOneFloatStopRule:
+    """Both residue sums end their float pass by one rule,
+    _ResidueTable.summed: through the third nonzero term past the last
+    whose mass is 1e-17 of the total or more, or at the table's end."""
+
+    E = ([GammaFactor(0, 1.0)], ())  # e^{-z}
+
+    def test_series_and_integral_call_it(self, monkeypatch):
+        calls, summed = [], foxh._ResidueTable.summed
+
+        def spy(table, *args):
+            end = summed(table, *args)
+            calls.append(end)
+            return end
+
+        monkeypatch.setattr(foxh._ResidueTable, "summed", spy)
+        assert residue_series(*self.E, 2.0) == pytest.approx(
+            math.exp(-2.0), rel=1e-15)
+        assert calls and calls[-1]
+        calls.clear()
+        # int_0^1 e^{-2t} e^{-t} dt = (1 - e^{-3}) / 3, one call per side
+        assert foxh.residue_integral(1, (*self.E, 2.0), (
+            *self.E, 1.0)) == pytest.approx(-math.expm1(-3.0) / 3.0,
+                                            rel=1e-15)
+        assert len(calls) >= 2 and all(calls[-2:])
+
+    def test_entries_summed(self):
+        table = foxh._residue_table(*map(tuple, self.E))
+        i = np.arange(6)
+        mass = np.array([1.0, 0.5, 1e-16, 1e-18, 1e-18, 1e-18])
+        # the last term of mass 1e-17 or more is entry 2; entry 5 is the
+        # third past it
+        assert table.summed(6, i, mass, 1.0) == 6
+        assert table.summed(5, i[:5], mass[:5], 1.0) is None
+        # on a total of 100, entry 2 lies below 1e-17 of it too
+        assert table.summed(6, i, mass, 100.0) == 5
+        # no nonzero term: the window grows until the table ends
+        assert table.summed(32, i[:0], mass[:0], 0.0) is None
+        g3 = foxh._residue_table(*foxh._g_factors(0.3, 0.5, 1.5, 3, False))
+        assert g3.length == 3
+        assert g3.summed(3, i[:0], mass[:0], 0.0) == 3
+
+
 class TestPoleCollisions:
     def test_integer_offset_families_collide(self):
         # theta = 1 with integer a puts both pole families on the same grid;

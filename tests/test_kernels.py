@@ -196,6 +196,21 @@ class TestResidueIntegral:
             foxh.residue_integral(1, (*self.E, 900.0), (*self.E, 1.0))
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("c,message", [
+        ("1", "^c must be a real number in double range$"),
+        (math.nan, "^c must be finite and positive$"),
+        (math.inf, "^c must be finite and positive$")],
+        ids=["str", "nan", "inf"])
+    def test_c_is_read_as_a_real_argument(self, c, message):
+        # G_inf(0.3, 0.5, 1.5) against G~_inf(0.7, 0.5, 1.5) at z = 1:
+        # Fraction read "1" and returned 0.8885746862857792, nan was
+        # reported as a divergence at t = 0, and inf returned 0.0
+        one, two = ((*foxh._g_factors(a, 0.5, 1.5, None, tilde), 1.0)
+                    for a, tilde in ((0.3, False), (0.7, True)))
+        assert foxh.residue_integral(1, one, two) == 0.8885746862857792
+        with pytest.raises(DomainError, match=message):
+            foxh.residue_integral(c, one, two)
+
     def test_pole_pair_at_the_origin_diverges(self):
         # G~'s leading pole a/theta = 1/3 past c = 0.2: t^{c-1-2a/theta} is
         # not integrable at t = 0

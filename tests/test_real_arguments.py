@@ -17,9 +17,10 @@ from cauchybures import (CorrelationRequest, EnsembleParams, FoxHSpec,
                          cd_kernel, coeff_c, fox_h, g_inf, g_n,
                          hard_edge_kernel, hatted, jacobi_p, k01, k10, k11,
                          rho_bures_hard_edge, rho_cauchy, sz_density)
-from cauchybures.exceptions import DomainError
+from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.kernels import delta_k11_inf, i1_integral, sigma_k01_inf
 from cauchybures.numerics import require_positive, require_real
+from cauchybures.raney import fuss_catalan_moment, raney, sz_moment
 
 P = EnsembleParams(0.5, 0.7, 1.5, 3)
 NOT_REAL = {"str": "0.8", "None": None, "complex": 0.8 + 0j,
@@ -130,3 +131,45 @@ class TestArrayReaders:
     def test_string_is_refused(self, call):
         with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
             call()
+
+
+class TestRaneyAndPointReaders:
+    # each call below raised a bare TypeError, or returned a value (the
+    # Decimal cases), before these readers
+
+    @pytest.mark.parametrize("call", [
+        lambda: raney("2", 1.0, 3),
+        lambda: raney(1j, 1.0, 3),
+        lambda: raney(2.0, 1.0, None),
+        lambda: raney(2.0, [1.0], 3),
+        lambda: raney(Decimal("2"), 1.0, 3),
+        lambda: fuss_catalan_moment("1.5", 3),
+        lambda: fuss_catalan_moment(1.5, Decimal(3)),
+        lambda: sz_moment("2")],
+        ids=["raney-str", "raney-complex", "raney-None", "raney-list",
+             "raney-Decimal", "fuss_catalan_moment-str",
+             "fuss_catalan_moment-Decimal", "sz_moment-str"])
+    def test_raney_argument_that_is_no_real_number(self, call):
+        with pytest.raises(DomainError, match="must be a real number"):
+            call()
+
+    def test_raney_keeps_its_own_reader(self):
+        # an int no double holds is past double range, as raney's row says
+        with pytest.raises(ComplexityError):
+            raney(2.0, 1.0, 10 ** 400)
+        assert raney(2, 1, 3) == raney(2.0, 1.0, 3.0) == 5.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: CorrelationRequest("bures", P, 0.7),
+        lambda: CorrelationRequest("bures", P, None),
+        lambda: rho_bures_hard_edge(0.3, 1.0, 0.5)],
+        ids=["request-float", "request-None", "rho_bures_hard_edge-float"])
+    def test_points_that_are_no_sequence(self, call):
+        with pytest.raises(DomainError, match="^points must be a sequence "
+                                              "of real numbers$"):
+            call()
+
+    def test_points_as_one_string(self):
+        # a string is a sequence of characters, each no real number
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            rho_bures_hard_edge(0.3, 1.0, "0.8")
