@@ -42,7 +42,8 @@ class CorrelationRequest:
     """Which correlation to evaluate and at which points.
 
     xs holds the first species (or the single Bures species); ys is the
-    second species of the Cauchy model, and must be empty for Bures.
+    second species of the Cauchy model, and must be empty for Bures.  Any
+    iterable of real points is stored as a tuple of floats.
     """
 
     model: str
@@ -53,9 +54,10 @@ class CorrelationRequest:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise DomainError(f"unknown model {self.model!r}")
+        for key, pts in zip(("xs", "ys"), _check_points(self.xs, self.ys)):
+            object.__setattr__(self, key, pts)
         if self.model == "bures" and self.ys:
             raise DomainError("the Bures model has one species: pass xs only")
-        _check_points(self.xs, self.ys)
         if max(len(self.xs), len(self.ys)) > self.params.n:
             raise DimensionError("more points than eigenvalues")
 

@@ -144,13 +144,14 @@ class _Pole(NamedTuple):
 
     At order m the residue is sign * exp(log_c) * z^{-u0} times the monic
     polynomial y^(m-1) + poly[-1] y^(m-2) + ... + poly[0] in y = -log z;
-    order 0 is a pole a denominator gamma cancels (a zero term).  The float
-    term is trusted where the poles merged here coincide up to _ROUND_RTOL
-    (the table sums them as one), the order is 2 or less (a polynomial of
-    degree 2 or more can cancel where the loss estimate does not look), and
-    every regular gamma lies 1e-4 or more from a pole of its own (closer,
-    the rounding of its float argument reaches its value).  sing_num and
-    sing_den are the (index, k) of each gamma singular at u0.
+    order 0 is a pole a denominator of another slope cancels (a zero term;
+    one of its family's slope ends the family, `_ResidueTable.stops`).  The
+    float term is trusted where the poles merged here coincide up to
+    _ROUND_RTOL (the table sums them as one), the order is 2 or less (a
+    polynomial of degree 2 or more can cancel where the loss estimate does
+    not look), and every regular gamma lies 1e-4 or more from a pole of its
+    own (closer, the rounding of its float argument reaches its value).
+    sing_num and sing_den are the (index, k) of each gamma singular at u0.
     """
 
     u0: float
@@ -165,17 +166,35 @@ class _Pole(NamedTuple):
 
 class _ResidueTable:
     """Left poles of one integrand, in the order the residue series sums
-    them, computed once per integrand and reused at every z; `runs` holds
-    the first `exact` of them on integers, a term per exact pole location,
-    at the most bits a sum has asked for (`exact_prec`), which serve every
-    sum at fewer."""
+    them, each family up to its first cancelled pole (`stops`), computed
+    once per integrand and reused at every z; `length` counts them, inf
+    past _MAX_TERMS.  `runs` holds the first `exact` on integers, a term
+    per exact pole location, at the most bits a sum has asked for
+    (`exact_prec`), which serve every sum at fewer."""
 
     def __init__(self, num: tuple, den: tuple):
         self.num, self.den = num, den
+        # per numerator, its family's first cancelled pole: d (0 if d < 0)
+        # where a denominator of its slope, each used once, has a shift
+        # larger by an integer d up to rounding, as Gamma(n + u) for Gamma(u);
+        # inf where none has, 0 for a right family (no left poles)
+        free, self.stops = list(den), []
+        for f in num:
+            for g in free if f.slope > 0 else ():
+                d = g.near - f.near
+                tol = _ROUND_RTOL * max(1.0, abs(g.near), abs(f.near))
+                if g.slope == f.slope and abs(d - round(d)) < tol:
+                    free.remove(g)
+                    self.stops.append(max(round(d), 0))
+                    break
+            else:
+                self.stops.append(math.inf if f.slope > 0 else 0)
         self.heap = [(-f.pole(0), i, 0) for i, f in enumerate(num)
-                     if f.slope > 0]
+                     if self.stops[i]]
         if not self.heap:
-            raise DomainError("integrand has no left pole family")
+            raise DomainError("a denominator gamma cancels every left pole"
+                              if any(f.slope > 0 for f in num) else
+                              "integrand has no left pole family")
         heapq.heapify(self.heap)
         self.entries: list[_Pole] = []
         self._arrays = np.empty((5, 0))
@@ -195,34 +214,11 @@ class _ResidueTable:
                        if g.slope == f.slope
                        and (f.shift - g.shift).denominator == 1]
                       for f in num]
-        self.length = self._length()
-        if not self.length:
-            raise DomainError("a denominator gamma cancels every left pole")
-
-    def _length(self):
-        """Number of entries before the cancelled tail, math.inf if none.
-
-        A denominator gamma of a left family's slope, its shift larger by
-        an integer d, cancels the family's poles from the d-th on (all for
-        d < 0), as Gamma(n + u) does Gamma(u)'s; once every family is
-        cancelled, the series ends.
-        """
-        free, end = list(self.den), math.inf
-        for f in (f for f in self.num if f.slope > 0):
-            for g in free:
-                d = g.near - f.near
-                tol = _ROUND_RTOL * max(1.0, abs(g.near), abs(f.near))
-                if g.slope == f.slope and abs(d - round(d)) < tol:
-                    break
-            else:
-                return math.inf
-            free.remove(g)
-            end = min(end, f.pole(max(round(d), 0)))
-        # an end past _MAX_TERMS is never reached
-        n, tol = 0, _MERGE_RTOL * max(1.0, abs(end))
-        while n < _MAX_TERMS and self.entry(n).u0 > end + tol:
-            n += 1
-        return n if n < _MAX_TERMS else math.inf
+        # the series ends where the heap runs dry (past _MAX_TERMS: never)
+        if math.isfinite(sum(self.stops)):
+            while self.heap and len(self.entries) <= _MAX_TERMS:
+                self._extend()
+        self.length = math.inf if self.heap else len(self.entries)
 
     def entry(self, n: int) -> _Pole:
         while len(self.entries) <= n:
@@ -243,39 +239,39 @@ class _ResidueTable:
         return self._arrays[:, :n]
 
     def _extend(self) -> None:
+        """Moves the heap past its next pole, built into an entry where its
+        family is the lowest-index one live there (the others pass it)."""
         num, den = self.num, self.den
-        while True:
-            neg_u, i, k = self.heap[0]
-            u0 = -neg_u
-            sing_num = _singular(num, u0)
-            # the heap moves once the entry is built, so later calls raise too
-            if any(num[j].slope < 0 for j, _, _ in sing_num):
-                raise PoleCollisionError(  # + 0.0 prints u = -0.0 as 0
-                    f"a left and a right pole family meet near "
-                    f"u = {u0 + 0.0:.6g}")
-            if sing_num[0][0] == i:
-                break
-            # same point reached from another family; counted once only
-            heapq.heapreplace(self.heap, (-num[i].pole(k + 1), i, k + 1))
-        sing_den = _singular(den, u0)
-        order = max(len(sing_num) - len(sing_den), 0)
-        trusted = order <= 2 and all(p[2] < _ROUND_RTOL
-                                     for p in sing_num + sing_den)
-        sing_num, sing_den = (tuple(p[:2] for p in sing)
-                              for sing in (sing_num, sing_den))
-        sign, log_c, poly = 0, -math.inf, ()
-        if order:
-            gammas = list(_gammas_at(num, den, sing_num, sing_den, u0))
-            sign, log_c = _leading_coefficient(gammas)
-            trusted = trusted and all(w is None or w >= 0.5
-                                      or abs(w - round(w)) >= 1e-4
-                                      for *_, w in gammas)
-        if order > 1:
-            poly = tuple(map(float, _log_poly(gammas, order)))
-            log_c -= math.lgamma(order)
-        heapq.heapreplace(self.heap, (-num[i].pole(k + 1), i, k + 1))
-        self.entries.append(_Pole(u0, order, sign, log_c, trusted, poly,
-                                  sing_num, sing_den))
+        neg_u, i, k = self.heap[0]
+        u0 = -neg_u
+        sing_num = _singular(num, u0)
+        # the heap moves once the entry is built, so later calls raise too
+        if any(num[j].slope < 0 for j, _, _ in sing_num):
+            raise PoleCollisionError(  # + 0.0 prints u = -0.0 as 0
+                f"a left and a right pole family meet near "
+                f"u = {u0 + 0.0:.6g}")
+        if min(j for j, kj, _ in sing_num if kj < self.stops[j]) == i:
+            sing_den = _singular(den, u0)
+            order = max(len(sing_num) - len(sing_den), 0)
+            trusted = order <= 2 and all(p[2] < _ROUND_RTOL
+                                         for p in sing_num + sing_den)
+            sing_num, sing_den = (tuple(p[:2] for p in sing)
+                                  for sing in (sing_num, sing_den))
+            sign, log_c, poly = 0, -math.inf, ()
+            if order:
+                gammas = list(_gammas_at(num, den, sing_num, sing_den, u0))
+                sign, log_c = _leading_coefficient(gammas)
+                trusted = trusted and all(w is None or w >= 0.5
+                                          or abs(w - round(w)) >= 1e-4
+                                          for *_, w in gammas)
+            if order > 1:
+                poly = tuple(map(float, _log_poly(gammas, order)))
+                log_c -= math.lgamma(order)
+            self.entries.append(_Pole(u0, order, sign, log_c, trusted, poly,
+                                      sing_num, sing_den))
+        heapq.heappop(self.heap)
+        if k + 1 < self.stops[i]:
+            heapq.heappush(self.heap, (-num[i].pole(k + 1), i, k + 1))
 
     def resum(self, z: float, n: int, peak: float, lost: float, lam) -> float:
         """The first n residues summed exactly at z, at the exact shifts and
@@ -364,11 +360,11 @@ class _ResidueTable:
 
     def summed(self, n: int, i, mass, total: float):
         """The float passes' stop rule: the entries a sum over the first n
-        needs, to the third nonzero term (a sparse family, theta < 1/2, has
-        cancelled poles between) past the last whose mass, per term of
-        entries i on the largest term's unit, is 1e-17 of |total| or more
-        (deeper than `settled`: a re-sum seldom grows), or n at `length`;
-        None where the sum must grow, as one with no nonzero term must."""
+        needs, to the third nonzero term (an order-0 entry has none) past
+        the last whose mass, per term of entries i on the largest term's
+        unit, is 1e-17 of |total| or more (deeper than `settled`: a re-sum
+        seldom grows), or n at `length`; None where the sum must grow, as
+        one with no nonzero term must."""
         big = np.flatnonzero(mass >= 1e-17 * (abs(total) or 1.0))
         tail = i[big[-1] + 1:] if len(big) else i
         return (tail[2] + 1 if len(tail) >= 3
@@ -565,8 +561,8 @@ def _series_at(table, z: float) -> float:
 
 def residue_integral(c, one: tuple, two: tuple) -> float:
     """int_0^1 t^{c-1} H1(t z1) H2(t z2) dt, each side (num, den, z) a
-    Mellin-Barnes integral as residue_series takes it, c > 0 exact (a
-    float reads as the number it denotes).
+    Mellin-Barnes integral as residue_series takes it, c real, finite and
+    exact (a float reads as the number it denotes).
 
     A side's residue at its pole u0 is sum_r D_r tau^r, tau = -log t, D_r =
     C z^{-u0} P^(r)(y)/r! (_Pole's C and monic P, y = -log z).  With int_0^1
@@ -578,7 +574,8 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
     accepted), else is redone exactly (_integral_at, by numerics.mp_sum).
     A value past double range raises ComplexityError.
     """
-    require_positive("c", c)
+    if not math.isfinite(*require_real("c", c)):
+        raise DomainError("c must be finite")
     sides = [(_residue_table(tuple(num), tuple(den)), z)
              for (num, den, _), z in zip((one, two), require_positive(
                  "z", one[2], two[2]))]

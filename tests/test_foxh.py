@@ -1273,6 +1273,68 @@ class TestCancelledPoles:
             fn(p, 0.9, 0.99, route="direct"), rel=1e-10)
 
 
+class TestFamilyStops:
+    """A left family leaves its residue table at its first pole that a
+    denominator of its slope cancels (_ResidueTable.stops), so the table
+    builds no entry for a cancelled pole and its length counts the entries
+    it builds."""
+
+    @pytest.mark.parametrize("case,count", [((0.37, 1.2, 0.3, 4), 2000),
+                                            ((0.3, 0.7, 1.5, 16), 224)])
+    def test_no_entry_is_a_cancelled_pole(self, case, count):
+        # these tables once held 1,534 and 74 order-0 entries: the poles of
+        # Gamma(u) that Gamma(n + u) cancels
+        table = foxh._residue_table(*foxh._gtn_factors(*case))
+        table.entry(count - 1)
+        assert all(pole.order for pole in table.entries[:count])
+
+    def test_small_theta_sums_past_the_cancelled_poles(self):
+        # 2,000 entries held only 466 poles of Gamma(0.3 u - 0.37), so this
+        # raised NonConverged; 500-digit tests/references.residue_sum sums
+        # agree with the series to 1e-16 from z = 4.5 to 6.6
+        assert g_tilde_n(0.37, 1.2, 0.3, 4, 4.4) == 1.2261045959959843e-61
+
+    def test_float_shifts_cancel_up_to_rounding(self):
+        # Fraction(2.1) - Fraction(0.1) is not 2, so an exact test would
+        # leave Gamma(0.1 + u)'s family uncancelled (NonConverged); its two
+        # poles give 2^0.1 - 2^1.1 at z = 2
+        num, den = (GammaFactor(0.1, 1.0),), (GammaFactor(2.1, 1.0),)
+        assert foxh._residue_table(num, den).length == 2
+        assert residue_series(num, den, 2.0) == -1.0717734625362931
+        assert residue_series(num, den, 2.0) == pytest.approx(
+            2.0 ** 0.1 - 2.0 ** 1.1, rel=1e-15)
+
+    @pytest.mark.parametrize("n,values", [
+        (1, [0.1949533418271229, -0.007351348820988985,
+             -0.0008715001721842154, -1.2698707574461429e-06]),
+        (2, [0.028104896518371007, -0.010038296143713802,
+             0.00018446415752224865, 7.499815556572704e-07]),
+        (5, [-0.041780687375593456, 0.0013363614361394033,
+             -1.0389008164599649e-05, 2.6309724343468103e-10])])
+    def test_live_family_builds_the_entry_on_a_cancelled_pole(self, n,
+                                                              values):
+        # at (a, theta) = (0.5, 1.5) the poles of Gamma(1.5 u - 0.5) at
+        # u = -1 and -3 lie on poles of Gamma(u), which Gamma(n + u) cancels
+        # from u = -n on: there the entry is the live family's simple pole,
+        # a double pole above -n; the values are those of the tables that
+        # held the cancelled poles too
+        table = foxh._residue_table(*foxh._gtn_factors(0.5, 0.9, 1.5, n))
+        orders = {pole.u0: pole.order
+                  for pole in map(table.entry, range(12))}
+        assert [orders[-1.0], orders[-3.0]] == [1 + (n > 1), 1 + (n > 3)]
+        assert [g_tilde_n(0.5, 0.9, 1.5, n, z)
+                for z in (0.7, 3.0, 12.0, 40.0)] == values
+
+    def test_merged_families_end_where_the_heap_runs_dry(self):
+        # Gamma(u)^2 / Gamma(1001 + u)^2: the two stops sum past
+        # _MAX_TERMS, but the families share each pole, so the table is
+        # 1,001 double poles long
+        table = foxh._ResidueTable((GammaFactor(0, 1.0),) * 2,
+                                   (GammaFactor(1001, 1.0),) * 2)
+        assert table.length == 1001
+        assert {pole.order for pole in table.entries} == {2}
+
+
 class TestDomainValidation:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):

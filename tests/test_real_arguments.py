@@ -169,6 +169,18 @@ class TestRaneyAndPointReaders:
                                               "of real numbers$"):
             call()
 
+    def test_request_stores_its_points_as_floats(self):
+        # a generator was read up by the point check, which then took its
+        # len(); a list made an unhashable frozen request
+        params = EnsembleParams(0.3, 1.3, 1.0, 2)
+        req = CorrelationRequest("bures", params, (x for x in [0.5]))
+        assert req.xs == (0.5,) and req.ys == ()
+        req = CorrelationRequest("cauchy", P, [1, 2], [3])
+        assert (req.xs, req.ys) == ((1.0, 2.0), (3.0,))
+        assert all(type(x) is float for x in req.xs + req.ys)
+        assert hash(req) == hash(CorrelationRequest("cauchy", P, (1.0, 2.0),
+                                                    (3.0,)))
+
     def test_points_as_one_string(self):
         # a string is a sequence of characters, each no real number
         with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
