@@ -24,6 +24,7 @@ from .numerics import SkewMatrix, pfaffian, require_positive, tanh_sinh_01
 # the spec'd exit contract reserves 2 for non-convergence; route click's
 # usage failures to 1 instead
 click.UsageError.exit_code = 1
+_CORR_ROUTE = "direct"  # the route `corr` computes by and records
 
 
 def _fail(code: int, message: str):
@@ -335,9 +336,9 @@ def corr(model, a, b, theta, n, xs, ys, zs, oracle):
         model, p, *((xs, ys) if model == "cauchy" else (zs,)))
     rho = {"cauchy": correlations.rho_cauchy,
            "bures": correlations.rho_bures}[model]
-    value = rho(req)
+    value = rho(req, route=_CORR_ROUTE)
     oracle_value = rho(req, route="brute") if oracle else None
-    click.echo(correlations.correlation_record(req, value, "direct",
+    click.echo(correlations.correlation_record(req, value, _CORR_ROUTE,
                                                oracle_value))
 
 

@@ -3,21 +3,21 @@
 Every finite-N kernel is computable by two routes, played against each
 other in the tests: the Christoffel-Darboux sum over the bi-orthogonal
 pair (_cd_contract), and a t-integral of the contour functions, which for
-K11 is an exact incomplete-gamma double sum, one integer product, up to
-a final mpf (_k11_inc_core).  Either route's integrated sides come from one chain
-code, _h_chain: H(s, w) = e^w w^{-s} Gamma(s, w) = i1(-s, w)/Gamma(1 - s)
-at s = -e - theta l, in unit steps on integers, one chain per residue
-class of l mod q where theta = p/q, each seeded once where it turns, so
-that it runs only in stable directions, on a unit set by the precision
-asked.  K11 seeds by region (_h_seed), the direct route by i1_integral,
-whose one refusal (_i1_span) a direct side takes before any quadrature.
-Those sides are cached, so the entries of one correlation share them.
-Every other t-integral, at finite N and at the hard edge (_kernel), is
-the double sum of its G / G~ sides' residue tables against 1/(alpha + 1 -
-u - u'), integrated term by term (foxh.residue_integral); the tables are
-built once per side.  One table of the four kinds (_TILDE) and one
-dispatcher (_finite_kernel) choose every route; tanh-sinh runs only the
-two halves of i1_integral.
+K11 is an exact incomplete-gamma double sum, the t-integrals' pair sum
+(foxh._family_sum) up to a final mpf (_k11_inc_core).  Either route's
+integrated sides come from one chain code, _h_chain: H(s, w) = e^w w^{-s}
+Gamma(s, w) = i1(-s, w)/Gamma(1 - s) at s = -e - theta l, in unit steps
+on integers, one chain per residue class of l mod q where theta = p/q,
+each seeded once where it turns, so that it runs only in stable
+directions, on a unit set by the precision asked.  K11 seeds by region
+(_h_seed), the direct route by i1_integral, whose one refusal (_i1_span)
+a direct side takes before any quadrature.  Those sides are cached, so
+the entries of one correlation share them.  Every other t-integral, at
+finite N and at the hard edge (_kernel), is the double sum of its G / G~
+sides' residue tables against 1/(alpha + 1 - u - u'), integrated term by
+term (foxh.residue_integral); the tables are built once per side.  One
+table of the four kinds (_TILDE) and one dispatcher (_finite_kernel)
+choose every route; tanh-sinh runs only the two halves of i1_integral.
 """
 from __future__ import annotations
 
@@ -37,11 +37,11 @@ from .exceptions import (ComplexityError, DomainError, NonConverged,
 from .ensembles import EnsembleParams
 # g_n, g_inf, g_tilde_n and g_tilde_inf stay bound here for
 # perfbench/tracer.py
-from .foxh import (_g_factors, g_inf, g_n, g_tilde_inf,  # noqa: F401
-                   g_tilde_n, residue_integral)
-from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, _hankel_form,
-                       checked_exp, ln_abs, mp_sum, require_positive,
-                       require_real, tanh_sinh_01)
+from .foxh import (_family_sum, _g_factors, g_inf, g_n,  # noqa: F401
+                   g_tilde_inf, g_tilde_n, residue_integral)
+from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, checked_exp,
+                       ln_abs, mp_sum, require_positive, require_real,
+                       require_real_array, tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -236,7 +236,7 @@ def _finite_kernel(params: EnsembleParams, kind: str, p1: float, p2: float,
     H(-b - theta l, p2) where that side is integrated (_TILDE).
     "tintegral" is _kernel times e^{p} of each integrated side; for K11,
     whose t-integral of G~_n G~_n holds only asymptotically, it is the
-    exact incomplete-gamma core (_k11_inc_core: exact-rational vectors,
+    exact incomplete-gamma core (_k11_inc_core: exact-rational coefficients,
     _h_chain's integer gamma chains).  K11 is returned without its
     1/(p1 + p2) singular part.
     """
@@ -275,13 +275,12 @@ def k10(params: EnsembleParams, y: float, yp: float,
 
 @lru_cache(maxsize=32)
 def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
-    """_k11_inc_core's z-independent vectors as integers for `prec` bits,
-    without mpmath: (coef, its unit, h_m for m < 2N-1, its unit), x = m
-    2^unit.  With alpha + 1 = (a + b + 1)/theta = P/Q (the floats read as
-    exact), coef_j = (-1)^j C(N-1, j) prod_{i=j}^{N+j-1} (P + iQ) / ((N-1)!
-    Q^N) and h_m = Q/(P + mQ), exact rationals cut on a unit _GUARD_BITS
-    below prec under their first entry (coef_0, the least |coef_j|, whose
-    side value is the largest, and h_0, the largest h)."""
+    """_k11_inc_core's z-independent coefficients as integers for `prec`
+    bits, without mpmath: (coef, its unit, alpha + 1), x = coef 2^unit.
+    With alpha + 1 = (a + b + 1)/theta = P/Q (the floats read as exact),
+    coef_j = (-1)^j C(N-1, j) prod_{i=j}^{N+j-1} (P + iQ) / ((N-1)! Q^N),
+    exact rationals cut on a unit _GUARD_BITS below prec under coef_0, the
+    least |coef_j|, whose side value is the largest."""
     al1 = (Fraction(a) + Fraction(b) + 1) / Fraction(theta)
     p, q = al1.numerator, al1.denominator
     prod, binom, nums = math.prod(p + i * q for i in range(n)), 1, []
@@ -291,9 +290,7 @@ def _k11_tables(a: float, b: float, theta: float, n: int, prec: int) -> tuple:
         binom = binom * (n - 1 - j) // (j + 1)
     den = math.factorial(n - 1) * q ** n
     cut = max(0, prec + _GUARD_BITS + den.bit_length() - nums[0].bit_length())
-    hcut = max(0, prec + _GUARD_BITS + p.bit_length() - q.bit_length())
-    return (tuple((x << cut) // den for x in nums), -cut,
-            tuple((q << hcut) // (p + m * q) for m in range(2 * n - 1)), -hcut)
+    return tuple((x << cut) // den for x in nums), -cut, al1
 
 
 def _one_scale(*xs) -> tuple[list, int]:
@@ -462,7 +459,7 @@ def _h_chain(e: float, theta: float, n: int, w: float, prec: int,
 def _k11_inc_core(params: EnsembleParams, y: float, x: float):
     """k11 at finite N, an mpmath value: theta times
 
-        sum_{j,k<N} A_j B_k h_{j+k},  h_m = 1/(1+alpha+m),
+        sum_{j,k<N} A_j B_k / (alpha + 1 + j + k),
         A_j = (-1)^j/j! Gamma(alpha+N+1+j) / (Gamma(N-j) Gamma(alpha+1+j))
               * H(-a - theta j) at y (_h_chain), B_k the same at b, x,
 
@@ -471,26 +468,28 @@ def _k11_inc_core(params: EnsembleParams, y: float, x: float):
     denominator an upper incomplete gamma, entire in the contour variable:
     only the Gamma(u) family contributes, and the sum is exact.
 
-    It runs on Python integers up to one final mpf: coef and h from exact
+    It runs on Python integers up to one final mpf: coef from exact
     rationals (_k11_tables), the sides on one unit each, A_j and B_k their
-    products cut back by numerics._fixed_point, and the double sum exact,
-    as one product of A and B packed (_hankel_form).  The truncations add
-    at most N^2 2^{-prec-16} of the peak term, below the 2^{-prec} that
-    mp_sum's spare digits allow for N <= 256.
+    products cut back by numerics._fixed_point, and the double sum exact by
+    foxh._family_sum, weights on a unit _GUARD_BITS past prec bits under
+    the first.  The truncations add at most N^2 2^{-prec-16} of the peak
+    term, below the 2^{-prec} that mp_sum's spare digits allow for N <= 256.
     """
     a, b, theta, n = params.a, params.b, params.theta, params.n
 
     def double_sum():
-        coef, uc, h, uh = _k11_tables(a, b, theta, n, prec := mpmath.mp.prec)
+        coef, uc, al1 = _k11_tables(a, b, theta, n, prec := mpmath.mp.prec)
         (ia, ua), (ib, ub) = (
             _fixed_point([c * g for c, g in zip(coef, side)], uc + unit)
             for side, unit in (_h_chain(a, theta, n, y, prec, _h_seed),
                                _h_chain(b, theta, n, x, prec, _h_seed)))
+        fix = max(0, prec + _GUARD_BITS + al1.numerator.bit_length()
+                  - al1.denominator.bit_length())
         pole = 1 / (mpmath.mpf(x) + y)
-        total = theta * mpmath.mpf((_hankel_form(ia, ib, h), ua + uh + ub))
-        # no term exceeds theta times the largest of each side over the
-        # smallest denominator, 1 + alpha
-        peak = (math.log(theta) + (ua + uh + ub) * _LN2 + math.log(h[0])
+        total = theta * mpmath.mpf((_family_sum(al1, (0, 1, 1), (0, 1, 1), *(
+            dict(enumerate([v] for v in i)) for i in (ia, ib)), fix), ua + ub))
+        # theta max|A| max|B| / (alpha + 1) bounds every term
+        peak = (math.log(theta) + (ua + ub) * _LN2 - math.log(al1)
                 + math.log(max(map(abs, ia))) + math.log(max(map(abs, ib))))
         return total - pole, max(peak, ln_abs(pole))
 
@@ -508,7 +507,7 @@ def k11(params: EnsembleParams, y: float, x: float,
     """K11(y, x): doubly integrated kernel minus the 1/(x+y) singularity.
 
     At finite N "tintegral" is no t-integral but the exact sum of
-    _k11_inc_core, on integers from exact-rational vectors and gamma
+    _k11_inc_core, on integers from exact-rational coefficients and gamma
     chains (_h_chain).
     """
     return _finite_kernel(params, "K11", y, x, route)
@@ -600,7 +599,8 @@ class KernelGrid:
     values: list  # row-major, len(xs) rows of len(ys)
 
     def __post_init__(self):
-        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        xs, ys = (require_real_array("grid points", v)
+                  for v in (self.xs, self.ys))
         if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
             raise DomainError("grid axes must be strictly increasing")
         require_positive("grid points", *xs, *ys)
@@ -641,6 +641,6 @@ class KernelGrid:
 
 def make_grid(kind: str, xs, ys, evaluator: Callable[[float, float], float],
               params: dict) -> KernelGrid:
-    values = [[float(evaluator(float(x), float(y))) for y in ys] for x in xs]
-    return KernelGrid(kind=kind, params=params, xs=[float(x) for x in xs],
-                      ys=[float(y) for y in ys], values=values)
+    xs, ys = (require_real("grid points", *v) for v in (xs, ys))
+    values = [[float(evaluator(x, y)) for y in ys] for x in xs]
+    return KernelGrid(kind=kind, params=params, xs=xs, ys=ys, values=values)

@@ -140,6 +140,7 @@ class LogValue:
 
     @classmethod
     def from_real(cls, x: float) -> "LogValue":
+        x, = require_real("x", x)
         if not math.isfinite(x):
             raise DomainError(f"LogValue.from_real needs a finite x, got {x}")
         if x == 0.0:
@@ -454,7 +455,7 @@ class SkewMatrix:
         Only entries with i < j of the supplied array are read; the lower
         triangle and diagonal are overwritten, so antisymmetry is exact.
         """
-        upper = np.asarray(upper, dtype=float)
+        upper = require_real_array("SkewMatrix entries", upper)
         if upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
             raise DimensionError("SkewMatrix requires a square array")
         n = upper.shape[0]
@@ -469,7 +470,7 @@ class SkewMatrix:
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "SkewMatrix":
-        a = np.asarray(a, dtype=float)
+        a = require_real_array("SkewMatrix entries", a)
         m = cls(a)
         if not np.array_equal(m.entries, a):
             raise DimensionError("input matrix is not exactly antisymmetric")
@@ -525,7 +526,7 @@ def pfaffian_bordered(m: SkewMatrix, border: Sequence[float]) -> LogValue:
     """Pfaffian of an odd skew matrix bordered by a vector and leading zero."""
     if m.dim % 2 != 1:
         raise DimensionError(f"bordering requires odd dimension, got {m.dim}")
-    border = np.asarray(border, dtype=float)
+    border = require_real_array("border", border)
     if border.shape != (m.dim,):
         raise DimensionError("border length must equal the matrix dimension")
     n = m.dim + 1

@@ -40,15 +40,18 @@ class PolySeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.coeffs)):
+        coeffs = require_real("polynomial coefficients", *self.coeffs)
+        if not all(map(math.isfinite, coeffs)):
             raise DomainError("polynomial coefficients exceed double range")
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = np.zeros_like(np.asarray(x, dtype=float))
+        x = require_real_array("x", x)
+        acc = np.zeros_like(x)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc if acc.ndim else float(acc)

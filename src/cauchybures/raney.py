@@ -118,9 +118,10 @@ def sz_moment(n: float) -> float:
 
 def density_asymptote(p: float, r: float, x) -> float:
     """Small-x power law sin(r*pi/p)/pi * x^(-(p-r)/p) of a Raney density."""
+    p, r = require_real("p and r", p, r)
     if not (0 < r <= p < math.inf):
         raise DomainError("need 0 < r <= p, p finite")
-    arr = np.asarray(x, dtype=float)
+    arr = require_real_array("x", x)
     if not np.all((arr > 0.0) & (arr < math.inf)):
         raise DomainError("asymptote requires finite x > 0")
     out = math.sin(r * math.pi / p) / math.pi * arr ** (-(p - r) / p)

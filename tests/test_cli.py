@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from cauchybures import cli, numerics
 from cauchybures.cli import main
-from cauchybures.correlations import CorrelationRequest, rho_cauchy
+from cauchybures.correlations import CorrelationRequest, rho_bures, rho_cauchy
 from cauchybures.ensembles import (EnsembleParams, partition_bures,
                                    partition_cauchy)
 from cauchybures.exceptions import DomainError, NonConverged
@@ -441,6 +441,29 @@ class TestCorr:
         p = EnsembleParams(0.5, 0.7, 1.5, 2)
         want = rho_cauchy(CorrelationRequest("cauchy", p, (0.8,)))
         assert rec["value"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("route", ["direct", "tintegral"])
+    @pytest.mark.parametrize("argv", [
+        ["--model", "cauchy", "--b", "0.7", "--x", "0.8", "--y", "1.1"],
+        ["--model", "bures", "--z", "0.8", "--z", "1.1"]],
+        ids=["cauchy", "bures"])
+    def test_record_names_the_route_of_its_value(self, runner, monkeypatch,
+                                                 route, argv):
+        # the record once named "direct" whatever route rho ran; the two
+        # routes' values differ in their last bits here, so the value tells
+        # which one ran
+        monkeypatch.setattr(cli, "_CORR_ROUTE", route)
+        res = runner.invoke(main, ["corr", "--a", "0.5", "--theta", "1.5",
+                                   "--n", "3", *argv])
+        assert res.exit_code == 0
+        rec = json.loads(res.output)
+        p = cli._params(argv[1], 0.5, 0.7 if argv[1] == "cauchy" else None,
+                        1.5, 3)
+        rho = {"cauchy": rho_cauchy, "bures": rho_bures}[argv[1]]
+        pts = ((0.8,), (1.1,)) if argv[1] == "cauchy" else ((0.8, 1.1),)
+        req = CorrelationRequest(argv[1], p, *pts)
+        assert rec["route"] == route
+        assert rec["value"] == rho(req, route=route)
 
     def test_oracle_flag_reports_discrepancy(self, runner):
         res = runner.invoke(main, ["corr", "--model", "bures",

@@ -1191,22 +1191,75 @@ class TestK11Core:
     @pytest.mark.parametrize("prec", [100, 700])
     def test_integer_tables_are_the_exact_rationals(self, p, prec):
         # coef_j by the recurrence of Gamma(alpha+N+1+j) / (j! Gamma(N-j)
-        # Gamma(alpha+1+j)) in Fractions, h_m = 1/(alpha+1+m), to one unit
+        # Gamma(alpha+1+j)) in Fractions, to one unit, and alpha + 1 exact
         a, b, theta, n = p
         al1 = (Fraction(a) + Fraction(b) + 1) / Fraction(theta)
         coef = [math.prod(al1 + i for i in range(n)) / math.factorial(n - 1)]
         for j in range(n - 1):
             coef.append(-coef[-1] * (al1 + n + j) * (n - 1 - j)
                         / ((j + 1) * (al1 + j)))
-        h = [1 / (al1 + m) for m in range(2 * n - 1)]
-        got_c, uc, got_h, uh = _k11_tables(a, b, theta, n, prec)
-        for got, unit, want in ((got_c, uc, coef), (got_h, uh, h)):
-            assert len(got) == len(want)
-            assert all(abs(g - x / Fraction(2) ** unit) < 1
-                       for g, x in zip(got, want))
-        # each vector keeps prec + 16 bits under its first entry
-        assert got_c[0].bit_length() >= prec + 16
-        assert got_h[0].bit_length() >= prec + 16
+        got, unit, got_al1 = _k11_tables(a, b, theta, n, prec)
+        assert got_al1 == al1
+        assert len(got) == len(coef)
+        assert all(abs(g - x / Fraction(2) ** unit) < 1
+                   for g, x in zip(got, coef))
+        # the coefficients keep prec + 16 bits under their first entry
+        assert got[0].bit_length() >= prec + 16
+
+    @pytest.mark.parametrize("p", [(0.3, 0.7, 1.5, 12), (0.4, 1.4, 1.3, 40)])
+    @pytest.mark.parametrize("prec", [100, 700])
+    def test_pair_sum_is_the_exact_rational(self, p, prec):
+        # K11's double sum on foxh._family_sum: two dense Gamma(u) sides
+        # (poles u = -j, form (0, 1, 1)) of prec-bit entries of either
+        # sign, against sum x_j y_k / (c + j + k) in Fractions, c = alpha
+        # + 1.  Each weight Q 2^fix / (P + mQ) is floored, and so is the
+        # total: the sum lies within sum |x_j y_k| 2^-fix + 1 of the exact
+        # one, which with prec + 16 bits under the first weight is below
+        # 2^-prec of the largest term
+        a, b, theta, n = p
+        c = _k11_tables(a, b, theta, n, prec)[2]
+        fix = prec + 16 + c.numerator.bit_length() - c.denominator.bit_length()
+        rng = random.Random(prec + n)
+        xs, ys = ([rng.choice((-1, 1)) * rng.getrandbits(prec) | 1
+                   for _ in range(n)] for _ in range(2))
+        got = foxh._family_sum(c, (0, 1, 1), (0, 1, 1), *(
+            {k: [v] for k, v in enumerate(side)} for side in (xs, ys)), fix)
+        want = sum(x * y / (c + j + k) for j, x in enumerate(xs)
+                   for k, y in enumerate(ys))
+        slack = Fraction(sum(abs(x * y) for x in xs for y in ys), 2 ** fix)
+        assert abs(got - want) <= slack + 1
+        assert (slack + 1) * c * 2 ** prec <= max(map(abs, xs)) * max(
+            map(abs, ys))
+
+    def test_core_sums_through_the_pair_sum(self, monkeypatch):
+        # every pass of the core is one _family_sum on one Gamma(u) family
+        # per side, at c = alpha + 1 exact, its weights at least prec + 16
+        # bits under the first
+        calls, pair_sum = [], kernels._family_sum
+
+        def spied(c, fa, fb, a, b, fix):
+            calls.append((c, fa, fb, len(a), len(b), mpmath.mp.prec,
+                           (c.denominator << fix) // c.numerator))
+            return pair_sum(c, fa, fb, a, b, fix)
+
+        monkeypatch.setattr(kernels, "_family_sum", spied)
+        p = EnsembleParams(0.3, 0.7, 1.5, 12)
+        k11(p, 0.6564, 1.8995)
+        assert calls
+        al1 = (Fraction(p.a) + Fraction(p.b) + 1) / Fraction(p.theta)
+        for c, fa, fb, na, nb, prec, h0 in calls:
+            assert (c, fa, fb, na, nb) == (al1, (0, 1, 1), (0, 1, 1), 12, 12)
+            assert h0.bit_length() >= prec + 16
+
+    # the parent's values of the exact core, kept bit for bit: bulk at N =
+    # 80 with a seed per j, far below 1/(x + y), past 1e15 and at large w
+    @pytest.mark.parametrize("p,y,x,want", [
+        ((0.4, 1.4, 1.3, 80), 1.1597, 1.9211, "6.872240447859628e-25"),
+        ((0.3, 0.7, 1.0, 80), 30.0, 22.0, "-8.360256913770507e-60"),
+        ((0.5, 0.7, 1.5, 3), 1e15, 1.0, "-1.2039965054675063e-16"),
+        ((0.3, 0.7, 1.5, 40), 700.0, 650.0, "-5.539490505023075e-07")])
+    def test_values_keep_their_bits(self, p, y, x, want):
+        assert repr(k11(EnsembleParams(*p), y, x)) == want
 
     def test_large_point_needs_no_guard_digits(self):
         # at w = 650 and 700 every chain runs upward, where no step grows
@@ -1288,8 +1341,9 @@ class TestK11Core:
 
 
 class TestHankelForm:
-    """numerics._hankel_form, K11's double sum as one big-integer product,
-    against the plain sum_j ia_j sum_k h_{j+k} ib_k it replaced."""
+    """numerics._hankel_form, the exact pair sum's (foxh._family_sum) one
+    big-integer product for K11 and the t-integrals, against the plain
+    sum_j ia_j sum_k h_{j+k} ib_k it replaced."""
 
     @staticmethod
     def plain(ia, ib, h):

@@ -14,13 +14,17 @@ import numpy as np
 import pytest
 
 from cauchybures import (CorrelationRequest, EnsembleParams, FoxHSpec,
-                         cd_kernel, coeff_c, fox_h, g_inf, g_n,
-                         hard_edge_kernel, hatted, jacobi_p, k01, k10, k11,
-                         rho_bures_hard_edge, rho_cauchy, sz_density)
+                         LogValue, PolySeries, SkewMatrix, cd_kernel, coeff_c,
+                         fox_h, g_inf, g_n, hard_edge_kernel, hatted,
+                         jacobi_p, k01, k10, k11, make_grid, pfaffian,
+                         pfaffian_bordered, rho_bures_hard_edge, rho_cauchy,
+                         sz_density)
 from cauchybures.exceptions import ComplexityError, DomainError
-from cauchybures.kernels import delta_k11_inf, i1_integral, sigma_k01_inf
+from cauchybures.kernels import (KernelGrid, delta_k11_inf, i1_integral,
+                                 sigma_k01_inf)
 from cauchybures.numerics import require_positive, require_real
-from cauchybures.raney import fuss_catalan_moment, raney, sz_moment
+from cauchybures.raney import (density_asymptote, fuss_catalan_moment, raney,
+                               sz_moment)
 
 P = EnsembleParams(0.5, 0.7, 1.5, 3)
 NOT_REAL = {"str": "0.8", "None": None, "complex": 0.8 + 0j,
@@ -185,3 +189,45 @@ class TestRaneyAndPointReaders:
         # a string is a sequence of characters, each no real number
         with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
             rho_bures_hard_edge(0.3, 1.0, "0.8")
+
+
+class TestLibraryReaders:
+    # each call below read a string as its number, or raised a bare
+    # TypeError or numpy error, before it read through require_real or
+    # require_real_array
+
+    @pytest.mark.parametrize("call", [
+        lambda: density_asymptote("2", 1.0, 0.5),
+        lambda: density_asymptote(2.0, 1.0, "0.5"),
+        lambda: LogValue.from_real("0.5"),
+        lambda: pfaffian(SkewMatrix([[0, "1"], [0, 0]])),
+        lambda: SkewMatrix.from_matrix([[0, "1"], ["-1", 0]]),
+        lambda: pfaffian_bordered(SkewMatrix(np.zeros((1, 1))), ["1"]),
+        lambda: make_grid("K00", ["0.5", "1"], [1.0],
+                          lambda x, y: x + y, {}),
+        lambda: KernelGrid("K00", {}, ["0.5", "1"], [1.0], [[1.0], [2.0]]),
+        lambda: PolySeries(("1",)),
+        lambda: PolySeries((1.0, 2.0))("0.5")],
+        ids=["density_asymptote-p", "density_asymptote-x",
+             "LogValue.from_real", "SkewMatrix", "SkewMatrix.from_matrix",
+             "pfaffian_bordered-border", "make_grid", "KernelGrid",
+             "PolySeries-coefficient", "PolySeries-point"])
+    def test_string_is_refused(self, call):
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            call()
+
+    def test_numbers_keep_their_results(self):
+        assert density_asymptote(2.0, 1.0, 0.5) == 0.4501581580785531
+        assert density_asymptote(2, 1, [0.5]).tolist() == [0.4501581580785531]
+        assert LogValue.from_real(-2) == LogValue(-1, math.log(2.0))
+        assert pfaffian(SkewMatrix([[0, 1], [0, 0]])).to_real() == 1.0
+        assert pfaffian_bordered(SkewMatrix(np.zeros((1, 1))),
+                                 [2]).to_real() == 2.0
+        grid = make_grid("K00", np.array([0.5, 1.0]), [1], lambda x, y: x + y,
+                         {})
+        assert (grid.xs, grid.ys, grid.values) == ([0.5, 1.0], [1.0],
+                                                   [[1.5], [2.0]])
+        assert KernelGrid.from_json(grid.to_json()) == grid
+        series = PolySeries((1, Fraction(1, 2)))
+        assert series.coeffs == (1.0, 0.5)
+        assert series(2) == 2.0 and series([2, 4]).tolist() == [2.0, 3.0]
