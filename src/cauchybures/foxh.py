@@ -23,8 +23,7 @@ from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_div,
                           mpf_exp, mpf_log, mpf_mul, round_nearest,
                           to_fixed)
 
-from .exceptions import (ComplexityError, DomainError, NonConverged,
-                         PoleCollisionError)
+from .exceptions import DomainError, NonConverged, PoleCollisionError
 # log_gamma_complex stays bound here for perfbench/tracer.py
 from .numerics import (_DPS_STEP, _GUARD_BITS, _SPARE_DIGITS,  # noqa: F401
                        _hankel_form, checked_exp, lgamma_signed,
@@ -273,13 +272,6 @@ class _ResidueTable:
         if k + 1 < self.stops[i]:
             heapq.heappush(self.heap, (-num[i].pole(k + 1), i, k + 1))
 
-    def resum(self, z: float, n: int, peak: float, lost: float, lam) -> float:
-        """The first n residues summed exactly at z, at the exact shifts and
-        float slopes: numerics.mp_sum over _sum_at, from _resum_dps's hint
-        on the float sum's terms e^lam, largest e^peak, `lost` digits lost."""
-        return float(mp_sum(partial(self._sum_at, z, n, peak), _resum_dps(
-            lost, peak, [lam], self.split_digits(n))))
-
     def _ensure(self, n: int) -> None:
         """Exact coefficients of the first `exact` >= n entries at the
         working precision or more: `runs`, each left family's parts
@@ -526,37 +518,19 @@ def residue_series(num: Sequence[GammaFactor], den: Sequence[GammaFactor],
 
 
 def _series_at(table, z: float) -> float:
-    """residue_series at one z, over its table's float terms (_float_terms
-    at r = 0, in entry order), summed in floats on the largest term's unit
-    until the float stop rule holds (_ResidueTable.summed).  A sum not
-    accepted (_ResidueTable.accepted: more than two digits lost, or a pole
-    reached whose float term is not trusted) is re-summed exactly
-    (_ResidueTable.resum)."""
-    n = min(32, table.length)
-    while True:
-        i, _, r, lam, sig = _float_terms(table, z, n)
+    """residue_series at one z: _float_pass over its table's float terms
+    at r = 0 (_float_terms, in entry order), summed on the largest term's
+    unit, re-summed exactly by _ResidueTable._sum_at."""
+
+    def terms_at(ns):
+        i, _, r, lam, sig = _float_terms(table, z, *ns)
         i, lam, sig = i[r == 0], lam[r == 0], sig[r == 0]
         peak = lam.max(initial=-math.inf)
         mass = np.exp(lam - peak)
-        total = float(np.sum(sig * mass))
-        end = table.summed(n, i, mass, total)
-        if end:
-            break
-        n = table.grow(n, "series")
-    if peak == -math.inf:  # no nonzero term
-        return 0.0
-    # digits lost; a sum that cancels to exactly zero lost all 16
-    lost = -math.log10(abs(total)) if total else 16.0
-    if table.accepted(lost, end - 1):
-        # an accepted total may still overflow
-        with np.errstate(over="ignore"):
-            value = float(np.sign(total) * np.exp(peak + np.log(abs(total))))
-    else:
-        value = table.resum(z, end, peak, lost, lam)
-    if not math.isfinite(value):
-        raise ComplexityError(f"residue series value at z = {z:g} lies "
-                              f"past double range")
-    return value
+        return float(np.sum(sig * mass)), peak, [(i, mass)], [lam]
+
+    return _float_pass("series", [table], terms_at,
+                       lambda ns, peak: table._sum_at(z, *ns, peak))
 
 
 def residue_integral(c, one: tuple, two: tuple) -> float:
@@ -568,21 +542,19 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
     C z^{-u0} P^(r)(y)/r! (_Pole's C and monic P, y = -log z).  With int_0^1
     t^{s-1} tau^r dt = r!/s^{r+1}, the integral is the double sum over pole
     pairs of sum_{r,r'} (r + r')! D_r D'_{r'} / s^{r+r'+1}, s = c - u0 - u0'
-    > 0 (DomainError otherwise).  A float pass over the outer product of the
-    tables' float terms, a side's mass per term the sum of its pairs', stops
-    and is accepted as residue_series' does (_ResidueTable.summed and
-    accepted), else is redone exactly (_integral_at, by numerics.mp_sum).
-    A value past double range raises ComplexityError.
+    > 0 (DomainError otherwise): _float_pass over the outer product of the
+    tables' float terms, a side's mass per term the sum of its pairs', else
+    redone exactly (_integral_at).
     """
     if not math.isfinite(*require_real("c", c)):
         raise DomainError("c must be finite")
     sides = [(_residue_table(tuple(num), tuple(den)), z)
              for (num, den, _), z in zip((one, two), require_positive(
                  "z", one[2], two[2]))]
-    ns = [min(32, table.length) for table, _ in sides]
-    while True:
-        terms = [_float_terms(table, z, n) for (table, z), n in zip(sides, ns)]
-        (_, u1, r1, lam1, sig1), (_, u2, r2, lam2, sig2) = terms
+
+    def terms_at(ns):
+        (i1, u1, r1, lam1, sig1), (i2, u2, r2, lam2, sig2) = [
+            _float_terms(table, z, n) for (table, z), n in zip(sides, ns)]
         s = float(c) - np.add.outer(u1, u2)
         if not np.all(s > 0.0):
             raise DomainError("the t-integral diverges at t = 0: c - u0 - "
@@ -592,24 +564,45 @@ def residue_integral(c, one: tuple, two: tuple) -> float:
             [math.lgamma(j + 1) for j in range(r.max(initial=0) + 1)])[r]
         peak = log_term.max(initial=-math.inf)
         mass = np.exp(log_term - peak)
-        total = float(np.sum(np.outer(sig1, sig2) * mass))
-        ends = [table.summed(n, i, side, total) for (table, _), n, (i, *_),
-                side in zip(sides, ns, terms, (mass.sum(axis=1),
-                                               mass.sum(axis=0)))]
+        return (float(np.sum(np.outer(sig1, sig2) * mass)), peak,
+                [(i1, mass.sum(axis=1)), (i2, mass.sum(axis=0))], [lam1, lam2])
+
+    return _float_pass("integral", [table for table, _ in sides], terms_at,
+                       lambda ns, _: _integral_at(Fraction(c), sides, ns))
+
+
+def _float_pass(what: str, tables: list, terms_at, exact_at) -> float:
+    """The float pass and verdict of both residue sums, the residue `what`
+    ("series" or "integral") over the first ns entries of each table.
+
+    terms_at(ns) gives the float total on the unit of its largest term
+    e^peak, peak, per table (entry ids, masses) of its terms, and per table
+    their logs.  Each window starts at 32 entries, or `length`, and grows
+    (`grow`) until every table's float stop rule holds (`summed`).  The
+    value is 0.0 where no term is nonzero, the float total where every
+    table accepts the digits lost (`accepted`), else exact_at(ends, peak)
+    summed by numerics.mp_sum from _resum_dps's digits.  checked_exp
+    refuses a value past double range.
+    """
+    ns = [min(32, table.length) for table in tables]
+    while True:
+        total, peak, terms, logs = terms_at(ns)
+        ends = [table.summed(n, i, mass, total)
+                for table, n, (i, mass) in zip(tables, ns, terms)]
         if all(ends):
             break
-        ns = [n if end else table.grow(n, "integral")
-              for (table, _), n, end in zip(sides, ns, ends)]
-    if peak == -math.inf:  # no nonzero term on a side
+        ns = [n if end else table.grow(n, what)
+              for table, n, end in zip(tables, ns, ends)]
+    if peak == -math.inf:  # no nonzero term
         return 0.0
+    name = "the t-integral" if what == "integral" else "the residue series"
+    # digits lost; a sum that cancels to exactly zero lost all 16
     lost = -math.log10(abs(total)) if total else 16.0
-    if all(table.accepted(lost, n - 1) for (table, _), n in zip(sides, ends)):
-        return math.copysign(checked_exp("the t-integral", peak + math.log(
-            abs(total))), total)
-    return checked_exp("the t-integral", mp_sum(
-        partial(_integral_at, Fraction(c), sides, ends), _resum_dps(
-            lost, peak, [lam1, lam2],
-            sum(table.split_digits(n) for (table, _), n in zip(sides, ends)))),
+    if all(table.accepted(lost, end - 1) for table, end in zip(tables, ends)):
+        return math.copysign(checked_exp(name, peak + math.log(abs(total))),
+                             total)
+    return checked_exp(name, mp_sum(partial(exact_at, ends, peak), _resum_dps(
+        lost, peak, logs, sum(map(_ResidueTable.split_digits, tables, ends)))),
         power=float)
 
 

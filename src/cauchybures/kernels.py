@@ -41,7 +41,7 @@ from .foxh import (_family_sum, _g_factors, g_inf, g_n,  # noqa: F401
                    g_tilde_inf, g_tilde_n, residue_integral)
 from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, checked_exp,
                        ln_abs, mp_sum, require_positive, require_real,
-                       require_real_array, tanh_sinh_01)
+                       tanh_sinh_01)
 from .polynomials import _hat_table
 
 __all__ = [
@@ -588,6 +588,16 @@ def delta_k11_inf(a: float, theta: float, zi: float, zj: float) -> float:
 # kernel grids and serialization
 # ---------------------------------------------------------------------------
 
+def _grid_axis(points) -> list[float]:
+    """A grid axis as floats (require_real); DomainError for an axis that
+    is no sequence, as 0.5, or a nested one."""
+    try:
+        return require_real("grid points", *points)
+    except TypeError:  # no sequence to unpack
+        raise DomainError("a grid axis must be a sequence of real "
+                          "numbers") from None
+
+
 @dataclass
 class KernelGrid:
     """Rectangular table of kernel values with evaluation metadata."""
@@ -599,8 +609,7 @@ class KernelGrid:
     values: list  # row-major, len(xs) rows of len(ys)
 
     def __post_init__(self):
-        xs, ys = (require_real_array("grid points", v)
-                  for v in (self.xs, self.ys))
+        xs, ys = (_grid_axis(v) for v in (self.xs, self.ys))
         if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
             raise DomainError("grid axes must be strictly increasing")
         require_positive("grid points", *xs, *ys)
@@ -641,6 +650,6 @@ class KernelGrid:
 
 def make_grid(kind: str, xs, ys, evaluator: Callable[[float, float], float],
               params: dict) -> KernelGrid:
-    xs, ys = (require_real("grid points", *v) for v in (xs, ys))
+    xs, ys = (_grid_axis(v) for v in (xs, ys))
     values = [[float(evaluator(x, y)) for y in ys] for x in xs]
     return KernelGrid(kind=kind, params=params, xs=xs, ys=ys, values=values)

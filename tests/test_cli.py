@@ -165,7 +165,7 @@ class TestFoxH:
                                      "m": 2, "n": 0})
         res = runner.invoke(main, ["foxh", spec, "--z", "1e-60"])
         assert res.exit_code == 1
-        assert "past double range" in res.stderr
+        assert "overflows a double" in res.stderr
         assert res.stdout == ""
 
     def test_meeting_left_and_right_families_exit_one(self, runner,

@@ -240,15 +240,24 @@ class TestGNReference:
 
 @pytest.fixture
 def resummed(monkeypatch):
-    """The z each call sends to the exact re-sum, cleared by the caller."""
-    seen = []
-    resum = foxh._ResidueTable.resum
+    """The z each call sends to the exact re-sum, cleared by the caller:
+    the z of the first _ResidueTable._sum_at of each foxh.mp_sum (its
+    later passes, at more digits, repeat it)."""
+    seen, first = [], [False]
+    sum_at, mp_sum = foxh._ResidueTable._sum_at, foxh.mp_sum
+
+    def counted_sum(*args):
+        first[0] = True
+        return mp_sum(*args)
 
     def counted(table, z, *rest):
-        seen.append(z)
-        return resum(table, z, *rest)
+        if first[0]:
+            seen.append(z)
+            first[0] = False
+        return sum_at(table, z, *rest)
 
-    monkeypatch.setattr(foxh._ResidueTable, "resum", counted)
+    monkeypatch.setattr(foxh, "mp_sum", counted_sum)
+    monkeypatch.setattr(foxh._ResidueTable, "_sum_at", counted)
     return seen
 
 
@@ -386,7 +395,7 @@ class TestLargeArgument:
                                                         resum, resummed):
         for arg in (z, np.array([1.0, z])):
             resummed.clear()
-            with pytest.raises(ComplexityError, match="past double range"):
+            with pytest.raises(ComplexityError, match="overflows a double"):
                 residue_series(num, den, arg)
             assert (z in resummed) == resum
 

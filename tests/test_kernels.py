@@ -1120,7 +1120,9 @@ class TestK11Core:
         s = -Fraction(0.1) - Fraction(0.9)
         with mpmath.workdps(50):
             got = _h_seed(s, 2.0, 220)
-        assert len(fractions) == 1
+        # one fallback at the seed's own (w, bits); a cold _gamma_scaled
+        # cache adds its own fraction at W = 128, which is not counted
+        assert [args[1:] for args in fractions].count((2.0, 220)) == 1
         with mpmath.workdps(80):
             sm = -mpmath.mpf(0.1) - mpmath.mpf(0.9)
             want = mpmath.exp(2) * 2 ** -sm * mpmath.gammainc(sm, 2)

@@ -216,6 +216,17 @@ class TestLibraryReaders:
         with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: make_grid("K00", 0.5, [1.0], lambda x, y: x + y, {}),
+        lambda: KernelGrid("K00", {}, 0.5, [1.0], [[1.0]])],
+        ids=["make_grid", "KernelGrid"])
+    def test_scalar_grid_axis_is_refused(self, call):
+        # make_grid raised a bare TypeError here, KernelGrid numpy's
+        # ValueError from np.diff; both read each axis by _grid_axis
+        with pytest.raises(DomainError, match="^a grid axis must be a "
+                                              "sequence of real numbers$"):
+            call()
+
     def test_numbers_keep_their_results(self):
         assert density_asymptote(2.0, 1.0, 0.5) == 0.4501581580785531
         assert density_asymptote(2, 1, [0.5]).tolist() == [0.4501581580785531]
