@@ -23,7 +23,8 @@ from .ensembles import EnsembleParams, partition_bures, partition_cauchy
 from .kernels import (_bures_block, delta_k00_inf, delta_k11_inf, hatted,
                       sigma_k01_inf)
 from .numerics import (SkewMatrix, checked_exp, pfaffian, require_positive,
-                       require_real, tanh_sinh_01, tanh_sinh_half_line)
+                       require_real, require_real_sequence, tanh_sinh_01,
+                       tanh_sinh_half_line)
 
 __all__ = [
     "CorrelationRequest",
@@ -65,11 +66,8 @@ class CorrelationRequest:
 def _check_points(*species) -> list:
     """Each species' points as floats (require_positive); DomainError
     unless each species is a sequence of pairwise different points."""
-    try:
-        species = [tuple(require_positive("points", *pts)) for pts in species]
-    except TypeError:  # a species that is no sequence, as 0.7 or None
-        raise DomainError("points must be a sequence of real "
-                          "numbers") from None
+    species = [tuple(require_positive(
+        "points", *require_real_sequence("points", pts))) for pts in species]
     if any(len(set(pts)) != len(pts) for pts in species):
         raise DomainError("points must be pairwise different")
     return species

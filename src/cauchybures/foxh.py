@@ -213,8 +213,8 @@ class _ResidueTable:
                        if g.slope == f.slope
                        and (f.shift - g.shift).denominator == 1]
                       for f in num]
-        # the series ends where the heap runs dry (past _MAX_TERMS: never)
-        if math.isfinite(sum(self.stops)):
+        # the series ends where the heap runs dry (no stop past _MAX_TERMS)
+        if max(self.stops) <= _MAX_TERMS:
             while self.heap and len(self.entries) <= _MAX_TERMS:
                 self._extend()
         self.length = math.inf if self.heap else len(self.entries)
@@ -1000,7 +1000,7 @@ def _g(a, alpha, theta, n, tilde, z):
     if n is not None:
         require_integer("n", n, least=1)
     num, den = _g_factors(a, alpha, theta, n, tilde)
-    if not tilde and np.ndim(z) == 0 and z == 0.0:
+    if not tilde and require_real_array("z", z).ndim == 0 and z == 0.0:
         table = _residue_table(num, den)
         with mpmath.workdps(2 * _DPS_STEP):  # an exact sum's fewest digits
             table._ensure(1)

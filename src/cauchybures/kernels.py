@@ -41,6 +41,7 @@ from .foxh import (_family_sum, _g_factors, g_inf, g_n,  # noqa: F401
                    g_tilde_inf, g_tilde_n, residue_integral)
 from .numerics import (_DPS_STEP, _GUARD_BITS, _fixed_point, checked_exp,
                        ln_abs, mp_sum, require_positive, require_real,
+                       require_real_array, require_real_sequence,
                        tanh_sinh_01)
 from .polynomials import _hat_table
 
@@ -588,19 +589,9 @@ def delta_k11_inf(a: float, theta: float, zi: float, zj: float) -> float:
 # kernel grids and serialization
 # ---------------------------------------------------------------------------
 
-def _grid_axis(points) -> list[float]:
-    """A grid axis as floats (require_real); DomainError for an axis that
-    is no sequence, as 0.5, or a nested one."""
-    try:
-        return require_real("grid points", *points)
-    except TypeError:  # no sequence to unpack
-        raise DomainError("a grid axis must be a sequence of real "
-                          "numbers") from None
-
-
 @dataclass
 class KernelGrid:
-    """Rectangular table of kernel values with evaluation metadata."""
+    """Rectangular table of kernel values, all floats, with its metadata."""
 
     kind: str
     params: dict
@@ -609,15 +600,17 @@ class KernelGrid:
     values: list  # row-major, len(xs) rows of len(ys)
 
     def __post_init__(self):
-        xs, ys = (_grid_axis(v) for v in (self.xs, self.ys))
-        if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
+        self.xs, self.ys = (require_real_sequence("a grid axis", v)
+                            for v in (self.xs, self.ys))
+        if not all(np.all(np.diff(v) > 0) for v in (self.xs, self.ys)):
             raise DomainError("grid axes must be strictly increasing")
-        require_positive("grid points", *xs, *ys)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(xs), len(ys)):
+        require_positive("grid points", *self.xs, *self.ys)
+        vals = require_real_array("grid values", self.values)
+        if vals.shape != (len(self.xs), len(self.ys)):
             raise DomainError("values shape mismatch")
         if not np.all(np.isfinite(vals)):
             raise NonConverged("non-finite kernel value on the grid")
+        self.values = vals.tolist()
 
     def to_csv(self) -> str:
         meta = {"kind": self.kind, "params": self.params}
@@ -641,15 +634,14 @@ class KernelGrid:
         try:  # the grid's own checks raise CauchyBuresErrors, not these
             d = json.loads(text)
             return cls(kind=d["kind"], params=d["params"],
-                       xs=[float(x) for x in d["xs"]],
-                       ys=[float(y) for y in d["ys"]],
-                       values=[[float(v) for v in row] for row in d["values"]])
+                       xs=[*map(float, d["xs"])], ys=[*map(float, d["ys"])],
+                       values=[[*map(float, r)] for r in d["values"]])
         except (ValueError, TypeError, KeyError) as err:
             raise DomainError(f"not a kernel grid in JSON: {err!r}") from None
 
 
 def make_grid(kind: str, xs, ys, evaluator: Callable[[float, float], float],
               params: dict) -> KernelGrid:
-    xs, ys = (_grid_axis(v) for v in (xs, ys))
+    xs, ys = (require_real_sequence("a grid axis", v) for v in (xs, ys))
     values = [[float(evaluator(x, y)) for y in ys] for x in xs]
     return KernelGrid(kind=kind, params=params, xs=xs, ys=ys, values=values)

@@ -68,15 +68,28 @@ def require_real(what: str, *values) -> list[float]:
                           f"range") from None
 
 
+def require_real_sequence(what: str, points) -> list[float]:
+    """The items of points, any iterable, as require_real's floats;
+    DomainError for points that are no iterable, as 0.5 or None."""
+    try:
+        return require_real(what, *points)
+    except TypeError:  # no iterable to unpack
+        raise DomainError(f"{what} must be a sequence of real "
+                          f"numbers") from None
+
+
 def require_real_array(what: str, x) -> np.ndarray:
-    """x as a float ndarray: a scalar read by require_real, an array of
-    booleans, integers or floats as it is; DomainError for any other."""
-    if np.ndim(x) == 0:
-        return np.asarray(require_real(what, x)[0])
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "biuf":
-        raise DomainError(f"{what} must be a real number in double range")
-    return arr.astype(float)
+    """x, a scalar or an array, as a float ndarray: booleans, integers or
+    floats as they are, any other entry by require_real (a Fraction is its
+    double); DomainError for a ragged array."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged nest of sequences
+        raise DomainError(f"{what} must be a real number in double "
+                          f"range") from None
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float)
+    return np.reshape(require_real(what, *arr.ravel().tolist()), arr.shape)
 
 
 def require_positive(what: str, *values) -> list[float]:
@@ -458,15 +471,11 @@ class SkewMatrix:
         upper = require_real_array("SkewMatrix entries", upper)
         if upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
             raise DimensionError("SkewMatrix requires a square array")
-        n = upper.shape[0]
-        entries = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        entries[iu] = upper[iu]
+        entries = np.triu(upper, 1)
         if not np.all(np.isfinite(entries)):
             raise DomainError("SkewMatrix entries must be finite")
-        entries -= entries.T
-        self.dim = n
-        self.entries = entries
+        self.dim = len(entries)
+        self.entries = entries - entries.T
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "SkewMatrix":

@@ -17,7 +17,8 @@ import numpy as np
 from .exceptions import ComplexityError, DomainError
 from .ensembles import EnsembleParams, _log_schur, partition_cauchy
 from .numerics import (LogValue, require_integer, require_positive,
-                       require_real, require_real_array)
+                       require_real, require_real_array,
+                       require_real_sequence)
 
 __all__ = [
     "PolySeries",
@@ -40,7 +41,7 @@ class PolySeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = require_real("polynomial coefficients", *self.coeffs)
+        coeffs = require_real_sequence("polynomial coefficients", self.coeffs)
         if not all(map(math.isfinite, coeffs)):
             raise DomainError("polynomial coefficients exceed double range")
         object.__setattr__(self, "coeffs", tuple(coeffs))

@@ -1273,6 +1273,20 @@ class TestCancelledPoles:
             residue_series([GammaFactor(0.0, 1.0)],
                            [GammaFactor(shift, 1.0)], 1.5)
 
+    def test_poles_cancelled_by_another_slope_sum_to_zero(self):
+        # Gamma(u) / (Gamma(3 + u) Gamma(2u)): Gamma(3 + u) ends the family
+        # at u = -3, and 1/Gamma(2u) vanishes on the three poles it leaves
+        # (u = 0, -1, -2), so the float pass sees no nonzero term
+        num, den = (GammaFactor(0, 1.0),), (GammaFactor(3, 1.0),
+                                            GammaFactor(0, 2.0))
+        table = foxh._ResidueTable(num, den)
+        assert table.length == 3
+        assert [pole.order for pole in table.entries] == [0, 0, 0]
+        spec = FoxHSpec([[3.0, 1.0], [0.0, 2.0]], [[0.0, 1.0]], 1, 0)
+        for z in (0.5, 30.0):
+            assert residue_series(num, den, z) == 0.0
+        assert fox_h(spec, np.array([0.5, 30.0])).tolist() == [0.0, 0.0]
+
     @pytest.mark.parametrize("kernel", ["k01", "k10"])
     def test_small_theta_tintegral_matches_direct(self, kernel):
         # k01 once gave 4.830 here by the t-integral, against 0.926
@@ -1333,6 +1347,16 @@ class TestFamilyStops:
         assert [orders[-1.0], orders[-3.0]] == [1 + (n > 1), 1 + (n > 3)]
         assert [g_tilde_n(0.5, 0.9, 1.5, n, z)
                 for z in (0.7, 3.0, 12.0, 40.0)] == values
+
+    def test_table_past_the_term_limit_builds_no_entry_up_front(self):
+        # G_5000's Gamma(u) family stops at u = -5000, past _MAX_TERMS, so
+        # the table cannot end within them; it once built 2,001 entries at
+        # construction (25 ms) to learn that
+        num, den = foxh._g_factors(0.3, 0.8, 1.5, 5000, False)
+        table = foxh._ResidueTable(num, den)
+        assert table.stops == [5000, 0]
+        assert table.entries == [] and table.length == math.inf
+        assert g_n(0.3, 0.8, 1.5, 5000, 0.5) == -7.734057371087935e+85
 
     def test_merged_families_end_where_the_heap_runs_dry(self):
         # Gamma(u)^2 / Gamma(1001 + u)^2: the two stops sum past

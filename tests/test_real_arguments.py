@@ -3,8 +3,10 @@
 An int, a Fraction or a numpy scalar is read as its double; a string,
 None, a complex, a Decimal or an int past double range raises DomainError.
 The entry points compute on the floats it returns, so they refuse what it
-refuses and return Python floats for numpy-scalar arguments too.  The
-file imports no scipy, so it runs where scipy is not installed.
+refuses and return Python floats for numpy-scalar arguments too.  A
+sequence of numbers is read by require_real_sequence, an array by
+require_real_array, both through require_real.  The file imports no
+scipy, so it runs where scipy is not installed.
 """
 import math
 from decimal import Decimal
@@ -22,7 +24,8 @@ from cauchybures import (CorrelationRequest, EnsembleParams, FoxHSpec,
 from cauchybures.exceptions import ComplexityError, DomainError
 from cauchybures.kernels import (KernelGrid, delta_k11_inf, i1_integral,
                                  sigma_k01_inf)
-from cauchybures.numerics import require_positive, require_real
+from cauchybures.numerics import (require_positive, require_real,
+                                  require_real_sequence)
 from cauchybures.raney import (density_asymptote, fuss_catalan_moment, raney,
                                sz_moment)
 
@@ -30,6 +33,7 @@ P = EnsembleParams(0.5, 0.7, 1.5, 3)
 NOT_REAL = {"str": "0.8", "None": None, "complex": 0.8 + 0j,
             "Decimal": Decimal("0.8"), "10**400": 10 ** 400}
 NOT_A_REAL_NUMBER = "must be a real number in double range"
+RAGGED = [[0.5], [1.0, 2.0]]
 
 
 class TestRequireReal:
@@ -47,6 +51,20 @@ class TestRequireReal:
         for read in (require_real, require_positive):
             with pytest.raises(DomainError, match=f"^x {NOT_A_REAL_NUMBER}$"):
                 read("x", 1.5, bad)
+
+    @pytest.mark.parametrize("points", [
+        [1, 0.5], (1, 0.5), np.array([1.0, 0.5]), (x for x in [1, 0.5])],
+        ids=["list", "tuple", "array", "generator"])
+    def test_reads_any_iterable_as_a_list_of_floats(self, points):
+        got = require_real_sequence("x", points)
+        assert got == [1.0, 0.5] and all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("bad", [0.5, None, np.float64(0.5)],
+                             ids=["float", "None", "float64"])
+    def test_refuses_what_is_no_sequence(self, bad):
+        with pytest.raises(DomainError,
+                           match="^x must be a sequence of real numbers$"):
+            require_real_sequence("x", bad)
 
     def test_positivity_is_checked_on_the_floats(self):
         assert require_real("x", -1, math.inf) == [-1.0, math.inf]
@@ -206,12 +224,14 @@ class TestLibraryReaders:
         lambda: make_grid("K00", ["0.5", "1"], [1.0],
                           lambda x, y: x + y, {}),
         lambda: KernelGrid("K00", {}, ["0.5", "1"], [1.0], [[1.0], [2.0]]),
+        lambda: KernelGrid("K00", {}, [0.5], [1.0], [["1.0"]]),
         lambda: PolySeries(("1",)),
         lambda: PolySeries((1.0, 2.0))("0.5")],
         ids=["density_asymptote-p", "density_asymptote-x",
              "LogValue.from_real", "SkewMatrix", "SkewMatrix.from_matrix",
              "pfaffian_bordered-border", "make_grid", "KernelGrid",
-             "PolySeries-coefficient", "PolySeries-point"])
+             "KernelGrid-value", "PolySeries-coefficient",
+             "PolySeries-point"])
     def test_string_is_refused(self, call):
         with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
             call()
@@ -222,10 +242,62 @@ class TestLibraryReaders:
         ids=["make_grid", "KernelGrid"])
     def test_scalar_grid_axis_is_refused(self, call):
         # make_grid raised a bare TypeError here, KernelGrid numpy's
-        # ValueError from np.diff; both read each axis by _grid_axis
+        # ValueError from np.diff; both read each axis by
+        # numerics.require_real_sequence
         with pytest.raises(DomainError, match="^a grid axis must be a "
                                               "sequence of real numbers$"):
             call()
+
+    @pytest.mark.parametrize("bad", [0.5, None], ids=["float", "None"])
+    def test_coefficients_that_are_no_sequence(self, bad):
+        # a bare TypeError from unpacking the coefficients
+        with pytest.raises(DomainError, match="^polynomial coefficients must "
+                                              "be a sequence of real "
+                                              "numbers$"):
+            PolySeries(bad)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SkewMatrix(RAGGED),
+        lambda: pfaffian_bordered(SkewMatrix(np.zeros((1, 1))), RAGGED),
+        lambda: g_n(0.3, 0.5, 1.0, 3, RAGGED),
+        lambda: PolySeries((1.0, 2.0))(RAGGED),
+        lambda: jacobi_p(3, 0.5, RAGGED),
+        lambda: sz_density(RAGGED),
+        lambda: KernelGrid("K00", {}, [0.5, 1.0], [1.0, 2.0], RAGGED)],
+        ids=["SkewMatrix", "pfaffian_bordered-border", "g_n-z",
+             "PolySeries-point", "jacobi_p", "sz_density",
+             "KernelGrid-values"])
+    def test_ragged_array_is_refused(self, call):
+        # numpy's bare ValueError ("inhomogeneous shape") from np.asarray
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            call()
+
+    @pytest.mark.parametrize("values", [
+        np.array([[0.25], [3.0]]),
+        [[Fraction(1, 4)], [np.float64(3.0)]]], ids=["float64", "Fraction"])
+    def test_grid_stores_the_floats_it_read(self, values):
+        # numpy axes and values were stored as given, so to_json wrote
+        # "np.float64(0.5)", which from_json refused, and a Fraction value
+        # "Fraction(1, 4)"
+        grid = KernelGrid("K00", {}, np.array([0.5, 1.0]), np.array([2.0]),
+                          values)
+        assert (grid.xs, grid.ys, grid.values) == ([0.5, 1.0], [2.0],
+                                                   [[0.25], [3.0]])
+        assert all(type(v) is float for v in grid.xs + grid.ys
+                   + [v for row in grid.values for v in row])
+        back = KernelGrid.from_json(grid.to_json())
+        assert (back.xs, back.ys, back.values) == (grid.xs, grid.ys,
+                                                   grid.values)
+        assert grid.to_csv().splitlines()[1:] == [
+            "x,y,value", "0.5,2.0,0.25", "1.0,2.0,3.0"]
+
+    def test_grid_on_a_generator_axis_writes_every_point(self):
+        # the axis check read the generator up and the grid stored it spent:
+        # a CSV with no rows
+        grid = KernelGrid("K00", {}, (x for x in [0.5, 1.0]), [2.0],
+                          [[1.0], [2.0]])
+        assert grid.to_csv().splitlines()[2:] == ["0.5,2.0,1.0",
+                                                  "1.0,2.0,2.0"]
 
     def test_numbers_keep_their_results(self):
         assert density_asymptote(2.0, 1.0, 0.5) == 0.4501581580785531
