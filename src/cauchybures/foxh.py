@@ -60,19 +60,22 @@ _SEPARATION_POLES = 300
 
 @dataclass(frozen=True)
 class GammaFactor:
-    """One factor Gamma(shift + slope * u) of a Mellin-Barnes integrand;
-    shift is exact, a float read as the number it denotes (Fraction(0.4) + 4
-    is 3.3e-16 below 0.4 + 4.0); the float series reads its double, `near`."""
+    """One factor Gamma(shift + slope * u) of a Mellin-Barnes integrand, read
+    by require_real; shift is exact, a float read as the number it denotes
+    (Fraction(0.4) + 4 is 3.3e-16 below 0.4 + 4.0), its double is `near`."""
 
     shift: Fraction
     slope: float
     near: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.shift) and math.isfinite(self.slope)):
+        near, slope = require_real("shift and slope", self.shift, self.slope)
+        if not (math.isfinite(near) and math.isfinite(slope)):
             raise DomainError("gamma factor shift and slope must be finite")
-        object.__setattr__(self, "shift", Fraction(self.shift))
-        object.__setattr__(self, "near", float(self.shift))
+        exact = self.shift if isinstance(self.shift, (int, Fraction)) else near
+        object.__setattr__(self, "shift", Fraction(exact))
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "near", near)
         # a residue table is looked up per call by its factors' hashes
         object.__setattr__(self, "_hash", hash((self.shift, self.slope)))
 
@@ -107,10 +110,10 @@ class FoxHSpec:
 
     def __post_init__(self):
         for key in ("upper", "lower"):
-            try:  # x + 0.0 is a number's float, a TypeError for a string
-                pairs = tuple((shift + 0.0, slope + 0.0)
+            try:  # a TypeError or ValueError: no pairs to unpack
+                pairs = tuple(tuple(require_real(key, shift, slope))
                               for shift, slope in getattr(self, key))
-            except (TypeError, ValueError, OverflowError):
+            except (DomainError, TypeError, ValueError):
                 raise DomainError(f"field {key!r} must be a list of "
                                   f"[shift, slope] pairs") from None
             object.__setattr__(self, key, pairs)
@@ -197,8 +200,7 @@ class _ResidueTable:
         heapq.heapify(self.heap)
         self.entries: list[_Pole] = []
         self._arrays = np.empty((5, 0))
-        self.exact, self.exact_prec, self.nonzero = 0, 0, []
-        self.runs, self.family, self.chains = {}, {}, {}
+        self.exact_prec = 0  # _ensure builds the exact pass on first use
         self.factorials, self.spot_maps, self.splits = [1], [], []
         # per factor (p b, a q, q b), its shift p/q and slope a/b exact: at
         # u = U/V its argument is (p b V + a q U) / (q b V)

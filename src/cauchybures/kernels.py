@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp
 
 from .exceptions import (ComplexityError, DomainError, NonConverged,
                          SingularPointError)
@@ -363,10 +362,10 @@ def _gamma_scaled(s: Fraction, prec: int):
     k = math.ceil(-s)
     with mpmath.workprec(prec + _GUARD_BITS):
         if k:
-            (big_s,), scale = _one_scale(s)  # (s)_k 2^{k scale} on integers
-            rising = math.prod(big_s + (i << scale) for i in range(k))
+            p, q = s.numerator, s.denominator  # (s)_k q^k on integers
+            rising = math.prod(p + i * q for i in range(k))
             return (_gamma_scaled(s + k, prec)
-                    * mpmath.mpf(int(_GAMMA_W) ** k << k * scale) / rising)
+                    * mpmath.mpf((int(_GAMMA_W) * q) ** k) / rising)
         series = _h_sum(s, _GAMMA_W)[0]
         bits = max(1, prec + _GUARD_BITS - int(ln_abs(series) / _LN2))
         return series + mpmath.ldexp(_h_fraction(s, _GAMMA_W, bits), -bits)
@@ -377,8 +376,7 @@ def _h_series(s: Fraction, w: float) -> tuple:
     precision, s < 1 not an integer, and the ln of its larger part, with
     e^w w^{-s} Gamma(s) = e^{w-W} (w/W)^{-s} _gamma_scaled(s)."""
     series, log_max = _h_sum(s, w)
-    (big_s,), scale = _one_scale(s)
-    sm = mpmath.mp.make_mpf(from_man_exp(big_s, -scale))  # s exact
+    sm = mpmath.ldexp(s.numerator, 1 - s.denominator.bit_length())  # s exact
     ww = mpmath.mpf(w) / _GAMMA_W
     gamma_part = (mpmath.exp(_GAMMA_W * (ww - 1) - sm * mpmath.log(ww))
                   * _gamma_scaled(s, mpmath.mp.prec))

@@ -1342,6 +1342,32 @@ class TestK11Core:
                                                  rel=1e-10)
 
 
+class TestHSumAccuracy:
+    """_h_sum, sum_k w^k/(s)_{k+1}, is M(1, s + 1, w)/s with M Kummer's
+    function (DLMF 13.2.2).  Its backward Horner pass on integers keeps its
+    error within a few units of its working precision on the largest |term|
+    (21 on this grid)."""
+
+    @pytest.mark.parametrize("prec", [80, 700])
+    @pytest.mark.parametrize("w", [0.05, 2.0, 20.0, 128.0])
+    @pytest.mark.parametrize("s", [
+        -Fraction(0.3), Fraction(0.9), -Fraction(0.1) - Fraction(0.9),
+        -Fraction(10.45), -Fraction(0.3) - Fraction(1.3) * 160,
+        -Fraction(99.7)],
+        ids=["-0.3", "0.9", "near-pole", "-10.45", "-208.3", "-99.7"])
+    def test_sum_within_units_of_its_largest_term(self, s, w, prec):
+        # s = -(0.1 + 0.9) exactly lies 2.8e-17 from the pole at -1; at
+        # -208.3 and -99.7 the terms up to k ~ -s alternate in sign
+        with mpmath.workprec(prec):
+            got, log_peak = kernels._h_sum(s, w)
+        with mpmath.workprec(prec + 200):
+            sm = mpmath.mpf(s.numerator) / s.denominator
+            want = mpmath.hyp1f1(1, sm + 1, w) / sm
+            unit = mpmath.ldexp(mpmath.exp(log_peak), -prec)
+            assert abs(got - want) <= 64 * unit, mpmath.nstr(
+                abs(got - want) / unit, 3)
+
+
 class TestHankelForm:
     """numerics._hankel_form, the exact pair sum's (foxh._family_sum) one
     big-integer product for K11 and the t-integrals, against the plain

@@ -22,6 +22,7 @@ from cauchybures import (CorrelationRequest, EnsembleParams, FoxHSpec,
                          pfaffian_bordered, rho_bures_hard_edge, rho_cauchy,
                          sz_density)
 from cauchybures.exceptions import ComplexityError, DomainError
+from cauchybures.foxh import GammaFactor
 from cauchybures.kernels import (KernelGrid, delta_k11_inf, i1_integral,
                                  sigma_k01_inf)
 from cauchybures.numerics import (require_positive, require_real,
@@ -298,6 +299,43 @@ class TestLibraryReaders:
                           [[1.0], [2.0]])
         assert grid.to_csv().splitlines()[2:] == ["0.5,2.0,1.0",
                                                   "1.0,2.0,2.0"]
+
+    @pytest.mark.parametrize("shift,slope", [
+        ("0.4", 1.0), (0.4, "1"), (0.4, 1 + 0j), (10 ** 400, 1.0),
+        (Decimal("0.4"), 1.0), (0.4, Decimal("1.5"))],
+        ids=["str-shift", "str-slope", "complex-slope", "10**400-shift",
+             "Decimal-shift", "Decimal-slope"])
+    def test_gamma_factor_reads_through_require_real(self, shift, slope):
+        # the strings and the complex raised a bare TypeError, 10**400 a
+        # bare OverflowError; a Decimal shift was read as its exact decimal
+        # (2/5), and a Decimal slope was stored, so that residue_series
+        # raised a bare TypeError
+        with pytest.raises(DomainError, match=NOT_A_REAL_NUMBER):
+            GammaFactor(shift, slope)
+
+    @pytest.mark.parametrize("slope", [np.float64(1.5), Fraction(3, 2)],
+                             ids=["float64", "Fraction"])
+    def test_gamma_factor_stores_the_slope_it_read(self, slope):
+        # the slope was stored as given, a numpy scalar or a Fraction
+        factor = GammaFactor(0.4, slope)
+        assert type(factor.slope) is float and factor.slope == 1.5
+        assert type(factor.shift) is Fraction
+        assert factor.shift == Fraction(0.4) and factor.near == 0.4
+
+    def test_gamma_factor_numpy_shift_is_its_double(self):
+        # Fraction() refuses a float32 with a bare TypeError; an int or a
+        # Fraction shift stays exact past double precision
+        factor = GammaFactor(np.float32(0.4), 1.0)
+        assert factor.shift == Fraction(float(np.float32(0.4)))
+        assert GammaFactor(2 ** 60 + 1, 1.0).shift == 2 ** 60 + 1
+        assert GammaFactor(Fraction(1, 10), 1.0).shift == Fraction(1, 10)
+
+    def test_fox_h_spec_stores_the_floats_it_read(self):
+        # its own reader, x + 0.0, kept numpy scalars as they were
+        spec = FoxHSpec(np.array([[0.5, 2.0]]), np.array([[0.0, 1.0]]), 1, 0)
+        assert (spec.upper, spec.lower) == (((0.5, 2.0),), ((0.0, 1.0),))
+        assert all(type(v) is float
+                   for pair in spec.upper + spec.lower for v in pair)
 
     def test_numbers_keep_their_results(self):
         assert density_asymptote(2.0, 1.0, 0.5) == 0.4501581580785531
